@@ -11,10 +11,9 @@ violations:
   unseeded ``random.Random()``, no wall-clock reads, and no event
   scheduling driven by unordered-set iteration inside the simulation
   packages.
-* **Fast-path drift** (``REPRO2xx``) — the hand-inlined hot-path copies
-  introduced by the engine-optimization PR (``Simulator.schedule`` at
-  the link scheduling sites, ``Queue.enqueue`` inside
-  ``Interface.enqueue``, ``Node.forward`` inside ``Link._deliver``)
+* **Fast-path drift** (``REPRO2xx``) — the two remaining hand-inlined
+  hot-path copies (``Queue.enqueue`` inside ``Interface.enqueue``,
+  the ``_burst_step`` bodies inside ``_drain_burst``)
   are compared against their canonical definitions via normalized-AST
   comparison, so an edit to either side that forgets the other fails CI
   instead of silently diverging.

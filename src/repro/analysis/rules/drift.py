@@ -1,34 +1,25 @@
 """Fast-path drift rules (REPRO2xx), driven by a declarative mirror
 registry.
 
-The engine-optimization PRs hand-inlined four canonical routines into
-hot loops:
+Two hand-inlined copies of canonical routines remain on the fast path:
 
-* ``Simulator.schedule`` — expanded at the link scheduling sites
-  (``Link.transmit``, twice in ``Link._end_serialization``) and the
-  cut-through site in ``Interface.enqueue``;
-* ``Queue.enqueue``'s admitted path — copied into ``Interface.enqueue``;
-* ``Node.forward`` — folded into ``Link._deliver``;
-* ``_CalendarScheduler.push`` — copied into the backend's own run loop
-  for the lazy-timer re-key path;
-* ``_burst_step``'s SER/PROP bodies — copied into ``_drain_burst``.
+* ``Queue.enqueue``'s admitted path — copied into ``Interface.enqueue``
+  (REPRO202);
+* ``_burst_step``'s SER/PROP bodies — copied into ``_drain_burst``
+  (REPRO205).
 
 Each copy is correct *today* because it was derived from the canonical
 code and verified by the bit-identical equivalence tests.  It stays
 correct only if every future edit touches both sides.  These rules
 enforce that mechanically.
 
-Since PR 9 the per-rule plumbing (module resolution, missing-anchor
-messaging, site minimums, the symmetric compare loop) lives in one
-generic :class:`MirrorSpec` driver; each rule *declares* its canonical
-anchor, its inline sites, and how the two sides are fingerprinted:
-
-* a **semantic fingerprint** (``ScheduleSkeleton``, ``ForwardSummary``,
-  ``CalendarInsertSkeleton``) when the two sides legitimately differ in
-  spelling — compared by equality, differences narrated field by field;
-* a **normalized AST dump** (alpha-renamed locals via
-  :func:`~repro.analysis.astutils.normalized_dump`) when the copies
-  must be statement-identical.
+The per-rule plumbing (module resolution, missing-anchor messaging,
+the symmetric compare loop) lives in one generic :class:`MirrorSpec`
+driver; each rule *declares* its canonical anchor, its inline sites,
+and how the two sides are compared — both by **normalized AST dump**
+(alpha-renamed locals via
+:func:`~repro.analysis.astutils.normalized_dump`), because the copies
+must be statement-identical.
 
 Adding a new mirror means writing an extractor pair and one
 ``MirrorSpec`` — no new engine plumbing.  The rules run only when the
@@ -41,23 +32,16 @@ from __future__ import annotations
 
 import ast
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Tuple, Union)
 
-from repro.analysis.astutils import (
-    dotted_name,
-    find_class,
-    find_method,
-    normalized_dump,
-)
+from repro.analysis.astutils import find_class, find_method, normalized_dump
 from repro.analysis.context import FileContext, Project
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import Rule, register
 
-_ENGINE_PY = "repro/sim/engine.py"
 _LINK_PY = "repro/net/link.py"
 _IFACE_PY = "repro/net/interface.py"
 _QUEUES_PY = "repro/net/queues.py"
-_NODE_PY = "repro/net/node.py"
 
 
 # ======================================================================
@@ -97,13 +81,8 @@ class Channel(NamedTuple):
 
     canonical: CanonicalExtractor
     sites: Tuple[MirrorSite, ...]
-    #: Mismatch message template; ``{diff}`` is filled from ``describe``.
+    #: Message emitted at each site whose artifact does not match.
     mismatch: str
-    #: Renders the difference between a site artifact and the canonical
-    #: one (only consulted when the template mentions ``{diff}``).
-    describe: Callable[[object, object], str] = lambda mine, theirs: (
-        mine.describe_difference(theirs)  # type: ignore[attr-defined]
-        if hasattr(mine, "describe_difference") else "structural mismatch")
     #: Equality predicate between site and canonical artifacts.
     matches: Callable[[object, object], bool] = (
         lambda mine, theirs: mine == theirs)
@@ -178,196 +157,9 @@ def _run_spec(rule: Rule, spec: MirrorSpec,
                 continue
             for item in extracted:
                 if not channel.matches(item.artifact, canonical.artifact):
-                    message = channel.mismatch
-                    if "{diff}" in message:
-                        message = message.format(diff=channel.describe(
-                            item.artifact, canonical.artifact))
-                    out.append(rule.diag(site_ctx, item.line, 0, message))
+                    out.append(rule.diag(site_ctx, item.line, 0,
+                                         channel.mismatch))
     return out
-
-
-# ======================================================================
-# Shared extraction: the "schedule skeleton" (REPRO201)
-# ======================================================================
-class ScheduleSkeleton(NamedTuple):
-    """Normalized form of one inline event-construction sequence.
-
-    ``fields`` is the ordered tuple of attributes stored on the fresh
-    ``Event``; ``push_shape`` is the operand shape of the backend-
-    agnostic ``_push(time, event)`` insert; ``live_increment`` records
-    the live-event accounting that must accompany every push.  Site-
-    specific operands (the deadline expression, the callback, the args
-    tuple) are holes — they legitimately differ between sites.  Seq
-    allocation and peak tracking live inside the scheduler backend now,
-    so they are no longer part of the inline contract.
-    """
-
-    fields: Tuple[str, ...]
-    push_shape: Tuple[str, ...]
-    live_increment: bool
-
-    def describe_difference(self, other: "ScheduleSkeleton") -> str:
-        parts: List[str] = []
-        if self.fields != other.fields:
-            parts.append(f"event fields {list(self.fields)} != "
-                         f"canonical {list(other.fields)}")
-        if self.push_shape != other.push_shape:
-            parts.append(f"_push operand shape {list(self.push_shape)} != "
-                         f"canonical {list(other.push_shape)}")
-        if self.live_increment != other.live_increment:
-            parts.append("live-event increment missing"
-                         if not self.live_increment else
-                         "live-event increment not in canonical form")
-        return "; ".join(parts) or "structural mismatch"
-
-
-def _is_new_event_assign(stmt: ast.stmt) -> Optional[str]:
-    """Bound name when ``stmt`` is ``<name> = _new_event(Event)``."""
-    if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)):
-        call = stmt.value
-        func_name = dotted_name(call.func)
-        if (func_name is not None and func_name.split(".")[-1] == "_new_event"
-                and len(call.args) == 1
-                and isinstance(call.args[0], ast.Name)
-                and call.args[0].id == "Event"):
-            return stmt.targets[0].id
-    return None
-
-
-def _event_field_of(stmt: ast.stmt, event_var: str) -> Optional[str]:
-    """Field name when ``stmt`` stores an attribute on ``event_var``.
-
-    Accepts both ``event.time = expr`` and the chained
-    ``event.time = time = expr`` form the inline sites use.
-    """
-    if not isinstance(stmt, ast.Assign):
-        return None
-    for target in stmt.targets:
-        if (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == event_var):
-            return target.attr
-    return None
-
-
-def _push_call_shape(stmt: ast.stmt, event_var: str) -> Optional[Tuple[str, ...]]:
-    """Normalized operand shape of a ``<owner>._push(time, event)`` call.
-
-    The insert is the bound backend method, so the contract is the call
-    itself (two positional operands: the heap key time and the event),
-    not any particular heap layout.
-    """
-    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
-        return None
-    call = stmt.value
-    func_name = dotted_name(call.func)
-    if func_name is None or func_name.split(".")[-1] != "_push":
-        return None
-    if call.keywords:
-        return ("kwargs?",)
-    shape: List[str] = []
-    for position, arg in enumerate(call.args):
-        if isinstance(arg, ast.Name) and arg.id == event_var:
-            shape.append("event")
-        elif position == 0 and isinstance(arg, ast.Name):
-            shape.append("time")
-        else:
-            shape.append("?")
-    return tuple(shape)
-
-
-def _is_live_increment(stmt: ast.stmt) -> bool:
-    return (isinstance(stmt, ast.AugAssign)
-            and isinstance(stmt.op, ast.Add)
-            and isinstance(stmt.target, ast.Attribute)
-            and stmt.target.attr == "_live"
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value == 1)
-
-
-def _scan_statement_lists(body: List[ast.stmt],
-                          visit: Callable[[List[ast.stmt]], None]) -> None:
-    """Apply ``visit`` to ``body`` and every nested statement list."""
-    visit(body)
-    for stmt in body:
-        for attr in ("body", "orelse", "finalbody"):
-            inner = getattr(stmt, attr, None)
-            if isinstance(inner, list) and inner and isinstance(
-                    inner[0], ast.stmt):
-                _scan_statement_lists(inner, visit)
-        for handler in getattr(stmt, "handlers", []) or []:
-            _scan_statement_lists(handler.body, visit)
-
-
-def _extract_skeletons(body: List[ast.stmt]) -> List[Tuple[int, ScheduleSkeleton]]:
-    """Every schedule skeleton (with its line) in a statement tree."""
-    found: List[Tuple[int, ScheduleSkeleton]] = []
-
-    def visit(stmts: List[ast.stmt]) -> None:
-        for index, stmt in enumerate(stmts):
-            event_var = _is_new_event_assign(stmt)
-            if event_var is not None:
-                skeleton = _skeleton_after(stmts, index, event_var)
-                found.append((stmt.lineno, skeleton))
-
-    _scan_statement_lists(body, visit)
-    return found
-
-
-def _skeleton_after(stmts: List[ast.stmt], index: int,
-                    event_var: str) -> ScheduleSkeleton:
-    fields: List[str] = []
-    push_shape: Tuple[str, ...] = ()
-    live = False
-    window = stmts[index + 1: index + 14]
-    collecting_fields = True
-    for stmt in window:
-        field = _event_field_of(stmt, event_var)
-        if field is not None and collecting_fields:
-            fields.append(field)
-            continue
-        collecting_fields = False
-        shape = _push_call_shape(stmt, event_var)
-        if shape is not None:
-            push_shape = shape
-        elif _is_live_increment(stmt):
-            live = True
-    return ScheduleSkeleton(tuple(fields), push_shape, live)
-
-
-def _canonical_schedule(ctx: FileContext) -> Union[Extracted, ExtractError]:
-    assert ctx.tree is not None
-    sim_cls = find_class(ctx.tree, "Simulator")
-    schedule = find_method(sim_cls, "schedule") if sim_cls else None
-    if schedule is None:
-        return ExtractError(1, (
-            "cannot extract the canonical Simulator.schedule event-"
-            "construction skeleton — the drift checker needs updating "
-            "alongside the engine"))
-    skeletons = _extract_skeletons(list(schedule.body))
-    if len(skeletons) != 1:
-        return ExtractError(1, (
-            "cannot extract the canonical Simulator.schedule event-"
-            "construction skeleton — the drift checker needs updating "
-            "alongside the engine"))
-    line, skeleton = skeletons[0]
-    return Extracted(line, skeleton)
-
-
-def _schedule_sites(suffix: str, minimum: int) -> SiteExtractor:
-    def extract(ctx: FileContext) -> Union[List[Extracted], ExtractError]:
-        assert ctx.tree is not None
-        skeletons = _extract_skeletons(list(ctx.tree.body))
-        if len(skeletons) < minimum:
-            return ExtractError(1, (
-                f"expected at least {minimum} inline "
-                f"Simulator.schedule site(s) in {suffix}, found "
-                f"{len(skeletons)} — if the inlining was removed, "
-                f"update the drift checker"))
-        return [Extracted(line, skel) for line, skel in skeletons]
-    return extract
 
 
 # ======================================================================
@@ -438,483 +230,6 @@ def _enqueue_prefix_matches(inline_body: object, canonical_body: object) -> bool
     inline_prefix = inline_body[:len(canonical_body)]
     inline_dump = normalized_dump(inline_prefix, {"queue": "$OWNER"})
     return canonical_dump == inline_dump
-
-
-# ======================================================================
-# Node.forward inlined in Link._deliver (REPRO203)
-# ======================================================================
-class ForwardSummary(NamedTuple):
-    """Semantic fingerprint of the forwarding decision.
-
-    ``hop_guard``: comparison operator and bound used for the routing-
-    loop check; ``lookup``: the route-table probe; ``dispatch``: how a
-    resolved interface receives the packet.
-    """
-
-    hop_guard: Tuple[str, str, str]
-    lookup: Tuple[str, str]
-    dispatch: Tuple[str, str]
-
-    def describe_difference(self, other: "ForwardSummary") -> str:
-        parts: List[str] = []
-        if self.hop_guard != other.hop_guard:
-            parts.append(f"hop guard {self.hop_guard} != canonical "
-                         f"{other.hop_guard}")
-        if self.lookup != other.lookup:
-            parts.append(f"route lookup {self.lookup} != canonical "
-                         f"{other.lookup}")
-        if self.dispatch != other.dispatch:
-            parts.append(f"dispatch {self.dispatch} != canonical "
-                         f"{other.dispatch}")
-        return "; ".join(parts) or "structural mismatch"
-
-
-_CMPOP_NAMES = {
-    ast.Gt: ">", ast.GtE: ">=", ast.Lt: "<", ast.LtE: "<=",
-    ast.Eq: "==", ast.NotEq: "!=",
-}
-
-
-def _forward_summary(func: ast.FunctionDef) -> Optional[ForwardSummary]:
-    hop_guard: Optional[Tuple[str, str, str]] = None
-    lookup: Optional[Tuple[str, str]] = None
-    dispatch: Optional[Tuple[str, str]] = None
-    for node in ast.walk(func):
-        if (isinstance(node, ast.If) and hop_guard is None
-                and isinstance(node.test, ast.Compare)
-                and len(node.test.ops) == 1):
-            comparator = node.test.comparators[0]
-            bound = dotted_name(comparator)
-            if bound is not None and bound.split(".")[-1] == "MAX_HOPS":
-                raised = ""
-                for sub in node.body:
-                    if isinstance(sub, ast.Raise) and sub.exc is not None:
-                        exc = sub.exc
-                        if isinstance(exc, ast.Call):
-                            raised = dotted_name(exc.func) or ""
-                        else:
-                            raised = dotted_name(exc) or ""
-                op_name = _CMPOP_NAMES.get(type(node.test.ops[0]), "?")
-                hop_guard = (op_name, "MAX_HOPS", raised.split(".")[-1])
-        if (isinstance(node, ast.Call) and lookup is None
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "_routes"
-                and len(node.args) >= 1):
-            key = dotted_name(node.args[0]) or "?"
-            key_tail = ".".join(key.split(".")[-2:])
-            lookup = ("_routes.get", key_tail)
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "enqueue"
-                and isinstance(node.func.value, ast.Name)
-                and len(node.args) == 1):
-            arg = dotted_name(node.args[0]) or "?"
-            dispatch = ("enqueue", arg.split(".")[-1])
-    if hop_guard is None or lookup is None or dispatch is None:
-        return None
-    return ForwardSummary(hop_guard, lookup, dispatch)
-
-
-def _canonical_forward(ctx: FileContext) -> Union[Extracted, ExtractError]:
-    assert ctx.tree is not None
-    node_cls = find_class(ctx.tree, "Node")
-    forward_fn = find_method(node_cls, "forward") if node_cls else None
-    if forward_fn is None:
-        return ExtractError(1, (
-            "drift anchor missing: could not locate Node.forward — "
-            "update the drift checker if it moved"))
-    canonical = _forward_summary(forward_fn)
-    if canonical is None:
-        return ExtractError(forward_fn.lineno, (
-            "cannot extract the canonical forwarding summary from "
-            "Node.forward (hop guard / route lookup / dispatch)"))
-    return Extracted(forward_fn.lineno, canonical)
-
-
-def _inline_forward(ctx: FileContext) -> Union[List[Extracted], ExtractError]:
-    assert ctx.tree is not None
-    link_cls = find_class(ctx.tree, "Link")
-    deliver_fn = find_method(link_cls, "_deliver") if link_cls else None
-    if deliver_fn is None:
-        return ExtractError(1, (
-            "drift anchor missing: could not locate Link._deliver — "
-            "update the drift checker if it moved"))
-    inline = _forward_summary(deliver_fn)
-    if inline is None:
-        return ExtractError(deliver_fn.lineno, (
-            "cannot find the inlined forwarding logic (hop guard / "
-            "route lookup / dispatch) in Link._deliver — if the "
-            "inlining was removed, update the drift checker"))
-    return [Extracted(deliver_fn.lineno, inline)]
-
-
-# ======================================================================
-# _CalendarScheduler.push inlined in its own run loop (REPRO204)
-# ======================================================================
-class CalendarInsertSkeleton(NamedTuple):
-    """Semantic fingerprint of one calendar-queue insert sequence.
-
-    The canonical insert (``_CalendarScheduler.push``) spells operands
-    as ``self._inv_width``-style attributes while the run loop's inline
-    copy uses cached locals, so a normalized-AST prefix comparison
-    cannot work — instead both sides are reduced to the features that
-    define the insert's semantics: the bucket-index formula, the
-    overflow-ladder guard and key shape, the spill counter, the wheel
-    entry shape and cursor-bucket heap discipline, and the occupancy /
-    size accounting.
-    """
-
-    index_formula: str
-    overflow_guard: Tuple[str, str]
-    ladder_key: Tuple[str, ...]
-    spill_counter: bool
-    entry_key: Tuple[str, ...]
-    bucket_select: str
-    active_guard: Tuple[str, str]
-    wheel_increment: bool
-    occupancy_update: bool
-    size_update: bool
-    peak_size_update: bool
-
-    def describe_difference(self, other: "CalendarInsertSkeleton") -> str:
-        labels = (
-            ("index_formula", "bucket-index formula"),
-            ("overflow_guard", "overflow-ladder guard"),
-            ("ladder_key", "ladder key shape"),
-            ("spill_counter", "ladder_spills counter"),
-            ("entry_key", "wheel entry shape"),
-            ("bucket_select", "bucket selection"),
-            ("active_guard", "cursor-bucket heap discipline"),
-            ("wheel_increment", "wheel count increment"),
-            ("occupancy_update", "peak-bucket-occupancy update"),
-            ("size_update", "size increment"),
-            ("peak_size_update", "peak-size update"),
-        )
-        parts: List[str] = []
-        for field, label in labels:
-            mine = getattr(self, field)
-            theirs = getattr(other, field)
-            if mine != theirs:
-                parts.append(f"{label} {mine!r} != canonical {theirs!r}")
-        return "; ".join(parts) or "structural mismatch"
-
-
-def _key_tuple_shape(node: ast.expr) -> Tuple[str, ...]:
-    """Shape of a ``(time, next(seq), event)`` scheduler-entry tuple."""
-    if not isinstance(node, ast.Tuple):
-        return ("?",)
-    shape: List[str] = []
-    seen_name = False
-    for elt in node.elts:
-        if (isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name)
-                and elt.func.id == "next"):
-            seq_arg = elt.args[0] if elt.args else None
-            seq_name = dotted_name(seq_arg) if seq_arg is not None else None
-            if seq_name is not None and seq_name.split(".")[-1] in ("_seq", "seq"):
-                shape.append("seq")
-            else:
-                shape.append("next(?)")
-        elif isinstance(elt, ast.Name):
-            shape.append("event" if seen_name else "time")
-            seen_name = True
-        else:
-            shape.append("?")
-    return tuple(shape)
-
-
-def _floor_index_target(stmt: ast.stmt) -> Optional[Tuple[str, str]]:
-    """``(index_var, formula)`` when ``stmt`` is ``idx = _floor(...)``."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)):
-        return None
-    call = stmt.value
-    func_name = dotted_name(call.func)
-    if (func_name is None
-            or func_name.split(".")[-1] not in ("_floor", "floor")
-            or len(call.args) != 1):
-        return None
-    arg = call.args[0]
-    if (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
-            and isinstance(arg.left, (ast.Name, ast.Attribute))
-            and isinstance(arg.right, (ast.Name, ast.Attribute))):
-        formula = "floor(time * inv_width)"
-    else:
-        formula = "floor(?)"
-    return stmt.targets[0].id, formula
-
-
-def _heappush_like(stmt: ast.stmt) -> Optional[ast.Call]:
-    """The call node when ``stmt`` is ``<heappush-alias>(target, entry)``."""
-    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
-        return None
-    call = stmt.value
-    func_name = dotted_name(call.func)
-    if (func_name is not None
-            and func_name.split(".")[-1] in ("_heappush", "heappush", "push")
-            and len(call.args) == 2):
-        return call
-    return None
-
-
-def _is_counter_increment(stmt: ast.stmt, attr: str) -> bool:
-    return (isinstance(stmt, ast.AugAssign)
-            and isinstance(stmt.op, ast.Add)
-            and isinstance(stmt.target, ast.Attribute)
-            and stmt.target.attr == attr
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value == 1)
-
-
-def _is_peak_guard(stmt: ast.stmt, attr: str) -> bool:
-    """``if <var> > self.<attr>: self.<attr> = <var>``."""
-    if not isinstance(stmt, ast.If) or stmt.orelse:
-        return False
-    test = stmt.test
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Gt)
-            and isinstance(test.comparators[0], ast.Attribute)
-            and test.comparators[0].attr == attr):
-        return False
-    if len(stmt.body) != 1 or not isinstance(stmt.body[0], ast.Assign):
-        return False
-    target = stmt.body[0].targets[0]
-    return isinstance(target, ast.Attribute) and target.attr == attr
-
-
-def _calendar_overflow_branch(
-        body: List[ast.stmt]) -> Tuple[Tuple[str, ...], bool]:
-    ladder_key: Tuple[str, ...] = ()
-    spill = False
-    for stmt in body:
-        call = _heappush_like(stmt)
-        if call is not None:
-            heap_name = dotted_name(call.args[0])
-            if (heap_name is not None
-                    and heap_name.split(".")[-1] in ("_overflow", "overflow")):
-                ladder_key = _key_tuple_shape(call.args[1])
-        elif _is_counter_increment(stmt, "ladder_spills"):
-            spill = True
-    return ladder_key, spill
-
-
-def _calendar_wheel_branch(
-        body: List[ast.stmt],
-        index_var: str) -> Tuple[Tuple[str, ...], str, Tuple[str, str], bool, bool]:
-    entry_key: Tuple[str, ...] = ()
-    bucket_select = ""
-    active_guard: Tuple[str, str] = ("", "")
-    wheel_inc = False
-    occupancy = False
-    entry_var: Optional[str] = None
-    blen_var: Optional[str] = None
-    for stmt in body:
-        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)):
-            target_name = stmt.targets[0].id
-            value = stmt.value
-            if isinstance(value, ast.Tuple):
-                entry_key = _key_tuple_shape(value)
-                entry_var = target_name
-            elif (isinstance(value, ast.Subscript)
-                    and isinstance(value.slice, ast.BinOp)
-                    and isinstance(value.slice.op, ast.Mod)
-                    and isinstance(value.slice.left, ast.Name)
-                    and value.slice.left.id == index_var):
-                bucket_select = "buckets[idx % nbuckets]"
-            elif (isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id == "len"):
-                blen_var = target_name
-        elif isinstance(stmt, ast.If) and not _is_peak_guard(
-                stmt, "peak_bucket_occupancy"):
-            # The cursor-bucket discipline: heappush into the active
-            # (heapified) bucket, plain append everywhere else.
-            test = stmt.test
-            guard = ""
-            if (isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
-                    and len(test.values) == 2):
-                active = dotted_name(test.values[0])
-                compare = test.values[1]
-                if (active is not None
-                        and active.split(".")[-1] == "_active"
-                        and isinstance(compare, ast.Compare)
-                        and len(compare.ops) == 1
-                        and isinstance(compare.ops[0], ast.Eq)
-                        and isinstance(compare.comparators[0], ast.Attribute)
-                        and compare.comparators[0].attr == "_cursor"):
-                    guard = "active and idx == cursor"
-            then_action = ""
-            if (len(stmt.body) == 1
-                    and _heappush_like(stmt.body[0]) is not None):
-                call = _heappush_like(stmt.body[0])
-                assert call is not None
-                pushed = call.args[1]
-                if (entry_var is not None and isinstance(pushed, ast.Name)
-                        and pushed.id == entry_var):
-                    then_action = "heappush(bucket, entry)"
-            else_action = ""
-            orelse = stmt.orelse
-            if (len(orelse) == 1 and isinstance(orelse[0], ast.Expr)
-                    and isinstance(orelse[0].value, ast.Call)
-                    and isinstance(orelse[0].value.func, ast.Attribute)
-                    and orelse[0].value.func.attr == "append"):
-                appended = orelse[0].value.args
-                if (entry_var is not None and len(appended) == 1
-                        and isinstance(appended[0], ast.Name)
-                        and appended[0].id == entry_var):
-                    else_action = "bucket.append(entry)"
-            if guard and (then_action or else_action):
-                active_guard = (then_action or "?", else_action or "?")
-        elif _is_counter_increment(stmt, "_wheel_count"):
-            wheel_inc = True
-        elif (_is_peak_guard(stmt, "peak_bucket_occupancy")
-                and blen_var is not None
-                and isinstance(stmt.test, ast.Compare)
-                and isinstance(stmt.test.left, ast.Name)
-                and stmt.test.left.id == blen_var):
-            occupancy = True
-    return entry_key, bucket_select, active_guard, wheel_inc, occupancy
-
-
-def _is_size_increment(stmt: ast.stmt) -> bool:
-    """``size = self._size = self._size + 1`` (chained so both update)."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 2):
-        return False
-    first, second = stmt.targets
-    if not (isinstance(first, ast.Name) and isinstance(second, ast.Attribute)
-            and second.attr == "_size"):
-        return False
-    value = stmt.value
-    return (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
-            and isinstance(value.left, ast.Attribute)
-            and value.left.attr == "_size"
-            and isinstance(value.right, ast.Constant)
-            and value.right.value == 1)
-
-
-def _extract_calendar_inserts(
-        body: List[ast.stmt]) -> List[Tuple[int, CalendarInsertSkeleton]]:
-    """Every calendar insert skeleton (with its line) in a statement tree.
-
-    Each sequence is rooted at the ``idx = _floor(...)`` bucket-index
-    assignment; the guard/else pair and the two trailing accounting
-    statements complete it.
-    """
-    found: List[Tuple[int, CalendarInsertSkeleton]] = []
-
-    def visit(stmts: List[ast.stmt]) -> None:
-        for index, stmt in enumerate(stmts):
-            rooted = _floor_index_target(stmt)
-            if rooted is not None:
-                index_var, formula = rooted
-                skeleton = _calendar_skeleton_after(
-                    stmts, index, index_var, formula)
-                if skeleton is not None:
-                    found.append((stmt.lineno, skeleton))
-
-    _scan_statement_lists(body, visit)
-    return found
-
-
-def _calendar_skeleton_after(
-        stmts: List[ast.stmt], index: int, index_var: str,
-        formula: str) -> Optional[CalendarInsertSkeleton]:
-    if index + 1 >= len(stmts):
-        return None
-    guard = stmts[index + 1]
-    if not isinstance(guard, ast.If):
-        return None
-    test = guard.test
-    overflow_guard = ("?", "?")
-    if (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.left, ast.Name)
-            and test.left.id == index_var
-            and isinstance(test.comparators[0], (ast.Name, ast.Attribute))):
-        bound = dotted_name(test.comparators[0]) or "?"
-        overflow_guard = (_CMPOP_NAMES.get(type(test.ops[0]), "?"),
-                          bound.split(".")[-1])
-    else:
-        # Not the overflow guard — a _floor assignment somewhere else.
-        return None
-    ladder_key, spill = _calendar_overflow_branch(list(guard.body))
-    entry_key, bucket_select, active_guard, wheel_inc, occupancy = (
-        _calendar_wheel_branch(list(guard.orelse), index_var))
-    size_update = False
-    peak_size = False
-    for stmt in stmts[index + 2: index + 5]:
-        if _is_size_increment(stmt):
-            size_update = True
-        elif _is_peak_guard(stmt, "peak_size"):
-            peak_size = True
-    return CalendarInsertSkeleton(
-        index_formula=formula,
-        overflow_guard=overflow_guard,
-        ladder_key=ladder_key,
-        spill_counter=spill,
-        entry_key=entry_key,
-        bucket_select=bucket_select,
-        active_guard=active_guard,
-        wheel_increment=wheel_inc,
-        occupancy_update=occupancy,
-        size_update=size_update,
-        peak_size_update=peak_size,
-    )
-
-
-def _calendar_methods(
-        ctx: FileContext
-) -> Union[Tuple[ast.FunctionDef, ast.FunctionDef], ExtractError]:
-    assert ctx.tree is not None
-    cal_cls = find_class(ctx.tree, "_CalendarScheduler")
-    if cal_cls is None:
-        return ExtractError(1, (
-            "drift anchor missing: could not locate "
-            "_CalendarScheduler in repro/sim/engine.py — update the "
-            "drift checker if the backend moved or was renamed"))
-    push_fn = find_method(cal_cls, "push")
-    loop_fn = find_method(cal_cls, "run_loop")
-    if push_fn is None or loop_fn is None:
-        where = ("_CalendarScheduler.push" if push_fn is None
-                 else "_CalendarScheduler.run_loop")
-        return ExtractError(cal_cls.lineno, (
-            f"drift anchor missing: could not locate {where} — "
-            f"update the drift checker if it moved"))
-    return push_fn, loop_fn
-
-
-def _canonical_calendar(ctx: FileContext) -> Union[Extracted, ExtractError]:
-    methods = _calendar_methods(ctx)
-    if isinstance(methods, ExtractError):
-        return methods
-    push_fn, _ = methods
-    canonical = _extract_calendar_inserts(list(push_fn.body))
-    if len(canonical) != 1:
-        return ExtractError(push_fn.lineno, (
-            f"cannot extract the canonical calendar insert skeleton "
-            f"from _CalendarScheduler.push (found {len(canonical)} "
-            f"candidate(s), expected 1) — the drift checker needs "
-            f"updating alongside the backend"))
-    line, skeleton = canonical[0]
-    return Extracted(line, skeleton)
-
-
-def _inline_calendar(ctx: FileContext) -> Union[List[Extracted], ExtractError]:
-    methods = _calendar_methods(ctx)
-    if isinstance(methods, ExtractError):
-        # The canonical extractor already reported the missing anchor;
-        # stay silent here to avoid duplicate diagnostics.
-        return []
-    _, loop_fn = methods
-    inline = _extract_calendar_inserts(list(loop_fn.body))
-    if not inline:
-        return ExtractError(loop_fn.lineno, (
-            "cannot find the inlined calendar insert (the lazy-timer "
-            "re-key path) in _CalendarScheduler.run_loop — if the "
-            "inlining was removed, update the drift checker"))
-    return [Extracted(line, skel) for line, skel in inline]
 
 
 # ======================================================================
@@ -1009,28 +324,9 @@ def _burst_inline(extract: _BurstExtractor, label: str) -> SiteExtractor:
 
 
 # ======================================================================
-# The registry itself: five declared mirrors
+# The registry itself: two declared mirrors
 # ======================================================================
 MIRROR_SPECS: Tuple[MirrorSpec, ...] = (
-    MirrorSpec(
-        rule_id="REPRO201",
-        summary=("hand-inlined Simulator.schedule at a link/interface hot "
-                 "site no longer matches the canonical definition"),
-        canonical_module=_ENGINE_PY,
-        missing_canonical=(
-            f"cannot verify inline Simulator.schedule copies: "
-            f"canonical module {_ENGINE_PY} is not in the "
-            f"linted file set"),
-        channels=(Channel(
-            canonical=_canonical_schedule,
-            sites=(MirrorSite(_LINK_PY, _schedule_sites(_LINK_PY, 3)),
-                   MirrorSite(_IFACE_PY, _schedule_sites(_IFACE_PY, 1))),
-            mismatch=("inline Simulator.schedule copy drifted from the "
-                      "canonical definition: {diff} — update both sides "
-                      "together (and re-run the bit-identical "
-                      "equivalence tests)"),
-        ),),
-    ),
     MirrorSpec(
         rule_id="REPRO202",
         summary=("the Queue.enqueue admitted-path copy inside "
@@ -1049,37 +345,6 @@ MIRROR_SPECS: Tuple[MirrorSpec, ...] = (
                       "statements in Queue.enqueue (normalized-AST "
                       "mismatch) — apply the same edit to both sides, or "
                       "re-derive the inline copy"),
-        ),),
-    ),
-    MirrorSpec(
-        rule_id="REPRO203",
-        summary=("the Node.forward logic inlined into Link._deliver no "
-                 "longer matches the canonical forwarding semantics"),
-        canonical_module=_NODE_PY,
-        missing_canonical=(
-            f"cannot verify the inline Node.forward copy: "
-            f"canonical module {_NODE_PY} is not in the linted "
-            f"file set"),
-        channels=(Channel(
-            canonical=_canonical_forward,
-            sites=(MirrorSite(_LINK_PY, _inline_forward),),
-            mismatch=("inline Node.forward copy in Link._deliver drifted: "
-                      "{diff} — apply the same change to both sides"),
-        ),),
-    ),
-    MirrorSpec(
-        rule_id="REPRO204",
-        summary=("the hand-inlined calendar-queue insert in "
-                 "_CalendarScheduler.run_loop no longer matches the "
-                 "canonical _CalendarScheduler.push"),
-        canonical_module=_ENGINE_PY,
-        channels=(Channel(
-            canonical=_canonical_calendar,
-            sites=(MirrorSite(_ENGINE_PY, _inline_calendar),),
-            mismatch=("inline calendar insert in _CalendarScheduler."
-                      "run_loop drifted from the canonical push: "
-                      "{diff} — update both sides together (and re-run "
-                      "the cross-backend equivalence tests)"),
         ),),
     ),
     MirrorSpec(

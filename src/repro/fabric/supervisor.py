@@ -176,9 +176,8 @@ class _Fleet:
 
 def _merge_new_completions(queue: WorkQueue, supervisor: SweepSupervisor,
                            params_by_digest: Dict[str, Dict[str, Any]],
-                           merged: set) -> int:
+                           merged: set) -> None:
     """Fold newly-completed queue records into the checkpoint."""
-    fresh = 0
     for digest, record in queue.completed().items():
         if digest in merged:
             continue
@@ -190,8 +189,6 @@ def _merge_new_completions(queue: WorkQueue, supervisor: SweepSupervisor,
             record.get("attempts", 1),
             record.get("elapsed_seconds", 0.0))
         merged.add(digest)
-        fresh += 1
-    return fresh
 
 
 def _fabric_audit(queue: WorkQueue, fleet: Optional[_Fleet],
@@ -341,10 +338,8 @@ def run_fabric_sweep(
     try:
         while fleet is not None:
             fleet.reap(queue)
-            fresh = _merge_new_completions(queue, supervisor,
-                                           params_by_digest, merged)
-            if fresh and on_cell is not None:
-                pass  # on_cell fires from the final outcome pass below
+            _merge_new_completions(queue, supervisor,
+                                   params_by_digest, merged)
             if drain["requested"]:
                 interrupted = True
                 fleet.signal_drain()

@@ -14,18 +14,15 @@ utilization/occupancy/drop data in every figure of the paper.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, Queue
 from repro.obs import runtime as _obs
-from repro.sim.engine import Event
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
-
-_new_event: Callable[[Any], Any] = object.__new__
 
 __all__ = ["Interface"]
 
@@ -112,7 +109,7 @@ class Interface:
                 # Zero residency: the packet goes straight to the wire.
                 _obs.queue_event("enqueue", queue, packet, 0)
             # Inlined Link.transmit (idle, up, and wired — all just
-            # checked), including its inlined sim.schedule.
+            # checked).
             sim = link.sim
             now = sim._now
             link.busy = True
@@ -128,15 +125,8 @@ class Interface:
                 _heappush(sim._vheap, (time, vseq, link))
                 sim._live += 1
                 return True
-            event = _new_event(Event)
-            event.time = time = now + size * 8.0 / link.rate
-            event.callback = link._end_serialization
-            event.args = (packet,)
-            event._sim = sim
-            event._cancelled = False
-            sim._push(time, event)
-            sim._live += 1
-            link._serializing = event
+            link._serializing = sim.schedule(
+                size * 8.0 / link.rate, link._end_serialization, packet)
             return True
         queue.arrivals += 1
         queue.bytes_in += size

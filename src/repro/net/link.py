@@ -34,9 +34,8 @@ from repro.net.queues import DropTailQueue, Queue
 
 if TYPE_CHECKING:
     from repro.net.node import Node
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import Event, Simulator
 from repro.obs import runtime as _obs
-from repro.sim.engine import Event
 from repro.units import parse_bandwidth, parse_time, Quantity
 
 __all__ = ["Link"]
@@ -45,14 +44,6 @@ __all__ = ["Link"]
 # allocate: used as the tie-break half of a "no real event before the
 # horizon" drain bound.
 _MAXSEQ = 1 << 62
-
-# Nearly every event in a packet-level run is scheduled from this
-# module (serialization end, delivery); the hot sites below inline
-# Simulator.schedule — the delays are known finite and non-negative, so
-# the validation branch and the call frame both drop out.  The insert
-# itself goes through ``sim._push`` (the bound backend method), so the
-# inlining stays agnostic to the heap/calendar scheduler choice.
-_new_event: Callable[[Any], Any] = object.__new__
 
 
 class Link:
@@ -187,30 +178,14 @@ class Link:
             _heappush(sim._vheap, (time, vseq, self))
             sim._live += 1
             return
-        # Inlined sim.schedule(tx, self._end_serialization, packet).
-        event = _new_event(Event)
-        event.time = time = now + packet.size * 8.0 / self.rate
-        event.callback = self._end_serialization
-        event.args = (packet,)
-        event._sim = sim
-        event._cancelled = False
-        sim._push(time, event)
-        sim._live += 1
-        self._serializing = event
+        self._serializing = sim.schedule(
+            packet.size * 8.0 / self.rate, self._end_serialization, packet)
 
     def _end_serialization(self, packet: Packet) -> None:
         sim = self.sim
         now = sim._now
-        # Inlined sim.schedule(self.delay, self._deliver, packet).
-        event = _new_event(Event)
-        event.time = time = now + self.delay
-        event.callback = self._deliver
-        event.args = (packet,)
-        event._sim = sim
-        event._cancelled = False
-        sim._push(time, event)
-        sim._live += 1
-        self._propagating[packet.uid] = event
+        self._propagating[packet.uid] = sim.schedule(
+            self.delay, self._deliver, packet)
         # Back-to-back fast path: under saturation the queue almost
         # always has a successor, so the transmitter never goes idle —
         # busy state and busy_time carry over unchanged, and the idle
@@ -228,16 +203,8 @@ class Link:
                 if self._busy_since is not None:
                     self.busy_time += now - self._busy_since
                 self._busy_since = now
-                # Inlined sim.schedule(tx, self._end_serialization, head).
-                event = _new_event(Event)
-                event.time = time = now + head.size * 8.0 / self.rate
-                event.callback = self._end_serialization
-                event.args = (head,)
-                event._sim = sim
-                event._cancelled = False
-                sim._push(time, event)
-                sim._live += 1
-                self._serializing = event
+                self._serializing = sim.schedule(
+                    head.size * 8.0 / self.rate, self._end_serialization, head)
                 return
         self._serializing = None
         self.busy = False
@@ -253,23 +220,10 @@ class Link:
         self._propagating.pop(packet.uid, None)
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
-        hops = packet.hops = packet.hops + 1
-        # Inlined Node.forward for the router-hop case: a route table
-        # hit means the far node forwards this packet, so go straight to
-        # the output interface.  A miss falls back to receive() — local
-        # delivery on a host, or the RoutingError path on a router.
+        packet.hops += 1
         dst = self.dst
         assert dst is not None  # transmit() rejects unwired links
-        try:
-            iface = dst._routes.get(packet.dst)
-        except AttributeError:  # duck-typed receiver (test sinks)
-            iface = None
-        if iface is not None:
-            if hops > MAX_HOPS:
-                raise RoutingError(f"routing loop detected for {packet!r}")
-            iface.enqueue(packet)
-        else:
-            dst.receive(packet)
+        dst.receive(packet)
 
     # ------------------------------------------------------------------
     # Faults
@@ -394,8 +348,7 @@ class Link:
 # tight loop until the next *real* event's key (re-read every iteration,
 # so a timer or cancellation landing mid-burst re-splits the burst).
 # The two SER/PROP branch bodies must stay statement-identical — drift
-# rule REPRO205 compares them structurally, like REPRO201/204 do for
-# the other inlined hot paths.
+# rule REPRO205 compares them structurally.
 
 
 def _burst_step(sim: Any) -> bool:

@@ -35,6 +35,7 @@ without taking the sweep down.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -150,8 +151,14 @@ def _checkpoint_default(value: Any) -> Any:
     return repr(value)
 
 
+@functools.cache
 def _git_sha() -> Optional[str]:
-    """HEAD of the repository this code runs from, or None outside git."""
+    """HEAD of the repository this code runs from, or None outside git.
+
+    Resolved once per process: every checkpoint write embeds it, and
+    the code that is running is the code that was imported — a HEAD
+    that moves mid-sweep must not relabel later cells.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -477,10 +484,6 @@ class SweepSupervisor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    # Kept as a static method for back-compat with callers/tests; the
-    # logic lives in the module-level helper shared with fabric workers.
-    _accepted_params = staticmethod(accepted_params)
-
     def _budgeted(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return budgeted_call(params, self._accepted,
                              self.max_events, self.max_wall_seconds)

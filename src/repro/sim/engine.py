@@ -73,8 +73,8 @@ __all__ = ["Event", "Simulator", "Timer"]
 
 _INF = math.inf
 _floor = math.floor
-# Typed as Any-returning so the hand-inlined constructions below can
-# assign slot attributes without a cast at every site.
+# Typed as Any-returning so the inlined Event construction in
+# Simulator.schedule can assign slot attributes without a cast.
 _new_event: Callable[[Any], Any] = object.__new__
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -355,88 +355,21 @@ class _HeapScheduler:
     def run_loop(self, horizon: float, limit: int, wall_deadline: float,
                  max_events: Optional[int],
                  max_wall_seconds: Optional[float]) -> None:
-        sim = self.sim
-        if sim._burst:
-            self._run_loop_burst(horizon, limit, wall_deadline,
-                                 max_events, max_wall_seconds)
-            return
-        dispatched = 0
-        try:
-            heap = self._heap
-            pop = _heappop
-            push = _heappush
-            seq = self._seq
-            now = sim._now
-            while heap:
-                # Pop first, push back at the horizon: the give-back
-                # happens at most once per run() call, which is cheaper
-                # than peeking heap[0][0] on every iteration.
-                item = pop(heap)
-                time = item[0]
-                if time > horizon:
-                    push(heap, item)
-                    break
-                event = item[2]
-                callback = event.callback
-                if callback is None:
-                    continue
-                etime = event.time
-                if etime > time:
-                    # Lazily-deferred timer: re-key at its real deadline.
-                    # Not a dispatch — the clock does not advance and the
-                    # event/watchdog counters are untouched, so optimized
-                    # runs process exactly the same events as unoptimized
-                    # ones.
-                    push(heap, (etime, next(seq), event))
-                    continue
-                if time < now:
-                    raise InvariantViolation(
-                        f"virtual clock moved backwards: popped event at "
-                        f"t={time:.9f} with clock at t={now:.9f}"
-                    )
-                sim._now = now = time
-                event.callback = None  # mark as consumed
-                sim._live -= 1
-                dispatched += 1
-                callback(*event.args)
-                # _stopped can only flip inside a callback, so it is
-                # checked here instead of in the loop condition — the
-                # dead-entry and re-key paths skip the load entirely.
-                if sim._stopped:
-                    break
-                if dispatched == limit:
-                    raise SimulationStalledError(
-                        f"watchdog: event budget of {max_events} exhausted at "
-                        f"t={now:.6f} ({len(heap)} events still queued)"
-                    )
-                if (not dispatched & 4095 and wall_deadline
-                        and _wallclock.monotonic() > wall_deadline):
-                    raise SimulationStalledError(
-                        f"watchdog: wall-clock budget of {max_wall_seconds:.1f}s "
-                        f"exhausted at t={now:.6f} after {dispatched} events"
-                    )
-        finally:
-            sim.events_processed += dispatched
+        """Dispatch heap entries, merging the virtual per-link streams.
 
-    def _run_loop_burst(self, horizon: float, limit: int,
-                        wall_deadline: float, max_events: Optional[int],
-                        max_wall_seconds: Optional[float]) -> None:
-        """Burst-mode run loop: merge the virtual per-link streams.
-
-        Identical to :meth:`run_loop` except that before popping a heap
-        entry, every virtual packet-chain step that precedes the heap
-        head's ``(time, seq)`` key is executed by the burst drain (a
-        tight loop in :mod:`repro.net.link`).  The drain re-reads
-        ``heap[0]`` on every step, so a push landing mid-burst — a new
-        timer, a zero-delay callback — immediately bounds the burst:
-        interruption/re-split needs no explicit event surgery.  Virtual
-        steps consume sequence numbers at exactly the per-event program
-        points, so the global ``(time, seq)`` dispatch order is
-        bit-identical to burst-off runs.
+        Before popping a heap entry, every virtual packet-chain step
+        that precedes the heap head's ``(time, seq)`` key is executed
+        by the burst drain (a tight loop in :mod:`repro.net.link`).
+        The drain re-reads ``heap[0]`` on every step, so a push landing
+        mid-burst — a new timer, a zero-delay callback — immediately
+        bounds the burst: interruption/re-split needs no explicit event
+        surgery.  Virtual steps consume sequence numbers at exactly the
+        per-event program points, so the global ``(time, seq)`` dispatch
+        order is bit-identical to burst-off runs.  With bursting off
+        ``sim._vheap`` stays empty and this is the plain pop loop.
         """
         sim = self.sim
         drain = sim._burst_drain
-        assert drain is not None
         vheap = sim._vheap
         popped = 0
         dispatched = 0
@@ -467,6 +400,9 @@ class _HeapScheduler:
                         )
                 if not heap:
                     break
+                # Pop first, push back at the horizon: the give-back
+                # happens at most once per run() call, which is cheaper
+                # than peeking heap[0][0] on every iteration.
                 item = pop(heap)
                 time = item[0]
                 if time > horizon:
@@ -478,6 +414,11 @@ class _HeapScheduler:
                     continue
                 etime = event.time
                 if etime > time:
+                    # Lazily-deferred timer: re-key at its real deadline.
+                    # Not a dispatch — the clock does not advance and the
+                    # event/watchdog counters are untouched, so optimized
+                    # runs process exactly the same events as unoptimized
+                    # ones.
                     push(heap, (etime, next(seq), event))
                     continue
                 if time < now:
@@ -491,6 +432,9 @@ class _HeapScheduler:
                 dispatched += 1
                 popped += 1
                 callback(*event.args)
+                # _stopped can only flip inside a callback, so it is
+                # checked here instead of in the loop condition — the
+                # dead-entry and re-key paths skip the load entirely.
                 if sim._stopped:
                     break
                 if dispatched == limit:
@@ -522,9 +466,9 @@ class _HeapScheduler:
         """Pop exactly one raw entry; dispatch it if live and fresh.
 
         Returns True iff an event ran.  Dead entries are dropped and
-        stale timers re-keyed — each consumes one call, so the burst-
-        aware :meth:`Simulator.step` can interleave virtual steps at
-        exactly the per-event order.
+        stale timers re-keyed — each consumes one call, so
+        :meth:`Simulator.step` can interleave virtual steps at exactly
+        the per-event order.
         """
         heap = self._heap
         if not heap:
@@ -545,27 +489,6 @@ class _HeapScheduler:
         sim.events_processed += 1
         callback(*args)
         return True
-
-    def step(self) -> bool:
-        sim = self.sim
-        heap = self._heap
-        while heap:
-            time, _seq, event = _heappop(heap)
-            if event.callback is None:
-                continue
-            if event.time > time:
-                _heappush(heap, (event.time, next(self._seq), event))
-                continue
-            sim._now = time
-            callback = event.callback
-            event.callback = None
-            args = event.args
-            event.args = ()
-            sim._live -= 1
-            sim.events_processed += 1
-            callback(*args)
-            return True
-        return False
 
     def peek_time(self) -> Optional[float]:
         """Authoritative deadline of the next live event (non-mutating).
@@ -682,11 +605,7 @@ class _CalendarScheduler:
 
     # -- queue contract -------------------------------------------------
     def push(self, time: float, event: Event) -> None:
-        """Insert ``event`` keyed at ``time`` (callers maintain ``_live``).
-
-        This is the canonical calendar insert; the run loop's re-key
-        path carries a hand-inlined copy (REPRO204 guards the pair).
-        """
+        """Insert ``event`` keyed at ``time`` (callers maintain ``_live``)."""
         idx = _floor(time * self._inv_width)
         if idx >= self._limit:
             _heappush(self._overflow, (time, next(self._seq), event))
@@ -808,112 +727,8 @@ class _CalendarScheduler:
     def run_loop(self, horizon: float, limit: int, wall_deadline: float,
                  max_events: Optional[int],
                  max_wall_seconds: Optional[float]) -> None:
-        sim = self.sim
-        if sim._burst:
-            self._run_loop_burst(horizon, limit, wall_deadline,
-                                 max_events, max_wall_seconds)
-            return
-        dispatched = 0
-        try:
-            buckets = self._buckets
-            n = self._nbuckets
-            inv = self._inv_width
-            overflow = self._overflow
-            seq = self._seq
-            pop = _heappop
-            push = _heappush
-            now = sim._now
-            while True:
-                if not self._active and not self._activate_next():
-                    break
-                bucket = buckets[self._cursor % n]
-                if not bucket:
-                    self._active = False
-                    self._cursor += 1
-                    continue
-                time = bucket[0][0]
-                if time > horizon:
-                    # Unlike the heap loop there is nothing to give
-                    # back: the head entry was only peeked.
-                    break
-                item = pop(bucket)
-                self._wheel_count -= 1
-                self._size -= 1
-                event = item[2]
-                callback = event.callback
-                if callback is None:
-                    continue
-                etime = event.time
-                if etime > time:
-                    # Lazily-deferred timer: re-key at its real deadline.
-                    # Not a dispatch (see the heap loop).  Inlined copy
-                    # of self.push — REPRO204 keeps it in lockstep with
-                    # the canonical definition.
-                    idx = _floor(etime * inv)
-                    if idx >= self._limit:
-                        push(overflow, (etime, next(seq), event))
-                        self.ladder_spills += 1
-                    else:
-                        entry = (etime, next(seq), event)
-                        if idx < self._cursor:
-                            # Clamp behind-the-cursor placements (see
-                            # the canonical push).
-                            idx = self._cursor
-                        target = buckets[idx % n]
-                        if self._active and idx == self._cursor:
-                            push(target, entry)
-                        else:
-                            target.append(entry)
-                        self._wheel_count += 1
-                        blen = len(target)
-                        if blen > self.peak_bucket_occupancy:
-                            self.peak_bucket_occupancy = blen
-                    self._pushes += 1
-                    size = self._size = self._size + 1
-                    if size > self.peak_size:
-                        self.peak_size = size
-                    continue
-                if time < now:
-                    raise InvariantViolation(
-                        f"virtual clock moved backwards: popped event at "
-                        f"t={time:.9f} with clock at t={now:.9f}"
-                    )
-                sim._now = now = time
-                event.callback = None  # mark as consumed
-                sim._live -= 1
-                dispatched += 1
-                callback(*event.args)
-                if sim._stopped:
-                    break
-                if dispatched == limit:
-                    raise SimulationStalledError(
-                        f"watchdog: event budget of {max_events} exhausted at "
-                        f"t={now:.6f} ({sim._live} events still queued)"
-                    )
-                if not dispatched & 4095:
-                    if (self.ladder_spills > 256
-                            and self.ladder_spills * 8 > self._pushes):
-                        # Spill rate past 12.5%: the bucket width does
-                        # not fit this workload, and every spilled
-                        # entry pays heap cost twice (ladder push +
-                        # redistribution).  Hand the run to the heap
-                        # backend instead of limping on.
-                        self.fallback_triggered = True
-                        break
-                    if (wall_deadline
-                            and _wallclock.monotonic() > wall_deadline):
-                        raise SimulationStalledError(
-                            f"watchdog: wall-clock budget of "
-                            f"{max_wall_seconds:.1f}s exhausted at "
-                            f"t={now:.6f} after {dispatched} events"
-                        )
-        finally:
-            sim.events_processed += dispatched
-
-    def _run_loop_burst(self, horizon: float, limit: int,
-                        wall_deadline: float, max_events: Optional[int],
-                        max_wall_seconds: Optional[float]) -> None:
-        """Burst-mode run loop (see the heap backend's counterpart).
+        """Dispatch wheel entries, merging the virtual per-link streams
+        (see the heap backend's counterpart).
 
         The drain's bound is the active bucket's head key: entries in
         later buckets and the ladder are keyed past the active bucket's
@@ -927,7 +742,6 @@ class _CalendarScheduler:
         """
         sim = self.sim
         drain = sim._burst_drain
-        assert drain is not None
         vheap = sim._vheap
         popped = 0
         dispatched = 0
@@ -993,6 +807,8 @@ class _CalendarScheduler:
                         continue
                 time = bucket[0][0]
                 if time > horizon:
+                    # Unlike the heap loop there is nothing to give
+                    # back: the head entry was only peeked.
                     break
                 item = pop(bucket)
                 self._wheel_count -= 1
@@ -1003,9 +819,8 @@ class _CalendarScheduler:
                     continue
                 etime = event.time
                 if etime > time:
-                    # Stale timer re-key: the canonical insert is fast
-                    # enough off the packet hot path (deferrals are rare
-                    # relative to virtual steps in burst mode).
+                    # Lazily-deferred timer: re-key at its real deadline.
+                    # Not a dispatch (see the heap loop).
                     self.push(etime, event)
                     continue
                 if time < now:
@@ -1029,6 +844,11 @@ class _CalendarScheduler:
                 if not dispatched & 4095:
                     if (self.ladder_spills > 256
                             and self.ladder_spills * 8 > self._pushes):
+                        # Spill rate past 12.5%: the bucket width does
+                        # not fit this workload, and every spilled
+                        # entry pays heap cost twice (ladder push +
+                        # redistribution).  Hand the run to the heap
+                        # backend instead of limping on.
                         self.fallback_triggered = True
                         break
                     if (wall_deadline
@@ -1071,7 +891,7 @@ class _CalendarScheduler:
         if event.callback is None:
             return False
         if event.time > time:
-            self._live_neutral_repush(event)
+            self.push(event.time, event)
             return False
         sim = self.sim
         sim._now = time
@@ -1083,40 +903,6 @@ class _CalendarScheduler:
         sim.events_processed += 1
         callback(*args)
         return True
-
-    def step(self) -> bool:
-        sim = self.sim
-        buckets = self._buckets
-        n = self._nbuckets
-        while True:
-            if not self._active and not self._activate_next():
-                return False
-            bucket = buckets[self._cursor % n]
-            if not bucket:
-                self._active = False
-                self._cursor += 1
-                continue
-            time, _seq, event = _heappop(bucket)
-            self._wheel_count -= 1
-            self._size -= 1
-            if event.callback is None:
-                continue
-            if event.time > time:
-                self._live_neutral_repush(event)
-                continue
-            sim._now = time
-            callback = event.callback
-            event.callback = None
-            args = event.args
-            event.args = ()
-            sim._live -= 1
-            sim.events_processed += 1
-            callback(*args)
-            return True
-
-    def _live_neutral_repush(self, event: Event) -> None:
-        """Re-key a surfaced stale timer at its authoritative deadline."""
-        self.push(event.time, event)
 
     def peek_time(self) -> Optional[float]:
         """Authoritative deadline of the next live event (non-mutating).
@@ -1187,13 +973,20 @@ class Simulator:
         Calendar wheel size (default 1024 buckets).  Events beyond
         ``bucket_width * wheel_buckets`` ahead spill to the ladder.
     fastpath:
-        Enable the hand-inlined hot paths in :mod:`repro.net`
-        (cut-through enqueue, back-to-back serialization).  ``False``
-        routes every packet through the canonical call chain — the
-        honest "unoptimized" arm of ``repro bench --engine``.  Results
-        are bit-identical either way (test-enforced).
+        Enable the structural shortcuts in :mod:`repro.net`: the
+        inlined ``Queue.enqueue`` admitted path, cut-through enqueue
+        and back-to-back serialization.  ``False`` routes every packet
+        through the canonical call chain (``Queue.enqueue`` →
+        ``Link.transmit`` → ``Node.receive``) — the oracle the
+        equivalence tests and the benchmark's reference run compare
+        against.  Either way every link event is scheduled through
+        :meth:`schedule`; only ``burst`` bypasses it.  Results are
+        bit-identical either way (test-enforced).
     burst:
-        Enable the burst-mode departure fast path (default False).
+        Enable the burst-mode departure fast path (default False; the
+        experiment runners turn it on with ``optimize=True``).  This is
+        the one fast engine path; with it off the network layer runs
+        per-event through :meth:`schedule`, the reference path.
         Per-link serialization-end and delivery events are kept as
         virtual array-backed streams — one ``(time, seq, payload)``
         record each instead of an Event plus a queue insert — and the
@@ -1258,9 +1051,9 @@ class Simulator:
             raise ConfigurationError(
                 f"unknown scheduler {scheduler!r}; expected 'heap' or "
                 f"'calendar'")
-        #: Bound backend insert — THE hot-path entry point.  The
-        #: hand-inlined schedule sites in repro.net call this directly
-        #: (``sim._push(time, event)``) so they stay backend-agnostic.
+        #: Bound backend insert: every newly scheduled entry arrives
+        #: through it, from :meth:`schedule` / :meth:`call_at` (and so
+        #: :class:`Timer`); only stale-timer re-keys bypass it.
         self._push: Callable[[float, Event], None] = self._sched.push
         #: Pending (scheduled, neither cancelled nor dispatched) events.
         self._live = 0
@@ -1283,13 +1076,12 @@ class Simulator:
         #: allocate from the same stream as real entries (and survive a
         #: calendar-to-heap migration, which hands over the counter).
         self._seq_alloc: Iterator[int] = self._sched._seq
-        self._burst_drain: Optional[Callable[..., int]] = None
-        self._vstep: Optional[Callable[["Simulator"], bool]] = None
-        if self._burst:
-            # Deferred import: repro.net.link imports this module.
-            from repro.net.link import _burst_step, _drain_burst
-            self._burst_drain = _drain_burst
-            self._vstep = _burst_step
+        # Deferred import: repro.net imports this module.  Bound even
+        # with bursting off (nothing then enters _vheap, so neither is
+        # ever called) so the run loops need no Optional narrowing.
+        from repro.net.link import _burst_step, _drain_burst
+        self._burst_drain: Callable[..., int] = _drain_burst
+        self._vstep: Callable[["Simulator"], bool] = _burst_step
 
     # ------------------------------------------------------------------
     # Clock
@@ -1458,23 +1250,21 @@ class Simulator:
         step sequence exactly.
         """
         vheap = self._vheap
-        if vheap:
-            sched = self._sched
-            vstep = self._vstep
-            assert vstep is not None
-            while True:
-                key = sched.next_key()
-                if vheap and (key is None or (vheap[0][0], vheap[0][1]) < key):
-                    if vstep(self):
-                        self.events_processed += 1
-                        self.burst_steps += 1
-                        return True
-                    continue  # stale virtual entry discarded; retry
-                if key is None:
-                    return False
-                if sched.step_raw():
+        sched = self._sched
+        while True:
+            key = sched.next_key()
+            if vheap and (key is None or (vheap[0][0], vheap[0][1]) < key):
+                if self._vstep(self):
+                    self.events_processed += 1
+                    self.burst_steps += 1
                     return True
-        return bool(self._sched.step())
+                continue  # stale virtual entry discarded; retry
+            if key is None:
+                return False
+            # A dead or stale-timer entry consumes one step_raw call
+            # without running anything; keep going until an event does.
+            if sched.step_raw():
+                return True
 
     def stop(self) -> None:
         """Request the run loop to exit after the current callback."""

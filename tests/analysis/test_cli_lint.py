@@ -68,7 +68,7 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         code, out = run_cli(capsys, "lint", "--list-rules")
         assert code == 0
-        for rule_id in ("REPRO101", "REPRO201", "REPRO301",
+        for rule_id in ("REPRO101", "REPRO202", "REPRO301",
                         "REPRO401", "REPRO501"):
             assert rule_id in out
 

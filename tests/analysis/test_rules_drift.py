@@ -1,8 +1,7 @@
 """Fast-path drift rules: the inline hot-path copies in link.py /
-interface.py / engine.py must stay equivalent to their canonical
-definitions.
+interface.py must stay equivalent to their canonical definitions.
 
-Each test copies the real source files into a ``repro/{sim,net}``
+Each test copies the real source files into a ``repro/net``
 mirror under tmp_path, applies (or doesn't) a deliberate mutation to
 one side, and asserts the drift checkers respond.
 """
@@ -21,11 +20,9 @@ from tests.analysis.conftest import rule_ids
 _SRC = Path(repro.sim.engine.__file__).resolve().parents[2]
 
 _MIRROR = (
-    ("repro/sim/engine.py", "sim/engine.py"),
     ("repro/net/link.py", "net/link.py"),
     ("repro/net/interface.py", "net/interface.py"),
     ("repro/net/queues.py", "net/queues.py"),
-    ("repro/net/node.py", "net/node.py"),
 )
 
 
@@ -53,44 +50,12 @@ class TestDriftCheckers:
         assert result.diagnostics == []
         assert result.exit_code == 0
 
-    def test_missing_live_increment_caught(self, mirror):
-        mutate(mirror, "net/link.py",
-               "        sim._push(time, event)\n"
-               "        sim._live += 1\n",
-               "        sim._push(time, event)\n")
-        result = lint_paths([str(mirror)], select=["REPRO201"])
-        assert rule_ids(result) == {"REPRO201"}
-        assert any("live-event increment" in d.message
-                   for d in result.diagnostics)
-
-    def test_push_operand_drift_caught(self, mirror):
-        mutate(mirror, "net/link.py",
-               "sim._push(time, event)", "sim._push(event.time, event)")
-        result = lint_paths([str(mirror)], select=["REPRO201"])
-        assert rule_ids(result) == {"REPRO201"}
-        assert any("_push operand shape" in d.message
-                   for d in result.diagnostics)
-
-    def test_changed_canonical_schedule_caught(self, mirror):
-        # Mutating the *canonical* side must also trip the checker:
-        # equivalence is symmetric.
-        mutate(mirror, "sim/engine.py",
-               "self._live += 1", "self._live += 2")
-        result = lint_paths([str(mirror)], select=["REPRO201"])
-        assert rule_ids(result) == {"REPRO201"}
-
     def test_enqueue_copy_drift_caught(self, mirror):
         mutate(mirror, "net/interface.py",
                "bytes_now = queue._bytes = queue._bytes + size",
                "bytes_now = queue._bytes = queue._bytes + size + 1")
         result = lint_paths([str(mirror)], select=["REPRO202"])
         assert rule_ids(result) == {"REPRO202"}
-
-    def test_forward_hop_guard_drift_caught(self, mirror):
-        mutate(mirror, "net/link.py", "hops > MAX_HOPS", "hops >= MAX_HOPS")
-        result = lint_paths([str(mirror)], select=["REPRO203"])
-        assert rule_ids(result) == {"REPRO203"}
-        assert any("hop guard" in d.message for d in result.diagnostics)
 
     def test_unmirrored_obs_guard_removal_caught(self, mirror):
         # The observability guard is part of the mirrored admitted-path
@@ -122,34 +87,6 @@ class TestDriftCheckers:
                    f'_obs.queue_event("mark", {owner}, packet, n)')
         result = lint_paths([str(mirror)], select=["REPRO202"])
         assert result.diagnostics == []
-
-    def test_calendar_inline_spill_counter_drift_caught(self, mirror):
-        # Delete the ladder_spills counter from the run loop's inline
-        # insert only (the 24-space copy; the canonical push's is
-        # indented 12).  REPRO204 must notice the asymmetry.
-        mutate(mirror, "sim/engine.py",
-               "                        self.ladder_spills += 1\n", "")
-        result = lint_paths([str(mirror)], select=["REPRO204"])
-        assert rule_ids(result) == {"REPRO204"}
-        assert any("ladder_spills counter" in d.message
-                   for d in result.diagnostics)
-
-    def test_calendar_inline_entry_shape_drift_caught(self, mirror):
-        mutate(mirror, "sim/engine.py",
-               "entry = (etime, next(seq), event)",
-               "entry = (etime, next(seq), event, 0)")
-        result = lint_paths([str(mirror)], select=["REPRO204"])
-        assert rule_ids(result) == {"REPRO204"}
-        assert any("wheel entry shape" in d.message
-                   for d in result.diagnostics)
-
-    def test_calendar_canonical_push_drift_caught(self, mirror):
-        # Equivalence is symmetric: editing the canonical push without
-        # touching the inline copy must also trip the checker.
-        mutate(mirror, "sim/engine.py",
-               "            self.ladder_spills += 1\n", "")
-        result = lint_paths([str(mirror)], select=["REPRO204"])
-        assert rule_ids(result) == {"REPRO204"}
 
     # REPRO205: _drain_burst's SER/PROP bodies vs the canonical
     # _burst_step.  The two copies live in the same file, so mutation

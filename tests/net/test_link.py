@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import Packet
+from repro.net import Packet, build_dumbbell
 from repro.net.link import Link
 from repro.sim import Simulator
+from repro.tcp import TcpFlow
 
 
 class Collector:
@@ -105,3 +106,43 @@ class TestLink:
         link = Link(sim, rate="8Mbps", delay="0ms")
         with pytest.raises(ConfigurationError):
             link.transmit(make_packet())
+
+
+class _CountingSimulator(Simulator):
+    """Counts scheduling calls against raw backend inserts."""
+
+    def __init__(self, **opts):
+        super().__init__(**opts)
+        self.scheduled = 0
+        self.pushed = 0
+        push = self._push
+
+        def counting_push(time, event):
+            self.pushed += 1
+            push(time, event)
+
+        self._push = counting_push
+
+    def schedule(self, delay, callback, *args):
+        self.scheduled += 1
+        return super().schedule(delay, callback, *args)
+
+    def call_at(self, time, callback, *args):
+        self.scheduled += 1
+        return super().call_at(time, callback, *args)
+
+
+class TestReferencePath:
+    def test_oracle_runs_no_hand_inlined_scheduling(self):
+        """With ``fastpath=False`` every backend entry arrives through
+        ``schedule``/``call_at`` (``Timer`` arms via ``call_at``): the
+        engine the fast path is checked against shares none of its
+        inlined event construction."""
+        sim = _CountingSimulator(fastpath=False)
+        net = build_dumbbell(sim, n_pairs=2, bottleneck_rate="10Mbps",
+                             buffer_packets=5, rtts=["20ms"])
+        for sender, receiver in net.flow_pairs():
+            TcpFlow(sim, sender, receiver, size_packets=None)
+        sim.run(until=2.0)
+        assert net.bottleneck_queue.drops > 0  # admit and drop paths ran
+        assert sim.pushed == sim.scheduled > 0

@@ -79,6 +79,26 @@ class TestNetworkRouting:
         with pytest.raises(RoutingError):
             a.receive(Packet(src=b.address, dst=b.address, payload=960))
 
+    def test_misrouted_packet_raises_at_the_host_on_reference_path(self):
+        # A router table pointing a's address at b: on the reference
+        # path link delivery is Node.receive, so b rejects the packet
+        # on arrival (b->r, r->b: four link events) instead of
+        # bouncing it back through its own default route until the
+        # hop limit trips.
+        sim = Simulator(fastpath=False)
+        net = Network(sim)
+        a = net.add_host("a")
+        r = net.add_router("r")
+        b = net.add_host("b")
+        net.connect(a, r, rate="10Mbps", delay="1ms")
+        net.connect(r, b, rate="10Mbps", delay="1ms")
+        net.compute_routes()
+        r._routes[a.address] = r._routes[b.address]
+        b.inject(Packet(src=b.address, dst=a.address, payload=960))
+        with pytest.raises(RoutingError, match="received packet for address"):
+            sim.run()
+        assert sim.events_processed == 4
+
     def test_double_bind_rejected(self):
         sim = Simulator()
         net, a, _ = self.build_line(sim)

@@ -340,6 +340,25 @@ class TestCheckpointMeta:
         assert meta["written_cells"] == 2
         assert meta["written_at"] > 0
 
+    def test_git_sha_resolved_once_per_process(self, tmp_path, monkeypatch):
+        # Every checkpoint write embeds the SHA; a `git` spawn per
+        # write would be ~3 ms of overhead on every cell.
+        from repro.runner import supervisor as mod
+        calls = []
+        real_run = mod.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(mod.subprocess, "run", counting_run)
+        mod._git_sha.cache_clear()
+        path = tmp_path / "sweep.json"
+        supervisor = SweepSupervisor(double, checkpoint_path=str(path))
+        supervisor.run(grid=[{"x": x} for x in range(5)])
+        assert self.read(path)["meta"]["written_cells"] == 5
+        assert len(calls) == 1
+
     def test_config_hash_tracks_supervisor_spec(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -41,12 +41,14 @@ _ops = st.lists(
 )
 
 
-def execute(ops, scheduler, **engine_opts):
+def execute(ops, scheduler, drive="run", **engine_opts):
     """Run one op script; return its full observable history.
 
     Each op executes inside its own driver event (one tick per op, at
     deliberately bucket-misaligned times), so arms/cancels/peeks happen
     at simulated time exactly as real workloads issue them.
+    ``drive="step"`` dispatches through ``Simulator.step()`` instead of
+    ``run()``.
     """
     if scheduler == "calendar":
         engine_opts.setdefault("bucket_width", 0.05)
@@ -82,9 +84,13 @@ def execute(ops, scheduler, **engine_opts):
 
     for index, op in enumerate(ops):
         sim.call_at(index * 0.07, apply, op)
-    sim.run()
-    while sim.pending():  # resume after stop()-from-callback
+    if drive == "step":
+        while sim.step():
+            pass
+    else:
         sim.run()
+        while sim.pending():  # resume after stop()-from-callback
+            sim.run()
     return log, sim.events_processed, round(sim.now, 9), sim.pending()
 
 
@@ -102,6 +108,18 @@ class TestBackendsAgree:
         the whole ordering contract."""
         coarse = execute(ops, "calendar", bucket_width=1.0, wheel_buckets=8)
         assert coarse == execute(ops, "heap")
+
+    @given(ops=_ops)
+    @settings(**FAST)
+    def test_step_to_exhaustion_matches_run(self, ops):
+        """``step()`` — the backends' ``next_key``/``step_raw`` pair —
+        replays the history ``run()`` produces: dead entries dropped,
+        stale timers re-keyed at the same point in the order."""
+        reference = execute(ops, "heap")
+        for scheduler in ("heap", "calendar"):
+            for burst in (False, True):
+                stepped = execute(ops, scheduler, drive="step", burst=burst)
+                assert stepped == reference
 
 
 class TestPeekRegression:
