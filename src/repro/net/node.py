@@ -52,9 +52,27 @@ class Node:
         self._routes[dst_address] = iface
 
     def route_for(self, dst_address: int) -> Interface:
-        """Look up the output interface for ``dst_address``."""
+        """Look up the output interface for ``dst_address``.
+
+        A node with a single interface holds no precomputed table
+        (:meth:`~repro.net.topology.Network.compute_routes` skips it):
+        on a miss it resolves the destination through its one neighbour
+        -- the neighbour is the destination or has a route to it -- and
+        memoizes the answer in ``_routes``, so :meth:`forward` and the
+        burst delivery body keep their single dict probe per hop.
+        Raises :class:`RoutingError` for an unknown or unreachable
+        address.
+        """
         iface = self._routes.get(dst_address)
         if iface is None:
+            if len(self.interfaces) == 1:
+                (only,) = self.interfaces.values()
+                neighbour = only.link.dst
+                if neighbour is not None and (
+                        getattr(neighbour, "address", None) == dst_address
+                        or dst_address in neighbour._routes):
+                    self._routes[dst_address] = only
+                    return only
             raise RoutingError(
                 f"node {self.name!r} has no route to address {dst_address}"
             )
@@ -70,8 +88,9 @@ class Node:
         """Send ``packet`` toward its destination; returns False on drop."""
         if packet.hops > MAX_HOPS:
             raise RoutingError(f"routing loop detected for {packet!r}")
-        # Inlined route_for: one dict probe per hop, with the error path
-        # delegated to route_for so the message stays in one place.
+        # Inlined route_for: one dict probe per hop; the miss path (a
+        # single-interface node's first packet to a destination, or the
+        # error) is delegated to route_for.
         iface = self._routes.get(packet.dst)
         if iface is None:
             iface = self.route_for(packet.dst)

@@ -15,6 +15,7 @@ simulations vary flow RTTs between 25 ms and 300 ms).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -41,6 +42,11 @@ QueueSpec = Union[None, int, Queue, Callable[[], Queue]]
 
 class Network:
     """Registry of nodes and links with static shortest-path routing.
+
+    Route tables live only on nodes with two or more interfaces; a
+    single-interface node resolves destinations through its neighbour on
+    first use (see :meth:`compute_routes`), so routing state is linear in
+    the number of hosts rather than quadratic.
 
     Typical use::
 
@@ -138,13 +144,21 @@ class Network:
     # Routing
     # ------------------------------------------------------------------
     def compute_routes(self) -> None:
-        """Install static minimum-hop routes for every host address.
+        """Install static minimum-hop routes wherever a node has a choice.
 
-        Runs one BFS per node over the undirected adjacency and installs,
-        at each node, the first-hop interface toward every host.
+        Runs one BFS over the undirected adjacency from each node with
+        two or more interfaces (routers, multi-homed hosts) and installs
+        there the first-hop interface toward every host.  A
+        single-interface node gets no table: :meth:`Node.route_for`
+        resolves a destination through its one neighbour on first use.
+        Every node's table is cleared, so calling this again after
+        further :meth:`connect` calls leaves no stale hop.
         """
         host_by_id = {host.node_id: host for host in self.hosts}
         for origin in self.nodes:
+            origin._routes.clear()
+            if len(origin.interfaces) < 2:
+                continue
             next_hop = self._bfs_next_hops(origin.node_id)
             for node_id, hop in next_hop.items():
                 host = host_by_id.get(node_id)
@@ -161,12 +175,10 @@ class Network:
         """Map each reachable node id to the first hop out of ``root``."""
         next_hop: Dict[int, int] = {}
         visited = {root}
-        frontier = [(neigh, neigh) for neigh in self._adjacency[root]]
-        for node, hop in frontier:
-            visited.add(node)
-        queue = list(frontier)
+        queue = deque((neigh, neigh) for neigh in self._adjacency[root])
+        visited.update(self._adjacency[root])
         while queue:
-            node, hop = queue.pop(0)
+            node, hop = queue.popleft()
             next_hop[node] = hop
             for neigh in self._adjacency[node]:
                 if neigh not in visited:

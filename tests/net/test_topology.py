@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError, RoutingError
-from repro.net import Network, Packet, build_dumbbell, build_parking_lot
-from repro.sim import Simulator
+from repro.net import (Network, Packet, Router, build_dumbbell,
+                       build_parking_lot)
+from repro.sim import RngStreams, Simulator
+from repro.traffic import LongLivedWorkload
 
 
 class Recorder:
@@ -98,6 +100,69 @@ class TestNetworkRouting:
         with pytest.raises(RoutingError, match="received packet for address"):
             sim.run()
         assert sim.events_processed == 4
+
+    @pytest.mark.parametrize("victim_talks_to_dst", [False, True])
+    def test_misrouted_packet_raises_routing_error_on_burst_path(
+            self, victim_talks_to_dst):
+        # The fastpath twin.  Hosts hold only the destinations they
+        # originated toward, and the burst delivery body probes the
+        # receiving host's _routes before calling receive.  A victim
+        # that never sent to the packet's destination has no entry and
+        # rejects the packet in Host.receive; one that did (here: the
+        # misrouted packet's own sender) bounces it back until the hop
+        # limit trips.  Either way the run dies with a RoutingError.
+        sim = Simulator(fastpath=True, burst=True)
+        net = Network(sim)
+        a = net.add_host("a")
+        r = net.add_router("r")
+        b = net.add_host("b")
+        c = net.add_host("c")
+        for host in (a, b, c):
+            net.connect(host, r, rate="10Mbps", delay="1ms")
+        net.compute_routes()
+        r._routes[a.address] = r._routes[b.address]
+        sender = b if victim_talks_to_dst else c
+        sender.inject(Packet(src=sender.address, dst=a.address, payload=960))
+        assert (a.address in b._routes) == victim_talks_to_dst
+        with pytest.raises(RoutingError) as err:
+            sim.run()
+        expected = ("routing loop detected" if victim_talks_to_dst
+                    else "received packet for address")
+        assert expected in str(err.value)
+
+    def test_compute_routes_is_rerunnable(self):
+        # a -- r1 -- r2 -- r3 -- b, then a shortcut r1 -- r3: the second
+        # compute_routes must drop every table (the leaves' memoized
+        # entries included) and take the shorter path.
+        sim = Simulator()
+        net = Network(sim)
+        a = net.add_host("a")
+        routers = [net.add_router(f"r{i}") for i in (1, 2, 3)]
+        b = net.add_host("b")
+        chain = [a, *routers, b]
+        for left, right in zip(chain, chain[1:]):
+            net.connect(left, right, rate="10Mbps", delay="1ms")
+        net.compute_routes()
+        rec = Recorder()
+        b.bind(5, rec)
+        a.inject(Packet(src=a.address, dst=b.address, payload=960, dport=5))
+        sim.run()
+        assert rec.packets[-1].hops == 4
+        assert a._routes  # memoized on first use
+        routers[0]._routes[12345] = routers[0]._routes[b.address]  # stale
+
+        net.connect(routers[0], routers[2], rate="10Mbps", delay="1ms")
+        net.compute_routes()
+        assert not a._routes and not b._routes
+        assert 12345 not in routers[0]._routes
+        a.inject(Packet(src=a.address, dst=b.address, payload=960, dport=5))
+        sim.run()
+        assert rec.packets[-1].hops == 3
+
+        # A leaf that becomes multi-homed gets a table of its own.
+        direct, _ = net.connect(a, b, rate="10Mbps", delay="1ms")
+        net.compute_routes()
+        assert a.route_for(b.address) is direct
 
     def test_double_bind_rejected(self):
         sim = Simulator()
@@ -211,6 +276,36 @@ class TestDumbbell:
         pairs = net.flow_pairs()
         assert pairs == [(net.senders[0], net.receivers[0]),
                          (net.senders[1], net.receivers[1])]
+
+
+class TestRoutingStateIsLinear:
+    """Count-based: routes exist only where a node has a choice."""
+
+    @staticmethod
+    def route_entries(network):
+        return sum(len(node._routes) for node in network.nodes)
+
+    def test_dumbbell_tables_are_linear_in_pairs(self):
+        n = 256
+        sim = Simulator(burst=True)
+        net = build_dumbbell(sim, n_pairs=n, bottleneck_rate="100Mbps",
+                             buffer_packets=64, rtts=["40ms"])
+        # Two routers x 2n host addresses; the 2n hosts hold nothing.
+        assert self.route_entries(net.network) == 4 * n
+        LongLivedWorkload(net, start_spread=0.1,
+                          rng=RngStreams(1).stream("starts"))
+        sim.run(until=0.5)
+        # Each host has learned at most its one peer.
+        assert all(list(s._routes) == [r.address] for s, r in net.flow_pairs())
+        assert 5 * n < self.route_entries(net.network) <= 6 * n
+
+    def test_parking_lot_tables_only_on_routers(self):
+        network, _backbone, _pairs = build_parking_lot(
+            Simulator(), n_hops=3, n_pairs_per_hop=2, link_rate="10Mbps",
+            buffer_packets=20)
+        for node in network.nodes:
+            expected = len(network.hosts) if isinstance(node, Router) else 0
+            assert len(node._routes) == expected, node
 
 
 class TestParkingLot:
