@@ -373,42 +373,43 @@ def cmd_profiles(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_sweep_row(outcome) -> bool:
-    """One table row per cell outcome; returns True when the cell failed."""
+def _print_sweep_row(outcome) -> None:
+    """One table row per cell outcome."""
     params = outcome.params
     label = (f"{params.get('cc', 'reno'):>8} {params['n_flows']:>6} "
              f"{params['buffer_packets']:>7}")
     if not outcome.ok:
         print(f"{label} {'-':>7} {'-':>7} {outcome.attempts:>8}  "
               f"FAILED: {outcome.error}")
-        return True
+        return
     result = outcome.result
     util = result["utilization"] if isinstance(result, dict) else result.utilization
     loss = result["loss_rate"] if isinstance(result, dict) else result.loss_rate
     source = "checkpoint" if outcome.from_checkpoint else "computed"
     print(f"{label} {util * 100:>7.2f} {loss * 100:>7.3f} "
           f"{outcome.attempts:>8}  {source}")
-    return False
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: checkpointed long-flow grid under the supervisor.
 
-    Runs every (flows, buffer-factor) cell through
-    :class:`~repro.runner.supervisor.SweepSupervisor`: per-trial
-    watchdog budgets, retry-with-reseed on transient failures, and —
-    with ``--checkpoint`` — resume of a killed sweep from the last
-    completed cell.  ``--jobs N`` fans the grid out over N worker
-    processes; ``--workers N`` instead runs the grid through the
-    crash-tolerant fabric (leased work queue, work stealing, poison
-    quarantine — see ``repro worker``).  Either way, cell results are
-    bit-identical to the serial run.
+    Every (cc, flows, buffer-factor) cell gets per-trial watchdog
+    budgets, retry-with-reseed on transient failures, and — with
+    ``--checkpoint`` — resume of a killed sweep from the last completed
+    cell.  ``--jobs 1`` runs the cells in this process, one after the
+    other (:class:`~repro.runner.supervisor.SweepSupervisor`);
+    ``--jobs N`` runs them on N worker processes that lease cells from
+    a queue directory (:func:`~repro.fabric.supervisor.run_fabric_sweep`:
+    work stealing, SIGKILL-safe, see ``repro worker``).  Cell results,
+    attempts and the checkpoint are the same either way.
     """
+    import contextlib
     import os
+    import tempfile
 
     from repro.experiments.common import run_long_flow_experiment
+    from repro.fabric.supervisor import run_fabric_sweep
     from repro.runner import SweepSupervisor
-
     from repro.tcp.congestion import available_ccs
 
     try:
@@ -423,9 +424,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(f"unknown congestion control(s): "
                      f"{', '.join(unknown_ccs)} "
                      f"(choose from {', '.join(available_ccs())})")
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    if jobs < 1:
-        return _fail(f"--jobs must be >= 0, got {args.jobs}")
+    if args.jobs < 0 or args.workers < 0:
+        return _fail(f"--jobs and --workers must be >= 0, got "
+                     f"{args.jobs} and {args.workers}")
+    jobs = args.jobs or os.cpu_count() or 1
+    # --workers N is --jobs N that takes the queue even at N = 1.
+    workers = args.workers or (jobs if jobs > 1 else 0)
 
     grid = []
     for cc in cc_list:
@@ -438,88 +442,52 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     warmup=args.warmup, duration=args.duration, seed=args.seed,
                 ))
 
-    if getattr(args, "workers", 0):
-        return _cmd_sweep_fabric(args, grid)
-
+    common = dict(checkpoint_path=args.checkpoint, resume=not args.fresh,
+                  max_retries=args.retries, max_events=args.max_events,
+                  max_wall_seconds=args.timeout)
     try:
-        supervisor = SweepSupervisor(
-            run_long_flow_experiment,
-            checkpoint_path=args.checkpoint,
-            resume=not args.fresh,
-            max_retries=args.retries,
-            max_events=args.max_events,
-            max_wall_seconds=args.timeout,
-        )
-    except ReproError as exc:
-        return _fail(str(exc))
-    if supervisor.completed_cells:
-        print(f"resuming: {supervisor.completed_cells} cell(s) already "
-              f"in {args.checkpoint}")
-    if jobs > 1:
-        print(f"running {len(grid)} cell(s) on {jobs} worker process(es)")
-
-    print(f"{'cc':>8} {'flows':>6} {'buffer':>7} {'util%':>7} {'loss%':>7} "
-          f"{'attempts':>8}  source")
-    failures = 0
-    if jobs > 1:
-        # Rows print in grid order once all outcomes are in; the
-        # checkpoint is still written incrementally as cells finish.
-        try:
-            outcomes = supervisor.run_parallel(grid, jobs=jobs)
-        except ReproError as exc:
-            return _fail(str(exc))
-        failures = sum(_print_sweep_row(outcome) for outcome in outcomes)
-    else:
-        for params in grid:
-            failures += _print_sweep_row(supervisor.run_cell(**params))
-    if failures:
-        print(f"{failures} cell(s) failed after retries")
-        return 3
-    return 0
-
-
-def _cmd_sweep_fabric(args: argparse.Namespace, grid) -> int:
-    """``repro sweep --workers N``: the crash-tolerant fabric path."""
-    import os
-
-    from repro.errors import FabricError
-    from repro.fabric.supervisor import run_fabric_sweep
-
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers}")
-    queue_dir = args.queue_dir
-    if queue_dir is None:
-        queue_dir = ((args.checkpoint + ".queue") if args.checkpoint
-                     else ".repro-queue")
-    print(f"fabric sweep: {len(grid)} cell(s), {args.workers} worker(s), "
-          f"queue {queue_dir}")
-    print(f"  attach more with: repro worker {queue_dir}")
-    print(f"{'cc':>8} {'flows':>6} {'buffer':>7} {'util%':>7} {'loss%':>7} "
-          f"{'attempts':>8}  source")
-    try:
-        outcomes = run_fabric_sweep(
-            "repro.experiments.common:run_long_flow_experiment",
-            grid,
-            queue_dir=queue_dir,
-            workers=args.workers,
-            checkpoint_path=args.checkpoint,
-            resume=not args.fresh,
-            lease_seconds=args.lease_seconds,
-            max_lease_failures=args.max_lease_failures,
-            max_retries=args.retries,
-            max_events=args.max_events,
-            max_wall_seconds=args.timeout,
-        )
+        with contextlib.ExitStack() as stack:
+            # Built for either executor: it discards the checkpoint under
+            # --fresh and counts what a resume finds.  The queue executor
+            # loads the checkpoint again itself, and rebuilds a damaged
+            # one from its cell records where the serial one stops.
+            supervisor = SweepSupervisor(
+                run_long_flow_experiment, **common,
+                on_corrupt="quarantine" if workers else "raise")
+            if supervisor.completed_cells:
+                print(f"resuming: {supervisor.completed_cells} cell(s) "
+                      f"already in {args.checkpoint}")
+            if workers:
+                if args.queue_dir:
+                    queue_dir = args.queue_dir
+                elif args.checkpoint:
+                    queue_dir = args.checkpoint + ".queue"
+                else:  # nothing was asked to outlive the run
+                    queue_dir = stack.enter_context(
+                        tempfile.TemporaryDirectory(prefix="repro-queue-"))
+                print(f"running {len(grid)} cell(s) on {workers} worker "
+                      f"process(es), queue {queue_dir}")
+            print(f"{'cc':>8} {'flows':>6} {'buffer':>7} {'util%':>7} "
+                  f"{'loss%':>7} {'attempts':>8}  source")
+            if workers:
+                # Rows print in grid order once all outcomes are in; the
+                # checkpoint is still written as cells finish.
+                outcomes = run_fabric_sweep(
+                    "repro.experiments.common:run_long_flow_experiment",
+                    grid, queue_dir=queue_dir, workers=workers,
+                    lease_seconds=args.lease_seconds,
+                    max_lease_failures=args.max_lease_failures,
+                    on_cell=_print_sweep_row, **common)
+            else:
+                outcomes = supervisor.run(grid, on_cell=_print_sweep_row)
     except KeyboardInterrupt as exc:
         print(f"interrupted: {exc}")
         return 130
-    except (FabricError, ReproError) as exc:
+    except ReproError as exc:
         return _fail(str(exc))
-    failures = sum(_print_sweep_row(outcome) for outcome in outcomes)
-    quarantine_dir = os.path.join(queue_dir, "quarantine")
+    failures = sum(not outcome.ok for outcome in outcomes)
     if failures:
-        print(f"{failures} cell(s) failed after retries "
-              f"(poison-cell records: {quarantine_dir})")
+        print(f"{failures} cell(s) failed after retries")
         return 3
     return 0
 
@@ -531,7 +499,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     exits 0.  SIGTERM/SIGINT drain it gracefully: the in-flight cell
     finishes and publishes before exit.  Safe to run any number of
     these on the same queue directory, before, during, or after the
-    owning ``repro sweep --workers`` run.
+    owning ``repro sweep --jobs N`` run.
     """
     import os
 
@@ -720,9 +688,7 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
             return _fail(f"cannot read baseline {args.baseline!r}: {exc}")
         baseline_details = {k: v for k, v in payload.items()
                             if k != "events_per_second"} or None
-    output = args.output
-    if output == "BENCH_sweep.json":
-        output = "BENCH_engine.json"  # engine mode gets its own artifact
+    output = args.output or "BENCH_engine.json"
     try:
         record = run_engine_benchmark(
             repeats=args.repeats,
@@ -862,9 +828,7 @@ def _cmd_bench_obs(args: argparse.Namespace) -> int:
         "identical_results": identical,
         "within_budget": bool(ratio <= 2.0),
     }
-    output = args.output
-    if output == "BENCH_sweep.json":
-        output = "BENCH_obs.json"  # obs mode gets its own artifact
+    output = args.output or "BENCH_obs.json"
     _append_to_artifact(output, record)
     print(f"observability benchmark: {record['scenario']}, "
           f"best of {args.repeats} (interleaved)")
@@ -879,55 +843,20 @@ def _cmd_bench_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: serial-vs-parallel sweep timing + JSON artifact.
+    """``repro bench``: one of two A/B benchmarks with a JSON artifact.
 
-    Runs the standard sweep grid once per ``--jobs`` level, checks that
-    every parallel level reproduced the serial results bit-for-bit, and
-    appends the timings to the ``--output`` perf-trajectory artifact.
-    ``--engine`` switches to the single-run engine-throughput mode
-    (optimized vs unoptimized hot path, ``BENCH_engine.json``);
-    ``--obs`` to the observability-overhead A/B mode
-    (``BENCH_obs.json``).
+    ``--engine`` is the single-run engine-throughput mode (optimized vs
+    unoptimized hot path, ``BENCH_engine.json``); ``--obs`` the
+    observability-overhead mode (``BENCH_obs.json``).  Sweep executors
+    are timed by the repository benchmark (``bench/run.py --workload
+    sweep_grid``).
     """
-    from repro.runner.bench import build_sweep_grid, run_sweep_benchmark
-
-    if getattr(args, "engine", False) and getattr(args, "obs", False):
-        return _fail("--engine and --obs are mutually exclusive")
-    if getattr(args, "engine", False):
+    if args.engine == args.obs:
+        return _fail("repro bench wants one of --engine and --obs "
+                     "(they are mutually exclusive)")
+    if args.engine:
         return _cmd_bench_engine(args)
-    if getattr(args, "obs", False):
-        return _cmd_bench_obs(args)
-
-    try:
-        jobs = [int(x) for x in args.jobs.split(",")]
-        flows_list = [int(x) for x in args.flows.split(",")]
-        factor_list = [float(x) for x in args.buffer_factors.split(",")]
-    except ValueError:
-        return _fail("--jobs, --flows and --buffer-factors want "
-                     "comma-separated numbers")
-    try:
-        grid = build_sweep_grid(
-            flows=flows_list, buffer_factors=factor_list,
-            pipe_packets=args.pipe, bottleneck_rate=args.rate,
-            warmup=args.warmup, duration=args.duration, seed=args.seed,
-        )
-        record = run_sweep_benchmark(
-            grid=grid, jobs=jobs,
-            max_events=args.max_events, max_wall_seconds=args.timeout,
-            output_path=args.output,
-        )
-    except ReproError as exc:
-        return _fail(str(exc))
-    print(f"sweep benchmark: {record['cells']} cell(s), "
-          f"{record['cpu_count']} core(s)")
-    print(f"{'jobs':>5} {'seconds':>9} {'speedup':>8} {'failed':>7}")
-    for timing in record["timings"]:
-        print(f"{timing['jobs']:>5} {timing['seconds']:>9.2f} "
-              f"{timing['speedup']:>8.2f} {timing['failed_cells']:>7}")
-    verdict = "identical" if record["identical_results"] else "DIVERGED"
-    print(f"parallel results vs serial: {verdict}")
-    print(f"artifact: {args.output}")
-    return 0 if record["identical_results"] else 3
+    return _cmd_bench_obs(args)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

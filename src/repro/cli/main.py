@@ -203,73 +203,62 @@ def build_parser() -> argparse.ArgumentParser:
                          help="retries (with reseed) per transiently-failing "
                               "cell (default 2)")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes; results are bit-identical "
-                              "to --jobs 1 (default 1, 0 = all cores)")
+                         help="worker processes (default 1 = in this "
+                              "process, 0 = all cores); N > 1 leases cells "
+                              "from a work queue (work stealing, "
+                              "SIGKILL-safe) and gives the same results "
+                              "and checkpoint as --jobs 1")
     p_sweep.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="run through the crash-tolerant fabric with N "
-                              "work-stealing worker processes (leased queue, "
-                              "SIGKILL-safe; default 0 = classic pool path)")
+                         help="--jobs N that takes the work queue even at "
+                              "N = 1 (default 0: --jobs decides)")
     p_sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                         help="fabric work-queue directory (default: derived "
-                              "from --checkpoint, or .repro-queue); detached "
-                              "'repro worker' processes may attach to it")
+                         help="work-queue directory (default: "
+                              "<checkpoint>.queue, or a temporary directory "
+                              "removed afterwards when there is no "
+                              "--checkpoint); detached 'repro worker' "
+                              "processes may attach to it")
     p_sweep.add_argument("--lease-seconds", type=float, default=10.0,
-                         help="fabric lease expiry horizon; a worker dead "
+                         help="lease expiry horizon; a worker dead "
                               "longer than this has its cell stolen "
                               "(default 10)")
     p_sweep.add_argument("--max-lease-failures", type=int, default=3,
-                         help="failed leases before a cell is quarantined "
-                              "as poison (default 3)")
+                         help="leases lost to dead workers before a cell "
+                              "is quarantined as poison (default 3)")
     _add_watchdog_args(p_sweep)
     p_sweep.set_defaults(func=commands.cmd_sweep)
 
     p_worker = sub.add_parser(
         "worker", help="attach one detachable work-stealing worker to a "
-                       "fabric queue directory (see repro sweep --workers)")
+                       "sweep's queue directory (see repro sweep --jobs)")
     p_worker.add_argument("queue_dir", metavar="QUEUE_DIR",
                           help="queue directory created by repro sweep "
-                               "--workers (contains spec.json)")
+                               "--jobs N (contains spec.json)")
     p_worker.add_argument("--name", default=None,
                           help="worker name for leases/logs (default: "
                                "worker-<pid>)")
     p_worker.set_defaults(func=commands.cmd_worker)
 
     p_bench = sub.add_parser(
-        "bench", help="time the standard sweep serial vs parallel and "
-                      "record a BENCH_sweep.json perf-trajectory artifact")
-    p_bench.add_argument("--jobs", default="1,2,4",
-                         help='comma-separated worker counts (default "1,2,4"; '
-                              'the serial baseline is added if missing)')
-    p_bench.add_argument("--flows", default="4,8,16,32",
-                         help='comma-separated flow counts (default "4,8,16,32")')
-    p_bench.add_argument("--buffer-factors", default="0.5,1.0",
-                         help='buffer factors in units of RTTxC/sqrt(n) '
-                              '(default "0.5,1.0")')
-    p_bench.add_argument("--pipe", type=float, default=50.0)
-    p_bench.add_argument("--rate", default="10Mbps")
-    p_bench.add_argument("--warmup", type=float, default=2.0)
-    p_bench.add_argument("--duration", type=float, default=6.0)
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--output", default="BENCH_sweep.json", metavar="FILE",
-                         help="artifact path; runs accumulate a trajectory "
-                              "(default BENCH_sweep.json, or "
-                              "BENCH_engine.json with --engine)")
+        "bench", help="engine-throughput (--engine) or observability-"
+                      "overhead (--obs) A/B with a JSON perf-trajectory "
+                      "artifact; sweeps are timed by bench/run.py")
     p_bench.add_argument("--engine", action="store_true",
-                         help="single-run engine-throughput mode: time the "
-                              "optimized vs unoptimized hot path on the "
-                              "Figure-1 scenario")
+                         help="time the optimized vs unoptimized hot path "
+                              "on the Figure-1 scenario")
+    p_bench.add_argument("--obs", action="store_true",
+                         help="time the Figure-1 scenario with tracing "
+                              "fully on vs off; exit 3 if tracing costs "
+                              "more than 2x")
     p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed repetitions per engine mode, interleaved; "
-                              "the minimum is kept (default 3; --engine only)")
+                         help="timed repetitions per arm, interleaved; "
+                              "the minimum is kept (default 3)")
     p_bench.add_argument("--baseline", default=None, metavar="FILE",
                          help="JSON file with an events_per_second floor "
                               "(e.g. ci/engine-baseline.json); exit 3 if "
                               "throughput drops >30%% below it (--engine only)")
-    p_bench.add_argument("--obs", action="store_true",
-                         help="A/B observability-overhead mode: time the "
-                              "Figure-1 scenario with tracing fully on vs "
-                              "off; exit 3 if tracing costs more than 2x "
-                              "(BENCH_obs.json)")
+    p_bench.add_argument("--output", default=None, metavar="FILE",
+                         help="artifact path; runs accumulate a trajectory "
+                              "(default BENCH_engine.json or BENCH_obs.json)")
     _add_watchdog_args(p_bench)
     p_bench.set_defaults(func=commands.cmd_bench)
 

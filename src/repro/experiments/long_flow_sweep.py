@@ -89,7 +89,6 @@ def min_buffer_sweep(
     max_retries: int = 2,
     max_events: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
-    jobs: int = 1,
     **kwargs,
 ) -> SweepResult:
     """Measure min-buffer-vs-n for the given utilization targets.
@@ -108,11 +107,6 @@ def min_buffer_sweep(
     max_retries, max_events, max_wall_seconds:
         Hardening knobs forwarded to the
         :class:`~repro.runner.SweepSupervisor` driving the grid.
-    jobs:
-        Worker processes for the grid (default 1 = in-process serial).
-        Every cell seeds its own RNG streams, so results are
-        bit-identical whatever the worker count, and the checkpoint
-        format is shared with serial runs.
     pipe_packets, warmup, duration, seed, kwargs:
         Forwarded to :func:`run_long_flow_experiment`.
     """
@@ -126,8 +120,6 @@ def min_buffer_sweep(
         max_wall_seconds=max_wall_seconds,
         deserialize=LongFlowResult.from_dict,
     )
-    # Flatten the (n, factor) grid up front so the whole sweep can fan
-    # out at once; the serial path runs the identical cell list.
     cells: List[Tuple[int, int, Dict]] = []
     for n in n_values:
         unit = pipe_packets / math.sqrt(n)
@@ -142,8 +134,7 @@ def min_buffer_sweep(
                 seed=seed,
                 **kwargs,
             )))
-    outcomes = supervisor.run_parallel([params for _, _, params in cells],
-                                       jobs=jobs)
+    outcomes = supervisor.run([params for _, _, params in cells])
 
     points: List[MinBufferPoint] = []
     curves: Dict[int, List[Tuple[float, float]]] = {}
@@ -177,8 +168,8 @@ def min_buffer_sweep(
     return SweepResult(pipe_packets=pipe_packets, points=points, curves=curves)
 
 
-def main(jobs: int = 1) -> None:  # pragma: no cover - exercised via examples
-    result = min_buffer_sweep(jobs=jobs)
+def main() -> None:  # pragma: no cover - exercised via examples
+    result = min_buffer_sweep()
     print("Figure 7: minimum buffer for target utilization (packets)")
     print(f"{'n':>5} {'model RTTC/sqrt(n)':>20} "
           + "".join(f"{f'{t * 100:.1f}%':>12}" for t in DEFAULT_TARGETS))

@@ -56,7 +56,6 @@ def afct_buffer_sweep(
     seed: int = 11,
     max_window: int = 43,
     sizes: Optional[FlowSizeDistribution] = None,
-    jobs: int = 1,
     checkpoint_path: Optional[str] = None,
     max_retries: int = 2,
     **kwargs,
@@ -75,16 +74,10 @@ def afct_buffer_sweep(
     max_inflation:
         AFCT inflation tolerance (paper: 12.5%).
     buffer_grid:
-        Increasing buffer sizes to try.
-    jobs:
-        Worker processes.  With ``jobs=1`` (default) the grid is
-        scanned serially and stops at the first buffer meeting the
-        threshold; with ``jobs>1`` every (bandwidth, buffer) cell runs
-        concurrently and the scan happens afterwards — more cells, less
-        wall clock, identical min-buffer answers (each cell's result is
-        bit-identical either way).
+        Increasing buffer sizes to try; the scan stops at the first one
+        meeting the threshold.
     checkpoint_path:
-        Optional JSON checkpoint shared by both modes.
+        Optional JSON checkpoint.
     """
     if list(buffer_grid) != sorted(buffer_grid):
         raise ConfigurationError("buffer_grid must be increasing")
@@ -100,30 +93,12 @@ def afct_buffer_sweep(
         deserialize=ShortFlowResult.from_dict,
     )
 
-    def cell(bandwidth, buffer_packets):
-        return dict(load=load, buffer_packets=buffer_packets, sizes=size_dist,
-                    bottleneck_rate=bandwidth, warmup=warmup,
-                    duration=duration, seed=seed, max_window=max_window,
-                    **kwargs)
-
-    afct_by_cell: dict = {}
-    if jobs > 1:
-        # Fan out the baselines plus the full buffer grid; the early
-        # -exit scan below then reads measured AFCTs instead of running
-        # simulations.
-        grid = [cell(bw, None) for bw in bandwidths]
-        grid += [cell(bw, bp) for bw in bandwidths for bp in buffer_grid]
-        labels = [(bw, None) for bw in bandwidths]
-        labels += [(bw, bp) for bw in bandwidths for bp in buffer_grid]
-        for label, outcome in zip(labels, supervisor.run_parallel(grid, jobs=jobs)):
-            afct_by_cell[label] = outcome.result.afct if outcome.ok else math.nan
-
     def measure_afct(bandwidth, buffer_packets):
-        label = (bandwidth, buffer_packets)
-        if label not in afct_by_cell:
-            outcome = supervisor.run_cell(**cell(bandwidth, buffer_packets))
-            afct_by_cell[label] = outcome.result.afct if outcome.ok else math.nan
-        return afct_by_cell[label]
+        outcome = supervisor.run_cell(
+            load=load, buffer_packets=buffer_packets, sizes=size_dist,
+            bottleneck_rate=bandwidth, warmup=warmup, duration=duration,
+            seed=seed, max_window=max_window, **kwargs)
+        return outcome.result.afct if outcome.ok else math.nan
 
     points: List[ShortFlowPoint] = []
     for bandwidth in bandwidths:
@@ -148,8 +123,8 @@ def afct_buffer_sweep(
     return points
 
 
-def main(jobs: int = 1) -> None:  # pragma: no cover - exercised via examples
-    points = afct_buffer_sweep(jobs=jobs)
+def main() -> None:  # pragma: no cover - exercised via examples
+    points = afct_buffer_sweep()
     print("Figure 8: min buffer for AFCT inflation <= 12.5% (load 0.8)")
     print(f"{'bandwidth':>12} {'AFCT(inf)':>10} {'min buffer':>11} {'model':>7}")
     for p in points:

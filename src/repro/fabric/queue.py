@@ -36,8 +36,8 @@ Transitions and their atomicity:
 * **fail / quarantine** — each failed lease appends a numbered failure
   record; at ``max_lease_failures`` the cell is parked in
   ``quarantine/`` with its crash dumps instead of wedging the sweep.
-  Fatal errors (configuration mistakes that no retry heals) quarantine
-  immediately.
+  Failures another lease cannot heal (a configuration mistake, a cell
+  whose reseeded attempts are all spent) quarantine immediately.
 
 Lease expiry compares ``time.monotonic()`` readings across processes,
 which is valid on a shared host (the clock is boot-anchored and immune
@@ -50,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
@@ -62,6 +63,10 @@ __all__ = ["Lease", "WorkQueue", "cell_digest"]
 
 SPEC_NAME = "spec.json"
 EVENTS_NAME = "events.log"
+
+#: Subdirectories holding per-cell protocol state (``crashes/`` holds
+#: evidence, not state).
+STATE_DIRS = ("cells", "leases", "failures", "quarantine")
 
 #: Default seconds a lease stays valid without renewal.
 DEFAULT_LEASE_SECONDS = 10.0
@@ -134,7 +139,7 @@ class WorkQueue:
                     f"queue {root!r} was built for trial function "
                     f"{queue.fn_ref!r}, not {fn_ref!r}")
             return queue
-        for sub in ("cells", "leases", "failures", "quarantine", "crashes"):
+        for sub in (*STATE_DIRS, "crashes"):
             os.makedirs(os.path.join(root, sub), exist_ok=True)
         spec = {
             "version": 1,
@@ -144,6 +149,23 @@ class WorkQueue:
         }
         records.write_record(spec_path, spec)
         return cls(root, spec)
+
+    @staticmethod
+    def discard(root: str) -> None:
+        """Forget the sweep a queue directory holds (``resume=False``).
+
+        Removes the spec, the event log and every cell's protocol state,
+        so the next :meth:`create` builds the queue anew and re-runs
+        every cell.  ``crashes/`` stays: it is post-mortem evidence, not
+        protocol state.
+        """
+        for name in (SPEC_NAME, EVENTS_NAME):
+            try:
+                os.unlink(os.path.join(root, name))
+            except FileNotFoundError:
+                pass
+        for sub in STATE_DIRS:
+            shutil.rmtree(os.path.join(root, sub), ignore_errors=True)
 
     @classmethod
     def open(cls, root: str) -> "WorkQueue":
@@ -421,16 +443,20 @@ class WorkQueue:
 
     def fail(self, lease: Lease, error: str,
              traceback_text: Optional[str] = None,
-             fatal: bool = False) -> str:
+             fatal: bool = False,
+             attempts: Optional[int] = None) -> str:
         """Record a failed lease; returns ``"retry"`` or ``"quarantined"``.
 
-        ``fatal`` marks errors no reseed can heal (configuration
-        mistakes): the cell is parked immediately with its crash dump
-        instead of burning the remaining lease budget.
+        ``fatal`` marks failures another lease cannot heal: the cell is
+        parked immediately with its crash dump instead of burning the
+        remaining lease budget.  That is a configuration mistake, or a
+        cell whose retry-with-reseed attempts are all spent — then
+        ``attempts`` is how many it had, for its FAILED row.
         """
         count = self._record_failure(lease.digest, {
             "kind": "fatal" if fatal else "transient",
             "error": error,
+            "attempts": attempts,
             "traceback": traceback_text,
             "worker": lease.worker,
             "lease_attempt": lease.attempt,
@@ -499,6 +525,7 @@ class WorkQueue:
             "failure_count": len(failures),
             "failures": failures,
             "last_error": failures[-1].get("error") if failures else None,
+            "attempts": failures[-1].get("attempts") if failures else None,
         }
         if records.write_record(self._quarantine_path(digest), payload,
                                 exclusive=True):

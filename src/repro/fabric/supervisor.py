@@ -1,9 +1,9 @@
 """The fabric sweep driver: spawn workers, survive their deaths, merge.
 
-:func:`run_fabric_sweep` is the distributed counterpart of
-:meth:`~repro.runner.supervisor.SweepSupervisor.run_parallel`.  Instead
-of a process pool fed futures by the parent, it materializes the grid
-as a :class:`~repro.fabric.queue.WorkQueue` directory and spawns ``N``
+:func:`run_fabric_sweep` is the parallel counterpart of
+:meth:`~repro.runner.supervisor.SweepSupervisor.run` (``repro sweep
+--jobs N``).  It materializes the grid as a
+:class:`~repro.fabric.queue.WorkQueue` directory and spawns up to ``N``
 work-stealing :class:`~repro.fabric.worker.Worker` processes against
 it.  The parent then only *supervises*:
 
@@ -34,7 +34,8 @@ import multiprocessing
 import os
 import signal
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Union)
 
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric import records
@@ -243,8 +244,12 @@ def run_fabric_sweep(
     """Run ``grid`` across ``workers`` crash-tolerant worker processes.
 
     Returns outcomes in grid order, exactly like
-    :meth:`SweepSupervisor.run_parallel`; quarantined (poison) cells
-    come back as failed outcomes — present, never silently dropped.
+    :meth:`SweepSupervisor.run`; a cell listed twice runs once and
+    fills both rows.  A cell whose retries are spent comes back as the
+    failed outcome the serial path would report, and one quarantined
+    for its failed leases as a failed outcome naming them — present,
+    never silently dropped.  At most one worker per unresolved cell is
+    started.
 
     Parameters beyond the :class:`SweepSupervisor` set:
 
@@ -252,6 +257,8 @@ def run_fabric_sweep(
         The shared work-queue directory.  Detached ``repro worker``
         processes may attach to it while this call runs — the fleet
         spawned here and any volunteers steal from the same queue.
+        ``resume=False`` discards what a previous sweep left in it,
+        as it discards the checkpoint.
     lease_seconds / max_lease_failures:
         Lease expiry horizon and the per-cell failed-lease budget
         before poison quarantine.
@@ -284,6 +291,8 @@ def run_fabric_sweep(
         cells[key] = params
         params_by_digest[cell_digest(key)] = params
 
+    if not resume:
+        WorkQueue.discard(queue_dir)
     queue = WorkQueue.create(queue_dir, cells, fn_ref=ref, options={
         "lease_seconds": lease_seconds,
         "max_lease_failures": max_lease_failures,
@@ -322,17 +331,17 @@ def run_fabric_sweep(
         except (ValueError, OSError):
             pass
 
-    def _all_resolved() -> bool:
-        return all(
-            cell_digest(key) in merged
-            or os.path.exists(queue._quarantine_path(cell_digest(key)))
-            for key in cells)
+    def _unresolved() -> Iterator[str]:
+        return (digest for digest in params_by_digest
+                if digest not in merged
+                and not os.path.exists(queue._quarantine_path(digest)))
 
     # A fully-resumed (or fully-quarantined) grid needs no workers at
     # all — spawning a fleet just to drain it would record the shutdown
-    # SIGTERMs as phantom worker deaths in the audit trail.
-    fleet = (None if _all_resolved()
-             else _Fleet(queue.root, workers, respawn_budget))
+    # SIGTERMs as phantom worker deaths in the audit trail — and no
+    # grid needs more workers than it has cells left to run.
+    workers = min(workers, sum(1 for _ in _unresolved()))
+    fleet = _Fleet(queue.root, workers, respawn_budget) if workers else None
     deadline = (time.monotonic() + timeout) if timeout else None
     interrupted = False
     try:
@@ -349,7 +358,7 @@ def run_fabric_sweep(
                 _merge_new_completions(queue, supervisor,
                                        params_by_digest, merged)
                 break
-            if _all_resolved():
+            if not any(_unresolved()):
                 fleet.signal_drain()
                 fleet.join_all(timeout=max(lease_seconds, 5.0))
                 fleet.reap(queue, respawn=False)
@@ -396,16 +405,17 @@ def run_fabric_sweep(
             outcome = TrialOutcome(
                 key=key, params=params, result=record.get("result"),
                 attempts=record.get("attempts", 1),
-                from_checkpoint=bool(record.get("seeded")),
+                from_checkpoint=digest in resumed,
                 elapsed_seconds=record.get("elapsed_seconds", 0.0))
         elif digest in quarantined:
             entry = quarantined[digest]
-            outcome = TrialOutcome(
-                key=key, params=params,
-                attempts=entry.get("failure_count", 0),
-                error=(f"quarantined after "
-                       f"{entry.get('failure_count')} failed lease(s): "
-                       f"{entry.get('last_error')}"))
+            # Retries spent: the failed outcome the serial path reports.
+            attempts, error = entry.get("attempts"), entry.get("last_error")
+            if attempts is None:  # leases lost without a verdict
+                attempts = entry.get("failure_count", 0)
+                error = f"quarantined after {attempts} failed lease(s): {error}"
+            outcome = TrialOutcome(key=key, params=params,
+                                   attempts=attempts, error=error)
         else:
             outcome = TrialOutcome(
                 key=key, params=params,

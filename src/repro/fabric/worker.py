@@ -18,11 +18,12 @@ makes a fabric sweep **bit-identical** to a single-process run:
 * a *worker crash* (SIGKILL, OOM) never reseeds — the stealer re-runs
   the cell from its original base seed, so the merged grid cannot drift
   from the serial result;
-* a *fatal* error (configuration mistake) quarantines the cell
-  immediately instead of burning the lease budget.
+* a cell whose reseeded attempts are all spent, or that raised a
+  *fatal* error (configuration mistake), is parked at once: the lease
+  budget counts only leases that ended without a verdict.
 
 ``repro worker <queue-dir>`` runs :func:`worker_main` as a detachable
-process; ``repro sweep --workers N`` spawns
+process; ``repro sweep --jobs N`` spawns
 :func:`spawned_worker_entry` via multiprocessing.
 """
 
@@ -41,6 +42,7 @@ from repro.fabric.queue import Lease, WorkQueue
 from repro.runner.supervisor import (
     TRANSIENT_ERRORS,
     _attempt_cell,
+    _default_serialize,
     accepted_params,
     budgeted_call,
 )
@@ -210,9 +212,11 @@ class Worker:
                        heartbeat=heartbeat)
             return
         if error is not None:
-            # In-lease retry budget exhausted — the fabric analog of a
-            # serial FAILED row; the lease budget decides quarantine.
-            self._fail(lease, error, None, fatal=False, heartbeat=heartbeat)
+            # The cell has had its max_retries + 1 reseeded attempts:
+            # that is a verdict, the serial FAILED row.  Another lease
+            # would replay the same derived seeds, so park it now.
+            self._fail(lease, error, None, fatal=True, heartbeat=heartbeat,
+                       attempts=attempts)
             return
         if heartbeat.lost.is_set():
             # The lease expired (e.g. the host suspended) and a peer may
@@ -222,12 +226,13 @@ class Worker:
             self.stats["leases_lost"] += 1
             self.queue.log_event("lease_lost", cell=lease.digest,
                                  worker=self.name)
-        self.queue.complete(lease, self._serialize(result), attempts,
+        self.queue.complete(lease, _default_serialize(result), attempts,
                             elapsed, worker_index=self.index)
         self.stats["completed"] += 1
 
     def _fail(self, lease: Lease, error: str, tb: Optional[str],
-              fatal: bool, heartbeat: _Heartbeat) -> None:
+              fatal: bool, heartbeat: _Heartbeat,
+              attempts: Optional[int] = None) -> None:
         heartbeat.stop()
         if heartbeat.lost.is_set():
             # Not ours to fail any more; the stealer already recorded
@@ -236,26 +241,12 @@ class Worker:
             self.queue.log_event("lease_lost", cell=lease.digest,
                                  worker=self.name)
             return
-        disposition = self.queue.fail(lease, error, tb, fatal=fatal)
+        disposition = self.queue.fail(lease, error, tb, fatal=fatal,
+                                      attempts=attempts)
         if disposition == "quarantined":
             self.stats["quarantined"] += 1
         else:
             self.stats["failed"] += 1
-
-    @staticmethod
-    def _serialize(result: Any) -> Any:
-        import dataclasses
-
-        from repro.runner.supervisor import _checkpoint_default
-        if dataclasses.is_dataclass(result) and not isinstance(result, type):
-            return dataclasses.asdict(result)
-        if result is None or isinstance(result, (bool, int, float, str)):
-            return result
-        if isinstance(result, (list, tuple)):
-            return [Worker._serialize(v) for v in result]
-        if isinstance(result, dict):
-            return {str(k): Worker._serialize(v) for k, v in result.items()}
-        return _checkpoint_default(result)
 
 
 def worker_main(queue_root: str, *, name: Optional[str] = None,
@@ -297,7 +288,7 @@ def worker_main(queue_root: str, *, name: Optional[str] = None,
 
 
 def spawned_worker_entry(queue_root: str, index: int) -> int:
-    """Entry point for ``repro sweep --workers N`` child processes.
+    """Entry point for ``repro sweep --jobs N`` child processes.
 
     Module-level (and import-light) so it survives multiprocessing's
     spawn start method; chaos arming travels via the inherited

@@ -13,27 +13,23 @@ Table-10-style sweep.  This package closes both holes:
     :class:`SweepSupervisor` — wraps any experiment callable with
     per-trial event/wall-clock budgets, retry-with-reseed on transient
     failure, and JSON checkpointing so a killed sweep resumes from the
-    last completed cell.  :meth:`SweepSupervisor.run_parallel` fans a
-    grid out over a spawn-safe process pool with bit-identical results
-    and the parent as single checkpoint writer.  For crash-tolerant
-    multi-process sweeps (workers that may attach, detach, or be
-    SIGKILLed), see the leased work-queue fabric in :mod:`repro.fabric`.
+    last completed cell.  It runs cells in-process, one at a time: the
+    reference executor.  The parallel executor (``repro sweep --jobs
+    N``: worker processes that may attach, detach, or be SIGKILLed) is
+    the leased work queue in :mod:`repro.fabric`, which runs each cell
+    through the same retry loop and merges through the same checkpoint
+    writer.
 :mod:`repro.runner.bench`
-    :func:`run_sweep_benchmark` — times the standard sweep serial vs
-    parallel and appends the result to a ``BENCH_sweep.json``
-    perf-trajectory artifact.  :func:`run_engine_benchmark` — single-run
-    engine throughput (optimized vs unoptimized hot path) appended to
-    ``BENCH_engine.json``, with an optional committed baseline floor.
+    :func:`run_engine_benchmark` — single-run engine throughput
+    (optimized vs unoptimized hot path) appended to the
+    ``BENCH_engine.json`` perf-trajectory artifact, with an optional
+    committed baseline floor.
 :mod:`repro.runner.profile`
     :func:`profile_scenario` — wraps any scenario in cProfile plus an
     events/sec + peak-heap + packet-pool report (``repro profile``).
 """
 
-from repro.runner.bench import (
-    build_sweep_grid,
-    run_engine_benchmark,
-    run_sweep_benchmark,
-)
+from repro.runner.bench import run_engine_benchmark
 from repro.runner.profile import ProfileReport, profile_scenario
 from repro.runner.invariants import (
     InvariantMonitor,
@@ -53,8 +49,6 @@ __all__ = [
     "SweepSupervisor",
     "TrialOutcome",
     "cell_key",
-    "build_sweep_grid",
-    "run_sweep_benchmark",
     "run_engine_benchmark",
     "ProfileReport",
     "profile_scenario",

@@ -1,9 +1,8 @@
-"""Serial-vs-parallel sweep benchmark with a JSON perf-trajectory artifact.
+"""Engine-throughput benchmark with a JSON perf-trajectory artifact.
 
-``repro bench`` times a standard long-flow sweep once per worker count
-(serial first, then each parallel level), verifies the parallel runs
-reproduced the serial results bit-for-bit, and writes the timings to a
-``BENCH_sweep.json`` artifact.  The artifact keeps a ``runs`` history,
+``repro bench --engine`` times the Figure-1 scenario on each engine arm,
+verifies the arms agree bit-for-bit, and writes the timings to a
+``BENCH_engine.json`` artifact.  The artifact keeps a ``runs`` history,
 so successive invocations (CI, before/after an optimization) accumulate
 a performance trajectory instead of overwriting each other.
 """
@@ -16,21 +15,16 @@ import math
 import os
 import tempfile
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.runner.supervisor import SweepSupervisor
 
 __all__ = [
-    "build_sweep_grid",
-    "run_sweep_benchmark",
     "run_engine_benchmark",
-    "DEFAULT_OUTPUT",
     "DEFAULT_ENGINE_OUTPUT",
     "DEFAULT_ENGINE_PARAMS",
 ]
 
-DEFAULT_OUTPUT = "BENCH_sweep.json"
 DEFAULT_ENGINE_OUTPUT = "BENCH_engine.json"
 
 #: The engine-throughput scenario: a Figure-1-shaped long-lived-flow run
@@ -39,32 +33,6 @@ DEFAULT_ENGINE_PARAMS: Dict[str, Any] = dict(
     n_flows=16, buffer_packets=40, pipe_packets=80.0,
     bottleneck_rate="10Mbps", warmup=4.0, duration=8.0, seed=3,
 )
-
-
-def build_sweep_grid(
-    flows: Sequence[int] = (4, 8, 16, 32),
-    buffer_factors: Sequence[float] = (0.5, 1.0),
-    pipe_packets: float = 50.0,
-    bottleneck_rate: str = "10Mbps",
-    warmup: float = 2.0,
-    duration: float = 6.0,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
-    """The standard benchmark grid: a small Figure-7-shaped sweep.
-
-    Same cell construction as ``repro sweep``: buffers in units of
-    ``pipe / sqrt(n)``.
-    """
-    grid = []
-    for n in flows:
-        for factor in buffer_factors:
-            buffer_packets = max(2, round(pipe_packets * factor / math.sqrt(n)))
-            grid.append(dict(
-                n_flows=n, buffer_packets=buffer_packets,
-                pipe_packets=pipe_packets, bottleneck_rate=bottleneck_rate,
-                warmup=warmup, duration=duration, seed=seed,
-            ))
-    return grid
 
 
 def _result_fingerprint(result: Any, strip_metrics: bool = False) -> str:
@@ -80,77 +48,6 @@ def _result_fingerprint(result: Any, strip_metrics: bool = False) -> str:
         result = dict(result)
         result.pop("metrics", None)
     return json.dumps(result, sort_keys=True, default=repr)
-
-
-def run_sweep_benchmark(
-    grid: Optional[Iterable[Dict[str, Any]]] = None,
-    jobs: Sequence[int] = (1, 2, 4),
-    max_events: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
-    output_path: Optional[str] = DEFAULT_OUTPUT,
-) -> Dict[str, Any]:
-    """Time the standard sweep at each worker count; write the artifact.
-
-    Every level runs the full grid with a fresh, checkpoint-less
-    :class:`~repro.runner.SweepSupervisor`, so timings measure pure
-    execution (no resume shortcuts).  Returns the benchmark record;
-    when ``output_path`` is set the record is also appended to the
-    artifact's run history (atomic write).
-    """
-    from repro.experiments.common import run_long_flow_experiment
-
-    grid = list(grid) if grid is not None else build_sweep_grid()
-    if not grid:
-        raise ConfigurationError("benchmark grid is empty")
-    jobs = sorted(set(int(j) for j in jobs))
-    if not jobs or jobs[0] < 1:
-        raise ConfigurationError(f"jobs must be positive, got {jobs!r}")
-    if jobs[0] != 1:
-        jobs = [1] + jobs  # the serial baseline anchors every speedup
-
-    timings: List[Dict[str, Any]] = []
-    fingerprints: Dict[int, List[Optional[str]]] = {}
-    serial_seconds = math.nan
-    for level in jobs:
-        supervisor = SweepSupervisor(
-            run_long_flow_experiment,
-            max_events=max_events, max_wall_seconds=max_wall_seconds,
-        )
-        started = time.perf_counter()
-        outcomes = supervisor.run_parallel(grid, jobs=level)
-        elapsed = time.perf_counter() - started
-        if level == 1:
-            serial_seconds = elapsed
-        fingerprints[level] = [
-            _result_fingerprint(o.result) if o.ok else None for o in outcomes
-        ]
-        timings.append({
-            "jobs": level,
-            "seconds": elapsed,
-            "speedup": serial_seconds / elapsed if elapsed > 0 else math.nan,
-            "failed_cells": sum(1 for o in outcomes if not o.ok),
-        })
-
-    identical = all(fingerprints[level] == fingerprints[jobs[0]]
-                    for level in jobs[1:])
-    record = {
-        "benchmark": "sweep",
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cells": len(grid),
-        "cpu_count": os.cpu_count(),
-        "grid": {
-            "n_flows": sorted({p["n_flows"] for p in grid}),
-            "buffer_packets": sorted({p["buffer_packets"] for p in grid}),
-            "warmup": grid[0].get("warmup"),
-            "duration": grid[0].get("duration"),
-            "seed": grid[0].get("seed"),
-        },
-        "timings": timings,
-        "identical_results": identical,
-    }
-    if output_path:
-        _append_to_artifact(output_path, record)
-    return record
 
 
 #: The four benchmark arms, in interleave order.  Each arm fully
@@ -260,8 +157,7 @@ def run_engine_benchmark(
     that the baseline itself is a burst-mode rate.
 
     Returns the benchmark record; when ``output_path`` is set it is also
-    appended to the artifact's run history (same trajectory format as
-    ``BENCH_sweep.json``).
+    appended to the artifact's run history.
     """
     from repro.experiments.common import run_long_flow_experiment
 

@@ -22,14 +22,16 @@ automatically invalidated for cells whose parameters change.  Keys are
 (or be dataclasses), so the same logical cell produces the same key in
 every process — the property parallel resume depends on.
 
-:meth:`SweepSupervisor.run_parallel` executes the same grid across a
-spawn-based worker pool.  Each cell builds its own ``Simulator`` and
-``RngStreams(seed)``, so a cell's result is bit-identical no matter
-which worker (or how many workers) ran it; the parent process is the
-single checkpoint writer, merging outcomes and atomically rewriting the
-checkpoint as they stream back.  Watchdog budgets travel with the cell
-and are enforced inside the worker, so one wedged cell dies alone
-without taking the sweep down.
+This class is the in-process executor: one cell at a time, in grid
+order.  It is the reference every other way of running a grid is
+compared against, and the only one that accepts parameters a worker
+process could not rebuild from JSON (``sizes=FlowSizeDistribution``).
+Parallel execution is :func:`repro.fabric.supervisor.run_fabric_sweep`
+(``repro sweep --jobs N``): worker processes lease cells from a queue
+directory and run them through the same :func:`_attempt_cell`, and the
+parent merges their records through this class's checkpoint writer, so
+a cell's result, attempts and checkpoint entry are the same whichever
+executor produced them.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ import functools
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
-import pickle
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -180,8 +179,8 @@ def _attempt_cell(fn: Callable[..., Any], params: Dict[str, Any],
                   ) -> Tuple[Any, int, Optional[str]]:
     """One cell's retry-with-reseed loop: ``(result, attempts, error)``.
 
-    Shared by the serial path, the pool workers, and the fabric
-    workers, so no execution mode can drift from serial semantics.
+    Shared by the serial path and the fabric workers, so neither
+    executor can drift from the other's retry semantics.
     Transient failures (stalls, invariant violations) are retried under
     a derived seed; other :class:`~repro.errors.ReproError` s
     propagate — configuration mistakes never heal with a reseed.
@@ -210,24 +209,6 @@ def _attempt_cell(fn: Callable[..., Any], params: Dict[str, Any],
         except TRANSIENT_ERRORS as exc:
             last_error = exc
     return None, max_retries + 1, f"{type(last_error).__name__}: {last_error}"
-
-
-def _run_cell_in_worker(fn: Callable[..., Any], params: Dict[str, Any],
-                        call: Dict[str, Any], max_retries: int,
-                        backoff: Optional[BackoffPolicy] = None,
-                        jitter_scope: str = "",
-                        ) -> Tuple[Any, int, Optional[str], float]:
-    """Worker-side cell execution; module-level so it survives spawn.
-
-    Watchdog budgets arrive inside ``call`` and fire *here*, in the
-    worker process, so a wedged cell kills only its own work.  Fatal
-    errors propagate through the future to the parent.
-    """
-    started = time.monotonic()
-    rng = backoff_stream(jitter_scope) if backoff is not None else None
-    result, attempts, error = _attempt_cell(fn, params, call, max_retries,
-                                            backoff=backoff, rng=rng)
-    return result, attempts, error, time.monotonic() - started
 
 
 def accepted_params(fn: Callable) -> Optional[set]:
@@ -266,8 +247,7 @@ class SweepSupervisor:
     Parameters
     ----------
     fn:
-        The trial callable; invoked as ``fn(**params)``.  Must be
-        picklable (a module-level function) to use :meth:`run_parallel`.
+        The trial callable; invoked as ``fn(**params)``.
     checkpoint_path:
         JSON checkpoint file, or ``None`` to disable persistence.
     resume:
@@ -522,102 +502,4 @@ class SweepSupervisor:
             if on_cell is not None:
                 on_cell(outcome)
             outcomes.append(outcome)
-        return outcomes
-
-    def run_parallel(self, grid: Iterable[Dict[str, Any]], jobs: Optional[int] = None,
-                     on_cell: Optional[Callable[[TrialOutcome], None]] = None,
-                     ) -> List[TrialOutcome]:
-        """Run ``grid`` across a pool of ``jobs`` worker processes.
-
-        Results are **bit-identical** to :meth:`run` regardless of
-        worker count: every cell constructs its own ``Simulator`` and
-        ``RngStreams(seed)``, so no state is shared between cells and
-        completion order cannot influence any cell's outcome.  Outcomes
-        are returned in grid order; ``on_cell`` fires in *completion*
-        order as results stream back.
-
-        The parent process is the only checkpoint writer: each arriving
-        result is merged into the cell table and the JSON checkpoint is
-        atomically rewritten, so killing a parallel sweep loses at most
-        the cells still in flight.  Cells already in the checkpoint are
-        returned without being submitted.
-
-        Watchdog budgets (``max_events`` / ``max_wall_seconds``) travel
-        with each cell and fire inside the worker, so one wedged cell
-        dies alone (``SimulationStalledError`` → retry-with-reseed →
-        error outcome) while its siblings keep running.
-
-        Parameters
-        ----------
-        grid:
-            Parameter dicts, one per cell.
-        jobs:
-            Worker processes (default: ``os.cpu_count()``).  ``jobs=1``
-            degrades to the in-process serial path.
-        on_cell:
-            Progress callback, invoked per outcome in completion order.
-        """
-        grid = [dict(params) for params in grid]
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if jobs == 1 or len(grid) <= 1:
-            return self.run(grid, on_cell=on_cell)
-        try:
-            pickle.dumps(self.fn)
-        except Exception as exc:
-            raise ConfigurationError(
-                f"run_parallel needs a picklable trial function "
-                f"(a module-level def, not {self.fn!r}): {exc}") from exc
-
-        outcomes: List[Optional[TrialOutcome]] = [None] * len(grid)
-        pending: Dict[str, List[int]] = {}
-        for index, params in enumerate(grid):
-            key = cell_key(params)
-            cached = self._cells.get(key)
-            if cached is not None:
-                outcomes[index] = self._cached_outcome(key, params, cached)
-                if on_cell is not None:
-                    on_cell(outcomes[index])
-            else:
-                # Duplicate cells in the grid run once and share the
-                # outcome, exactly as the serial checkpoint path would.
-                pending.setdefault(key, []).append(index)
-        if not pending:
-            return outcomes
-
-        # spawn, not fork: fork would duplicate the parent's arbitrary
-        # state (open files, loaded simulators) into every worker and is
-        # unsafe in threaded parents; spawn re-imports from scratch.
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
-                                 mp_context=context) as pool:
-            futures = {}
-            for key, indices in pending.items():
-                params = grid[indices[0]]
-                future = pool.submit(_run_cell_in_worker, self.fn, params,
-                                     self._budgeted(params), self.max_retries,
-                                     self.retry_backoff, f"cell:{key}")
-                futures[future] = (key, indices)
-            try:
-                for future in as_completed(futures):
-                    key, indices = futures[future]
-                    result, attempts, error, elapsed = future.result()
-                    if error is None:
-                        self._record_success(key, grid[indices[0]], result,
-                                             attempts, elapsed)
-                    for index in indices:
-                        outcomes[index] = TrialOutcome(
-                            key=key, params=grid[index], result=result,
-                            attempts=attempts, error=error,
-                            elapsed_seconds=elapsed)
-                        if on_cell is not None:
-                            on_cell(outcomes[index])
-            except BaseException:
-                # Fatal error (or Ctrl-C): stop feeding the pool, keep
-                # everything already merged — the checkpoint holds every
-                # completed cell, so a re-run resumes from there.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
         return outcomes

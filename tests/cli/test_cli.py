@@ -311,7 +311,6 @@ class TestEngineBenchCommand:
     def test_engine_bench_smoke(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "BENCH_engine.json"
         code, out = run_cli(capsys, "bench", "--engine", "--repeats", "1",
-                            "--flows", "4", "--duration", "4",
                             "--output", str(out_path))
         assert code == 0
         assert "speedup" in out
@@ -405,6 +404,11 @@ class TestObsBenchCommand:
         code, out = run_cli(capsys, "bench", "--engine", "--obs")
         assert code == 2
         assert "mutually exclusive" in out
+
+    def test_a_mode_is_required(self, capsys):
+        code, out = run_cli(capsys, "bench")
+        assert code == 2
+        assert "--engine" in out and "--obs" in out
 
     def test_repeats_validated(self, capsys):
         code, out = run_cli(capsys, "bench", "--obs", "--repeats", "0")

@@ -10,6 +10,7 @@ bit-identical-to-serial assertions rely on.
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.errors import ConfigurationError, SimulationStalledError
@@ -36,6 +37,18 @@ def flaky_first_seed(x, seed):
 def always_stalls(x, seed=0):
     """Every attempt stalls: exercises the poison-cell quarantine."""
     raise SimulationStalledError(f"cell x={x} never converges")
+
+
+def raises_bug(x, seed=0):
+    """An unexpected exception: the lease ends without a verdict."""
+    raise RuntimeError(f"cell x={x} hit a bug")
+
+
+def marks_run(x, run_dir, seed=0):
+    """Appends a line to a per-cell marker file, to count executions."""
+    with open(os.path.join(run_dir, f"cell-{x}.ran"), "a") as fh:
+        fh.write("1\n")
+    return {"y": x * 10, "x": x}
 
 
 def misconfigured(x, seed=0):

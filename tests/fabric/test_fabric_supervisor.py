@@ -87,10 +87,48 @@ class TestFabricSweep:
         assert ([json.dumps(o.result, sort_keys=True) for o in again]
                 == [json.dumps(o.result, sort_keys=True) for o in first])
 
+    def test_fresh_run_discards_queue_state(self, tmp_path):
+        """resume=False re-runs every cell, not just forgets the checkpoint."""
+        grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(3)]
+        kwargs = fabric_kwargs(tmp_path, grid=grid, resume=False)
+        for _ in range(2):
+            outcomes = run_fabric_sweep(fabric_fns.marks_run, **kwargs)
+            assert all(o.ok and not o.from_checkpoint for o in outcomes)
+        for i in range(3):
+            assert (tmp_path / f"cell-{i}.ran").read_text() == "1\n1\n"
+        with open(kwargs["checkpoint_path"]) as fh:
+            counters = json.load(fh)["meta"]["fabric"]["counters"]
+        assert counters["fabric.completions"] == 3  # this run's, not both
+
+    def test_no_more_workers_than_unresolved_cells(self, tmp_path):
+        kwargs = fabric_kwargs(tmp_path, grid=GRID[:1], workers=3)
+        run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        with open(kwargs["checkpoint_path"]) as fh:
+            assert json.load(fh)["meta"]["fabric"]["workers"] == 1
+
+    def test_failing_cell_reads_as_the_serial_failed_row(self, tmp_path):
+        """One retry budget: max_retries + 1 attempts, then the verdict."""
+        grid = [{"x": 1, "seed": 3}]
+        serial, = SweepSupervisor(fabric_fns.always_stalls, max_retries=2,
+                                  retry_backoff=None).run(grid)
+        queued, = run_fabric_sweep(
+            fabric_fns.always_stalls,
+            **fabric_kwargs(tmp_path, grid=grid, workers=1,
+                            max_lease_failures=3, max_retries=2))
+        assert ((queued.ok, queued.attempts, queued.error)
+                == (serial.ok, serial.attempts, serial.error)
+                == (False, 3, "SimulationStalledError: cell x=1 never "
+                              "converges"))
+        with open(str(tmp_path / "sweep.ckpt.json")) as fh:
+            fabric = json.load(fh)["meta"]["fabric"]
+        assert fabric["counters"]["fabric.leases_claimed"] == 1
+        assert fabric["quarantined"][0]["failure_count"] == 1
+
     def test_poison_cells_surface_as_failed_outcomes(self, tmp_path):
+        """Leases that end without a verdict burn the lease budget."""
         grid = [{"x": 1, "seed": 3}]
         outcomes = run_fabric_sweep(
-            "tests.fabric.fabric_fns:always_stalls",
+            "tests.fabric.fabric_fns:raises_bug",
             **fabric_kwargs(tmp_path, grid=grid, workers=1,
                             max_lease_failures=2, max_retries=0))
         assert len(outcomes) == 1

@@ -50,18 +50,32 @@ class TestWorkerLoop:
         assert record["attempts"] == 2  # base seed stalled, reseed recovered
         assert record["result"]["recovered_seed"] == 7 + RESEED_STRIDE
 
-    def test_exhausted_retries_burn_leases_then_quarantine(self, tmp_path):
+    def test_exhausted_retries_park_the_cell_at_once(self, tmp_path):
         grid = [{"x": 1, "seed": 7}]
         queue = make_queue(tmp_path, grid,
                            fn_ref="tests.fabric.fabric_fns:always_stalls",
                            max_retries=1, max_lease_failures=3)
         _, stats = run_worker(queue, index=0)
         assert stats["quarantined"] == 1
+        assert stats["failed"] == 0  # a verdict, not a lease to retry
+        entry = next(iter(queue.quarantined().values()))
+        assert entry["failure_count"] == 1
+        assert entry["attempts"] == 2  # max_retries + 1, as the serial row
+        assert "never converges" in entry["last_error"]
+        assert queue.drained()  # quarantine resolves the cell; no hang
+
+    def test_unexpected_exception_burns_leases_then_quarantines(
+            self, tmp_path):
+        grid = [{"x": 1, "seed": 7}]
+        queue = make_queue(tmp_path, grid,
+                           fn_ref="tests.fabric.fabric_fns:raises_bug",
+                           max_lease_failures=3)
+        _, stats = run_worker(queue, index=0)
+        assert stats["quarantined"] == 1
         assert stats["failed"] == 2  # two failed leases before the third
         entry = next(iter(queue.quarantined().values()))
         assert entry["failure_count"] == 3
-        assert "never converges" in entry["last_error"]
-        assert queue.drained()  # quarantine resolves the cell; no hang
+        assert entry["attempts"] is None
 
     def test_fatal_error_quarantines_without_burning_budget(self, tmp_path):
         grid = [{"x": 1, "seed": 7}]

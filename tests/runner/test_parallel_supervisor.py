@@ -1,55 +1,60 @@
-"""run_parallel: worker-pool execution with checkpoint-safe merging.
+"""Executor equivalence through ``repro sweep``: --jobs 1, --jobs 2, --workers 2.
 
-The trial functions here are module-level because ``run_parallel``
-uses spawn-based worker processes: the children re-import this module
-and unpickle the function by reference.
+``--jobs 1`` runs the cells in-process and is the reference; ``--jobs 2``
+and ``--workers 2`` lease them to worker processes from a queue
+directory.  Rows, exit code and checkpoint must not tell them apart.
 """
 
-import dataclasses
+import contextlib
+import io
 import json
-import os
-import time
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationStalledError
-from repro.experiments.common import LongFlowResult, run_long_flow_experiment
+from repro.cli import main
+from repro.experiments.common import LongFlowResult
+from repro.fabric.supervisor import run_fabric_sweep
 from repro.runner import SweepSupervisor
 
-#: Small Figure-7-shaped grid: (n_flows, buffer) cells, laptop-tiny.
-FIG7_GRID = [
-    dict(n_flows=3, buffer_packets=8, pipe_packets=30.0,
-         bottleneck_rate="10Mbps", warmup=1.0, duration=2.0, seed=3),
-    dict(n_flows=3, buffer_packets=16, pipe_packets=30.0,
-         bottleneck_rate="10Mbps", warmup=1.0, duration=2.0, seed=3),
-    dict(n_flows=5, buffer_packets=12, pipe_packets=30.0,
-         bottleneck_rate="10Mbps", warmup=1.0, duration=2.0, seed=3),
-]
+#: Small Figure-7-shaped grid: 2 flow counts x 2 buffer factors.
+FIG7_ARGS = ["--buffer-factors", "0.5,1.0", "--pipe", "30",
+             "--rate", "10Mbps", "--warmup", "1", "--duration", "2",
+             "--seed", "3"]
+EXECUTORS = {"jobs1": ["--jobs", "1"], "jobs2": ["--jobs", "2"],
+             "workers2": ["--workers", "2"]}
+PARALLEL = ("jobs2", "workers2")
 
 
-def _double(x):
-    return {"value": x * 2}
+def sweep(executor, *args, flows="3,5"):
+    """One ``repro sweep`` of the grid: exit code, table rows, all output."""
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        code = main(["sweep", "--flows", flows, *FIG7_ARGS,
+                     *EXECUTORS[executor], *args])
+    out = captured.getvalue()
+    return code, [row for row in out.splitlines() if " reno " in row], out
 
 
-def _record_run(x, run_dir):
-    """Touch a per-cell marker so the test can count executions."""
-    with open(os.path.join(run_dir, f"cell-{x}.ran"), "a") as fh:
-        fh.write("1\n")
-    return x * 10
+def checkpoint_cells(path):
+    """key -> what a cell is: params, result, attempts (not its timing)."""
+    with open(path) as fh:
+        cells = json.load(fh)["cells"]
+    return {key: (cell["params"], cell["result"], cell["attempts"])
+            for key, cell in cells.items()}
 
 
-def _dies_on_three(x, run_dir):
-    """Cell 3 simulates the operator killing the sweep (first run only)."""
-    _record_run(x, run_dir)
-    if x == 3:
-        if not os.path.exists(os.path.join(run_dir, "recovered")):
-            time.sleep(2.0)  # let the sibling cells finish and checkpoint
-            raise KeyboardInterrupt
-    return x * 10
+def sources(rows):
+    return [row.split()[-1] for row in rows]
 
 
-def _always_stalls(x):
-    raise SimulationStalledError("synthetic stall")
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """The grid run once under each executor, each to its own checkpoint."""
+    runs = {}
+    for executor in EXECUTORS:
+        path = str(tmp_path_factory.mktemp(executor) / "sweep.json")
+        code, rows, _ = sweep(executor, "--checkpoint", path)
+        runs[executor] = (code, rows, path)
+    return runs
 
 
 def _synthetic_long_flow_result(seed):
@@ -63,128 +68,108 @@ def _synthetic_long_flow_result(seed):
     )
 
 
-def _result_json(result):
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        result = dataclasses.asdict(result)
-    return json.dumps(result, sort_keys=True, default=repr)
-
-
 class TestParallelBasics:
-    def test_outcomes_in_grid_order(self):
-        supervisor = SweepSupervisor(_double)
-        outcomes = supervisor.run_parallel(
-            [{"x": 1}, {"x": 2}, {"x": 3}], jobs=2)
-        assert [o.result for o in outcomes] == [
-            {"value": 2}, {"value": 4}, {"value": 6}]
-        assert all(o.ok and not o.from_checkpoint for o in outcomes)
-
-    def test_jobs_one_degrades_to_serial(self):
-        supervisor = SweepSupervisor(lambda x: x + 1)  # lambda is fine serially
-        outcomes = supervisor.run_parallel([{"x": 1}, {"x": 2}], jobs=1)
-        assert [o.result for o in outcomes] == [2, 3]
-
-    def test_unpicklable_fn_rejected_clearly(self):
-        supervisor = SweepSupervisor(lambda x: x)
-        with pytest.raises(ConfigurationError, match="picklable"):
-            supervisor.run_parallel([{"x": 1}, {"x": 2}], jobs=2)
+    def test_outcomes_in_grid_order(self, fresh_runs):
+        _, serial_rows, _ = fresh_runs["jobs1"]
+        assert len(serial_rows) == 4
+        for executor in PARALLEL:
+            code, rows, _ = fresh_runs[executor]
+            assert code == 0
+            assert rows == serial_rows  # same cells, same order, all computed
 
     def test_bad_jobs_rejected(self):
-        supervisor = SweepSupervisor(_double)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            supervisor.run_parallel([{"x": 1}], jobs=0)
+        for flag in ("--jobs", "--workers"):
+            code, rows, out = sweep("jobs1", flag, "-1")
+            assert code == 2 and not rows
+            assert "must be >= 0" in out
 
     def test_duplicate_cells_run_once_and_share_outcome(self, tmp_path):
-        run_dir = str(tmp_path)
-        supervisor = SweepSupervisor(_record_run)
-        outcomes = supervisor.run_parallel(
-            [{"x": 1, "run_dir": run_dir}, {"x": 1, "run_dir": run_dir}],
-            jobs=2)
-        assert [o.result for o in outcomes] == [10, 10]
-        with open(tmp_path / "cell-1.ran") as fh:
-            assert len(fh.readlines()) == 1
-
-    def test_on_cell_fires_for_every_outcome(self):
-        seen = []
-        supervisor = SweepSupervisor(_double)
-        supervisor.run_parallel([{"x": 1}, {"x": 2}, {"x": 3}], jobs=2,
-                                on_cell=seen.append)
-        assert sorted(o.params["x"] for o in seen) == [1, 2, 3]
+        path = str(tmp_path / "sweep.json")
+        code, rows, _ = sweep("jobs2", "--checkpoint", path, flows="3,5,3")
+        assert code == 0
+        assert len(rows) == 6  # both rows of each duplicate, in grid order
+        assert rows[4:] == rows[:2]
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert len(payload["cells"]) == 4
+        counters = payload["meta"]["fabric"]["counters"]
+        assert counters["fabric.completions"] == 4
 
     def test_failed_cell_reported_not_fatal(self):
-        supervisor = SweepSupervisor(_always_stalls, max_retries=1)
-        outcomes = supervisor.run_parallel([{"x": 1}, {"x": 2}], jobs=2)
-        assert all(not o.ok for o in outcomes)
-        assert all("SimulationStalledError" in o.error for o in outcomes)
-        assert all(o.attempts == 2 for o in outcomes)
+        """A failing cell reads the same from either executor: exit 3, a
+        FAILED row with max_retries + 1 attempts and the last error."""
+        budget = ["--max-events", "1000", "--retries", "1"]
+        code, serial_rows, _ = sweep("jobs1", *budget)
+        assert code == 3
+        assert all(" 2  FAILED: SimulationStalledError" in row
+                   for row in serial_rows)
+        for executor in PARALLEL:
+            code, rows, out = sweep(executor, *budget)
+            assert code == 3
+            assert rows == serial_rows
+            assert "4 cell(s) failed after retries" in out
+
+    def test_nothing_left_on_disk_without_checkpoint_or_queue_dir(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        code, rows, _ = sweep("jobs2", flows="3")
+        assert code == 0 and len(rows) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParallelSerialEquivalence:
-    def test_fig7_grid_bit_identical(self):
-        serial = SweepSupervisor(run_long_flow_experiment).run(FIG7_GRID)
-        parallel = SweepSupervisor(run_long_flow_experiment).run_parallel(
-            FIG7_GRID, jobs=2)
-        assert all(o.ok for o in serial + parallel)
-        for s, p in zip(serial, parallel):
-            assert _result_json(s.result) == _result_json(p.result)
+    def test_fig7_grid_bit_identical(self, fresh_runs):
+        reference = checkpoint_cells(fresh_runs["jobs1"][2])
+        assert len(reference) == 4
+        for executor in PARALLEL:
+            assert checkpoint_cells(fresh_runs[executor][2]) == reference
 
 
 class TestParallelCheckpointing:
-    def test_killed_parallel_sweep_resumes(self, tmp_path):
-        """A fatal abort loses only in-flight cells; resume recomputes them."""
-        path = str(tmp_path / "sweep.json")
-        run_dir = str(tmp_path)
-        grid = [{"x": x, "run_dir": run_dir} for x in (1, 2, 3, 4)]
+    def test_killed_parallel_sweep_resumes(self, fresh_runs, tmp_path):
+        """What a killed sweep leaves — a checkpoint holding part of the
+        grid — is resumed by the other executor, which runs only the rest."""
+        for first, then in (("jobs1", "jobs2"), ("jobs2", "jobs1")):
+            path = str(tmp_path / f"{first}-then-{then}.json")
+            sweep(first, "--checkpoint", path, flows="3")
+            code, rows, out = sweep(then, "--checkpoint", path)
+            assert code == 0
+            assert "resuming: 2 cell(s)" in out
+            assert sources(rows) == ["checkpoint"] * 2 + ["computed"] * 2
+            assert checkpoint_cells(path) == checkpoint_cells(
+                fresh_runs["jobs1"][2])
 
-        supervisor = SweepSupervisor(_dies_on_three, checkpoint_path=path)
-        with pytest.raises(KeyboardInterrupt):
-            supervisor.run_parallel(grid, jobs=2)
-
-        # The checkpoint on disk holds every cell that completed.
-        resumed = SweepSupervisor(_dies_on_three, checkpoint_path=path)
-        completed_before_resume = resumed.completed_cells
-        assert 1 <= completed_before_resume <= 3
-
-        (tmp_path / "recovered").touch()
-        outcomes = resumed.run_parallel(grid, jobs=2)
-        assert [o.result for o in outcomes] == [10, 20, 30, 40]
-        # Checkpointed cells were replayed, not recomputed.
-        assert sum(o.from_checkpoint for o in outcomes) == completed_before_resume
-        for x in (1, 2, 4):
-            with open(tmp_path / f"cell-{x}.ran") as fh:
-                runs = len(fh.readlines())
-            assert runs <= 2  # at most once per sweep invocation
-
-    def test_parallel_and_serial_share_checkpoint_format(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        grid = [{"x": 1}, {"x": 2}]
-        SweepSupervisor(_double, checkpoint_path=path).run_parallel(grid, jobs=2)
-
-        serial = SweepSupervisor(_double, checkpoint_path=path)
-        outcomes = serial.run(grid)
-        assert all(o.from_checkpoint for o in outcomes)
-        assert [o.result for o in outcomes] == [{"value": 2}, {"value": 4}]
+    def test_parallel_and_serial_share_checkpoint_format(self, fresh_runs):
+        """A finished checkpoint replays under every other executor."""
+        for wrote in EXECUTORS:
+            _, _, path = fresh_runs[wrote]
+            before = checkpoint_cells(path)
+            for reads in EXECUTORS:
+                code, rows, out = sweep(reads, "--checkpoint", path)
+                assert code == 0
+                assert "resuming: 4 cell(s)" in out
+                assert sources(rows) == ["checkpoint"] * 4
+            assert checkpoint_cells(path) == before
 
     def test_long_flow_result_tuple_fields_roundtrip(self, tmp_path):
         """Worker-produced checkpoints rehydrate tuple fields faithfully."""
         path = str(tmp_path / "sweep.json")
         grid = [{"seed": 1}, {"seed": 2}]
-        first = SweepSupervisor(_synthetic_long_flow_result,
-                                checkpoint_path=path)
-        computed = first.run_parallel(grid, jobs=2)
-        assert all(isinstance(o.result, LongFlowResult) for o in computed)
+        computed = run_fabric_sweep(
+            _synthetic_long_flow_result, grid, workers=2,
+            queue_dir=str(tmp_path / "queue"), checkpoint_path=path)
+        assert all(o.ok and not o.from_checkpoint for o in computed)
 
         resumed = SweepSupervisor(_synthetic_long_flow_result,
                                   checkpoint_path=path,
                                   deserialize=LongFlowResult.from_dict)
-        outcomes = resumed.run_parallel(grid, jobs=2)
+        outcomes = resumed.run(grid)
         assert all(o.from_checkpoint for o in outcomes)
         for outcome in outcomes:
             result = outcome.result
             assert isinstance(result, LongFlowResult)
-            hist_edges, hist_counts = result.window_histogram
-            assert hist_edges == [0.0, 1.0, 2.0]
-            assert hist_counts == [4, 5, 6]
+            assert result.window_histogram == ([0.0, 1.0, 2.0], [4, 5, 6])
             assert result.fault_log == [(1.5, "link bottleneck down"),
                                         (3.5, "link bottleneck up")]
             assert result.window_utilizations == [(1.0, 0.5), (2.0, 0.9)]
-            assert _result_json(result) == _result_json(computed[0].result)
