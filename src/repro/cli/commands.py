@@ -11,6 +11,7 @@ import math
 
 from repro.core import plan_buffer_memory, predicted_utilization, recommend_buffer
 from repro.errors import (
+    ConfigurationError,
     InvariantViolation,
     ReproError,
     SimulationStalledError,
@@ -30,10 +31,8 @@ __all__ = [
     "cmd_cc_compare",
     "cmd_sweep",
     "cmd_worker",
-    "cmd_bench",
     "cmd_trace",
     "cmd_obs_report",
-    "cmd_profile",
     "cmd_lint",
 ]
 
@@ -60,22 +59,39 @@ def _parse_faults(args: argparse.Namespace):
     from repro.errors import FaultError
     from repro.faults import FaultSchedule, LinkFlap, LossBurst
 
+    def numbers(spec: str, count: int, usage: str):
+        try:
+            values = [float(part) for part in spec.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            raise FaultError(f"{usage}, got {spec!r}")
+        return values
+
     schedule = FaultSchedule()
     if getattr(args, "flap", None):
-        parts = args.flap.split(",")
-        if len(parts) != 2:
-            raise FaultError(
-                f"--flap wants AT,DURATION (e.g. 30,2), got {args.flap!r}")
-        schedule.add(LinkFlap(at=float(parts[0]), duration=float(parts[1])))
+        at, duration = numbers(
+            args.flap, 2, "--flap wants AT,DURATION (e.g. 30,2)")
+        schedule.add(LinkFlap(at=at, duration=duration))
     if getattr(args, "loss_burst", None):
-        parts = args.loss_burst.split(",")
-        if len(parts) != 3:
-            raise FaultError(
-                f"--loss-burst wants AT,DURATION,PROBABILITY "
-                f"(e.g. 30,5,0.02), got {args.loss_burst!r}")
-        schedule.add(LossBurst(at=float(parts[0]), duration=float(parts[1]),
-                               probability=float(parts[2])))
+        at, duration, probability = numbers(
+            args.loss_burst, 3,
+            "--loss-burst wants AT,DURATION,PROBABILITY (e.g. 30,5,0.02)")
+        schedule.add(LossBurst(at=at, duration=duration,
+                               probability=probability))
     return schedule if len(schedule) else None
+
+
+def _sqrt_rule(pipe: float, factor: float, n_flows: int) -> float:
+    """``factor * pipe / sqrt(n)`` packets, for a sane flow count."""
+    if n_flows < 1:
+        raise ConfigurationError(f"--flows must be >= 1, got {n_flows}")
+    return factor * pipe / math.sqrt(n_flows)
+
+
+def _sqrt_rule_packets(pipe: float, factor: float, n_flows: int) -> int:
+    """:func:`_sqrt_rule` as a whole buffer of at least two packets."""
+    return max(2, round(_sqrt_rule(pipe, factor, n_flows)))
 
 
 def _engine_opts(args: argparse.Namespace):
@@ -141,14 +157,14 @@ def cmd_simulate_long(args: argparse.Namespace) -> int:
     """``repro simulate long-flows``."""
     from repro.experiments.common import run_long_flow_experiment
 
-    if args.buffer_packets is not None:
-        buffer_packets = args.buffer_packets
-    else:
-        buffer_packets = max(2, round(
-            args.buffer_factor * args.pipe / math.sqrt(args.flows)))
     ecn = getattr(args, "ecn", False)
     red = args.red or ecn
     try:
+        if args.buffer_packets is not None:
+            buffer_packets = args.buffer_packets
+        else:
+            buffer_packets = _sqrt_rule_packets(
+                args.pipe, args.buffer_factor, args.flows)
         faults = _parse_faults(args)
         result = run_long_flow_experiment(
             n_flows=args.flows,
@@ -262,9 +278,9 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 
     rtt = parse_time(args.rtt)
     capacity_pps = args.pipe / rtt
-    buffer_packets = args.buffer_factor * args.pipe / math.sqrt(args.flows)
     rtts = [rtt * (0.5 + (i + 1) / (args.flows + 1)) for i in range(args.flows)]
     try:
+        buffer_packets = _sqrt_rule(args.pipe, args.buffer_factor, args.flows)
         model = FluidAimdModel(args.flows, capacity_pps, buffer_packets, rtts,
                                synchronized=args.synchronized)
         result = model.run(duration=args.duration, warmup=args.duration / 2)
@@ -364,7 +380,7 @@ def cmd_cc_compare(args: argparse.Namespace) -> int:
     return 0 if ok else 3
 
 
-def cmd_profiles(args: argparse.Namespace) -> int:
+def cmd_link_profiles(args: argparse.Namespace) -> int:
     """``repro profiles``: the canonical link classes and their buffers."""
     from repro.scenarios import PROFILES
 
@@ -419,6 +435,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail("--flows and --buffer-factors want comma-separated numbers")
     cc_list = [x.strip() for x in getattr(args, "cc", "reno").split(",")
                if x.strip()]
+    if not cc_list:
+        return _fail("--cc wants at least one congestion control, "
+                     f"got {args.cc!r}")
     unknown_ccs = sorted(set(cc_list) - set(available_ccs()))
     if unknown_ccs:
         return _fail(f"unknown congestion control(s): "
@@ -431,21 +450,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # --workers N is --jobs N that takes the queue even at N = 1.
     workers = args.workers or (jobs if jobs > 1 else 0)
 
-    grid = []
-    for cc in cc_list:
-        for n in flows_list:
-            for factor in factor_list:
-                buffer_packets = max(2, round(args.pipe * factor / math.sqrt(n)))
-                grid.append(dict(
-                    cc=cc, n_flows=n, buffer_packets=buffer_packets,
-                    pipe_packets=args.pipe, bottleneck_rate=args.rate,
-                    warmup=args.warmup, duration=args.duration, seed=args.seed,
-                ))
-
     common = dict(checkpoint_path=args.checkpoint, resume=not args.fresh,
                   max_retries=args.retries, max_events=args.max_events,
                   max_wall_seconds=args.timeout)
     try:
+        grid = [
+            dict(cc=cc, n_flows=n,
+                 buffer_packets=_sqrt_rule_packets(args.pipe, factor, n),
+                 pipe_packets=args.pipe, bottleneck_rate=args.rate,
+                 warmup=args.warmup, duration=args.duration, seed=args.seed)
+            for cc in cc_list for n in flows_list for factor in factor_list
+        ]
         with contextlib.ExitStack() as stack:
             # Built for either executor: it discards the checkpoint under
             # --fresh and counts what a resume finds.  The queue executor
@@ -521,8 +536,8 @@ def _run_traced_scenario(args: argparse.Namespace):
         if args.buffer_packets is not None:
             buffer_packets = args.buffer_packets
         else:
-            buffer_packets = max(2, round(
-                args.buffer_factor * args.pipe / math.sqrt(args.flows)))
+            buffer_packets = _sqrt_rule_packets(
+                args.pipe, args.buffer_factor, args.flows)
         return run_long_flow_experiment(
             n_flows=args.flows,
             buffer_packets=buffer_packets,
@@ -635,228 +650,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot read {args.file!r}: {exc}")
     return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile``: cProfile + engine statistics for one scenario.
-
-    Runs the scenario twice — an unprofiled timing run (honest
-    events/sec) and a profiled run (hottest functions) — and prints a
-    combined report tying interpreter hot spots to scheduler behaviour
-    (peak heap, compactions, packet-pool hit rate).
-    """
-    from repro.runner.profile import SCENARIOS, profile_scenario
-
-    overrides = {}
-    _, defaults = SCENARIOS[args.scenario]
-    for key in ("flows", "buffer_packets", "duration", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides["n_flows" if key == "flows" else key] = value
-    if args.scenario == "short":
-        overrides.pop("n_flows", None)  # short flows arrive by load, not count
-    engine_opts = _engine_opts(args)
-    if engine_opts is not None:
-        overrides["engine_opts"] = engine_opts
-    try:
-        report = profile_scenario(
-            scenario=args.scenario, params=overrides,
-            top=args.top, sort=args.sort,
-        )
-    except (SimulationStalledError, InvariantViolation) as exc:
-        return _abort(exc)
-    except ReproError as exc:
-        return _fail(str(exc))
-    print(report.format())
-    return 0
-
-
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    """``repro bench --engine``: single-run engine throughput mode."""
-    import json as _json
-
-    from repro.runner.bench import run_engine_benchmark
-
-    baseline = None
-    baseline_details = None
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                payload = _json.load(fh)
-            baseline = float(payload["events_per_second"])
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"cannot read baseline {args.baseline!r}: {exc}")
-        baseline_details = {k: v for k, v in payload.items()
-                            if k != "events_per_second"} or None
-    output = args.output or "BENCH_engine.json"
-    try:
-        record = run_engine_benchmark(
-            repeats=args.repeats,
-            baseline_events_per_second=baseline,
-            baseline_details=baseline_details,
-            output_path=output,
-        )
-    except (SimulationStalledError, InvariantViolation) as exc:
-        return _abort(exc)
-    except ReproError as exc:
-        return _fail(str(exc))
-    print(f"engine benchmark: {record['scenario']}, "
-          f"best of {record['repeats']} (interleaved)")
-    heap = record["schedulers"]["heap"]
-    cal = record["schedulers"]["calendar"]
-    noburst = record["noburst"]
-    unopt = record["unoptimized"]
-    print(f"  heap:         {heap['seconds']:.3f}s  "
-          f"{heap['events_per_second']:,.0f} events/sec")
-    print(f"  calendar:     {cal['seconds']:.3f}s  "
-          f"{cal['events_per_second']:,.0f} events/sec "
-          f"({cal['speedup_vs_heap']:.2f}x heap; "
-          f"{cal['ladder_spills']} ladder spills, "
-          f"peak bucket {cal['peak_bucket_occupancy']}, "
-          f"width {cal['bucket_width']:.4g}s"
-          f"{', FELL BACK TO HEAP' if cal['calendar_fallback'] else ''})")
-    print(f"  no-burst:     {noburst['seconds']:.3f}s  "
-          f"{noburst['events_per_second']:,.0f} events/sec")
-    print(f"  unoptimized:  {unopt['seconds']:.3f}s  "
-          f"{unopt['events_per_second']:,.0f} events/sec")
-    print(f"  speedup:      {record['speedup_vs_unoptimized']:.2f}x "
-          f"(heap vs unoptimized), "
-          f"{record['speedup_vs_noburst']:.2f}x (burst vs no-burst)")
-    print(f"  event census: {record['events_popped']} scheduler pops + "
-          f"{record['packets_processed']} burst steps "
-          f"({record['coalescing_ratio']:.1f}x coalescing)")
-    print(f"  peak heap:    {record['peak_heap_size']} entries "
-          f"(unoptimized: {unopt['peak_heap_size']})")
-    scenarios = record["identity_scenarios"]
-    verdict = "identical" if record["identical_results"] else "DIVERGED"
-    detail = ", ".join(f"{name}: {'ok' if ok_ else 'DIVERGED'}"
-                       for name, ok_ in sorted(scenarios.items()))
-    print(f"  cross-arm results: {verdict} ({detail})")
-    ok = record["identical_results"]
-    if "meets_baseline" in record:
-        status = "ok" if record["meets_baseline"] else "REGRESSED"
-        print(f"  vs baseline {record['baseline_events_per_second']:,.0f} "
-              f"events/sec (floor {record['regression_floor']:,.0f}): "
-              f"{record['speedup_vs_baseline']:.2f}x, {status}")
-        ok = ok and record["meets_baseline"]
-        cal_status = "ok" if record["calendar_meets_target"] else "MISSED"
-        print(f"  calendar vs target {record['calendar_target']:,.0f} "
-              f"events/sec: {cal['events_per_second']:,.0f}, {cal_status}")
-        ok = ok and record["calendar_meets_target"]
-    print(f"artifact: {output}")
-    return 0 if ok else 3
-
-
-def _cmd_bench_obs(args: argparse.Namespace) -> int:
-    """``repro bench --obs``: A/B observability overhead on Figure 1.
-
-    Times the engine scenario with observability fully off and again
-    with full tracing (every event kind, default ring capacity),
-    interleaved best-of-N like the engine mode, and checks that the two
-    runs produced bit-identical experiment results (ignoring the
-    attached metrics snapshot, which only the traced run carries).
-    Exit 3 when tracing costs more than 2x the disabled path or the
-    results diverge.
-    """
-    import dataclasses
-    import json as _json
-    import time as _time
-
-    from repro import obs
-    from repro.experiments.common import run_long_flow_experiment
-    from repro.runner.bench import DEFAULT_ENGINE_PARAMS, _append_to_artifact
-
-    if args.repeats < 1:
-        return _fail(f"--repeats must be >= 1, got {args.repeats}")
-    params = dict(DEFAULT_ENGINE_PARAMS)
-    best = {"disabled": math.inf, "traced": math.inf}
-    fingerprints = {}
-    trace_stats = {"recorded": 0, "buffered": 0}
-
-    def run_once(traced: bool):
-        if traced:
-            obs.enable()
-        try:
-            started = _time.perf_counter()
-            result = run_long_flow_experiment(
-                max_events=getattr(args, "max_events", None),
-                max_wall_seconds=getattr(args, "timeout", None),
-                **params)
-            elapsed = _time.perf_counter() - started
-            if traced:
-                recorder = obs.recorder()
-                trace_stats["recorded"] = recorder.recorded
-                trace_stats["buffered"] = len(recorder)
-        finally:
-            if traced:
-                obs.disable()
-        # Identical-results check: everything but the metrics snapshot,
-        # which by design is only present on the traced run.
-        payload = dataclasses.asdict(result)
-        payload.pop("metrics", None)
-        return elapsed, _json.dumps(payload, sort_keys=True, default=repr)
-
-    try:
-        for traced in (False, True):
-            run_once(traced)  # discarded warmup per mode
-        for _ in range(args.repeats):
-            for traced in (False, True):
-                label = "traced" if traced else "disabled"
-                elapsed, fingerprint = run_once(traced)
-                best[label] = min(best[label], elapsed)
-                fingerprints[label] = fingerprint
-    except (SimulationStalledError, InvariantViolation) as exc:
-        return _abort(exc)
-    except ReproError as exc:
-        return _fail(str(exc))
-
-    ratio = (best["traced"] / best["disabled"]
-             if best["disabled"] > 0 else math.nan)
-    identical = fingerprints["disabled"] == fingerprints["traced"]
-    record = {
-        "benchmark": "obs",
-        "created_at": _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime()),
-        "scenario": "long-lived flows (Figure 1)",
-        "params": params,
-        "repeats": args.repeats,
-        "disabled_seconds": best["disabled"],
-        "traced_seconds": best["traced"],
-        "overhead_ratio": ratio,
-        "overhead_budget": 2.0,
-        "events_recorded": trace_stats["recorded"],
-        "events_buffered": trace_stats["buffered"],
-        "identical_results": identical,
-        "within_budget": bool(ratio <= 2.0),
-    }
-    output = args.output or "BENCH_obs.json"
-    _append_to_artifact(output, record)
-    print(f"observability benchmark: {record['scenario']}, "
-          f"best of {args.repeats} (interleaved)")
-    print(f"  obs disabled: {best['disabled']:.3f}s")
-    print(f"  full tracing: {best['traced']:.3f}s  "
-          f"({trace_stats['recorded']} events recorded)")
-    print(f"  overhead:     {ratio:.2f}x (budget {record['overhead_budget']}x)")
-    verdict = "identical" if identical else "DIVERGED"
-    print(f"  traced results vs disabled: {verdict}")
-    print(f"artifact: {output}")
-    return 0 if identical and record["within_budget"] else 3
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: one of two A/B benchmarks with a JSON artifact.
-
-    ``--engine`` is the single-run engine-throughput mode (optimized vs
-    unoptimized hot path, ``BENCH_engine.json``); ``--obs`` the
-    observability-overhead mode (``BENCH_obs.json``).  Sweep executors
-    are timed by the repository benchmark (``bench/run.py --workload
-    sweep_grid``).
-    """
-    if args.engine == args.obs:
-        return _fail("repro bench wants one of --engine and --obs "
-                     "(they are mutually exclusive)")
-    if args.engine:
-        return _cmd_bench_engine(args)
-    return _cmd_bench_obs(args)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profiles",
                             help="list canonical link profiles and their buffers")
-    p_prof.set_defaults(func=commands.cmd_profiles)
+    p_prof.set_defaults(func=commands.cmd_link_profiles)
 
     p_sweep = sub.add_parser(
         "sweep", help="checkpointed long-flow grid (watchdog + retry + resume)")
@@ -238,30 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker-<pid>)")
     p_worker.set_defaults(func=commands.cmd_worker)
 
-    p_bench = sub.add_parser(
-        "bench", help="engine-throughput (--engine) or observability-"
-                      "overhead (--obs) A/B with a JSON perf-trajectory "
-                      "artifact; sweeps are timed by bench/run.py")
-    p_bench.add_argument("--engine", action="store_true",
-                         help="time the optimized vs unoptimized hot path "
-                              "on the Figure-1 scenario")
-    p_bench.add_argument("--obs", action="store_true",
-                         help="time the Figure-1 scenario with tracing "
-                              "fully on vs off; exit 3 if tracing costs "
-                              "more than 2x")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed repetitions per arm, interleaved; "
-                              "the minimum is kept (default 3)")
-    p_bench.add_argument("--baseline", default=None, metavar="FILE",
-                         help="JSON file with an events_per_second floor "
-                              "(e.g. ci/engine-baseline.json); exit 3 if "
-                              "throughput drops >30%% below it (--engine only)")
-    p_bench.add_argument("--output", default=None, metavar="FILE",
-                         help="artifact path; runs accumulate a trajectory "
-                              "(default BENCH_engine.json or BENCH_obs.json)")
-    _add_watchdog_args(p_bench)
-    p_bench.set_defaults(func=commands.cmd_bench)
-
     p_trace = sub.add_parser(
         "trace", help="run a scenario with the flight recorder on and "
                       "dump the event stream to JSONL")
@@ -318,27 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="validate trace events against the event "
                                "schema before summarizing")
     p_report.set_defaults(func=commands.cmd_obs_report)
-
-    p_profile = sub.add_parser(
-        "profile", help="profile a scenario: cProfile hot spots + "
-                        "events/sec + engine statistics")
-    p_profile.add_argument("scenario", nargs="?", default="long",
-                           choices=["long", "short"],
-                           help="scenario to profile (default: long)")
-    p_profile.add_argument("--flows", type=int, default=None,
-                           help="override flow count (long scenario)")
-    p_profile.add_argument("--buffer-packets", type=int, default=None,
-                           help="override bottleneck buffer")
-    p_profile.add_argument("--duration", type=float, default=None,
-                           help="override measured duration in seconds")
-    p_profile.add_argument("--seed", type=int, default=None)
-    p_profile.add_argument("--top", type=int, default=15,
-                           help="hot functions to list (default 15)")
-    p_profile.add_argument("--sort", default="tottime",
-                           choices=["tottime", "cumtime", "ncalls"],
-                           help="profile sort key (default tottime)")
-    _add_scheduler_arg(p_profile)
-    p_profile.set_defaults(func=commands.cmd_profile)
 
     p_lint = sub.add_parser(
         "lint", help="simulation-correctness static analysis "

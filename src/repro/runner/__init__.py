@@ -19,18 +19,8 @@ Table-10-style sweep.  This package closes both holes:
     the leased work queue in :mod:`repro.fabric`, which runs each cell
     through the same retry loop and merges through the same checkpoint
     writer.
-:mod:`repro.runner.bench`
-    :func:`run_engine_benchmark` — single-run engine throughput
-    (optimized vs unoptimized hot path) appended to the
-    ``BENCH_engine.json`` perf-trajectory artifact, with an optional
-    committed baseline floor.
-:mod:`repro.runner.profile`
-    :func:`profile_scenario` — wraps any scenario in cProfile plus an
-    events/sec + peak-heap + packet-pool report (``repro profile``).
 """
 
-from repro.runner.bench import run_engine_benchmark
-from repro.runner.profile import ProfileReport, profile_scenario
 from repro.runner.invariants import (
     InvariantMonitor,
     check_link,
@@ -49,7 +39,4 @@ __all__ = [
     "SweepSupervisor",
     "TrialOutcome",
     "cell_key",
-    "run_engine_benchmark",
-    "ProfileReport",
-    "profile_scenario",
 ]

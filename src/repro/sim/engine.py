@@ -27,8 +27,9 @@ Both backends maintain the same global ``(time, seq)`` total order over
 entries — the sequence counter lives in the backend but is allocated in
 identical program order — so dispatch order, including FIFO tie-breaks
 and lazy-timer re-keys, is bit-identical between them.  The equivalence
-is enforced by the cross-backend property suite and the interleaved A/B
-in ``repro bench --engine``.
+is enforced by the cross-backend property suite, by
+``tests/experiments/test_equivalence.py`` on the paper's scenarios, and
+by the ``calendar`` ablation arm of ``bench/run.py --trace 1``.
 
 Design notes
 ------------
@@ -998,8 +999,8 @@ class Simulator:
         mid-burst re-splits it on the next drain step.  Virtual records
         consume sequence numbers at exactly the program points their
         per-event twins would, so results are bit-identical with
-        bursting on or off (bench-enforced on every backend).  Requires
-        ``fastpath=True``.
+        bursting on or off (test- and bench-enforced on every backend).
+        Requires ``fastpath=True``.
 
     Examples
     --------
@@ -1034,7 +1035,7 @@ class Simulator:
         # single integer instead of also loading the _compaction flag.
         effective_min = int(compact_min) if compaction else (1 << 62)
         #: Calendar bucket width actually chosen (None on heap); kept on
-        #: the Simulator so BENCH output can report it even after a
+        #: the Simulator so the obs snapshot can report it even after a
         #: fallback migration discards the calendar backend.
         self.bucket_width: Optional[float] = None
         if scheduler == "heap":

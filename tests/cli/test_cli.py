@@ -31,6 +31,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "12"])
 
+    @pytest.mark.parametrize("command", ["bench", "profile"])
+    def test_removed_measurement_commands_are_usage_errors(self, command):
+        # bench/run.py is the benchmark; neither name is a prefix match.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+
 
 class TestSizeCommand:
     def test_headline_example(self, capsys):
@@ -212,6 +219,39 @@ class TestFaultFlags:
         assert code == 2
         assert "error" in out
 
+    @pytest.mark.parametrize("flag,spec", [
+        ("--flap", "a,b"),
+        ("--flap", "6,"),
+        ("--loss-burst", "1,2,x"),
+    ])
+    def test_non_numeric_fault_spec_is_error(self, capsys, flag, spec):
+        code, out = run_cli(capsys, "simulate", "long-flows",
+                            "--flows", "4", "--pipe", "50",
+                            "--rate", "10Mbps", flag, spec)
+        assert code == 2
+        assert out.startswith(f"error: {flag} wants ")
+        assert repr(spec) in out and out.count("\n") == 1
+
+
+class TestFlowCountValidation:
+    """n < 1 has no sqrt(n) buffer: a typed error, never a traceback."""
+
+    @pytest.mark.parametrize("flows", ["0", "-4"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--buffer-factors", "1"],
+        ["simulate", "long-flows"],
+        ["trace", "long"],
+        ["fluid"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch,
+                                  argv, flows):
+        monkeypatch.chdir(tmp_path)  # `trace` defaults --out to the cwd
+        code, out = run_cli(capsys, *argv, f"--flows={flows}")
+        assert code == 2
+        assert out == f"error: --flows must be >= 1, got {flows}\n"
+        from repro.obs import runtime
+        assert not runtime.enabled
+
 
 class TestWatchdogFlags:
     def test_event_budget_abort_is_exit_3(self, capsys):
@@ -263,6 +303,16 @@ class TestSweepCommand:
         code, out = run_cli(capsys, "sweep", "--flows", "a,b")
         assert code == 2
 
+    @pytest.mark.parametrize("axis", ["--cc", "--flows", "--buffer-factors"])
+    def test_empty_grid_axis_is_error(self, capsys, monkeypatch, axis):
+        # Nothing to run is a usage error, decided before any executor
+        # (or the table header) exists.
+        import repro.runner
+        monkeypatch.setattr(repro.runner, "SweepSupervisor", None)
+        code, out = run_cli(capsys, *self.ARGS, axis, "")
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
 
 class TestFluidCommand:
     def test_desynchronized(self, capsys):
@@ -277,45 +327,6 @@ class TestFluidCommand:
                             "--synchronized", "--duration", "40")
         assert code == 0
         assert "synchronized" in out
-
-
-class TestProfileCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.scenario == "long"
-        assert args.top == 15
-        assert args.sort == "tottime"
-
-    def test_profile_long_smoke(self, capsys):
-        code, out = run_cli(capsys, "profile", "long",
-                            "--flows", "4", "--buffer-packets", "20",
-                            "--duration", "4", "--top", "5")
-        assert code == 0
-        assert "events/sec" in out
-        assert "tottime" in out
-
-    def test_bad_scenario_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "frobnicate"])
-
-
-class TestEngineBenchCommand:
-    def test_parser_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--engine", "--repeats", "2",
-             "--baseline", "ci/engine-baseline.json"])
-        assert args.engine
-        assert args.repeats == 2
-        assert args.baseline == "ci/engine-baseline.json"
-
-    def test_engine_bench_smoke(self, capsys, tmp_path, monkeypatch):
-        out_path = tmp_path / "BENCH_engine.json"
-        code, out = run_cli(capsys, "bench", "--engine", "--repeats", "1",
-                            "--output", str(out_path))
-        assert code == 0
-        assert "speedup" in out
-        assert "identical" in out
-        assert out_path.exists()
 
 
 class TestTraceCommand:
@@ -391,25 +402,4 @@ class TestObsReportCommand:
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         code, out = run_cli(capsys, "obs", "report", str(path))
-        assert code == 2
-
-
-class TestObsBenchCommand:
-    def test_parser_flag(self):
-        args = build_parser().parse_args(["bench", "--obs", "--repeats", "1"])
-        assert args.obs
-        assert not args.engine
-
-    def test_engine_and_obs_mutually_exclusive(self, capsys):
-        code, out = run_cli(capsys, "bench", "--engine", "--obs")
-        assert code == 2
-        assert "mutually exclusive" in out
-
-    def test_a_mode_is_required(self, capsys):
-        code, out = run_cli(capsys, "bench")
-        assert code == 2
-        assert "--engine" in out and "--obs" in out
-
-    def test_repeats_validated(self, capsys):
-        code, out = run_cli(capsys, "bench", "--obs", "--repeats", "0")
         assert code == 2

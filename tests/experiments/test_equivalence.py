@@ -9,6 +9,7 @@ by comparing full result fingerprints across engine configurations.
 import dataclasses
 import json
 
+from repro import obs
 from repro.experiments.common import (
     run_long_flow_experiment,
     run_short_flow_experiment,
@@ -21,9 +22,22 @@ SHORT = dict(load=0.5, buffer_packets=40, bottleneck_rate="10Mbps",
              warmup=2.0, duration=6.0, seed=5)
 
 
-def fingerprint(result):
-    return json.dumps(dataclasses.asdict(result), sort_keys=True,
-                      default=repr)
+#: Scheduler x burst combinations the default engine (heap, bursting)
+#: must agree with bit-for-bit.
+VARIANTS = (
+    {"burst": False},
+    {"scheduler": "calendar"},
+    {"scheduler": "calendar", "burst": False},
+)
+
+
+def fingerprint(result, strip_metrics=False):
+    """``strip_metrics`` drops the snapshot an obs-enabled run attaches
+    by design; identity with tracing on is judged on everything else."""
+    fields = dataclasses.asdict(result)
+    if strip_metrics:
+        del fields["metrics"]
+    return json.dumps(fields, sort_keys=True, default=repr)
 
 
 def run_long(**overrides):
@@ -61,30 +75,38 @@ class TestOptimizedMatchesUnoptimized:
 
 
 class TestCalendarBackendEquivalence:
-    """The calendar-queue backend must match the heap bit-for-bit.
+    """Both backends, bursting on or off, must match bit-for-bit.
 
     ``engine_opts={"scheduler": "calendar"}`` lets the runner derive the
     bucket width from the bottleneck serialization time; the explicit-
     width variants stress widths that force zero-delay same-bucket ties
-    and overflow-ladder traffic.
+    and overflow-ladder traffic.  Each scenario also runs once with the
+    flight recorder on: tracing must not perturb what is computed.
     """
 
+    @staticmethod
+    def assert_all_variants_match(run, **params):
+        plain = run(**params)
+        reference = fingerprint(plain)
+        for engine_opts in VARIANTS:
+            assert fingerprint(run(engine_opts=engine_opts, **params)) \
+                == reference, (engine_opts, params)
+        with obs.observed():
+            traced = run(**params)
+        assert traced.metrics is not None
+        assert fingerprint(traced, strip_metrics=True) \
+            == fingerprint(plain, strip_metrics=True), params
+
     def test_long_flow_figure1(self):
-        heap = run_long()
-        cal = run_long(engine_opts={"scheduler": "calendar"})
-        assert fingerprint(heap) == fingerprint(cal)
+        self.assert_all_variants_match(run_long)
 
     def test_figure7_style_grid_cells(self):
         for buffer_packets in (8, 20, 40):
-            a = run_long(buffer_packets=buffer_packets)
-            b = run_long(buffer_packets=buffer_packets,
-                         engine_opts={"scheduler": "calendar"})
-            assert fingerprint(a) == fingerprint(b), buffer_packets
+            self.assert_all_variants_match(
+                run_long, buffer_packets=buffer_packets)
 
     def test_short_flow(self):
-        heap = run_short()
-        cal = run_short(engine_opts={"scheduler": "calendar"})
-        assert fingerprint(heap) == fingerprint(cal)
+        self.assert_all_variants_match(run_short)
 
     def test_unoptimized_calendar_matches_optimized_heap(self):
         """Backend choice and engine mode are orthogonal: the reference
