@@ -86,6 +86,9 @@ def _sqrt_rule(pipe: float, factor: float, n_flows: int) -> float:
     """``factor * pipe / sqrt(n)`` packets, for a sane flow count."""
     if n_flows < 1:
         raise ConfigurationError(f"--flows must be >= 1, got {n_flows}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise ConfigurationError(
+            f"buffer factor must be finite and > 0, got {factor}")
     return factor * pipe / math.sqrt(n_flows)
 
 

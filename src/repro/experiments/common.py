@@ -70,6 +70,8 @@ def rtt_for_pipe(pipe_packets: float, rate: Quantity,
     ``pipe = rate * rtt / (8 * packet_bytes)`` inverted for ``rtt``.
     """
     rate_bps = parse_bandwidth(rate)
+    if rate_bps <= 0:
+        raise ConfigurationError("link rate must be positive")
     return pipe_packets * packet_bytes * 8.0 / rate_bps
 
 

@@ -305,9 +305,7 @@ class WorkQueue:
                 continue
             if os.path.exists(self._quarantine_path(digest)):
                 continue
-            if self.completed_record(digest) is not None:
-                continue
-            if not os.path.exists(self._quarantine_path(digest)):
+            if self.completed_record(digest) is None:
                 return False
         return True
 

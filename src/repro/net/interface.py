@@ -14,7 +14,7 @@ utilization/occupancy/drop data in every figure of the paper.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -42,7 +42,7 @@ class Interface:
         Optional label for diagnostics.
     """
 
-    __slots__ = ("sim", "queue", "link", "name")
+    __slots__ = ("sim", "queue", "link", "name", "_idle_cb")
 
     def __init__(self, sim: "Simulator", queue: Queue, link: Link,
                  name: str = "") -> None:
@@ -61,6 +61,14 @@ class Interface:
         # round-trips through the idle callback and the canonical
         # dequeue path.
         link._feed_queue = queue if sim._fastpath else None
+        # Decided once: a self-feeding link over an exact DropTailQueue
+        # (whose dequeue never declines) cannot go idle with packets
+        # waiting, so its idle callback could only ever find the queue
+        # empty — register none.  Everyone else (fastpath=False, RED,
+        # any queue subclass) is pumped at end of serialization.
+        self._idle_cb: Optional[Callable[[], None]] = (
+            None if sim._fastpath and queue.__class__ is DropTailQueue
+            else self._on_link_idle)
         if _obs.enabled and self.name:
             _obs.label(queue, self.name)
             _obs.label(link, self.name)
@@ -81,7 +89,7 @@ class Interface:
                 if not link.busy and link.is_up:
                     head = queue.dequeue()
                     if head is not None:
-                        link.transmit(head, on_idle=self._on_link_idle)
+                        link.transmit(head, on_idle=self._idle_cb)
             return accepted
         size = packet.size
         link = self.link
@@ -114,7 +122,7 @@ class Interface:
             now = sim._now
             link.busy = True
             link._busy_since = now
-            link._on_idle = self._on_link_idle
+            link._on_idle = self._idle_cb
             if sim._burst:
                 # Burst mode: virtual serialization stream instead of a
                 # scheduled Event (see link._burst_step).
@@ -151,7 +159,7 @@ class Interface:
             if not link.busy and link.is_up:
                 head = queue.dequeue()
                 if head is not None:
-                    link.transmit(head, on_idle=self._on_link_idle)
+                    link.transmit(head, on_idle=self._idle_cb)
             return True
         queue._drop(packet)
         return False
@@ -162,13 +170,12 @@ class Interface:
             return
         packet = self.queue.dequeue()
         if packet is not None:
-            link.transmit(packet, on_idle=self._on_link_idle)
+            link.transmit(packet, on_idle=self._idle_cb)
 
     def _on_link_idle(self) -> None:
-        # The link drains back-to-back itself (via _feed_queue), so this
-        # fires only when serialization ended with an empty queue — a
-        # safety net for queue subclasses whose dequeue can decline
-        # while items are present.
+        # Registered only where the link may stop with packets waiting
+        # (see _idle_cb): no _feed_queue, or a queue subclass whose
+        # dequeue declined while items were present.
         if self.queue._items and self.link.is_up:
             self._pump()
 

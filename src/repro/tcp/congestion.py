@@ -33,7 +33,8 @@ NewReno    fast retransmit + recovery  stay until `recover` is acked;
 from __future__ import annotations
 
 import inspect
-from typing import Dict, Type, Union
+from functools import cache
+from typing import Dict, Tuple, Type, Union
 
 from repro.errors import ConfigurationError
 
@@ -280,9 +281,18 @@ def available_ccs() -> list:
     return sorted(_CC_BY_NAME)
 
 
-def _constructor_params(cls: Type[CongestionControl]) -> list:
-    params = inspect.signature(cls.__init__).parameters
-    return [p for p in params if p not in ("self", "args", "kwargs")]
+@cache
+def _constructor_params(cls: Type[CongestionControl]) -> Tuple[str, ...]:
+    """Keyword names ``cls(...)`` accepts, in declaration order.
+
+    Resolved once per class, at its first :func:`make_cc` — a class
+    registered later is introspected when first built — because every
+    flow birth passes through here.  ``*args`` / ``**kwargs`` catch-alls
+    are not names a caller may pass, whatever they are called.
+    """
+    params = inspect.signature(cls).parameters.values()
+    return tuple(p.name for p in params
+                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
 
 
 def make_cc(spec: CcSpec, initial_cwnd: float = 2.0,
@@ -333,7 +343,7 @@ def make_cc(spec: CcSpec, initial_cwnd: float = 2.0,
             f"choose from {sorted(_CC_BY_NAME)}"
         ) from None
     accepted = _constructor_params(cls)
-    unknown = sorted(set(kwargs) - set(accepted))
+    unknown = sorted(k for k in kwargs if k not in accepted)
     if unknown:
         raise ConfigurationError(
             f"congestion control {name!r} does not take parameter(s) "

@@ -253,6 +253,42 @@ class TestFlowCountValidation:
         assert not runtime.enabled
 
 
+class TestRateAndBufferFactorValidation:
+    """A zero rate has no RTT and a factor <= 0 no buffer: exit 2, one
+    ``error:`` line last, never a traceback or a clamped 2-packet row."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--buffer-factors", "1"],
+        ["simulate", "long-flows"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_rate(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--flows", "2", "--pipe", "20",
+                            "--rate", "0Mbps")
+        assert code == 2
+        assert out.endswith("error: link rate must be positive\n")
+        assert "computed" not in out
+
+    def test_zero_rate_library_call(self):
+        from repro.errors import ConfigurationError
+        from repro.experiments.common import run_long_flow_experiment
+        with pytest.raises(ConfigurationError, match="rate must be positive"):
+            run_long_flow_experiment(n_flows=2, buffer_packets=10,
+                                     pipe_packets=20, bottleneck_rate=0)
+
+    @pytest.mark.parametrize("factor", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--buffer-factors"],
+        ["simulate", "long-flows", "--buffer-factor"],
+        ["fluid", "--buffer-factor"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_buffer_factor(self, capsys, argv, factor):
+        code, out = run_cli(capsys, *argv[:-1], f"{argv[-1]}={factor}",
+                            "--flows", "2", "--pipe", "20")
+        assert code == 2
+        assert out == (f"error: buffer factor must be finite and > 0, "
+                       f"got {float(factor)}\n")
+
+
 class TestWatchdogFlags:
     def test_event_budget_abort_is_exit_3(self, capsys):
         code, out = run_cli(capsys, "simulate", "long-flows",

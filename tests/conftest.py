@@ -26,3 +26,23 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture
+def idle_calls(monkeypatch):
+    """Interfaces whose ``_on_link_idle`` ran, in call order.
+
+    Patches the class, so it sees every interface built afterwards: the
+    bound method an interface registers is looked up at construction.
+    """
+    from repro.net import Interface
+
+    calls = []
+    real = Interface._on_link_idle
+
+    def counting(iface):
+        calls.append(iface)
+        real(iface)
+
+    monkeypatch.setattr(Interface, "_on_link_idle", counting)
+    return calls

@@ -9,6 +9,8 @@ by comparing full result fingerprints across engine configurations.
 import dataclasses
 import json
 
+import pytest
+
 from repro import obs
 from repro.experiments.common import (
     run_long_flow_experiment,
@@ -72,6 +74,20 @@ class TestOptimizedMatchesUnoptimized:
     def test_short_flow(self):
         assert fingerprint(run_short(optimize=True)) == \
                fingerprint(run_short(optimize=False))
+
+    @pytest.mark.parametrize("run", [run_long, run_short],
+                             ids=["long", "short"])
+    def test_default_engine_never_enters_the_idle_callback(
+            self, idle_calls, run):
+        """Every default dumbbell link feeds itself from an exact
+        DropTailQueue, so no interface registers an idle callback —
+        and leaving it out changes nothing the reference computes."""
+        default = run(optimize=True)
+        assert idle_calls == []
+        reference = run(optimize=False)
+        assert idle_calls  # fastpath=False round-trips through it
+        assert default.events_processed == reference.events_processed
+        assert fingerprint(default) == fingerprint(reference)
 
 
 class TestCalendarBackendEquivalence:

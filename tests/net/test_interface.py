@@ -1,10 +1,13 @@
 """Tests for the Interface queue+link pump."""
 
+import random
+
 import pytest
 
-from repro.net import DropTailQueue, Interface, Packet
+from repro.net import DropTailQueue, Interface, Packet, REDQueue
 from repro.net.link import Link
 from repro.sim import Simulator
+from tests.tcp.helpers import ScriptedDropQueue
 
 
 class Collector:
@@ -72,3 +75,69 @@ class TestInterface:
         iface.enqueue(make_packet())  # arrives after the link went idle
         sim.run()
         assert len(sink.arrivals) == 2
+
+
+class HesitantQueue(DropTailQueue):
+    """Declines its second dequeue while still holding packets."""
+
+    calls = 0
+
+    def dequeue(self):
+        self.calls += 1
+        if self.calls == 2:
+            return None
+        return super().dequeue()
+
+
+class TestIdleCallback:
+    """The idle callback exists only where the link can stop with
+    packets waiting: not over a self-feeding exact DropTailQueue.
+    (``idle_calls`` is the repo-wide fixture in tests/conftest.py.)"""
+
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_default_interface_never_calls_back(self, idle_calls, burst):
+        sim = Simulator(burst=burst)
+        iface, sink = make_interface(sim, capacity=10)
+        for _ in range(3):
+            iface.enqueue(make_packet())
+        sim.run()
+        iface.enqueue(make_packet())  # cut-through on the idle link
+        sim.run()
+        assert len(sink.arrivals) == 4
+        assert idle_calls == []
+
+    @pytest.mark.parametrize("make_sim,make_queue", [
+        (lambda: Simulator(fastpath=False),
+         lambda sim: DropTailQueue(sim, capacity_packets=10)),
+        (Simulator,
+         lambda sim: REDQueue(sim, capacity_packets=10,
+                              rng=random.Random(1))),
+        (Simulator,
+         lambda sim: ScriptedDropQueue(sim, capacity_packets=10,
+                                       drop_seqs=())),
+    ], ids=["fastpath-off", "red", "scripted-drop"])
+    def test_everyone_else_still_registers_it(self, idle_calls, make_sim,
+                                              make_queue):
+        sim = make_sim()
+        sink = Collector(sim)
+        iface = Interface(sim, make_queue(sim),
+                          Link(sim, rate="8Mbps", delay="0ms", dst=sink))
+        iface.enqueue(make_packet())
+        sim.run()
+        assert len(sink.arrivals) == 1
+        assert idle_calls == [iface]
+
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_declined_dequeue_is_pumped_at_idle(self, idle_calls, burst):
+        sim = Simulator(burst=burst)
+        sink = Collector(sim)
+        iface = Interface(sim, HesitantQueue(sim, capacity_packets=10),
+                          Link(sim, rate="8Mbps", delay="0ms", dst=sink))
+        packets = [make_packet() for _ in range(3)]
+        for packet in packets:
+            iface.enqueue(packet)
+        sim.run()
+        # The link's own refill was declined at the first serialization
+        # end; only the idle callback can have restarted it.
+        assert [pkt for _, pkt in sink.arrivals] == packets
+        assert idle_calls[0] is iface

@@ -7,20 +7,38 @@ dict, every process — and :func:`make_cc` must reject anything whose
 identity would be ambiguous.
 """
 
+import inspect
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner.supervisor import cell_key
+from repro.sim import Simulator
+from repro.tcp import TcpFlow, congestion
 from repro.tcp.congestion import (
     CongestionControl,
     available_ccs,
     make_cc,
     register_cc,
 )
+from tests.tcp.helpers import build_path
 
 ZOO = ("compound", "scalable", "hstcp", "bbr")
+
+
+@pytest.fixture
+def scratch_cc():
+    """``register_cc`` whose registrations are undone after the test."""
+    names = []
+
+    def register(name, cls):
+        register_cc(name, cls)
+        names.append(name)
+
+    yield register
+    for name in names:
+        del congestion._CC_BY_NAME[name]
 
 
 class TestMakeCcErrors:
@@ -74,6 +92,25 @@ class TestMakeCcErrors:
 
         with pytest.raises(ConfigurationError, match="already registered"):
             register_cc("reno", Impostor)
+
+    def test_catch_all_is_not_a_parameter_name(self, scratch_cc):
+        """``**options`` accepts nothing make_cc can vouch for — least
+        of all a keyword spelled like the catch-all itself."""
+        class Lenient(CongestionControl):
+            name = "lenient"
+
+            def __init__(self, initial_cwnd=2.0, initial_ssthresh=1e9,
+                         *rest, **options):
+                super().__init__(initial_cwnd, initial_ssthresh)
+                self.options = options
+
+        scratch_cc("lenient", Lenient)
+        assert make_cc("lenient").options == {}
+        for stray in ("options", "rest", "gain"):
+            with pytest.raises(ConfigurationError,
+                               match=f"parameter.s. {stray}; accepted: "
+                                     "initial_cwnd, initial_ssthresh$"):
+                make_cc("lenient", **{stray: 1})
 
     def test_zoo_names_are_registered(self):
         names = available_ccs()
@@ -135,3 +172,42 @@ class TestCellKeys:
         key = cell_key(dict(cc=make_cc(name), n_flows=2))
         payload = json.loads(key)
         assert payload["cc"]["name"] == name
+
+
+class TestIntrospectOncePerClass:
+    def test_fifty_flows_one_signature_call(self, monkeypatch, scratch_cc):
+        """Flow churn pays for ``inspect.signature`` once per class, and
+        a class registered after the factory's first use is introspected
+        (and its unknown parameters refused) all the same."""
+        calls = []
+        real = inspect.signature
+
+        def counting(obj, **kwargs):
+            calls.append(obj)
+            return real(obj, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        make_cc("reno")  # first use, before the class below exists
+
+        class Latecomer(CongestionControl):
+            name = "latecomer"
+
+            def __init__(self, initial_cwnd=2.0, initial_ssthresh=1e9,
+                         gain=1.0):
+                super().__init__(initial_cwnd, initial_ssthresh)
+                self.gain = gain
+
+        scratch_cc("latecomer", Latecomer)
+        calls.clear()
+        sim = Simulator()
+        a, b, _queue = build_path(sim)
+        flows = [TcpFlow(sim, a, b, size_packets=2, cc="latecomer")
+                 for _ in range(50)]
+        assert {type(flow.sender.cc) for flow in flows} == {Latecomer}
+        assert make_cc("latecomer", gain=2.5).gain == 2.5
+        with pytest.raises(ConfigurationError,
+                           match="does not take parameter.s. alpha; "
+                                 "accepted: initial_cwnd, initial_ssthresh, "
+                                 "gain$"):
+            make_cc("latecomer", alpha=0.125)
+        assert len(calls) <= 1
