@@ -11,12 +11,11 @@ violations:
   unseeded ``random.Random()``, no wall-clock reads, and no event
   scheduling driven by unordered-set iteration inside the simulation
   packages.
-* **Fast-path drift** (``REPRO2xx``) — the two remaining hand-inlined
-  hot-path copies (``Queue.enqueue`` inside ``Interface.enqueue``,
-  the ``_burst_step`` bodies inside ``_drain_burst``)
-  are compared against their canonical definitions via normalized-AST
-  comparison, so an edit to either side that forgets the other fails CI
-  instead of silently diverging.
+* **Fast-path drift** (``REPRO202``) — the one remaining hand-inlined
+  hot-path copy (``Queue.enqueue``'s admitted path inside
+  ``Interface.enqueue``) is compared against its canonical definition
+  via normalized-AST comparison, so an edit to either side that forgets
+  the other fails CI instead of silently diverging.
 * **Slots hygiene** (``REPRO3xx``) — ``__slots__`` classes on the packet
   hot chain neither shadow parent slots nor assign undeclared
   attributes.

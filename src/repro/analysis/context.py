@@ -7,7 +7,7 @@ import re
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 #: ``# repro: noqa`` (suppress everything on the line) or
-#: ``# repro: noqa(REPRO101)`` / ``# repro: noqa(REPRO101, REPRO205)``.
+#: ``# repro: noqa(REPRO101)`` / ``# repro: noqa(REPRO101, REPRO402)``.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s*\(\s*(?P<rules>[A-Z0-9_,\s]+?)\s*\))?", re.IGNORECASE)
 

@@ -11,18 +11,13 @@ Two engine-level diagnostics exist outside the rule registry:
 * ``REPRO002`` — a ``# repro: noqa`` comment suppresses nothing
   (warning; only emitted on full runs, since a ``--select`` subset
   cannot know whether some unselected rule would have fired).
-
-An optional on-disk cache (:mod:`repro.analysis.cache`) keyed on
-content hashes lets warm reruns skip rule execution for unchanged
-files; suppression filtering and REPRO002 always run live.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.context import FileContext, Project
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -71,17 +66,11 @@ class LintResult:
     """Outcome of one engine run."""
 
     def __init__(self, diagnostics: List[Diagnostic], files_scanned: int,
-                 suppressed: int, files_analyzed: Optional[int] = None,
-                 cache_hits: int = 0):
+                 suppressed: int):
         self.diagnostics = diagnostics
         self.files_scanned = files_scanned
         #: Findings silenced by ``# repro: noqa`` comments.
         self.suppressed = suppressed
-        #: Files whose rules actually ran (== scanned without a cache).
-        self.files_analyzed = (files_scanned if files_analyzed is None
-                               else files_analyzed)
-        #: Files served entirely from the lint cache.
-        self.cache_hits = cache_hits
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -114,114 +103,39 @@ class LintEngine:
     select:
         Optional rule-id selectors (exact ids or prefixes such as
         ``"REPRO2"``); default is every registered rule.
-    cache:
-        Optional :class:`~repro.analysis.cache.LintCache`.  When given,
-        per-file rule results are served from it for unchanged files
-        and written back after the run.
     """
 
-    def __init__(self, select: Optional[Sequence[str]] = None,
-                 cache=None):
+    def __init__(self, select: Optional[Sequence[str]] = None):
         self.rules: List[Rule] = get_rules(select)
-        self.cache = cache
         #: REPRO002 runs only when the full rule set ran.
         self._warn_unused_noqa = not select
 
-    def run(self, paths: Sequence[str],
-            report_only: Optional[Set[str]] = None) -> LintResult:
-        """Lint ``paths`` (files and/or directories) and return the result.
-
-        ``report_only`` (absolute paths) restricts *reporting* — the
-        whole tree is still analysed so cross-file rules see full
-        context, but only diagnostics landing in the given files are
-        returned (``repro lint --changed``).
-        """
+    def run(self, paths: Sequence[str]) -> LintResult:
+        """Lint ``paths`` (files and/or directories) and return the result."""
         filenames = collect_files(paths)
         contexts: List[FileContext] = []
-        parse_diags: List[Diagnostic] = []
-        hashes: Dict[str, str] = {}
+        diagnostics: List[Diagnostic] = []
         for filename in filenames:
             ctx, parse_diag = self._load(filename)
             contexts.append(ctx)
-            hashes[ctx.path] = hashlib.sha256(
-                ctx.source.encode("utf-8", "replace")).hexdigest()
             if parse_diag is not None:
-                parse_diags.append(parse_diag)
+                diagnostics.append(parse_diag)
         project = Project(contexts)
-        project_hash = hashlib.sha256("\n".join(
-            f"{path}\0{hashes[path]}"
-            for path in sorted(hashes)).encode()).hexdigest()
-
-        diagnostics, analyzed, hits = self._run_rules(
-            contexts, project, hashes, project_hash)
-        diagnostics.extend(parse_diags)
+        for ctx in contexts:
+            if ctx.tree is None:
+                continue
+            for rule in self.rules:
+                diagnostics.extend(rule.check_file(ctx, project))
+        for rule in self.rules:
+            diagnostics.extend(rule.check_project(project))
 
         kept, suppressed, used = self._apply_suppressions(
             contexts, diagnostics)
         if self._warn_unused_noqa:
             kept.extend(self._unused_noqa(contexts, used))
-        if report_only is not None:
-            kept = [d for d in kept
-                    if os.path.abspath(d.path) in report_only]
         kept.sort(key=lambda d: d.sort_key)
-        if self.cache is not None:
-            self.cache.write()
         return LintResult(kept, files_scanned=len(filenames),
-                          suppressed=suppressed,
-                          files_analyzed=analyzed, cache_hits=hits)
-
-    # ------------------------------------------------------------------
-    # Rule execution (cache-aware)
-    # ------------------------------------------------------------------
-    def _run_rules(self, contexts: List[FileContext], project: Project,
-                   hashes: Dict[str, str], project_hash: str,
-                   ) -> Tuple[List[Diagnostic], int, int]:
-        local_rules = [r for r in self.rules if not r.project_sensitive]
-        global_rules = [r for r in self.rules if r.project_sensitive]
-        diagnostics: List[Diagnostic] = []
-        analyzed = 0
-        hits = 0
-        for ctx in contexts:
-            if ctx.tree is None:
-                continue
-            cached = None
-            if self.cache is not None:
-                cached = self.cache.lookup_file(
-                    ctx.path, hashes[ctx.path], project_hash)
-            if cached is not None:
-                hits += 1
-                diagnostics.extend(cached)
-                continue
-            local = None
-            if self.cache is not None:
-                # The file itself is unchanged: its file-local results
-                # are still valid even though the project changed.
-                local = self.cache.lookup_local(ctx.path, hashes[ctx.path])
-            if local is None:
-                local = []
-                for rule in local_rules:
-                    local.extend(rule.check_file(ctx, project))
-            global_: List[Diagnostic] = []
-            for rule in global_rules:
-                global_.extend(rule.check_file(ctx, project))
-            analyzed += 1
-            diagnostics.extend(local)
-            diagnostics.extend(global_)
-            if self.cache is not None:
-                self.cache.store_file(ctx.path, hashes[ctx.path],
-                                      project_hash, local, global_)
-
-        project_diags = None
-        if self.cache is not None:
-            project_diags = self.cache.lookup_project(project_hash)
-        if project_diags is None:
-            project_diags = []
-            for rule in self.rules:
-                project_diags.extend(rule.check_project(project))
-            if self.cache is not None:
-                self.cache.store_project(project_hash, project_diags)
-        diagnostics.extend(project_diags)
-        return diagnostics, analyzed, hits
+                          suppressed=suppressed)
 
     # ------------------------------------------------------------------
     # Suppressions and REPRO002
@@ -291,42 +205,9 @@ class LintEngine:
 
 
 def lint_paths(paths: Sequence[str],
-               select: Optional[Sequence[str]] = None,
-               cache=None,
-               report_only: Optional[Set[str]] = None) -> LintResult:
+               select: Optional[Sequence[str]] = None) -> LintResult:
     """Convenience wrapper: engine construction + run in one call."""
-    return LintEngine(select=select, cache=cache).run(
-        paths, report_only=report_only)
-
-
-def changed_files(base: str = "HEAD") -> Set[str]:
-    """Absolute paths of files changed vs ``base`` plus untracked files.
-
-    Used by ``repro lint --changed``.  Raises
-    :class:`~repro.errors.ConfigurationError` when git is unavailable
-    or the working directory is not a repository.
-    """
-    import subprocess
-
-    commands = [
-        ["git", "diff", "--name-only", base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    out: Set[str] = set()
-    try:
-        root = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True).stdout.strip()
-        for command in commands:
-            listed = subprocess.run(
-                command, capture_output=True, text=True, check=True).stdout
-            for line in listed.splitlines():
-                if line.strip():
-                    out.add(os.path.abspath(os.path.join(root, line.strip())))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise ConfigurationError(
-            f"--changed requires a git checkout: {exc}") from exc
-    return out
+    return LintEngine(select=select).run(paths)
 
 
 def iter_rule_descriptions() -> Iterable[Tuple[str, str, str]]:

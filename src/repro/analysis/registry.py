@@ -31,11 +31,6 @@ class Rule:
     summary: str = ""
     #: Severity attached to this rule's diagnostics.
     severity: Severity = Severity.ERROR
-    #: True when ``check_file`` results can change because *another*
-    #: file changed (interprocedural summaries, duck call-graph
-    #: closures).  The lint cache keys such results on the whole
-    #: project hash instead of the file's own hash alone.
-    project_sensitive: bool = False
 
     def check_file(self, ctx: FileContext, project: Project) -> Iterable[Diagnostic]:
         """Analyze one parsed file; default: no findings."""

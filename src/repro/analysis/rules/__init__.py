@@ -4,7 +4,7 @@ Importing this package registers every rule family:
 
 * ``determinism`` — REPRO101..REPRO105
 * ``durability``  — REPRO106..REPRO108
-* ``drift``       — REPRO202, REPRO205
+* ``drift``       — REPRO202
 * ``slots``       — REPRO301..REPRO302
 * ``simtime``     — REPRO401..REPRO402
 * ``pool``        — REPRO501

@@ -129,7 +129,6 @@ class UseAfterReleaseRule(Rule):
     summary = ("use of a packet variable after .release() returned it to "
                "the pool — recycled state, poisoned under debug")
     severity = Severity.ERROR
-    project_sensitive = True  # helper summaries cross file boundaries
 
     def check_file(self, ctx: FileContext, project: Project) -> Iterable[Diagnostic]:
         tree = ctx.tree

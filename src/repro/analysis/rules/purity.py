@@ -202,7 +202,6 @@ class FastPathPurityRule(Rule):
                "vetted pure — it may push events or mutate backend "
                "state behind a stale bound")
     severity = Severity.ERROR
-    project_sensitive = True  # purity closes over the duck call graph
 
     def check_file(self, ctx: FileContext,
                    project: Project) -> Iterable[Diagnostic]:

@@ -543,7 +543,6 @@ class _UnitRuleBase(Rule):
     """Shared plumbing: pick this rule's id out of the family reports."""
 
     severity = Severity.ERROR
-    project_sensitive = True  # return-dim summaries cross files
 
     def check_file(self, ctx: FileContext,
                    project: Project) -> Iterable[Diagnostic]:

@@ -279,10 +279,13 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     """``repro fluid``: the fast deterministic integrator."""
     from repro.fluid import FluidAimdModel
 
-    rtt = parse_time(args.rtt)
-    capacity_pps = args.pipe / rtt
-    rtts = [rtt * (0.5 + (i + 1) / (args.flows + 1)) for i in range(args.flows)]
     try:
+        rtt = parse_time(args.rtt)
+        if rtt <= 0:
+            raise ConfigurationError(f"--rtt must be > 0, got {args.rtt}")
+        capacity_pps = args.pipe / rtt
+        rtts = [rtt * (0.5 + (i + 1) / (args.flows + 1))
+                for i in range(args.flows)]
         buffer_packets = _sqrt_rule(args.pipe, args.buffer_factor, args.flows)
         model = FluidAimdModel(args.flows, capacity_pps, buffer_packets, rtts,
                                synchronized=args.synchronized)
@@ -664,35 +667,18 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from repro.analysis.cache import DEFAULT_CACHE_DIR, LintCache
-    from repro.analysis.engine import (changed_files,
-                                       iter_rule_descriptions, lint_paths)
+    from repro.analysis.engine import iter_rule_descriptions, lint_paths
 
     if args.list_rules:
         for rule_id, severity, summary in iter_rule_descriptions():
             print(f"{rule_id}  [{severity:>7}]  {summary}")
         return 0
 
-    paths = args.paths or ["src/repro"]
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache = LintCache(args.cache_dir or DEFAULT_CACHE_DIR,
-                          select=args.select)
-    report_only = None
     try:
-        if getattr(args, "changed", False):
-            report_only = changed_files()
-        result = lint_paths(paths, select=args.select, cache=cache,
-                            report_only=report_only)
+        result = lint_paths(args.paths or ["src/repro"], select=args.select)
     except ReproError as exc:
         return _fail(str(exc))
 
-    if args.format == "sarif":
-        from repro.analysis.sarif import to_sarif
-
-        print(_json.dumps(to_sarif(result.diagnostics), indent=2,
-                          sort_keys=True))
-        return result.exit_code
     if args.format == "json":
         payload = {
             "files_scanned": result.files_scanned,
@@ -710,9 +696,5 @@ def cmd_lint(args: argparse.Namespace) -> int:
         tally += f", {infos} info(s)"
     if result.suppressed:
         tally += f", {result.suppressed} suppressed"
-    scanned = f"{result.files_scanned} file(s) scanned"
-    if result.cache_hits:
-        scanned += (f" ({result.files_analyzed} analysed, "
-                    f"{result.cache_hits} cached)")
-    print(f"{scanned}: {tally}")
+    print(f"{result.files_scanned} file(s) scanned: {tally}")
     return result.exit_code

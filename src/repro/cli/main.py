@@ -306,19 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rule id or prefix to run (repeatable), "
                              'e.g. --select REPRO2 for the drift checkers')
     p_lint.add_argument("--format", default="text",
-                        choices=["text", "json", "sarif"],
+                        choices=["text", "json"],
                         help="diagnostic output format (default text)")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
-    p_lint.add_argument("--changed", action="store_true",
-                        help="report only diagnostics in git-changed "
-                             "files (the whole tree is still analysed "
-                             "so cross-file rules keep full context)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk lint result cache")
-    p_lint.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="lint cache directory "
-                             "(default .repro-lint-cache)")
     p_lint.set_defaults(func=commands.cmd_lint)
 
     return parser

@@ -85,6 +85,8 @@ def min_packet_interarrival(line_rate: Quantity,
     time, so its access time must be at most *half* this interval.
     """
     rate = parse_bandwidth(line_rate)
+    if rate <= 0:
+        raise ModelError("line rate must be positive")
     if packet_bytes <= 0:
         raise ModelError("packet size must be positive")
     return packet_bytes * 8.0 / rate

@@ -46,6 +46,8 @@ def rule_of_thumb_bytes(rtt: Quantity, capacity: Quantity) -> float:
     cap = parse_bandwidth(capacity)
     if rtt_s <= 0:
         raise ModelError("RTT must be positive")
+    if cap <= 0:
+        raise ModelError("capacity must be positive")
     return rtt_s * cap / 8.0
 
 

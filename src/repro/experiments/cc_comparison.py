@@ -179,6 +179,11 @@ def run_cc_comparison(
     the window-dynamics statistics.  Every cell runs with
     ``track_windows=True`` so the grid stays one simulation per cell.
     """
+    if not ccs:
+        raise ConfigurationError("need at least one congestion control")
+    if not n_values or min(n_values) < 1:
+        raise ConfigurationError(
+            f"need flow counts >= 1, got {list(n_values)}")
     if list(factors) != sorted(factors):
         raise ConfigurationError("factors must be increasing")
     if 1.0 not in factors:

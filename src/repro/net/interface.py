@@ -125,7 +125,7 @@ class Interface:
             link._on_idle = self._idle_cb
             if sim._burst:
                 # Burst mode: virtual serialization stream instead of a
-                # scheduled Event (see link._burst_step).
+                # scheduled Event (see link._drain_burst).
                 vseq = next(sim._seq_alloc)
                 link._ser_time = time = now + size * 8.0 / link.rate
                 link._ser_seq = vseq

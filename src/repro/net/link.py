@@ -342,119 +342,17 @@ class Link:
 # bit.  Stale entries (the stream advanced or a fault cleared it) are
 # detected by seq mismatch and dropped lazily.
 #
-# :func:`_burst_step` is the canonical single-step used by
-# ``Simulator.step()``; :func:`_drain_burst` is the hand-inlined batch
-# loop the scheduler run loops call, processing virtual events in a
-# tight loop until the next *real* event's key (re-read every iteration,
-# so a timer or cancellation landing mid-burst re-splits the burst).
-# The two SER/PROP branch bodies must stay statement-identical — drift
-# rule REPRO205 compares them structurally.
-
-
-def _burst_step(sim: Any) -> bool:
-    """Process the earliest virtual packet event; False if head was stale.
-
-    Canonical copy of the burst drain body (see REPRO205).  The caller
-    guarantees ``sim._vheap`` is non-empty.  ``sim`` is deliberately
-    ``Any``: the body is a hand-inlined fast path whose Optional slots
-    (``_ser_packet``, ``dst``) are guaranteed by the stream protocol,
-    not by narrowing mypy could follow — and it must stay
-    statement-identical to the drain copy (REPRO205), which rules out
-    sprinkling asserts.
-    """
-    vh = sim._vheap
-    entry = vh[0]
-    t = entry[0]
-    s = entry[1]
-    link = entry[2]
-    if link._ser_seq == s:
-        # --- serialization end (REPRO205 SER body) ---
-        packet = link._ser_packet
-        sim._now = t
-        seq = sim._seq_alloc
-        dseq = next(seq)
-        prop = link._prop
-        was_empty = not prop
-        record = (t + link.delay, dseq, link, packet)
-        prop.append(record)
-        head = None
-        queue = link._feed_queue
-        if queue is not None and queue._items:
-            if queue.__class__ is DropTailQueue:
-                items = queue._items
-                dt = t - queue._occ_time
-                if dt > 0.0:
-                    queue._occ_area_pkts += len(items) * dt
-                    queue._occ_area_bytes += queue._bytes * dt
-                    queue._occ_time = t
-                head = items.popleft()
-                hsize = head.size
-                bytes_now = queue._bytes = queue._bytes - hsize
-                if bytes_now < 0:
-                    raise QueueError("negative byte occupancy")
-                queue.departures += 1
-                queue.bytes_out += hsize
-            else:
-                head = queue.dequeue()
-        if head is not None:
-            if link._busy_since is not None:
-                link.busy_time += t - link._busy_since
-            link._busy_since = t
-            sseq = next(seq)
-            link._ser_time = stime = t + head.size * 8.0 / link.rate
-            link._ser_seq = sseq
-            link._ser_packet = head
-            sim._live += 1
-            if was_empty:
-                _heapreplace(vh, record)
-                _heappush(vh, (stime, sseq, link))
-            else:
-                _heapreplace(vh, (stime, sseq, link))
-        else:
-            link._ser_packet = None
-            link._ser_seq = -1
-            link.busy = False
-            if link._busy_since is not None:
-                link.busy_time += t - link._busy_since
-                link._busy_since = None
-            if was_empty:
-                _heapreplace(vh, record)
-            else:
-                _heappop(vh)
-            on_idle = link._on_idle
-            link._on_idle = None
-            if on_idle is not None:
-                on_idle()
-    else:
-        prop = link._prop
-        if prop and prop[0][1] == s:
-            # --- delivery (REPRO205 PROP body) ---
-            record = prop.popleft()
-            sim._now = t
-            sim._live -= 1
-            if prop:
-                _heapreplace(vh, prop[0])
-            else:
-                _heappop(vh)
-            packet = record[3]
-            link.packets_delivered += 1
-            link.bytes_delivered += packet.size
-            hops = packet.hops = packet.hops + 1
-            dst = link.dst
-            try:
-                iface = dst._routes.get(packet.dst)
-            except AttributeError:
-                iface = None
-            if iface is not None:
-                if hops > MAX_HOPS:
-                    raise RoutingError(f"routing loop detected for {packet!r}")
-                iface.enqueue(packet)
-            else:
-                dst.receive(packet)
-        else:
-            _heappop(vh)
-            return False
-    return True
+# :func:`_drain_burst` is the one implementation of a virtual step.  The
+# scheduler run loops call it to process virtual events in a tight loop
+# until the next *real* event's key (re-read every iteration, so a timer
+# or cancellation landing mid-burst re-splits the burst);
+# ``Simulator.step()`` calls the same function with a one-step limit.
+# Its oracle is behavioural, not structural: ``Simulator(burst=False)``
+# runs the per-event code (``Link._end_serialization``/``_deliver``) and
+# must produce bit-identical results (tests/net/test_burst_identity.py).
+# ``sim`` is deliberately ``Any``: the Optional slots the body reads
+# (``_ser_packet``, ``dst``) are guaranteed by the stream protocol, not
+# by narrowing mypy could follow.
 
 
 def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
@@ -506,7 +404,7 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
             link = entry[2]
             head = None
             if link._ser_seq == s:
-                # --- serialization end (REPRO205 SER body) ---
+                # --- serialization end (SER) ---
                 packet = link._ser_packet
                 sim._now = t
                 seq = sim._seq_alloc
@@ -566,7 +464,7 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
             else:
                 prop = link._prop
                 if prop and prop[0][1] == s:
-                    # --- delivery (REPRO205 PROP body) ---
+                    # --- delivery (PROP) ---
                     record = prop.popleft()
                     sim._now = t
                     sim._live -= 1

@@ -189,8 +189,7 @@ class Queue:
         # The burst drain in repro.net.link inlines this body for exact
         # DropTailQueue instances (subclasses keep the polymorphic
         # call); keep the two in sync when changing occupancy or counter
-        # accounting.  REPRO205 locks the drain loop itself to its
-        # canonical copy.
+        # accounting — the burst on/off identity tests compare them.
         items = self._items
         if not items:
             return None

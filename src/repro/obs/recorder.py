@@ -118,8 +118,12 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except ValueError as exc:
                 raise ObsError(
                     f"{path}:{lineno}: not valid JSON: {exc}") from exc
+            if not isinstance(event, dict):
+                raise ObsError(
+                    f"{path}:{lineno}: not a JSON object: {line[:40]}")
+            events.append(event)
     return events

@@ -1078,11 +1078,10 @@ class Simulator:
         #: calendar-to-heap migration, which hands over the counter).
         self._seq_alloc: Iterator[int] = self._sched._seq
         # Deferred import: repro.net imports this module.  Bound even
-        # with bursting off (nothing then enters _vheap, so neither is
-        # ever called) so the run loops need no Optional narrowing.
-        from repro.net.link import _burst_step, _drain_burst
+        # with bursting off (nothing then enters _vheap, so it is never
+        # called) so the run loops need no Optional narrowing.
+        from repro.net.link import _drain_burst
         self._burst_drain: Callable[..., int] = _drain_burst
-        self._vstep: Callable[["Simulator"], bool] = _burst_step
 
     # ------------------------------------------------------------------
     # Clock
@@ -1248,18 +1247,17 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         Useful for unit tests and debugging.  In burst mode a virtual
         packet-chain step counts as one event, preserving the per-event
-        step sequence exactly.
+        step sequence exactly: it is taken by the drain :meth:`run`
+        uses, bounded by the next real entry's key and a one-step limit
+        (the drain discards stale heads and does the accounting).
         """
         vheap = self._vheap
         sched = self._sched
         while True:
             key = sched.next_key()
-            if vheap and (key is None or (vheap[0][0], vheap[0][1]) < key):
-                if self._vstep(self):
-                    self.events_processed += 1
-                    self.burst_steps += 1
-                    return True
-                continue  # stale virtual entry discarded; retry
+            if vheap and self._burst_drain(
+                    self, None if key is None else [key], _INF, 1, 0):
+                return True
             if key is None:
                 return False
             # A dead or stale-timer entry consumes one step_raw call

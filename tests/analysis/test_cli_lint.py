@@ -72,6 +72,16 @@ class TestLintCommand:
                         "REPRO401", "REPRO501"):
             assert rule_id in out
 
+    def test_writes_nothing_to_the_working_directory(self, capsys, tmp_path,
+                                                     monkeypatch):
+        write_fixture(tmp_path / "tree", "x = 1\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, _ = run_cli(capsys, "lint", str(tmp_path / "tree"))
+        assert code == 0
+        assert list(cwd.iterdir()) == []
+
     def test_bad_path_is_usage_error(self, capsys, tmp_path):
         code, out = run_cli(capsys, "lint", str(tmp_path / "missing"))
         assert code == 2

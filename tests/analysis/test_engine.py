@@ -182,53 +182,3 @@ class TestUnusedNoqa:
         source = "x = 1  # prose about the # repro: noqa syntax\n"
         result = lint_source(source)
         assert result.diagnostics == []
-
-
-class TestReportOnly:
-    """--changed semantics: analyse everything, report a subset."""
-
-    def test_filters_reported_diagnostics(self, tmp_path):
-        root = tmp_path / "repro" / "sim"
-        root.mkdir(parents=True)
-        (root / "a.py").write_text(BAD_WALLCLOCK)
-        (root / "b.py").write_text(BAD_WALLCLOCK)
-        only_b = {os.path.abspath(str(root / "b.py"))}
-        result = lint_paths([str(root)], report_only=only_b)
-        assert {os.path.basename(d.path) for d in result.diagnostics} \
-            == {"b.py"}
-        # The whole tree was still scanned for project context.
-        assert result.files_scanned == 2
-
-    def test_empty_changed_set_reports_nothing(self, tmp_path):
-        root = tmp_path / "repro" / "sim"
-        root.mkdir(parents=True)
-        (root / "a.py").write_text(BAD_WALLCLOCK)
-        result = lint_paths([str(root)], report_only=set())
-        assert result.diagnostics == []
-        assert result.exit_code == 0
-
-
-class TestSarif:
-    def test_sarif_shape_and_columns(self, lint_source):
-        from repro.analysis.sarif import to_sarif
-
-        result = lint_source(BAD_WALLCLOCK)
-        doc = to_sarif(result.diagnostics)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_list = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "REPRO103" in rule_list and "REPRO501" in rule_list
-        (res,) = run["results"]
-        assert res["ruleId"] == "REPRO103"
-        assert res["level"] == "error"
-        region = res["locations"][0]["physicalLocation"]["region"]
-        diag = result.diagnostics[0]
-        assert region["startLine"] == diag.line
-        assert region["startColumn"] == diag.col + 1  # SARIF is 1-based
-
-    def test_clean_run_has_empty_results(self, lint_source):
-        from repro.analysis.sarif import to_sarif
-
-        result = lint_source("x = 1\n")
-        assert to_sarif(result.diagnostics)["runs"][0]["results"] == []

@@ -155,7 +155,7 @@ class TestMutationOnRealLink:
 
     def test_seeded_push_in_fast_path_is_caught(self, tmp_path):
         # The 24-space indent pins the anchor to _drain_burst's inline
-        # fast path (the _burst_step copy sits at 16 spaces).
+        # fast path.
         result = self._mirror(tmp_path, mutate=(
             " " * 24 + "queue.bytes_out += hsize",
             " " * 24 + "queue.bytes_out += hsize\n"

@@ -65,6 +65,13 @@ class TestSizeCommand:
                             "--flows", "10")
         assert code == 2
 
+    def test_zero_capacity_is_error(self, capsys):
+        # Used to exit 0 with "0 packets ... (nan% saved)".
+        code, out = run_cli(capsys, "size", "--capacity", "0Gbps",
+                            "--flows", "10")
+        assert code == 2
+        assert out == "error: capacity must be positive\n"
+
 
 class TestMemoryCommand:
     def test_rule_of_thumb_plan(self, capsys):
@@ -85,6 +92,12 @@ class TestMemoryCommand:
         code, out = run_cli(capsys, "memory", "--rate", "10Gbps",
                             "--buffer", "big")
         assert code == 2
+
+    def test_zero_rate_is_error(self, capsys):
+        code, out = run_cli(capsys, "memory", "--rate", "0Gbps",
+                            "--buffer", "1MB")
+        assert code == 2
+        assert out == "error: line rate must be positive\n"
 
 
 class TestSimulateCommands:
@@ -364,6 +377,61 @@ class TestFluidCommand:
         assert code == 0
         assert "synchronized" in out
 
+    @pytest.mark.parametrize("rtt, message", [
+        ("0ms", "--rtt must be > 0, got 0ms"),
+        ("soon", "cannot parse time 'soon'"),
+    ], ids=["zero", "unparseable"])
+    def test_bad_rtt_is_error(self, capsys, rtt, message):
+        code, out = run_cli(capsys, "fluid", "--rtt", rtt)
+        assert code == 2
+        assert out == f"error: {message}\n"
+
+
+class TestCcCompareCommand:
+    def test_tiny_grid_report_artifact_and_exit_code(self, capsys, tmp_path):
+        """Shape only — the physics needs CI's larger grid."""
+        import json
+
+        artifact = tmp_path / "cc.json"
+        code, out = run_cli(capsys, "cc-compare", "--cc", "reno,bbr",
+                            "--flows", "4", "--pipe", "40",
+                            "--rate", "10Mbps", "--warmup", "1",
+                            "--duration", "3", "--output", str(artifact))
+        doc = json.loads(artifact.read_text())
+        assert [(d["cc"], d["n_flows"]) for d in doc["dynamics"]] \
+            == [("reno", 4), ("bbr", 4)]
+        assert [(p["cc"], p["model_packets"]) for p in doc["min_buffers"]] \
+            == [("reno", 20.0), ("bbr", 20.0)]
+        assert {key: len(curve) for key, curve in doc["curves"].items()} \
+            == {"reno:4": 6, "bbr:4": 6}
+        assert set(doc["paced_needs_no_more_than_reno"]) == {"bbr"}
+        holds = (doc["reno_fits_sqrt_rule"]
+                 and all(doc["paced_needs_no_more_than_reno"].values()))
+        assert code == (0 if holds else 3)
+        assert "window dynamics at the reference buffer" in out
+        verdict = "ok" if doc["reno_fits_sqrt_rule"] else "VIOLATED"
+        assert f"sqrt(n) rule (reno within 2x of model): {verdict}" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--flows", "0"], "need flow counts >= 1, got [0]"),
+        (["--flows=-4,8"], "need flow counts >= 1, got [-4, 8]"),
+        (["--cc", ""], "need at least one congestion control"),
+    ], ids=["flows-zero", "flows-negative", "cc-empty"])
+    def test_empty_or_nonpositive_grid_is_error(self, capsys, argv, message):
+        # --flows 0 used to be a ZeroDivisionError traceback; --cc ""
+        # printed two empty tables and "sqrt(n) rule ...: ok", exit 0.
+        code, out = run_cli(capsys, "cc-compare", *argv)
+        assert code == 2
+        assert out == f"error: {message}\n"
+
+    def test_library_call_raises_typed_errors(self):
+        from repro.errors import ConfigurationError
+        from repro.experiments.cc_comparison import run_cc_comparison
+        with pytest.raises(ConfigurationError, match="congestion control"):
+            run_cc_comparison(ccs=[])
+        with pytest.raises(ConfigurationError, match="flow counts"):
+            run_cc_comparison(n_values=[])
+
 
 class TestTraceCommand:
     def test_parser_flags(self):
@@ -439,3 +507,12 @@ class TestObsReportCommand:
         path.write_text("{not json")
         code, out = run_cli(capsys, "obs", "report", str(path))
         assert code == 2
+
+    def test_non_object_line_is_error(self, capsys, tmp_path):
+        # Parses as JSON, is not an event: used to be an AttributeError
+        # traceback from summarize_trace.
+        path = tmp_path / "lists.jsonl"
+        path.write_text('{"kind": "enqueue", "t": 0.1}\n[1, 2]\n')
+        code, out = run_cli(capsys, "obs", "report", str(path))
+        assert code == 2
+        assert out == f"error: {path}:2: not a JSON object: [1, 2]\n"

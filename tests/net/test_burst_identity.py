@@ -22,10 +22,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import SimulationStalledError
+from repro.faults import FaultSchedule, LinkFlap, targets_for_dumbbell
 from repro.net.packet import Packet
 from repro.net.queues import REDQueue
-from repro.net.topology import Network
+from repro.net.topology import Network, build_dumbbell
 from repro.sim import Simulator, Timer
+from repro.traffic.flows import LongLivedWorkload
 
 FAST = dict(max_examples=40, deadline=None, derandomize=True,
             suppress_health_check=[HealthCheck.too_slow])
@@ -224,3 +226,64 @@ class TestBurstEdgeCases:
         assert sim.burst_steps > 0
         assert sim.events_popped + sim.burst_steps == sim.events_processed
         assert sim.events_popped < sim.events_processed
+
+
+class TestStepSharesTheDrain:
+    """``Simulator.step()`` takes its virtual steps through the drain
+    ``run()`` uses, so single-stepping a real TCP dumbbell to ``T`` must
+    leave exactly the state ``run(until=T)`` leaves."""
+
+    T = 3.0
+
+    def _dumbbell(self, scheduler, red):
+        opts = {}
+        if scheduler == "calendar":
+            opts.update(scheduler="calendar", bucket_width=0.0005,
+                        wheel_buckets=64)
+        sim = Simulator(burst=True, **opts)
+        queue = None
+        if red:
+            def queue():
+                return REDQueue(sim, capacity_packets=12, min_thresh=3,
+                                max_thresh=9, rng=random.Random(7))
+        net = build_dumbbell(sim, n_pairs=4, bottleneck_rate="10Mbps",
+                             buffer_packets=None if red else 12,
+                             bottleneck_queue=queue,
+                             rtts=[0.03, 0.04, 0.05, 0.06])
+        workload = LongLivedWorkload(net, start_spread=0.5,
+                                     rng=random.Random(3))
+        # The flap kills whatever the bottleneck has in flight, so the
+        # stepped run has stale virtual heads to step over.
+        FaultSchedule([LinkFlap(at=2.0, duration=0.05)]).install(
+            sim, targets_for_dumbbell(net))
+        return sim, net, workload
+
+    def _state(self, sim, net, workload):
+        link, queue = net.bottleneck_link, net.bottleneck_queue
+        return (sim.events_processed, sim.burst_steps,
+                link.packets_delivered, link.bytes_delivered,
+                link.packets_dropped, link.busy_time,
+                queue.arrivals, queue.departures, queue.drops,
+                queue.bytes_out,
+                [(flow.cc.timeouts, flow.sender.fast_retransmits)
+                 for flow in workload.flows])
+
+    @pytest.mark.parametrize("red", [False, True], ids=["droptail", "red"])
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_stepping_to_T_matches_run_until_T(self, scheduler, red):
+        sim, net, workload = self._dumbbell(scheduler, red)
+        sim.run(until=self.T)
+        ran = self._state(sim, net, workload)
+
+        sim, net, workload = self._dumbbell(scheduler, red)
+        while True:
+            at = sim.peek_time()
+            if at is None or at > self.T:
+                break
+            assert sim.step()
+        assert self._state(sim, net, workload) == ran
+
+        assert sim.burst_steps > 0
+        assert sim.events_popped + sim.burst_steps == sim.events_processed
+        assert net.bottleneck_link.packets_dropped > 0  # the flap bit
+        assert net.bottleneck_queue.drops > 0
