@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench report examples clean lint
+.PHONY: install test bench repo-bench report examples clean lint
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -16,6 +16,15 @@ bench:
 
 bench-log:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+
+# The repository benchmark (BENCHMARK.json), as CI's repo-bench job runs
+# it: the exit code is the gate, each last line the result JSON.
+repo-bench:
+	for workload in long_n128 long_n1024 short_flows sweep_grid; do \
+		python3 bench/run.py --workload $$workload --seconds 5 \
+			> bench-$$workload.json || exit 1; \
+		cat bench-$$workload.json; \
+	done
 
 # Static analysis: the stdlib-only simulation-correctness linter always
 # runs; ruff and mypy run when installed (pip install -e '.[lint]').

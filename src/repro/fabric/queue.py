@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
@@ -59,7 +60,7 @@ from repro.errors import ConfigurationError, CorruptRecordError, FabricError
 from repro.fabric import records
 from repro.fabric.chaos import chaos_point
 
-__all__ = ["Lease", "WorkQueue", "cell_digest"]
+__all__ = ["Lease", "WorkQueue", "cell_digest", "check_lease_options"]
 
 SPEC_NAME = "spec.json"
 EVENTS_NAME = "events.log"
@@ -72,6 +73,24 @@ STATE_DIRS = ("cells", "leases", "failures", "quarantine")
 DEFAULT_LEASE_SECONDS = 10.0
 #: Default failed-lease budget before a cell is quarantined as poison.
 DEFAULT_MAX_LEASE_FAILURES = 3
+
+
+def check_lease_options(lease_seconds: float,
+                        max_lease_failures: int) -> None:
+    """Reject lease settings under which live workers get robbed.
+
+    A lease that is already expired when it is written (horizon <= 0 or
+    nan) makes every running cell look abandoned: peers steal it, the
+    heartbeat spins, and healthy cells collect "lease expired" failures
+    on their way to quarantine.  A failed-lease budget below 1
+    quarantines a cell on its first lost lease.
+    """
+    if not (math.isfinite(lease_seconds) and lease_seconds > 0):
+        raise ConfigurationError(
+            f"lease_seconds must be a finite number > 0, got {lease_seconds}")
+    if max_lease_failures < 1:
+        raise ConfigurationError(
+            f"max_lease_failures must be >= 1, got {max_lease_failures}")
 
 
 def cell_digest(key: str) -> str:
@@ -120,6 +139,10 @@ class WorkQueue:
         loud :class:`~repro.errors.FabricError` instead of silently
         mixing results.
         """
+        options = dict(options or {})
+        check_lease_options(
+            options.get("lease_seconds", DEFAULT_LEASE_SECONDS),
+            options.get("max_lease_failures", DEFAULT_MAX_LEASE_FAILURES))
         root = os.path.abspath(root)
         spec_path = os.path.join(root, SPEC_NAME)
         digests: Dict[str, Dict[str, Any]] = {}
@@ -139,15 +162,19 @@ class WorkQueue:
                     f"queue {root!r} was built for trial function "
                     f"{queue.fn_ref!r}, not {fn_ref!r}")
             return queue
-        for sub in (*STATE_DIRS, "crashes"):
-            os.makedirs(os.path.join(root, sub), exist_ok=True)
         spec = {
             "version": 1,
             "fn": fn_ref,
-            "options": dict(options or {}),
+            "options": options,
             "cells": digests,
         }
-        records.write_record(spec_path, spec)
+        try:
+            for sub in (*STATE_DIRS, "crashes"):
+                os.makedirs(os.path.join(root, sub), exist_ok=True)
+            records.write_record(spec_path, spec)
+        except OSError as exc:
+            raise FabricError(
+                f"cannot create queue directory {root!r}: {exc}") from exc
         return cls(root, spec)
 
     @staticmethod

@@ -1,11 +1,13 @@
-"""The fabric sweep driver: spawn workers, survive their deaths, merge.
+"""The fabric sweep driver: start workers, survive their deaths, merge.
 
 :func:`run_fabric_sweep` is the parallel counterpart of
 :meth:`~repro.runner.supervisor.SweepSupervisor.run` (``repro sweep
 --jobs N``).  It materializes the grid as a
-:class:`~repro.fabric.queue.WorkQueue` directory and spawns up to ``N``
+:class:`~repro.fabric.queue.WorkQueue` directory and starts up to ``N``
 work-stealing :class:`~repro.fabric.worker.Worker` processes against
-it.  The parent then only *supervises*:
+it — forked from this process where that is safe (milliseconds: the
+interpreter and ``repro`` are already loaded), spawned afresh where it
+is not (:func:`_start_method`).  The parent then only *supervises*:
 
 * **reap + respawn** — a worker that exits non-zero (or is SIGKILLed)
   gets a crash dump under ``<queue>/crashes/worker-<idx>.json`` and a
@@ -31,8 +33,11 @@ while SIGKILLing a third of the fleet.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
+import sys
+import threading
 import time
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Union)
@@ -42,15 +47,38 @@ from repro.fabric import records
 from repro.fabric.queue import (
     WorkQueue,
     cell_digest,
+    check_lease_options,
     validate_plain_params,
 )
-from repro.fabric.worker import resolve_fn, spawned_worker_entry
+from repro.fabric.worker import (
+    DRAIN_SIGNALS,
+    resolve_fn,
+    spawned_worker_entry,
+)
 from repro.runner.supervisor import SweepSupervisor, TrialOutcome, cell_key
 
 __all__ = ["fn_reference", "run_fabric_sweep"]
 
-#: Seconds between supervisor poll rounds (reap, merge, drain check).
+#: Longest a supervisor poll round (reap, merge, drain check) waits for
+#: a worker to exit before it looks at the queue again.
 _POLL_SECONDS = 0.05
+
+
+def _start_method() -> str:
+    """How the next worker process is started: ``fork`` or ``spawn``.
+
+    A fork costs milliseconds where a spawn costs a fresh interpreter
+    plus ``import repro`` (two workers: 5-8 ms against 0.16-0.37 s,
+    DESIGN.md section 8), but it copies only the calling thread: a lock
+    some other thread holds at that instant stays locked in the child
+    for ever.  So fork only where it is the platform's own default
+    (Linux) and this thread is the process's only one;
+    :func:`~repro.fabric.worker.spawned_worker_entry` resets what the
+    copy inherits.
+    """
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
 
 
 def fn_reference(fn: Union[str, Callable[..., Any]]) -> str:
@@ -102,7 +130,6 @@ class _Fleet:
 
     def __init__(self, queue_root: str, workers: int,
                  respawn_budget: Optional[int]):
-        self._context = multiprocessing.get_context("spawn")
         self._queue_root = queue_root
         self._procs: Dict[int, Any] = {}
         self._next_index = 0
@@ -117,13 +144,26 @@ class _Fleet:
     def _spawn(self) -> None:
         index = self._next_index
         self._next_index += 1
-        proc = self._context.Process(
+        proc = multiprocessing.get_context(_start_method()).Process(
             target=spawned_worker_entry,
             args=(self._queue_root, index),
             name=f"repro-fabric-worker-{index}",
             daemon=False)
-        proc.start()
+        # The worker is born with its drain signals held and releases
+        # them once its own handlers exist.  A forked child starts with
+        # *our* handlers, which would swallow a drain signal sent in
+        # its first millisecond; this way it stays pending instead.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, DRAIN_SIGNALS)
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
         self._procs[index] = proc
+
+    def wait(self, timeout: float) -> None:
+        """Sleep until a worker exits, at most ``timeout`` seconds."""
+        multiprocessing.connection.wait(
+            [proc.sentinel for proc in self._procs.values()], timeout)
 
     def reap(self, queue: WorkQueue, respawn: bool = True) -> None:
         """Collect dead workers; dump + respawn the abnormally dead."""
@@ -178,18 +218,28 @@ class _Fleet:
 def _merge_new_completions(queue: WorkQueue, supervisor: SweepSupervisor,
                            params_by_digest: Dict[str, Dict[str, Any]],
                            merged: set) -> None:
-    """Fold newly-completed queue records into the checkpoint."""
-    for digest, record in queue.completed().items():
+    """Fold newly-completed queue records into the checkpoint.
+
+    Only cells not merged yet are looked up, so each completed record
+    is read once however many polls the sweep takes, and the checkpoint
+    is rewritten once for everything this poll found: the records
+    themselves are already durable.
+    """
+    found = False
+    for digest, params in params_by_digest.items():
         if digest in merged:
             continue
-        params = params_by_digest.get(digest)
-        if params is None:
-            continue  # foreign cell (attached queue superset) — ignore
-        supervisor._record_success(
+        record = queue.completed_record(digest)
+        if record is None:
+            continue
+        supervisor._merge_cell(
             record["key"], params, record["result"],
             record.get("attempts", 1),
             record.get("elapsed_seconds", 0.0))
         merged.add(digest)
+        found = True
+    if found:
+        supervisor._write_checkpoint()
 
 
 def _fabric_audit(queue: WorkQueue, fleet: Optional[_Fleet],
@@ -272,6 +322,7 @@ def run_fabric_sweep(
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    check_lease_options(lease_seconds, max_lease_failures)
     grid = [dict(params) for params in grid]
     for params in grid:
         validate_plain_params(params)
@@ -325,7 +376,7 @@ def run_fabric_sweep(
     def _request_drain(signum: int, frame: Any) -> None:
         drain["requested"] = True
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in DRAIN_SIGNALS:
         try:
             previous_handlers[signum] = signal.signal(signum, _request_drain)
         except (ValueError, OSError):
@@ -378,7 +429,7 @@ def run_fabric_sweep(
                     f"fabric sweep exceeded its {timeout}s timeout with "
                     f"{len(cells) - len(merged)} cell(s) outstanding; "
                     f"completed work is checkpointed and resumable")
-            time.sleep(_POLL_SECONDS)
+            fleet.wait(_POLL_SECONDS)
     except BaseException:
         if fleet is not None:
             fleet.terminate_all()

@@ -23,12 +23,17 @@ makes a fabric sweep **bit-identical** to a single-process run:
   budget counts only leases that ended without a verdict.
 
 ``repro worker <queue-dir>`` runs :func:`worker_main` as a detachable
-process; ``repro sweep --jobs N`` spawns
-:func:`spawned_worker_entry` via multiprocessing.
+process; ``repro sweep --jobs N`` starts :func:`spawned_worker_entry`
+via multiprocessing — forked from the supervisor where that is safe,
+spawned otherwise (``repro.fabric.supervisor._start_method``).  A
+forked worker is a copy of the supervisor, so the entry point first
+puts back what a fresh interpreter would have had: no chaos hits
+counted, observability off, its own drain handlers.
 """
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
 import traceback
@@ -36,8 +41,8 @@ from importlib import import_module
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import FabricError, ReproError
+from repro.fabric import chaos
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
-from repro.fabric.chaos import chaos_point
 from repro.fabric.queue import Lease, WorkQueue
 from repro.runner.supervisor import (
     TRANSIENT_ERRORS,
@@ -52,6 +57,11 @@ __all__ = ["Worker", "resolve_fn", "spawned_worker_entry", "worker_main"]
 #: Renew the lease this many times per lease interval; 3 gives two
 #: chances to miss a beat before peers may legally steal the cell.
 _HEARTBEATS_PER_LEASE = 3
+
+#: The signals that ask a worker to drain.  The fleet starts a worker
+#: with both held (``_Fleet._spawn``); :func:`worker_main` releases them
+#: once its handlers exist, so none is ever met by an inherited handler.
+DRAIN_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
 
 
 def resolve_fn(ref: Optional[str]) -> Callable[..., Any]:
@@ -139,8 +149,15 @@ class Worker:
         self.max_wall_seconds = options.get("max_wall_seconds")
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self._accepted = accepted_params(self.fn)
-        self._sleep = sleep
-        self._stop = threading.Event()
+        self._sleep = sleep  # retry back-off only; idling waits on _running
+        # Held until a stop is requested, so the idle back-off can wait
+        # on it and end the moment one is.  A bare lock, not a
+        # threading.Event: request_stop() runs inside a signal handler
+        # on the very thread that may be waiting, and Event.set() there
+        # deadlocks on the lock Event.wait() holds for a few bytecodes.
+        # A lock's release() and acquire() are single C calls.
+        self._running = threading.Lock()
+        self._running.acquire()
         # Seeded per-worker jitter stream: desynchronizes idle polling
         # across workers without touching the process-global RNG.
         self._idle_rng = backoff_stream(f"worker-idle:{self.name}")
@@ -150,14 +167,25 @@ class Worker:
         }
 
     def request_stop(self) -> None:
-        """Drain: finish the in-flight cell (if any), then exit the loop."""
-        self._stop.set()
+        """Drain: finish the in-flight cell (if any), then exit the loop.
+
+        Safe to call from a signal handler and from any thread.
+        """
+        try:
+            self._running.release()
+        except RuntimeError:
+            pass  # already requested
+
+    def _idle(self, seconds: float) -> None:
+        """Wait out one idle back-off, or until a stop is requested."""
+        if self._running.acquire(timeout=seconds):
+            self.request_stop()  # it was open: leave it open
 
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, int]:
         """Claim-run-complete until the queue drains or a stop is requested."""
         idle_spins = 0
-        while not self._stop.is_set():
+        while self._running.locked():
             lease = self.queue.claim(self.name, self.index,
                                      rng=self._claim_rng)
             if lease is None:
@@ -165,7 +193,7 @@ class Worker:
                     break
                 # Everything runnable is validly leased by peers: back
                 # off and re-poll (a peer may die and free its cell).
-                self._sleep(self.backoff.delay(idle_spins, self._idle_rng))
+                self._idle(self.backoff.delay(idle_spins, self._idle_rng))
                 idle_spins += 1
                 continue
             idle_spins = 0
@@ -173,7 +201,7 @@ class Worker:
         return dict(self.stats)
 
     def _run_lease(self, lease: Lease) -> None:
-        chaos_point("run", self.index)
+        chaos.chaos_point("run", self.index)
         interval = self.queue.lease_seconds / _HEARTBEATS_PER_LEASE
         heartbeat = _Heartbeat(self.queue, lease, self.index, interval)
         heartbeat.start()
@@ -267,17 +295,18 @@ def worker_main(queue_root: str, *, name: Optional[str] = None,
         log(f"fabric worker cannot start: {exc}")
         return 2
     if install_signal_handlers:
-        import signal
-
         def _drain(signum: int, frame: Any) -> None:
             log(f"signal {signum}: draining after current cell")
             worker.request_stop()
 
-        for signum in (signal.SIGTERM, signal.SIGINT):
+        for signum in DRAIN_SIGNALS:
             try:
                 signal.signal(signum, _drain)
             except (ValueError, OSError):  # non-main thread / platform quirk
                 pass
+        # A fleet worker is born with these held; one sent meanwhile is
+        # delivered here, to _drain, and the loop below never claims.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, DRAIN_SIGNALS)
     log(f"{worker.name}: attached to {queue.root} "
         f"({queue.status()['pending']} cell(s) pending)")
     stats = worker.run()
@@ -293,6 +322,17 @@ def spawned_worker_entry(queue_root: str, index: int) -> int:
     Module-level (and import-light) so it survives multiprocessing's
     spawn start method; chaos arming travels via the inherited
     ``REPRO_FABRIC_CHAOS`` environment variable.
+
+    A forked child is a copy of the supervisor process, so it first
+    drops what a spawned one would never have had: chaos hits the parent
+    counted (``run@0`` means *this worker's* first run) and a live
+    ``repro.obs`` session (it would put a metrics snapshot into every
+    cell result, and no serial cell has one).  Both are no-ops after a
+    spawn.
     """
+    from repro.obs import runtime as _obs
+
+    chaos._hits.clear()
+    _obs.disable()
     return worker_main(queue_root, index=index,
                        install_signal_handlers=True)

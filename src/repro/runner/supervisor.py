@@ -313,6 +313,13 @@ class SweepSupervisor:
         self._fabric_meta: Optional[Dict[str, Any]] = None
         self._cells: Dict[str, Dict[str, Any]] = {}
         if checkpoint_path:
+            directory = os.path.dirname(os.path.abspath(checkpoint_path))
+            if not os.path.isdir(directory):
+                # Found now, not by the first cell's checkpoint write,
+                # which would lose that cell's work to a traceback.
+                raise ConfigurationError(
+                    f"checkpoint directory {directory!r} does not exist "
+                    f"(for checkpoint {checkpoint_path!r})")
             if resume:
                 self._cells = self._load_checkpoint(checkpoint_path,
                                                     on_corrupt=on_corrupt)
@@ -424,7 +431,9 @@ class SweepSupervisor:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, default=_checkpoint_default)
+                # dumps, not dump: one pass of the C encoder instead of
+                # the pure-Python chunk iterator; the bytes are the same.
+                fh.write(json.dumps(payload, default=_checkpoint_default))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.checkpoint_path)
@@ -436,16 +445,15 @@ class SweepSupervisor:
                 pass
             raise
 
-    def _record_success(self, key: str, params: Dict[str, Any], result: Any,
-                        attempts: int, elapsed_seconds: float) -> None:
-        """Merge one completed cell and atomically rewrite the checkpoint."""
+    def _merge_cell(self, key: str, params: Dict[str, Any], result: Any,
+                    attempts: int, elapsed_seconds: float) -> None:
+        """Add one completed cell to the table the next write persists."""
         self._cells[key] = {
             "params": _canonical_param(dict(params)),
             "result": self.serialize(result),
             "attempts": attempts,
             "elapsed_seconds": elapsed_seconds,
         }
-        self._write_checkpoint()
 
     def _cached_outcome(self, key: str, params: Dict[str, Any],
                         cached: Dict[str, Any]) -> TrialOutcome:
@@ -484,8 +492,9 @@ class SweepSupervisor:
                                attempts=attempts, error=error,
                                elapsed_seconds=time.monotonic() - started)
         if outcome.ok:
-            self._record_success(key, params, outcome.result,
-                                 outcome.attempts, outcome.elapsed_seconds)
+            self._merge_cell(key, params, outcome.result,
+                             outcome.attempts, outcome.elapsed_seconds)
+            self._write_checkpoint()
         return outcome
 
     def run(self, grid: Iterable[Dict[str, Any]],

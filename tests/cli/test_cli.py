@@ -363,6 +363,50 @@ class TestSweepCommand:
         assert out.startswith("error: ") and out.count("\n") == 1
 
 
+class TestSweepRefusesBeforeRunning:
+    """A flag that can only fail later fails now: exit 2, one ``error:``
+    line last, and no cell has run (nothing says ``computed``)."""
+
+    ARGS = [*TestSweepCommand.ARGS, "--workers", "2"]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_lease_seconds(self, capsys, value):
+        code, out = run_cli(capsys, *self.ARGS, f"--lease-seconds={value}")
+        assert code == 2
+        assert out.splitlines()[-1].startswith(
+            "error: lease_seconds must be a finite number > 0")
+        assert "computed" not in out and "Traceback" not in out
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_max_lease_failures(self, capsys, value):
+        code, out = run_cli(capsys, *self.ARGS,
+                            f"--max-lease-failures={value}")
+        assert code == 2
+        assert out.splitlines()[-1] == (
+            f"error: max_lease_failures must be >= 1, got {value}")
+        assert "computed" not in out
+
+    @pytest.mark.parametrize("executor", [["--jobs", "1"], ["--workers", "2"]],
+                             ids=["jobs1", "workers2"])
+    def test_missing_checkpoint_directory(self, capsys, tmp_path, executor):
+        ckpt = str(tmp_path / "missing" / "x.json")
+        code, out = run_cli(capsys, *TestSweepCommand.ARGS, *executor,
+                            "--checkpoint", ckpt)
+        assert code == 2
+        assert out.startswith("error: checkpoint directory ")
+        assert str(tmp_path / "missing") in out and out.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_uncreatable_queue_directory(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        queue_dir = str(tmp_path / "file" / "queue")
+        code, out = run_cli(capsys, *self.ARGS, "--queue-dir", queue_dir)
+        assert code == 2
+        assert out.splitlines()[-1].startswith(
+            f"error: cannot create queue directory {queue_dir!r}")
+        assert "computed" not in out
+
+
 class TestFluidCommand:
     def test_desynchronized(self, capsys):
         code, out = run_cli(capsys, "fluid", "--flows", "16",

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FabricError
 from repro.fabric.supervisor import fn_reference, run_fabric_sweep
 from repro.runner.supervisor import SweepSupervisor
 from tests.fabric import fabric_fns
@@ -169,3 +169,26 @@ class TestFabricSweep:
         with pytest.raises(ConfigurationError, match="workers"):
             run_fabric_sweep(fabric_fns.quadratic,
                              **fabric_kwargs(tmp_path, workers=0))
+
+    @pytest.mark.parametrize("option,value", [
+        ("lease_seconds", 0), ("lease_seconds", -1),
+        ("lease_seconds", float("nan")),
+        ("max_lease_failures", 0), ("max_lease_failures", -2),
+    ])
+    def test_lease_options_validated_before_anything_starts(
+            self, tmp_path, option, value):
+        grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(3)]
+        kwargs = fabric_kwargs(tmp_path, grid=grid, **{option: value})
+        with pytest.raises(ConfigurationError, match=option):
+            run_fabric_sweep(fabric_fns.marks_run, **kwargs)
+        # No queue, no checkpoint, no cell: nothing was started.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uncreatable_queue_dir_is_a_fabric_error(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(3)]
+        kwargs = fabric_kwargs(tmp_path, grid=grid,
+                               queue_dir=str(tmp_path / "file" / "queue"))
+        with pytest.raises(FabricError, match="cannot create queue"):
+            run_fabric_sweep(fabric_fns.marks_run, **kwargs)
+        assert not list(tmp_path.glob("cell-*.ran"))

@@ -56,6 +56,28 @@ class TestCreateOpen:
         with pytest.raises(FabricError, match="not a fabric queue"):
             WorkQueue.open(str(tmp_path / "nope"))
 
+    @pytest.mark.parametrize("options,match", [
+        ({"lease_seconds": 0}, "lease_seconds"),
+        ({"lease_seconds": -1.0}, "lease_seconds"),
+        ({"lease_seconds": float("nan")}, "lease_seconds"),
+        ({"lease_seconds": float("inf")}, "lease_seconds"),
+        ({"max_lease_failures": 0}, "max_lease_failures"),
+        ({"max_lease_failures": -2}, "max_lease_failures"),
+    ])
+    def test_create_rejects_leases_that_rob_live_workers(
+            self, tmp_path, options, match):
+        # A lease born expired is stolen while its holder still runs.
+        with pytest.raises(ConfigurationError, match=match):
+            make_queue(tmp_path, **options)
+        assert not (tmp_path / "q").exists()
+
+    def test_create_names_a_directory_it_cannot_make(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        root = str(tmp_path / "file" / "q")
+        with pytest.raises(FabricError, match="cannot create queue") as err:
+            WorkQueue.create(root, {}, fn_ref=None)
+        assert root in str(err.value)
+
 
 class TestClaimCompleteLifecycle:
     def test_claim_returns_lease_with_params(self, tmp_path):

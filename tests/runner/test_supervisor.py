@@ -224,6 +224,19 @@ class TestCheckpointing:
         assert [o.from_checkpoint for o in outcomes] == [True, True, False]
         assert outcomes[0].result == {"value": 2}
 
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_missing_checkpoint_directory_refused_before_a_cell_runs(
+            self, tmp_path, resume):
+        # It used to surface as FileNotFoundError from the first cell's
+        # checkpoint write, with that cell's work lost.
+        path = str(tmp_path / "missing" / "sweep.json")
+        calls = []
+        with pytest.raises(ConfigurationError, match="does not exist") as err:
+            SweepSupervisor(lambda x: calls.append(x), checkpoint_path=path,
+                            resume=resume).run([{"x": 1}])
+        assert str(tmp_path / "missing") in str(err.value)
+        assert calls == []
+
     def test_killed_sweep_resumes_from_last_completed_cell(self, tmp_path):
         path = str(tmp_path / "sweep.json")
         calls = []
@@ -339,6 +352,30 @@ class TestCheckpointMeta:
         assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
         assert meta["written_cells"] == 2
         assert meta["written_at"] > 0
+
+    def test_checkpoint_bytes_are_what_json_dump_writes(self, tmp_path):
+        # The writer serialises with json.dumps (one C-encoder pass); the
+        # file must stay byte for byte what json.dump's iterator wrote.
+        import io
+        from dataclasses import dataclass
+
+        @dataclass
+        class Odd:
+            ratio: float
+
+        def fn(x):
+            return {"sum": 0.1 + 0.2, "big": 1e300, "tiny": 5e-324,
+                    "inf": float("inf"), "name": "caf\u00e9 \u2713",
+                    "nested": [1, {"a": None, "b": True}], "odd": Odd(x / 3)}
+
+        path = tmp_path / "sweep.json"
+        SweepSupervisor(fn, checkpoint_path=str(path),
+                        serialize=lambda result: result).run(
+                            [{"x": 1}, {"x": 2}])
+        text = path.read_text(encoding="utf-8")
+        rewritten = io.StringIO()
+        json.dump(json.loads(text), rewritten)
+        assert rewritten.getvalue() == text
 
     def test_git_sha_resolved_once_per_process(self, tmp_path, monkeypatch):
         # Every checkpoint write embeds the SHA; a `git` spawn per
