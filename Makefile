@@ -8,14 +8,8 @@ install:
 test:
 	pytest tests/
 
-test-log:
-	pytest tests/ 2>&1 | tee test_output.txt
-
 bench:
 	pytest benchmarks/ --benchmark-only
-
-bench-log:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # The repository benchmark (BENCHMARK.json), as CI's repo-bench job runs
 # it: the exit code is the gate, each last line the result JSON.
@@ -41,7 +35,8 @@ lint:
 		echo "mypy not installed, skipping (pip install -e '.[lint]')"; \
 	fi
 
-# Regenerate EXPERIMENTS.md (scales: quick / default / paper).
+# Regenerate the report:begin/report:end span of EXPERIMENTS.md (scales:
+# quick / default / paper); the hand-written sections are left alone.
 report:
 	python -m repro.experiments.report --scale default --output EXPERIMENTS.md
 

@@ -1,13 +1,11 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one of the paper's figures or tables at a
-laptop-friendly scale (the experiments accept bigger parameters for a
-closer-to-paper run; see EXPERIMENTS.md).  Simulations are long-running
-and deterministic, so each benchmark executes exactly one round — the
-timing numbers are honest wall-clock costs of regenerating the result,
-and the scientific outputs land in ``extra_info`` (visible with
-``pytest benchmarks/ --benchmark-only --benchmark-verbose`` or in the
-saved JSON).
+Every benchmark regenerates one section of
+``repro.experiments.report`` at its ``default`` preset.  Simulations are
+long-running and deterministic, so each benchmark executes exactly one
+round — the timing numbers are honest wall-clock costs of regenerating
+the result, and the section's text and claims land in ``extra_info``
+(in the JSON saved by ``--benchmark-json``).
 """
 
 import pytest

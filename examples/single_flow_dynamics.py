@@ -9,7 +9,7 @@ utilization checked against the closed-form AIMD model.
 Run:  python examples/single_flow_dynamics.py
 """
 
-from repro.experiments.single_flow import main
+from repro.experiments.report import run_section
 
 if __name__ == "__main__":
-    main()
+    print(run_section("fig2").text)

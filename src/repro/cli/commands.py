@@ -25,9 +25,7 @@ __all__ = [
     "cmd_simulate_short",
     "cmd_simulate_single",
     "cmd_fluid",
-    "cmd_figure",
-    "cmd_table",
-    "cmd_ablations",
+    "cmd_artefact",
     "cmd_cc_compare",
     "cmd_sweep",
     "cmd_worker",
@@ -302,37 +300,27 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    """``repro figure N``: regenerate one paper figure."""
-    if args.number in (2, 3, 4, 5):
-        from repro.experiments.single_flow import main as fig_main
-    elif args.number == 6:
-        from repro.experiments.window_distribution import main as fig_main
-    elif args.number == 7:
-        from repro.experiments.long_flow_sweep import main as fig_main
-    elif args.number == 8:
-        from repro.experiments.short_flow_sweep import main as fig_main
-    else:
-        from repro.experiments.afct_comparison import main as fig_main
-    fig_main()
-    return 0
+def cmd_artefact(args: argparse.Namespace) -> int:
+    """``repro figure N`` / ``repro table N`` / ``repro ablations``.
 
+    Prints the artefact's section of ``repro.experiments.report`` at the
+    ``default`` scale — the same text the full report carries — and
+    exits 3 when one of its claims is false.
+    """
+    from repro.experiments.report import run_section
 
-def cmd_table(args: argparse.Namespace) -> int:
-    """``repro table N``: regenerate one paper table."""
-    if args.number == 10:
-        from repro.experiments.utilization_table import main as table_main
-    else:
-        from repro.experiments.production_network import main as table_main
-    table_main()
-    return 0
-
-
-def cmd_ablations(args: argparse.Namespace) -> int:
-    """``repro ablations``: the design-choice ablation suite."""
-    from repro.experiments.ablations import main as ablations_main
-    ablations_main()
-    return 0
+    key = f"{args.command}{getattr(args, 'number', '')}".replace("figure", "fig")
+    if key in ("fig3", "fig4", "fig5"):  # Figures 2-5 are one section
+        key = "fig2"
+    try:
+        section = run_section(key)
+    except (SimulationStalledError, InvariantViolation) as exc:
+        return _abort(exc)
+    except ReproError as exc:
+        return _fail(str(exc))
+    print(section.text)
+    print(f"({section.seconds:.1f} s)")
+    return 0 if section.ok else 3
 
 
 def cmd_cc_compare(args: argparse.Namespace) -> int:

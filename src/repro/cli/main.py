@@ -142,15 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int, choices=[2, 3, 4, 5, 6, 7, 8, 9],
-                       help="figure number (2-5 share the single-flow module)")
-    p_fig.set_defaults(func=commands.cmd_figure)
+                       help="figure number (2-5 share one section)")
+    p_fig.set_defaults(func=commands.cmd_artefact)
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
     p_table.add_argument("number", type=int, choices=[10, 11])
-    p_table.set_defaults(func=commands.cmd_table)
+    p_table.set_defaults(func=commands.cmd_artefact)
 
     p_abl = sub.add_parser("ablations", help="run the ablation suite")
-    p_abl.set_defaults(func=commands.cmd_ablations)
+    p_abl.set_defaults(func=commands.cmd_artefact)
 
     p_ccc = sub.add_parser(
         "cc-compare", help="congestion-control zoo comparison: Gaussianity, "

@@ -13,9 +13,11 @@ module                          reproduces
 :mod:`~repro.experiments.ablations`            design-choice ablations (RED, delack, CC flavor, ...)
 ==============================  =======================================
 
-Every module exposes a parameterized ``run_*`` function returning typed
-results and a ``main()`` that prints the paper-style table; all are
-runnable as scripts.  Default parameters are scaled for laptop runtimes
+Every module exposes a parameterized compute function returning typed
+results; :mod:`~repro.experiments.report` is the one place a result
+becomes text and a verdict (``repro figure N``, ``repro table N``,
+``repro ablations`` and ``python -m repro.experiments.report`` all
+print its sections).  Default parameters are scaled for laptop runtimes
 while preserving the dimensionless quantities the theory depends on
 (load, buffer in units of ``RTT*C/sqrt(n)``, pipe-per-flow); pass bigger
 numbers to approach the paper's absolute scale.

@@ -38,7 +38,6 @@ __all__ = [
     "pacing_ablation",
     "sack_ablation",
     "ecn_ablation",
-    "main",
 ]
 
 _BASE = dict(n_flows=64, pipe_packets=400.0, warmup=15.0, duration=30.0, seed=21)
@@ -198,31 +197,3 @@ def pacing_ablation(factor: float = 0.25, **overrides) -> List[AblationRow]:
         rows.append(AblationRow(label, result.utilization, result.loss_rate,
                                 extra=float(result.timeouts)))
     return rows
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    print("Ablations at B = RTTxC/sqrt(n) (64 flows unless noted)\n")
-    for title, rows, extra_name in [
-        ("Queue discipline", queue_discipline_ablation(), None),
-        ("Delayed ACKs", delayed_ack_ablation(), None),
-        ("RTT spread / synchronization", rtt_spread_ablation(), None),
-        ("Congestion control flavor", cc_flavor_ablation(), "timeouts"),
-        ("Access-link speed (short flows)", access_speed_ablation(), "afct"),
-        ("TCP pacing at 0.25x sqrt-rule buffer", pacing_ablation(), "timeouts"),
-        ("SACK vs Reno at 1x sqrt-rule buffer", sack_ablation(), "timeouts"),
-        ("ECN marking vs dropping (RED)", ecn_ablation(), "timeouts"),
-    ]:
-        print(title)
-        for row in rows:
-            line = (f"  {row.variant:42s} util={row.utilization * 100:6.2f}% "
-                    f"loss={row.loss_rate * 100:5.2f}%")
-            if not math.isnan(row.sync_index):
-                line += f" sync={row.sync_index:.3f}"
-            if extra_name and not math.isnan(row.extra):
-                line += f" {extra_name}={row.extra:.3f}"
-            print(line)
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,7 +26,7 @@ from repro.traffic import LongLivedWorkload, ShortFlowWorkload
 from repro.traffic.sizes import FlowSizeDistribution, UniformSize
 from repro.units import Quantity
 
-__all__ = ["MixResult", "run_mixed_experiment", "compare_buffers", "main"]
+__all__ = ["MixResult", "run_mixed_experiment", "compare_buffers"]
 
 
 @dataclass
@@ -132,19 +132,3 @@ def compare_buffers(n_long: int = 50, pipe_packets: float = 400.0,
     large = run_mixed_experiment(large_buffer, n_long=n_long,
                                  pipe_packets=pipe_packets, **kwargs)
     return small, large
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    small, large = compare_buffers()
-    print("Figure 9: short-flow AFCT, small vs large buffers "
-          "(50 long flows + short flows)")
-    print(f"{'buffer':>10} {'AFCT':>8} {'p99 FCT':>9} {'util':>7} {'mean Q':>8}")
-    for label, r in [("RTTC/sqrt(n)", small), ("RTTC", large)]:
-        print(f"{r.buffer_packets:7d}pkt {r.afct:7.3f}s {r.p99_fct:8.3f}s "
-              f"{r.utilization * 100:6.1f}% {r.mean_queue:7.1f}  ({label})")
-    speedup = large.afct / small.afct if small.afct > 0 else math.nan
-    print(f"\nshort flows complete {speedup:.2f}x faster with the small buffer")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.ascii_plot import line_plot
 from repro.experiments.common import LongFlowResult, run_long_flow_experiment
 from repro.runner import SweepSupervisor
 
-__all__ = ["MinBufferPoint", "SweepResult", "min_buffer_sweep", "main"]
+__all__ = ["MinBufferPoint", "SweepResult", "min_buffer_sweep"]
 
 DEFAULT_FACTORS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TARGETS = (0.98, 0.995, 0.999)
@@ -112,6 +111,8 @@ def min_buffer_sweep(
     """
     if list(factors) != sorted(factors):
         raise ConfigurationError("factors must be increasing")
+    if any(n < 1 for n in n_values):
+        raise ConfigurationError("n_values must be positive flow counts")
     supervisor = SweepSupervisor(
         run_long_flow_experiment,
         checkpoint_path=checkpoint_path,
@@ -147,7 +148,7 @@ def min_buffer_sweep(
         by_n.setdefault(n, []).append((buffer_packets, utilization))
     for n in n_values:
         unit = pipe_packets / math.sqrt(n)
-        curve = by_n[n]
+        curve = by_n.get(n, [])  # empty factor grid: no cells ran
         # Enforce monotonicity for interpolation robustness (tiny
         # non-monotonic wiggles are measurement noise).
         best = 0.0
@@ -166,33 +167,3 @@ def min_buffer_sweep(
                 model_packets=unit,
             ))
     return SweepResult(pipe_packets=pipe_packets, points=points, curves=curves)
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    result = min_buffer_sweep()
-    print("Figure 7: minimum buffer for target utilization (packets)")
-    print(f"{'n':>5} {'model RTTC/sqrt(n)':>20} "
-          + "".join(f"{f'{t * 100:.1f}%':>12}" for t in DEFAULT_TARGETS))
-    n_values = sorted({p.n_flows for p in result.points})
-    for n in n_values:
-        row = [p for p in result.points if p.n_flows == n]
-        model = row[0].model_packets
-        cells = "".join(
-            f"{p.buffer_packets:12.0f}" if p.achieved else f"{'>grid':>12}"
-            for p in sorted(row, key=lambda p: p.target)
-        )
-        print(f"{n:5d} {model:20.0f} {cells}")
-    series = {}
-    for target in DEFAULT_TARGETS:
-        pts = [(p.n_flows, p.buffer_packets) for p in result.for_target(target)
-               if p.achieved]
-        if pts:
-            series[f"{target * 100:.1f}%"] = pts
-    series["model"] = [(n, result.pipe_packets / math.sqrt(n)) for n in n_values]
-    print()
-    print(line_plot(series, title="min buffer vs n (model = RTTxC/sqrt(n))",
-                    xlabel="number of long-lived flows", ylabel="buffer (packets)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

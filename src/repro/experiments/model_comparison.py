@@ -32,7 +32,7 @@ from repro.core import buffer_for_utilization
 from repro.experiments.long_flow_sweep import min_buffer_sweep
 from repro.fluid.sweep import fluid_min_buffer
 
-__all__ = ["ComparisonRow", "compare_models", "main"]
+__all__ = ["ComparisonRow", "compare_models"]
 
 
 @dataclass
@@ -99,21 +99,3 @@ def compare_models(
             sqrt_rule=pipe_packets / math.sqrt(n),
         ))
     return rows
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    rows = compare_models()
-    print("Min buffer for 99% utilization (packets) — three instruments")
-    print(f"{'n':>5} {'sqrt-rule':>10} {'Gaussian':>10} {'fluid-desync':>13} "
-          f"{'fluid-sync':>11}")
-    for row in rows:
-        print(f"{row.n_flows:5d} {row.sqrt_rule:10.1f} {row.gaussian:10.1f} "
-              f"{row.fluid_desync:13.1f} {row.fluid_sync:11.1f}")
-    print("\nreading: synchronized fluid needs ~the full BDP at any n;"
-          "\ndeterministic desynchronized fluid needs almost none; the Gaussian"
-          "\nmodel's sqrt(n) curve is the statistical fluctuation between those"
-          "\nextremes — which is what real (packet-level) traffic pays.")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,7 +27,7 @@ from repro.net import build_parking_lot
 from repro.sim import RngStreams, Simulator
 from repro.tcp import TcpFlow
 
-__all__ = ["MultiBottleneckResult", "run_multibottleneck", "main"]
+__all__ = ["MultiBottleneckResult", "run_multibottleneck"]
 
 MSS = 960
 
@@ -126,20 +126,3 @@ def run_multibottleneck(
         cross_progress=sum(cross_prog) / len(cross_prog),
         fairness_within_cross=jain_index(cross_prog),
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    result = run_multibottleneck()
-    print("Extension: sqrt(n)-buffered parking lot (2 bottlenecks)")
-    for i, util in enumerate(result.hop_utilizations):
-        print(f"  backbone hop {i}: utilization {util * 100:6.2f}%")
-    print(f"  end-to-end share of hop 0: {result.e2e_throughput_share * 100:.1f}%")
-    print(f"  mean progress: e2e {result.e2e_progress:.0f} pkts vs cross "
-          f"{result.cross_progress:.0f} pkts")
-    print(f"  fairness among cross flows: {result.fairness_within_cross:.3f}")
-    print("\nreading: per-link sqrt(n) buffers still fill every link; "
-          "end-to-end flows pay the classic multi-bottleneck unfairness.")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -28,7 +28,7 @@ from repro.sim import RngStreams, Simulator
 from repro.traffic import BoundedPareto, LongLivedWorkload, ShortFlowWorkload, UdpSink, UdpSource
 from repro.units import Quantity, parse_bandwidth
 
-__all__ = ["ProductionRow", "production_table", "main"]
+__all__ = ["ProductionRow", "production_table"]
 
 #: The paper's Table 11 buffer sizes (packets).
 PAPER_BUFFERS = (500, 85, 65, 46)
@@ -145,18 +145,3 @@ def production_table(
                 pipe_packets, buffer_packets, n_concurrent),
         ))
     return rows
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    rows = production_table()
-    print("Table 11: emulated production network at 20 Mb/s")
-    print(f"{'buffer':>7} {'xRTTC/sqrt(n)':>14} {'util(meas)':>11} "
-          f"{'Mb/s':>7} {'util(model)':>12}")
-    for row in rows:
-        print(f"{row.buffer_packets:7d} {row.rule_multiple:14.1f} "
-              f"{row.utilization * 100:10.2f}% {row.throughput_bps / 1e6:7.3f} "
-              f"{row.model_utilization * 100:11.1f}%")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

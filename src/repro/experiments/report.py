@@ -1,14 +1,28 @@
-"""Generate EXPERIMENTS.md: paper-vs-measured for every figure & table.
+"""The one path from a paper artefact to its text and its verdict.
 
-Runs the complete evaluation at a chosen scale and renders one markdown
-document recording, per experiment: what the paper reports, what this
-reproduction measures, and whether the claim shape holds.
+Each entry of :data:`SECTIONS` is one artefact of the paper (Figures
+2–9, Tables 10–11), the ablation suite, or an extension experiment:
+the artefact module's compute function, run under
+``SCALES[scale][key]``; the one renderer of its table and ASCII plots;
+and the shape claims that decide its verdict.  A claim is evaluated,
+never asserted: every ``yes``/``NO`` in a **Verdict** block and in the
+closing "Headline checks" table is printed next to the number this run
+measured, and any ``NO`` turns the exit status to 3.  Static text says
+what the paper reports and why a deviation is expected, never what a
+run found.
 
 Usage::
 
-    python -m repro.experiments.report            # default scale, stdout
-    python -m repro.experiments.report --scale quick
-    python -m repro.experiments.report --output EXPERIMENTS.md
+    python -m repro.experiments.report                  # quick scale, stdout
+    python -m repro.experiments.report --scale default
+    python -m repro.experiments.report --scale default --output EXPERIMENTS.md
+
+The text is wrapped in ``<!-- report:begin -->`` / ``<!-- report:end
+-->``.  ``--output FILE`` replaces exactly that span of an existing
+FILE, creates FILE when it does not exist, and refuses (exit 2) to
+touch a FILE that has no such span.  ``repro figure N``, ``repro table
+N`` and ``repro ablations`` print their section at the ``default``
+scale through :func:`run_section`.
 """
 
 from __future__ import annotations
@@ -16,342 +30,899 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Dict, List, Optional
+import time
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
+from repro.errors import ConfigurationError
+from repro.experiments import ablations as abl
 from repro.experiments.afct_comparison import compare_buffers
-from repro.experiments.ablations import (
-    access_speed_ablation,
-    cc_flavor_ablation,
-    delayed_ack_ablation,
-    ecn_ablation,
-    pacing_ablation,
-    queue_discipline_ablation,
-    rtt_spread_ablation,
-    sack_ablation,
-)
+from repro.experiments.ascii_plot import histogram_plot, line_plot
 from repro.experiments.long_flow_sweep import min_buffer_sweep
+from repro.experiments.model_comparison import compare_models
+from repro.experiments.multibottleneck import run_multibottleneck
 from repro.experiments.production_network import production_table
 from repro.experiments.short_flow_sweep import afct_buffer_sweep
 from repro.experiments.single_flow import sawtooth_figures
 from repro.experiments.utilization_table import utilization_table
 from repro.experiments.window_distribution import run_window_distribution, sync_vs_n
+from repro.runner.supervisor import _git_sha
+from repro.units import format_bandwidth
 
-__all__ = ["SCALES", "generate_report", "main"]
+__all__ = ["SCALES", "SECTIONS", "Claim", "Section", "Rendered",
+           "render_section", "run_section", "generate_report", "main"]
 
-#: Parameter presets.  "quick" finishes in a few minutes; "default" in
-#: tens of minutes; "paper" approaches the paper's absolute scale (hours).
-SCALES: Dict[str, Dict] = {
+BEGIN, END = "<!-- report:begin -->", "<!-- report:end -->"
+
+#: Parameter presets, one entry per :data:`SECTIONS` key.  "quick"
+#: finishes in a few minutes; "default" in tens of minutes; "paper"
+#: approaches the paper's absolute scale (hours).  Seeds are spelled out
+#: so the report header can state them.
+SCALES: Dict[str, Dict[str, Dict]] = {
     "quick": dict(
-        single=dict(pipe_packets=80.0, bottleneck_rate="8Mbps",
-                    warmup=20.0, duration=40.0),
-        fig6=dict(n_flows=64, pipe_packets=300.0, warmup=15.0, duration=30.0),
-        sync_n=(4, 16, 64),
+        fig2=dict(pipe_packets=80.0, bottleneck_rate="8Mbps",
+                  warmup=20.0, duration=40.0),
+        fig6=dict(n_flows=64, pipe_packets=300.0, warmup=15.0, duration=30.0,
+                  seed=7, sync_n=(4, 16, 64)),
         fig7=dict(n_values=(16, 64), targets=(0.98, 0.995),
                   factors=(0.25, 0.5, 1.0, 2.0, 3.0),
-                  pipe_packets=300.0, warmup=15.0, duration=25.0),
+                  pipe_packets=300.0, warmup=15.0, duration=25.0, seed=3),
         fig8=dict(bandwidths=("10Mbps", "20Mbps"), load=0.8,
-                  buffer_grid=(10, 20, 30, 45, 60, 90), duration=30.0),
+                  buffer_grid=(10, 20, 30, 45, 60, 90), duration=30.0, seed=11),
         fig9=dict(n_long=36, pipe_packets=300.0, bottleneck_rate="30Mbps",
-                  warmup=15.0, duration=25.0),
-        table10=dict(n_values=(36, 64), factors=(0.5, 1.0, 2.0, 3.0),
-                     pipe_packets=300.0, warmup=15.0, duration=25.0),
+                  warmup=15.0, duration=25.0, seed=5),
+        table10=dict(n_values=(64, 100), factors=(0.5, 1.0, 2.0, 3.0),
+                     pipe_packets=300.0, warmup=15.0, duration=25.0, seed=9),
         table11=dict(buffers=(500, 85, 65, 46), warmup=10.0, duration=25.0,
-                     n_pairs=60, n_long=48),
+                     n_pairs=60, n_long=48, seed=17),
         ablations=dict(n_flows=36, pipe_packets=300.0, warmup=12.0,
-                       duration=20.0),
+                       duration=20.0, seed=21, access_seed=23),
+        models=dict(n_values=(16, 64), target=0.99, fluid_duration=40.0),
+        multibottleneck=dict(n_e2e=4, n_cross_per_hop=12, warmup=10.0,
+                             duration=20.0, seed=31),
     ),
     "default": dict(
-        single=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
-                    warmup=40.0, duration=100.0),
-        fig6=dict(n_flows=100, pipe_packets=400.0, warmup=25.0, duration=50.0),
-        sync_n=(4, 16, 64),
+        fig2=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
+                  warmup=40.0, duration=100.0),
+        fig6=dict(n_flows=100, pipe_packets=400.0, warmup=25.0, duration=50.0,
+                  seed=7, sync_n=(4, 16, 64)),
         fig7=dict(n_values=(16, 36, 100), targets=(0.98, 0.995, 0.999),
                   factors=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
-                  pipe_packets=400.0, warmup=20.0, duration=40.0),
+                  pipe_packets=400.0, warmup=20.0, duration=40.0, seed=3),
         fig8=dict(bandwidths=("10Mbps", "20Mbps", "40Mbps"), load=0.8,
-                  buffer_grid=(10, 20, 30, 40, 60, 80, 120), duration=45.0),
+                  buffer_grid=(10, 20, 30, 40, 60, 80, 120), duration=45.0,
+                  seed=11),
         fig9=dict(n_long=50, pipe_packets=400.0, bottleneck_rate="40Mbps",
-                  warmup=20.0, duration=40.0),
+                  warmup=20.0, duration=40.0, seed=5),
         table10=dict(n_values=(36, 64, 100, 144), factors=(0.5, 1.0, 2.0, 3.0),
-                     pipe_packets=400.0, warmup=20.0, duration=40.0),
+                     pipe_packets=400.0, warmup=20.0, duration=40.0, seed=9),
         table11=dict(buffers=(500, 85, 65, 46), warmup=15.0, duration=40.0,
-                     n_pairs=100, n_long=80),
+                     n_pairs=100, n_long=80, seed=17),
         ablations=dict(n_flows=64, pipe_packets=400.0, warmup=15.0,
-                       duration=30.0),
+                       duration=30.0, seed=21, access_seed=23),
+        models=dict(n_values=(16, 64, 256), target=0.99, fluid_duration=80.0),
+        multibottleneck=dict(n_e2e=8, n_cross_per_hop=24, warmup=20.0,
+                             duration=40.0, seed=31),
     ),
     "paper": dict(
-        single=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
-                    warmup=60.0, duration=200.0),
+        fig2=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
+                  warmup=60.0, duration=200.0),
         fig6=dict(n_flows=400, pipe_packets=1290.0, warmup=40.0,
-                  duration=80.0),
-        sync_n=(16, 64, 256),
+                  duration=80.0, seed=7, sync_n=(16, 64, 256)),
         fig7=dict(n_values=(50, 100, 200, 400),
                   targets=(0.98, 0.995, 0.999),
                   factors=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
-                  pipe_packets=1290.0, warmup=30.0, duration=60.0),
+                  pipe_packets=1290.0, warmup=30.0, duration=60.0, seed=3),
         fig8=dict(bandwidths=("40Mbps", "80Mbps", "200Mbps"), load=0.8,
                   buffer_grid=(10, 20, 30, 40, 60, 80, 120, 160),
-                  duration=60.0),
+                  duration=60.0, seed=11),
         fig9=dict(n_long=100, pipe_packets=1290.0,
-                  bottleneck_rate="130Mbps", warmup=30.0, duration=60.0),
+                  bottleneck_rate="130Mbps", warmup=30.0, duration=60.0,
+                  seed=5),
         table10=dict(n_values=(100, 200, 300, 400),
                      factors=(0.5, 1.0, 2.0, 3.0), pipe_packets=1290.0,
-                     bottleneck_rate="130Mbps", warmup=30.0, duration=60.0),
+                     bottleneck_rate="130Mbps", warmup=30.0, duration=60.0,
+                     seed=9),
         table11=dict(buffers=(500, 85, 65, 46), warmup=20.0, duration=60.0,
-                     n_pairs=150, n_long=120),
+                     n_pairs=150, n_long=120, seed=17),
         ablations=dict(n_flows=100, pipe_packets=1290.0,
-                       bottleneck_rate="130Mbps", warmup=20.0, duration=40.0),
+                       bottleneck_rate="130Mbps", warmup=20.0, duration=40.0,
+                       seed=21, access_seed=23),
+        models=dict(n_values=(16, 64, 256, 1024), target=0.99,
+                    pipe_packets=1290.0, fluid_duration=120.0),
+        multibottleneck=dict(n_e2e=16, n_cross_per_hop=48, link_rate="40Mbps",
+                             warmup=30.0, duration=60.0, seed=31),
     ),
 }
 
 
+class Claim(NamedTuple):
+    """One shape check: what must hold, whether it did, and the number.
+
+    ``text`` names the check and its threshold; ``measured`` is this
+    run's value, or the reason there is none.  ``headline`` is the row
+    of the "Headline checks" table the claim backs, if any.
+    """
+
+    text: str
+    holds: bool
+    measured: str
+    headline: str = ""
+
+
+class Section(NamedTuple):
+    """One artefact: compute function, renderer, claims, static note."""
+
+    title: str
+    run: Callable[..., Any]                  # run(**SCALES[scale][key])
+    body: Callable[[Any], List[str]]         # paper statement, table, plots
+    claims: Callable[[Any], List[Claim]]
+    note: str = ""    # what the paper reports / why a deviation is expected
+
+
+class Rendered(NamedTuple):
+    """Markdown text, the claims it was rendered from, wall seconds."""
+
+    text: str
+    claims: List[Claim]
+    seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return all(claim.holds for claim in self.claims)
+
+
+# ---------------------------------------------------------------------
+# Formatting and claim helpers
+# ---------------------------------------------------------------------
 def _pct(x: float) -> str:
-    return f"{x * 100:.2f}%" if not math.isnan(x) else "n/a"
+    return "n/a" if math.isnan(x) else f"{x * 100:.2f}%"
 
 
-def _section_single_flow(params: Dict, lines: List[str]) -> None:
-    lines.append("## Figures 2–5: single long-lived flow\n")
-    lines.append("Paper: `B = RTT x C` keeps the link exactly busy; below it "
-                 "the queue drains and the link idles; above it a standing "
-                 "queue adds pure delay.\n")
-    lines.append("| B / RTT·C | measured util | closed-form util | min queue "
-                 "| max queue | regime |")
-    lines.append("|---|---|---|---|---|---|")
-    for trace in sawtooth_figures(**params):
+def _secs(x: float) -> str:
+    return "n/a" if math.isnan(x) else f"{x:.3f} s"
+
+
+def _pkts(x: float) -> str:
+    return ">grid" if math.isnan(x) else f"{x:.0f}"
+
+
+def _fenced(plot: str) -> List[str]:
+    return ["", "```", plot, "```"]
+
+
+def _every(text: str, rows: Sequence, ok: Callable[[Any], bool],
+           margin: Callable[[Any], float], show: Callable[[Any], str],
+           headline: str = "") -> Claim:
+    """``ok`` must hold on every row; no rows is a NO, not a vacuous yes.
+
+    ``measured`` shows the row with the smallest ``margin`` — among the
+    failing rows, if any.  ``ok`` is written so that a nan input fails it
+    (every comparison with nan is false).
+    """
+    rows = list(rows)
+    if not rows:
+        return Claim(text, False, "nothing measured", headline)
+    bad = [row for row in rows if not ok(row)]
+    more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
+    return Claim(text, not bad, show(min(bad or rows, key=margin)) + more,
+                 headline)
+
+
+# ---------------------------------------------------------------------
+# Figures 2–5
+# ---------------------------------------------------------------------
+_H_SINGLE = "`B = RTT·C` is exact for one flow"
+
+
+def _fig2_body(traces) -> List[str]:
+    lines = ["Paper: `B = RTT x C` keeps the link exactly busy (Fig 3); below "
+             "it the queue drains and the link idles (Fig 4); above it a "
+             "standing queue adds pure delay (Fig 5).\n",
+             "| B / RTT·C | B pkts | measured util | closed-form util "
+             "| min queue | max queue | regime |",
+             "|---|---|---|---|---|---|---|"]
+    for trace in traces:
         regime = ("underbuffered (Fig 4)" if trace.buffer_fraction < 1 else
                   "exact (Fig 3)" if trace.buffer_fraction == 1 else
                   "overbuffered (Fig 5)")
         lines.append(
-            f"| {trace.buffer_fraction:.2f} | {_pct(trace.utilization)} "
-            f"| {_pct(trace.model_utilization)} | {trace.min_queue:.0f} "
-            f"| {trace.max_queue:.0f} | {regime} |")
-    lines.append("\n**Verdict:** simulation matches the Section 2 closed form "
-                 "(within ~1%) in all three regimes.\n")
+            f"| {trace.buffer_fraction:.2f} | {trace.buffer_packets} "
+            f"| {_pct(trace.utilization)} | {_pct(trace.model_utilization)} "
+            f"| {trace.min_queue:.0f} | {trace.max_queue:.0f} | {regime} |")
+    for trace in traces:
+        if trace.buffer_fraction == 1 and len(trace.cwnd):
+            start = trace.cwnd.times[0]
+            window = trace.cwnd.slice(start, start + 60.0)
+            queue = trace.queue.slice(start, window.times[-1])
+            lines += _fenced(line_plot(
+                {"W(t)": list(window), "Q(t)": list(queue)},
+                title="Figure 3: window and queue evolution, B = RTT x C",
+                xlabel="time (s)", ylabel="packets"))
+            break
+    return lines
 
 
-def _section_fig6(params: Dict, sync_n, lines: List[str]) -> None:
-    lines.append("## Figure 6: the aggregate window is Gaussian\n")
-    result = run_window_distribution(**params)
-    fit = result.fit
-    lines.append(f"Paper: the sum of congestion windows of desynchronized "
-                 f"flows converges to a Gaussian (CLT).\n")
-    lines.append(f"- flows: {result.n_flows}; fitted N(mean={fit.mean:.1f}, "
-                 f"std={fit.std:.2f}) packets over {fit.n_samples} samples")
-    lines.append(f"- Kolmogorov–Smirnov distance from the fit: "
-                 f"**{fit.ks_distance:.4f}** "
-                 f"({'Gaussian to the eye' if result.looks_gaussian else 'poor fit'})")
-    lines.append(f"- synchronization index: {result.sync_index:.3f} "
-                 f"(0 = independent, 1 = lockstep)\n")
-    lines.append("Synchronization vs flow count (worst case: identical RTTs, "
-                 "simultaneous starts — any RTT spread already gives ~0):\n")
-    lines.append("| n | sync index |")
-    lines.append("|---|---|")
-    for n, sync in sync_vs_n(n_values=sync_n,
-                             pipe_packets=params.get("pipe_packets", 400.0)):
-        lines.append(f"| {n} | {sync:.3f} |")
-    lines.append("\n**Verdict:** Gaussian aggregate confirmed; in-phase "
-                 "synchronization fades as n grows, as Section 3 observes.\n")
+def _fig2_claims(traces) -> List[Claim]:
+    def gap(t):
+        return abs(t.utilization - t.model_utilization)
+
+    def show_queue(t):
+        return f"B = {t.buffer_fraction:g}x: min queue {t.min_queue:.0f} pkts"
+
+    return [
+        _every("utilization within 0.02 of the Section 2 closed form at every B",
+               traces, lambda t: gap(t) <= 0.02, lambda t: -gap(t),
+               lambda t: f"largest gap {gap(t):.4f} at B = {t.buffer_fraction:g}x",
+               _H_SINGLE),
+        _every("underbuffered: the queue empties (min queue 0)",
+               [t for t in traces if t.buffer_fraction < 1],
+               lambda t: t.link_ever_idle, lambda t: -t.min_queue, show_queue),
+        _every("overbuffered: a standing queue (min queue > 0)",
+               [t for t in traces if t.buffer_fraction > 1],
+               lambda t: t.standing_queue > 0, lambda t: t.min_queue, show_queue),
+    ]
 
 
-def _section_fig7(params: Dict, lines: List[str]) -> None:
-    lines.append("## Figure 7: minimum buffer vs number of flows\n")
-    lines.append("Paper (OC3, ~80 ms RTT): the minimum buffer for 98%+ "
-                 "utilization tracks `RTT·C/sqrt(n)` once flows "
-                 "desynchronize (n ≳ 250 at full scale), and ~2x that for "
-                 "99.9%.\n")
-    result = min_buffer_sweep(**params)
+# ---------------------------------------------------------------------
+# Figure 6
+# ---------------------------------------------------------------------
+_H_GAUSS = "aggregate window is Gaussian"
+_H_SYNC = "synchronization fades as n grows"
+
+
+def _run_fig6(sync_n: Sequence[int], **params):
+    """The Figure 6 run plus the worst-case synchronization sweep."""
+    sweep = {k: params[k] for k in ("pipe_packets", "seed") if k in params}
+    return run_window_distribution(**params), sync_vs_n(n_values=sync_n, **sweep)
+
+
+def _fig6_body(result) -> List[str]:
+    dist, sync_points = result
+    fit = dist.fit
+    lines = ["Paper: the sum of the congestion windows of desynchronized "
+             "flows converges to a Gaussian (CLT), which is where `1/sqrt(n)` "
+             "comes from; in-phase synchronization is common below ~100 "
+             "flows and rare above ~500.\n"]
+    if fit is not None:
+        lines += [
+            f"- flows: {dist.n_flows}; fitted N(mean={fit.mean:.1f}, "
+            f"std={fit.std:.2f}) packets over {fit.n_samples} samples",
+            f"- Kolmogorov–Smirnov distance from the fit: "
+            f"**{fit.ks_distance:.4f}**",
+            f"- synchronization index: {dist.sync_index:.3f} "
+            "(0 = independent, 1 = lockstep)",
+            f"- utilization: {_pct(dist.utilization)}"]
+        edges, counts = dist.histogram
+        lines += _fenced(histogram_plot(
+            edges, counts, overlay=dist.model_overlay(),
+            title="empirical (#) vs fitted Gaussian (|)"))
+    lines += ["\nSynchronization vs flow count in the worst case (identical "
+              "RTTs, simultaneous starts):\n",
+              "| n | sync index |", "|---|---|"]
+    lines += [f"| {n} | {sync:.3f} |" for n, sync in sync_points]
+    return lines
+
+
+def _fig6_claims(result) -> List[Claim]:
+    dist, sync_points = result
+    fit = dist.fit
+    gauss = "K-S distance of the aggregate window from its fitted normal < 0.1"
+    claims = [
+        Claim(gauss, False, "no window samples", _H_GAUSS) if fit is None else
+        Claim(gauss, dist.looks_gaussian,
+              f"K-S {fit.ks_distance:.4f} at n = {dist.n_flows}", _H_GAUSS),
+        Claim("synchronization index < 0.2 with spread RTTs",
+              dist.sync_index < 0.2,
+              f"sync index {dist.sync_index:.3f} at n = {dist.n_flows}", _H_GAUSS),
+    ]
+    fades = "worst-case sync index lower at the largest n than at the smallest"
+    points = sorted(sync_points)
+    if len(points) < 2:
+        claims.append(Claim(fades, False, "needs two flow counts", _H_SYNC))
+    else:
+        (n_lo, s_lo), (n_hi, s_hi) = points[0], points[-1]
+        claims.append(Claim(fades, s_hi < s_lo,
+                            f"sync index {s_lo:.3f} at n = {n_lo} -> {s_hi:.3f} at n = {n_hi}",
+                            _H_SYNC))
+    return claims
+
+
+# ---------------------------------------------------------------------
+# Figure 7
+# ---------------------------------------------------------------------
+_H_SQRT = "`RTT·C/sqrt(n)` suffices for near-full utilization"
+
+
+def _fig7_body(result) -> List[str]:
     targets = sorted({p.target for p in result.points})
-    header = "| n | model RTT·C/√n | " + " | ".join(
-        f"min B @ {t * 100:.1f}%" for t in targets) + " |"
-    lines.append(header)
-    lines.append("|---" * (len(targets) + 2) + "|")
-    for n in sorted({p.n_flows for p in result.points}):
-        row = [p for p in result.points if p.n_flows == n]
-        model = row[0].model_packets
-        cells = []
-        for t in targets:
-            point = next(p for p in row if p.target == t)
-            cells.append(f"{point.buffer_packets:.0f} "
-                         f"({point.buffer_factor:.1f}x)"
-                         if point.achieved else ">grid")
-        lines.append(f"| {n} | {model:.0f} | " + " | ".join(cells) + " |")
-    lines.append("\n**Verdict:** the requirement falls with n and sits at a "
-                 "small multiple of the sqrt(n) rule; the highest target "
-                 "needs roughly twice the 98% buffer, matching the paper. "
-                 "At small n the multiple exceeds 1x — the partial-"
-                 "synchronization regime the paper also reports.\n")
+    n_values = sorted({p.n_flows for p in result.points})
+    lines = ["Paper (OC3, ~80 ms RTT): the minimum buffer for 98%+ "
+             "utilization tracks `RTT·C/sqrt(n)` once flows desynchronize "
+             "(n ≳ 250 at full scale), and ~2x that for 99.9%.\n",
+             " | ".join(["| n", "model RTT·C/√n"] + [
+                 f"min B @ {t * 100:.1f}%" for t in targets]) + " |",
+             "|---" * (len(targets) + 2) + "|"]
+    for n in n_values:
+        row = sorted((p for p in result.points if p.n_flows == n),
+                     key=lambda p: p.target)
+        cells = [f"{p.buffer_packets:.0f} ({p.buffer_factor:.1f}x)"
+                 if p.achieved else ">grid" for p in row]
+        lines.append(f"| {n} | {row[0].model_packets:.0f} | "
+                     + " | ".join(cells) + " |")
+    series = {f"{t * 100:.1f}%": [(p.n_flows, p.buffer_packets)
+                                  for p in result.for_target(t) if p.achieved]
+              for t in targets}
+    series = {label: pts for label, pts in series.items() if pts}
+    if series:
+        series["model"] = [(n, result.pipe_packets / math.sqrt(n))
+                           for n in n_values]
+        lines += _fenced(line_plot(
+            series, title="min buffer vs n (model = RTTxC/sqrt(n))",
+            xlabel="number of long-lived flows", ylabel="buffer (packets)"))
+    return lines
 
 
-def _section_fig8(params: Dict, lines: List[str]) -> None:
-    lines.append("## Figure 8: short-flow buffer vs bandwidth\n")
-    lines.append("Paper (40/80/200 Mb/s at load 0.8): the buffer keeping "
-                 "AFCT within 12.5% of the infinite-buffer baseline is the "
-                 "*same* at every rate, near the M/G/1 bound at "
-                 "`P(Q >= B) = 0.025`.\n")
-    points = afct_buffer_sweep(**params)
-    lines.append("| bandwidth | AFCT (infinite B) | min buffer | model |")
-    lines.append("|---|---|---|---|")
+def _fig7_claims(result) -> List[Claim]:
+    falls = "min buffer for the lowest target falls from the smallest n to the largest"
+    near = "at the largest n that buffer is <= 3.0x `RTT·C/sqrt(n)`"
+    order = "a higher target never needs a smaller buffer (>grid counts as larger)"
+    targets = sorted({p.target for p in result.points})
+    low = sorted(result.for_target(targets[0]) if targets else [],
+                 key=lambda p: p.n_flows)
+    missing = sorted({p.n_flows for p in low[:1] + low[-1:] if not p.achieved})
+    why = ("nothing measured" if not low else
+           f"{targets[0] * 100:.1f}% is >grid at n = "
+           + ", ".join(map(str, missing)) if missing else "")
+    if why:
+        claims = [Claim(falls, False, why), Claim(near, False, why, _H_SQRT)]
+    else:
+        first, last = low[0], low[-1]
+        label = f"{targets[0] * 100:.1f}%"
+        claims = [
+            Claim(falls, last.buffer_packets < first.buffer_packets,
+                  f"{label}: {first.buffer_packets:.0f} pkts at n = {first.n_flows}"
+                  f" -> {last.buffer_packets:.0f} at n = {last.n_flows}"),
+            Claim(near, last.buffer_factor <= 3.0,
+                  f"{label}: {last.buffer_factor:.2f}x the rule at n = {last.n_flows}",
+                  _H_SQRT),
+        ]
+
+    def step(n):
+        """Smallest buffer increase between consecutive targets at ``n``."""
+        sizes = [p.buffer_packets if p.achieved else math.inf
+                 for p in sorted((p for p in result.points if p.n_flows == n),
+                                 key=lambda p: p.target)]
+        return min((hi - lo for lo, hi in zip(sizes, sizes[1:])
+                    if not math.isinf(lo)), default=math.inf)
+
+    claims.append(_every(
+        order, sorted({p.n_flows for p in result.points if p.achieved}),
+        lambda n: step(n) >= 0, step,
+        lambda n: f"n = {n}: " + ("every higher target is >grid"
+                                  if math.isinf(step(n)) else
+                                  f"smallest step between targets {step(n):+.1f} pkts")))
+    return claims
+
+
+# ---------------------------------------------------------------------
+# Figure 8
+# ---------------------------------------------------------------------
+_H_SHORT = "short-flow buffer depends on load and bursts, not line rate"
+
+
+def _fig8_body(points) -> List[str]:
+    lines = ["Paper (40/80/200 Mb/s at load 0.8): the buffer keeping AFCT "
+             "within 12.5% of the infinite-buffer baseline is the *same* at "
+             "every rate, near the M/G/1 bound at `P(Q >= B) = 0.025`.\n",
+             "| bandwidth | AFCT (infinite B) | min buffer | AFCT at min "
+             "| model |", "|---|---|---|---|---|"]
     for p in points:
-        buf = f"{p.min_buffer_packets:.0f} pkts" if p.achieved else ">grid"
-        lines.append(f"| {p.bandwidth_bps / 1e6:.0f} Mb/s "
-                     f"| {p.afct_infinite:.3f} s | {buf} "
+        lines.append(f"| {format_bandwidth(p.bandwidth_bps)} "
+                     f"| {_secs(p.afct_infinite)} | {_pkts(p.min_buffer_packets)} pkts "
+                     f"| {_secs(p.afct_at_min)} "
                      f"| {p.model_buffer_packets:.0f} pkts |")
-    lines.append("\n**Verdict:** the measured minimum buffer is essentially "
-                 "rate-independent and of the same magnitude as the "
-                 "effective-bandwidth model — the paper's key short-flow "
-                 "claim.\n")
+    return lines
 
 
-def _section_fig9(params: Dict, lines: List[str]) -> None:
-    lines.append("## Figure 9: AFCT with small vs large buffers\n")
-    lines.append("Paper: in a mix of long and short flows, "
-                 "`RTT·C/sqrt(n)` buffers give *shorter* flow-completion "
-                 "times than `RTT·C` buffers (less queueing delay), at no "
-                 "material utilization cost.\n")
-    small, large = compare_buffers(**params)
-    lines.append("| buffer | AFCT | p99 FCT | utilization | mean queue |")
-    lines.append("|---|---|---|---|---|")
-    for label, r in [("RTT·C/√n", small), ("RTT·C", large)]:
-        lines.append(f"| {r.buffer_packets} pkts ({label}) | {r.afct:.3f} s "
-                     f"| {r.p99_fct:.3f} s | {_pct(r.utilization)} "
+def _fig8_claims(points) -> List[Claim]:
+    reached = [p.min_buffer_packets for p in points if p.achieved]
+    spread = "min buffers across the rate range within 40 packets of each other"
+    return [
+        _every("every rate meets the AFCT criterion on the buffer grid",
+               points, lambda p: p.achieved, lambda p: -p.min_buffer_packets,
+               lambda p: f"{format_bandwidth(p.bandwidth_bps)}: "
+                         f"{_pkts(p.min_buffer_packets)} pkts"),
+        Claim(spread, max(reached) <= min(reached) + 40,
+              f"min buffers {min(reached):.0f}–{max(reached):.0f} pkts over "
+              f"{len(reached)} rate(s)", _H_SHORT)
+        if reached else Claim(spread, False, "no rate met the criterion", _H_SHORT),
+        _every("min buffer <= max(1.5x model, 60) packets at every rate", points,
+               lambda p: p.min_buffer_packets <= max(1.5 * p.model_buffer_packets, 60),
+               lambda p: -p.min_buffer_packets,
+               lambda p: f"{format_bandwidth(p.bandwidth_bps)}: "
+                         f"{_pkts(p.min_buffer_packets)} pkts vs model "
+                         f"{p.model_buffer_packets:.0f}"),
+    ]
+
+
+# ---------------------------------------------------------------------
+# Figure 9
+# ---------------------------------------------------------------------
+_H_AFCT = "small buffers *reduce* AFCT in mixes"
+
+
+def _fig9_body(result) -> List[str]:
+    lines = ["Paper: in a mix of long and short flows, `RTT·C/sqrt(n)` "
+             "buffers give *shorter* flow-completion times than `RTT·C` "
+             "buffers (less queueing delay), at no material utilization "
+             "cost.\n",
+             "| buffer | short flows | AFCT | p99 FCT | utilization "
+             "| mean queue |", "|---|---|---|---|---|---|"]
+    for label, r in zip(("RTT·C/√n", "RTT·C"), result):
+        lines.append(f"| {r.buffer_packets} pkts ({label}) "
+                     f"| {r.n_short_completed} | {_secs(r.afct)} "
+                     f"| {_secs(r.p99_fct)} | {_pct(r.utilization)} "
                      f"| {r.mean_queue:.1f} pkts |")
-    speedup = large.afct / small.afct
-    lines.append(f"\n**Verdict:** short flows complete **{speedup:.2f}x "
-                 f"faster** with the small buffer while utilization moves by "
-                 f"{(large.utilization - small.utilization) * 100:+.1f} "
-                 "points — the paper's Figure 9 in miniature.\n")
+    return lines
 
 
-def _section_table10(params: Dict, lines: List[str]) -> None:
-    lines.append("## Table 10: model vs simulation vs (emulated) testbed\n")
-    lines.append("Paper (OC3, Cisco GSR 12410 + Harpoon): utilization at "
-                 "0.5/1/2/3x `RTT·C/sqrt(n)` for 100–400 flows; Model ≈ Sim "
-                 "≈ Exp at 1x and above.  Our Exp column replaces the "
-                 "physical router with the same simulation plus host-stack "
-                 "jitter (see DESIGN.md).\n")
-    rows = utilization_table(**params)
-    lines.append("| n | B (xRTT·C/√n) | packets | Model | Sim | Exp |")
-    lines.append("|---|---|---|---|---|---|")
+def _fig9_claims(result) -> List[Claim]:
+    small, large = result
+    faster = "short flows finish sooner with the small buffer"
+    speedup = "AFCT speed-up > 1.1x"
+    if not (small.afct > 0 and large.afct > 0):  # nan when none completed
+        why = (f"no AFCT: {small.n_short_completed} / {large.n_short_completed} "
+               "short flows completed (small / large buffer)")
+        latency = [Claim(faster, False, why, _H_AFCT), Claim(speedup, False, why, _H_AFCT)]
+    else:
+        latency = [
+            Claim(faster, small.afct < large.afct,
+                  f"AFCT {small.afct:.3f} s vs {large.afct:.3f} s", _H_AFCT),
+            Claim(speedup, large.afct / small.afct > 1.1,
+                  f"{large.afct / small.afct:.2f}x", _H_AFCT),
+        ]
+    return latency + [
+        Claim("the large buffer buys < 0.08 of utilization",
+              large.utilization - small.utilization < 0.08,
+              f"{(large.utilization - small.utilization) * 100:+.2f} points "
+              f"({_pct(small.utilization)} -> {_pct(large.utilization)})"),
+        Claim("the large buffer's mean queue is > 2x the small buffer's",
+              large.mean_queue > small.mean_queue * 2,
+              f"{large.mean_queue:.1f} vs {small.mean_queue:.1f} pkts"),
+    ]
+
+
+# ---------------------------------------------------------------------
+# Table 10
+# ---------------------------------------------------------------------
+def _table10_body(rows) -> List[str]:
+    lines = ["Paper (OC3, Cisco GSR 12410 + Harpoon): utilization at "
+             "0.5/1/2/3x `RTT·C/sqrt(n)` for 100–400 flows; Model ≈ Sim ≈ Exp "
+             "at 1x and above (1x: Model 99.9–100% / Sim 99.2–99.8% / Exp "
+             "98.1–100%; 2–3x: ~100% everywhere; 0.5x: 96.9–99.7%).  Our Exp "
+             "column replaces the physical router with the same simulation "
+             "plus host-stack jitter (see DESIGN.md).\n",
+             "| n | B (xRTT·C/√n) | packets | Model | Sim | Exp |",
+             "|---|---|---|---|---|---|"]
     for row in rows:
         lines.append(f"| {row.n_flows} | {row.factor:.1f}x "
                      f"| {row.buffer_packets} | {_pct(row.model)} "
                      f"| {_pct(row.sim)} | {_pct(row.exp)} |")
-    lines.append("\nPaper's own rows for reference (n=100..400, OC3): 1x "
-                 "gives Model 99.9–100% / Sim 99.2–99.8% / Exp 98.1–100%; "
-                 "2–3x give ~100% everywhere; 0.5x gives 96.9–99.7%.\n")
-    lines.append("**Verdict:** same structure — near-full at 1x, full at "
-                 "2–3x, a measurable dip at 0.5x that shrinks as n grows. "
-                 "Our absolute 1x utilizations run 1–3 points below the "
-                 "paper's because the scaled pipe gives each flow a smaller "
-                 "window (more timeout-bound); see the fidelity notes.\n")
+    return lines
 
 
-def _section_table11(params: Dict, lines: List[str]) -> None:
-    lines.append("## Table 11: production-network check (emulated)\n")
-    lines.append("Paper (Stanford dorm, throttled to 20 Mb/s, n≈400, "
-                 "RTT ≤ 250 ms): utilization 99.92% at 500 pkts, 98.55% at "
-                 "85, 97.55% at 65, 97.41% at 46.\n")
-    rows = production_table(**params)
-    lines.append("| buffer | x RTT·C/√n | measured util | model util |")
-    lines.append("|---|---|---|---|")
+def _table10_claims(rows) -> List[Claim]:
+    def at(row):
+        return f"n = {row.n_flows}, {row.factor:g}x"
+
+    # (smaller, bigger) buffer at the same n, over multiples up to 2x.
+    steps = [(a, b) for a, b in zip(rows, rows[1:])
+             if a.n_flows == b.n_flows and a.factor < b.factor <= 2.0]
+    return [
+        _every("Sim > 98.5% at 2x and 3x for every n",
+               [r for r in rows if r.factor >= 2.0],
+               lambda r: r.sim > 0.985, lambda r: r.sim,
+               lambda r: f"lowest Sim {_pct(r.sim)} at {at(r)}", _H_SQRT),
+        _every("Sim rises with the buffer multiple up to 2x (0.01 slack)", steps,
+               lambda s: s[0].sim <= s[1].sim + 0.01,
+               lambda s: s[1].sim - s[0].sim,
+               lambda s: f"{_pct(s[0].sim)} at {at(s[0])} -> {_pct(s[1].sim)} "
+                         f"at {s[1].factor:g}x"),
+        _every("|Model − Sim| < 0.06 at 1x and above for every n",
+               [r for r in rows if r.factor >= 1.0],
+               lambda r: abs(r.model - r.sim) < 0.06,
+               lambda r: -abs(r.model - r.sim),
+               lambda r: f"largest gap {abs(r.model - r.sim):.4f} at {at(r)}"),
+    ]
+
+
+# ---------------------------------------------------------------------
+# Table 11
+# ---------------------------------------------------------------------
+def _table11_body(rows) -> List[str]:
+    lines = ["Paper (Stanford dorm, throttled to 20 Mb/s, n≈400, RTT ≤ 250 "
+             "ms): utilization 99.92% at 500 pkts, 98.55% at 85, 97.55% at "
+             "65, 97.41% at 46.\n",
+             "| buffer | x RTT·C/√n | measured util | Mb/s | model util |",
+             "|---|---|---|---|---|"]
     for row in rows:
         lines.append(f"| {row.buffer_packets} pkts | {row.rule_multiple:.1f}x "
                      f"| {_pct(row.utilization)} "
+                     f"| {row.throughput_bps / 1e6:.3f} "
                      f"| {_pct(row.model_utilization)} |")
-    lines.append("\n**Verdict:** monotone decay as the buffer falls below "
-                 "~1.5x the rule, near-full above it — the paper's shape. "
-                 "Our decay is shallower than Stanford's because live dorm "
-                 "traffic is burstier than our stationary mix.\n")
+    return lines
 
 
-def _section_ablations(params: Dict, lines: List[str]) -> None:
-    lines.append("## Ablations\n")
-    lines.append("| ablation | variant | utilization | loss | note |")
-    lines.append("|---|---|---|---|---|")
-    suites = [
-        ("queue discipline (1x buffer)", queue_discipline_ablation(**params), ""),
-        ("delayed ACKs (1x buffer)", delayed_ack_ablation(**params), ""),
-        ("RTT spread (1x buffer)", rtt_spread_ablation(**params), "sync"),
-        ("CC flavor (1x buffer)", cc_flavor_ablation(**params), "timeouts"),
-        ("pacing (0.25x buffer)", pacing_ablation(**params), "timeouts"),
-        ("SACK (1x buffer)", sack_ablation(**params), "timeouts"),
-        ("ECN mark vs drop (RED, 1x buffer)", ecn_ablation(**params), "timeouts"),
-        ("access speed (short flows)", access_speed_ablation(), "afct"),
+def _table11_claims(rows) -> List[Claim]:
+    ordered = sorted(rows, key=lambda r: -r.buffer_packets)
+    below = "the smallest buffer is measurably below the largest"
+    return [
+        _every("the largest buffer saturates the link (> 99%)", ordered[:1],
+               lambda r: r.utilization > 0.99, lambda r: r.utilization,
+               lambda r: f"{_pct(r.utilization)} at {r.buffer_packets} pkts"),
+        _every("shrinking the buffer never helps (0.005 slack)",
+               list(zip(ordered, ordered[1:])),
+               lambda s: s[1].utilization <= s[0].utilization + 0.005,
+               lambda s: s[0].utilization - s[1].utilization,
+               lambda s: f"{_pct(s[0].utilization)} at {s[0].buffer_packets} pkts "
+                         f"-> {_pct(s[1].utilization)} at {s[1].buffer_packets}"),
+        Claim(below, ordered[-1].utilization < ordered[0].utilization,
+              f"{_pct(ordered[-1].utilization)} at {ordered[-1].buffer_packets} pkts "
+              f"vs {_pct(ordered[0].utilization)} at {ordered[0].buffer_packets}")
+        if len(ordered) > 1 else Claim(below, False, "needs two buffer sizes"),
     ]
-    for name, rows, note_kind in suites:
+
+
+# ---------------------------------------------------------------------
+# Ablations
+# ---------------------------------------------------------------------
+_H_RED = "results hold under RED"
+
+#: suite key -> (table label, ablation, name of the ``extra`` column)
+_ABLATIONS = {
+    "queue": ("queue discipline (1x buffer)", abl.queue_discipline_ablation, ""),
+    "delack": ("delayed ACKs (1x buffer)", abl.delayed_ack_ablation, ""),
+    "rtt": ("RTT spread (1x buffer)", abl.rtt_spread_ablation, ""),
+    "cc": ("CC flavor (1x buffer)", abl.cc_flavor_ablation, "timeouts"),
+    "pacing": ("pacing (0.25x buffer)", abl.pacing_ablation, "timeouts"),
+    "sack": ("SACK (1x buffer)", abl.sack_ablation, "timeouts"),
+    "ecn": ("ECN mark vs drop (RED, 1x buffer)", abl.ecn_ablation, "timeouts"),
+    "access": ("access speed (short flows)", abl.access_speed_ablation, "afct"),
+}
+
+
+def _run_ablations(access_seed: int, **params) -> Dict[str, List]:
+    """Every suite of :data:`_ABLATIONS`; the short-flow one has its own
+    parameters and takes only its seed from the preset."""
+    return {key: fn(seed=access_seed) if key == "access" else fn(**params)
+            for key, (_, fn, _) in _ABLATIONS.items()}
+
+
+def _ablations_body(suites) -> List[str]:
+    lines = ["Paper: \"we expect our results to be valid for other queueing "
+             "disciplines (e.g., RED) as well\"; the sqrt(n) rule assumes "
+             "desynchronized flows; Section 4 expects slow access links to "
+             "smooth bursts.\n",
+             "| ablation | variant | utilization | loss | note |",
+             "|---|---|---|---|---|"]
+    for key, rows in suites.items():
+        label, _, extra = _ABLATIONS[key]
         for row in rows:
-            if note_kind == "sync" and not math.isnan(row.sync_index):
-                note = f"sync={row.sync_index:.3f}"
-            elif note_kind and not math.isnan(row.extra):
-                note = f"{note_kind}={row.extra:.3f}"
-            else:
-                note = ""
-            lines.append(f"| {name} | {row.variant} | {_pct(row.utilization)} "
-                         f"| {row.loss_rate * 100:.2f}% | {note} |")
-    lines.append("\nReadings: RED (with timescale-matched parameters) tracks "
-                 "drop-tail — the result is not a drop-tail artifact; "
-                 "delayed ACKs cost little; identical RTTs re-synchronize "
-                 "flows and hurt, confirming the desynchronization "
-                 "assumption; Reno ≥ Tahoe; pacing rescues utilization at "
-                 "buffers far below the sqrt rule; SACK matches or beats "
-                 "Reno with far fewer timeouts; ECN signals congestion "
-                 "without the loss; slow access links smooth "
-                 "bursts, as Section 4 predicts.\n")
+            note = (f"sync={row.sync_index:.3f}" if not math.isnan(row.sync_index)
+                    else f"{extra}={row.extra:.3f}"
+                    if extra and not math.isnan(row.extra) else "")
+            lines.append(f"| {label} | {row.variant} | {_pct(row.utilization)} "
+                         f"| {_pct(row.loss_rate)} | {note} |")
+    return lines
 
 
-def generate_report(scale: str = "quick") -> str:
-    """Run the full evaluation at ``scale`` and return EXPERIMENTS.md text."""
+def _ablations_claims(suites) -> List[Claim]:
+    def util(rows):
+        return " vs ".join(f"{r.variant} {_pct(r.utilization)}" for r in rows)
+
+    def loss(rows):
+        return " vs ".join(f"{r.variant} {_pct(r.loss_rate)}" for r in rows)
+
+    droptail, red = suites["queue"]
+    immediate, delack = suites["delack"]
+    same_rtt, spread = suites["rtt"]
+    flavors = {row.variant: row for row in suites["cc"]}
+    unpaced, paced = suites["pacing"]
+    reno, sack = suites["sack"]
+    drop, mark = suites["ecn"]
+    fast, slow = suites["access"]
+    return [
+        Claim("RED within 0.08 of drop-tail utilization at the same buffer",
+              abs(droptail.utilization - red.utilization) < 0.08,
+              util(suites["queue"]), _H_RED),
+        Claim("delayed ACKs cost < 0.1 of utilization",
+              delack.utilization > immediate.utilization - 0.1,
+              util(suites["delack"])),
+        Claim("identical RTTs synchronize more than spread RTTs",
+              same_rtt.sync_index > spread.sync_index,
+              f"sync {same_rtt.sync_index:.3f} vs {spread.sync_index:.3f}"),
+        Claim("spread RTTs desynchronize (sync index < 0.1)",
+              spread.sync_index < 0.1, f"sync {spread.sync_index:.3f}"),
+        Claim("Reno within 0.02 of Tahoe or better",
+              flavors["reno"].utilization >= flavors["tahoe"].utilization - 0.02,
+              util([flavors["tahoe"], flavors["reno"]])),
+        _every("every CC flavor keeps utilization > 70%", suites["cc"],
+               lambda r: r.utilization > 0.7, lambda r: r.utilization,
+               lambda r: f"lowest: {r.variant} {_pct(r.utilization)}"),
+        Claim("pacing gains > 0.05 of utilization at the tiny buffer",
+              paced.utilization > unpaced.utilization + 0.05,
+              util(suites["pacing"])),
+        Claim("pacing lowers the loss rate",
+              paced.loss_rate < unpaced.loss_rate, loss(suites["pacing"])),
+        Claim("SACK within 0.01 of Reno's utilization or better",
+              sack.utilization >= reno.utilization - 0.01, util(suites["sack"])),
+        Claim("SACK takes fewer timeouts than Reno", sack.extra < reno.extra,
+              f"{sack.extra:.0f} vs {reno.extra:.0f} timeouts"),
+        Claim("ECN marking at least halves RED's loss rate",
+              mark.loss_rate < drop.loss_rate * 0.5, loss(suites["ecn"])),
+        Claim("ECN marking within 0.05 of RED dropping's utilization",
+              abs(mark.utilization - drop.utilization) < 0.05,
+              util(suites["ecn"])),
+        Claim("slow access never drops more than fast access (0.002 slack)",
+              slow.loss_rate <= fast.loss_rate + 0.002, loss(suites["access"])),
+    ]
+
+
+# ---------------------------------------------------------------------
+# Extensions: model bracket, two bottlenecks
+# ---------------------------------------------------------------------
+def _models_body(rows) -> List[str]:
+    lines = ["Extension: minimum buffer (packets) for the utilization "
+             "target by three instruments.  Synchronized fluid AIMD is the "
+             "rule-of-thumb's world, deterministic desynchronized fluid AIMD "
+             "has no statistics at all; the Gaussian `sqrt(n)` curve is the "
+             "fluctuation term between them.\n",
+             "| n | √n rule | Gaussian model | fluid desync | fluid sync |",
+             "|---|---|---|---|---|"]
+    for row in rows:
+        lines.append(f"| {row.n_flows} | {row.sqrt_rule:.1f} | {row.gaussian:.1f} "
+                     f"| {row.fluid_desync:.1f} | {row.fluid_sync:.1f} |")
+    return lines
+
+
+def _models_claims(rows) -> List[Claim]:
+    def at(row, text):
+        return f"n = {row.n_flows}: {text}"
+
+    ordered = sorted(rows, key=lambda r: r.n_flows)
+    slower = ("the synchronized requirement shrinks more slowly with n than "
+              "the Gaussian one (ratio smallest n / largest n)")
+    tiny = "desynchronized fluid needs < 0.2x the sqrt(n) rule at the largest n"
+    claims = [
+        _every("fluid desync <= Gaussian + 1 packet at every n", rows,
+               lambda r: r.fluid_desync <= r.gaussian + 1.0,
+               lambda r: r.gaussian - r.fluid_desync,
+               lambda r: at(r, f"{r.fluid_desync:.1f} vs {r.gaussian:.1f} pkts")),
+        _every("Gaussian <= 1.5x fluid sync at every n", rows,
+               lambda r: r.gaussian <= r.fluid_sync * 1.5,
+               lambda r: r.fluid_sync * 1.5 - r.gaussian,
+               lambda r: at(r, f"{r.gaussian:.1f} vs {r.fluid_sync:.1f} pkts")),
+        _every("0.2 < Gaussian / sqrt(n) rule < 3.0 at every n", rows,
+               lambda r: 0.2 < r.gaussian / r.sqrt_rule < 3.0,
+               lambda r: min(r.gaussian / r.sqrt_rule - 0.2,
+                             3.0 - r.gaussian / r.sqrt_rule),
+               lambda r: at(r, f"ratio {r.gaussian / r.sqrt_rule:.2f}")),
+    ]
+    if len(ordered) < 2:
+        return claims + [Claim(slower, False, "needs two flow counts"),
+                         Claim(tiny, False, "needs two flow counts")]
+    lo, hi = ordered[0], ordered[-1]
+    sync_ratio = lo.fluid_sync / hi.fluid_sync
+    gauss_ratio = lo.gaussian / hi.gaussian
+    return claims + [
+        Claim(slower, sync_ratio < gauss_ratio,
+              f"sync {sync_ratio:.2f} vs Gaussian {gauss_ratio:.2f} "
+              f"(n = {lo.n_flows} / {hi.n_flows})"),
+        Claim(tiny, hi.fluid_desync < 0.2 * hi.sqrt_rule,
+              at(hi, f"{hi.fluid_desync:.1f} vs rule {hi.sqrt_rule:.1f} pkts")),
+    ]
+
+
+def _multibottleneck_body(result) -> List[str]:
+    lines = ["Extension: the paper assumes one congested link.  Here every "
+             "backbone link of a parking-lot chain gets its own "
+             "`RTT·C/sqrt(n)` buffer; end-to-end flows cross every hop, cross "
+             "traffic loads each hop.\n",
+             "| backbone hop | utilization |", "|---|---|"]
+    lines += [f"| {i} | {_pct(u)} |" for i, u in enumerate(result.hop_utilizations)]
+    lines += [f"\n- end-to-end share of hop 0: {_pct(result.e2e_throughput_share)}",
+              f"- mean progress: end-to-end {result.e2e_progress:.0f} pkts, "
+              f"cross {result.cross_progress:.0f} pkts",
+              f"- Jain fairness among cross flows: "
+              f"{result.fairness_within_cross:.3f}"]
+    return lines
+
+
+def _multibottleneck_claims(result) -> List[Claim]:
+    hops = list(enumerate(result.hop_utilizations))
+    return [
+        _every("every backbone hop stays > 90% utilized with its sqrt(n) buffer",
+               hops, lambda h: h[1] > 0.9, lambda h: h[1],
+               lambda h: f"lowest {_pct(h[1])} at hop {h[0]}"),
+        Claim("end-to-end flows progress less than single-hop cross flows",
+              result.e2e_progress < result.cross_progress,
+              f"{result.e2e_progress:.0f} vs {result.cross_progress:.0f} pkts"),
+    ]
+
+
+#: The artefacts, in report order.
+SECTIONS: Dict[str, Section] = {
+    "fig2": Section(
+        "Figures 2–5: single long-lived flow", sawtooth_figures,
+        _fig2_body, _fig2_claims),
+    "fig6": Section(
+        "Figure 6: the aggregate window is Gaussian", _run_fig6,
+        _fig6_body, _fig6_claims,
+        "The worst-case sweep is the only one that synchronizes at all: any "
+        "RTT spread already desynchronizes a handful of flows, as Section 3 "
+        "observes."),
+    "fig7": Section(
+        "Figure 7: minimum buffer vs number of flows", min_buffer_sweep,
+        _fig7_body, _fig7_claims,
+        "Expected deviation: at small n the multiple exceeds 1x — the "
+        "partial-synchronization regime the paper also reports — and the "
+        "scaled pipe gives each flow a smaller window than OC3 does, so "
+        "flows are more timeout-bound (DESIGN.md fidelity notes)."),
+    "fig8": Section(
+        "Figure 8: short-flow buffer vs bandwidth", afct_buffer_sweep,
+        _fig8_body, _fig8_claims,
+        "The model column has no rate, RTT or flow count in it; the grid "
+        "step bounds how finely rate-independence can be resolved."),
+    "fig9": Section(
+        "Figure 9: AFCT with small vs large buffers", compare_buffers,
+        _fig9_body, _fig9_claims),
+    "table10": Section(
+        "Table 10: model vs simulation vs (emulated) testbed",
+        utilization_table, _table10_body, _table10_claims,
+        "Expected deviation: absolute 1x utilizations run below the paper's "
+        "because the scaled pipe gives each flow a smaller window, and the "
+        "Gaussian Model column is more optimistic than the paper's at 0.5x "
+        "(theirs encodes residual small-n synchronization)."),
+    "table11": Section(
+        "Table 11: production-network check (emulated)", production_table,
+        _table11_body, _table11_claims,
+        "Expected deviation: a shallower decay than Stanford's, because "
+        "live dorm traffic is burstier than this stationary mix."),
+    "ablations": Section(
+        "Ablations", _run_ablations, _ablations_body, _ablations_claims,
+        "RED runs with max_p = 0.02 and EWMA weight 0.02, matched to AIMD's "
+        "loss rate and the short queue's timescale; the textbook 0.1 / 0.002 "
+        "over-drop at this scale (`run_long_flow_experiment`)."),
+    "models": Section(
+        "Extension: where the sqrt(n) term comes from", compare_models,
+        _models_body, _models_claims,
+        "Fluid sync is capped at twice the pipe when even that misses the "
+        "target."),
+    "multibottleneck": Section(
+        "Extension: two bottlenecks", run_multibottleneck,
+        _multibottleneck_body, _multibottleneck_claims,
+        "The unfairness to multi-hop flows is the classic parking-lot "
+        "effect, orthogonal to buffer sizing."),
+}
+
+
+# ---------------------------------------------------------------------
+# Rendering
+# ---------------------------------------------------------------------
+def _answer(holds: bool) -> str:
+    return "yes" if holds else "**NO**"
+
+
+def render_section(section: Section, result: Any, seconds: float = 0.0) -> Rendered:
+    """Render ``result`` — computed or canned — as the section's text."""
+    claims = section.claims(result)
+    held = sum(claim.holds for claim in claims)
+    lines = [f"## {section.title}\n", *section.body(result),
+             f"\n**Verdict:** {held} of {len(claims)} claims hold.\n"]
+    lines += [f"- {_answer(c.holds)} — {c.text}: {c.measured}" for c in claims]
+    if section.note:
+        lines.append(f"\n{section.note}")
+    return Rendered("\n".join(lines) + "\n", claims, seconds)
+
+
+def _preset(scale: str) -> Dict[str, Dict]:
     if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-    cfg = SCALES[scale]
-    lines: List[str] = []
-    lines.append("# EXPERIMENTS — paper vs. this reproduction\n")
-    lines.append(f"Generated by `python -m repro.experiments.report --scale "
-                 f"{scale}`.  All simulations are scaled to laptop runtimes "
-                 "while preserving the dimensionless operating point (load, "
-                 "buffer in `RTT·C/sqrt(n)` units, pipe-per-flow); see "
-                 "DESIGN.md for the substitution and fidelity notes.  "
-                 "Expectation: claim *shapes* hold (who wins, scaling, "
-                 "knees), not 2004 hardware absolutes.\n")
-    _section_single_flow(cfg["single"], lines)
-    _section_fig6(cfg["fig6"], cfg["sync_n"], lines)
-    _section_fig7(cfg["fig7"], lines)
-    _section_fig8(cfg["fig8"], lines)
-    _section_fig9(cfg["fig9"], lines)
-    _section_table10(cfg["table10"], lines)
-    _section_table11(cfg["table11"], lines)
-    _section_ablations(cfg["ablations"], lines)
-    lines.append("## Headline checks\n")
-    lines.append("| paper claim | reproduced? |")
-    lines.append("|---|---|")
-    lines.append("| `B = RTT·C` exact for one flow (75% at B=0) | yes — "
-                 "sim matches closed form within ~1% |")
-    lines.append("| aggregate window Gaussian, sigma ~ 1/sqrt(n) | yes — "
-                 "K-S < 0.05 at n=100 |")
-    lines.append("| `RTT·C/sqrt(n)` suffices for near-full utilization | "
-                 "yes — ~97% at 1x, >99.9% at 2x (scaled) |")
-    lines.append("| short-flow buffer depends only on load/bursts | yes — "
-                 "min buffer flat across a 4x rate range |")
-    lines.append("| small buffers *reduce* AFCT in mixes | yes — 1.2-1.5x "
-                 "faster short flows |")
-    lines.append("| results hold under RED | yes — within a few percent |")
-    return "\n".join(lines) + "\n"
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
+    return SCALES[scale]
+
+
+def run_section(key: str, scale: str = "default") -> Rendered:
+    """Compute one section under ``SCALES[scale][key]``, timed."""
+    params = _preset(scale)[key]
+    section = SECTIONS[key]
+    started = time.perf_counter()
+    result = section.run(**params)
+    return render_section(section, result, time.perf_counter() - started)
+
+
+def _headline_rows(claims: Sequence[Claim]) -> List[str]:
+    rows = ["| paper claim | reproduced? | measured |", "|---|---|---|"]
+    for headline in dict.fromkeys(c.headline for c in claims if c.headline):
+        backing = [c for c in claims if c.headline == headline]
+        rows.append(f"| {headline} | {_answer(all(c.holds for c in backing))} | "
+                    + "; ".join(c.measured for c in backing) + " |")
+    return rows
+
+
+def generate_report(scale: str = "quick") -> Rendered:
+    """Run every section at ``scale``; the text is the marked span."""
+    preset = _preset(scale)
+    started = time.perf_counter()
+    parts = {key: run_section(key, scale) for key in SECTIONS}
+    total = time.perf_counter() - started
+    claims = [claim for part in parts.values() for claim in part.claims]
+    lines = [BEGIN, "## Paper artefacts: the run\n",
+             f"Generated by `python -m repro.experiments.report --scale {scale}` "
+             f"at commit `{_git_sha() or 'unknown'}` in {total:.0f} s of wall "
+             "time.  All simulations are scaled to laptop runtimes while "
+             "preserving the dimensionless operating point (load, buffer in "
+             "`RTT·C/sqrt(n)` units, pipe-per-flow); see DESIGN.md for the "
+             "substitution and fidelity notes.  Expectation: claim *shapes* "
+             "hold (who wins, scaling, knees), not 2004 hardware absolutes.  "
+             "Every verdict below is computed from the numbers beside it.\n",
+             "| section | artefact | seeds | wall s | claims held |",
+             "|---|---|---|---|---|"]
+    for key, part in parts.items():
+        seeds = ", ".join(f"{name}={value}" for name, value in preset[key].items()
+                          if name.endswith("seed")) or "none (deterministic)"
+        lines.append(f"| `{key}` | {SECTIONS[key].title} | {seeds} "
+                     f"| {part.seconds:.1f} "
+                     f"| {sum(c.holds for c in part.claims)}/{len(part.claims)} |")
+    lines.append("")
+    lines += [part.text for part in parts.values()]
+    lines += ["## Headline checks\n", *_headline_rows(claims), END]
+    return Rendered("\n".join(lines) + "\n", claims, total)
+
+
+def _open_span(path: str) -> Tuple[str, str]:
+    """The text before and after ``path``'s marked span.
+
+    Read before the evaluation runs, so a refusal costs nothing.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            existing = fh.read()
+    except FileNotFoundError:
+        return "", "\n"
+    head, begin, rest = existing.partition(BEGIN)
+    _, end, tail = rest.partition(END)
+    if not (begin and end):
+        raise ConfigurationError(
+            f"{path} exists and has no {BEGIN} ... {END} span; "
+            "refusing to overwrite it")
+    return head, tail
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description="Run every paper artefact and render text and verdicts; "
+                    "exit 3 when a claim is false.")
     parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
     parser.add_argument("--output", default=None,
-                        help="write to a file instead of stdout")
+                        help="write to FILE instead of stdout: replaces its "
+                             "report:begin/report:end span, or creates it")
     args = parser.parse_args(argv)
+    try:
+        head, tail = _open_span(args.output) if args.output else ("", "\n")
+    except ConfigurationError as exc:
+        print(f"error: {exc}")
+        return 2
     report = generate_report(args.scale)
+    text = head + report.text.rstrip("\n") + tail
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
+            fh.write(text)
         print(f"wrote {args.output}")
     else:
-        print(report)
-    return 0
+        print(text, end="")
+    return 0 if report.ok else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

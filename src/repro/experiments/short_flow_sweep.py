@@ -22,9 +22,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import ShortFlowResult, run_short_flow_experiment
 from repro.runner import SweepSupervisor
 from repro.traffic.sizes import FixedSize, FlowSizeDistribution
-from repro.units import Quantity, format_bandwidth, parse_bandwidth
+from repro.units import Quantity, parse_bandwidth
 
-__all__ = ["ShortFlowPoint", "afct_buffer_sweep", "main"]
+__all__ = ["ShortFlowPoint", "afct_buffer_sweep"]
 
 DEFAULT_BUFFER_GRID = (5, 10, 20, 30, 40, 60, 80, 120, 160, 240)
 
@@ -121,19 +121,3 @@ def afct_buffer_sweep(
             afct_at_min=afct_at_min,
         ))
     return points
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    points = afct_buffer_sweep()
-    print("Figure 8: min buffer for AFCT inflation <= 12.5% (load 0.8)")
-    print(f"{'bandwidth':>12} {'AFCT(inf)':>10} {'min buffer':>11} {'model':>7}")
-    for p in points:
-        buf = f"{p.min_buffer_packets:.0f}" if p.achieved else ">grid"
-        print(f"{format_bandwidth(p.bandwidth_bps):>12} {p.afct_infinite:9.3f}s "
-              f"{buf:>11} {p.model_buffer_packets:7.0f}")
-    print("\nKey claim: the min buffer is ~constant across bandwidths "
-          "(depends only on load and burst sizes).")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

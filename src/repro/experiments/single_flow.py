@@ -16,7 +16,6 @@ from typing import List, Tuple
 
 from repro.core import SingleFlowModel
 from repro.errors import ConfigurationError
-from repro.experiments.ascii_plot import line_plot
 from repro.experiments.common import MSS, PACKET_BYTES, rtt_for_pipe
 from repro.metrics import QueueMonitor, UtilizationMonitor
 from repro.net import build_dumbbell
@@ -24,7 +23,7 @@ from repro.sim import Probe, Simulator, TimeSeries
 from repro.tcp import TcpFlow
 from repro.units import Quantity, parse_bandwidth
 
-__all__ = ["SingleFlowTrace", "run_single_flow", "sawtooth_figures", "main"]
+__all__ = ["SingleFlowTrace", "run_single_flow", "sawtooth_figures"]
 
 
 @dataclass
@@ -122,34 +121,3 @@ def sawtooth_figures(pipe_packets: float = 125.0,
                      **kwargs) -> List[SingleFlowTrace]:
     """Run the under/exact/over-buffered trio (Figures 4, 3, 5)."""
     return [run_single_flow(f, pipe_packets=pipe_packets, **kwargs) for f in fractions]
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    """Print the Figure 2–5 reproduction with ASCII trajectory plots."""
-    print("Figures 2-5: single long-lived TCP flow, B relative to RTTxC")
-    print(f"{'B/RTTC':>8} {'B pkts':>7} {'util(sim)':>10} {'util(model)':>12} "
-          f"{'minQ':>6} {'maxQ':>6}  diagnosis")
-    traces = sawtooth_figures()
-    for trace in traces:
-        if trace.buffer_fraction < 1:
-            diag = "underbuffered: queue empties, link idles (Fig 4)"
-        elif trace.buffer_fraction == 1:
-            diag = "correctly buffered: queue just touches zero (Fig 3)"
-        else:
-            diag = "overbuffered: standing queue, extra delay (Fig 5)"
-        print(f"{trace.buffer_fraction:8.2f} {trace.buffer_packets:7d} "
-              f"{trace.utilization * 100:9.2f}% {trace.model_utilization * 100:11.2f}% "
-              f"{trace.min_queue:6.0f} {trace.max_queue:6.0f}  {diag}")
-    trace = traces[1]
-    window = trace.cwnd.slice(trace.cwnd.times[0], trace.cwnd.times[0] + 60.0)
-    queue = trace.queue.slice(window.times[0], window.times[-1])
-    print()
-    print(line_plot(
-        {"W(t)": list(window), "Q(t)": list(queue)},
-        title="Figure 3: window and queue evolution, B = RTT x C",
-        xlabel="time (s)", ylabel="packets",
-    ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

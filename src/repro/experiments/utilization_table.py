@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core import predicted_utilization
+from repro.errors import ConfigurationError
 from repro.experiments.common import run_long_flow_experiment, rtt_for_pipe
 from repro.units import Quantity
 
-__all__ = ["TableRow", "utilization_table", "main"]
+__all__ = ["TableRow", "utilization_table"]
 
 DEFAULT_FACTORS = (0.5, 1.0, 2.0, 3.0)
 
@@ -45,10 +46,6 @@ class TableRow:
     model: float
     sim: float
     exp: float
-
-    def formatted(self) -> str:
-        return (f"{self.n_flows:5d} {self.factor:4.1f}x {self.buffer_packets:6d} "
-                f"{self.model * 100:7.1f}% {self.sim * 100:7.1f}% {self.exp * 100:7.1f}%")
 
 
 def utilization_table(
@@ -76,6 +73,8 @@ def utilization_table(
     run_exp_column:
         Skip the Exp simulations when False (halves the cost).
     """
+    if any(n < 1 for n in n_values):
+        raise ConfigurationError("n_values must be positive flow counts")
     rows: List[TableRow] = []
     rtt_mean = rtt_for_pipe(pipe_packets, bottleneck_rate)
     for n in n_values:
@@ -103,16 +102,3 @@ def utilization_table(
                 model=model, sim=sim_result.utilization, exp=exp_util,
             ))
     return rows
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    rows = utilization_table()
-    print("Table 10: utilization — model vs sim vs emulated experiment")
-    print(f"{'n':>5} {'B':>5} {'pkts':>6} {'Model':>8} {'Sim':>8} {'Exp':>8}")
-    for row in rows:
-        print(row.formatted())
-    print("\n(B in multiples of RTTxC/sqrt(n); Exp = sim + host-stack jitter)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.ascii_plot import histogram_plot
 from repro.experiments.common import run_long_flow_experiment
 from repro.metrics.windows import GaussianFit
 
-__all__ = ["WindowDistributionResult", "run_window_distribution", "sync_vs_n", "main"]
+__all__ = ["WindowDistributionResult", "run_window_distribution", "sync_vs_n"]
 
 
 @dataclass
@@ -116,24 +115,3 @@ def sync_vs_n(n_values: Sequence[int] = (4, 16, 64),
         )
         out.append((n, result.sync_index))
     return out
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    result = run_window_distribution(n_flows=100)
-    fit = result.fit
-    print(f"Figure 6: aggregate window of {result.n_flows} flows")
-    print(f"  fitted Gaussian: mean={fit.mean:.1f} pkts, std={fit.std:.1f} pkts")
-    print(f"  K-S distance from Gaussian: {fit.ks_distance:.4f} "
-          f"({'looks Gaussian' if result.looks_gaussian else 'NOT Gaussian'})")
-    print(f"  synchronization index: {result.sync_index:.3f}")
-    edges, counts = result.histogram
-    print(histogram_plot(edges, counts, overlay=result.model_overlay(),
-                         title="  empirical (#) vs fitted Gaussian (|)"))
-    print()
-    print("Synchronization index vs number of flows:")
-    for n, sync in sync_vs_n():
-        print(f"  n={n:4d}  sync={sync:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -140,9 +140,40 @@ class TestSimulateCommands:
         assert "underbuffered" in out
 
 
+#: artefact module -> the report section that renders it
+SECTION_OF = {
+    "repro.experiments.single_flow": "fig2",
+    "repro.experiments.window_distribution": "fig6",
+    "repro.experiments.long_flow_sweep": "fig7",
+    "repro.experiments.short_flow_sweep": "fig8",
+    "repro.experiments.afct_comparison": "fig9",
+    "repro.experiments.utilization_table": "table10",
+    "repro.experiments.production_network": "table11",
+    "repro.experiments.ablations": "ablations",
+}
+
+
 class TestFigureTableDispatch:
-    """figure/table commands route to the right experiment module
-    (monkeypatched mains: no simulations run here)."""
+    """figure/table/ablations print their report section at the
+    ``default`` preset and exit 3 on a false claim (every section's
+    compute function is replaced by a canned result: no simulations)."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """``(key, params)`` of every section compute call."""
+        from tests.experiments.canned import stub_sections
+
+        return stub_sections(monkeypatch)
+
+    def check(self, capsys, ran, module_name, *argv):
+        from repro.experiments import report
+
+        key = SECTION_OF[module_name]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert ran == [(key, report.SCALES["default"][key])]
+        assert out.startswith(f"## {report.SECTIONS[key].title}\n")
+        assert "claims hold" in out and "**NO**" not in out
 
     @pytest.mark.parametrize("number,module_name", [
         (3, "repro.experiments.single_flow"),
@@ -151,32 +182,41 @@ class TestFigureTableDispatch:
         (8, "repro.experiments.short_flow_sweep"),
         (9, "repro.experiments.afct_comparison"),
     ])
-    def test_figure_dispatch(self, monkeypatch, capsys, number, module_name):
-        import importlib
-        module = importlib.import_module(module_name)
-        monkeypatch.setattr(module, "main", lambda: print(f"ran {module_name}"))
-        code, out = run_cli(capsys, "figure", str(number))
-        assert code == 0
-        assert f"ran {module_name}" in out
+    def test_figure_dispatch(self, ran, capsys, number, module_name):
+        self.check(capsys, ran, module_name, "figure", str(number))
+
+    @pytest.mark.parametrize("number", [2, 4, 5])
+    def test_figures_2_to_5_share_a_section(self, ran, capsys, number):
+        self.check(capsys, ran, "repro.experiments.single_flow",
+                   "figure", str(number))
 
     @pytest.mark.parametrize("number,module_name", [
         (10, "repro.experiments.utilization_table"),
         (11, "repro.experiments.production_network"),
     ])
-    def test_table_dispatch(self, monkeypatch, capsys, number, module_name):
-        import importlib
-        module = importlib.import_module(module_name)
-        monkeypatch.setattr(module, "main", lambda: print(f"ran {module_name}"))
-        code, out = run_cli(capsys, "table", str(number))
-        assert code == 0
-        assert f"ran {module_name}" in out
+    def test_table_dispatch(self, ran, capsys, number, module_name):
+        self.check(capsys, ran, module_name, "table", str(number))
 
-    def test_ablations_dispatch(self, monkeypatch, capsys):
-        import repro.experiments.ablations as ablations
-        monkeypatch.setattr(ablations, "main", lambda: print("ran ablations"))
-        code, out = run_cli(capsys, "ablations")
-        assert code == 0
-        assert "ran ablations" in out
+    def test_ablations_dispatch(self, ran, capsys):
+        self.check(capsys, ran, "repro.experiments.ablations", "ablations")
+
+    def test_false_claim_is_exit_3(self, monkeypatch, capsys):
+        from tests.experiments.canned import CASES, stub_sections
+
+        stub_sections(monkeypatch, fig7=CASES["fig7"][1][1])
+        code, out = run_cli(capsys, "figure", "7")
+        assert code == 3
+        assert "**NO** — at the largest n that buffer is <= 3.0x " \
+               "`RTT·C/sqrt(n)`: 98.0%: 3.50x the rule at n = 100" in out
+
+    def test_configuration_error_is_exit_2(self, monkeypatch, capsys):
+        from repro.experiments import report
+
+        monkeypatch.setitem(report.SCALES["default"], "table10",
+                            dict(n_values=(0,)))
+        code, out = run_cli(capsys, "table", "10")
+        assert code == 2
+        assert out == "error: n_values must be positive flow counts\n"
 
 
 class TestProfilesCommand:

@@ -1,20 +1,29 @@
-"""Tests for the EXPERIMENTS.md report generator (plumbing only —
-full report generation is exercised by the release process, not CI)."""
+"""Tests for the report: every verdict word comes from a claim.
+
+No simulation runs here except one tiny Figure 2–5 trio: sections are
+rendered from the canned results of ``tests/experiments/canned.py``.
+"""
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import report
+from repro.experiments.long_flow_sweep import min_buffer_sweep
+from repro.experiments.production_network import production_table
+from repro.experiments.short_flow_sweep import afct_buffer_sweep
+from repro.experiments.single_flow import sawtooth_figures
+from repro.experiments.utilization_table import utilization_table
+from tests.experiments.canned import (CASES, FIG7_OFF_GRID,
+                                      FIG9_NO_SHORT_FLOWS, stub_sections)
 
 
 class TestScales:
     def test_all_scales_have_every_section(self):
-        required = {"single", "fig6", "sync_n", "fig7", "fig8", "fig9",
-                    "table10", "table11", "ablations"}
         for name, cfg in report.SCALES.items():
-            assert required.issubset(cfg.keys()), name
+            assert list(cfg) == list(report.SECTIONS), name
 
     def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             report.generate_report("warp-speed")
 
     def test_paper_scale_is_biggest(self):
@@ -23,19 +32,140 @@ class TestScales:
         assert paper > quick
 
 
+@pytest.mark.parametrize("key", list(report.SECTIONS))
+class TestClaims:
+    def test_good_result_satisfies_every_claim(self, key):
+        good, violations = CASES[key]
+        rendered = report.render_section(report.SECTIONS[key], good)
+        assert rendered.ok
+        assert len(rendered.claims) == len(violations)
+        assert f"{len(violations)} of {len(violations)} claims hold" in rendered.text
+        assert "**NO**" not in rendered.text
+
+    def test_each_claim_can_fail_and_says_what_it_measured(self, key):
+        section = report.SECTIONS[key]
+        for index, bad in enumerate(CASES[key][1]):
+            rendered = report.render_section(section, bad)
+            claim = rendered.claims[index]
+            assert not claim.holds, (index, claim)
+            assert claim.measured
+            assert f"- **NO** — {claim.text}: {claim.measured}" in rendered.text
+            assert not rendered.ok
+
+
+def test_the_deleted_benchmark_asserts_are_all_claims():
+    assert sum(len(violations) for _, violations in CASES.values()) == 42
+
+
+class TestMissingInputs:
+    """nan or absent inputs are a NO with the reason, never a formatted nan."""
+
+    def test_no_short_flow_completed(self):
+        rendered = report.render_section(report.SECTIONS["fig9"],
+                                         FIG9_NO_SHORT_FLOWS)
+        faster, speedup = rendered.claims[:2]
+        assert not faster.holds and not speedup.holds
+        assert "0 / 500 short flows completed" in faster.measured
+        assert "nan" not in rendered.text
+
+    def test_target_off_the_grid_at_every_n(self):
+        rendered = report.render_section(report.SECTIONS["fig7"], FIG7_OFF_GRID)
+        assert [c.holds for c in rendered.claims] == [False, False, False]
+        assert "98.0% is >grid at n = 16, 100" in rendered.claims[0].measured
+        assert "nan" not in rendered.text
+
+    @pytest.mark.parametrize("key,empty", [
+        ("fig7", lambda: min_buffer_sweep(n_values=())),
+        ("fig7", lambda: min_buffer_sweep(n_values=(4,), targets=(),
+                                          factors=(), pipe_packets=20.0)),
+        ("fig8", lambda: afct_buffer_sweep(bandwidths=())),
+        ("table10", lambda: utilization_table(n_values=())),
+        ("table11", lambda: production_table(buffers=())),
+    ])
+    def test_empty_grid_is_a_header_only_table_with_a_verdict(self, key, empty):
+        rendered = report.render_section(report.SECTIONS[key], empty())
+        header, rule = [line for line in rendered.text.splitlines()
+                        if line.startswith("|")]
+        assert header.count("|") == rule.count("|")
+        assert "**Verdict:** 0 of 3 claims hold." in rendered.text
+
+    @pytest.mark.parametrize("sweep", [min_buffer_sweep, utilization_table])
+    def test_zero_flows_is_a_configuration_error(self, sweep):
+        with pytest.raises(ConfigurationError, match="n_values"):
+            sweep(n_values=(0,))
+
+
+class TestReport:
+    def test_header_states_scale_sha_seeds_and_seconds(self, monkeypatch):
+        stub_sections(monkeypatch)
+        monkeypatch.setattr(report, "_git_sha", lambda: "abc1234")
+        text = report.generate_report("quick").text
+        assert text.startswith(report.BEGIN) and text.endswith(report.END + "\n")
+        assert "--scale quick` at commit `abc1234` in 0 s" in text
+        assert "| `fig7` | Figure 7: minimum buffer vs number of flows " \
+               "| seed=3 | 0.0 | 3/3 |" in text
+        assert "| seed=21, access_seed=23 |" in text
+
+    def test_section_text_is_the_same_alone_and_in_the_report(self, monkeypatch):
+        stub_sections(monkeypatch)
+        alone = report.run_section("fig7", "default").text
+        assert alone in report.generate_report("default").text
+
+    def test_headline_row_flips_with_its_claim(self, monkeypatch):
+        stub_sections(monkeypatch)
+        good = report.generate_report("quick")
+        assert good.ok and "**NO**" not in good.text
+        assert "| small buffers *reduce* AFCT in mixes | yes | " \
+               "AFCT 0.300 s vs 0.500 s; 1.67x |" in good.text
+        stub_sections(monkeypatch, fig9=CASES["fig9"][1][1])
+        bad = report.generate_report("quick")
+        assert not bad.ok
+        assert "| small buffers *reduce* AFCT in mixes | **NO** | " \
+               "AFCT 0.480 s vs 0.500 s; 1.04x |" in bad.text
+        assert "| `fig9` | Figure 9: AFCT with small vs large buffers " \
+               "| seed=5 | 0.0 | 3/4 |" in bad.text
+
+
 class TestMain:
     def test_stdout_path(self, capsys, monkeypatch):
-        monkeypatch.setattr(report, "generate_report",
-                            lambda scale: f"# fake report ({scale})\n")
+        stub_sections(monkeypatch)
         assert report.main(["--scale", "quick"]) == 0
-        assert "fake report (quick)" in capsys.readouterr().out
+        assert "--scale quick`" in capsys.readouterr().out
+
+    def test_false_claim_is_exit_3(self, capsys, monkeypatch):
+        stub_sections(monkeypatch, table11=CASES["table11"][1][0])
+        assert report.main([]) == 3
+        assert "**NO** — the largest buffer saturates the link (> 99%): " \
+               "98.50% at 500 pkts" in capsys.readouterr().out
 
     def test_output_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(report, "generate_report",
-                            lambda scale: "# fake\n")
+        stub_sections(monkeypatch)
         target = tmp_path / "EXPERIMENTS.md"
         assert report.main(["--output", str(target)]) == 0
-        assert target.read_text() == "# fake\n"
+        assert target.read_text() == report.generate_report("quick").text
+
+    def test_output_rewrites_only_the_marked_span(self, tmp_path, monkeypatch,
+                                                  capsys):
+        stub_sections(monkeypatch)
+        target = tmp_path / "EXPERIMENTS.md"
+        target.write_text(f"# by hand\n\n{report.BEGIN}\nstale\n{report.END}\n"
+                          "\n## also by hand\n")
+        assert report.main(["--output", str(target)]) == 0
+        text = target.read_text()
+        assert text.startswith(f"# by hand\n\n{report.BEGIN}\n## Paper artefacts")
+        assert text.endswith(f"{report.END}\n\n## also by hand\n")
+        assert "stale" not in text and text.count(report.BEGIN) == 1
+
+    def test_output_refuses_a_file_without_the_span(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(report, "generate_report",
+                            lambda scale: pytest.fail("ran the evaluation"))
+        target = tmp_path / "EXPERIMENTS.md"
+        target.write_text("# 900 hand-written lines\n")
+        assert report.main(["--output", str(target)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert target.read_text() == "# 900 hand-written lines\n"
 
     def test_bad_scale_exits(self):
         with pytest.raises(SystemExit):
@@ -44,11 +174,10 @@ class TestMain:
 
 class TestSectionBuilders:
     def test_single_flow_section(self):
-        lines = []
-        report._section_single_flow(
-            dict(pipe_packets=40.0, bottleneck_rate="5Mbps",
-                 warmup=10.0, duration=15.0), lines)
-        text = "\n".join(lines)
-        assert "Figures 2–5" in text
-        assert "Verdict" in text
-        assert text.count("|") > 10  # a rendered table
+        traces = sawtooth_figures(pipe_packets=40.0, bottleneck_rate="5Mbps",
+                                  warmup=10.0, duration=15.0)
+        rendered = report.render_section(report.SECTIONS["fig2"], traces)
+        assert "Figures 2–5" in rendered.text
+        assert "**Verdict:** 3 of 3 claims hold." in rendered.text
+        assert rendered.text.count("|") > 10  # a rendered table
+        assert "Figure 3: window and queue evolution" in rendered.text
