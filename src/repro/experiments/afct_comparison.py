@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import MSS, rtt_for_pipe
+from repro.experiments import common
 from repro.metrics import FctCollector, QueueMonitor, UtilizationMonitor
 from repro.net import build_dumbbell
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams
 from repro.traffic import LongLivedWorkload, ShortFlowWorkload
 from repro.traffic.sizes import FlowSizeDistribution, UniformSize
 from repro.units import Quantity
@@ -64,8 +64,8 @@ def run_mixed_experiment(
     if n_long < 1 or n_short_pairs < 1:
         raise ConfigurationError("need at least one long flow and one short pair")
     streams = RngStreams(seed)
-    sim = Simulator()
-    rtt_mean = rtt_for_pipe(pipe_packets, bottleneck_rate)
+    sim = common._make_simulator()
+    rtt_mean = common.rtt_for_pipe(pipe_packets, bottleneck_rate)
     rtt_rng = streams.stream("rtt")
     rtts = [rtt_rng.uniform(0.5 * rtt_mean, 1.5 * rtt_mean) for _ in range(n_long)]
     rtts += [rtt_mean] * n_short_pairs
@@ -80,33 +80,23 @@ def run_mixed_experiment(
         receiver_delay=rtt_mean / 100.0,
     )
 
-    # Long flows on the first n_long pairs.
-    long_view = type(net)(
-        net.network, net.senders[:n_long], net.receivers[:n_long],
-        net.left, net.right, net.bottleneck, net.reverse, net.rtts[:n_long],
-    )
-    LongLivedWorkload(long_view, cc="reno", start_spread=warmup / 2.0,
-                      rng=streams.stream("starts"), mss=MSS)
+    LongLivedWorkload(net.view(stop=n_long), cc="reno", start_spread=warmup / 2.0,
+                      rng=streams.stream("starts"), mss=common.MSS)
 
-    # Short flows on the remaining pairs.
-    short_view = type(net)(
-        net.network, net.senders[n_long:], net.receivers[n_long:],
-        net.left, net.right, net.bottleneck, net.reverse, net.rtts[n_long:],
-    )
     t_end = warmup + duration
     collector = FctCollector(t_start=warmup, t_end=t_end)
     size_dist = sizes if sizes is not None else UniformSize(2, 30)
     short = ShortFlowWorkload.for_load(
-        short_view, load=short_load, sizes=size_dist,
+        net.view(start=n_long), load=short_load, sizes=size_dist,
         rng=streams.stream("arrivals"), t_stop=t_end,
-        max_window=max_window_short, on_complete=collector, mss=MSS,
+        max_window=max_window_short, on_complete=collector, mss=common.MSS,
     )
     short.start()
 
     util_mon = UtilizationMonitor(sim, net.bottleneck_link, t_start=warmup, t_end=t_end)
     queue_mon = QueueMonitor(sim, net.bottleneck_queue, t_start=warmup, t_end=t_end,
                              sample_period=max(duration / 2000.0, 0.005))
-    sim.run(until=t_end + duration * 0.25)
+    common.run_world(sim, net, t_end + duration * 0.25)
 
     return MixResult(
         buffer_packets=buffer_packets,
@@ -125,6 +115,8 @@ def compare_buffers(n_long: int = 50, pipe_packets: float = 400.0,
 
     Returns ``(small, large)`` results.
     """
+    if n_long < 1:
+        raise ConfigurationError("need n_long >= 1")
     small_buffer = max(2, int(round(pipe_packets / math.sqrt(n_long))))
     large_buffer = int(round(pipe_packets))
     small = run_mixed_experiment(small_buffer, n_long=n_long,

@@ -50,7 +50,6 @@ __all__ = [
     "CcMinBuffer",
     "CcComparisonResult",
     "run_cc_comparison",
-    "main",
 ]
 
 #: Buffer grid in units of ``pipe/sqrt(n)``; spans well under to well
@@ -293,11 +292,3 @@ def format_report(result: CcComparisonResult) -> str:
         lines.append(f"paced prediction ({cc} needs <= reno's buffer): "
                      f"{verdict}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - exercised via the CLI
-    print(format_report(run_cc_comparison()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

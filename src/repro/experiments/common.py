@@ -8,7 +8,11 @@ Two workhorse runners cover most of the paper's evaluation:
 * :func:`run_short_flow_experiment` — Poisson short-flow arrivals at a
   target load, returning AFCT and drop statistics.
 
-Both accept *dimensionless-first* parameters: the bottleneck pipe in
+These and every other packet-level artefact share one lifecycle:
+:func:`_make_simulator`, build, attach workload and monitors,
+:func:`run_world`, read the result.
+
+Both runners accept *dimensionless-first* parameters: the bottleneck pipe in
 packets (``pipe_packets``) plus a line rate, from which the mean RTT
 follows (``rtt = pipe * packet_bits / rate``).  This keeps scaled-down
 runs in the same dynamical regime as the paper's OC3 experiments: what
@@ -50,6 +54,7 @@ __all__ = [
     "run_long_flow_experiment",
     "run_short_flow_experiment",
     "rtt_for_pipe",
+    "run_world",
 ]
 
 #: Wire size of a data segment in the experiments (mss 960 + 40 header).
@@ -155,9 +160,9 @@ def _make_jitter(rng: random.Random, mean: float) -> Callable[[], float]:
     return lambda: rng.expovariate(1.0 / mean)
 
 
-def _make_simulator(optimize: bool, engine_opts: Optional[dict],
+def _make_simulator(optimize: bool = True, engine_opts: Optional[dict] = None,
                     bottleneck_rate: Optional[Quantity] = None) -> Simulator:
-    """Build the experiment Simulator.
+    """Build the experiment Simulator and register it with ``repro.obs``.
 
     ``optimize=False`` selects the unoptimized reference engine (eager
     timer cancellation, no heap compaction, and the canonical checked
@@ -174,9 +179,8 @@ def _make_simulator(optimize: bool, engine_opts: Optional[dict],
     (~1s scale, plus backoff) lands in the overflow ladder and is
     re-sorted on every rotation — the ladder-spill regression BENCH
     flagged.  The width is the larger of one packet's serialization
-    time and ``timer horizon / wheel_buckets``, with the horizon taken
-    at 3s — initial RTO (1s) plus headroom for doubled backoff — so
-    pending retransmit timers sit inside the wheel window.
+    time and ``_TIMER_HORIZON / wheel_buckets``, so pending retransmit
+    timers sit inside the wheel window.
     """
     opts = {} if engine_opts is None else dict(engine_opts)
     if not optimize:
@@ -190,7 +194,36 @@ def _make_simulator(optimize: bool, engine_opts: Optional[dict],
         ser_time = PACKET_BYTES * 8.0 / parse_bandwidth(bottleneck_rate)
         wheel = opts.get("wheel_buckets", 1024)
         opts["bucket_width"] = max(ser_time, _TIMER_HORIZON / wheel)
-    return Simulator(**opts)
+    sim = Simulator(**opts)
+    _obs.register_sim(sim)  # a no-op while obs is off
+    return sim
+
+
+def run_world(sim: Simulator, net, until: float, *, optimize: bool = True,
+              check_invariants: bool = True, invariant_period: float = 1.0,
+              max_events: Optional[int] = None,
+              max_wall_seconds: Optional[float] = None,
+              on_sim: Optional[Callable[[Simulator], None]] = None) -> None:
+    """Run the built ``net`` (a dumbbell or a bare network) to ``until``.
+
+    Periodic invariant audit, packet pool, watchdog budgets, ``on_sim``
+    while the pool is still in scope (so a profiler can snapshot it as
+    the run used it), final verification — and on any exception a flush
+    of the obs flight recorder, so the events before the death survive.
+    """
+    if check_invariants:
+        InvariantMonitor(sim, net, period=invariant_period, t_stop=until)
+    try:
+        with pooled_packets(enabled=optimize):
+            sim.run(until=until, max_events=max_events,
+                    max_wall_seconds=max_wall_seconds)
+            if on_sim is not None:
+                on_sim(sim)
+        if check_invariants:
+            verify_network(net)
+    except Exception:
+        _obs.crash_dump()  # a no-op while obs is off
+        raise
 
 
 def run_long_flow_experiment(
@@ -291,8 +324,6 @@ def run_long_flow_experiment(
         raise ConfigurationError("need warmup >= 0 and duration > 0")
     streams = RngStreams(seed)
     sim = _make_simulator(optimize, engine_opts, bottleneck_rate)
-    if _obs.enabled:
-        _obs.register_sim(sim)
     rtt_mean = rtt_for_pipe(pipe_packets, bottleneck_rate)
     rtt_rng = streams.stream("rtt")
     lo, hi = rtt_spread
@@ -369,24 +400,10 @@ def run_long_flow_experiment(
     if faults is not None:
         faults.install(sim, targets_for_dumbbell(net),
                        rng=streams.stream("faults"))
-    if check_invariants:
-        InvariantMonitor(sim, net, period=invariant_period, t_stop=t_end)
-    try:
-        with pooled_packets(enabled=optimize):
-            sim.run(until=t_end, max_events=max_events,
-                    max_wall_seconds=max_wall_seconds)
-            # Inside the pool scope so an ``on_sim`` observer (profiler,
-            # benchmark) can snapshot the pool as the run actually used it.
-            if on_sim is not None:
-                on_sim(sim)
-        if check_invariants:
-            verify_network(net)
-    except Exception:
-        # Crash/watchdog/invariant failure: flush the flight recorder so
-        # the events leading up to the death survive it.
-        if _obs.enabled:
-            _obs.crash_dump()
-        raise
+    run_world(sim, net, t_end, optimize=optimize,
+              check_invariants=check_invariants,
+              invariant_period=invariant_period, max_events=max_events,
+              max_wall_seconds=max_wall_seconds, on_sim=on_sim)
 
     timeouts = sum(flow.cc.timeouts for flow in workload.flows)
     fast_rtx = sum(flow.sender.fast_retransmits for flow in workload.flows)
@@ -464,8 +481,6 @@ def run_short_flow_experiment(
         raise ConfigurationError(f"load must be in (0, 1), got {load}")
     streams = RngStreams(seed)
     sim = _make_simulator(optimize, engine_opts, bottleneck_rate)
-    if _obs.enabled:
-        _obs.register_sim(sim)
     rate_bps = parse_bandwidth(bottleneck_rate)
     if buffer_packets is None:
         queue_spec = lambda: DropTailQueue(sim, unbounded=True)
@@ -495,21 +510,11 @@ def run_short_flow_experiment(
     if faults is not None:
         faults.install(sim, targets_for_dumbbell(net),
                        rng=streams.stream("faults"))
-    if check_invariants:
-        InvariantMonitor(sim, net, period=invariant_period, t_stop=t_drain)
     # Drain period so flows that started near t_end can complete.
-    try:
-        with pooled_packets(enabled=optimize):
-            sim.run(until=t_drain, max_events=max_events,
-                    max_wall_seconds=max_wall_seconds)
-            if on_sim is not None:
-                on_sim(sim)
-        if check_invariants:
-            verify_network(net)
-    except Exception:
-        if _obs.enabled:
-            _obs.crash_dump()
-        raise
+    run_world(sim, net, t_drain, optimize=optimize,
+              check_invariants=check_invariants,
+              invariant_period=invariant_period, max_events=max_events,
+              max_wall_seconds=max_wall_seconds, on_sim=on_sim)
 
     return ShortFlowResult(
         load=load,

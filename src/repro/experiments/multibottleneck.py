@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.errors import ConfigurationError
+from repro.experiments import common
 from repro.metrics import UtilizationMonitor, jain_index
 from repro.net import build_parking_lot
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams
 from repro.tcp import TcpFlow
+from repro.units import parse_bandwidth, parse_time
 
 __all__ = ["MultiBottleneckResult", "run_multibottleneck"]
-
-MSS = 960
 
 
 @dataclass
@@ -74,12 +74,14 @@ def run_multibottleneck(
     """
     if n_hops < 2:
         raise ConfigurationError("need at least two backbone routers")
+    if n_e2e < 1 or n_cross_per_hop < 1:
+        raise ConfigurationError("need n_e2e >= 1 and n_cross_per_hop >= 1")
+    if warmup < 0 or duration <= 0:
+        raise ConfigurationError("need warmup >= 0 and duration > 0")
     streams = RngStreams(seed)
-    sim = Simulator()
-    from repro.units import parse_bandwidth, parse_time
-
+    sim = common._make_simulator()
     rate_bps = parse_bandwidth(link_rate)
-    pipe = rate_bps * parse_time(rtt) / (8.0 * 1000)
+    pipe = rate_bps * parse_time(rtt) / (8.0 * common.PACKET_BYTES)
     n_link = n_e2e + n_cross_per_hop
     buffer_packets = max(2, int(round(buffer_factor * pipe / math.sqrt(n_link))))
 
@@ -92,7 +94,7 @@ def run_multibottleneck(
     start_rng = streams.stream("starts")
     e2e_src, e2e_dst = pairs[0]
     e2e_flows = [
-        TcpFlow(sim, e2e_src, e2e_dst, size_packets=None, mss=MSS,
+        TcpFlow(sim, e2e_src, e2e_dst, size_packets=None, mss=common.MSS,
                 start_time=start_rng.uniform(0.0, warmup / 2.0))
         for _ in range(n_e2e)
     ]
@@ -100,7 +102,7 @@ def run_multibottleneck(
     for src, dst in pairs[1:]:
         for _ in range(n_cross_per_hop):
             cross_flows.append(
-                TcpFlow(sim, src, dst, size_packets=None, mss=MSS,
+                TcpFlow(sim, src, dst, size_packets=None, mss=common.MSS,
                         start_time=start_rng.uniform(0.0, warmup / 2.0)))
 
     t_end = warmup + duration
@@ -112,13 +114,13 @@ def run_multibottleneck(
         e2e_start.extend(f.sender.snd_una for f in e2e_flows),
         cross_start.extend(f.sender.snd_una for f in cross_flows),
     ))
-    sim.run(until=t_end)
+    common.run_world(sim, network, t_end)
 
     e2e_prog = [f.sender.snd_una - s for f, s in zip(e2e_flows, e2e_start)]
     cross_prog = [f.sender.snd_una - s for f, s in zip(cross_flows, cross_start)]
-    e2e_bytes = sum(e2e_prog) * MSS
+    e2e_bytes = sum(e2e_prog) * common.MSS
     hop0_cross = cross_prog[:n_cross_per_hop]
-    hop0_bytes = e2e_bytes + sum(hop0_cross) * MSS
+    hop0_bytes = e2e_bytes + sum(hop0_cross) * common.MSS
     return MultiBottleneckResult(
         hop_utilizations=[m.utilization for m in monitors],
         e2e_throughput_share=e2e_bytes / hop0_bytes if hop0_bytes else math.nan,

@@ -21,10 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.core import predicted_utilization
+from repro.errors import ConfigurationError
+from repro.experiments import common
 from repro.metrics import FctCollector, UtilizationMonitor
 from repro.net import build_dumbbell
 from repro.net.packet import TCP_HEADER_BYTES
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams
 from repro.traffic import BoundedPareto, LongLivedWorkload, ShortFlowWorkload, UdpSink, UdpSource
 from repro.units import Quantity, parse_bandwidth
 
@@ -83,15 +86,18 @@ def production_table(
     Returns one row per buffer with measured utilization and the
     Gaussian-model prediction at ``n_concurrent`` flows.
     """
-    from repro.core import predicted_utilization
-
+    if n_concurrent < 1:
+        raise ConfigurationError("need n_concurrent >= 1")
+    if n_pairs <= n_long:
+        raise ConfigurationError(
+            "need n_pairs > n_long: churn and UDP ride the remaining pairs")
     rate_bps = parse_bandwidth(bottleneck_rate)
     pipe_packets = rate_bps * rtt_max / (8.0 * PACKET_BYTES)
     unit = pipe_packets / math.sqrt(n_concurrent)
     rows: List[ProductionRow] = []
     for buffer_packets in buffers:
         streams = RngStreams(seed)
-        sim = Simulator()
+        sim = common._make_simulator()
         rtt_rng = streams.stream("rtt")
         rtts = [rtt_rng.uniform(0.1 * rtt_max, rtt_max) for _ in range(n_pairs)]
         net = build_dumbbell(
@@ -100,22 +106,15 @@ def production_table(
             bottleneck_delay=rtt_max / 50.0, receiver_delay=rtt_max / 100.0,
         )
         # A few long-lived bulk downloads.
-        long_view = type(net)(
-            net.network, net.senders[:n_long], net.receivers[:n_long],
-            net.left, net.right, net.bottleneck, net.reverse, net.rtts[:n_long],
-        )
-        LongLivedWorkload(long_view, cc="reno", start_spread=warmup / 2.0,
+        LongLivedWorkload(net.view(stop=n_long), cc="reno",
+                          start_spread=warmup / 2.0,
                           rng=streams.stream("starts"), mss=MSS)
         # Heavy-tailed web-like churn over the remaining pairs.
-        short_view = type(net)(
-            net.network, net.senders[n_long:], net.receivers[n_long:],
-            net.left, net.right, net.bottleneck, net.reverse, net.rtts[n_long:],
-        )
         t_end = warmup + duration
         collector = FctCollector(t_start=warmup, t_end=t_end)
         sizes = BoundedPareto(shape=1.2, minimum=2, maximum=2000)
         short = ShortFlowWorkload.for_load(
-            short_view, load=min(tcp_load, 0.99), sizes=sizes,
+            net.view(start=n_long), load=min(tcp_load, 0.99), sizes=sizes,
             rng=streams.stream("arrivals"), t_stop=t_end, max_window=43,
             on_complete=collector, mss=MSS,
         )
@@ -135,7 +134,7 @@ def production_table(
 
         util_mon = UtilizationMonitor(sim, net.bottleneck_link,
                                       t_start=warmup, t_end=t_end)
-        sim.run(until=t_end)
+        common.run_world(sim, net, t_end)
         rows.append(ProductionRow(
             buffer_packets=int(buffer_packets),
             rule_multiple=buffer_packets / unit,

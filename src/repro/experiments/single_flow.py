@@ -16,10 +16,10 @@ from typing import List, Tuple
 
 from repro.core import SingleFlowModel
 from repro.errors import ConfigurationError
-from repro.experiments.common import MSS, PACKET_BYTES, rtt_for_pipe
+from repro.experiments import common
 from repro.metrics import QueueMonitor, UtilizationMonitor
 from repro.net import build_dumbbell
-from repro.sim import Probe, Simulator, TimeSeries
+from repro.sim import Probe, TimeSeries
 from repro.tcp import TcpFlow
 from repro.units import Quantity, parse_bandwidth
 
@@ -84,24 +84,24 @@ def run_single_flow(
     """
     if buffer_fraction <= 0:
         raise ConfigurationError("buffer_fraction must be positive")
-    sim = Simulator()
-    rtt = rtt_for_pipe(pipe_packets, bottleneck_rate)
+    sim = common._make_simulator()
+    rtt = common.rtt_for_pipe(pipe_packets, bottleneck_rate)
     buffer_packets = max(2, int(round(buffer_fraction * pipe_packets)))
     net = build_dumbbell(
         sim, n_pairs=1, bottleneck_rate=bottleneck_rate,
         buffer_packets=buffer_packets, rtts=[rtt],
         bottleneck_delay=rtt / 20.0, receiver_delay=rtt / 100.0,
     )
-    flow = TcpFlow(sim, net.senders[0], net.receivers[0], cc=cc, mss=MSS)
+    flow = TcpFlow(sim, net.senders[0], net.receivers[0], cc=cc, mss=common.MSS)
     t_end = warmup + duration
     cwnd_series = TimeSeries("cwnd")
     Probe(sim, lambda: flow.cwnd, sample_period, series=cwnd_series).start(warmup)
     util_mon = UtilizationMonitor(sim, net.bottleneck_link, t_start=warmup, t_end=t_end)
     queue_mon = QueueMonitor(sim, net.bottleneck_queue, sample_period=sample_period,
                              t_start=warmup, t_end=t_end)
-    sim.run(until=t_end)
+    common.run_world(sim, net, t_end)
 
-    capacity_pps = parse_bandwidth(bottleneck_rate) / (8.0 * PACKET_BYTES)
+    capacity_pps = parse_bandwidth(bottleneck_rate) / (8.0 * common.PACKET_BYTES)
     model = SingleFlowModel(pipe_packets, buffer_packets, capacity_pps)
     return SingleFlowTrace(
         buffer_fraction=buffer_fraction,

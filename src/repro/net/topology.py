@@ -238,6 +238,15 @@ class DumbbellNetwork:
         """(sender, receiver) pairs, one per flow slot."""
         return list(zip(self.senders, self.receivers))
 
+    def view(self, start: Optional[int] = None,
+             stop: Optional[int] = None) -> "DumbbellNetwork":
+        """This dumbbell restricted to host pairs ``[start:stop]``."""
+        pairs = slice(start, stop)
+        return DumbbellNetwork(
+            self.network, self.senders[pairs], self.receivers[pairs],
+            self.left, self.right, self.bottleneck, self.reverse,
+            self.rtts[pairs])
+
 
 def build_dumbbell(
     sim: "Simulator",

@@ -7,15 +7,25 @@ by comparing full result fingerprints across engine configurations.
 """
 
 import dataclasses
+import hashlib
 import json
+import os
 
 import pytest
 
 from repro import obs
+from repro.errors import InvariantViolation
+from repro.experiments import common
+from repro.experiments.afct_comparison import run_mixed_experiment
 from repro.experiments.common import (
     run_long_flow_experiment,
     run_short_flow_experiment,
 )
+from repro.experiments.multibottleneck import run_multibottleneck
+from repro.experiments.production_network import production_table
+from repro.experiments.single_flow import run_single_flow
+from repro.net.node import Host
+from repro.sim import TimeSeries
 from repro.traffic.sizes import FixedSize
 
 LONG = dict(n_flows=6, buffer_packets=20, pipe_packets=60.0,
@@ -176,3 +186,113 @@ class TestTimerChurnHygiene:
         aggressive = run_long(engine_opts={"compact_min": 16})
         relaxed = run_long(engine_opts={"compact_min": 4096})
         assert fingerprint(aggressive) == fingerprint(relaxed)
+
+
+#: The four artefacts that used to drive a bare ``Simulator()`` by hand,
+#: at a scale of well under a second each, with the result digest
+#: recorded from the last commit that did (eb1670c).
+ARTEFACTS = {
+    "single_flow": ("19990582e94b6bb4", lambda: run_single_flow(
+        1.0, pipe_packets=40, bottleneck_rate="5Mbps",
+        warmup=8.0, duration=12.0)),
+    "mixed": ("95564d6412f05d53", lambda: run_mixed_experiment(
+        16, n_long=8, pipe_packets=60.0, bottleneck_rate="10Mbps",
+        warmup=4.0, duration=8.0, n_short_pairs=4)),
+    "production": ("9e498f3ebba8ecd7", lambda: production_table(
+        buffers=(40, 12), bottleneck_rate="10Mbps", n_concurrent=40,
+        warmup=3.0, duration=6.0, n_pairs=16, n_long=10)),
+    "multibottleneck": ("25b8c447fa1be47a", lambda: run_multibottleneck(
+        n_hops=3, n_e2e=3, n_cross_per_hop=6, link_rate="10Mbps",
+        warmup=4.0, duration=8.0)),
+}
+
+
+def digest(result):
+    """Short sha256 over every field of a result, traces included."""
+    def fields(value):  # json's fallback: a trace or a result dataclass
+        return ([value.times, value.values] if isinstance(value, TimeSeries)
+                else vars(value))
+
+    text = json.dumps(result, sort_keys=True, default=fields)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture
+def sims(monkeypatch):
+    """Every simulator ``common._make_simulator`` hands out, in order."""
+    made = []
+    real = common._make_simulator
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(common, "_make_simulator", recording)
+    return made
+
+
+@pytest.fixture
+def broken_mid_run(monkeypatch):
+    """Every world entering ``run_world`` loses count of a packet at
+    t = 2.5 s: a host claims one more send than it made."""
+    real = common.run_world
+
+    def seeded(sim, net, until, **kwargs):
+        # A dumbbell wraps its Network; the parking lot is a bare one.
+        host = next(node for node in getattr(net, "network", net).nodes
+                    if isinstance(node, Host))
+        sim.call_at(2.5, lambda: setattr(
+            host, "packets_sent", host.packets_sent + 1))
+        real(sim, net, until, **kwargs)
+
+    monkeypatch.setattr(common, "run_world", seeded)
+
+
+@pytest.mark.parametrize("name", ARTEFACTS)
+class TestArtefactsRunOnTheSharedLifecycle:
+    """Figs 2-5, Fig 9, Table 11 and the two-bottleneck extension go
+    through ``_make_simulator`` and ``run_world`` like the two runners:
+    default engine, reference oracle, invariants, obs."""
+
+    def test_digest_is_the_parents_and_the_reference_engines(
+            self, name, sims, monkeypatch):
+        recorded, run = ARTEFACTS[name]
+        assert digest(run()) == recorded
+        default = [sim.events_processed for sim in sims]
+        assert all(sim.burst_steps for sim in sims)  # the default engine
+
+        # The reference engine, still handed out through ``sims``.
+        del sims[:]
+        make, run_world = common._make_simulator, common.run_world
+        monkeypatch.setattr(common, "_make_simulator",
+                            lambda: make(optimize=False))
+        monkeypatch.setattr(
+            common, "run_world",
+            lambda *a: run_world(*a, optimize=False))
+        assert digest(run()) == recorded
+        assert not any(sim.burst_steps for sim in sims)
+        assert [sim.events_processed for sim in sims] == default
+
+    def test_seeded_invariant_break_is_raised_by_the_artefact(
+            self, name, sims, broken_mid_run):
+        with pytest.raises(InvariantViolation, match="conservation"):
+            ARTEFACTS[name][1]()
+        # Caught by the next periodic audit, not at the end of the run
+        # (and, for Table 11, before a second buffer is tried).
+        assert [sim.now for sim in sims] == [3.0]
+
+    def test_obs_sees_the_simulator(self, name, sims):
+        with obs.observed():
+            ARTEFACTS[name][1]()
+            counters = obs.snapshot()["counters"]
+        assert counters["sim.events_processed"] == \
+            sum(sim.events_processed for sim in sims)
+
+    def test_a_raised_run_leaves_one_crash_dump(
+            self, name, broken_mid_run, tmp_path):
+        with obs.observed(crash_dump_path=str(tmp_path / "crash.jsonl")):
+            with pytest.raises(InvariantViolation):
+                ARTEFACTS[name][1]()
+        assert os.listdir(tmp_path) == ["crash.jsonl"]
+        events = obs.read_jsonl(str(tmp_path / "crash.jsonl"))
+        assert obs.validate_events(events) == len(events) > 0

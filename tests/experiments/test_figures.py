@@ -10,8 +10,10 @@ import math
 
 import pytest
 
-from repro.experiments.afct_comparison import run_mixed_experiment
+from repro.experiments import common
+from repro.experiments.afct_comparison import compare_buffers, run_mixed_experiment
 from repro.experiments.long_flow_sweep import _interpolate_min_buffer, min_buffer_sweep
+from repro.experiments.multibottleneck import run_multibottleneck
 from repro.experiments.production_network import production_table
 from repro.experiments.short_flow_sweep import afct_buffer_sweep
 from repro.experiments.single_flow import run_single_flow, sawtooth_figures
@@ -157,3 +159,29 @@ class TestTables:
         assert len(rows) == 2
         assert rows[0].utilization >= rows[1].utilization - 0.02
         assert rows[0].rule_multiple > rows[1].rule_multiple
+
+
+class TestRefusedBeforeASimulatorIsBuilt:
+    """Arguments that used to die in a ZeroDivisionError, an IndexError
+    or a SchedulingError from deep inside flow start."""
+
+    @pytest.mark.parametrize("call, names", [
+        (lambda: compare_buffers(n_long=0), "n_long"),
+        (lambda: production_table(n_pairs=8, n_long=8), "n_pairs"),
+        (lambda: production_table(n_pairs=4, n_long=8), "n_long"),
+        (lambda: production_table(n_concurrent=0), "n_concurrent"),
+        (lambda: run_multibottleneck(n_e2e=0), "n_e2e"),
+        (lambda: run_multibottleneck(n_cross_per_hop=0), "n_cross_per_hop"),
+        (lambda: run_multibottleneck(warmup=-1), "warmup"),
+    ], ids=["compare-n_long=0", "table11-n_pairs=n_long",
+            "table11-n_pairs<n_long", "table11-n_concurrent=0",
+            "multibottleneck-n_e2e=0", "multibottleneck-n_cross=0",
+            "multibottleneck-warmup<0"])
+    def test_configuration_error_names_the_argument(
+            self, monkeypatch, call, names):
+        def no_simulator(*args, **kwargs):
+            raise AssertionError("a simulator was built")
+
+        monkeypatch.setattr(common, "_make_simulator", no_simulator)
+        with pytest.raises(ConfigurationError, match=names):
+            call()

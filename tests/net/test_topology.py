@@ -277,6 +277,20 @@ class TestDumbbell:
         assert pairs == [(net.senders[0], net.receivers[0]),
                          (net.senders[1], net.receivers[1])]
 
+    def test_view_is_the_same_dumbbell_over_a_slice_of_pairs(self):
+        net = build_dumbbell(Simulator(), n_pairs=5, bottleneck_rate="10Mbps",
+                             buffer_packets=10,
+                             rtts=[0.01 * (i + 1) for i in range(5)])
+        head, tail = net.view(stop=2), net.view(start=2)
+        assert head.flow_pairs() + tail.flow_pairs() == net.flow_pairs()
+        assert head.rtts + tail.rtts == net.rtts
+        assert net.view(1, 3).senders == net.senders[1:3]
+        for view in (head, tail):
+            assert view.network is net.network
+            assert view.bottleneck is net.bottleneck
+            assert view.reverse is net.reverse
+            assert (view.left, view.right) == (net.left, net.right)
+
 
 class TestRoutingStateIsLinear:
     """Count-based: routes exist only where a node has a choice."""
