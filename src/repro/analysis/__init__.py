@@ -7,15 +7,11 @@ before and after every performance PR.  This package machine-checks the
 coding rules that make that true, instead of trusting review to catch
 violations:
 
-* **Determinism** (``REPRO1xx``) — no process-global RNG state, no
-  unseeded ``random.Random()``, no wall-clock reads, and no event
-  scheduling driven by unordered-set iteration inside the simulation
-  packages.
-* **Fast-path drift** (``REPRO202``) — the one remaining hand-inlined
-  hot-path copy (``Queue.enqueue``'s admitted path inside
-  ``Interface.enqueue``) is compared against its canonical definition
-  via normalized-AST comparison, so an edit to either side that forgets
-  the other fails CI instead of silently diverging.
+* **Determinism and durability** (``REPRO101``–``REPRO108``) — no
+  process-global RNG state, no unseeded ``random.Random()``, no
+  wall-clock reads, no event scheduling driven by unordered-set
+  iteration inside the simulation packages; fsync-before-publish and
+  atomic creates for the sweep's durable files.
 * **Slots hygiene** (``REPRO3xx``) — ``__slots__`` classes on the packet
   hot chain neither shadow parent slots nor assign undeclared
   attributes.
@@ -23,6 +19,12 @@ violations:
   simulation-time expressions, no statically-negative scheduling delays.
 * **Pool safety** (``REPRO5xx``) — no use of a packet variable after
   ``release()`` returned it to the free list.
+* **Units** (``REPRO6xx``) — no bits/bytes or seconds/milliseconds
+  mix-ups across assignments and call boundaries.
+
+The packet path itself has no structural rule: it holds no hand-copied
+code, and its oracles are behavioural (the ``burst=False`` and
+``optimize=False`` engines, golden traces).
 
 Entry points: the :class:`LintEngine` (``repro lint`` in the CLI), the
 rule registry in :mod:`repro.analysis.registry`, and per-line

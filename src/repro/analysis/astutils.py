@@ -1,17 +1,15 @@
-"""Shared AST helpers: name resolution, alias tracking, normalization.
+"""Shared AST helpers: name resolution, import aliases, assignments.
 
-The drift checkers compare hand-inlined hot-path code against canonical
-definitions.  Hand-inlining renames variables (``self`` becomes
-``queue``, ``self._heap`` becomes a cached ``heap`` local), so raw AST
-equality is useless; :func:`normalized_dump` compares structure after
-alpha-renaming the names the caller declares equivalent.
+Small, rule-agnostic queries over :mod:`ast` trees that more than one
+rule family needs: rendering dotted attribute chains, resolving the
+names a module is imported under, and reading assignment targets and
+literal ``__slots__`` tuples.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -25,11 +23,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-
-def call_func_dotted(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call target (``sim.schedule`` for ``sim.schedule(...)``)."""
-    return dotted_name(node.func)
 
 
 def module_aliases(tree: ast.Module, module: str) -> Set[str]:
@@ -60,64 +53,6 @@ def imported_names(tree: ast.Module, module: str) -> Dict[str, str]:
             for item in stmt.names:
                 bound[item.asname or item.name] = item.name
     return bound
-
-
-def iter_functions(tree: ast.Module) -> Iterator[Tuple[Optional[ast.ClassDef], ast.FunctionDef]]:
-    """Yield ``(owning_class_or_None, function)`` for every def in the module."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node  # type: ignore[misc]
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield node, sub  # type: ignore[misc]
-
-
-def find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    """Top-level class definition named ``name``, or None."""
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def find_method(cls: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
-    """Method ``name`` directly on ``cls``, or None."""
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    return None
-
-
-class _Renamer(ast.NodeTransformer):
-    """Alpha-rename ``Name`` identifiers according to a mapping."""
-
-    def __init__(self, rename: Dict[str, str]):
-        self._rename = rename
-
-    def visit_Name(self, node: ast.Name) -> ast.AST:
-        new = self._rename.get(node.id)
-        if new is not None:
-            return ast.copy_location(ast.Name(id=new, ctx=node.ctx), node)
-        return node
-
-
-def normalized_dump(nodes: List[ast.stmt], rename: Optional[Dict[str, str]] = None) -> str:
-    """Structural fingerprint of a statement list.
-
-    Names in ``rename`` are alpha-renamed first (so ``self`` and the
-    inlined ``queue`` local compare equal), docstring-position constants
-    are left alone (statement lists passed here never start with one),
-    and :func:`ast.dump` omits positions by default — the result depends
-    only on code structure.
-    """
-    mapping = rename or {}
-    dumps: List[str] = []
-    for stmt in nodes:
-        clone = _Renamer(dict(mapping)).visit(copy.deepcopy(stmt))
-        ast.fix_missing_locations(clone)
-        dumps.append(ast.dump(clone))
-    return "; ".join(dumps)
 
 
 def assign_targets(stmt: ast.stmt) -> List[ast.expr]:

@@ -58,7 +58,7 @@ class FileContext:
 
         Matching is positional — the component right after a ``repro``
         directory — so fixture trees that mirror the layout (used by the
-        drift tests) scope identically to the real source tree.
+        rule tests) scope identically to the real source tree.
         """
         parts = self.module_parts
         for i, part in enumerate(parts[:-1]):
@@ -143,7 +143,6 @@ class Project:
     def __init__(self, files: List[FileContext]):
         self.files = files
         self._symbols = None
-        self._callgraph = None
 
     @property
     def symbols(self):
@@ -156,27 +155,3 @@ class Project:
             from repro.analysis.symbols import SymbolTable
             self._symbols = SymbolTable(self.files)
         return self._symbols
-
-    @property
-    def callgraph(self):
-        """Lazily-built :class:`~repro.analysis.callgraph.CallGraph`."""
-        if self._callgraph is None:
-            from repro.analysis.callgraph import CallGraph
-            self._callgraph = CallGraph(self.symbols)
-        return self._callgraph
-
-    def find(self, suffix: str) -> Optional[FileContext]:
-        """Locate a parsed file whose path ends with ``suffix``.
-
-        Suffix lookup lets the drift rules address "the module that is
-        ``repro/sim/engine.py``" both in the real tree and in mirrored
-        fixture trees used by the tests.
-        """
-        normalized = suffix.replace("\\", "/")
-        for ctx in self.files:
-            if ctx.tree is None:
-                continue
-            path = ctx.path.replace("\\", "/")
-            if path == normalized or path.endswith("/" + normalized):
-                return ctx
-        return None

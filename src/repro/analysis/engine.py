@@ -102,7 +102,7 @@ class LintEngine:
     ----------
     select:
         Optional rule-id selectors (exact ids or prefixes such as
-        ``"REPRO2"``); default is every registered rule.
+        ``"REPRO6"``); default is every registered rule.
     """
 
     def __init__(self, select: Optional[Sequence[str]] = None):

@@ -3,7 +3,7 @@
 A rule is a class with an ``id`` (``REPRO###``), a severity, a one-line
 ``summary``, and either a per-file :meth:`Rule.check_file` or a
 whole-project :meth:`Rule.check_project` (cross-file rules such as the
-fast-path drift checkers).  Decorate with :func:`register` to make the
+``__slots__`` inheritance checks).  Decorate with :func:`register` to make the
 rule discoverable by the engine and ``repro lint --list-rules``.
 """
 
@@ -84,7 +84,7 @@ def all_rules() -> List[Rule]:
 def get_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     """Instantiate the selected rules (ids or id prefixes), or all.
 
-    ``select=["REPRO2"]`` picks every drift rule; unknown selectors
+    ``select=["REPRO6"]`` picks every unit rule; unknown selectors
     raise :class:`~repro.errors.ConfigurationError` so typos fail loudly.
     """
     rules = all_rules()

@@ -1,19 +1,17 @@
 """Module-level symbol table over the linted file set.
 
-The whole-program rules (unit taint across call boundaries, callback
-purity, the CFG-based pool checker) need to answer "which function does
-this call expression refer to?".  This module builds the index they
-share: every module in the linted :class:`~repro.analysis.context.Project`
-is reduced to its top-level functions, classes (with methods and base
+The whole-program rules (unit taint across call boundaries, the
+CFG-based pool checker) need to answer "which function does this call
+expression refer to?".  This module builds the index they share: every
+module in the linted :class:`~repro.analysis.context.Project` is
+reduced to its top-level functions, classes (with methods and base
 classes), and import bindings, keyed by a dotted module name derived
 from the file path — ``repro/net/link.py`` becomes ``repro.net.link``
 both in the real tree and in the mirrored fixture trees the tests use.
 
 Resolution is deliberately *static and partial*: a call that cannot be
-resolved to a definition in the file set simply resolves to ``None``
-(or, for duck-typed method calls, to every method of that name).  Rules
-choose the approximation that is safe for them — the purity rules use
-the duck over-approximation, the unit rules the strict one.
+resolved to a single definition in the file set resolves to ``None``,
+so a rule never follows an edge it is not sure of.
 """
 
 from __future__ import annotations
@@ -136,7 +134,6 @@ class SymbolTable:
     def __init__(self, files: List) -> None:
         self.modules: Dict[str, ModuleSymbols] = {}
         self.by_qualname: Dict[str, FunctionInfo] = {}
-        self._methods_by_name: Dict[str, List[FunctionInfo]] = {}
         for ctx in files:
             if ctx.tree is None:
                 continue
@@ -177,8 +174,6 @@ class SymbolTable:
                             node.name, sub.name, sub, ctx)
                         cls.methods[sub.name] = info
                         self.by_qualname[info.qualname] = info
-                        self._methods_by_name.setdefault(
-                            sub.name, []).append(info)
                         _collect_nested(info, self)
 
     # ------------------------------------------------------------------
@@ -196,10 +191,6 @@ class SymbolTable:
     def find_class(self, module: str, name: str) -> Optional[ClassInfo]:
         mod = self.modules.get(module)
         return mod.classes.get(name) if mod else None
-
-    def methods_named(self, name: str) -> List[FunctionInfo]:
-        """Every method of that name across all classes (duck typing)."""
-        return list(self._methods_by_name.get(name, ()))
 
     def class_method(self, cls: ClassInfo,
                      name: str) -> Optional[FunctionInfo]:

@@ -95,23 +95,6 @@ def _sqrt_rule_packets(pipe: float, factor: float, n_flows: int) -> int:
     return max(2, round(_sqrt_rule(pipe, factor, n_flows)))
 
 
-def _engine_opts(args: argparse.Namespace):
-    """Engine overrides from the ``--scheduler``/``--burst`` flags.
-
-    Returns ``None`` when every flag is at its default so the runners
-    take their usual path untouched; the calendar bucket width is
-    derived by the experiment runner from the timer horizon.
-    """
-    opts = {}
-    scheduler = getattr(args, "scheduler", "heap")
-    if scheduler != "heap":
-        opts["scheduler"] = scheduler
-    burst = getattr(args, "burst", None)
-    if burst is not None:
-        opts["burst"] = burst
-    return opts or None
-
-
 def cmd_size(args: argparse.Namespace) -> int:
     """``repro size``: apply the paper's sizing rules to a link."""
     try:
@@ -184,7 +167,6 @@ def cmd_simulate_long(args: argparse.Namespace) -> int:
             max_events=getattr(args, "max_events", None),
             max_wall_seconds=getattr(args, "timeout", None),
             utilization_probe_period=1.0 if faults is not None else None,
-            engine_opts=_engine_opts(args),
         )
     except (SimulationStalledError, InvariantViolation) as exc:
         return _abort(exc)
@@ -230,7 +212,6 @@ def cmd_simulate_short(args: argparse.Namespace) -> int:
             cc=getattr(args, "cc", "reno"),
             max_events=getattr(args, "max_events", None),
             max_wall_seconds=getattr(args, "timeout", None),
-            engine_opts=_engine_opts(args),
         )
     except (SimulationStalledError, InvariantViolation) as exc:
         return _abort(exc)

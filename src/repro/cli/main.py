@@ -20,26 +20,6 @@ def _add_watchdog_args(parser: argparse.ArgumentParser) -> None:
                         help="abort after this many wall-clock seconds")
 
 
-def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
-    """Event-scheduler backend selector (results are bit-identical)."""
-    parser.add_argument("--scheduler", default="heap",
-                        choices=["heap", "calendar"],
-                        help="event-scheduler backend (default heap); "
-                             "calendar uses array-backed buckets sized to "
-                             "the timer horizon — results are bit-identical "
-                             "either way")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--burst", dest="burst", action="store_true",
-                       default=None,
-                       help="burst-mode departures: coalesce backlogged "
-                            "per-link dequeue/serialize/deliver events into "
-                            "drained bursts (default on for optimized runs; "
-                            "results are bit-identical either way)")
-    group.add_argument("--no-burst", dest="burst", action="store_false",
-                       help="force per-event departures (disable the "
-                            "burst-mode fast path)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the full argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -101,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help='random loss burst on the bottleneck queue, '
                              'e.g. "30,5,0.02"')
     _add_watchdog_args(p_long)
-    _add_scheduler_arg(p_long)
     p_long.set_defaults(func=commands.cmd_simulate_long)
 
     p_short = sim_sub.add_parser("short-flows",
@@ -117,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_short.add_argument("--cc", default="reno", choices=available_ccs(),
                          help="congestion control (default reno)")
     _add_watchdog_args(p_short)
-    _add_scheduler_arg(p_short)
     p_short.set_defaults(func=commands.cmd_simulate_short)
 
     p_single = sim_sub.add_parser("single-flow",
@@ -297,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="simulation-correctness static analysis "
-                     "(determinism, fast-path drift, slots, sim-time, "
-                     "pool safety)")
+                     "(determinism, durability, slots, sim-time, "
+                     "pool safety, units)")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files/directories to lint (default: src/repro)")
     p_lint.add_argument("--select", action="append", default=None,
                         metavar="RULE",
                         help="rule id or prefix to run (repeatable), "
-                             'e.g. --select REPRO2 for the drift checkers')
+                             'e.g. --select REPRO6 for the unit checkers')
     p_lint.add_argument("--format", default="text",
                         choices=["text", "json"],
                         help="diagnostic output format (default text)")

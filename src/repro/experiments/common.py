@@ -165,12 +165,11 @@ def _make_simulator(optimize: bool = True, engine_opts: Optional[dict] = None,
     """Build the experiment Simulator and register it with ``repro.obs``.
 
     ``optimize=False`` selects the unoptimized reference engine (eager
-    timer cancellation, no heap compaction, and the canonical checked
-    enqueue/transmit paths instead of the inlined fast paths) used by
-    the equivalence tests; ``engine_opts`` overrides individual engine
-    knobs either way.  Burst mode (virtual per-link packet-event
-    streams) rides on the inlined fast path, so it defaults on exactly
-    when ``fastpath`` is on.
+    timer cancellation, no heap compaction, no cut-through or
+    back-to-back serialization) used by the equivalence tests;
+    ``engine_opts`` overrides individual engine knobs either way.  Burst
+    mode (virtual per-link packet-event streams) rides on the fast
+    path, so it defaults on exactly when ``fastpath`` is on.
 
     When ``engine_opts`` selects the calendar scheduler without fixing
     a bucket width, the width is auto-sized so the wheel spans the

@@ -54,7 +54,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError, CorruptRecordError, FabricError
 from repro.fabric import records
@@ -645,21 +645,3 @@ def validate_plain_params(params: Dict[str, Any]) -> None:
 
     for name, value in params.items():
         check(value, name)
-
-
-def queue_counters(root_or_queue: Any) -> Dict[str, int]:
-    """Convenience: fabric counters for a queue directory or instance."""
-    queue = (root_or_queue if isinstance(root_or_queue, WorkQueue)
-             else WorkQueue.open(str(root_or_queue)))
-    return queue.tally()
-
-
-def iter_crash_dumps(queue: WorkQueue) -> Iterable[str]:
-    """Paths of every crash-dump artifact currently in the queue."""
-    crash_dir = os.path.join(queue.root, "crashes")
-    try:
-        names = sorted(os.listdir(crash_dir))
-    except FileNotFoundError:
-        return
-    for name in names:
-        yield os.path.join(crash_dir, name)

@@ -13,7 +13,6 @@ utilization/occupancy/drop data in every figure of the paper.
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.link import Link
@@ -75,26 +74,12 @@ class Interface:
 
     def enqueue(self, packet: Packet) -> bool:
         """Offer a packet for output; returns False if the queue dropped it."""
-        # Inlined Queue.enqueue (never overridden — subclasses customize
-        # _admit) followed by the pump: this is the hottest chain in the
-        # simulator, one call per forwarded packet.  Runs with fault
-        # injectors active — or on a fastpath=False simulator (the
-        # honest unoptimized benchmark arm) — take the full checked
-        # path through the canonical Queue.enqueue instead.
         queue = self.queue
-        if queue._injectors or not self.sim._fastpath:
-            accepted = queue.enqueue(packet)
-            if accepted:
-                link = self.link
-                if not link.busy and link.is_up:
-                    head = queue.dequeue()
-                    if head is not None:
-                        link.transmit(head, on_idle=self._idle_cb)
-            return accepted
-        size = packet.size
         link = self.link
+        size = packet.size
         if (not link.busy and link.is_up and not queue._items
                 and queue.__class__ is DropTailQueue
+                and not queue._injectors and self.sim._fastpath
                 and link.dst is not None
                 and (queue.capacity_bytes is None
                      or size <= queue.capacity_bytes)):
@@ -102,9 +87,9 @@ class Interface:
             # would be dequeued again within this same instant, so its
             # zero-length residency adds nothing to the occupancy
             # integral — only the flow counters need touching.  Gated on
-            # the exact class because subclasses put policy in _admit
-            # (RED state updates, scripted drops) that must see every
-            # arrival.
+            # the exact class because subclasses put policy in _admit or
+            # enqueue (RED state updates, scripted drops) that must see
+            # every arrival, and on no injectors because those must too.
             queue.arrivals += 1
             queue.bytes_in += size
             queue.departures += 1
@@ -116,53 +101,13 @@ class Interface:
             if _obs.enabled:
                 # Zero residency: the packet goes straight to the wire.
                 _obs.queue_event("enqueue", queue, packet, 0)
-            # Inlined Link.transmit (idle, up, and wired — all just
-            # checked).
-            sim = link.sim
-            now = sim._now
-            link.busy = True
-            link._busy_since = now
-            link._on_idle = self._idle_cb
-            if sim._burst:
-                # Burst mode: virtual serialization stream instead of a
-                # scheduled Event (see link._drain_burst).
-                vseq = next(sim._seq_alloc)
-                link._ser_time = time = now + size * 8.0 / link.rate
-                link._ser_seq = vseq
-                link._ser_packet = packet
-                _heappush(sim._vheap, (time, vseq, link))
-                sim._live += 1
-                return True
-            link._serializing = sim.schedule(
-                size * 8.0 / link.rate, link._end_serialization, packet)
+            link.transmit(packet, on_idle=self._idle_cb)
             return True
-        queue.arrivals += 1
-        queue.bytes_in += size
-        if queue._admit(packet):
-            items = queue._items
-            now = queue.sim._now
-            dt = now - queue._occ_time
-            n = len(items)
-            if dt > 0.0:
-                queue._occ_area_pkts += n * dt
-                queue._occ_area_bytes += queue._bytes * dt
-                queue._occ_time = now
-            items.append(packet)
-            bytes_now = queue._bytes = queue._bytes + size
-            n += 1
-            if n > queue.peak_packets:
-                queue.peak_packets = n
-            if bytes_now > queue.peak_bytes:
-                queue.peak_bytes = bytes_now
-            if _obs.enabled:
-                _obs.queue_event("enqueue", queue, packet, n)
-            if not link.busy and link.is_up:
-                head = queue.dequeue()
-                if head is not None:
-                    link.transmit(head, on_idle=self._idle_cb)
-            return True
-        queue._drop(packet)
-        return False
+        if not queue.enqueue(packet):
+            return False
+        if not link.busy:
+            self._pump()
+        return True
 
     def _pump(self) -> None:
         link = self.link

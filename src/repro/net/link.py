@@ -133,17 +133,6 @@ class Link:
         serializing = self._serializing is not None or self._ser_packet is not None
         return (1 if serializing else 0) + len(self._propagating) + len(self._prop)
 
-    @property
-    def in_flight_bytes(self) -> int:
-        """Bytes currently on this link."""
-        total = sum(ev.args[0].size for ev in self._propagating.values())
-        total += sum(rec[3].size for rec in self._prop)
-        if self._serializing is not None:
-            total += self._serializing.args[0].size
-        if self._ser_packet is not None:
-            total += self._ser_packet.size
-        return total
-
     def transmit(self, packet: Packet, on_idle: Optional[Callable[[], None]] = None) -> None:
         """Begin transmitting ``packet``.
 
@@ -402,7 +391,6 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
             if t == bt and s > bs:
                 break
             link = entry[2]
-            head = None
             if link._ser_seq == s:
                 # --- serialization end (SER) ---
                 packet = link._ser_packet
@@ -495,12 +483,6 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
             steps += 1
             if steps == rem:
                 break
-            if head is not None and queue.__class__ is DropTailQueue:
-                # Pure serialization refill: the inline drop-tail dequeue
-                # runs no callbacks, so it cannot push real events, call
-                # stop(), or change the backend size — skip the re-reads
-                # and keep draining against the same bound.
-                continue
             rebound = True
             if sim._stopped:
                 break

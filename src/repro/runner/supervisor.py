@@ -345,10 +345,18 @@ class SweepSupervisor:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ConfigurationError(
+                    f"unreadable checkpoint {path!r}: not a JSON object")
             if payload.get("version") != 1:
                 raise ConfigurationError(
                     f"checkpoint {path!r} has unsupported version "
                     f"{payload.get('version')!r}")
+            cells = payload.get("cells", {})
+            if not isinstance(cells, dict):
+                raise ConfigurationError(
+                    f"unreadable checkpoint {path!r}: 'cells' is not a "
+                    f"JSON object")
         except (OSError, ValueError, ConfigurationError) as exc:
             if on_corrupt == "quarantine":
                 # Fabric recovery: park the damaged file (evidence for
@@ -363,7 +371,7 @@ class SweepSupervisor:
                 raise
             raise ConfigurationError(
                 f"unreadable checkpoint {path!r}: {exc}") from exc
-        return dict(payload.get("cells", {}))
+        return dict(cells)
 
     def _checkpoint_meta(self) -> Dict[str, Any]:
         """Audit metadata embedded in every checkpoint write.

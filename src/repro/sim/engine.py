@@ -974,9 +974,8 @@ class Simulator:
         Calendar wheel size (default 1024 buckets).  Events beyond
         ``bucket_width * wheel_buckets`` ahead spill to the ladder.
     fastpath:
-        Enable the structural shortcuts in :mod:`repro.net`: the
-        inlined ``Queue.enqueue`` admitted path, cut-through enqueue
-        and back-to-back serialization.  ``False`` routes every packet
+        Enable the structural shortcuts in :mod:`repro.net`: cut-through
+        enqueue and back-to-back serialization.  ``False`` routes every packet
         through the canonical call chain (``Queue.enqueue`` →
         ``Link.transmit`` → ``Node.receive``) — the oracle the
         equivalence tests and the benchmark's reference run compare

@@ -68,8 +68,7 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         code, out = run_cli(capsys, "lint", "--list-rules")
         assert code == 0
-        for rule_id in ("REPRO101", "REPRO202", "REPRO301",
-                        "REPRO401", "REPRO501"):
+        for rule_id in ("REPRO101", "REPRO301", "REPRO401", "REPRO501"):
             assert rule_id in out
 
     def test_writes_nothing_to_the_working_directory(self, capsys, tmp_path,

@@ -1,9 +1,11 @@
 """Engine-level behaviour: collection, noqa, selection, output shape."""
 
 import os
+from pathlib import Path
 
 import pytest
 
+import repro.sim.engine
 from repro.analysis import Severity, lint_paths
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import collect_files
@@ -11,6 +13,8 @@ from repro.analysis.registry import all_rules, get_rules
 from repro.errors import ConfigurationError
 
 from tests.analysis.conftest import rule_ids
+
+_SRC = Path(repro.sim.engine.__file__).resolve().parents[2]
 
 BAD_WALLCLOCK = """\
 import time
@@ -132,6 +136,16 @@ class TestDiagnostics:
     def test_clean_tree_exits_zero(self, lint_source):
         result = lint_source("x = 1\n")
         assert result.exit_code == 0
+
+
+class TestRealTree:
+    def test_real_tree_is_clean(self):
+        # The one place outside CI where the full rule set meets the
+        # real tree: no diagnostics, and (full run) no stale
+        # ``# repro: noqa`` either, which would surface as REPRO002.
+        result = lint_paths([str(_SRC / "repro")])
+        assert [d.format() for d in result.diagnostics] == []
+        assert result.files_scanned > 100
 
 
 class TestUnusedNoqa:

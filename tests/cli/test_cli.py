@@ -38,6 +38,16 @@ class TestParser:
             build_parser().parse_args([command])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("scenario", ["long-flows", "short-flows"])
+    @pytest.mark.parametrize("flags", [["--scheduler", "calendar"],
+                                       ["--burst"], ["--no-burst"]])
+    def test_removed_engine_flags_are_usage_errors(self, scenario, flags):
+        # The engines they chose between are bit-identical; library
+        # callers still pick one with engine_opts=.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", scenario, *flags])
+        assert exc.value.code == 2
+
 
 class TestSizeCommand:
     def test_headline_example(self, capsys):

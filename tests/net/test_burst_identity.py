@@ -5,7 +5,8 @@ chain's work is done — virtual per-link streams drained in a tight loop
 — but must never change *what* the simulation computes.  A seeded
 (``derandomize=True``) hypothesis suite drives a tiny dumbbell through
 op scripts covering exactly the hazards the drain has to re-split on:
-timers expiring mid-burst, a fault flap landing inside a burst window,
+timers expiring mid-burst, a delivery callback scheduling inside the
+burst window, a fault flap landing inside a burst window,
 RED drops inside a burst, ``stop()`` from a callback during the drain,
 and zero-length / single-packet bursts — and asserts the full
 observable history is identical across bursting on/off on both
@@ -70,6 +71,15 @@ class _Sink:
                          round(self.sim.now, 9)))
 
 
+class _EchoSink(_Sink):
+    """Schedules a callback 0.1 ms after every delivery, as an ACK would."""
+
+    def deliver(self, packet):
+        super().deliver(packet)
+        self.sim.schedule(0.0001, lambda seq=packet.seq: self.log.append(
+            ("echo", seq, round(self.sim.now, 9))))
+
+
 def _build(scheduler, burst, red):
     opts = {}
     if scheduler == "calendar":
@@ -95,11 +105,11 @@ def _build(scheduler, burst, red):
     return sim, net, a, r, b
 
 
-def _execute(ops, scheduler, burst, red=False, max_events=None):
+def _execute(ops, scheduler, burst, red=False, max_events=None, sink=_Sink):
     """Run one op script; return the full observable history."""
     sim, net, a, r, b = _build(scheduler, burst, red)
     log = []
-    sink = _Sink(sim, log)
+    sink = sink(sim, log)
     b.bind(5, sink)
     bottleneck = r.interfaces[b.node_id]
     uids = iter(range(1, 10_000))
@@ -212,6 +222,14 @@ class TestBurstEdgeCases:
 
     def test_stop_from_callback_during_drain(self):
         self._histories([("send", 8), ("stop",), ("send", 3)])
+
+    def test_delivery_callback_schedules_inside_burst(self):
+        # Each echo lands 0.1 ms after its delivery, before the next
+        # departure (0.8 ms): a drain that kept a stale bound after a
+        # delivery would run that departure first.
+        history = self._histories([("send", 6)], sink=_EchoSink)
+        kinds = [entry[0] for entry in history[0]]
+        assert kinds == ["rx", "echo"] * 6
 
     def test_burst_census_counts_coalesced_steps(self):
         ops = [("send", 8), ("send", 8)]

@@ -77,6 +77,31 @@ class TestInterface:
         assert len(sink.arrivals) == 2
 
 
+class CountingQueue(DropTailQueue):
+    """Counts the arrivals offered to its ``enqueue``."""
+
+    calls = 0
+
+    def enqueue(self, packet):
+        self.calls += 1
+        return super().enqueue(packet)
+
+
+class TestQueueSubclass:
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_overridden_enqueue_sees_every_arrival(self, burst):
+        sim = Simulator(burst=burst)
+        sink = Collector(sim)
+        queue = CountingQueue(sim, capacity_packets=10)
+        iface = Interface(sim, queue,
+                          Link(sim, rate="8Mbps", delay="0ms", dst=sink))
+        for _ in range(3):
+            iface.enqueue(make_packet())
+        sim.run()
+        assert queue.calls == 3
+        assert len(sink.arrivals) == 3
+
+
 class HesitantQueue(DropTailQueue):
     """Declines its second dequeue while still holding packets."""
 

@@ -63,6 +63,30 @@ class TestLifecycle:
         assert "pool.reuse_ratio" in snap["counters"]
 
 
+class TestQueueEvents:
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_every_admission_records_one_enqueue(self, burst):
+        # One cut through, two queued, two dropped: each admitted packet
+        # (cut-through or queued) is one "enqueue" event, each drop one
+        # "drop" event.
+        from repro.net import DropTailQueue, Interface, Packet
+        from repro.net.link import Link
+        from repro.sim import Simulator
+
+        with obs.observed(kinds={"enqueue", "drop"}) as recorder:
+            sim = Simulator(burst=burst)
+            sink = type("Sink", (), {"receive": lambda self, packet: None})()
+            iface = Interface(sim, DropTailQueue(sim, capacity_packets=2),
+                              Link(sim, rate="8Mbps", delay="0ms", dst=sink))
+            for _ in range(5):
+                iface.enqueue(Packet(src=1, dst=2, payload=960, header=40))
+            sim.run()
+            counts = recorder.counts_by_kind()
+        assert counts == {"enqueue": 3, "drop": 2}
+        assert [e["q"] for e in recorder.events()
+                if e["kind"] == "enqueue"] == [0, 1, 2]
+
+
 class TestLiveExperiment:
     def test_long_flow_components_and_counters(self):
         with obs.observed() as recorder:

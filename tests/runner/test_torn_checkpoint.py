@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.runner import supervisor as supervisor_module
 from repro.runner.supervisor import SweepSupervisor
@@ -113,3 +114,53 @@ class TestTornRecovery:
             SweepSupervisor(square,
                             checkpoint_path=str(tmp_path / "c.json"),
                             on_corrupt="ignore")
+
+
+NOT_OBJECTS = [[], "x", 3, {"version": 1, "cells": [1]}]
+NOT_OBJECT_IDS = ["list", "string", "number", "cells-list"]
+SWEEP = ["sweep", "--flows", "3", "--buffer-factors", "1.0", "--pipe", "40",
+         "--rate", "10Mbps", "--warmup", "2", "--duration", "4"]
+
+
+class TestNonObjectCheckpoint:
+    """Valid JSON of the wrong shape is as unreadable as torn JSON."""
+
+    def write(self, tmp_path, payload):
+        path = str(tmp_path / "sweep.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        return path
+
+    @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_default_mode_raises_typed_error(self, tmp_path, payload):
+        path = self.write(tmp_path, payload)
+        with pytest.raises(ConfigurationError,
+                           match="unreadable checkpoint .*not a JSON object"):
+            SweepSupervisor(square, checkpoint_path=path)
+
+    @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_quarantine_mode_parks_it(self, tmp_path, payload):
+        path = self.write(tmp_path, payload)
+        sup = SweepSupervisor(square, checkpoint_path=path,
+                              on_corrupt="quarantine")
+        assert sup.completed_cells == 0
+        assert os.path.exists(path + ".corrupt")
+
+    @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_serial_sweep_exits_2(self, tmp_path, capsys, payload):
+        path = self.write(tmp_path, payload)
+        code = main([*SWEEP, "--checkpoint", path])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines()[-1].startswith("error: unreadable checkpoint")
+        assert "computed" not in out
+
+    def test_queue_sweep_quarantines_and_runs(self, tmp_path, capsys):
+        path = self.write(tmp_path, [])
+        code = main([*SWEEP, "--jobs", "2", "--checkpoint", path])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "computed" in out
+        assert os.path.exists(path + ".corrupt")
+        with open(path) as fh:
+            assert len(json.load(fh)["cells"]) == 1
