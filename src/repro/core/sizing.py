@@ -166,6 +166,11 @@ def recommend_buffer(
     """
     if n_long_flows < 0:
         raise ModelError("n_long_flows must be >= 0")
+    if short_flow_load != 0 and not (
+            math.isfinite(short_flow_load) and 0 < short_flow_load < 1):
+        # ShortFlowModel's domain; 0 means "no short flows".
+        raise ModelError(
+            f"short_flow_load must be 0 or in (0, 1), got {short_flow_load}")
     if n_long_flows == 0 and short_flow_load <= 0:
         raise ModelError("describe some traffic: long flows and/or short-flow load")
 

@@ -93,17 +93,18 @@ class FluidAimdModel:
     ):
         if n_flows < 1:
             raise ConfigurationError("need at least one flow")
-        if capacity_pps <= 0:
-            raise ConfigurationError("capacity must be positive")
-        if buffer_packets < 0:
+        if not (math.isfinite(capacity_pps) and capacity_pps > 0):
+            raise ConfigurationError(
+                f"capacity must be finite and > 0, got {capacity_pps}")
+        if not buffer_packets >= 0:  # nan fails too
             raise ConfigurationError("buffer must be >= 0")
         rtt_list = list(rtts)
         if len(rtt_list) == 1:
             rtt_list = rtt_list * n_flows
         if len(rtt_list) != n_flows:
             raise ConfigurationError(f"need 1 or {n_flows} RTTs")
-        if any(r <= 0 for r in rtt_list):
-            raise ConfigurationError("RTTs must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in rtt_list):
+            raise ConfigurationError("RTTs must be finite and > 0")
         self.n_flows = n_flows
         self.capacity = float(capacity_pps)
         self.buffer = float(buffer_packets)
@@ -193,12 +194,12 @@ class FluidAimdModel:
         FluidResult with utilization and queue statistics over the
         measured span.
         """
-        if duration <= 0:
-            raise ModelError("duration must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ModelError(f"duration must be finite and > 0, got {duration}")
         if dt is None:
             dt = min(self.rtts) / 50.0
-        if dt <= 0:
-            raise ModelError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ModelError(f"dt must be finite and > 0, got {dt}")
         t_end = self.time + warmup + duration
         t_measure = self.time + warmup
         delivered_area = 0.0

@@ -41,7 +41,7 @@ class Interface:
         Optional label for diagnostics.
     """
 
-    __slots__ = ("sim", "queue", "link", "name", "_idle_cb")
+    __slots__ = ("sim", "queue", "link", "name", "_idle_cb", "_cut")
 
     def __init__(self, sim: "Simulator", queue: Queue, link: Link,
                  name: str = "") -> None:
@@ -65,9 +65,10 @@ class Interface:
         # waiting, so its idle callback could only ever find the queue
         # empty — register none.  Everyone else (fastpath=False, RED,
         # any queue subclass) is pumped at end of serialization.
+        # The same two facts are the static half of the cut-through guard.
+        self._cut = sim._fastpath and queue.__class__ is DropTailQueue
         self._idle_cb: Optional[Callable[[], None]] = (
-            None if sim._fastpath and queue.__class__ is DropTailQueue
-            else self._on_link_idle)
+            None if self._cut else self._on_link_idle)
         if _obs.enabled and self.name:
             _obs.label(queue, self.name)
             _obs.label(link, self.name)
@@ -77,10 +78,8 @@ class Interface:
         queue = self.queue
         link = self.link
         size = packet.size
-        if (not link.busy and link.is_up and not queue._items
-                and queue.__class__ is DropTailQueue
-                and not queue._injectors and self.sim._fastpath
-                and link.dst is not None
+        if (self._cut and not link.busy and link.is_up and not queue._items
+                and not queue._injectors and link.dst is not None
                 and (queue.capacity_bytes is None
                      or size <= queue.capacity_bytes)):
             # Cut-through: empty drop-tail queue, idle link.  The packet
@@ -101,7 +100,7 @@ class Interface:
             if _obs.enabled:
                 # Zero residency: the packet goes straight to the wire.
                 _obs.queue_event("enqueue", queue, packet, 0)
-            link.transmit(packet, on_idle=self._idle_cb)
+            link._start(packet, None)  # transmit()'s checks, made above
             return True
         if not queue.enqueue(packet):
             return False

@@ -150,6 +150,10 @@ class Link:
         if not self.is_up:
             self._count_fault_drop(packet)
             return
+        self._start(packet, on_idle)
+
+    def _start(self, packet: Packet, on_idle: Optional[Callable[[], None]]) -> None:
+        """:meth:`transmit` past its checks (the cut-through makes them)."""
         sim = self.sim
         now = sim._now
         self.busy = True

@@ -158,7 +158,11 @@ class Host(Node):
             self.packets_received += 1
             self._dispatch(packet)
             return True
-        return self.forward(packet)
+        # forward() minus the MAX_HOPS check a fresh packet cannot fail.
+        iface = self._routes.get(packet.dst)
+        if iface is None:
+            iface = self.route_for(packet.dst)
+        return iface.enqueue(packet)
 
     def receive(self, packet: Packet) -> None:
         if packet.dst != self.address:

@@ -264,14 +264,6 @@ class Queue:
         area = self._occ_area_pkts + len(self._items) * (self.sim.now - self._occ_time)
         return area / span
 
-    def mean_occupancy_bytes(self) -> float:
-        """Time-weighted mean queue length in bytes so far."""
-        span = self.sim.now - self._occ_start
-        if span <= 0:
-            return math.nan
-        area = self._occ_area_bytes + self._bytes * (self.sim.now - self._occ_time)
-        return area / span
-
     def check_invariants(self) -> None:
         """Raise :class:`InvariantViolation` unless the books balance.
 

@@ -56,6 +56,7 @@ from repro.errors import (
 )
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
 from repro.fabric.records import fsync_directory as _fsync_directory
+from repro.sim.engine import check_wall_budget
 
 __all__ = ["SweepSupervisor", "TrialOutcome", "cell_key",
            "accepted_params", "budgeted_call"]
@@ -297,6 +298,8 @@ class SweepSupervisor:
     ):
         if max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
+        # Refused before the checkpoint is read or discarded.
+        check_wall_budget(max_wall_seconds)
         if on_corrupt not in ("raise", "quarantine"):
             raise ConfigurationError(
                 f"on_corrupt must be 'raise' or 'quarantine', got {on_corrupt!r}")

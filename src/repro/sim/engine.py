@@ -70,7 +70,7 @@ from repro.errors import (
     SimulationStalledError,
 )
 
-__all__ = ["Event", "Simulator", "Timer"]
+__all__ = ["Event", "Simulator", "Timer", "check_wall_budget"]
 
 _INF = math.inf
 _floor = math.floor
@@ -85,6 +85,14 @@ _heapify = heapq.heapify
 #: deadline at insertion; a lazily-deferred timer moves ``event.time``
 #: later without re-keying the entry.
 _Entry = Tuple[float, int, "Event"]
+
+
+def check_wall_budget(max_wall_seconds: Optional[float]) -> None:
+    """Reject a wall budget the watchdog cannot enforce (nan never trips)."""
+    if max_wall_seconds is not None and not (
+            math.isfinite(max_wall_seconds) and max_wall_seconds > 0):
+        raise SimulationError(f"max_wall_seconds must be a finite number "
+                              f"> 0, got {max_wall_seconds}")
 
 
 class Event:
@@ -1182,9 +1190,7 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         if max_events is not None and max_events < 1:
             raise SimulationError(f"max_events must be >= 1, got {max_events}")
-        if max_wall_seconds is not None and max_wall_seconds <= 0:
-            raise SimulationError(
-                f"max_wall_seconds must be positive, got {max_wall_seconds}")
+        check_wall_budget(max_wall_seconds)
         self._running = True
         self._stopped = False
         # Hot-loop precomputation: the horizon becomes a plain float

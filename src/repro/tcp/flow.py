@@ -10,7 +10,6 @@ these in bulk.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -185,11 +184,6 @@ class TcpFlow:
     def record(self) -> Optional[FlowRecord]:
         """The completion record, or ``None`` while in progress."""
         return self._user_record
-
-    @property
-    def rtt_estimate(self) -> float:
-        """Sender's smoothed RTT (NaN before the first sample)."""
-        return self.sender.rto.srtt if self.sender.rto.samples else math.nan
 
     def teardown(self) -> None:
         """Release both endpoints' ports and timers (for flow churn)."""

@@ -118,14 +118,14 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
         """Entry point for arriving data segments."""
-        if packet.is_ack or not packet.is_data:
+        flags = packet.flags  # int tests: is_ack/is_data are properties
+        if flags & _ACK or packet.payload <= 0:
             return
         self.segments_received += 1
         if math.isnan(self.first_arrival):
             self.first_arrival = self.sim.now
         seq = packet.seq
         self._last_arrival_seq = seq
-        flags = packet.flags
         if flags & _CE:
             self._ece_pending = True
             self.ce_marks_seen += 1
@@ -135,7 +135,7 @@ class TcpReceiver:
             # Duplicate (spurious retransmission): re-ACK immediately so
             # the sender's state converges.
             self.duplicate_segments += 1
-            self._send_ack(packet)
+            self._emit_ack(packet.src, packet.flow_id, packet.sport)
             return
         if seq == self.rcv_nxt:
             self.rcv_nxt += 1
@@ -144,16 +144,17 @@ class TcpReceiver:
                 self._out_of_order.discard(self.rcv_nxt)
                 self.rcv_nxt += 1
             self._maybe_complete()
-            self._ack_in_order(packet)
+            if self.delayed_ack:
+                self._ack_in_order(packet)
+            else:
+                self._emit_ack(packet.src, packet.flow_id, packet.sport)
         else:
             # Out of order: buffer and duplicate-ACK immediately.
             self._out_of_order.add(seq)
-            self._send_ack(packet)
+            self._emit_ack(packet.src, packet.flow_id, packet.sport)
 
     def _ack_in_order(self, packet: Packet) -> None:
-        if not self.delayed_ack:
-            self._send_ack(packet)
-            return
+        """Delayed ACK (RFC 1122): every second segment, or on the timer."""
         self._unacked_segments += 1
         self._reply_to = (packet.src, packet.flow_id, packet.sport)
         if self._unacked_segments >= 2:
@@ -167,9 +168,6 @@ class TcpReceiver:
         if self._reply_to is not None:
             self._emit_ack(*self._reply_to)
 
-    def _send_ack(self, data_packet: Packet) -> None:
-        self._emit_ack(data_packet.src, data_packet.flow_id, data_packet.sport)
-
     def _emit_ack(self, dst: int, flow_id: int, dport: int) -> None:
         meta = None
         if self.sack:
@@ -179,18 +177,9 @@ class TcpReceiver:
         flags = _ACK
         if self._ece_pending:
             flags |= _ECE
-        ack = Packet.acquire(
-            src=self.host.address,
-            dst=dst,
-            payload=0,
-            header=TCP_HEADER_BYTES,
-            ack=self.rcv_nxt,
-            flags=flags,
-            flow_id=flow_id,
-            sport=self.port,
-            dport=dport,
-            meta=meta,
-        )
+        ack = Packet.acquire(self.host.address, dst, 0, TCP_HEADER_BYTES, 0,
+                             self.rcv_nxt, flags, flow_id, self.port, dport,
+                             0.0, meta)
         self.acks_sent += 1
         self.host.inject(ack)
 

@@ -14,7 +14,8 @@ of one connection; the receiving side is
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Set
+from collections import deque
+from typing import Callable, Deque, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.node import Host
@@ -133,8 +134,10 @@ class TcpSender:
 
         # Timing state.  The RTO is a Timer so per-ACK restarts are an
         # in-place deadline update instead of cancel-plus-push churn.
-        self._send_times: Dict[int, float] = {}
-        self._retx_seqs: Set[int] = set()
+        # Send times of the timed run [_timed_base, high_water), oldest
+        # first: see _emit and _sample_rtt.
+        self._send_times: Deque[float] = deque()
+        self._timed_base = 0
         self._rto_timer = Timer(sim, self._on_rto)
         self.started = False
         self.completed = False
@@ -183,11 +186,6 @@ class TcpSender:
     def effective_window(self) -> int:
         """min(cwnd, advertised window), floored to whole packets."""
         return min(int(self.cc.cwnd), self.max_window)
-
-    @property
-    def done_sending(self) -> bool:
-        """All application data has been handed to the network at least once."""
-        return self.total_packets is not None and self.snd_nxt >= self.total_packets
 
     # ------------------------------------------------------------------
     # Transmission
@@ -268,21 +266,14 @@ class TcpSender:
             if self._cwr_pending:
                 flags |= _CWR
                 self._cwr_pending = False
-        packet = Packet.acquire(
-            src=self.host.address,
-            dst=self.dst_address,
-            payload=self.mss,
-            header=TCP_HEADER_BYTES,
-            seq=seq,
-            flags=flags,
-            flow_id=self.flow_id,
-            sport=self.sport,
-            dport=self.dport,
-        )
+        packet = Packet.acquire(self.host.address, self.dst_address, self.mss,
+                                TCP_HEADER_BYTES, seq, 0, flags, self.flow_id,
+                                self.sport, self.dport)
         self.segments_sent += 1
+        if seq + 1 > self.high_water:
+            self.high_water = seq + 1
         if retransmission:
             self.retransmits += 1
-            self._retx_seqs.add(seq)
             # Karn: never time a retransmit — and cancel *every* timing
             # in progress.  Each outstanding segment's cumulative ACK
             # can now only arrive after this loss is repaired, so its
@@ -292,10 +283,9 @@ class TcpSender:
             # in-flight timing, t_rtttime = 0, at every retransmission
             # for the same reason.)
             self._send_times.clear()
+            self._timed_base = self.high_water
         else:
-            self._send_times[seq] = self.sim.now
-        if seq + 1 > self.high_water:
-            self.high_water = seq + 1
+            self._send_times.append(self.sim._now)
         self.host.inject(packet)
 
     def _retransmit_head(self) -> None:
@@ -342,7 +332,6 @@ class TcpSender:
         cwnd_before = self.cc.cwnd if _obs.enabled else -1.0
         self._sample_rtt(ackno)
         self.rto.on_progress()
-        self._forget_acked(ackno)
         self.snd_una = ackno
         if self.snd_nxt < self.snd_una:
             # A cumulative ACK jumped past the go-back-N resend point
@@ -370,7 +359,7 @@ class TcpSender:
             _obs.cwnd_event(self, self.cc.cwnd, "new_ack")
 
         if self.snd_nxt == self.snd_una:  # flight_size == 0, inlined
-            self._cancel_rto()
+            self._rto_timer.cancel()
         else:
             self._arm_rto()
 
@@ -414,20 +403,29 @@ class TcpSender:
     # RTT sampling (Karn's algorithm)
     # ------------------------------------------------------------------
     def _sample_rtt(self, ackno: int) -> None:
-        """Sample RTT from the newest acked, never-retransmitted segment."""
-        for seq in range(ackno - 1, self.snd_una - 1, -1):
-            sent_at = self._send_times.get(seq)
-            if sent_at is not None and seq not in self._retx_seqs:
-                rtt = self.sim._now - sent_at
-                if rtt > 0:
-                    self.rto.sample(rtt)
-                    self.cc.on_rtt_sample(rtt, self.sim._now)
-                return
-
-    def _forget_acked(self, ackno: int) -> None:
-        for seq in range(self.snd_una, ackno):
-            self._send_times.pop(seq, None)
-            self._retx_seqs.discard(seq)
+        """Sample RTT from the newest acked, never-retransmitted segment:
+        ``ackno - 1`` if the ACK reaches into the timed run, whose only
+        segments are new ones (Karn)."""
+        acked = ackno - self._timed_base
+        if acked <= 0:
+            return  # nothing timed below ackno
+        self._timed_base = ackno
+        times = self._send_times
+        if acked < len(times):
+            while acked > 1:
+                times.popleft()
+                acked -= 1
+            sent_at = times.popleft()
+        elif times:
+            # The ACK covers the whole run (or more: hand-built ACKs).
+            sent_at = times[-1]
+            times.clear()
+        else:
+            return
+        rtt = self.sim._now - sent_at
+        if rtt > 0:
+            self.rto.sample(rtt)
+            self.cc.on_rtt_sample(rtt, self.sim._now)
 
     # ------------------------------------------------------------------
     # Retransmission timer
@@ -437,9 +435,6 @@ class TcpSender:
         # the pending one — the common case for per-ACK RTO restarts —
         # so this is O(1) with no heap garbage on an optimized engine.
         self._rto_timer.arm(self.rto.rto)
-
-    def _cancel_rto(self) -> None:
-        self._rto_timer.cancel()
 
     def _on_rto(self) -> None:
         if self.completed or self.flight_size == 0:
@@ -464,7 +459,7 @@ class TcpSender:
     def _complete(self) -> None:
         self.completed = True
         self.complete_time = self.sim.now
-        self._cancel_rto()
+        self._rto_timer.cancel()
         if self.on_complete is not None:
             self.on_complete(self)
 

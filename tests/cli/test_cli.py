@@ -82,6 +82,19 @@ class TestSizeCommand:
         assert code == 2
         assert out == "error: capacity must be positive\n"
 
+    @pytest.mark.parametrize("load", ["nan", "-0.5", "1.0", "inf"])
+    @pytest.mark.parametrize("flows", [[], ["--flows", "100"]],
+                             ids=["short-only", "mixed"])
+    def test_short_load_outside_model_domain_is_error(self, capsys, load,
+                                                      flows):
+        # nan alone used to be a max() traceback; with --flows it (and a
+        # negative load) was printed, then silently ignored, exit 0.
+        code, out = run_cli(capsys, "size", "--capacity", "10Gbps",
+                            "--rtt", "250ms", f"--short-load={load}", *flows)
+        assert code == 2
+        assert out == (f"error: short_flow_load must be 0 or in (0, 1), "
+                       f"got {float(load)}\n")
+
 
 class TestMemoryCommand:
     def test_rule_of_thumb_plan(self, capsys):
@@ -370,6 +383,23 @@ class TestWatchdogFlags:
         assert code == 0
         assert "AFCT" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "long-flows", "--flows", "2", "--duration", "1"],
+        ["simulate", "short-flows", "--duration", "1"],
+        ["trace", "long", "--flows", "2", "--duration", "1"],
+    ], ids=["long-flows", "short-flows", "trace"])
+    def test_unenforceable_wall_budget_is_error(self, capsys, tmp_path,
+                                                argv, value):
+        # nan and inf used to pass the "<= 0" check and then never
+        # trip (monotonic() > nan is never true): the watchdog was off.
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(tmp_path / "t.jsonl")]
+        code, out = run_cli(capsys, *argv, f"--timeout={value}")
+        assert code == 2
+        assert out == (f"error: max_wall_seconds must be a finite number "
+                       f"> 0, got {float(value)}\n")
+
 
 class TestSweepCommand:
     ARGS = ["sweep", "--flows", "3", "--buffer-factors", "1.0",
@@ -447,6 +477,21 @@ class TestSweepRefusesBeforeRunning:
         assert str(tmp_path / "missing") in out and out.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("executor", [["--jobs", "1"], ["--workers", "2"]],
+                             ids=["jobs1", "workers2"])
+    def test_unenforceable_wall_budget(self, capsys, tmp_path, executor,
+                                       value):
+        # --timeout nan used to run every cell with the watchdog off
+        # (exit 0); 0 failed only once the first cell ran.
+        ckpt = tmp_path / "ck.json"
+        code, out = run_cli(capsys, *TestSweepCommand.ARGS, *executor,
+                            "--checkpoint", str(ckpt), f"--timeout={value}")
+        assert code == 2
+        assert out == (f"error: max_wall_seconds must be a finite number "
+                       f"> 0, got {float(value)}\n")
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no queue
+
     def test_uncreatable_queue_directory(self, capsys, tmp_path):
         (tmp_path / "file").write_text("not a directory")
         queue_dir = str(tmp_path / "file" / "queue")
@@ -477,6 +522,17 @@ class TestFluidCommand:
     ], ids=["zero", "unparseable"])
     def test_bad_rtt_is_error(self, capsys, rtt, message):
         code, out = run_cli(capsys, "fluid", "--rtt", rtt)
+        assert code == 2
+        assert out == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--duration", "nan"], "duration must be finite and > 0, got nan"),
+        (["--pipe", "nan"], "capacity must be finite and > 0, got nan"),
+    ], ids=["duration-nan", "pipe-nan"])
+    def test_non_finite_input_is_error(self, capsys, argv, message):
+        # nan used to slip past the "<= 0" checks: exit 0 with
+        # "mean queue: nan pkts".
+        code, out = run_cli(capsys, "fluid", *argv)
         assert code == 2
         assert out == f"error: {message}\n"
 

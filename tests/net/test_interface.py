@@ -102,6 +102,27 @@ class TestQueueSubclass:
         assert len(sink.arrivals) == 3
 
 
+class TestCutThroughGuard:
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_injector_attached_mid_run_sees_every_arrival(self, burst):
+        # _cut is decided at construction from what cannot change (the
+        # engine, the queue's class); injectors can, so a cut-through
+        # interface must still hand them every later arrival.
+        sim = Simulator(burst=burst)
+        iface, sink = make_interface(sim, capacity=10)
+        assert iface._cut
+        seen = []
+        packets = [make_packet() for _ in range(6)]
+        # 10 ms apart: the link (1 ms per packet) is idle at each arrival.
+        for i, packet in enumerate(packets):
+            sim.call_at(0.01 * i, iface.enqueue, packet)
+        sim.call_at(0.015, iface.queue.add_injector,
+                    lambda packet: seen.append(packet))
+        sim.run()
+        assert seen == packets[2:]
+        assert [pkt for _, pkt in sink.arrivals] == packets
+
+
 class HesitantQueue(DropTailQueue):
     """Declines its second dequeue while still holding packets."""
 
