@@ -9,7 +9,7 @@ rule discoverable by the engine and ``repro lint --list-rules``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.analysis.context import FileContext, Project
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -102,9 +102,3 @@ def get_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     # Deduplicate, keep id order.
     unique: Dict[str, Rule] = {rule.id: rule for rule in chosen}
     return [unique[rule_id] for rule_id in sorted(unique)]
-
-
-def iter_rule_ids() -> Iterator[str]:
-    """Iterate registered rule ids (sorted)."""
-    _load_builtin_rules()
-    return iter(sorted(_REGISTRY))

@@ -11,7 +11,7 @@ unordered-set iteration.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Iterable, List
 
 from repro.analysis.astutils import (
     dotted_name,

@@ -92,6 +92,10 @@ def _sqrt_rule(pipe: float, factor: float, n_flows: int) -> float:
 
 def _sqrt_rule_packets(pipe: float, factor: float, n_flows: int) -> int:
     """:func:`_sqrt_rule` as a whole buffer of at least two packets."""
+    # Checked here, before rounding, with the words common.rtt_for_pipe
+    # uses when --buffer-packets skips this (a nan pipe cannot round).
+    if not (math.isfinite(pipe) and pipe > 0):
+        raise ConfigurationError(f"pipe must be finite and > 0, got {pipe}")
     return max(2, round(_sqrt_rule(pipe, factor, n_flows)))
 
 

@@ -9,7 +9,7 @@
   size under the Gaussian model (the "Model" column of Table 10) and
   its inversion (the model curves of Figure 7).
 * :mod:`repro.core.short_flows` — the Section 4 short-flow buffer rule
-  and a simple AFCT model (Figure 8's model curve).
+  (Figure 8's model curve).
 * :mod:`repro.core.loss` — the loss-rate side effect of small buffers
   (``l ~= 0.76 / W^2``, Section 5.1.1).
 * :mod:`repro.core.memory` — the Section 1.3 router-memory feasibility
@@ -20,9 +20,9 @@
 """
 
 from repro.core.aggregate import AggregateWindowModel
-from repro.core.loss import average_window, loss_rate, loss_rate_from_window, window_from_loss_rate
+from repro.core.loss import average_window, loss_rate, loss_rate_from_window
 from repro.core.memory import MemoryTechnology, SRAM_2004, DRAM_2004, EMBEDDED_DRAM_2004, MemoryPlan, plan_buffer_memory, min_packet_interarrival
-from repro.core.short_flows import ShortFlowModel, slow_start_rounds
+from repro.core.short_flows import ShortFlowModel
 from repro.core.single_flow import SingleFlowModel
 from repro.core.sizing import (
     BufferRecommendation,
@@ -40,10 +40,8 @@ __all__ = [
     "predicted_utilization",
     "buffer_for_utilization",
     "ShortFlowModel",
-    "slow_start_rounds",
     "loss_rate",
     "loss_rate_from_window",
-    "window_from_loss_rate",
     "average_window",
     "MemoryTechnology",
     "MemoryPlan",

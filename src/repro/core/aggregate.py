@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ModelError
-from repro.mathutils import normal_cdf, normal_partial_expectation
+from repro.mathutils import normal_partial_expectation
 
 __all__ = ["AggregateWindowModel", "aggregate_window_std"]
 
@@ -87,15 +87,6 @@ class AggregateWindowModel:
         """Model mean of the aggregate window in packets."""
         return self.pipe_packets + self.buffer_packets - self.peak_quantile * self.std
 
-    @property
-    def mean_per_flow(self) -> float:
-        """Average per-flow window ``w_bar`` in packets."""
-        return self.mean / self.n_flows
-
-    def underflow_probability(self) -> float:
-        """``P(W < P)`` — probability the aggregate cannot fill the pipe."""
-        return normal_cdf(self.pipe_packets, self.mean, self.std)
-
     def expected_shortfall(self) -> float:
         """``E[(P - W)+]`` in packets — the average unfilled pipe."""
         return normal_partial_expectation(self.pipe_packets, self.mean, self.std)
@@ -109,11 +100,6 @@ class AggregateWindowModel:
             util = E[min(W/P, 1)] = 1 - E[(P - W)+] / P.
         """
         return max(0.0, 1.0 - self.expected_shortfall() / self.pipe_packets)
-
-    def buffer_occupancy_mean(self) -> float:
-        """Model mean queue length ``E[(W - P)+]``, in packets."""
-        # E[(X - a)+] = E[X] - a + E[(a - X)+]
-        return self.mean - self.pipe_packets + self.expected_shortfall()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

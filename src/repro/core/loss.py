@@ -9,13 +9,10 @@ loss-rate column alongside utilization.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ModelError
 
 __all__ = [
     "loss_rate_from_window",
-    "window_from_loss_rate",
     "average_window",
     "loss_rate",
 ]
@@ -29,13 +26,6 @@ def loss_rate_from_window(window_packets: float) -> float:
     if window_packets <= 0:
         raise ModelError("window must be positive")
     return MORRIS_CONSTANT / window_packets ** 2
-
-
-def window_from_loss_rate(loss: float) -> float:
-    """Inverse of :func:`loss_rate_from_window`: ``W = sqrt(0.76 / l)``."""
-    if not 0.0 < loss <= 1.0:
-        raise ModelError(f"loss rate must be in (0, 1], got {loss}")
-    return math.sqrt(MORRIS_CONSTANT / loss)
 
 
 def average_window(pipe_packets: float, buffer_packets: float, n_flows: int) -> float:

@@ -3,15 +3,9 @@
 A short flow is one that never leaves slow start.  Its traffic arrives
 in exponentially growing bursts, and the queue those bursts build is
 captured by the M[X]/D/1 effective-bandwidth bound implemented in
-:mod:`repro.queueing.mg1`.  This module packages that bound together
-with a simple flow-completion-time model so the Figure 8 criterion
-("buffer such that AFCT inflates by at most 12.5%") can be evaluated
-analytically:
-
-* the buffer rule: ``B`` such that ``P(Q >= B) <= 0.025`` — the paper's
-  model curve, independent of line rate, RTT, and flow count;
-* the AFCT model: a flow of ``L`` packets takes ``rounds(L)`` RTTs plus
-  serialization; each drop adds a retransmission penalty.
+:mod:`repro.queueing.mg1`.  This module packages that bound as the
+paper's buffer rule: ``B`` such that ``P(Q >= B) <= 0.025`` — the
+Figure 8 model curve, independent of line rate, RTT, and flow count.
 """
 
 from __future__ import annotations
@@ -23,30 +17,18 @@ from repro.errors import ModelError
 from repro.queueing.mg1 import (
     BurstMoments,
     buffer_for_overflow_probability,
-    effective_bandwidth_overflow,
     slow_start_burst_moments,
-    slow_start_bursts,
 )
 
-__all__ = ["ShortFlowModel", "slow_start_rounds"]
+__all__ = ["ShortFlowModel"]
 
 #: The overflow-probability target the paper uses for Figure 8's model.
 FIG8_OVERFLOW_TARGET = 0.025
 
 
-def slow_start_rounds(flow_packets: int, initial_burst: int = 2,
-                      max_window: Optional[int] = None) -> int:
-    """Number of round trips a flow of ``flow_packets`` spends in slow start.
-
-    >>> slow_start_rounds(14)   # bursts 2, 4, 8
-    3
-    """
-    return len(slow_start_bursts(flow_packets, initial_burst, max_window))
-
-
 @dataclass
 class ShortFlowModel:
-    """Analytic short-flow buffer and latency model.
+    """Analytic short-flow buffer model.
 
     Parameters
     ----------
@@ -75,18 +57,9 @@ class ShortFlowModel:
             self.flow_sizes, self.initial_burst, self.max_window
         )
 
-    @property
-    def burst_moments(self) -> BurstMoments:
-        """E[X], E[X^2] of the slow-start burst distribution."""
-        return self._moments
-
     # ------------------------------------------------------------------
     # Buffer sizing
     # ------------------------------------------------------------------
-    def overflow_probability(self, buffer_packets: float) -> float:
-        """``P(Q >= B)`` under the effective-bandwidth bound."""
-        return effective_bandwidth_overflow(buffer_packets, self.load, self._moments)
-
     def required_buffer(self, target: float = FIG8_OVERFLOW_TARGET) -> float:
         """Minimum buffer (packets) with ``P(Q >= B) <= target``.
 
@@ -95,86 +68,3 @@ class ShortFlowModel:
         line rate, RTT, flow count.
         """
         return buffer_for_overflow_probability(target, self.load, self._moments)
-
-    # ------------------------------------------------------------------
-    # Flow completion time
-    # ------------------------------------------------------------------
-    def base_fct(self, flow_packets: int, rtt: float, capacity_pps: float) -> float:
-        """Loss-free FCT: slow-start rounds plus serialization.
-
-        ``rounds * rtt`` covers the request/ACK clocking; the last
-        round's packets still need ``burst/capacity`` to serialize.
-        """
-        if rtt <= 0 or capacity_pps <= 0:
-            raise ModelError("rtt and capacity must be positive")
-        rounds = slow_start_rounds(flow_packets, self.initial_burst, self.max_window)
-        return rounds * rtt + flow_packets / capacity_pps
-
-    def expected_fct(self, flow_packets: int, rtt: float, capacity_pps: float,
-                     drop_probability: float,
-                     loss_penalty: Optional[float] = None) -> float:
-        """FCT with losses: each dropped packet costs ``loss_penalty``.
-
-        A short flow usually lacks the duplicate ACKs for fast
-        retransmit, so a drop costs roughly a retransmission timeout;
-        the default penalty is ``max(1 s, 2 * rtt)`` (the conservative
-        initial RTO — the paper's point is precisely that drops are
-        catastrophic for short flows, which is why the sizing target is
-        a *low* overflow probability).
-        """
-        if not 0.0 <= drop_probability < 1.0:
-            raise ModelError("drop probability must be in [0, 1)")
-        penalty = loss_penalty if loss_penalty is not None else max(1.0, 2.0 * rtt)
-        base = self.base_fct(flow_packets, rtt, capacity_pps)
-        expected_drops = flow_packets * drop_probability
-        return base + expected_drops * penalty
-
-    def afct(self, rtt: float, capacity_pps: float,
-             drop_probability: float = 0.0,
-             loss_penalty: Optional[float] = None) -> float:
-        """Average FCT over the flow-size mix."""
-        if isinstance(self.flow_sizes, Mapping):
-            items = list(self.flow_sizes.items())
-            total = sum(p for _, p in items)
-            if total <= 0:
-                raise ModelError("flow-size distribution has zero mass")
-            return sum(
-                p * self.expected_fct(int(size), rtt, capacity_pps,
-                                      drop_probability, loss_penalty)
-                for size, p in items
-            ) / total
-        sizes = list(self.flow_sizes)
-        return sum(
-            self.expected_fct(int(size), rtt, capacity_pps,
-                              drop_probability, loss_penalty)
-            for size in sizes
-        ) / len(sizes)
-
-    def buffer_for_afct_inflation(self, max_inflation: float, rtt: float,
-                                  capacity_pps: float,
-                                  loss_penalty: Optional[float] = None) -> float:
-        """Minimum buffer keeping modeled AFCT within ``1 + max_inflation``
-        of the loss-free AFCT.
-
-        Solves for the drop probability budget implied by the inflation
-        cap, then inverts the overflow bound.  With the paper's 12.5%
-        cap this lands near the fixed ``P(Q >= B) = 0.025`` criterion
-        for typical mixes.
-        """
-        if max_inflation <= 0:
-            raise ModelError("max_inflation must be positive")
-        base = self.afct(rtt, capacity_pps, drop_probability=0.0)
-        budget = max_inflation * base
-        # Expected drops cost (mean flow size) * p * penalty.
-        penalty = loss_penalty if loss_penalty is not None else max(1.0, 2.0 * rtt)
-        mean_size = self._mean_flow_size()
-        p_allowed = budget / (mean_size * penalty)
-        p_allowed = min(p_allowed, 0.5)
-        return buffer_for_overflow_probability(p_allowed, self.load, self._moments)
-
-    def _mean_flow_size(self) -> float:
-        if isinstance(self.flow_sizes, Mapping):
-            total = sum(self.flow_sizes.values())
-            return sum(s * p for s, p in self.flow_sizes.items()) / total
-        sizes = list(self.flow_sizes)
-        return sum(sizes) / len(sizes)

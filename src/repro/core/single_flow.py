@@ -3,8 +3,8 @@
 A single TCP flow through a bottleneck of capacity ``C`` (packets/s)
 with two-way propagation delay ``2*Tp`` has a pipe of ``P = 2*Tp*C``
 packets.  With buffer ``B``, the AIMD sawtooth peaks at
-``W_max = P + B`` and halves on each loss.  This module gives closed
-forms for the whole cycle geometry:
+``W_max = P + B`` and halves on each loss.  This module gives the
+closed-form utilization of that cycle:
 
 * ``B >= P`` keeps the link permanently busy (the rule-of-thumb, with
   equality the exact sufficient size);
@@ -12,13 +12,12 @@ forms for the whole cycle geometry:
   the utilization follows from integrating the sawtooth (the classical
   75% appears at ``B = 0``).
 
-All quantities are in packets and seconds; convert with
-:mod:`repro.units` at the call site.
+All quantities are in packets; convert with :mod:`repro.units` at the
+call site.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ModelError
@@ -36,15 +35,10 @@ class SingleFlowModel:
         ``P = 2 * Tp * C`` — the bandwidth-delay product in packets.
     buffer_packets:
         Router buffer ``B`` in packets.
-    capacity_pps:
-        Bottleneck capacity in packets per second (only needed for
-        quantities with time units; dimensionless results work without
-        it).
     """
 
     pipe_packets: float
     buffer_packets: float
-    capacity_pps: float = math.nan
 
     def __post_init__(self):
         if self.pipe_packets <= 0:
@@ -64,34 +58,6 @@ class SingleFlowModel:
     def w_after_loss(self) -> float:
         """Window right after multiplicative decrease: ``W_max / 2``."""
         return self.w_max / 2.0
-
-    @property
-    def sufficiently_buffered(self) -> bool:
-        """True iff ``B >= P`` — the rule-of-thumb condition.
-
-        Exactly at ``B = P`` the queue "just avoids going empty" while
-        the sender pauses (Section 2's derivation).
-        """
-        return self.buffer_packets >= self.pipe_packets
-
-    @property
-    def min_queue(self) -> float:
-        """Queue occupancy at the sawtooth trough (packets).
-
-        Zero when correctly buffered or underbuffered; positive when
-        overbuffered — the permanent standing queue of Figure 5.
-        """
-        return max(self.w_after_loss - self.pipe_packets, 0.0)
-
-    @property
-    def pause_seconds(self) -> float:
-        """Sender pause after halving: ``(W_max/2) / C`` (Section 2)."""
-        return self.w_after_loss / self.capacity_pps
-
-    @property
-    def drain_seconds(self) -> float:
-        """Time for a full buffer to drain at line rate: ``B / C``."""
-        return self.buffer_packets / self.capacity_pps
 
     # ------------------------------------------------------------------
     # Utilization
@@ -118,26 +84,3 @@ class SingleFlowModel:
         capacity_slow = (pipe - a) * pipe
         full_phase = (w_max ** 2 - pipe ** 2) / 2.0
         return (delivered_slow + full_phase) / (capacity_slow + full_phase)
-
-    def cycle_seconds(self, rtt_seconds: float) -> float:
-        """Duration of one AIMD cycle.
-
-        The window climbs from ``W_max/2`` to ``W_max`` at one packet per
-        round trip.  Rounds below the pipe last ``rtt_seconds`` (no
-        queueing); rounds above it last ``W/C`` (queueing inflates the
-        RTT).
-        """
-        if rtt_seconds <= 0:
-            raise ModelError("rtt must be positive")
-        pipe = self.pipe_packets
-        a = self.w_after_loss
-        slow_rounds = max(pipe - a, 0.0)
-        t_slow = slow_rounds * rtt_seconds
-        top = self.w_max
-        bottom = max(a, pipe)
-        t_fast = (top ** 2 - bottom ** 2) / 2.0 / self.capacity_pps
-        return t_slow + t_fast
-
-    def queue_at_peak(self) -> float:
-        """Queue occupancy when the buffer overflows (== B)."""
-        return self.buffer_packets

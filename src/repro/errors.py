@@ -25,7 +25,6 @@ __all__ = [
     "ObsError",
     "FabricError",
     "CorruptRecordError",
-    "LeaseLostError",
 ]
 
 
@@ -94,9 +93,3 @@ class FabricError(ReproError, RuntimeError):
 class CorruptRecordError(FabricError):
     """A framed fabric record failed its length/checksum validation —
     the write was torn (crash mid-write) or the file was damaged."""
-
-
-class LeaseLostError(FabricError):
-    """A worker's lease on a cell expired (or was stolen) while the cell
-    was still executing; the worker must not publish its result as the
-    sole completion."""

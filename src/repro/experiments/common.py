@@ -74,6 +74,9 @@ def rtt_for_pipe(pipe_packets: float, rate: Quantity,
 
     ``pipe = rate * rtt / (8 * packet_bytes)`` inverted for ``rtt``.
     """
+    if not (math.isfinite(pipe_packets) and pipe_packets > 0):
+        raise ConfigurationError(
+            f"pipe must be finite and > 0, got {pipe_packets}")
     rate_bps = parse_bandwidth(rate)
     if rate_bps <= 0:
         raise ConfigurationError("link rate must be positive")
@@ -105,11 +108,6 @@ class LongFlowResult:
     #: Always last and defaulted, so results stay bit-identical (and
     #: old checkpoints rehydratable) with observability off.
     metrics: Optional[dict] = None
-
-    @property
-    def buffer_in_sqrt_units(self) -> float:
-        """Buffer expressed in units of ``pipe / sqrt(n)``."""
-        return self.buffer_packets / (self.pipe_packets / math.sqrt(self.n_flows))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LongFlowResult":

@@ -46,15 +46,6 @@ class ComparisonRow:
     packet_sim: float  # NaN unless requested
     sqrt_rule: float
 
-    def normalized(self) -> Dict[str, float]:
-        """Each instrument's answer in units of pipe/sqrt(n)."""
-        return {
-            "gaussian": self.gaussian / self.sqrt_rule,
-            "fluid_desync": self.fluid_desync / self.sqrt_rule,
-            "fluid_sync": self.fluid_sync / self.sqrt_rule,
-            "packet_sim": self.packet_sim / self.sqrt_rule,
-        }
-
 
 def compare_models(
     n_values: Sequence[int] = (16, 64, 256),

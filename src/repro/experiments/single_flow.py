@@ -11,6 +11,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -21,7 +22,7 @@ from repro.metrics import QueueMonitor, UtilizationMonitor
 from repro.net import build_dumbbell
 from repro.sim import Probe, TimeSeries
 from repro.tcp import TcpFlow
-from repro.units import Quantity, parse_bandwidth
+from repro.units import Quantity
 
 __all__ = ["SingleFlowTrace", "run_single_flow", "sawtooth_figures"]
 
@@ -82,10 +83,11 @@ def run_single_flow(
     ``buffer_fraction`` of 1.0 reproduces Figure 3, < 1 Figure 4,
     > 1 Figure 5.
     """
-    if buffer_fraction <= 0:
-        raise ConfigurationError("buffer_fraction must be positive")
-    sim = common._make_simulator()
+    if not (math.isfinite(buffer_fraction) and buffer_fraction > 0):
+        raise ConfigurationError(
+            f"buffer_fraction must be finite and > 0, got {buffer_fraction}")
     rtt = common.rtt_for_pipe(pipe_packets, bottleneck_rate)
+    sim = common._make_simulator()
     buffer_packets = max(2, int(round(buffer_fraction * pipe_packets)))
     net = build_dumbbell(
         sim, n_pairs=1, bottleneck_rate=bottleneck_rate,
@@ -101,8 +103,7 @@ def run_single_flow(
                              t_start=warmup, t_end=t_end)
     common.run_world(sim, net, t_end)
 
-    capacity_pps = parse_bandwidth(bottleneck_rate) / (8.0 * common.PACKET_BYTES)
-    model = SingleFlowModel(pipe_packets, buffer_packets, capacity_pps)
+    model = SingleFlowModel(pipe_packets, buffer_packets)
     return SingleFlowTrace(
         buffer_fraction=buffer_fraction,
         buffer_packets=buffer_packets,

@@ -494,11 +494,6 @@ class WorkQueue:
             return "quarantined"
         return "retry"
 
-    def release(self, lease: Lease) -> None:
-        """Give a lease back without recording a failure (drain path)."""
-        self._release_lease_file(lease)
-        self.log_event("release", cell=lease.digest, worker=lease.worker)
-
     def seed_completed(self, key: str, record: Dict[str, Any]) -> bool:
         """Pre-mark a cell done (checkpoint resume).  First writer wins."""
         digest = cell_digest(key)
@@ -614,7 +609,6 @@ class WorkQueue:
             "fabric.completions": counts.get("complete", 0),
             "fabric.corrupt_records": counts.get("corrupt_record", 0),
             "fabric.worker_deaths": counts.get("worker_death", 0),
-            "fabric.releases": counts.get("release", 0),
         }
 
 

@@ -23,7 +23,7 @@ from repro.errors import FaultError
 from repro.faults.injectors import RandomCorruption, RandomLoss
 from repro.net.interface import Interface
 from repro.net.link import Link
-from repro.net.node import Node, Router
+from repro.net.node import Node
 from repro.net.queues import Queue
 from repro.obs import runtime as _obs
 
@@ -96,11 +96,6 @@ class FaultEvent:
         if self.at < 0:
             raise FaultError(f"{type(self).__name__}: at={self.at} must be >= 0")
 
-    @property
-    def end(self) -> float:
-        """Time at which the fault's effect is over (for horizons)."""
-        return self.at
-
     def install(self, sim, targets: Mapping[str, object],
                 schedule: "FaultSchedule") -> None:
         raise NotImplementedError
@@ -153,10 +148,6 @@ class LinkFlap(FaultEvent):
             raise FaultError(
                 f"LinkFlap: duration={self.duration} must be positive")
 
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
-
     def install(self, sim, targets, schedule) -> None:
         link = _link_of(_resolve(targets, self.target), self.target)
 
@@ -191,10 +182,6 @@ class _InjectorBurst(FaultEvent):
             raise FaultError(
                 f"{type(self).__name__}: probability={self.probability} "
                 f"must be in (0, 1]")
-
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
 
     def install(self, sim, targets, schedule) -> None:
         queue = _queue_of(_resolve(targets, self.target), self.target)
@@ -253,10 +240,6 @@ class RouterRestart(FaultEvent):
         if self.downtime <= 0:
             raise FaultError(
                 f"RouterRestart: downtime={self.downtime} must be positive")
-
-    @property
-    def end(self) -> float:
-        return self.at + self.downtime
 
     def install(self, sim, targets, schedule) -> None:
         router = _router_of(_resolve(targets, self.target), self.target)
@@ -331,11 +314,6 @@ class FaultSchedule:
         # Stable and content-based (the default object repr embeds the
         # memory address, which poisons anything keyed on it).
         return f"FaultSchedule({self.events!r})"
-
-    @property
-    def horizon(self) -> float:
-        """Latest time at which any scheduled fault effect ends."""
-        return max((event.end for event in self.events), default=0.0)
 
     def install(self, sim, targets: Mapping[str, object], rng=None) -> None:
         """Schedule every event onto ``sim`` against ``targets``.

@@ -17,12 +17,11 @@ simulator:
 """
 
 from repro.fluid.model import FluidAimdModel, FluidResult
-from repro.fluid.sweep import fluid_min_buffer, fluid_min_buffer_curve, fluid_utilization
+from repro.fluid.sweep import fluid_min_buffer, fluid_utilization
 
 __all__ = [
     "FluidAimdModel",
     "FluidResult",
     "fluid_utilization",
     "fluid_min_buffer",
-    "fluid_min_buffer_curve",
 ]

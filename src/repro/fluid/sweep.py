@@ -10,12 +10,12 @@ regardless of n; desynchronized fluid tracks the sqrt(n) rule.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import ModelError
 from repro.fluid.model import FluidAimdModel
 
-__all__ = ["fluid_utilization", "fluid_min_buffer", "fluid_min_buffer_curve"]
+__all__ = ["fluid_utilization", "fluid_min_buffer"]
 
 
 def _default_rtts(n_flows: int, rtt_mean: float,
@@ -72,20 +72,3 @@ def fluid_min_buffer(n_flows: int, target: float, pipe_packets: float = 400.0,
         else:
             lo = mid
     return hi
-
-
-def fluid_min_buffer_curve(n_values: Sequence[int], target: float = 0.99,
-                           pipe_packets: float = 400.0,
-                           synchronized: bool = False,
-                           **kwargs) -> List[Tuple[int, float]]:
-    """``[(n, min_buffer), ...]`` — the fluid Figure 7 curve.
-
-    In desynchronized mode the curve should track
-    ``pipe / sqrt(n)`` within a small factor; in synchronized mode it
-    stays near the full pipe for every ``n``.
-    """
-    return [
-        (n, fluid_min_buffer(n, target, pipe_packets,
-                             synchronized=synchronized, **kwargs))
-        for n in n_values
-    ]

@@ -2,7 +2,8 @@
 
 * :class:`~repro.metrics.utilization.UtilizationMonitor` — bottleneck
   busy-fraction over a warm-up-excluding window (every figure's y-axis
-  or pass/fail criterion).
+  or pass/fail criterion); :class:`WindowedUtilizationProbe` the same
+  per interval, for runs with faults.
 * :class:`~repro.metrics.queues.QueueMonitor` — occupancy time series
   and drop statistics for the router buffer.
 * :class:`~repro.metrics.fct.FctCollector` — flow-completion times and
@@ -10,12 +11,15 @@
 * :class:`~repro.metrics.windows.WindowTracker` — per-flow and aggregate
   congestion-window traces, the Gaussian fit of Figure 6, and the
   synchronization index used to test the desynchronization assumption.
+* :func:`~repro.metrics.fairness.jain_index` and
+  :class:`~repro.metrics.fairness.FlowProgressMeter` — per-flow shares.
 
 All monitors are passive: they read counters maintained by the data
-path and never perturb packet timing.
+path and never perturb packet timing.  Nothing here writes files: the
+experiment runners return dataclasses, and ``repro.experiments.report``
+renders them.
 """
 
-from repro.metrics.export import results_to_json, rows_to_csv, timeseries_to_csv
 from repro.metrics.fairness import FlowProgressMeter, jain_index
 from repro.metrics.fct import FctCollector
 from repro.metrics.queues import QueueMonitor
@@ -31,7 +35,4 @@ __all__ = [
     "GaussianFit",
     "FlowProgressMeter",
     "jain_index",
-    "timeseries_to_csv",
-    "rows_to_csv",
-    "results_to_json",
 ]

@@ -9,7 +9,7 @@ the short-flow experiments.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.tcp.flow import FlowRecord
 
@@ -75,36 +75,9 @@ class FctCollector:
         return times[low] * (1 - frac) + times[high] * frac
 
     @property
-    def total_retransmits(self) -> int:
-        """Sum of retransmissions across recorded flows."""
-        return sum(r.retransmits for r in self.records)
-
-    @property
     def flows_with_loss(self) -> int:
         """Number of recorded flows that retransmitted at least once."""
         return sum(1 for r in self.records if r.retransmits > 0)
-
-    def afct_by_size(self, bin_edges: List[int]) -> Dict[Tuple[int, int], float]:
-        """AFCT bucketed by flow size.
-
-        ``bin_edges`` like ``[0, 10, 100, 1000]`` produces buckets
-        ``(0,10), (10,100), (100,1000)`` keyed by their edges; flows with
-        unknown size are skipped.
-        """
-        buckets: Dict[Tuple[int, int], List[float]] = {}
-        for lo, hi in zip(bin_edges, bin_edges[1:]):
-            buckets[(lo, hi)] = []
-        for record in self.records:
-            if record.size_packets is None:
-                continue
-            for (lo, hi), times in buckets.items():
-                if lo <= record.size_packets < hi:
-                    times.append(record.completion_time)
-                    break
-        return {
-            key: (sum(times) / len(times) if times else math.nan)
-            for key, times in buckets.items()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FctCollector(n={len(self.records)}, afct={self.afct:.4g})"

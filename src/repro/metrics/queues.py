@@ -103,14 +103,3 @@ class QueueMonitor:
     def min_occupancy(self) -> float:
         """Minimum sampled queue length in packets."""
         return self.series.minimum()
-
-    def occupancy_fraction_below(self, threshold: float) -> float:
-        """Fraction of samples with occupancy strictly below ``threshold``.
-
-        ``occupancy_fraction_below(1)`` estimates the empty-queue
-        probability — the underbuffering symptom of Figure 4.
-        """
-        if not len(self.series):
-            return math.nan
-        below = sum(1 for v in self.series.values if v < threshold)
-        return below / len(self.series)

@@ -54,10 +54,8 @@ class UtilizationMonitor:
         self.t_end = t_end
         self._busy_at_start: float = math.nan
         self._bytes_at_start: int = 0
-        self._packets_at_start: int = 0
         self._busy_at_end: float = math.nan
         self._bytes_at_end: int = 0
-        self._packets_at_end: int = 0
         self._closed = False
         sim.call_at(t_start, self._open)
         if t_end is not None:
@@ -66,12 +64,10 @@ class UtilizationMonitor:
     def _open(self) -> None:
         self._busy_at_start = self.link.busy_time
         self._bytes_at_start = self.link.bytes_delivered
-        self._packets_at_start = self.link.packets_delivered
 
     def _close(self) -> None:
         self._busy_at_end = self.link.busy_time
         self._bytes_at_end = self.link.bytes_delivered
-        self._packets_at_end = self.link.packets_delivered
         self._closed = True
 
     def _ensure_closed(self) -> None:
@@ -120,12 +116,6 @@ class UtilizationMonitor:
         if math.isnan(span):
             return math.nan
         return (self._bytes_at_end - self._bytes_at_start) * 8.0 / span
-
-    @property
-    def packets_delivered(self) -> int:
-        """Packets delivered by the link within the window."""
-        self._ensure_closed()
-        return self._packets_at_end - self._packets_at_start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "closed" if self._closed else "open"
@@ -199,12 +189,3 @@ class WindowedUtilizationProbe:
         self.windows.append((self.sim.now, (busy - self._last_busy) / span))
         self._last_busy = busy
         self._last_tick_at = self.sim.now
-
-    def utilization_at(self, time: float) -> float:
-        """Busy fraction of the window containing ``time`` (nan if none)."""
-        start = self.t_start
-        for end, util in self.windows:
-            if start <= time <= end:
-                return util
-            start = end
-        return math.nan

@@ -2,7 +2,7 @@
 
 Three pieces, spanning the sim/net/tcp/runner layers:
 
-* :mod:`repro.obs.metrics` — typed counters/gauges/histograms plus a
+* :mod:`repro.obs.metrics` — typed counters plus a
   :class:`MetricsRegistry` of per-component readers, snapshot-able at
   any simulation time (``queue.drops``, ``tcp.retransmits``,
   ``timer.lazy_deferrals``, ``pool.reuse_ratio``, ...).
@@ -36,7 +36,7 @@ from repro.obs.export import (
     summarize_snapshot,
     summarize_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder, read_jsonl
 from repro.obs.runtime import (
     crash_dump,
@@ -52,14 +52,11 @@ from repro.obs.schema import (
     KIND_FIELDS,
     validate_event,
     validate_events,
-    validate_jsonl,
 )
 
 __all__ = [
     "runtime",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "FlightRecorder",
     "DEFAULT_CAPACITY",
@@ -68,7 +65,6 @@ __all__ = [
     "KIND_FIELDS",
     "validate_event",
     "validate_events",
-    "validate_jsonl",
     "enable",
     "disable",
     "observed",

@@ -1,10 +1,10 @@
-"""Typed metrics: counters, gauges, histograms, and the registry.
+"""Typed metrics: counters and the registry.
 
 A :class:`MetricsRegistry` holds two kinds of state:
 
-* **Explicit metrics** — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` objects created by name, for code that wants to
-  record values directly.
+* **Explicit metrics** — :class:`Counter` objects created by name, for
+  code that wants to record values directly (the fabric's audit
+  counters).
 * **Component readers** — ``(kind, label, object, reader)`` entries
   registered at object construction.  A reader is a plain function
   mapping the live object to a dict of numeric fields; nothing is
@@ -27,12 +27,11 @@ one) so a long-lived process does not accumulate dead simulations.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ObsError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "MetricsRegistry"]
 
 Reader = Callable[[Any], Dict[str, Any]]
 
@@ -52,64 +51,11 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A point-in-time value: set directly or backed by a callable."""
-
-    __slots__ = ("name", "_value", "_fn")
-
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None):
-        self.name = name
-        self._value = 0.0
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ObsError(f"gauge {self.name!r} is callable-backed; cannot set")
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-
-class Histogram:
-    """Fixed-bound bucket histogram (cumulative counts not kept).
-
-    ``bounds`` are the inclusive upper edges of the finite buckets; one
-    overflow bucket catches everything above the last bound.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
-
-    def __init__(self, name: str, bounds: Sequence[float]):
-        edges = [float(b) for b in bounds]
-        if not edges or any(b <= a for b, a in zip(edges[1:], edges)):
-            raise ObsError(
-                f"histogram {name!r} needs strictly increasing bounds, "
-                f"got {list(bounds)!r}")
-        self.name = name
-        self.bounds = edges
-        self.counts = [0] * (len(edges) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += 1
-        self.sum += value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"bounds": list(self.bounds), "counts": list(self.counts),
-                "total": self.total, "sum": self.sum}
-
-
 class MetricsRegistry:
     """Process-wide registry of metrics and component readers."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         # (kind, label, component, reader) in registration order.
         self._components: List[Tuple[str, str, Any, Reader]] = []
         self._label_counts: Dict[str, int] = {}
@@ -123,18 +69,6 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = Gauge(name, fn)
-        return metric
-
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = Histogram(name, bounds)
         return metric
 
     # ------------------------------------------------------------------
@@ -202,7 +136,7 @@ class MetricsRegistry:
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """Render everything into one JSON-able dict.
 
-        ``counters`` holds explicit counters/gauges plus the per-kind
+        ``counters`` holds explicit counters plus the per-kind
         aggregates summed across components; ``components`` holds each
         component's full field dict under ``<kind>.<label>``.
         """
@@ -219,13 +153,9 @@ class MetricsRegistry:
         counters: Dict[str, Any] = dict(sorted(aggregates.items()))
         for name, counter in self._counters.items():
             counters[name] = counter.value
-        for name, gauge in self._gauges.items():
-            counters[name] = gauge.value
         return {
             "version": 1,
             "time": now,
             "counters": counters,
             "components": components,
-            "histograms": {name: h.to_dict()
-                           for name, h in self._histograms.items()},
         }

@@ -49,9 +49,6 @@ class FlightRecorder:
         self._events: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self.recorded = 0  # events accepted (including ones since evicted)
 
-    def add_filter(self, predicate: EventFilter) -> None:
-        self.filters.append(predicate)
-
     def record(self, event: Dict[str, Any]) -> None:
         """Append ``event`` if it passes the kind set and every filter."""
         if self.kinds is not None and event["kind"] not in self.kinds:
@@ -83,10 +80,6 @@ class FlightRecorder:
             kind = event["kind"]
             counts[kind] = counts.get(kind, 0) + 1
         return dict(sorted(counts.items()))
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.recorded = 0
 
     # ------------------------------------------------------------------
     # Export

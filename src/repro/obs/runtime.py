@@ -45,7 +45,6 @@ __all__ = [
     "recorder",
     "snapshot",
     "crash_dump",
-    "set_crash_dump_path",
     "label",
     "register_queue",
     "register_link",
@@ -129,11 +128,6 @@ def snapshot(now: Optional[float] = None) -> Optional[Dict[str, Any]]:
     """Metrics snapshot at virtual time ``now`` (None while disabled)."""
     reg = _registry
     return reg.snapshot(now) if reg is not None else None
-
-
-def set_crash_dump_path(path: Optional[str]) -> None:
-    global _crash_dump_path
-    _crash_dump_path = path
 
 
 def crash_dump() -> Optional[str]:

@@ -14,7 +14,6 @@ JSONL dump of a traced scenario end to end.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, Mapping, Tuple
 
 from repro.errors import ObsError
@@ -24,7 +23,6 @@ __all__ = [
     "KIND_FIELDS",
     "validate_event",
     "validate_events",
-    "validate_jsonl",
 ]
 
 #: Every event kind the instrumented stack can emit.
@@ -89,28 +87,4 @@ def validate_events(events: Iterable[Dict[str, Any]]) -> int:
     for event in events:
         validate_event(event)
         count += 1
-    return count
-
-
-def validate_jsonl(path: str) -> int:
-    """Validate a JSONL trace file; returns the number of events.
-
-    Raises :class:`~repro.errors.ObsError` on the first malformed line
-    or schema violation, with the line number in the message.
-    """
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError as exc:
-                raise ObsError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            try:
-                validate_event(event)
-            except ObsError as exc:
-                raise ObsError(f"{path}:{lineno}: {exc}") from exc
-            count += 1
     return count

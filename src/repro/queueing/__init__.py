@@ -11,7 +11,8 @@ This subpackage implements that bound, the burst-size moments induced by
 TCP slow start for arbitrary flow-size mixes, its inversion (minimum
 buffer for a target overflow probability), and the exact M/D/1
 queue-length distribution for the smoothed-arrivals regime the paper
-mentions (access links slower than the bottleneck).
+mentions (access links slower than the bottleneck) — the closed form
+the packet simulator is tested against.
 """
 
 from repro.queueing.mg1 import (
@@ -21,7 +22,7 @@ from repro.queueing.mg1 import (
     slow_start_bursts,
     slow_start_burst_moments,
 )
-from repro.queueing.md1 import md1_overflow_exact, md1_overflow_effective_bw, md1_queue_distribution
+from repro.queueing.md1 import md1_overflow_exact, md1_queue_distribution
 
 __all__ = [
     "BurstMoments",
@@ -31,5 +32,4 @@ __all__ = [
     "slow_start_burst_moments",
     "md1_queue_distribution",
     "md1_overflow_exact",
-    "md1_overflow_effective_bw",
 ]

@@ -1,11 +1,11 @@
-"""Exact and approximate M/D/1 queue-length distributions.
+"""The exact M/D/1 queue-length distribution.
 
 The paper notes that when access links are much slower than the
 bottleneck, slow-start bursts are smoothed out and packet arrivals at
 the bottleneck approach Poisson; the buffer can then be sized from an
-M/D/1 model (set ``X_i = 1`` in the effective-bandwidth bound).  This
-module provides both that approximation and the exact embedded-chain
-distribution for comparison.
+M/D/1 model.  This module gives the exact embedded-chain distribution,
+which ``tests/queueing/test_md1.py`` holds the packet simulator to
+(Poisson 1000-byte packets through a bottleneck that never drops).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List
 
 from repro.errors import ModelError
 
-__all__ = ["md1_queue_distribution", "md1_overflow_exact", "md1_overflow_effective_bw"]
+__all__ = ["md1_queue_distribution", "md1_overflow_exact"]
 
 
 def md1_queue_distribution(load: float, max_length: int) -> List[float]:
@@ -51,23 +51,16 @@ def md1_queue_distribution(load: float, max_length: int) -> List[float]:
 
 
 def md1_overflow_exact(load: float, buffer_packets: int) -> float:
-    """Exact ``P(Q >= b)`` for the M/D/1 queue."""
+    """Exact ``P(Q >= b)`` for the M/D/1 queue.
+
+    ``Q`` counts packets in the system: those waiting plus the one in
+    service (the Pollaczek–Khinchine mean of :func:`md1_queue_distribution`
+    is that of the number in system).
+    """
     if buffer_packets <= 0:
         return 1.0
     pi = md1_queue_distribution(load, buffer_packets - 1)
     return max(1.0 - sum(pi), 0.0)
-
-
-def md1_overflow_effective_bw(load: float, buffer_packets: float) -> float:
-    """Effective-bandwidth approximation ``exp(-b * 2(1-rho)/rho)``.
-
-    This is the paper's bound with ``X_i = 1`` (single-packet "bursts"),
-    i.e. the smoothed-access-link regime.
-    """
-    _check_load(load)
-    if buffer_packets < 0:
-        raise ModelError("buffer must be >= 0")
-    return math.exp(-buffer_packets * 2.0 * (1.0 - load) / load)
 
 
 def _check_load(load: float) -> None:

@@ -51,7 +51,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import (
     ConfigurationError,
     InvariantViolation,
-    ReproError,
     SimulationStalledError,
 )
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
@@ -415,7 +414,6 @@ class SweepSupervisor:
                     "version": 1,
                     "counters": {},
                     "components": {},
-                    "histograms": {},
                 }
             counters = meta["metrics"].setdefault("counters", {})
             for name, value in self._fabric_meta.get("counters", {}).items():

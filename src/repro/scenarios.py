@@ -3,10 +3,7 @@
 The buffer-sizing literature keeps returning to the same handful of
 operating points; this module names them.  A :class:`LinkProfile` knows
 its line rate and a typical RTT, and can answer the paper's questions
-about itself (pipe size, rule-of-thumb and sqrt(n) buffers, memory
-plans).  :func:`scaled_to_pipe` converts any profile into simulator
--friendly parameters that preserve the dimensionless operating point,
-which is how the experiment defaults were chosen.
+about itself (pipe size, rule-of-thumb and sqrt(n) buffers).
 
 >>> OC48.pipe_packets()
 78125.0
@@ -17,16 +14,10 @@ which is how the experiment defaults were chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from repro.core import (
-    MemoryPlan,
-    plan_buffer_memory,
-    rule_of_thumb_packets,
-    small_buffer_packets,
-)
-from repro.errors import ConfigurationError
-from repro.units import format_bandwidth, parse_bandwidth, parse_time
+from repro.core import rule_of_thumb_packets, small_buffer_packets
+from repro.units import format_bandwidth, parse_bandwidth
 
 __all__ = [
     "LinkProfile",
@@ -37,7 +28,6 @@ __all__ = [
     "OC192",
     "TEN_GBE",
     "PROFILES",
-    "scaled_to_pipe",
 ]
 
 #: Default packet size for packet-count arithmetic (bytes).
@@ -72,10 +62,6 @@ class LinkProfile:
     def rate_bps(self) -> float:
         return parse_bandwidth(self.rate)
 
-    @property
-    def rtt_seconds(self) -> float:
-        return parse_time(self.rtt)
-
     def pipe_packets(self, packet_bytes: int = DEFAULT_PACKET_BYTES) -> float:
         """Bandwidth-delay product in packets — the rule-of-thumb buffer."""
         return rule_of_thumb_packets(self.rtt, self.rate, packet_bytes)
@@ -86,12 +72,6 @@ class LinkProfile:
         ``n_flows`` is 0."""
         n = n_flows or self.typical_flows
         return small_buffer_packets(self.rtt, self.rate, n, packet_bytes)
-
-    def memory_plans(self, n_flows: int = 0,
-                     packet_bytes: int = DEFAULT_PACKET_BYTES) -> List[MemoryPlan]:
-        """Memory plans for the sqrt(n)-rule buffer on this link."""
-        nbytes = self.small_buffer_packets(n_flows, packet_bytes) * packet_bytes
-        return plan_buffer_memory(self.rate, nbytes)
 
     def describe(self) -> str:
         """One-line summary used by examples and the CLI."""
@@ -112,34 +92,3 @@ PROFILES: Dict[str, LinkProfile] = {
     profile.name: profile
     for profile in (T3, OC3, OC12, OC48, OC192, TEN_GBE)
 }
-
-
-def scaled_to_pipe(profile: LinkProfile, target_pipe_packets: float,
-                   packet_bytes: int = DEFAULT_PACKET_BYTES) -> Dict[str, float]:
-    """Scale a profile down to a simulator-friendly operating point.
-
-    The theory is scale-free in the dimensionless quantities (load,
-    buffer in ``pipe/sqrt(n)`` units, pipe-per-flow); what costs CPU is
-    the absolute number of packets.  This helper returns parameters for
-    a link whose *pipe in packets* is ``target_pipe_packets`` while the
-    RTT is kept at the profile's value — i.e. the rate is reduced — so
-    time constants (RTO, delack) keep their realistic proportions.
-
-    Returns a dict with ``rate_bps``, ``rtt``, ``pipe_packets``, and
-    ``scale`` (the reduction factor applied to the rate).
-    """
-    if target_pipe_packets <= 0:
-        raise ConfigurationError("target pipe must be positive")
-    full_pipe = profile.pipe_packets(packet_bytes)
-    scale = target_pipe_packets / full_pipe
-    if scale > 1.0:
-        raise ConfigurationError(
-            f"target pipe {target_pipe_packets} exceeds the profile's "
-            f"full-scale pipe {full_pipe:.0f}"
-        )
-    return {
-        "rate_bps": profile.rate_bps * scale,
-        "rtt": profile.rtt_seconds,
-        "pipe_packets": target_pipe_packets,
-        "scale": scale,
-    }

@@ -24,7 +24,7 @@ Public classes
 
 from repro.sim.engine import Event, Simulator, Timer
 from repro.sim.random import RngStreams
-from repro.sim.trace import Probe, TimeSeries, TimeWeightedStat
+from repro.sim.trace import Probe, TimeSeries
 
 __all__ = [
     "Simulator",
@@ -33,5 +33,4 @@ __all__ = [
     "RngStreams",
     "TimeSeries",
     "Probe",
-    "TimeWeightedStat",
 ]

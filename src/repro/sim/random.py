@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator
+from typing import Dict
 
 __all__ = ["RngStreams"]
 
@@ -49,21 +49,9 @@ class RngStreams:
             self._streams[name] = rng
         return rng
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Create a child registry whose master seed derives from ``name``.
-
-        Useful for giving each replication of an experiment its own
-        fully-independent universe of streams.
-        """
-        return RngStreams(self._derive_seed(name))
-
     def _derive_seed(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.master_seed}:{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the names of streams created so far."""
-        return iter(sorted(self._streams))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStreams(master_seed={self.master_seed}, streams={sorted(self._streams)})"

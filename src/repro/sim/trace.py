@@ -1,12 +1,9 @@
-"""Time-series tracing and time-weighted statistics.
+"""Time-series tracing.
 
-Three small primitives used throughout the metrics layer:
+Two small primitives used throughout the metrics layer:
 
 * :class:`TimeSeries` — an append-only ``(time, value)`` record with
-  summary statistics, resampling, and percentile helpers.
-* :class:`TimeWeightedStat` — an online accumulator for the time average
-  of a piecewise-constant signal (e.g. queue occupancy), computed without
-  storing samples.
+  mean/min/max, slicing, and a histogram.
 * :class:`Probe` — schedules itself on a :class:`~repro.sim.engine.Simulator`
   to sample a callable at a fixed period into a :class:`TimeSeries`.
 """
@@ -22,7 +19,7 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # import cycle: engine only needed for annotations
     from repro.sim.engine import Event, Simulator
 
-__all__ = ["TimeSeries", "TimeWeightedStat", "Probe"]
+__all__ = ["TimeSeries", "Probe"]
 
 
 class TimeSeries:
@@ -49,17 +46,6 @@ class TimeSeries:
         self.times.append(time)
         self.values.append(value)
 
-    def append_unchecked(self, time: float, value: float) -> None:
-        """Append without the monotonicity check.
-
-        Release-mode fast path for callers that already guarantee
-        non-decreasing times — the simulator clock is monotonic by
-        engine invariant, so :class:`Probe` samples qualify.  Use
-        :meth:`append` anywhere ordering is not structurally guaranteed.
-        """
-        self.times.append(time)
-        self.values.append(value)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -75,40 +61,11 @@ class TimeSeries:
             return math.nan
         return sum(self.values) / len(self.values)
 
-    def variance(self) -> float:
-        """Unweighted population variance of the recorded values."""
-        if not self.values:
-            return math.nan
-        mu = self.mean()
-        return sum((v - mu) ** 2 for v in self.values) / len(self.values)
-
-    def std(self) -> float:
-        """Unweighted population standard deviation."""
-        var = self.variance()
-        return math.sqrt(var) if var == var else math.nan
-
     def minimum(self) -> float:
         return min(self.values) if self.values else math.nan
 
     def maximum(self) -> float:
         return max(self.values) if self.values else math.nan
-
-    def percentile(self, q: float) -> float:
-        """Return the ``q``-quantile (0 <= q <= 1) by linear interpolation."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile {q} outside [0, 1]")
-        if not self.values:
-            return math.nan
-        ordered = sorted(self.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = q * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
 
     # ------------------------------------------------------------------
     # Windowing / resampling
@@ -121,27 +78,6 @@ class TimeSeries:
         out.times = self.times[lo:hi]
         out.values = self.values[lo:hi]
         return out
-
-    def value_at(self, time: float, default: float = math.nan) -> float:
-        """Value of the most recent sample at or before ``time`` (step-hold)."""
-        idx = bisect.bisect_right(self.times, time) - 1
-        if idx < 0:
-            return default
-        return self.values[idx]
-
-    def time_average(self) -> float:
-        """Time-weighted mean treating the series as piecewise constant.
-
-        The last sample gets zero weight (no known duration), so a series
-        needs at least two samples for a finite answer.
-        """
-        if len(self.times) < 2:
-            return math.nan
-        total = 0.0
-        for i in range(len(self.times) - 1):
-            total += self.values[i] * (self.times[i + 1] - self.times[i])
-        span = self.times[-1] - self.times[0]
-        return total / span if span > 0 else math.nan
 
     def histogram(self, nbins: int = 50) -> Tuple[List[float], List[int]]:
         """Equal-width histogram of values; returns (bin_edges, counts)."""
@@ -159,59 +95,6 @@ class TimeSeries:
             idx = min(int((v - lo) / width), nbins - 1)
             counts[idx] += 1
         return edges, counts
-
-
-class TimeWeightedStat:
-    """Online time average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; call
-    :meth:`finalize` (or read :attr:`mean` after a final update) at the
-    end of the measurement window.
-
-    This is how queue occupancy and link busy-fraction are averaged
-    without storing millions of samples.
-    """
-
-    __slots__ = ("_last_time", "_last_value", "_area", "_span", "_started")
-
-    def __init__(self) -> None:
-        self._last_time = 0.0
-        self._last_value = 0.0
-        self._area = 0.0
-        self._span = 0.0
-        self._started = False
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal takes ``value`` from ``time`` onward."""
-        if self._started:
-            dt = time - self._last_time
-            if dt < 0:
-                raise ConfigurationError("TimeWeightedStat: time went backwards")
-            self._area += self._last_value * dt
-            self._span += dt
-        self._started = True
-        self._last_time = time
-        self._last_value = value
-
-    def finalize(self, time: float) -> None:
-        """Close the window at ``time`` using the last recorded value."""
-        self.update(time, self._last_value)
-
-    @property
-    def mean(self) -> float:
-        """Time-weighted mean over the observed span (NaN if span is zero)."""
-        return self._area / self._span if self._span > 0 else math.nan
-
-    @property
-    def span(self) -> float:
-        """Total observed duration in seconds."""
-        return self._span
-
-    def reset(self, time: float) -> None:
-        """Drop accumulated history; keep the current value, restart at ``time``."""
-        self._area = 0.0
-        self._span = 0.0
-        self._last_time = time
 
 
 class Probe:

@@ -1,27 +1,20 @@
 """Traffic generation: the workloads of the paper's evaluation.
 
 * :mod:`repro.traffic.sizes` — flow-size distributions (fixed, uniform,
-  bounded Pareto for the heavy tail, lognormal, empirical mixes).
+  and bounded Pareto for the heavy tail).
 * :mod:`repro.traffic.udp` — constant-bit-rate and Poisson UDP sources
   plus a counting sink (the unresponsive-traffic component of the
   production-network experiment).
 * :mod:`repro.traffic.flows` — bulk TCP workloads: ``n`` long-lived
   flows with staggered starts (Sections 3/5.1.1) and Poisson short-flow
   arrivals at a target load (Sections 4/5.1.2).
-* :mod:`repro.traffic.harpoon` — a session-based generator modeled on
-  Harpoon [17] (the tool used for the paper's physical-router
-  experiments): Poisson sessions, each a train of transfers separated
-  by think times, sizes drawn from a heavy-tailed distribution.
 """
 
 from repro.traffic.flows import LongLivedWorkload, ShortFlowWorkload
-from repro.traffic.harpoon import HarpoonGenerator, SessionConfig
 from repro.traffic.sizes import (
     BoundedPareto,
-    EmpiricalMix,
     FixedSize,
     FlowSizeDistribution,
-    LognormalSize,
     UniformSize,
 )
 from repro.traffic.udp import UdpSink, UdpSource
@@ -31,12 +24,8 @@ __all__ = [
     "FixedSize",
     "UniformSize",
     "BoundedPareto",
-    "LognormalSize",
-    "EmpiricalMix",
     "UdpSource",
     "UdpSink",
     "LongLivedWorkload",
     "ShortFlowWorkload",
-    "HarpoonGenerator",
-    "SessionConfig",
 ]

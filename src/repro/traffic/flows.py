@@ -92,17 +92,6 @@ class LongLivedWorkload:
         """The senders, for :class:`~repro.metrics.windows.WindowTracker`."""
         return [flow.sender for flow in self.flows]
 
-    @property
-    def n_flows(self) -> int:
-        return len(self.flows)
-
-    def total_retransmits(self) -> int:
-        """Aggregate retransmissions across all flows (loss-rate numerator)."""
-        return sum(flow.sender.retransmits for flow in self.flows)
-
-    def total_segments_sent(self) -> int:
-        return sum(flow.sender.segments_sent for flow in self.flows)
-
 
 class ShortFlowWorkload:
     """Poisson arrivals of short TCP flows at a target load.
@@ -184,13 +173,6 @@ class ShortFlowWorkload:
         return cls(dumbbell, arrival_rate=rate, sizes=sizes, rng=rng,
                    mss=mss, **kwargs)
 
-    @property
-    def offered_load(self) -> float:
-        """The load implied by the configured arrival rate and size mix."""
-        packet_bits = (self.mss + TCP_HEADER_BYTES) * 8.0
-        return (self.arrival_rate * self.sizes.mean() * packet_bits
-                / self.dumbbell.bottleneck_link.rate)
-
     def start(self, delay: float = 0.0) -> None:
         """Begin the arrival process ``delay`` seconds from now."""
         if self._started:
@@ -198,11 +180,6 @@ class ShortFlowWorkload:
         self._started = True
         gap = self.rng.expovariate(self.arrival_rate)
         self.dumbbell.sim.schedule(delay + gap, self._arrival)
-
-    @property
-    def active_flows(self) -> int:
-        """Flows started but not yet completed."""
-        return len(self._active)
 
     def _arrival(self) -> None:
         sim = self.dumbbell.sim

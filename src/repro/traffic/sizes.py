@@ -3,7 +3,8 @@
 The paper's workloads span fixed-size short flows (Figure 8), Pareto
 -distributed lengths ("we ran similar experiments with Pareto
 distributed flow lengths with essentially identical results"), and the
-heavy-tailed production mix of Table 11.  Every distribution exposes:
+heavy-tailed production mix of Table 11 (bounded Pareto here).  Every
+distribution exposes:
 
 * ``sample(rng)`` — draw one flow length (>= 1 packet);
 * ``mean()`` — analytic mean, used to convert a target load into a
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 
@@ -26,8 +27,6 @@ __all__ = [
     "FixedSize",
     "UniformSize",
     "BoundedPareto",
-    "LognormalSize",
-    "EmpiricalMix",
 ]
 
 
@@ -149,65 +148,3 @@ class BoundedPareto(FlowSizeDistribution):
 
     def __repr__(self) -> str:
         return f"BoundedPareto(shape={self.shape}, min={self.minimum}, max={self.maximum})"
-
-
-class LognormalSize(FlowSizeDistribution):
-    """Lognormal lengths (another common empirical fit), >= 1 packet."""
-
-    def __init__(self, mu: float, sigma: float):
-        if sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
-        self.mu = mu
-        self.sigma = sigma
-
-    def sample(self, rng: random.Random) -> int:
-        return max(1, int(round(rng.lognormvariate(self.mu, self.sigma))))
-
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma ** 2 / 2.0)
-
-    def __repr__(self) -> str:
-        return f"LognormalSize(mu={self.mu}, sigma={self.sigma})"
-
-
-class EmpiricalMix(FlowSizeDistribution):
-    """Explicit ``{size: weight}`` mix (weights need not be normalized)."""
-
-    def __init__(self, weights: Mapping[int, float]):
-        if not weights:
-            raise ConfigurationError("empty mix")
-        total = float(sum(weights.values()))
-        if total <= 0:
-            raise ConfigurationError("weights must sum to a positive value")
-        for size, weight in weights.items():
-            if size < 1:
-                raise ConfigurationError(f"flow size {size} < 1 packet")
-            if weight < 0:
-                raise ConfigurationError("weights must be non-negative")
-        self._sizes: List[int] = sorted(weights)
-        self._probs: List[float] = [weights[s] / total for s in self._sizes]
-        self._cdf: List[float] = []
-        acc = 0.0
-        for p in self._probs:
-            acc += p
-            self._cdf.append(acc)
-
-    def sample(self, rng: random.Random) -> int:
-        u = rng.random()
-        for size, edge in zip(self._sizes, self._cdf):
-            if u <= edge:
-                return size
-        return self._sizes[-1]
-
-    def mean(self) -> float:
-        return sum(s * p for s, p in zip(self._sizes, self._probs))
-
-    def probability_map(self, cap: int = 10_000,
-                        rng: Optional[random.Random] = None) -> Dict[int, float]:
-        return {min(s, cap): p for s, p in zip(self._sizes, self._probs)}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"sizes": list(self._sizes), "probs": list(self._probs)}
-
-    def __repr__(self) -> str:
-        return f"EmpiricalMix({dict(zip(self._sizes, self._probs))})"

@@ -133,6 +133,3 @@ class UdpSink:
     def deliver(self, packet: Packet) -> None:
         self.packets_received += 1
         self.bytes_received += packet.size
-
-    def close(self) -> None:
-        self.host.unbind(self.port)

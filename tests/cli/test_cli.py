@@ -364,6 +364,40 @@ class TestRateAndBufferFactorValidation:
         assert out == (f"error: buffer factor must be finite and > 0, "
                        f"got {float(factor)}\n")
 
+    @pytest.mark.parametrize("pipe", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "long-flows", "--flows", "2"],
+        ["simulate", "long-flows", "--flows", "2", "--buffer-packets", "10"],
+        ["sweep", "--flows", "2", "--buffer-factors", "1"],
+        ["trace", "long", "--flows", "2"],
+        ["trace", "long", "--flows", "2", "--buffer-packets", "10"],
+    ], ids=["long-flows", "long-flows-buffer", "sweep", "trace",
+            "trace-buffer"])
+    def test_bad_pipe(self, capsys, tmp_path, argv, pipe):
+        # nan and inf used to reach round() and die in a traceback; with
+        # --buffer-packets, nan reached the clock as a bad *time* and 0
+        # as an RTT too small for the bottleneck delay.
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(tmp_path / "t.jsonl")]
+        code, out = run_cli(capsys, *argv, f"--pipe={pipe}",
+                            "--duration", "1")
+        assert code == 2
+        assert out.endswith(
+            f"error: pipe must be finite and > 0, got {float(pipe)}\n")
+        assert "Traceback" not in out and "computed" not in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--fraction", "nan"), ("--fraction", "inf"), ("--fraction", "0"),
+        ("--pipe", "nan"), ("--pipe", "inf"), ("--pipe", "0"),
+    ])
+    def test_bad_single_flow_argument(self, capsys, flag, value):
+        code, out = run_cli(capsys, "simulate", "single-flow",
+                            f"{flag}={value}", "--duration", "1")
+        assert code == 2
+        name = "buffer_fraction" if flag == "--fraction" else "pipe"
+        assert out == (f"error: {name} must be finite and > 0, "
+                       f"got {float(value)}\n")
+
 
 class TestWatchdogFlags:
     def test_event_budget_abort_is_exit_3(self, capsys):

@@ -39,11 +39,6 @@ class TestModel:
         assert model.mean < 1000 + 100
         assert model.mean > 1000  # but above the pipe for a sane buffer
 
-    def test_underflow_probability_drops_with_buffer(self):
-        probs = [AggregateWindowModel(1000, b, 100).underflow_probability()
-                 for b in (0, 50, 100, 200)]
-        assert probs == sorted(probs, reverse=True)
-
     def test_utilization_increases_with_buffer(self):
         utils = [AggregateWindowModel(1000, b, 100).utilization()
                  for b in (0, 50, 100, 200)]
@@ -63,15 +58,6 @@ class TestModel:
     def test_double_buffer_gives_near_full(self):
         model = AggregateWindowModel(1290, 258, 100)
         assert model.utilization() > 0.999
-
-    def test_mean_per_flow(self):
-        model = AggregateWindowModel(1000, 100, 100)
-        assert model.mean_per_flow == pytest.approx(model.mean / 100)
-
-    def test_buffer_occupancy_mean_bounded(self):
-        model = AggregateWindowModel(1000, 100, 100)
-        occupancy = model.buffer_occupancy_mean()
-        assert 0.0 <= occupancy <= 100.0
 
     @given(st.floats(100, 10_000), st.floats(0, 1000), st.integers(1, 10_000))
     @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core import average_window, loss_rate
-from repro.core.loss import loss_rate_from_window, window_from_loss_rate
+from repro.core.loss import loss_rate_from_window
 from repro.errors import ModelError
 
 
@@ -12,20 +12,12 @@ class TestMorrisLaw:
     def test_formula(self):
         assert loss_rate_from_window(10.0) == pytest.approx(0.0076)
 
-    def test_inverse_roundtrip(self):
-        for w in (2.0, 5.0, 20.0, 100.0):
-            assert window_from_loss_rate(loss_rate_from_window(w)) == pytest.approx(w)
-
     def test_smaller_window_more_loss(self):
         assert loss_rate_from_window(3.0) > loss_rate_from_window(30.0)
 
     def test_validation(self):
         with pytest.raises(ModelError):
             loss_rate_from_window(0.0)
-        with pytest.raises(ModelError):
-            window_from_loss_rate(0.0)
-        with pytest.raises(ModelError):
-            window_from_loss_rate(1.5)
 
 
 class TestAverageWindow:

@@ -1,21 +1,10 @@
-"""Tests for the short-flow sizing and AFCT models (Section 4)."""
+"""Tests for the short-flow buffer rule (Section 4)."""
 
 
 import pytest
 
-from repro.core import ShortFlowModel, slow_start_rounds
+from repro.core import ShortFlowModel
 from repro.errors import ModelError
-
-
-class TestRounds:
-    def test_three_bursts(self):
-        assert slow_start_rounds(14) == 3
-
-    def test_single_packet(self):
-        assert slow_start_rounds(1) == 1
-
-    def test_max_window_adds_rounds(self):
-        assert slow_start_rounds(64, max_window=8) > slow_start_rounds(64)
 
 
 class TestBufferRule:
@@ -49,55 +38,6 @@ class TestBufferRule:
         model = ShortFlowModel(load=0.9, flow_sizes={80: 1.0}, max_window=43)
         assert 10 < model.required_buffer() < 1000
 
-    def test_overflow_probability_at_required_buffer(self):
-        model = ShortFlowModel(load=0.8, flow_sizes={14: 1.0})
-        b = model.required_buffer(0.025)
-        assert model.overflow_probability(b) == pytest.approx(0.025)
-
     def test_load_validated(self):
         with pytest.raises(ModelError):
             ShortFlowModel(load=1.0, flow_sizes={14: 1.0})
-
-
-class TestAfctModel:
-    def test_base_fct_has_rounds_and_serialization(self):
-        model = ShortFlowModel(load=0.5, flow_sizes={14: 1.0})
-        fct = model.base_fct(14, rtt=0.1, capacity_pps=1000.0)
-        assert fct == pytest.approx(3 * 0.1 + 14 / 1000.0)
-
-    def test_drops_inflate_fct(self):
-        model = ShortFlowModel(load=0.5, flow_sizes={14: 1.0})
-        clean = model.expected_fct(14, 0.1, 1000.0, drop_probability=0.0)
-        lossy = model.expected_fct(14, 0.1, 1000.0, drop_probability=0.05)
-        assert lossy > clean
-
-    def test_afct_over_mix(self):
-        model = ShortFlowModel(load=0.5, flow_sizes={2: 0.5, 14: 0.5})
-        afct = model.afct(rtt=0.1, capacity_pps=1000.0)
-        fct2 = model.base_fct(2, 0.1, 1000.0)
-        fct14 = model.base_fct(14, 0.1, 1000.0)
-        assert afct == pytest.approx((fct2 + fct14) / 2)
-
-    def test_afct_with_sequence_input(self):
-        model = ShortFlowModel(load=0.5, flow_sizes=[14, 14, 14])
-        assert model.afct(0.1, 1000.0) == pytest.approx(
-            model.base_fct(14, 0.1, 1000.0))
-
-    def test_drop_probability_validated(self):
-        model = ShortFlowModel(load=0.5, flow_sizes={14: 1.0})
-        with pytest.raises(ModelError):
-            model.expected_fct(14, 0.1, 1000.0, drop_probability=1.0)
-
-    def test_buffer_for_afct_inflation(self):
-        model = ShortFlowModel(load=0.8, flow_sizes={14: 1.0})
-        b = model.buffer_for_afct_inflation(0.125, rtt=0.1, capacity_pps=5000.0)
-        assert b > 0
-        # Tighter inflation budgets require more buffer.
-        tighter = model.buffer_for_afct_inflation(0.0125, rtt=0.1,
-                                                  capacity_pps=5000.0)
-        assert tighter > b
-
-    def test_inflation_validated(self):
-        model = ShortFlowModel(load=0.8, flow_sizes={14: 1.0})
-        with pytest.raises(ModelError):
-            model.buffer_for_afct_inflation(0.0, rtt=0.1, capacity_pps=5000.0)

@@ -14,32 +14,6 @@ class TestGeometry:
         assert model.w_max == 150
         assert model.w_after_loss == 75
 
-    def test_rule_of_thumb_threshold(self):
-        assert SingleFlowModel(100, 100).sufficiently_buffered
-        assert not SingleFlowModel(100, 99).sufficiently_buffered
-
-    def test_min_queue_zero_when_exactly_buffered(self):
-        """At B = P the queue just touches zero (Figure 3)."""
-        assert SingleFlowModel(100, 100).min_queue == 0.0
-
-    def test_standing_queue_when_overbuffered(self):
-        """At B = 2P the queue never drains below (3P - 2P)/... > 0 (Fig 5)."""
-        model = SingleFlowModel(100, 200)
-        assert model.min_queue == 50.0  # W_max/2 - P = 150 - 100
-
-    def test_pause_duration(self):
-        model = SingleFlowModel(100, 100, capacity_pps=1000.0)
-        assert model.pause_seconds == pytest.approx(0.1)  # (200/2)/1000
-
-    def test_drain_duration(self):
-        model = SingleFlowModel(100, 100, capacity_pps=1000.0)
-        assert model.drain_seconds == pytest.approx(0.1)
-
-    def test_pause_equals_drain_at_rule_of_thumb(self):
-        """The Section 2 argument: B = P makes the pause exactly drain B."""
-        model = SingleFlowModel(123, 123, capacity_pps=500.0)
-        assert model.pause_seconds == pytest.approx(model.drain_seconds)
-
     def test_validation(self):
         with pytest.raises(ModelError):
             SingleFlowModel(0, 10)
@@ -82,22 +56,3 @@ class TestUtilization:
         a = SingleFlowModel(pipe, 0.3 * pipe).utilization()
         b = SingleFlowModel(10 * pipe, 3 * pipe).utilization()
         assert a == pytest.approx(b, rel=1e-9)
-
-
-class TestCycle:
-    def test_cycle_duration_positive(self):
-        model = SingleFlowModel(100, 100, capacity_pps=1000.0)
-        assert model.cycle_seconds(rtt_seconds=0.1) > 0
-
-    def test_bigger_buffer_longer_cycle(self):
-        small = SingleFlowModel(100, 50, capacity_pps=1000.0)
-        large = SingleFlowModel(100, 150, capacity_pps=1000.0)
-        assert large.cycle_seconds(0.1) > small.cycle_seconds(0.1)
-
-    def test_rtt_validated(self):
-        model = SingleFlowModel(100, 100, capacity_pps=1000.0)
-        with pytest.raises(ModelError):
-            model.cycle_seconds(0.0)
-
-    def test_queue_at_peak(self):
-        assert SingleFlowModel(100, 42).queue_at_peak() == 42

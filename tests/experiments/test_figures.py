@@ -173,10 +173,17 @@ class TestRefusedBeforeASimulatorIsBuilt:
         (lambda: run_multibottleneck(n_e2e=0), "n_e2e"),
         (lambda: run_multibottleneck(n_cross_per_hop=0), "n_cross_per_hop"),
         (lambda: run_multibottleneck(warmup=-1), "warmup"),
+        (lambda: run_single_flow(math.nan), "buffer_fraction"),
+        (lambda: run_single_flow(math.inf), "buffer_fraction"),
+        (lambda: run_single_flow(0.0), "buffer_fraction"),
+        (lambda: run_single_flow(1.0, pipe_packets=math.nan), "pipe"),
+        (lambda: run_single_flow(1.0, pipe_packets=0), "pipe"),
     ], ids=["compare-n_long=0", "table11-n_pairs=n_long",
             "table11-n_pairs<n_long", "table11-n_concurrent=0",
             "multibottleneck-n_e2e=0", "multibottleneck-n_cross=0",
-            "multibottleneck-warmup<0"])
+            "multibottleneck-warmup<0", "single-fraction=nan",
+            "single-fraction=inf", "single-fraction=0", "single-pipe=nan",
+            "single-pipe=0"])
     def test_configuration_error_names_the_argument(
             self, monkeypatch, call, names):
         def no_simulator(*args, **kwargs):

@@ -71,10 +71,6 @@ class TestLongFlowRunner:
                                           red=True, **FAST_LONG)
         assert 0.0 <= result.utilization <= 1.0
 
-    def test_buffer_in_sqrt_units(self):
-        result = run_long_flow_experiment(n_flows=16, buffer_packets=25, **FAST_LONG)
-        assert result.buffer_in_sqrt_units == pytest.approx(25 / (100 / 4))
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             run_long_flow_experiment(n_flows=0, buffer_packets=10)

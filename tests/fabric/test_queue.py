@@ -115,14 +115,6 @@ class TestClaimCompleteLifecycle:
                                           "expires_mono": 1e18})
         assert queue.renew(lease) is False
 
-    def test_release_returns_cell_without_failure(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        lease = queue.claim("w1", 0)
-        queue.release(lease)
-        assert queue.failures(lease.digest) == []
-        assert queue.claim("w2", 1) is not None
-
-
 class TestExpiryAndStealing:
     def test_expired_lease_is_stolen_with_crash_dump(self, tmp_path):
         queue, _ = make_queue(tmp_path, n=1, lease_seconds=0.01)

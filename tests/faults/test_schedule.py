@@ -46,13 +46,6 @@ class TestValidation:
         with pytest.raises(FaultError):
             FaultSchedule(["not an event"])
 
-    def test_horizon_spans_longest_effect(self):
-        schedule = FaultSchedule([LinkFlap(at=10.0, duration=5.0),
-                                  LossBurst(at=2.0, duration=1.0)])
-        assert schedule.horizon == 15.0
-        assert len(schedule) == 2
-
-
 class TestInstall:
     def test_unknown_target(self):
         sim = Simulator()

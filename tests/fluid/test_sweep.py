@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ModelError
-from repro.fluid.sweep import fluid_min_buffer, fluid_min_buffer_curve, fluid_utilization
+from repro.fluid.sweep import fluid_min_buffer, fluid_utilization
 
 FAST = dict(duration=60.0, warmup=30.0)
 
@@ -40,13 +40,6 @@ class TestMinBuffer:
     def test_target_validated(self):
         with pytest.raises(ModelError):
             fluid_min_buffer(4, 1.5)
-
-    def test_curve_shape_desync(self):
-        """The fluid Figure 7: min buffer falls roughly like sqrt(n)."""
-        curve = dict(fluid_min_buffer_curve((4, 64), target=0.99, **FAST))
-        assert curve[64] < curve[4]
-        # Within a factor of ~4 of the sqrt(n) prediction at n=64.
-        assert curve[64] < 4 * 400.0 / math.sqrt(64)
 
     def test_sync_mode_needs_more_than_desync(self):
         sync = fluid_min_buffer(16, 0.99, synchronized=True, **FAST)

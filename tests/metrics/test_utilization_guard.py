@@ -120,13 +120,3 @@ class TestPartialFinalWindow:
         sim.run(until=1.0)
         assert [end for end, _ in probe.windows] == pytest.approx([0.4])
         assert probe.windows[0][1] == pytest.approx(1.0, abs=0.1)
-
-    def test_utilization_at_covers_partial_window(self):
-        sim = Simulator()
-        link = build_link(sim)
-        self.saturate(sim, link, until=2.5)
-        probe = WindowedUtilizationProbe(sim, link, period=1.0, t_end=2.5)
-        sim.run(until=3.0)
-        assert probe.utilization_at(2.25) == pytest.approx(
-            probe.windows[-1][1])
-        assert math.isnan(probe.utilization_at(5.0))

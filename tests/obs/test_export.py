@@ -31,7 +31,6 @@ SNAPSHOT = {
     "time": 3.0,
     "counters": {"queue.drops": 5, "queue.arrivals": 100, "custom.thing": 2},
     "components": {"queue.bn:fwd": {"drops": 5, "arrivals": 100}},
-    "histograms": {},
 }
 
 

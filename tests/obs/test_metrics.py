@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ObsError, ReproError
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, MetricsRegistry
 
 
 class TestCounter:
@@ -26,51 +26,6 @@ class TestCounter:
         # CLI/experiment error handling catches ReproError; obs faults
         # must flow through the same funnel.
         assert issubclass(ObsError, ReproError)
-
-
-class TestGauge:
-    def test_settable(self):
-        g = Gauge("depth")
-        assert g.value == 0.0
-        g.set(7.5)
-        assert g.value == 7.5
-
-    def test_callable_backed(self):
-        box = {"v": 1.0}
-        g = Gauge("depth", fn=lambda: box["v"])
-        assert g.value == 1.0
-        box["v"] = 3.0
-        assert g.value == 3.0
-
-    def test_callable_backed_rejects_set(self):
-        g = Gauge("depth", fn=lambda: 1.0)
-        with pytest.raises(ObsError, match="callable-backed"):
-            g.set(2.0)
-
-
-class TestHistogram:
-    def test_bucketing_and_overflow(self):
-        h = Histogram("queue_depth", bounds=[1.0, 10.0, 100.0])
-        for value in (0.5, 1.0, 5.0, 50.0, 1000.0):
-            h.observe(value)
-        # Upper edges are inclusive: a value equal to a bound lands in
-        # that bound's bucket.
-        assert h.counts == [2, 1, 1, 1]
-        assert h.total == 5
-        assert h.sum == pytest.approx(1056.5)
-
-    def test_bounds_must_increase(self):
-        with pytest.raises(ObsError, match="strictly increasing"):
-            Histogram("bad", bounds=[1.0, 1.0, 2.0])
-        with pytest.raises(ObsError, match="strictly increasing"):
-            Histogram("bad", bounds=[])
-
-    def test_to_dict_roundtrips_json(self):
-        h = Histogram("h", bounds=[1.0, 2.0])
-        h.observe(1.5)
-        payload = json.loads(json.dumps(h.to_dict()))
-        assert payload["counts"] == [0, 1, 0]
-        assert payload["total"] == 1
 
 
 class FakeQueue:
@@ -130,8 +85,6 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.register("queue", FakeQueue(drops=1), fake_reader)
         reg.counter("tcp.retransmits").inc(2)
-        reg.histogram("depth", bounds=[1.0, 10.0]).observe(3.0)
         snap = json.loads(json.dumps(reg.snapshot(now=0.0)))
         assert snap["version"] == 1
         assert snap["counters"]["tcp.retransmits"] == 2
-        assert snap["histograms"]["depth"]["total"] == 1

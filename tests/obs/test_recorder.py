@@ -47,18 +47,6 @@ class TestRingBuffer:
         rec.record(event(t=2.0, flow=7))   # both accept
         assert len(rec) == 1
 
-    def test_add_filter_after_construction(self):
-        rec = FlightRecorder()
-        rec.add_filter(lambda e: False)
-        rec.record(event())
-        assert len(rec) == 0
-
-    def test_clear_resets_counts(self):
-        rec = FlightRecorder()
-        rec.record(event())
-        rec.clear()
-        assert len(rec) == 0 and rec.recorded == 0
-
     def test_events_returns_a_copy(self):
         rec = FlightRecorder()
         rec.record(event())

@@ -1,6 +1,5 @@
 """Tests for the flight-recorder event schema and its validators."""
 
-import json
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.obs import (
     KIND_FIELDS,
     validate_event,
     validate_events,
-    validate_jsonl,
 )
 
 
@@ -75,17 +73,3 @@ class TestValidateEvent:
 class TestStreamValidators:
     def test_validate_events_counts(self):
         assert validate_events([good(), good("rto")]) == 2
-
-    def test_validate_jsonl_ok(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text("".join(json.dumps(good(k)) + "\n"
-                                for k in sorted(EVENT_KINDS)))
-        assert validate_jsonl(str(path)) == len(EVENT_KINDS)
-
-    def test_validate_jsonl_reports_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        bad = good()
-        del bad["comp"]
-        path.write_text(json.dumps(good()) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(ObsError, match=r"t\.jsonl:2"):
-            validate_jsonl(str(path))

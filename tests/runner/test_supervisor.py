@@ -71,14 +71,14 @@ class TestCellKeyIdentity:
                 == cell_key({"fault": LinkFlap(at=1.0, duration=2.0)}))
 
     def test_flow_size_distributions_key_by_content(self):
-        from repro.traffic.sizes import EmpiricalMix, FixedSize
+        from repro.traffic.sizes import BoundedPareto, FixedSize
 
         assert (cell_key({"sizes": FixedSize(14)})
                 == cell_key({"sizes": FixedSize(14)}))
         assert (cell_key({"sizes": FixedSize(14)})
                 != cell_key({"sizes": FixedSize(15)}))
-        assert (cell_key({"sizes": EmpiricalMix({2: 0.5, 10: 0.5})})
-                != cell_key({"sizes": EmpiricalMix({2: 0.9, 10: 0.1})}))
+        assert (cell_key({"sizes": BoundedPareto(1.2, maximum=500)})
+                != cell_key({"sizes": BoundedPareto(1.5, maximum=500)}))
 
     def test_non_json_param_rejected_with_clear_error(self):
         class Opaque:

@@ -34,19 +34,3 @@ class TestRngStreams:
         streams2.stream("jitter").random()  # extra consumer created first
         r2 = streams2.stream("flows")
         assert r2.random() == first
-
-    def test_spawn_is_deterministic(self):
-        a = RngStreams(3).spawn("rep-1").stream("x").random()
-        b = RngStreams(3).spawn("rep-1").stream("x").random()
-        assert a == b
-
-    def test_spawn_differs_from_parent(self):
-        parent = RngStreams(3)
-        child = parent.spawn("rep-1")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_names_lists_created_streams(self):
-        streams = RngStreams(0)
-        streams.stream("b")
-        streams.stream("a")
-        assert list(streams.names()) == ["a", "b"]

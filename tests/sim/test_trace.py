@@ -1,11 +1,11 @@
-"""Tests for time-series tracing and time-weighted statistics."""
+"""Tests for time-series tracing and probes."""
 
 import math
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import Probe, Simulator, TimeSeries, TimeWeightedStat
+from repro.sim import Probe, Simulator, TimeSeries
 
 
 class TestTimeSeries:
@@ -35,11 +35,6 @@ class TestTimeSeries:
     def test_mean(self):
         assert self.make().mean() == 4.0
 
-    def test_variance_and_std(self):
-        ts = self.make()
-        assert ts.variance() == pytest.approx(5.0)
-        assert ts.std() == pytest.approx(math.sqrt(5.0))
-
     def test_min_max(self):
         ts = self.make()
         assert ts.minimum() == 1.0
@@ -50,37 +45,10 @@ class TestTimeSeries:
         assert math.isnan(ts.mean())
         assert math.isnan(ts.minimum())
 
-    def test_percentile(self):
-        ts = self.make()
-        assert ts.percentile(0.0) == 1.0
-        assert ts.percentile(1.0) == 7.0
-        assert ts.percentile(0.5) == 4.0
-
-    def test_percentile_range_checked(self):
-        with pytest.raises(ConfigurationError):
-            self.make().percentile(1.5)
-
     def test_slice(self):
         ts = self.make()
         sub = ts.slice(1.0, 2.0)
         assert list(sub) == [(1.0, 3.0), (2.0, 5.0)]
-
-    def test_value_at_step_hold(self):
-        ts = self.make()
-        assert ts.value_at(1.5) == 3.0
-        assert ts.value_at(-1.0, default=-9.0) == -9.0
-
-    def test_time_average_piecewise_constant(self):
-        ts = TimeSeries()
-        ts.append(0.0, 10.0)
-        ts.append(1.0, 0.0)   # 10 for 1s
-        ts.append(3.0, 5.0)   # 0 for 2s; last sample zero weight
-        assert ts.time_average() == pytest.approx(10.0 / 3.0)
-
-    def test_time_average_needs_two_samples(self):
-        ts = TimeSeries()
-        ts.append(0.0, 1.0)
-        assert math.isnan(ts.time_average())
 
     def test_histogram(self):
         ts = TimeSeries()
@@ -96,38 +64,6 @@ class TestTimeSeries:
         ts.append(1.0, 5.0)
         edges, counts = ts.histogram()
         assert counts == [2]
-
-
-class TestTimeWeightedStat:
-    def test_simple_average(self):
-        stat = TimeWeightedStat()
-        stat.update(0.0, 10.0)
-        stat.update(1.0, 0.0)
-        stat.finalize(3.0)
-        assert stat.mean == pytest.approx(10.0 / 3.0)
-
-    def test_span(self):
-        stat = TimeWeightedStat()
-        stat.update(1.0, 5.0)
-        stat.finalize(4.0)
-        assert stat.span == 3.0
-
-    def test_empty_is_nan(self):
-        assert math.isnan(TimeWeightedStat().mean)
-
-    def test_backwards_time_rejected(self):
-        stat = TimeWeightedStat()
-        stat.update(2.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            stat.update(1.0, 1.0)
-
-    def test_reset(self):
-        stat = TimeWeightedStat()
-        stat.update(0.0, 100.0)
-        stat.update(10.0, 1.0)
-        stat.reset(10.0)
-        stat.finalize(11.0)
-        assert stat.mean == pytest.approx(1.0)
 
 
 class TestProbe:
@@ -186,12 +122,3 @@ class TestProbe:
         sim.run(until=10.0)
         assert len(probe.series) == 0
         assert sim.events_processed == 0
-
-    def test_append_unchecked_matches_append(self):
-        checked = TimeSeries("a")
-        fast = TimeSeries("b")
-        for t, v in [(0.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.5, 4.0)]:
-            checked.append(t, v)
-            fast.append_unchecked(t, v)
-        assert checked.times == fast.times
-        assert checked.values == fast.values

@@ -6,7 +6,6 @@ so every phase transition is deterministic and inspectable — plus a
 small end-to-end smoke per algorithm over the scriptable lossy path.
 """
 
-import math
 
 import pytest
 

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.scenarios import (
     OC3,
     OC48,
-    OC192,
     PROFILES,
-    scaled_to_pipe,
 )
 
 
@@ -21,12 +18,6 @@ class TestProfiles:
         ~781 packets under the sqrt(n) rule at 10k flows."""
         assert OC48.pipe_packets() == pytest.approx(78125.0)
         assert OC48.small_buffer_packets(10_000) == pytest.approx(781.25)
-
-    def test_oc192_fits_on_chip(self):
-        plans = OC192.memory_plans(50_000)
-        sram = next(p for p in plans if p.technology.name == "SRAM")
-        assert sram.chips == 1
-        assert sram.feasible
 
     def test_typical_flows_default(self):
         explicit = OC3.small_buffer_packets(OC3.typical_flows)
@@ -41,27 +32,3 @@ class TestProfiles:
     def test_rates_parse(self):
         for profile in PROFILES.values():
             assert profile.rate_bps > 0
-            assert profile.rtt_seconds > 0
-
-
-class TestScaling:
-    def test_preserves_pipe(self):
-        params = scaled_to_pipe(OC3, 400.0)
-        pipe = params["rate_bps"] * params["rtt"] / (8 * 1000)
-        assert pipe == pytest.approx(400.0)
-
-    def test_keeps_rtt(self):
-        params = scaled_to_pipe(OC48, 400.0)
-        assert params["rtt"] == OC48.rtt_seconds
-
-    def test_scale_factor(self):
-        params = scaled_to_pipe(OC3, OC3.pipe_packets() / 4)
-        assert params["scale"] == pytest.approx(0.25)
-
-    def test_upscaling_rejected(self):
-        with pytest.raises(ConfigurationError):
-            scaled_to_pipe(OC3, OC3.pipe_packets() * 2)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            scaled_to_pipe(OC3, 0.0)

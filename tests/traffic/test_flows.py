@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.metrics import FctCollector
 from repro.net import build_dumbbell
+from repro.net.packet import TCP_HEADER_BYTES
 from repro.sim import RngStreams, Simulator
 from repro.traffic import FixedSize, LongLivedWorkload, ShortFlowWorkload
 
@@ -19,7 +20,7 @@ class TestLongLivedWorkload:
         sim = Simulator()
         net = make_dumbbell(sim, n_pairs=5)
         wl = LongLivedWorkload(net, rng=RngStreams(1).stream("s"), start_spread=1.0)
-        assert wl.n_flows == 5
+        assert len(wl.flows) == 5
         assert len(wl.senders) == 5
 
     def test_starts_staggered_within_spread(self):
@@ -47,7 +48,7 @@ class TestLongLivedWorkload:
         net = make_dumbbell(sim)
         wl = LongLivedWorkload(net, start_spread=0.0)
         sim.run(until=5.0)
-        assert wl.total_segments_sent() > 100
+        assert sum(s.segments_sent for s in wl.senders) > 100
         assert net.bottleneck_link.packets_delivered > 0
 
     def test_retransmit_accounting(self):
@@ -55,7 +56,7 @@ class TestLongLivedWorkload:
         net = make_dumbbell(sim, buffer_packets=5)  # force drops
         wl = LongLivedWorkload(net, start_spread=0.0)
         sim.run(until=10.0)
-        assert wl.total_retransmits() > 0
+        assert sum(s.retransmits for s in wl.senders) > 0
 
 
 class TestShortFlowWorkload:
@@ -64,7 +65,9 @@ class TestShortFlowWorkload:
         net = make_dumbbell(sim)
         wl = ShortFlowWorkload.for_load(net, load=0.5, sizes=FixedSize(10),
                                         rng=RngStreams(1).stream("a"))
-        assert wl.offered_load == pytest.approx(0.5)
+        packet_bits = (wl.mss + TCP_HEADER_BYTES) * 8.0
+        assert wl.arrival_rate == pytest.approx(
+            0.5 * net.bottleneck_link.rate / (10 * packet_bits))
 
     def test_invalid_load(self):
         sim = Simulator()
@@ -105,7 +108,6 @@ class TestShortFlowWorkload:
                                         rng=RngStreams(4).stream("a"), t_stop=5.0)
         wl.start()
         sim.run(until=30.0)
-        assert wl.active_flows == 0
         assert wl.flows_completed == wl.flows_started
 
     def test_throughput_close_to_offered_load(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.traffic import BoundedPareto, EmpiricalMix, FixedSize, LognormalSize, UniformSize
+from repro.traffic import BoundedPareto, FixedSize, UniformSize
 
 
 class TestFixedSize:
@@ -96,47 +96,6 @@ class TestBoundedPareto:
         for _ in range(50):
             value = dist.sample(rng)
             assert minimum <= value <= minimum + 100
-
-
-class TestLognormal:
-    def test_minimum_one(self):
-        dist = LognormalSize(mu=0.0, sigma=2.0)
-        rng = random.Random(6)
-        assert all(dist.sample(rng) >= 1 for _ in range(1000))
-
-    def test_mean_formula(self):
-        import math
-        dist = LognormalSize(mu=2.0, sigma=0.5)
-        assert dist.mean() == pytest.approx(math.exp(2.0 + 0.125))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LognormalSize(mu=0.0, sigma=0.0)
-
-
-class TestEmpiricalMix:
-    def test_sampling_respects_weights(self):
-        dist = EmpiricalMix({3: 3.0, 30: 1.0})
-        rng = random.Random(7)
-        samples = [dist.sample(rng) for _ in range(20_000)]
-        frac_small = sum(1 for s in samples if s == 3) / len(samples)
-        assert frac_small == pytest.approx(0.75, abs=0.02)
-
-    def test_mean(self):
-        dist = EmpiricalMix({10: 1.0, 20: 1.0})
-        assert dist.mean() == 15.0
-
-    def test_probability_map_normalized(self):
-        pmap = EmpiricalMix({3: 1.0, 8: 2.0, 20: 1.0}).probability_map()
-        assert sum(pmap.values()) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            EmpiricalMix({})
-        with pytest.raises(ConfigurationError):
-            EmpiricalMix({0: 1.0})
-        with pytest.raises(ConfigurationError):
-            EmpiricalMix({5: -1.0})
 
 
 class TestGenericProbabilityMap:
