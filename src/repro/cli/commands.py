@@ -188,7 +188,10 @@ def cmd_simulate_long(args: argparse.Namespace) -> int:
     print(f"  utilization: {result.utilization * 100:6.2f}%   "
           f"(Gaussian model: {model * 100:.2f}%)")
     print(f"  throughput:  {format_bandwidth(result.throughput_bps)}")
-    print(f"  loss rate:   {result.loss_rate * 100:6.3f}%")
+    if math.isnan(result.loss_rate):  # nothing reached the bottleneck
+        print("  loss rate:   n/a (no packets offered)")
+    else:
+        print(f"  loss rate:   {result.loss_rate * 100:6.3f}%")
     print(f"  mean queue:  {result.mean_queue:6.1f} pkts")
     print(f"  timeouts:    {result.timeouts}, fast retransmits: "
           f"{result.fast_retransmits}")
@@ -227,8 +230,11 @@ def cmd_simulate_short(args: argparse.Namespace) -> int:
           f"({args.flow_packets} pkts) at load {args.load}, "
           f"buffer {buffer_label}")
     print(f"  flows completed: {result.n_completed}")
-    print(f"  AFCT:        {result.afct * 1000:8.1f} ms "
-          f"(p99: {result.p99_fct * 1000:.1f} ms)")
+    if result.n_completed:
+        print(f"  AFCT:        {result.afct * 1000:8.1f} ms "
+              f"(p99: {result.p99_fct * 1000:.1f} ms)")
+    else:
+        print("  AFCT:        n/a (0 flows completed)")
     print(f"  drop rate:   {result.drop_rate * 100:8.3f}%")
     print(f"  utilization: {result.utilization * 100:8.2f}%")
     return 0
@@ -391,19 +397,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     Every (cc, flows, buffer-factor) cell gets per-trial watchdog
     budgets, retry-with-reseed on transient failures, and — with
     ``--checkpoint`` — resume of a killed sweep from the last completed
-    cell.  ``--jobs 1`` runs the cells in this process, one after the
-    other (:class:`~repro.runner.supervisor.SweepSupervisor`);
-    ``--jobs N`` runs them on N worker processes that lease cells from
-    a queue directory (:func:`~repro.fabric.supervisor.run_fabric_sweep`:
-    work stealing, SIGKILL-safe, see ``repro worker``).  Cell results,
-    attempts and the checkpoint are the same either way.
+    cell.  One :meth:`~repro.runner.supervisor.SweepSupervisor.run`
+    prints a row per cell in grid order.  ``--jobs 1`` runs the cells in
+    this process; ``--jobs N`` adds N worker processes that lease them
+    from a queue directory (work stealing, SIGKILL-safe, see ``repro
+    worker``).  Cell results, attempts and the checkpoint are the same
+    either way.
     """
     import contextlib
     import os
     import tempfile
 
     from repro.experiments.common import run_long_flow_experiment
-    from repro.fabric.supervisor import run_fabric_sweep
     from repro.runner import SweepSupervisor
     from repro.tcp.congestion import available_ccs
 
@@ -422,6 +427,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(f"unknown congestion control(s): "
                      f"{', '.join(unknown_ccs)} "
                      f"(choose from {', '.join(available_ccs())})")
+    # Every cell shares these, so a bad one is the flag's fault, said
+    # before a checkpoint is discarded or a worker started.
+    if not (math.isfinite(args.warmup) and args.warmup >= 0):
+        return _fail(f"--warmup must be finite and >= 0, got {args.warmup}")
+    if not (math.isfinite(args.duration) and args.duration > 0):
+        return _fail(f"--duration must be finite and > 0, got {args.duration}")
     if args.jobs < 0 or args.workers < 0:
         return _fail(f"--jobs and --workers must be >= 0, got "
                      f"{args.jobs} and {args.workers}")
@@ -429,9 +440,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # --workers N is --jobs N that takes the queue even at N = 1.
     workers = args.workers or (jobs if jobs > 1 else 0)
 
-    common = dict(checkpoint_path=args.checkpoint, resume=not args.fresh,
-                  max_retries=args.retries, max_events=args.max_events,
-                  max_wall_seconds=args.timeout)
     try:
         grid = [
             dict(cc=cc, n_flows=n,
@@ -441,39 +449,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for cc in cc_list for n in flows_list for factor in factor_list
         ]
         with contextlib.ExitStack() as stack:
-            # Built for either executor: it discards the checkpoint under
-            # --fresh and counts what a resume finds.  The queue executor
-            # loads the checkpoint again itself, and rebuilds a damaged
-            # one from its cell records where the serial one stops.
+            queue_dir = args.queue_dir or (
+                args.checkpoint and args.checkpoint + ".queue")
+            if workers and not queue_dir:  # nothing asked to outlive the run
+                queue_dir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-queue-"))
             supervisor = SweepSupervisor(
-                run_long_flow_experiment, **common,
-                on_corrupt="quarantine" if workers else "raise")
+                run_long_flow_experiment, checkpoint_path=args.checkpoint,
+                resume=not args.fresh, max_retries=args.retries,
+                max_events=args.max_events, max_wall_seconds=args.timeout,
+                workers=workers, queue_dir=queue_dir,
+                lease_seconds=args.lease_seconds,
+                max_lease_failures=args.max_lease_failures)
             if supervisor.completed_cells:
                 print(f"resuming: {supervisor.completed_cells} cell(s) "
                       f"already in {args.checkpoint}")
             if workers:
-                if args.queue_dir:
-                    queue_dir = args.queue_dir
-                elif args.checkpoint:
-                    queue_dir = args.checkpoint + ".queue"
-                else:  # nothing was asked to outlive the run
-                    queue_dir = stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-queue-"))
                 print(f"running {len(grid)} cell(s) on {workers} worker "
                       f"process(es), queue {queue_dir}")
             print(f"{'cc':>8} {'flows':>6} {'buffer':>7} {'util%':>7} "
                   f"{'loss%':>7} {'attempts':>8}  source")
-            if workers:
-                # Rows print in grid order once all outcomes are in; the
-                # checkpoint is still written as cells finish.
-                outcomes = run_fabric_sweep(
-                    "repro.experiments.common:run_long_flow_experiment",
-                    grid, queue_dir=queue_dir, workers=workers,
-                    lease_seconds=args.lease_seconds,
-                    max_lease_failures=args.max_lease_failures,
-                    on_cell=_print_sweep_row, **common)
-            else:
-                outcomes = supervisor.run(grid, on_cell=_print_sweep_row)
+            outcomes = supervisor.run(grid, on_cell=_print_sweep_row)
     except KeyboardInterrupt as exc:
         print(f"interrupted: {exc}")
         return 130

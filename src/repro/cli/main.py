@@ -157,7 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=commands.cmd_link_profiles)
 
     p_sweep = sub.add_parser(
-        "sweep", help="checkpointed long-flow grid (watchdog + retry + resume)")
+        "sweep", help="checkpointed long-flow grid (watchdog + retry + resume)",
+        description="One loop prints a row per cell, in grid order; --jobs "
+                    "N adds N worker processes to it (cells they leave "
+                    "open run in this process).")
     p_sweep.add_argument("--flows", default="16,64",
                          help='comma-separated flow counts (default "16,64")')
     p_sweep.add_argument("--buffer-factors", default="0.5,1.0",
@@ -169,8 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
                               'axis value, e.g. "reno,compound,bbr"')
     p_sweep.add_argument("--pipe", type=float, default=400.0)
     p_sweep.add_argument("--rate", default="40Mbps")
-    p_sweep.add_argument("--warmup", type=float, default=20.0)
-    p_sweep.add_argument("--duration", type=float, default=40.0)
+    p_sweep.add_argument("--warmup", type=float, default=20.0,
+                         help="seconds before measuring (finite, >= 0)")
+    p_sweep.add_argument("--duration", type=float, default=40.0,
+                         help="seconds measured (finite, > 0)")
     p_sweep.add_argument("--seed", type=int, default=1)
     p_sweep.add_argument("--checkpoint", default=None, metavar="FILE",
                          help="JSON checkpoint; rerunning with the same file "
@@ -182,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "cell (default 2)")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (default 1 = in this "
-                              "process, 0 = all cores); N > 1 leases cells "
-                              "from a work queue (work stealing, "
-                              "SIGKILL-safe) and gives the same results "
-                              "and checkpoint as --jobs 1")
+                              "process, 0 = all cores); N > 1 adds N "
+                              "workers that lease the cells from a work "
+                              "queue (work stealing, SIGKILL-safe): same "
+                              "rows, results and checkpoint as --jobs 1")
     p_sweep.add_argument("--workers", type=int, default=0, metavar="N",
                          help="--jobs N that takes the work queue even at "
                               "N = 1 (default 0: --jobs decides)")

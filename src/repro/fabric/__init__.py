@@ -1,10 +1,13 @@
-"""Fault-tolerant distributed sweep fabric.
+"""Fault-tolerant worker fleet for sweeps.
 
-The fabric promotes the sweep checkpoint into a sharded, lease-based
-work-queue protocol over the existing content-addressed cell keys
+The fabric is what :meth:`~repro.runner.supervisor.SweepSupervisor.run`
+adds with ``workers >= 1`` (``repro sweep --jobs N``): it promotes the
+sweep checkpoint into a sharded, lease-based work-queue protocol over
+the existing content-addressed cell keys
 (:func:`~repro.runner.supervisor.cell_key`), so sweep workers can
 attach, detach, crash, or be SIGKILLed at any point without losing or
-duplicating results:
+duplicating results.  The loop from a grid to outcomes stays the
+supervisor's; the fleet only changes who runs the cells:
 
 * :mod:`repro.fabric.records` — length+checksum framed, atomically
   written (fsync file *and* directory) JSON records; torn writes are
@@ -20,10 +23,10 @@ duplicating results:
 * :mod:`repro.fabric.backoff` — the bounded exponential
   :class:`~repro.fabric.backoff.BackoffPolicy` with seeded jitter,
   shared by the fabric workers and the supervisor's retry-reseed loop.
-* :mod:`repro.fabric.supervisor` — :func:`run_fabric_sweep`, which
-  drives worker processes, respawns the dead, merges completed-cell
-  records into the standard sweep checkpoint, and drains cleanly on
-  SIGTERM/SIGINT.
+* :mod:`repro.fabric.supervisor` — :class:`~repro.fabric.supervisor.FleetRun`,
+  which starts worker processes, respawns the dead, hands the
+  supervisor's loop each cell's completed record or quarantine entry,
+  and drains cleanly on SIGTERM/SIGINT.
 * :mod:`repro.fabric.chaos` — crash-injection hooks used by the chaos
   tests and the CI smoke job to SIGKILL workers at protocol-critical
   points.
@@ -50,7 +53,6 @@ __all__ = [
     "WorkQueue",
     "Worker",
     "worker_main",
-    "run_fabric_sweep",
 ]
 
 #: Public name -> defining submodule, resolved on first attribute access.
@@ -60,7 +62,6 @@ _EXPORTS = {
     "WorkQueue": "repro.fabric.queue",
     "Worker": "repro.fabric.worker",
     "worker_main": "repro.fabric.worker",
-    "run_fabric_sweep": "repro.fabric.supervisor",
 }
 
 

@@ -401,6 +401,11 @@ class WorkQueue:
             }
             if not records.write_record(lease_path, payload, exclusive=True):
                 continue  # lost the claim race
+            if os.path.exists(self._cell_path(digest)):
+                # A peer completed the cell and released its lease
+                # between the check at the top and this claim.
+                os.unlink(lease_path)
+                continue
             self.log_event("steal" if stolen else "claim", cell=digest,
                            worker=worker, attempt=attempt)
             info = self.cell_info(digest)

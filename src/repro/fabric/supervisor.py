@@ -1,26 +1,27 @@
-"""The fabric sweep driver: start workers, survive their deaths, merge.
+"""The worker fleet :meth:`SweepSupervisor.run` adds with ``workers >= 1``.
 
-:func:`run_fabric_sweep` is the parallel counterpart of
-:meth:`~repro.runner.supervisor.SweepSupervisor.run` (``repro sweep
---jobs N``).  It materializes the grid as a
+``repro sweep --jobs N`` is :meth:`~repro.runner.supervisor.SweepSupervisor.run`
+with a fleet: :class:`FleetRun` materializes the grid as a
 :class:`~repro.fabric.queue.WorkQueue` directory and starts up to ``N``
 work-stealing :class:`~repro.fabric.worker.Worker` processes against
 it — forked from this process where that is safe (milliseconds: the
 interpreter and ``repro`` are already loaded), spawned afresh where it
-is not (:func:`_start_method`).  The parent then only *supervises*:
+is not (:func:`_start_method`).  The supervisor's grid-order loop then
+asks :meth:`FleetRun.collect` for each cell, which only *supervises*:
 
 * **reap + respawn** — a worker that exits non-zero (or is SIGKILLed)
   gets a crash dump under ``<queue>/crashes/worker-<idx>.json`` and a
-  replacement process (within a respawn budget); its half-finished cell
-  is recovered by whichever peer steals the expired lease.
+  replacement process (at most ``2 * workers`` of them); its
+  half-finished cell is recovered by whichever peer steals the expired
+  lease.  Once every worker is gone, the cells still open run in the
+  supervisor's own process.
 * **merge** — completed-cell records stream into the standard sweep
-  checkpoint via the existing :class:`SweepSupervisor` writer, so a
-  fabric checkpoint is indistinguishable from a serial one (plus an
-  additive ``meta.fabric`` audit block: lease counters, quarantined
-  cells, worker deaths).
+  checkpoint through the supervisor's writer, so a fleet checkpoint is
+  indistinguishable from a serial one (plus an additive ``meta.fabric``
+  audit block: lease counters, quarantined cells, worker deaths).
 * **drain** — SIGTERM/SIGINT forwards a drain request to every worker
   (finish the in-flight cell, then exit), finalizes the checkpoint,
-  and re-raises ``KeyboardInterrupt`` so callers see a normal
+  and raises ``KeyboardInterrupt`` so callers see a normal
   interruption with no work lost.
 
 Because every cell runs from its own base seed regardless of which
@@ -39,17 +40,11 @@ import signal
 import sys
 import threading
 import time
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric import records
-from repro.fabric.queue import (
-    WorkQueue,
-    cell_digest,
-    check_lease_options,
-    validate_plain_params,
-)
+from repro.fabric.queue import WorkQueue, cell_digest, validate_plain_params
 from repro.fabric.worker import (
     DRAIN_SIGNALS,
     resolve_fn,
@@ -57,10 +52,10 @@ from repro.fabric.worker import (
 )
 from repro.runner.supervisor import SweepSupervisor, TrialOutcome, cell_key
 
-__all__ = ["fn_reference", "run_fabric_sweep"]
+__all__ = ["FleetRun", "fn_reference"]
 
-#: Longest a supervisor poll round (reap, merge, drain check) waits for
-#: a worker to exit before it looks at the queue again.
+#: Longest a poll round (reap, merge, drain check) waits for a worker
+#: to exit before it looks at the queue again.
 _POLL_SECONDS = 0.05
 
 
@@ -128,16 +123,15 @@ def _worker_crash_dump(queue: WorkQueue, index: int, exitcode: Optional[int],
 class _Fleet:
     """The set of live worker processes, with reaping and respawn."""
 
-    def __init__(self, queue_root: str, workers: int,
-                 respawn_budget: Optional[int]):
+    def __init__(self, queue_root: str, workers: int):
         self._queue_root = queue_root
         self._procs: Dict[int, Any] = {}
         self._next_index = 0
         self.deaths: List[Dict[str, Any]] = []
         self.respawns = 0
         self.drain_signalled = False
-        self._respawn_budget = (2 * workers if respawn_budget is None
-                                else respawn_budget)
+        #: Abnormally-dead workers replaced before the fleet may shrink.
+        self._spares = 2 * workers
         for _ in range(workers):
             self._spawn()
 
@@ -182,13 +176,15 @@ class _Fleet:
             self.deaths.append({"worker_index": index,
                                 "exitcode": proc.exitcode})
             _worker_crash_dump(queue, index, proc.exitcode, proc.pid)
-            if respawn and self.respawns < self._respawn_budget:
+            if respawn and self.respawns < self._spares:
                 self.respawns += 1
                 self._spawn()
 
     @property
-    def alive(self) -> int:
-        return sum(1 for proc in self._procs.values() if proc.is_alive())
+    def exhausted(self) -> bool:
+        """No worker left to wait for or replace (not "none alive": one
+        that died since the last :meth:`reap` may yet be replaced)."""
+        return not self._procs
 
     def signal_drain(self) -> None:
         self.drain_signalled = True
@@ -215,284 +211,181 @@ class _Fleet:
                 proc.join(timeout=2.0)
 
 
-def _merge_new_completions(queue: WorkQueue, supervisor: SweepSupervisor,
-                           params_by_digest: Dict[str, Dict[str, Any]],
-                           merged: set) -> None:
-    """Fold newly-completed queue records into the checkpoint.
+class FleetRun:
+    """One :meth:`SweepSupervisor.run` with workers: queue, fleet, merge.
 
-    Only cells not merged yet are looked up, so each completed record
-    is read once however many polls the sweep takes, and the checkpoint
-    is rewritten once for everything this poll found: the records
-    themselves are already durable.
+    Built from the grid, it creates (or attaches to) the queue and marks
+    the cells the checkpoint already holds as done.  Entering starts the
+    workers, at most one per cell left, under drain handlers; leaving
+    stops them — terminates them after an error — and writes the
+    checkpoint once more with its ``meta.fabric`` audit block.
     """
-    found = False
-    for digest, params in params_by_digest.items():
-        if digest in merged:
-            continue
-        record = queue.completed_record(digest)
-        if record is None:
-            continue
-        supervisor._merge_cell(
-            record["key"], params, record["result"],
-            record.get("attempts", 1),
-            record.get("elapsed_seconds", 0.0))
-        merged.add(digest)
-        found = True
-    if found:
-        supervisor._write_checkpoint()
 
+    def __init__(self, supervisor: SweepSupervisor,
+                 grid: List[Dict[str, Any]]):
+        for params in grid:
+            validate_plain_params(params)
+        self.supervisor = supervisor
+        cells = {cell_key(params): params for params in grid}
+        self.queue = WorkQueue.create(
+            supervisor.queue_dir, cells, fn_ref=supervisor.fn_ref, options={
+                "lease_seconds": supervisor.lease_seconds,
+                "max_lease_failures": supervisor.max_lease_failures,
+                "max_retries": supervisor.max_retries,
+                "max_events": supervisor.max_events,
+                "max_wall_seconds": supervisor.max_wall_seconds,
+            })
+        self.total = len(cells)
+        #: digest -> params of every cell neither resumed nor merged yet.
+        self.pending: Dict[str, Dict[str, Any]] = {}
+        #: Cells the checkpoint held before the run: the supervisor
+        #: resumes them itself.
+        self.resumed = set()
+        for key, params in cells.items():
+            digest = cell_digest(key)
+            cached = supervisor._cells.get(key)
+            if cached is None:
+                self.pending[digest] = params
+                continue
+            # A pre-completed queue record, so no worker re-runs it.
+            self.resumed.add(digest)
+            self.queue.seed_completed(key, {
+                "key": key,
+                "params": cached.get("params"),
+                "result": cached.get("result"),
+                "attempts": cached.get("attempts", 1),
+                "elapsed_seconds": cached.get("elapsed_seconds", 0.0),
+                "seeded": True,
+            })
+        self.workers = 0
+        self.fleet: Optional[_Fleet] = None
+        self.drain_requested = False
+        self._deadline: Optional[float] = None
+        self._previous_handlers: Dict[int, Any] = {}
 
-def _fabric_audit(queue: WorkQueue, fleet: Optional[_Fleet],
-                  workers: int) -> Dict[str, Any]:
-    """The ``meta.fabric`` block embedded in the merged checkpoint."""
-    quarantined = []
-    for digest, entry in sorted(queue.quarantined().items()):
-        quarantined.append({
-            "digest": digest,
-            "key": entry.get("key"),
-            "failure_count": entry.get("failure_count"),
-            "last_error": entry.get("last_error"),
-        })
-    counters = queue.tally()
-    return {
-        "queue": queue.root,
-        "workers": workers,
-        "respawns": fleet.respawns if fleet is not None else 0,
-        "worker_deaths": list(fleet.deaths) if fleet is not None else [],
-        "counters": counters,
-        "quarantined": quarantined,
-    }
+    def _request_drain(self, signum: int, frame: Any) -> None:
+        self.drain_requested = True
 
-
-def _publish_obs_counters(counters: Dict[str, int]) -> None:
-    """Mirror fabric counters into the live obs registry (if enabled)."""
-    from repro.obs import runtime as _obs
-    reg = _obs.registry()
-    if reg is None:
-        return
-    for name, value in counters.items():
-        if value:
-            reg.counter(name).inc(value)
-
-
-def run_fabric_sweep(
-    fn: Union[str, Callable[..., Any]],
-    grid: Iterable[Dict[str, Any]],
-    queue_dir: str,
-    workers: int = 2,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = True,
-    lease_seconds: float = 10.0,
-    max_lease_failures: int = 3,
-    max_retries: int = 2,
-    max_events: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
-    respawn_budget: Optional[int] = None,
-    timeout: Optional[float] = None,
-    on_cell: Optional[Callable[[TrialOutcome], None]] = None,
-) -> List[TrialOutcome]:
-    """Run ``grid`` across ``workers`` crash-tolerant worker processes.
-
-    Returns outcomes in grid order, exactly like
-    :meth:`SweepSupervisor.run`; a cell listed twice runs once and
-    fills both rows.  A cell whose retries are spent comes back as the
-    failed outcome the serial path would report, and one quarantined
-    for its failed leases as a failed outcome naming them — present,
-    never silently dropped.  At most one worker per unresolved cell is
-    started.
-
-    Parameters beyond the :class:`SweepSupervisor` set:
-
-    queue_dir:
-        The shared work-queue directory.  Detached ``repro worker``
-        processes may attach to it while this call runs — the fleet
-        spawned here and any volunteers steal from the same queue.
-        ``resume=False`` discards what a previous sweep left in it,
-        as it discards the checkpoint.
-    lease_seconds / max_lease_failures:
-        Lease expiry horizon and the per-cell failed-lease budget
-        before poison quarantine.
-    respawn_budget:
-        Abnormally-dead workers replaced before the fleet is allowed
-        to shrink (default ``2 * workers``).
-    timeout:
-        Optional wall bound on the whole sweep; on expiry the fleet is
-        terminated and :class:`FabricError` raised (the checkpoint
-        keeps everything merged so far).
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    check_lease_options(lease_seconds, max_lease_failures)
-    grid = [dict(params) for params in grid]
-    for params in grid:
-        validate_plain_params(params)
-    ref = fn_reference(fn)
-
-    supervisor = SweepSupervisor(
-        resolve_fn(ref), checkpoint_path=checkpoint_path, resume=resume,
-        max_retries=max_retries, max_events=max_events,
-        max_wall_seconds=max_wall_seconds, on_corrupt="quarantine")
-
-    cells: Dict[str, Dict[str, Any]] = {}
-    params_by_digest: Dict[str, Dict[str, Any]] = {}
-    order: List[str] = []  # grid order, as keys
-    for params in grid:
-        key = cell_key(params)
-        order.append(key)
-        cells[key] = params
-        params_by_digest[cell_digest(key)] = params
-
-    if not resume:
-        WorkQueue.discard(queue_dir)
-    queue = WorkQueue.create(queue_dir, cells, fn_ref=ref, options={
-        "lease_seconds": lease_seconds,
-        "max_lease_failures": max_lease_failures,
-        "max_retries": max_retries,
-        "max_events": max_events,
-        "max_wall_seconds": max_wall_seconds,
-    })
-
-    # Cells the checkpoint already holds become pre-completed queue
-    # records, so workers never re-run them.
-    resumed: set = set()
-    for key, cached in list(supervisor._cells.items()):
-        digest = cell_digest(key)
-        if digest not in params_by_digest:
-            continue
-        resumed.add(digest)
-        queue.seed_completed(key, {
-            "key": key,
-            "params": cached.get("params"),
-            "result": cached.get("result"),
-            "attempts": cached.get("attempts", 1),
-            "elapsed_seconds": cached.get("elapsed_seconds", 0.0),
-            "seeded": True,
-        })
-
-    merged: set = set(resumed)
-    drain = {"requested": False}
-    previous_handlers = {}
-
-    def _request_drain(signum: int, frame: Any) -> None:
-        drain["requested"] = True
-
-    for signum in DRAIN_SIGNALS:
-        try:
-            previous_handlers[signum] = signal.signal(signum, _request_drain)
-        except (ValueError, OSError):
-            pass
-
-    def _unresolved() -> Iterator[str]:
-        return (digest for digest in params_by_digest
-                if digest not in merged
-                and not os.path.exists(queue._quarantine_path(digest)))
-
-    # A fully-resumed (or fully-quarantined) grid needs no workers at
-    # all — spawning a fleet just to drain it would record the shutdown
-    # SIGTERMs as phantom worker deaths in the audit trail — and no
-    # grid needs more workers than it has cells left to run.
-    workers = min(workers, sum(1 for _ in _unresolved()))
-    fleet = _Fleet(queue.root, workers, respawn_budget) if workers else None
-    deadline = (time.monotonic() + timeout) if timeout else None
-    interrupted = False
-    try:
-        while fleet is not None:
-            fleet.reap(queue)
-            _merge_new_completions(queue, supervisor,
-                                   params_by_digest, merged)
-            if drain["requested"]:
-                interrupted = True
-                fleet.signal_drain()
-                fleet.join_all(timeout=max(lease_seconds, 5.0))
-                fleet.reap(queue, respawn=False)
-                fleet.terminate_all()
-                _merge_new_completions(queue, supervisor,
-                                       params_by_digest, merged)
-                break
-            if not any(_unresolved()):
-                fleet.signal_drain()
-                fleet.join_all(timeout=max(lease_seconds, 5.0))
-                fleet.reap(queue, respawn=False)
-                fleet.terminate_all()
-                break
-            if fleet.alive == 0:
-                # Fleet exhausted (respawn budget burned) with work left:
-                # finish the remainder inline rather than deadlocking.
-                if not queue.drained():
-                    _drain_inline(queue, supervisor, resolve_fn(ref))
-                _merge_new_completions(queue, supervisor,
-                                       params_by_digest, merged)
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                fleet.terminate_all()
-                raise FabricError(
-                    f"fabric sweep exceeded its {timeout}s timeout with "
-                    f"{len(cells) - len(merged)} cell(s) outstanding; "
-                    f"completed work is checkpointed and resumable")
-            fleet.wait(_POLL_SECONDS)
-    except BaseException:
-        if fleet is not None:
-            fleet.terminate_all()
-        raise
-    finally:
-        for signum, handler in previous_handlers.items():
+    def _restore_handlers(self) -> None:
+        for signum, handler in self._previous_handlers.items():
             try:
                 signal.signal(signum, handler)
             except (ValueError, OSError):
                 pass
 
-    audit = _fabric_audit(queue, fleet, workers)
-    _publish_obs_counters(audit["counters"])
-    supervisor.set_fabric_meta(audit)
-    supervisor._write_checkpoint()
+    def __enter__(self) -> "FleetRun":
+        for signum in DRAIN_SIGNALS:
+            try:
+                self._previous_handlers[signum] = signal.signal(
+                    signum, self._request_drain)
+            except (ValueError, OSError):
+                pass
+        # A fully-resumed (or fully-quarantined) grid needs no workers
+        # at all — spawning a fleet just to drain it would record the
+        # shutdown SIGTERMs as phantom worker deaths in the audit trail
+        # — and no grid needs more workers than it has cells left.
+        self.workers = min(self.supervisor.workers, sum(
+            1 for digest in self.pending
+            if not os.path.exists(self.queue._quarantine_path(digest))))
+        try:
+            if self.workers:
+                self.fleet = _Fleet(self.queue.root, self.workers)
+        except BaseException:
+            self._restore_handlers()
+            raise
+        timeout = self.supervisor.timeout
+        self._deadline = (time.monotonic() + timeout) if timeout else None
+        return self
 
-    quarantined = queue.quarantined()
-    outcomes: List[TrialOutcome] = []
-    for key in order:
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        try:
+            if self.fleet is not None:
+                if exc_type is None:
+                    self._stop()
+                else:
+                    self.fleet.terminate_all()
+        finally:
+            self._restore_handlers()
+        self.supervisor._fabric_meta = self._audit()
+        self.supervisor._write_checkpoint()
+
+    def _audit(self) -> Dict[str, Any]:
+        """The ``meta.fabric`` block; its counters also go to live obs."""
+        from repro.obs import runtime as _obs
+        counters = self.queue.tally()
+        registry = _obs.registry()
+        for name, value in counters.items():
+            if registry is not None and value:
+                registry.counter(name).inc(value)
+        fleet = self.fleet
+        return {
+            "queue": self.queue.root,
+            "workers": self.workers,
+            "respawns": fleet.respawns if fleet is not None else 0,
+            "worker_deaths": list(fleet.deaths) if fleet is not None else [],
+            "counters": counters,
+            "quarantined": [
+                {"digest": digest, "key": entry.get("key"),
+                 "failure_count": entry.get("failure_count"),
+                 "last_error": entry.get("last_error")}
+                for digest, entry in sorted(self.queue.quarantined().items())],
+        }
+
+    def _stop(self) -> None:
+        """Drain the workers: in-flight cells finish, then they exit."""
+        self.fleet.signal_drain()
+        self.fleet.join_all(timeout=max(self.queue.lease_seconds, 5.0))
+        self.fleet.reap(self.queue, respawn=False)
+        self.fleet.terminate_all()
+
+    def collect(self, params: Dict[str, Any]) -> Optional[TrialOutcome]:
+        """The fleet's outcome for one cell, waiting for it if need be.
+
+        None when the cell is the supervisor's own to run: resumed from
+        the checkpoint, or still open once every worker is gone.
+        """
+        key = cell_key(params)
         digest = cell_digest(key)
-        record = queue.completed_record(digest)
-        params = cells[key]
-        if record is not None:
-            outcome = TrialOutcome(
-                key=key, params=params, result=record.get("result"),
-                attempts=record.get("attempts", 1),
-                from_checkpoint=digest in resumed,
-                elapsed_seconds=record.get("elapsed_seconds", 0.0))
-        elif digest in quarantined:
-            entry = quarantined[digest]
-            # Retries spent: the failed outcome the serial path reports.
-            attempts, error = entry.get("attempts"), entry.get("last_error")
-            if attempts is None:  # leases lost without a verdict
-                attempts = entry.get("failure_count", 0)
-                error = f"quarantined after {attempts} failed lease(s): {error}"
-            outcome = TrialOutcome(key=key, params=params,
-                                   attempts=attempts, error=error)
-        else:
-            outcome = TrialOutcome(
-                key=key, params=params,
-                error=("sweep interrupted before this cell completed"
-                       if interrupted else
-                       "cell neither completed nor quarantined "
-                       "(queue inconsistency)"))
-        outcomes.append(outcome)
-        if on_cell is not None:
-            on_cell(outcome)
+        if digest in self.resumed:
+            return None
+        quarantine_path = self.queue._quarantine_path(digest)
+        while digest in self.pending:
+            entry = (self.queue.quarantined().get(digest)
+                     if os.path.exists(quarantine_path) else None)
+            if entry is not None:
+                # Retries spent: the failed outcome the serial path reports.
+                attempts, error = entry.get("attempts"), entry.get("last_error")
+                if attempts is None:  # leases lost without a verdict
+                    attempts = entry.get("failure_count", 0)
+                    error = (f"quarantined after {attempts} failed "
+                             f"lease(s): {error}")
+                return TrialOutcome(key=key, params=params,
+                                    attempts=attempts, error=error)
+            if self.fleet is None or self.fleet.exhausted:
+                return None  # what the fleet left open runs in-process
+            self._poll(digest)
+        return self.supervisor._cached_outcome(
+            key, params, self.supervisor._cells[key], from_checkpoint=False)
 
-    if interrupted:
-        raise KeyboardInterrupt(
-            f"fabric sweep drained on signal: {len(merged)}/{len(cells)} "
-            f"cell(s) checkpointed at {checkpoint_path or queue.root}")
-    return outcomes
-
-
-def _drain_inline(queue: WorkQueue, supervisor: SweepSupervisor,
-                  fn: Callable[..., Any]) -> None:
-    """Last-resort serial drain when the whole fleet burned out.
-
-    Runs the remaining cells in-process through a Worker loop so the
-    sweep still completes (the acceptance bar is 'never lose work', not
-    'never degrade').
-    """
-    from repro.fabric.worker import Worker
-    worker = Worker(queue, fn=fn, name="inline-drain")
-    worker.run()
+    def _poll(self, digest: str) -> None:
+        """One round: reap, merge, then wait for ``digest`` or a death."""
+        fleet = self.fleet
+        fleet.reap(self.queue)
+        self.supervisor._merge_completed(self.queue, self.pending)
+        if self.drain_requested:
+            self._stop()
+            self.supervisor._merge_completed(self.queue, self.pending)
+            raise KeyboardInterrupt(
+                f"fabric sweep drained on signal: "
+                f"{self.total - len(self.pending)}/{self.total} cell(s) "
+                f"checkpointed at "
+                f"{self.supervisor.checkpoint_path or self.queue.root}")
+        if digest not in self.pending or fleet.exhausted:
+            return
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            fleet.terminate_all()
+            raise FabricError(
+                f"fabric sweep exceeded its {self.supervisor.timeout}s "
+                f"timeout with {len(self.pending)} cell(s) outstanding; "
+                f"completed work is checkpointed and resumable")
+        fleet.wait(_POLL_SECONDS)

@@ -13,12 +13,13 @@ Table-10-style sweep.  This package closes both holes:
     :class:`SweepSupervisor` — wraps any experiment callable with
     per-trial event/wall-clock budgets, retry-with-reseed on transient
     failure, and JSON checkpointing so a killed sweep resumes from the
-    last completed cell.  It runs cells in-process, one at a time: the
-    reference executor.  The parallel executor (``repro sweep --jobs
-    N``: worker processes that may attach, detach, or be SIGKILLed) is
-    the leased work queue in :mod:`repro.fabric`, which runs each cell
-    through the same retry loop and merges through the same checkpoint
-    writer.
+    last completed cell.  Its ``run`` is the one loop from a grid to
+    outcomes: cells run in-process, one at a time, by default; with
+    ``workers >= 1`` (``repro sweep --jobs N``) the same loop adds a
+    fleet of worker processes (:mod:`repro.fabric`: a leased work queue
+    they may attach to, detach from, or be SIGKILLed on), which run
+    each cell through the same retry loop while the loop merges their
+    records through the same checkpoint writer.
 """
 
 from repro.runner.invariants import (

@@ -22,20 +22,22 @@ automatically invalidated for cells whose parameters change.  Keys are
 (or be dataclasses), so the same logical cell produces the same key in
 every process — the property parallel resume depends on.
 
-This class is the in-process executor: one cell at a time, in grid
-order.  It is the reference every other way of running a grid is
-compared against, and the only one that accepts parameters a worker
+:meth:`SweepSupervisor.run` is the one lifecycle from a grid to
+outcomes, checkpoint entries and resume decisions.  By default it runs
+each cell in this process through :meth:`SweepSupervisor.run_cell`,
+the reference path and the only one that accepts parameters a worker
 process could not rebuild from JSON (``sizes=FlowSizeDistribution``).
-Parallel execution is :func:`repro.fabric.supervisor.run_fabric_sweep`
-(``repro sweep --jobs N``): worker processes lease cells from a queue
-directory and run them through the same :func:`_attempt_cell`, and the
-parent merges their records through this class's checkpoint writer, so
-a cell's result, attempts and checkpoint entry are the same whichever
-executor produced them.
+With ``workers >= 1`` (``repro sweep --jobs N``) the same grid-order
+loop adds a fleet (:mod:`repro.fabric.supervisor`): worker processes
+lease the cells from a queue directory and run them through the same
+:func:`_attempt_cell`, and the loop merges their records into the same
+checkpoint, so a cell's result, attempts and checkpoint entry are the
+same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -252,10 +254,10 @@ class SweepSupervisor:
         JSON checkpoint file, or ``None`` to disable persistence.
     resume:
         Load previously-completed cells from the checkpoint (default
-        True).  With ``resume=False`` any existing checkpoint file is
-        deleted up front, so a crash before the first new cell completes
-        can never leave stale cells for a later ``resume=True`` to
-        silently load.
+        True).  With ``resume=False`` any existing checkpoint file (and
+        the queue state in ``queue_dir``) is deleted up front, so a
+        crash before the first new cell completes can never leave stale
+        cells for a later ``resume=True`` to silently load.
     max_retries:
         Retries after the first attempt of a transiently-failing cell.
     max_events, max_wall_seconds:
@@ -273,13 +275,21 @@ class SweepSupervisor:
         (default: the standard bounded-exponential policy).  ``None``
         restores back-to-back retries (unit tests).  Jitter draws from
         a per-cell seeded stream, never the process-global RNG.
-    on_corrupt:
-        What to do when ``resume=True`` meets an unreadable checkpoint:
-        ``"raise"`` (default) keeps the historical loud failure;
-        ``"quarantine"`` moves the damaged file aside to
-        ``<path>.corrupt`` and starts from an empty cell table — the
-        fabric recovery path, where completed-cell records can rebuild
-        what the checkpoint lost.
+    workers:
+        0 (default) runs every cell in this process.  ``N >= 1`` adds a
+        fleet of N worker processes to :meth:`run` (``fn`` module-level,
+        grid JSON-native), and an unreadable checkpoint is then moved
+        aside to ``<path>.corrupt`` for the queue's records to rebuild
+        instead of raising.
+    queue_dir:
+        The work-queue directory the fleet (and any detached ``repro
+        worker``) leases cells from; required with ``workers``.
+    lease_seconds, max_lease_failures:
+        Lease expiry horizon and the per-cell failed-lease budget
+        before poison quarantine.
+    timeout:
+        Optional wall bound on waiting for the fleet; on expiry it is
+        terminated and :class:`~repro.errors.FabricError` raised.
     """
 
     def __init__(
@@ -293,15 +303,25 @@ class SweepSupervisor:
         serialize: Callable[[Any], Any] = _default_serialize,
         deserialize: Optional[Callable[[Any], Any]] = None,
         retry_backoff: Optional[BackoffPolicy] = BackoffPolicy(),
-        on_corrupt: str = "raise",
+        workers: int = 0,
+        queue_dir: Optional[str] = None,
+        lease_seconds: float = 10.0,
+        max_lease_failures: int = 3,
+        timeout: Optional[float] = None,
     ):
         if max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
         # Refused before the checkpoint is read or discarded.
         check_wall_budget(max_wall_seconds)
-        if on_corrupt not in ("raise", "quarantine"):
-            raise ConfigurationError(
-                f"on_corrupt must be 'raise' or 'quarantine', got {on_corrupt!r}")
+        if workers < 0:
+            raise ConfigurationError(f"workers must be >= 0, got {workers}")
+        if workers:
+            from repro.fabric.queue import WorkQueue, check_lease_options
+            from repro.fabric.supervisor import fn_reference
+            check_lease_options(lease_seconds, max_lease_failures)
+            if not queue_dir:
+                raise ConfigurationError("workers >= 1 needs a queue_dir")
+            self.fn_ref = fn_reference(fn)
         self.fn = fn
         self.checkpoint_path = checkpoint_path
         self.max_retries = max_retries
@@ -310,8 +330,13 @@ class SweepSupervisor:
         self.serialize = serialize
         self.deserialize = deserialize
         self.retry_backoff = retry_backoff
-        self.on_corrupt = on_corrupt
+        self.workers = workers
+        self.queue_dir = queue_dir
+        self.lease_seconds = lease_seconds
+        self.max_lease_failures = max_lease_failures
+        self.timeout = timeout
         self._accepted = accepted_params(fn)
+        #: ``meta.fabric`` of the next checkpoint write (set by the fleet).
         self._fabric_meta: Optional[Dict[str, Any]] = None
         self._cells: Dict[str, Dict[str, Any]] = {}
         if checkpoint_path:
@@ -323,8 +348,8 @@ class SweepSupervisor:
                     f"checkpoint directory {directory!r} does not exist "
                     f"(for checkpoint {checkpoint_path!r})")
             if resume:
-                self._cells = self._load_checkpoint(checkpoint_path,
-                                                    on_corrupt=on_corrupt)
+                self._cells = self._load_checkpoint(
+                    checkpoint_path, quarantine=bool(workers))
             elif os.path.exists(checkpoint_path):
                 # Discard immediately: leaving the old file on disk
                 # until the first new cell completes would let a crash
@@ -335,12 +360,14 @@ class SweepSupervisor:
                     raise ConfigurationError(
                         f"cannot discard checkpoint {checkpoint_path!r}: "
                         f"{exc}") from exc
+        if workers and not resume:
+            WorkQueue.discard(queue_dir)
 
     # ------------------------------------------------------------------
     # Checkpoint I/O
     # ------------------------------------------------------------------
     @staticmethod
-    def _load_checkpoint(path: str, on_corrupt: str = "raise",
+    def _load_checkpoint(path: str, quarantine: bool = False,
                          ) -> Dict[str, Dict[str, Any]]:
         if not os.path.exists(path):
             return {}
@@ -360,8 +387,8 @@ class SweepSupervisor:
                     f"unreadable checkpoint {path!r}: 'cells' is not a "
                     f"JSON object")
         except (OSError, ValueError, ConfigurationError) as exc:
-            if on_corrupt == "quarantine":
-                # Fabric recovery: park the damaged file (evidence for
+            if quarantine:
+                # Fleet recovery: park the damaged file (evidence for
                 # the postmortem) and resume from nothing — completed
                 # cells still exist as queue records and merge back in.
                 try:
@@ -420,11 +447,6 @@ class SweepSupervisor:
                 counters[name] = counters.get(name, 0) + value
         return meta
 
-    def set_fabric_meta(self, meta: Optional[Dict[str, Any]]) -> None:
-        """Attach fabric audit data (counters, quarantine list) to every
-        subsequent checkpoint write.  Used by the fabric supervisor."""
-        self._fabric_meta = meta
-
     def _write_checkpoint(self) -> None:
         if not self.checkpoint_path:
             return
@@ -464,14 +486,46 @@ class SweepSupervisor:
             "elapsed_seconds": elapsed_seconds,
         }
 
+    def _merge_completed(self, queue: Any,
+                         pending: Dict[str, Dict[str, Any]]) -> None:
+        """Fold the fleet's newly-completed records into the checkpoint.
+
+        ``pending`` maps the digest of each cell not merged yet to its
+        params; merged cells leave it.  Only those cells are looked up,
+        so each completed record is read once however many polls the
+        sweep takes, and the checkpoint is rewritten once for everything
+        this poll found: the records themselves are already durable.
+        """
+        found = False
+        for digest, params in list(pending.items()):
+            record = queue.completed_record(digest)
+            if record is None:
+                continue
+            self._merge_cell(record["key"], params, record["result"],
+                             record.get("attempts", 1),
+                             record.get("elapsed_seconds", 0.0))
+            del pending[digest]
+            found = True
+        if found:
+            self._write_checkpoint()
+
     def _cached_outcome(self, key: str, params: Dict[str, Any],
-                        cached: Dict[str, Any]) -> TrialOutcome:
+                        cached: Dict[str, Any],
+                        from_checkpoint: bool = True) -> TrialOutcome:
+        """The outcome a checkpoint entry stands for.
+
+        ``from_checkpoint=False`` is an entry a fleet worker computed
+        during this run.
+        """
         result = cached["result"]
         if self.deserialize is not None:
             result = self.deserialize(result)
-        return TrialOutcome(key=key, params=params, result=result,
-                            attempts=cached.get("attempts", 1),
-                            from_checkpoint=True)
+        return TrialOutcome(
+            key=key, params=params, result=result,
+            attempts=cached.get("attempts", 1),
+            from_checkpoint=from_checkpoint,
+            elapsed_seconds=(0.0 if from_checkpoint
+                             else cached.get("elapsed_seconds", 0.0)))
 
     @property
     def completed_cells(self) -> int:
@@ -511,13 +565,24 @@ class SweepSupervisor:
             ) -> List[TrialOutcome]:
         """Run every cell in ``grid``; failed cells are reported, not fatal.
 
-        ``on_cell`` is invoked with each :class:`TrialOutcome` as it
-        completes (progress reporting).
+        Outcomes come back, and ``on_cell`` (progress reporting) sees
+        each one, in grid order.  A cell the checkpoint holds is resumed;
+        with ``workers >= 1`` the others' outcomes are the fleet's merged
+        records or quarantine entries, and what the fleet leaves open
+        runs here through :meth:`run_cell`.  A cell listed twice runs once.
         """
+        grid = [dict(params) for params in grid]
+        fleet_run: Any = contextlib.nullcontext()
+        if self.workers:
+            from repro.fabric.supervisor import FleetRun
+            fleet_run = FleetRun(self, grid)
         outcomes = []
-        for params in grid:
-            outcome = self.run_cell(**params)
-            if on_cell is not None:
-                on_cell(outcome)
-            outcomes.append(outcome)
+        with fleet_run as fleet:
+            for params in grid:
+                outcome = fleet.collect(params) if fleet else None
+                if outcome is None:
+                    outcome = self.run_cell(**params)
+                if on_cell is not None:
+                    on_cell(outcome)
+                outcomes.append(outcome)
         return outcomes

@@ -148,6 +148,21 @@ class TestSimulateCommands:
         assert code == 0
         assert "AFCT" in out
 
+    def test_short_flows_none_completed_is_not_nan(self, capsys):
+        code, out = run_cli(capsys, "simulate", "short-flows",
+                            "--duration", "0.05")
+        assert code == 0
+        assert "  AFCT:        n/a (0 flows completed)\n" in out
+        assert "nan" not in out
+
+    def test_long_flows_nothing_offered_is_not_nan(self, capsys):
+        code, out = run_cli(capsys, "simulate", "long-flows",
+                            "--flows", "2", "--rate", "1kbps",
+                            "--warmup", "0.5", "--duration", "0.5")
+        assert code == 0
+        assert "  loss rate:   n/a (no packets offered)\n" in out
+        assert "nan" not in out
+
     def test_single_flow(self, capsys):
         code, out = run_cli(capsys, "simulate", "single-flow",
                             "--fraction", "1.0", "--pipe", "50",
@@ -525,6 +540,29 @@ class TestSweepRefusesBeforeRunning:
         assert out == (f"error: max_wall_seconds must be a finite number "
                        f"> 0, got {float(value)}\n")
         assert list(tmp_path.iterdir()) == []  # no checkpoint, no queue
+
+    @pytest.mark.parametrize("flag,value,rule", [
+        ("--warmup", "nan", ">= 0"), ("--warmup", "inf", ">= 0"),
+        ("--warmup", "-1", ">= 0"), ("--duration", "nan", "> 0"),
+        ("--duration", "inf", "> 0"), ("--duration", "0", "> 0"),
+        ("--duration", "-1", "> 0"),
+    ])
+    @pytest.mark.parametrize("executor", [["--jobs", "1"], ["--jobs", "2"]],
+                             ids=["jobs1", "jobs2"])
+    def test_run_length(self, capsys, tmp_path, executor, flag, value, rule):
+        # --duration nan used to fail in the first cell, naming "event
+        # time", after --fresh had deleted the checkpoint; --jobs 2
+        # quarantined it as a FAILED cell and exited 3.
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text('{"version": 1, "cells": {}}')
+        code, out = run_cli(capsys, *TestSweepCommand.ARGS, *executor,
+                            "--checkpoint", str(ckpt), "--fresh",
+                            f"{flag}={value}")
+        assert code == 2
+        assert out == (f"error: {flag} must be finite and {rule}, "
+                       f"got {float(value)}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["ck.json"]
+        assert ckpt.read_text() == '{"version": 1, "cells": {}}'
 
     def test_uncreatable_queue_directory(self, capsys, tmp_path):
         (tmp_path / "file").write_text("not a directory")

@@ -2,8 +2,8 @@
 
 These verify the experiment plumbing (parameterization, result shapes,
 interpolation logic) — the scientific claims themselves are exercised at
-larger scale in tests/integration/test_paper_claims.py and in the
-benchmark suite.
+larger scale in tests/integration/test_paper_claims.py and by the
+report's verdicts (repro.experiments.report).
 """
 
 import math

@@ -65,3 +65,8 @@ def slow_quadratic(x, seed=0, delay=0.5):
     """
     time.sleep(delay)
     return {"y": x * x + seed, "x": x, "seed": seed}
+
+
+def exits_at_once(queue_root, index):
+    """A fleet worker entry point that dies before it opens the queue."""
+    raise SystemExit(1)

@@ -18,7 +18,6 @@ import pytest
 
 from repro.fabric.chaos import ENV_VAR
 from repro.fabric.queue import WorkQueue, cell_digest
-from repro.fabric.supervisor import run_fabric_sweep
 from repro.runner.supervisor import SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
 
@@ -40,8 +39,8 @@ def chaos_run(tmp_path_factory):
     checkpoint = str(tmp_path / "sweep.ckpt.json")
     os.environ[ENV_VAR] = CHAOS_SPEC
     try:
-        outcomes = run_fabric_sweep(
-            fabric_fns.slow_quadratic, GRID,
+        outcomes = SweepSupervisor(
+            fabric_fns.slow_quadratic,
             queue_dir=queue_dir,
             workers=WORKERS,
             checkpoint_path=checkpoint,
@@ -49,7 +48,7 @@ def chaos_run(tmp_path_factory):
             max_lease_failures=MAX_LEASE_FAILURES,
             max_retries=1,
             timeout=180.0,
-        )
+        ).run(GRID)
     finally:
         os.environ.pop(ENV_VAR, None)
     return {

@@ -1,15 +1,21 @@
-"""End-to-end tests for run_fabric_sweep: spawn, merge, resume, audit."""
+"""End-to-end tests for SweepSupervisor.run with a worker fleet: spawn,
+merge, resume, audit."""
 
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
-from repro.fabric.supervisor import fn_reference, run_fabric_sweep
+from repro.fabric.supervisor import fn_reference
 from repro.runner.supervisor import SweepSupervisor
 from tests.fabric import fabric_fns
 
 GRID = [{"x": i, "seed": 11} for i in range(6)]
+
+
+def fleet_sweep(fn, grid, **options):
+    """One sweep of ``grid`` on the supervisor that ``options`` build."""
+    return SweepSupervisor(fn, **options).run(grid)
 
 
 def fabric_kwargs(tmp_path, **overrides):
@@ -50,8 +56,8 @@ class TestFnReference:
 
 class TestFabricSweep:
     def test_completes_grid_bit_identical_to_serial(self, tmp_path):
-        outcomes = run_fabric_sweep(fabric_fns.quadratic,
-                                    **fabric_kwargs(tmp_path))
+        outcomes = fleet_sweep(fabric_fns.quadratic,
+                               **fabric_kwargs(tmp_path))
         serial = SweepSupervisor(fabric_fns.quadratic).run(GRID)
         assert all(outcome.ok for outcome in outcomes)
         fabric_results = [json.dumps(o.result, sort_keys=True)
@@ -62,7 +68,7 @@ class TestFabricSweep:
 
     def test_checkpoint_carries_fabric_audit(self, tmp_path):
         kwargs = fabric_kwargs(tmp_path)
-        run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        fleet_sweep(fabric_fns.quadratic, **kwargs)
         with open(kwargs["checkpoint_path"]) as fh:
             payload = json.load(fh)
         assert payload["version"] == 1
@@ -78,11 +84,11 @@ class TestFabricSweep:
 
     def test_resume_skips_checkpointed_cells(self, tmp_path):
         kwargs = fabric_kwargs(tmp_path)
-        first = run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        first = fleet_sweep(fabric_fns.quadratic, **kwargs)
         assert not any(o.from_checkpoint for o in first)
-        again = run_fabric_sweep(fabric_fns.quadratic,
-                                 **fabric_kwargs(tmp_path,
-                                                 queue_dir=str(tmp_path / "q2")))
+        again = fleet_sweep(fabric_fns.quadratic,
+                            **fabric_kwargs(tmp_path,
+                                            queue_dir=str(tmp_path / "q2")))
         assert all(o.from_checkpoint for o in again)
         assert ([json.dumps(o.result, sort_keys=True) for o in again]
                 == [json.dumps(o.result, sort_keys=True) for o in first])
@@ -92,7 +98,7 @@ class TestFabricSweep:
         grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(3)]
         kwargs = fabric_kwargs(tmp_path, grid=grid, resume=False)
         for _ in range(2):
-            outcomes = run_fabric_sweep(fabric_fns.marks_run, **kwargs)
+            outcomes = fleet_sweep(fabric_fns.marks_run, **kwargs)
             assert all(o.ok and not o.from_checkpoint for o in outcomes)
         for i in range(3):
             assert (tmp_path / f"cell-{i}.ran").read_text() == "1\n1\n"
@@ -102,7 +108,7 @@ class TestFabricSweep:
 
     def test_no_more_workers_than_unresolved_cells(self, tmp_path):
         kwargs = fabric_kwargs(tmp_path, grid=GRID[:1], workers=3)
-        run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        fleet_sweep(fabric_fns.quadratic, **kwargs)
         with open(kwargs["checkpoint_path"]) as fh:
             assert json.load(fh)["meta"]["fabric"]["workers"] == 1
 
@@ -111,7 +117,7 @@ class TestFabricSweep:
         grid = [{"x": 1, "seed": 3}]
         serial, = SweepSupervisor(fabric_fns.always_stalls, max_retries=2,
                                   retry_backoff=None).run(grid)
-        queued, = run_fabric_sweep(
+        queued, = fleet_sweep(
             fabric_fns.always_stalls,
             **fabric_kwargs(tmp_path, grid=grid, workers=1,
                             max_lease_failures=3, max_retries=2))
@@ -127,8 +133,8 @@ class TestFabricSweep:
     def test_poison_cells_surface_as_failed_outcomes(self, tmp_path):
         """Leases that end without a verdict burn the lease budget."""
         grid = [{"x": 1, "seed": 3}]
-        outcomes = run_fabric_sweep(
-            "tests.fabric.fabric_fns:raises_bug",
+        outcomes = fleet_sweep(
+            fabric_fns.raises_bug,
             **fabric_kwargs(tmp_path, grid=grid, workers=1,
                             max_lease_failures=2, max_retries=0))
         assert len(outcomes) == 1
@@ -142,10 +148,10 @@ class TestFabricSweep:
 
     def test_corrupt_checkpoint_recovers_from_queue_records(self, tmp_path):
         kwargs = fabric_kwargs(tmp_path)
-        first = run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        first = fleet_sweep(fabric_fns.quadratic, **kwargs)
         with open(kwargs["checkpoint_path"], "w") as fh:
             fh.write('{"version": 1, "cells": {"torn')  # simulated torn write
-        again = run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        again = fleet_sweep(fabric_fns.quadratic, **kwargs)
         assert all(o.ok for o in again)
         assert ([json.dumps(o.result, sort_keys=True) for o in again]
                 == [json.dumps(o.result, sort_keys=True) for o in first])
@@ -161,14 +167,14 @@ class TestFabricSweep:
                 return {"v": 1}
 
         with pytest.raises(ConfigurationError, match="JSON-native"):
-            run_fabric_sweep(fabric_fns.quadratic,
-                             **fabric_kwargs(tmp_path,
-                                             grid=[{"x": Fancy(), "seed": 1}]))
+            fleet_sweep(fabric_fns.quadratic,
+                        **fabric_kwargs(tmp_path,
+                                        grid=[{"x": Fancy(), "seed": 1}]))
 
     def test_worker_count_validated(self, tmp_path):
         with pytest.raises(ConfigurationError, match="workers"):
-            run_fabric_sweep(fabric_fns.quadratic,
-                             **fabric_kwargs(tmp_path, workers=0))
+            fleet_sweep(fabric_fns.quadratic,
+                        **fabric_kwargs(tmp_path, workers=-1))
 
     @pytest.mark.parametrize("option,value", [
         ("lease_seconds", 0), ("lease_seconds", -1),
@@ -180,7 +186,7 @@ class TestFabricSweep:
         grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(3)]
         kwargs = fabric_kwargs(tmp_path, grid=grid, **{option: value})
         with pytest.raises(ConfigurationError, match=option):
-            run_fabric_sweep(fabric_fns.marks_run, **kwargs)
+            fleet_sweep(fabric_fns.marks_run, **kwargs)
         # No queue, no checkpoint, no cell: nothing was started.
         assert list(tmp_path.iterdir()) == []
 
@@ -190,5 +196,5 @@ class TestFabricSweep:
         kwargs = fabric_kwargs(tmp_path, grid=grid,
                                queue_dir=str(tmp_path / "file" / "queue"))
         with pytest.raises(FabricError, match="cannot create queue"):
-            run_fabric_sweep(fabric_fns.marks_run, **kwargs)
+            fleet_sweep(fabric_fns.marks_run, **kwargs)
         assert not list(tmp_path.glob("cell-*.ran"))

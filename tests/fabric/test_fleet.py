@@ -20,10 +20,11 @@ import time
 
 import pytest
 
+from repro.experiments.common import run_long_flow_experiment
 from repro.fabric import chaos
 from repro.fabric import supervisor as fabric_supervisor
 from repro.fabric.queue import WorkQueue, cell_digest
-from repro.fabric.supervisor import _start_method, run_fabric_sweep
+from repro.fabric.supervisor import _start_method
 from repro.fabric.worker import Worker
 from repro.obs import runtime as obs_runtime
 from repro.runner.supervisor import SweepSupervisor, cell_key
@@ -43,6 +44,11 @@ def fabric_kwargs(tmp_path, grid, **overrides):
                   lease_seconds=30.0, timeout=60.0)
     kwargs.update(overrides)
     return kwargs
+
+
+def fleet_sweep(fn, grid, **options):
+    """One sweep of ``grid`` on the supervisor that ``options`` build."""
+    return SweepSupervisor(fn, **options).run(grid)
 
 
 def results(outcomes):
@@ -71,8 +77,8 @@ class TestStartMethod:
     def test_single_threaded_parent_forks(self, tmp_path, start_methods):
         require_fork()
         grid = [{"x": i, "seed": 4} for i in range(4)]
-        outcomes = run_fabric_sweep(fabric_fns.quadratic,
-                                    **fabric_kwargs(tmp_path, grid))
+        outcomes = fleet_sweep(fabric_fns.quadratic,
+                               **fabric_kwargs(tmp_path, grid))
         assert start_methods == ["fork", "fork"]
         assert results(outcomes) == results(
             SweepSupervisor(fabric_fns.quadratic).run(grid))
@@ -87,14 +93,14 @@ class TestStartMethod:
             # A lock the bystander held at the fork would stay locked
             # in the child for ever: no fork while it lives.
             assert _start_method() == "spawn"
-            spawned = run_fabric_sweep(fabric_fns.quadratic,
-                                       **fabric_kwargs(tmp_path, grid))
+            spawned = fleet_sweep(fabric_fns.quadratic,
+                                  **fabric_kwargs(tmp_path, grid))
         finally:
             release.set()
             bystander.join(timeout=5.0)
         assert not bystander.is_alive()
         assert start_methods == ["spawn", "spawn"]
-        forked_or_not = run_fabric_sweep(
+        forked_or_not = fleet_sweep(
             fabric_fns.quadratic,
             **fabric_kwargs(tmp_path / "again", grid, checkpoint_path=None))
         assert results(spawned) == results(forked_or_not)
@@ -111,7 +117,7 @@ class TestForkedWorkerState:
         assert chaos._hits == {"run": 3}
         grid = [{"x": i, "seed": 2, "delay": 0.2} for i in range(4)]
         kwargs = fabric_kwargs(tmp_path, grid, workers=3, lease_seconds=0.75)
-        outcomes = run_fabric_sweep(fabric_fns.slow_quadratic, **kwargs)
+        outcomes = fleet_sweep(fabric_fns.slow_quadratic, **kwargs)
         assert all(outcome.ok for outcome in outcomes)
         with open(kwargs["checkpoint_path"]) as fh:
             deaths = json.load(fh)["meta"]["fabric"]["worker_deaths"]
@@ -121,16 +127,16 @@ class TestForkedWorkerState:
             self, tmp_path):
         """An obs session in the supervisor must not leak into workers:
         it would add a metrics snapshot to every cell result."""
-        fn = "repro.experiments.common:run_long_flow_experiment"
+        fn = run_long_flow_experiment
         grid = [dict(n_flows=n, buffer_packets=10, pipe_packets=30,
                      bottleneck_rate="10Mbps", warmup=0.5, duration=1.0,
                      seed=3) for n in (2, 3)]
-        plain = run_fabric_sweep(
+        plain = fleet_sweep(
             fn, **fabric_kwargs(tmp_path / "plain", grid,
                                 checkpoint_path=None))
         obs_runtime.enable()
         try:
-            observed = run_fabric_sweep(
+            observed = fleet_sweep(
                 fn, **fabric_kwargs(tmp_path / "observed", grid,
                                     checkpoint_path=None))
         finally:
@@ -159,14 +165,14 @@ class TestForkedWorkerState:
                             staticmethod(open_after_sigterm))
         grid = [{"x": i, "seed": 9} for i in range(4)]
         kwargs = fabric_kwargs(tmp_path, grid, timeout=30.0)
-        outcomes = run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        outcomes = fleet_sweep(fabric_fns.quadratic, **kwargs)
         assert all(outcome.ok for outcome in outcomes)
         with open(kwargs["checkpoint_path"]) as fh:
             fabric = json.load(fh)["meta"]["fabric"]
         assert fabric["worker_deaths"] == [] and fabric["respawns"] == 0
+        # No worker published a cell: the supervisor ran all four.
         queue = real_open(kwargs["queue_dir"])
-        assert ({record["worker"] for record in queue.completed().values()}
-                == {"inline-drain"})
+        assert queue.completed() == {}
 
 
 class TestStopWakesAnIdleWorker:
@@ -198,7 +204,7 @@ class TestStopWakesAnIdleWorker:
         that wait, and the supervisor must notice the exit."""
         grid = [{"x": i, "seed": 1, "delay": 2.0} for i in range(3)]
         kwargs = fabric_kwargs(tmp_path, grid)
-        outcomes = run_fabric_sweep(fabric_fns.slow_quadratic, **kwargs)
+        outcomes = fleet_sweep(fabric_fns.slow_quadratic, **kwargs)
         returned = time.time()
         assert all(outcome.ok for outcome in outcomes)
         queue = WorkQueue.open(kwargs["queue_dir"])
@@ -215,24 +221,24 @@ class TestMergeLoop:
     @pytest.mark.parametrize("cells,delay", [(4, 0.15), (24, 0.05)])
     def test_each_record_read_once_and_one_write_per_merging_poll(
             self, tmp_path, monkeypatch, cells, delay):
-        merging = []          # True while _merge_new_completions runs
+        merging = []          # True while _merge_completed runs
         reads = {}            # digest -> completed records read by it
         polls = {"all": 0, "merged": 0}
         writes = []
 
-        real_merge = fabric_supervisor._merge_new_completions
+        real_merge = SweepSupervisor._merge_completed
         real_read = WorkQueue.completed_record
         real_write = SweepSupervisor._write_checkpoint
 
-        def merge(queue, supervisor, params_by_digest, merged):
-            before = len(merged)
+        def merge(self, queue, pending):
+            before = len(pending)
             merging.append(True)
             try:
-                real_merge(queue, supervisor, params_by_digest, merged)
+                real_merge(self, queue, pending)
             finally:
                 merging.pop()
             polls["all"] += 1
-            polls["merged"] += len(merged) > before
+            polls["merged"] += len(pending) < before
 
         def read(self, digest):
             record = real_read(self, digest)
@@ -244,13 +250,13 @@ class TestMergeLoop:
             writes.append(len(self._cells))
             real_write(self)
 
-        monkeypatch.setattr(fabric_supervisor, "_merge_new_completions", merge)
+        monkeypatch.setattr(SweepSupervisor, "_merge_completed", merge)
         monkeypatch.setattr(WorkQueue, "completed_record", read)
         monkeypatch.setattr(SweepSupervisor, "_write_checkpoint", write)
 
         grid = [{"x": i, "seed": 6, "delay": delay} for i in range(cells)]
-        outcomes = run_fabric_sweep(fabric_fns.slow_quadratic,
-                                    **fabric_kwargs(tmp_path, grid))
+        outcomes = fleet_sweep(fabric_fns.slow_quadratic,
+                               **fabric_kwargs(tmp_path, grid))
         assert all(outcome.ok for outcome in outcomes)
         assert polls["all"] >= 3  # or "however many polls" says nothing
         assert sorted(reads.values()) == [1] * cells
@@ -262,7 +268,7 @@ class TestMergeLoop:
     def test_checkpoint_equals_the_one_written_cell_by_cell(self, tmp_path):
         grid = [{"x": i, "seed": 6} for i in range(8)]
         kwargs = fabric_kwargs(tmp_path, grid)
-        run_fabric_sweep(fabric_fns.quadratic, **kwargs)
+        fleet_sweep(fabric_fns.quadratic, **kwargs)
         with open(kwargs["checkpoint_path"]) as fh:
             batched = json.load(fh)
 
@@ -275,7 +281,7 @@ class TestMergeLoop:
             replay._merge_cell(record["key"], params, record["result"],
                                record["attempts"], record["elapsed_seconds"])
             replay._write_checkpoint()
-        replay.set_fabric_meta(batched["meta"]["fabric"])
+        replay._fabric_meta = batched["meta"]["fabric"]
         replay._write_checkpoint()
         with open(path) as fh:
             cell_by_cell = json.load(fh)
@@ -283,3 +289,52 @@ class TestMergeLoop:
         for payload in (batched, cell_by_cell):
             del payload["meta"]["written_at"]
         assert batched == cell_by_cell
+
+
+# ----------------------------------------------------------------------
+# When the fleet is gone
+# ----------------------------------------------------------------------
+class TestFleetExhausted:
+    def test_open_cells_run_in_process_once_every_worker_is_dead(
+            self, tmp_path, monkeypatch):
+        """Every worker dies at once, and so does every replacement: the
+        supervisor runs the grid itself through run_cell, and the
+        checkpoint holds what a serial run's does."""
+        monkeypatch.setattr(fabric_supervisor, "spawned_worker_entry",
+                            fabric_fns.exits_at_once)
+        ran = []
+        real_run_cell = SweepSupervisor.run_cell
+
+        def run_cell(self, **params):
+            ran.append(params)
+            return real_run_cell(self, **params)
+
+        monkeypatch.setattr(SweepSupervisor, "run_cell", run_cell)
+        grid = [{"x": i, "seed": 5} for i in range(4)]
+        kwargs = fabric_kwargs(tmp_path, grid)
+        outcomes = fleet_sweep(fabric_fns.quadratic, **kwargs)
+        assert all(outcome.ok and not outcome.from_checkpoint
+                   for outcome in outcomes)
+        assert ran == grid
+
+        serial_path = str(tmp_path / "serial.json")
+        SweepSupervisor(fabric_fns.quadratic,
+                        checkpoint_path=serial_path).run(grid)
+        payloads = []
+        for path in (kwargs["checkpoint_path"], serial_path):
+            with open(path) as fh:
+                payloads.append(json.load(fh))
+        fleet, serial = ({key: (cell["params"], cell["result"],
+                                cell["attempts"])
+                          for key, cell in payload["cells"].items()}
+                         for payload in payloads)
+        assert len(fleet) == len(grid) and fleet == serial
+
+        fabric = payloads[0]["meta"]["fabric"]
+        workers = kwargs["workers"]
+        assert fabric["workers"] == workers
+        assert fabric["respawns"] == 2 * workers
+        deaths = sorted(fabric["worker_deaths"],
+                        key=lambda death: death["worker_index"])
+        assert deaths == [{"worker_index": index, "exitcode": 1}
+                          for index in range(workers + 2 * workers)]

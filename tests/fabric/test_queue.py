@@ -104,6 +104,26 @@ class TestClaimCompleteLifecycle:
         assert queue.drained()
         assert queue.claim("w2", 1) is None
 
+    def test_cell_completed_during_a_claim_is_not_claimed(
+            self, tmp_path, monkeypatch):
+        """w1 publishes and releases between w2's "completed?" check and
+        w2's read of the lease: w2 must not run the cell a second time."""
+        queue, _ = make_queue(tmp_path, n=1)
+        lease = queue.claim("w1", 0)
+        real_read = records.read_record
+        window = [lease]  # open once, at w2's read of w1's lease
+
+        def read(path):
+            if path == lease.path and window:
+                queue.complete(window.pop(), {"y": 1}, attempts=1,
+                               elapsed_seconds=0.0)
+            return real_read(path)
+
+        monkeypatch.setattr(records, "read_record", read)
+        assert queue.claim("w2", 1) is None
+        assert not os.path.exists(lease.path)
+        assert queue.tally()["fabric.leases_claimed"] == 1
+
     def test_renew_extends_and_checks_token(self, tmp_path):
         queue, _ = make_queue(tmp_path, n=1)
         lease = queue.claim("w1", 0)

@@ -88,7 +88,7 @@ class TestInvariantMonitor:
         sim.run(until=3.0)
         assert monitor.checks_run == 6
 
-    def test_monitor_raises_mid_run_on_corruption(self):
+    def test_monitor_raises_mid_run_when_a_counter_is_corrupted(self):
         sim = Simulator()
         net = build_dumbbell(sim, n_pairs=2, bottleneck_rate="5Mbps",
                              buffer_packets=15, rtts=["40ms"])

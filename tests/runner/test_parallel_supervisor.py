@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.common import LongFlowResult
-from repro.fabric.supervisor import run_fabric_sweep
 from repro.runner import SweepSupervisor
 
 #: Small Figure-7-shaped grid: 2 flow counts x 2 buffer factors.
@@ -156,9 +155,9 @@ class TestParallelCheckpointing:
         """Worker-produced checkpoints rehydrate tuple fields faithfully."""
         path = str(tmp_path / "sweep.json")
         grid = [{"seed": 1}, {"seed": 2}]
-        computed = run_fabric_sweep(
-            _synthetic_long_flow_result, grid, workers=2,
-            queue_dir=str(tmp_path / "queue"), checkpoint_path=path)
+        computed = SweepSupervisor(
+            _synthetic_long_flow_result, workers=2,
+            queue_dir=str(tmp_path / "queue"), checkpoint_path=path).run(grid)
         assert all(o.ok and not o.from_checkpoint for o in computed)
 
         resumed = SweepSupervisor(_synthetic_long_flow_result,

@@ -82,8 +82,8 @@ class TestTornRecovery:
 
     def test_quarantine_mode_parks_evidence_and_resumes_empty(self, tmp_path):
         path = self.tear(tmp_path)
-        sup = SweepSupervisor(square, checkpoint_path=path,
-                              on_corrupt="quarantine")
+        sup = SweepSupervisor(square, checkpoint_path=path, workers=1,
+                              queue_dir=str(tmp_path / "queue"))
         assert sup.completed_cells == 0
         assert os.path.exists(path + ".corrupt")  # postmortem evidence
         # The sweep proceeds normally and rewrites a clean checkpoint.
@@ -96,24 +96,24 @@ class TestTornRecovery:
         path = str(tmp_path / "sweep.json")
         with open(path, "w") as fh:
             json.dump({"version": 99, "cells": {}}, fh)
-        sup = SweepSupervisor(square, checkpoint_path=path,
-                              on_corrupt="quarantine")
+        sup = SweepSupervisor(square, checkpoint_path=path, workers=1,
+                              queue_dir=str(tmp_path / "queue"))
         assert sup.completed_cells == 0
         assert os.path.exists(path + ".corrupt")
 
     def test_intact_checkpoint_unaffected_by_quarantine_mode(self, tmp_path):
         path = str(tmp_path / "sweep.json")
         SweepSupervisor(square, checkpoint_path=path).run_cell(x=3)
-        sup = SweepSupervisor(square, checkpoint_path=path,
-                              on_corrupt="quarantine")
+        sup = SweepSupervisor(square, checkpoint_path=path, workers=1,
+                              queue_dir=str(tmp_path / "queue"))
         assert sup.completed_cells == 1
         assert not os.path.exists(path + ".corrupt")
 
     def test_unknown_mode_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="on_corrupt"):
+        with pytest.raises(ConfigurationError, match="workers"):
             SweepSupervisor(square,
                             checkpoint_path=str(tmp_path / "c.json"),
-                            on_corrupt="ignore")
+                            workers=-1)
 
 
 NOT_OBJECTS = [[], "x", 3, {"version": 1, "cells": [1]}]
@@ -141,8 +141,8 @@ class TestNonObjectCheckpoint:
     @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
     def test_quarantine_mode_parks_it(self, tmp_path, payload):
         path = self.write(tmp_path, payload)
-        sup = SweepSupervisor(square, checkpoint_path=path,
-                              on_corrupt="quarantine")
+        sup = SweepSupervisor(square, checkpoint_path=path, workers=1,
+                              queue_dir=str(tmp_path / "queue"))
         assert sup.completed_cells == 0
         assert os.path.exists(path + ".corrupt")
 
