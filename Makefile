@@ -1,15 +1,12 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench repo-bench report examples clean lint
+.PHONY: install test repo-bench report examples clean lint
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
 	pytest tests/
-
-bench:
-	pytest benchmarks/ --benchmark-only
 
 # The repository benchmark (BENCHMARK.json), as CI's repo-bench job runs
 # it: the exit code is the gate, each last line the result JSON.

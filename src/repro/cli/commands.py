@@ -80,23 +80,11 @@ def _parse_faults(args: argparse.Namespace):
     return schedule if len(schedule) else None
 
 
-def _sqrt_rule(pipe: float, factor: float, n_flows: int) -> float:
-    """``factor * pipe / sqrt(n)`` packets, for a sane flow count."""
+def _flows(n_flows: int) -> int:
+    """``--flows``, refused below one flow: there is no sqrt(0) buffer."""
     if n_flows < 1:
         raise ConfigurationError(f"--flows must be >= 1, got {n_flows}")
-    if not (math.isfinite(factor) and factor > 0):
-        raise ConfigurationError(
-            f"buffer factor must be finite and > 0, got {factor}")
-    return factor * pipe / math.sqrt(n_flows)
-
-
-def _sqrt_rule_packets(pipe: float, factor: float, n_flows: int) -> int:
-    """:func:`_sqrt_rule` as a whole buffer of at least two packets."""
-    # Checked here, before rounding, with the words common.rtt_for_pipe
-    # uses when --buffer-packets skips this (a nan pipe cannot round).
-    if not (math.isfinite(pipe) and pipe > 0):
-        raise ConfigurationError(f"pipe must be finite and > 0, got {pipe}")
-    return max(2, round(_sqrt_rule(pipe, factor, n_flows)))
+    return n_flows
 
 
 def cmd_size(args: argparse.Namespace) -> int:
@@ -143,7 +131,7 @@ def cmd_memory(args: argparse.Namespace) -> int:
 
 def cmd_simulate_long(args: argparse.Namespace) -> int:
     """``repro simulate long-flows``."""
-    from repro.experiments.common import run_long_flow_experiment
+    from repro.experiments.common import run_long_flow_experiment, sqrt_rule_packets
 
     ecn = getattr(args, "ecn", False)
     red = args.red or ecn
@@ -151,8 +139,8 @@ def cmd_simulate_long(args: argparse.Namespace) -> int:
         if args.buffer_packets is not None:
             buffer_packets = args.buffer_packets
         else:
-            buffer_packets = _sqrt_rule_packets(
-                args.pipe, args.buffer_factor, args.flows)
+            buffer_packets = sqrt_rule_packets(
+                args.pipe, _flows(args.flows), args.buffer_factor)
         faults = _parse_faults(args)
         result = run_long_flow_experiment(
             n_flows=args.flows,
@@ -266,6 +254,7 @@ def cmd_simulate_single(args: argparse.Namespace) -> int:
 
 def cmd_fluid(args: argparse.Namespace) -> int:
     """``repro fluid``: the fast deterministic integrator."""
+    from repro.experiments.common import sqrt_rule
     from repro.fluid import FluidAimdModel
 
     try:
@@ -275,7 +264,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         capacity_pps = args.pipe / rtt
         rtts = [rtt * (0.5 + (i + 1) / (args.flows + 1))
                 for i in range(args.flows)]
-        buffer_packets = _sqrt_rule(args.pipe, args.buffer_factor, args.flows)
+        buffer_packets = sqrt_rule(args.pipe, _flows(args.flows), args.buffer_factor)
         model = FluidAimdModel(args.flows, capacity_pps, buffer_packets, rtts,
                                synchronized=args.synchronized)
         result = model.run(duration=args.duration, warmup=args.duration / 2)
@@ -408,7 +397,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
-    from repro.experiments.common import run_long_flow_experiment
+    from repro.experiments.common import run_long_flow_experiment, sqrt_rule_packets
     from repro.runner import SweepSupervisor
     from repro.tcp.congestion import available_ccs
 
@@ -443,7 +432,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         grid = [
             dict(cc=cc, n_flows=n,
-                 buffer_packets=_sqrt_rule_packets(args.pipe, factor, n),
+                 buffer_packets=sqrt_rule_packets(args.pipe, _flows(n), factor),
                  pipe_packets=args.pipe, bottleneck_rate=args.rate,
                  warmup=args.warmup, duration=args.duration, seed=args.seed)
             for cc in cc_list for n in flows_list for factor in factor_list
@@ -504,6 +493,7 @@ def _run_traced_scenario(args: argparse.Namespace):
     from repro.experiments.common import (
         run_long_flow_experiment,
         run_short_flow_experiment,
+        sqrt_rule_packets,
     )
     from repro.traffic.sizes import FixedSize
 
@@ -511,8 +501,8 @@ def _run_traced_scenario(args: argparse.Namespace):
         if args.buffer_packets is not None:
             buffer_packets = args.buffer_packets
         else:
-            buffer_packets = _sqrt_rule_packets(
-                args.pipe, args.buffer_factor, args.flows)
+            buffer_packets = sqrt_rule_packets(
+                args.pipe, _flows(args.flows), args.buffer_factor)
         return run_long_flow_experiment(
             n_flows=args.flows,
             buffer_packets=buffer_packets,

@@ -25,6 +25,7 @@ from typing import List
 from repro.experiments.common import (
     run_long_flow_experiment,
     run_short_flow_experiment,
+    sqrt_rule_packets,
 )
 from repro.traffic.sizes import FixedSize
 
@@ -43,10 +44,6 @@ __all__ = [
 _BASE = dict(n_flows=64, pipe_packets=400.0, warmup=15.0, duration=30.0, seed=21)
 
 
-def _buffer(factor: float, n_flows: int, pipe: float) -> int:
-    return max(2, int(round(factor * pipe / math.sqrt(n_flows))))
-
-
 @dataclass
 class AblationRow:
     """One (variant, metric) outcome."""
@@ -61,7 +58,7 @@ class AblationRow:
 def queue_discipline_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     """Drop-tail vs RED at the same physical buffer."""
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     for label, red in [("drop-tail", False), ("RED", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -73,7 +70,7 @@ def queue_discipline_ablation(factor: float = 1.0, **overrides) -> List[Ablation
 def delayed_ack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     """Immediate vs delayed ACKs."""
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     for label, delack in [("ack-every-segment", False), ("delayed-ack", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -90,7 +87,7 @@ def rtt_spread_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     holds.  The sync index makes the mechanism visible.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     cases = [
         ("homogeneous RTTs, simultaneous starts", (1.0, 1.0), 1e-3),
@@ -109,7 +106,7 @@ def rtt_spread_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
 def cc_flavor_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     """Tahoe vs Reno vs NewReno senders at the sqrt(n) buffer."""
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     for flavor in ("tahoe", "reno", "newreno"):
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -150,7 +147,7 @@ def ecn_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     paper's buffer-sizing story.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     for label, ecn in [("RED (drop)", False), ("RED + ECN (mark)", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -169,7 +166,7 @@ def sack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     loss recovery.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     for label, use_sack in [("reno", False), ("reno+sack", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -189,7 +186,7 @@ def pacing_ablation(factor: float = 0.25, **overrides) -> List[AblationRow]:
     effect directly at ``factor`` (default 0.25x) of the sqrt-rule.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = _buffer(factor, params["n_flows"], params["pipe_packets"])
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
     rows = []
     for label, paced in [("unpaced", False), ("paced", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,

@@ -13,7 +13,6 @@ the Section 5.1.3 claim that mixes are governed by the long flows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -117,7 +116,7 @@ def compare_buffers(n_long: int = 50, pipe_packets: float = 400.0,
     """
     if n_long < 1:
         raise ConfigurationError("need n_long >= 1")
-    small_buffer = max(2, int(round(pipe_packets / math.sqrt(n_long))))
+    small_buffer = common.sqrt_rule_packets(pipe_packets, n_long)
     large_buffer = int(round(pipe_packets))
     small = run_mixed_experiment(small_buffer, n_long=n_long,
                                  pipe_packets=pipe_packets, **kwargs)

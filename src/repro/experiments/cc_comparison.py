@@ -40,7 +40,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import run_long_flow_experiment
+from repro.experiments.common import (run_long_flow_experiment, sqrt_rule,
+                                      sqrt_rule_packets)
 from repro.experiments.long_flow_sweep import _interpolate_min_buffer
 from repro.tcp.congestion import make_cc
 from repro.units import Quantity
@@ -197,10 +198,10 @@ def run_cc_comparison(
     for cc in ccs:
         _is_paced(cc)  # fail fast on an unknown name
         for n in n_values:
-            unit = pipe_packets / math.sqrt(n)
+            unit = sqrt_rule(pipe_packets, n)
             curve: List[Tuple[float, float]] = []
             for factor in factors:
-                buffer_packets = max(2, int(round(factor * unit)))
+                buffer_packets = sqrt_rule_packets(pipe_packets, n, factor)
                 result = run_long_flow_experiment(
                     n_flows=n,
                     buffer_packets=buffer_packets,

@@ -55,6 +55,8 @@ __all__ = [
     "run_short_flow_experiment",
     "rtt_for_pipe",
     "run_world",
+    "sqrt_rule",
+    "sqrt_rule_packets",
 ]
 
 #: Wire size of a data segment in the experiments (mss 960 + 40 header).
@@ -81,6 +83,34 @@ def rtt_for_pipe(pipe_packets: float, rate: Quantity,
     if rate_bps <= 0:
         raise ConfigurationError("link rate must be positive")
     return pipe_packets * packet_bytes * 8.0 / rate_bps
+
+
+def sqrt_rule(pipe_packets: float, n_flows: int, factor: float = 1.0) -> float:
+    """The paper's long-flow buffer ``factor * pipe / sqrt(n)``, in packets.
+
+    A nan, infinite or non-positive factor, or fewer than one flow, is a
+    :class:`ConfigurationError`; the pipe is checked where it is rounded.
+    """
+    if not (math.isfinite(factor) and factor > 0):
+        raise ConfigurationError(
+            f"buffer factor must be finite and > 0, got {factor}")
+    if n_flows < 1:
+        raise ConfigurationError(f"n_flows must be >= 1, got {n_flows}")
+    return factor * pipe_packets / math.sqrt(n_flows)
+
+
+def sqrt_rule_packets(pipe_packets: float, n_flows: int,
+                      factor: float = 1.0) -> int:
+    """:func:`sqrt_rule` as a whole buffer of at least two packets.
+
+    Every √n-rule buffer of an artefact or a command is sized here.  A
+    nan or infinite pipe cannot be rounded, so it is refused first, in
+    :func:`rtt_for_pipe`'s words.
+    """
+    if not (math.isfinite(pipe_packets) and pipe_packets > 0):
+        raise ConfigurationError(
+            f"pipe must be finite and > 0, got {pipe_packets}")
+    return max(2, int(round(sqrt_rule(pipe_packets, n_flows, factor))))
 
 
 @dataclass

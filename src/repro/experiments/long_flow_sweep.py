@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import LongFlowResult, run_long_flow_experiment
+from repro.experiments.common import (LongFlowResult, run_long_flow_experiment,
+                                      sqrt_rule, sqrt_rule_packets)
 from repro.runner import SweepSupervisor
 
 __all__ = ["MinBufferPoint", "SweepResult", "min_buffer_sweep"]
@@ -123,9 +124,8 @@ def min_buffer_sweep(
     )
     cells: List[Tuple[int, int, Dict]] = []
     for n in n_values:
-        unit = pipe_packets / math.sqrt(n)
         for factor in factors:
-            buffer_packets = max(2, int(round(factor * unit)))
+            buffer_packets = sqrt_rule_packets(pipe_packets, n, factor)
             cells.append((n, buffer_packets, dict(
                 n_flows=n,
                 buffer_packets=buffer_packets,
@@ -147,7 +147,7 @@ def min_buffer_sweep(
         utilization = outcome.result.utilization if outcome.ok else math.nan
         by_n.setdefault(n, []).append((buffer_packets, utilization))
     for n in n_values:
-        unit = pipe_packets / math.sqrt(n)
+        unit = sqrt_rule(pipe_packets, n)
         curve = by_n.get(n, [])  # empty factor grid: no cells ran
         # Enforce monotonicity for interpolation robustness (tiny
         # non-monotonic wiggles are measurement noise).

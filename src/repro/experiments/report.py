@@ -38,6 +38,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import ablations as abl
 from repro.experiments.afct_comparison import compare_buffers
 from repro.experiments.ascii_plot import histogram_plot, line_plot
+from repro.experiments.common import run_short_flow_experiment
 from repro.experiments.long_flow_sweep import min_buffer_sweep
 from repro.experiments.model_comparison import compare_models
 from repro.experiments.multibottleneck import run_multibottleneck
@@ -47,12 +48,16 @@ from repro.experiments.single_flow import sawtooth_figures
 from repro.experiments.utilization_table import utilization_table
 from repro.experiments.window_distribution import run_window_distribution, sync_vs_n
 from repro.runner.supervisor import _git_sha
-from repro.units import format_bandwidth
+from repro.traffic.sizes import FixedSize
+from repro.units import format_bandwidth, parse_time
 
 __all__ = ["SCALES", "SECTIONS", "Claim", "Section", "Rendered",
            "render_section", "run_section", "generate_report", "main"]
 
 BEGIN, END = "<!-- report:begin -->", "<!-- report:end -->"
+
+#: Figures 2–5's buffers, as fractions of ``RTT·C``: two under, exact, over.
+_FRACTIONS = (0.25, 0.5, 1.0, 2.0)
 
 #: Parameter presets, one entry per :data:`SECTIONS` key.  "quick"
 #: finishes in a few minutes; "default" in tens of minutes; "paper"
@@ -61,7 +66,8 @@ BEGIN, END = "<!-- report:begin -->", "<!-- report:end -->"
 SCALES: Dict[str, Dict[str, Dict]] = {
     "quick": dict(
         fig2=dict(pipe_packets=80.0, bottleneck_rate="8Mbps",
-                  warmup=20.0, duration=40.0),
+                  warmup=20.0, duration=40.0,
+                  fractions=_FRACTIONS),
         fig6=dict(n_flows=64, pipe_packets=300.0, warmup=15.0, duration=30.0,
                   seed=7, sync_n=(4, 16, 64)),
         fig7=dict(n_values=(16, 64), targets=(0.98, 0.995),
@@ -83,7 +89,8 @@ SCALES: Dict[str, Dict[str, Dict]] = {
     ),
     "default": dict(
         fig2=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
-                  warmup=40.0, duration=100.0),
+                  warmup=40.0, duration=100.0,
+                  fractions=_FRACTIONS),
         fig6=dict(n_flows=100, pipe_packets=400.0, warmup=25.0, duration=50.0,
                   seed=7, sync_n=(4, 16, 64)),
         fig7=dict(n_values=(16, 36, 100), targets=(0.98, 0.995, 0.999),
@@ -106,7 +113,8 @@ SCALES: Dict[str, Dict[str, Dict]] = {
     ),
     "paper": dict(
         fig2=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
-                  warmup=60.0, duration=200.0),
+                  warmup=60.0, duration=200.0,
+                  fractions=_FRACTIONS),
         fig6=dict(n_flows=400, pipe_packets=1290.0, warmup=40.0,
                   duration=80.0, seed=7, sync_n=(16, 64, 256)),
         fig7=dict(n_values=(50, 100, 200, 400),
@@ -250,17 +258,34 @@ def _fig2_claims(traces) -> List[Claim]:
     def show_queue(t):
         return f"B = {t.buffer_fraction:g}x: min queue {t.min_queue:.0f} pkts"
 
+    def show_util(t):
+        return f"B = {t.buffer_fraction:g}x: {_pct(t.utilization)}"
+
+    under = [t for t in traces if t.buffer_fraction < 1]
+    exact = [t for t in traces if t.buffer_fraction == 1]
+    over = [t for t in traces if t.buffer_fraction > 1]
+    base = exact[0].utilization if exact else math.nan
     return [
-        _every("utilization within 0.02 of the Section 2 closed form at every B",
-               traces, lambda t: gap(t) <= 0.02, lambda t: -gap(t),
+        _every("utilization within 0.015 of the Section 2 closed form at every B",
+               traces, lambda t: gap(t) <= 0.015, lambda t: -gap(t),
                lambda t: f"largest gap {gap(t):.4f} at B = {t.buffer_fraction:g}x",
                _H_SINGLE),
-        _every("underbuffered: the queue empties (min queue 0)",
-               [t for t in traces if t.buffer_fraction < 1],
+        _every("underbuffered: the queue empties (min queue 0)", under,
                lambda t: t.link_ever_idle, lambda t: -t.min_queue, show_queue),
-        _every("overbuffered: a standing queue (min queue > 0)",
-               [t for t in traces if t.buffer_fraction > 1],
-               lambda t: t.standing_queue > 0, lambda t: t.min_queue, show_queue),
+        _every("overbuffered: a standing queue (min queue > 10 pkts)", over,
+               lambda t: t.standing_queue > 10, lambda t: t.min_queue, show_queue),
+        _every("`B = RTT·C` keeps the link > 99.5% busy", exact,
+               lambda t: t.utilization > 0.995, lambda t: t.utilization,
+               show_util, _H_SINGLE),
+        _every("every B < RTT·C leaves the link < 98% busy", under,
+               lambda t: t.utilization < 0.98, lambda t: -t.utilization, show_util),
+        _every("overbuffering buys <= 0.005 of utilization over `B = RTT·C`",
+               over if exact else [],
+               lambda t: t.utilization - base <= 0.005,
+               lambda t: base - t.utilization,
+               lambda t: f"{show_util(t)} vs {_pct(base)} at 1x"),
+        _every("at `B = RTT·C` the minimum queue is <= 2 pkts", exact,
+               lambda t: t.min_queue <= 2, lambda t: -t.min_queue, show_queue),
     ]
 
 
@@ -307,25 +332,28 @@ def _fig6_body(result) -> List[str]:
 def _fig6_claims(result) -> List[Claim]:
     dist, sync_points = result
     fit = dist.fit
-    gauss = "K-S distance of the aggregate window from its fitted normal < 0.1"
+    gauss = "K-S distance of the aggregate window from its fitted normal < 0.08"
     claims = [
         Claim(gauss, False, "no window samples", _H_GAUSS) if fit is None else
-        Claim(gauss, dist.looks_gaussian,
+        Claim(gauss, fit.ks_distance < 0.08,
               f"K-S {fit.ks_distance:.4f} at n = {dist.n_flows}", _H_GAUSS),
-        Claim("synchronization index < 0.2 with spread RTTs",
-              dist.sync_index < 0.2,
+        Claim("synchronization index < 0.1 with spread RTTs",
+              dist.sync_index < 0.1,
               f"sync index {dist.sync_index:.3f} at n = {dist.n_flows}", _H_GAUSS),
     ]
     fades = "worst-case sync index lower at the largest n than at the smallest"
+    locked = "worst-case sync index > 0.3 at the smallest n"
     points = sorted(sync_points)
     if len(points) < 2:
-        claims.append(Claim(fades, False, "needs two flow counts", _H_SYNC))
-    else:
-        (n_lo, s_lo), (n_hi, s_hi) = points[0], points[-1]
-        claims.append(Claim(fades, s_hi < s_lo,
-                            f"sync index {s_lo:.3f} at n = {n_lo} -> {s_hi:.3f} at n = {n_hi}",
-                            _H_SYNC))
-    return claims
+        return claims + [Claim(fades, False, "needs two flow counts", _H_SYNC),
+                         Claim(locked, False, "needs two flow counts", _H_SYNC)]
+    (n_lo, s_lo), (n_hi, s_hi) = points[0], points[-1]
+    return claims + [
+        Claim(fades, s_hi < s_lo,
+              f"sync index {s_lo:.3f} at n = {n_lo} -> {s_hi:.3f} at n = {n_hi}",
+              _H_SYNC),
+        Claim(locked, s_lo > 0.3, f"sync index {s_lo:.3f} at n = {n_lo}", _H_SYNC),
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -411,7 +439,31 @@ def _fig7_claims(result) -> List[Claim]:
 _H_SHORT = "short-flow buffer depends on load and bursts, not line rate"
 
 
-def _fig8_body(points) -> List[str]:
+def _run_fig8(bandwidths: Sequence[str], load: float, buffer_grid: Sequence[int],
+              duration: float, seed: int):
+    """The Figure 8 sweep, then two drop-rate contrasts at its first rate.
+
+    Load: the lower against the higher of ``loads`` at the smallest grid
+    buffer.  RTT: the sweep's own RTT against ``rtt_multiple`` times it,
+    at that rate's minimum buffer (no runs when it is off the grid).
+    """
+    loads, rtt, rtt_multiple = (0.5, 0.9), "80ms", 4
+    shared = dict(sizes=FixedSize(14), warmup=5.0, duration=duration, seed=seed)
+    points = afct_buffer_sweep(bandwidths=bandwidths, load=load,
+                               buffer_grid=buffer_grid, rtt=rtt, **shared)
+    cell = dict(shared, bottleneck_rate=bandwidths[0])
+    by_load = {x: run_short_flow_experiment(x, buffer_grid[0], rtt=rtt, **cell)
+               for x in loads}
+    at_min = points[0].min_buffer_packets
+    by_rtt = {} if math.isnan(at_min) else {
+        m: run_short_flow_experiment(load, int(at_min),
+                                     rtt=m * parse_time(rtt), **cell)
+        for m in (1, rtt_multiple)}
+    return points, by_load, by_rtt
+
+
+def _fig8_body(result) -> List[str]:
+    points, by_load, by_rtt = result
     lines = ["Paper (40/80/200 Mb/s at load 0.8): the buffer keeping AFCT "
              "within 12.5% of the infinite-buffer baseline is the *same* at "
              "every rate, near the M/G/1 bound at `P(Q >= B) = 0.025`.\n",
@@ -422,12 +474,29 @@ def _fig8_body(points) -> List[str]:
                      f"| {_secs(p.afct_infinite)} | {_pkts(p.min_buffer_packets)} pkts "
                      f"| {_secs(p.afct_at_min)} "
                      f"| {p.model_buffer_packets:.0f} pkts |")
+    if points:
+        lines += [f"\nLoad and RTT at {format_bandwidth(points[0].bandwidth_bps)}:\n",
+                  "| run | load | buffer | drop rate |", "|---|---|---|---|"]
+        runs = [(f"load {x:g}", r) for x, r in by_load.items()]
+        runs += [(f"RTT x{m:g}", r) for m, r in by_rtt.items()]
+        lines += [f"| {label} | {r.load:g} | {r.buffer_packets} pkts "
+                  f"| {_pct(r.drop_rate)} |" for label, r in runs]
     return lines
 
 
-def _fig8_claims(points) -> List[Claim]:
+def _fig8_claims(result) -> List[Claim]:
+    points, by_load, by_rtt = result
     reached = [p.min_buffer_packets for p in points if p.achieved]
     spread = "min buffers across the rate range within 40 packets of each other"
+    heavier = "at the smallest grid buffer the higher load drops more than the lower"
+    longer = "a longer RTT moves the drop rate by <= 0.02 at the first rate's min buffer"
+
+    def drops(runs, label):
+        return " vs ".join(f"{label(key)} {_pct(r.drop_rate)}"
+                           for key, r in runs) + f" at {runs[0][1].buffer_packets} pkts"
+
+    loads = sorted(by_load.items())
+    rtts = sorted(by_rtt.items())
     return [
         _every("every rate meets the AFCT criterion on the buffer grid",
                points, lambda p: p.achieved, lambda p: -p.min_buffer_packets,
@@ -443,6 +512,13 @@ def _fig8_claims(points) -> List[Claim]:
                lambda p: f"{format_bandwidth(p.bandwidth_bps)}: "
                          f"{_pkts(p.min_buffer_packets)} pkts vs model "
                          f"{p.model_buffer_packets:.0f}"),
+        Claim(heavier, loads[-1][1].drop_rate > loads[0][1].drop_rate,
+              drops(loads, lambda x: f"load {x:g}"), _H_SHORT)
+        if len(loads) > 1 else Claim(heavier, False, "needs two loads", _H_SHORT),
+        Claim(longer, abs(rtts[-1][1].drop_rate - rtts[0][1].drop_rate) <= 0.02,
+              drops(rtts, lambda m: f"RTT x{m:g}"))
+        if len(rtts) > 1 else
+        Claim(longer, False, "no min buffer on the grid at the first rate"),
     ]
 
 
@@ -516,6 +592,11 @@ def _table10_claims(rows) -> List[Claim]:
     def at(row):
         return f"n = {row.n_flows}, {row.factor:g}x"
 
+    def largest(factor):
+        """The rows at ``factor`` for the largest n (none: a NO)."""
+        n_max = max((r.n_flows for r in rows), default=0)
+        return [r for r in rows if r.n_flows == n_max and r.factor == factor]
+
     # (smaller, bigger) buffer at the same n, over multiples up to 2x.
     steps = [(a, b) for a, b in zip(rows, rows[1:])
              if a.n_flows == b.n_flows and a.factor < b.factor <= 2.0]
@@ -534,6 +615,12 @@ def _table10_claims(rows) -> List[Claim]:
                lambda r: abs(r.model - r.sim) < 0.06,
                lambda r: -abs(r.model - r.sim),
                lambda r: f"largest gap {abs(r.model - r.sim):.4f} at {at(r)}"),
+        _every("Sim > 95% at 1x at the largest n", largest(1.0),
+               lambda r: r.sim > 0.95, lambda r: r.sim,
+               lambda r: f"Sim {_pct(r.sim)} at {at(r)}", _H_SQRT),
+        _every("Sim > 99% at 2x at the largest n", largest(2.0),
+               lambda r: r.sim > 0.99, lambda r: r.sim,
+               lambda r: f"Sim {_pct(r.sim)} at {at(r)}"),
     ]
 
 
@@ -770,7 +857,7 @@ SECTIONS: Dict[str, Section] = {
         "scaled pipe gives each flow a smaller window than OC3 does, so "
         "flows are more timeout-bound (DESIGN.md fidelity notes)."),
     "fig8": Section(
-        "Figure 8: short-flow buffer vs bandwidth", afct_buffer_sweep,
+        "Figure 8: short-flow buffer vs bandwidth", _run_fig8,
         _fig8_body, _fig8_claims,
         "The model column has no rate, RTT or flow count in it; the grid "
         "step bounds how finely rate-independence can be resolved."),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence
 
 from repro.core import SingleFlowModel
 from repro.errors import ConfigurationError
@@ -118,7 +118,8 @@ def run_single_flow(
 
 
 def sawtooth_figures(pipe_packets: float = 125.0,
-                     fractions: Tuple[float, float, float] = (0.5, 1.0, 2.0),
+                     fractions: Sequence[float] = (0.5, 1.0, 2.0),
                      **kwargs) -> List[SingleFlowTrace]:
-    """Run the under/exact/over-buffered trio (Figures 4, 3, 5)."""
+    """Run one flow per buffer fraction; the default is the
+    under/exact/over-buffered trio (Figures 4, 3, 5)."""
     return [run_single_flow(f, pipe_packets=pipe_packets, **kwargs) for f in fractions]

@@ -28,7 +28,8 @@ from typing import List, Sequence
 
 from repro.core import predicted_utilization
 from repro.errors import ConfigurationError
-from repro.experiments.common import run_long_flow_experiment, rtt_for_pipe
+from repro.experiments.common import (run_long_flow_experiment, rtt_for_pipe,
+                                      sqrt_rule_packets)
 from repro.units import Quantity
 
 __all__ = ["TableRow", "utilization_table"]
@@ -78,9 +79,8 @@ def utilization_table(
     rows: List[TableRow] = []
     rtt_mean = rtt_for_pipe(pipe_packets, bottleneck_rate)
     for n in n_values:
-        unit = pipe_packets / math.sqrt(n)
         for factor in factors:
-            buffer_packets = max(2, int(round(factor * unit)))
+            buffer_packets = sqrt_rule_packets(pipe_packets, n, factor)
             model = predicted_utilization(pipe_packets, buffer_packets, n)
             sim_result = run_long_flow_experiment(
                 n_flows=n, buffer_packets=buffer_packets,

@@ -10,11 +10,10 @@ paper's Section 3 claim that in-phase synchronization is common below
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.common import run_long_flow_experiment
+from repro.experiments.common import run_long_flow_experiment, sqrt_rule_packets
 from repro.metrics.windows import GaussianFit
 
 __all__ = ["WindowDistributionResult", "run_window_distribution", "sync_vs_n"]
@@ -29,11 +28,6 @@ class WindowDistributionResult:
     sync_index: float
     histogram: Tuple[List[float], List[int]]
     utilization: float
-
-    @property
-    def looks_gaussian(self) -> bool:
-        """K-S distance under 0.1 — visually Gaussian at Figure-6 scale."""
-        return self.fit.ks_distance < 0.1
 
     def model_overlay(self) -> List[float]:
         """Expected per-bin counts under the fitted Gaussian."""
@@ -59,7 +53,7 @@ def run_window_distribution(
 
     ``buffer_factor`` is in units of ``pipe / sqrt(n)``.
     """
-    buffer_packets = max(2, int(round(buffer_factor * pipe_packets / math.sqrt(n_flows))))
+    buffer_packets = sqrt_rule_packets(pipe_packets, n_flows, buffer_factor)
     result = run_long_flow_experiment(
         n_flows=n_flows,
         buffer_packets=buffer_packets,
@@ -100,7 +94,7 @@ def sync_vs_n(n_values: Sequence[int] = (4, 16, 64),
     """
     out: List[Tuple[int, float]] = []
     for n in n_values:
-        buffer_packets = max(2, int(round(buffer_factor * pipe_packets / math.sqrt(n))))
+        buffer_packets = sqrt_rule_packets(pipe_packets, n, buffer_factor)
         result = run_long_flow_experiment(
             n_flows=n,
             buffer_packets=buffer_packets,

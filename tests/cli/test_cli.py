@@ -646,6 +646,15 @@ class TestCcCompareCommand:
         assert code == 2
         assert out == f"error: {message}\n"
 
+    @pytest.mark.parametrize("pipe", ["nan", "inf"])
+    def test_non_finite_pipe_is_error(self, capsys, pipe):
+        # Used to reach round() in the sqrt-rule buffer and end in a
+        # ValueError / OverflowError traceback, exit 1.
+        code, out = run_cli(capsys, "cc-compare", "--cc", "reno",
+                            "--flows", "4", f"--pipe={pipe}")
+        assert code == 2
+        assert out == f"error: pipe must be finite and > 0, got {float(pipe)}\n"
+
     def test_library_call_raises_typed_errors(self):
         from repro.errors import ConfigurationError
         from repro.experiments.cc_comparison import run_cc_comparison

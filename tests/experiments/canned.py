@@ -11,6 +11,7 @@ from dataclasses import replace
 
 from repro.experiments.ablations import AblationRow
 from repro.experiments.afct_comparison import MixResult
+from repro.experiments.common import ShortFlowResult
 from repro.experiments.long_flow_sweep import MinBufferPoint, SweepResult
 from repro.experiments.model_comparison import ComparisonRow
 from repro.experiments.multibottleneck import MultiBottleneckResult
@@ -59,8 +60,8 @@ def _trace(fraction, utilization, model, min_queue):
         min_queue=min_queue, max_queue=125.0 * fraction)
 
 
-_FIG2 = [_trace(0.5, 0.960, 0.9635, 0.0), _trace(1.0, 1.0, 1.0, 0.0),
-         _trace(2.0, 1.0, 1.0, 120.0)]
+_FIG2 = [_trace(0.25, 0.890, 0.8920, 0.0), _trace(0.5, 0.960, 0.9635, 0.0),
+         _trace(1.0, 1.0, 1.0, 0.0), _trace(2.0, 1.0, 1.0, 120.0)]
 
 # -- Figure 6 ----------------------------------------------------------
 _DIST = WindowDistributionResult(
@@ -85,8 +86,21 @@ FIG7_OFF_GRID = _sweep((16, 0.98, math.nan), (16, 0.995, math.nan),
                        (100, 0.98, math.nan), (100, 0.995, math.nan))
 
 # -- Figure 8 ----------------------------------------------------------
-_FIG8 = [ShortFlowPoint(rate, 0.8, 0.30, buffer, 44.3, 0.33)
-         for rate, buffer in ((10e6, 30.0), (20e6, 40.0), (40e6, 40.0))]
+def _drops(load, buffer, drop_rate):
+    return ShortFlowResult(load, buffer, 0.30, 400, drop_rate, 0.8, 0.9, 10)
+
+
+def _fig8(points=None, by_load=None, by_rtt=None):
+    """Figure 8 with the sweep points or a contrast replaced."""
+    return (_POINTS if points is None else points,
+            {0.5: _drops(0.5, 10, 0.010), 0.9: _drops(0.9, 10, 0.050)}
+            if by_load is None else by_load,
+            {1: _drops(0.8, 30, 0.002), 4: _drops(0.8, 30, 0.004)}
+            if by_rtt is None else by_rtt)
+
+
+_POINTS = [ShortFlowPoint(rate, 0.8, 0.30, buffer, 44.3, 0.33)
+           for rate, buffer in ((10e6, 30.0), (20e6, 40.0), (40e6, 40.0))]
 
 # -- Figure 9 ----------------------------------------------------------
 _SMALL = MixResult(buffer_packets=57, afct=0.30, p99_fct=0.9,
@@ -143,24 +157,33 @@ _MULTI = MultiBottleneckResult(
 
 CASES = {
     "fig2": (_FIG2, [
-        _swap(_FIG2, 0, utilization=0.93),
-        _swap(_FIG2, 0, min_queue=3.0),
-        _swap(_FIG2, 2, min_queue=0.0),
+        _swap(_FIG2, 1, utilization=0.945),
+        _swap(_FIG2, 1, min_queue=3.0),
+        _swap(_FIG2, 3, min_queue=8.0),
+        _swap(_FIG2, 2, utilization=0.995),
+        _swap(_FIG2, 1, utilization=0.985, model_utilization=0.98),
+        _swap(_FIG2, 2, utilization=0.99),
+        _swap(_FIG2, 2, min_queue=3.0),
     ]),
     "fig6": (_FIG6, [
-        (replace(_DIST, fit=replace(_DIST.fit, ks_distance=0.2)), _FIG6[1]),
-        (replace(_DIST, sync_index=0.3), _FIG6[1]),
+        (replace(_DIST, fit=replace(_DIST.fit, ks_distance=0.09)), _FIG6[1]),
+        (replace(_DIST, sync_index=0.15), _FIG6[1]),
         (_DIST, [(4, 0.2), (64, 0.8)]),
+        (_DIST, [(4, 0.25), (64, 0.1)]),
     ]),
     "fig7": (_FIG7, [
         _sweep((16, 0.98, 120.0), (16, 0.995, 200.0), (100, 0.98, 120.0)),
         _sweep((16, 0.98, 150.0), (100, 0.98, 140.0)),
         _sweep((16, 0.98, 120.0), (16, 0.995, 100.0), (100, 0.98, 50.0)),
     ]),
-    "fig8": (_FIG8, [
-        _swap(_FIG8, 2, min_buffer_packets=math.nan),
-        _swap(_swap(_FIG8, 0, min_buffer_packets=10.0), 2, min_buffer_packets=60.0),
-        _swap(_swap(_FIG8, 0, min_buffer_packets=60.0), 2, min_buffer_packets=80.0),
+    "fig8": (_fig8(), [
+        _fig8(_swap(_POINTS, 2, min_buffer_packets=math.nan)),
+        _fig8(_swap(_swap(_POINTS, 0, min_buffer_packets=10.0), 2,
+                    min_buffer_packets=60.0)),
+        _fig8(_swap(_swap(_POINTS, 0, min_buffer_packets=60.0), 2,
+                    min_buffer_packets=80.0)),
+        _fig8(by_load={0.5: _drops(0.5, 10, 0.050), 0.9: _drops(0.9, 10, 0.050)}),
+        _fig8(by_rtt={1: _drops(0.8, 30, 0.002), 4: _drops(0.8, 30, 0.030)}),
     ]),
     "fig9": ((_SMALL, _LARGE), [
         (replace(_SMALL, afct=0.60), _LARGE),
@@ -172,6 +195,8 @@ CASES = {
         _swap(_TABLE10, 2, sim=0.980),
         _swap(_TABLE10, 0, sim=0.980),
         _swap(_TABLE10, 1, sim=0.930),
+        _swap(_TABLE10, 1, sim=0.945),
+        _swap(_TABLE10, 2, sim=0.988),
     ]),
     "table11": (_TABLE11, [
         _swap(_TABLE11, 0, utilization=0.985),

@@ -1,9 +1,9 @@
 """Smoke tests for the per-figure experiment modules (tiny parameters).
 
 These verify the experiment plumbing (parameterization, result shapes,
-interpolation logic) — the scientific claims themselves are exercised at
-larger scale in tests/integration/test_paper_claims.py and by the
-report's verdicts (repro.experiments.report).
+interpolation logic) — the scientific claims themselves are the report's
+verdicts (repro.experiments.report), which
+tests/integration/test_report_claims.py evaluates on real runs.
 """
 
 import math
@@ -178,12 +178,16 @@ class TestRefusedBeforeASimulatorIsBuilt:
         (lambda: run_single_flow(0.0), "buffer_fraction"),
         (lambda: run_single_flow(1.0, pipe_packets=math.nan), "pipe"),
         (lambda: run_single_flow(1.0, pipe_packets=0), "pipe"),
+        (lambda: min_buffer_sweep(pipe_packets=math.nan), "pipe"),
+        (lambda: utilization_table(pipe_packets=math.nan), "pipe"),
+        (lambda: compare_buffers(pipe_packets=math.nan), "pipe"),
     ], ids=["compare-n_long=0", "table11-n_pairs=n_long",
             "table11-n_pairs<n_long", "table11-n_concurrent=0",
             "multibottleneck-n_e2e=0", "multibottleneck-n_cross=0",
             "multibottleneck-warmup<0", "single-fraction=nan",
             "single-fraction=inf", "single-fraction=0", "single-pipe=nan",
-            "single-pipe=0"])
+            "single-pipe=0", "fig7-pipe=nan", "table10-pipe=nan",
+            "fig9-pipe=nan"])
     def test_configuration_error_names_the_argument(
             self, monkeypatch, call, names):
         def no_simulator(*args, **kwargs):

@@ -1,7 +1,9 @@
 """Tests for the report: every verdict word comes from a claim.
 
-No simulation runs here except one tiny Figure 2–5 trio: sections are
+No simulation runs here except one tiny Figure 2–5 set: sections are
 rendered from the canned results of ``tests/experiments/canned.py``.
+The real runs of every section are
+``tests/integration/test_report_claims.py``.
 """
 
 import pytest
@@ -53,8 +55,8 @@ class TestClaims:
             assert not rendered.ok
 
 
-def test_the_deleted_benchmark_asserts_are_all_claims():
-    assert sum(len(violations) for _, violations in CASES.values()) == 42
+def test_total_claims_across_all_sections():
+    assert sum(len(violations) for _, violations in CASES.values()) == 51
 
 
 class TestMissingInputs:
@@ -78,7 +80,7 @@ class TestMissingInputs:
         ("fig7", lambda: min_buffer_sweep(n_values=())),
         ("fig7", lambda: min_buffer_sweep(n_values=(4,), targets=(),
                                           factors=(), pipe_packets=20.0)),
-        ("fig8", lambda: afct_buffer_sweep(bandwidths=())),
+        ("fig8", lambda: (afct_buffer_sweep(bandwidths=()), {}, {})),
         ("table10", lambda: utilization_table(n_values=())),
         ("table11", lambda: production_table(buffers=())),
     ])
@@ -87,7 +89,8 @@ class TestMissingInputs:
         header, rule = [line for line in rendered.text.splitlines()
                         if line.startswith("|")]
         assert header.count("|") == rule.count("|")
-        assert "**Verdict:** 0 of 3 claims hold." in rendered.text
+        assert f"**Verdict:** 0 of {len(CASES[key][1])} claims hold." \
+            in rendered.text
 
     @pytest.mark.parametrize("sweep", [min_buffer_sweep, utilization_table])
     def test_zero_flows_is_a_configuration_error(self, sweep):
@@ -178,6 +181,6 @@ class TestSectionBuilders:
                                   warmup=10.0, duration=15.0)
         rendered = report.render_section(report.SECTIONS["fig2"], traces)
         assert "Figures 2–5" in rendered.text
-        assert "**Verdict:** 3 of 3 claims hold." in rendered.text
-        assert rendered.text.count("|") > 10  # a rendered table
+        assert "**Verdict:** 7 of 7 claims hold." in rendered.text
+        assert "| B / RTT·C | B pkts |" in rendered.text  # the trace table
         assert "Figure 3: window and queue evolution" in rendered.text

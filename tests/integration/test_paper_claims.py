@@ -1,19 +1,28 @@
-"""Integration tests of the paper's central claims, at reduced scale.
+"""The paper's central claims, one test per statement, on real runs.
 
-Each test runs the real packet-level simulator and checks a *claim
-shape* from the paper — who wins, which direction a knob moves the
-outcome — with margins wide enough to be robust to the scaled-down
-parameters (see DESIGN.md's fidelity notes).
+Each test names a statement of the paper and asserts the report claims
+that carry it.  The claims and their thresholds are written once, in
+``repro.experiments.report.SECTIONS``; the runs are those of
+``tests/integration/test_report_claims.py`` (``TIER1``, ``quick``'s
+seeds), computed once per session and shared with it.
 """
-
-import math
 
 import pytest
 
-from repro.experiments.afct_comparison import compare_buffers
-from repro.experiments.common import run_long_flow_experiment, run_short_flow_experiment
-from repro.experiments.single_flow import run_single_flow
-from repro.traffic.sizes import FixedSize
+from repro.experiments import report
+from tests.integration.test_report_claims import real_section
+
+
+def assert_claims(claims, *phrases):
+    """The one claim whose text contains each phrase must hold."""
+    for phrase in phrases:
+        [claim] = [c for c in claims if phrase in c.text]
+        assert claim.holds, f"{claim.text}: {claim.measured}"
+
+
+def assert_section(key, *phrases):
+    _, rendered = real_section(key)
+    assert_claims(rendered.claims, *phrases)
 
 
 class TestSection2SingleFlow:
@@ -21,156 +30,67 @@ class TestSection2SingleFlow:
 
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
     def test_sim_matches_closed_form(self, fraction):
-        trace = run_single_flow(fraction, pipe_packets=125,
-                                bottleneck_rate="10Mbps",
-                                warmup=40, duration=80)
-        assert trace.utilization == pytest.approx(trace.model_utilization,
-                                                  abs=0.015)
+        traces, _ = real_section("fig2")
+        [trace] = [t for t in traces if t.buffer_fraction == fraction]
+        assert_claims(report.SECTIONS["fig2"].claims([trace]),
+                      "Section 2 closed form")
 
     def test_rule_of_thumb_is_the_knee(self):
         """Full utilization at B = RTTC; measurable loss below it."""
-        at_rule = run_single_flow(1.0, pipe_packets=125,
-                                  bottleneck_rate="10Mbps",
-                                  warmup=40, duration=80)
-        below = run_single_flow(0.5, pipe_packets=125,
-                                bottleneck_rate="10Mbps",
-                                warmup=40, duration=80)
-        assert at_rule.utilization > 0.995
-        assert below.utilization < 0.98
+        assert_section("fig2", "keeps the link", "every B < RTT·C")
 
     def test_overbuffering_adds_delay_not_throughput(self):
-        exact = run_single_flow(1.0, pipe_packets=125,
-                                bottleneck_rate="10Mbps",
-                                warmup=40, duration=80)
-        over = run_single_flow(2.0, pipe_packets=125,
-                               bottleneck_rate="10Mbps",
-                               warmup=40, duration=80)
-        # No throughput to gain...
-        assert over.utilization <= exact.utilization + 0.005
-        # ...but a standing queue appears (pure extra queueing delay).
-        assert over.standing_queue > 10
-        assert exact.standing_queue <= 2
+        assert_section("fig2", "overbuffering buys", "a standing queue",
+                       "the minimum queue is")
 
 
 class TestSection3ManyFlows:
     """The sqrt(n) rule for desynchronized long flows."""
 
-    PARAMS = dict(pipe_packets=400.0, bottleneck_rate="40Mbps",
-                  warmup=20.0, duration=40.0, seed=12)
-
     def test_sqrt_n_buffer_achieves_high_utilization(self):
-        n = 100
-        buffer_packets = round(400 / math.sqrt(n))  # 1% of a full BDP... 10%
-        result = run_long_flow_experiment(n_flows=n,
-                                          buffer_packets=buffer_packets,
-                                          **self.PARAMS)
-        assert result.utilization > 0.95
+        assert_section("table10", "at 1x at the largest n")
 
     def test_double_sqrt_buffer_is_near_full(self):
-        n = 100
-        result = run_long_flow_experiment(n_flows=n,
-                                          buffer_packets=round(2 * 400 / math.sqrt(n)),
-                                          **self.PARAMS)
-        assert result.utilization > 0.99
+        assert_section("table10", "at 2x at the largest n")
 
     def test_aggregate_window_is_gaussian(self):
         """Figure 6: K-S distance of Sum(W_i) from its normal fit is small."""
-        result = run_long_flow_experiment(n_flows=100, buffer_packets=40,
-                                          track_windows=True, **self.PARAMS)
-        assert result.gaussian_fit.ks_distance < 0.08
+        assert_section("fig6", "K-S distance")
 
     def test_more_flows_need_smaller_buffers(self):
-        """The same small absolute buffer that starves 4 flows satisfies
-        64: statistical multiplexing at work."""
-        buffer_packets = 25
-        few = run_long_flow_experiment(n_flows=4, buffer_packets=buffer_packets,
-                                       **self.PARAMS)
-        many = run_long_flow_experiment(n_flows=64, buffer_packets=buffer_packets,
-                                        **self.PARAMS)
-        assert many.utilization > few.utilization + 0.05
+        """Statistical multiplexing: the minimum buffer falls as n grows."""
+        assert_section("fig7", "falls")
 
     def test_synchronization_declines_with_n(self):
-        """Section 3: in-phase synchronization fades as flows multiply.
-
-        Measured in the synchronization-friendly worst case (identical
-        RTTs, simultaneous starts); with spread RTTs the index is ~0 at
-        every n, which is itself the paper's "small variations suffice"
-        observation (covered by the next test).
-        """
-        worst_case = dict(self.PARAMS, rtt_spread=(1.0, 1.0))
-        few = run_long_flow_experiment(
-            n_flows=4, buffer_packets=round(400 / 2),
-            track_windows=True, start_spread=0.0, **worst_case)
-        many = run_long_flow_experiment(
-            n_flows=64, buffer_packets=round(400 / 8),
-            track_windows=True, start_spread=0.0, **worst_case)
-        assert few.sync_index > 0.3
-        assert many.sync_index < few.sync_index
+        """In-phase synchronization, in its worst case (identical RTTs,
+        simultaneous starts), is strong at few flows and fades with n."""
+        assert_section("fig6", "lower at the largest n", "at the smallest n")
 
     def test_rtt_spread_desynchronizes(self):
         """"Small variations in RTT ... are sufficient to prevent
-        synchronization" — spread RTTs kill the sync index even at n=16."""
-        spread = run_long_flow_experiment(
-            n_flows=16, buffer_packets=100, track_windows=True,
-            **self.PARAMS)
-        assert spread.sync_index < 0.1
+        synchronization"."""
+        assert_section("fig6", "with spread RTTs")
 
 
 class TestSection4ShortFlows:
-    """Short-flow buffering depends on load, not on the line rate."""
+    """Short-flow buffering depends on load, not on the line rate or RTT."""
 
     def test_same_buffer_works_across_line_rates(self):
-        """Figure 8's punchline at two rates: identical buffer, bounded
-        AFCT inflation at both."""
-        buffer_packets = 45  # the model's answer for load 0.8, L=14
-        for rate in ("10Mbps", "40Mbps"):
-            bounded = run_short_flow_experiment(
-                load=0.8, buffer_packets=buffer_packets,
-                sizes=FixedSize(14), bottleneck_rate=rate,
-                warmup=5, duration=40, seed=6)
-            infinite = run_short_flow_experiment(
-                load=0.8, buffer_packets=None,
-                sizes=FixedSize(14), bottleneck_rate=rate,
-                warmup=5, duration=40, seed=6)
-            assert bounded.afct <= infinite.afct * 1.125
+        assert_section("fig8", "every rate meets the AFCT criterion",
+                       "across the rate range")
 
     def test_higher_load_needs_more_buffer(self):
-        """At a fixed small buffer, drop rate rises steeply with load."""
-        low = run_short_flow_experiment(
-            load=0.5, buffer_packets=15, sizes=FixedSize(14),
-            bottleneck_rate="10Mbps", warmup=5, duration=30, seed=7)
-        high = run_short_flow_experiment(
-            load=0.9, buffer_packets=15, sizes=FixedSize(14),
-            bottleneck_rate="10Mbps", warmup=5, duration=30, seed=7)
-        assert high.drop_rate > low.drop_rate
+        assert_section("fig8", "higher load drops more")
 
     def test_buffer_requirement_independent_of_rtt(self):
-        """Same load, same buffer, RTT quadrupled: loss stays put."""
-        short_rtt = run_short_flow_experiment(
-            load=0.8, buffer_packets=45, sizes=FixedSize(14),
-            bottleneck_rate="10Mbps", rtt="40ms",
-            warmup=5, duration=30, seed=8)
-        long_rtt = run_short_flow_experiment(
-            load=0.8, buffer_packets=45, sizes=FixedSize(14),
-            bottleneck_rate="10Mbps", rtt="160ms",
-            warmup=5, duration=30, seed=8)
-        assert long_rtt.drop_rate == pytest.approx(short_rtt.drop_rate,
-                                                   abs=0.02)
+        assert_section("fig8", "longer RTT")
 
 
 class TestSection5Mixes:
     """Figure 9: small buffers help short flows."""
 
     def test_small_buffers_speed_up_short_flows(self):
-        small, large = compare_buffers(
-            n_long=36, pipe_packets=250.0, bottleneck_rate="25Mbps",
-            warmup=15, duration=25, seed=9)
-        assert small.afct < large.afct
-        # The mechanism: the big buffer carries a standing queue.
-        assert large.mean_queue > small.mean_queue * 2
+        assert_section("fig9", "finish sooner", "mean queue")
 
     def test_large_buffer_buys_little_utilization(self):
-        small, large = compare_buffers(
-            n_long=36, pipe_packets=250.0, bottleneck_rate="25Mbps",
-            warmup=15, duration=25, seed=9)
-        assert large.utilization - small.utilization < 0.08
+        assert_section("fig9", "buys <")
