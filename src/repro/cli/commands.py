@@ -16,7 +16,7 @@ from repro.errors import (
     ReproError,
     SimulationStalledError,
 )
-from repro.units import format_bandwidth, format_size, parse_time
+from repro.units import format_bandwidth, format_size, parse_bandwidth, parse_time
 
 __all__ = [
     "cmd_size",
@@ -28,7 +28,6 @@ __all__ = [
     "cmd_artefact",
     "cmd_cc_compare",
     "cmd_sweep",
-    "cmd_worker",
     "cmd_trace",
     "cmd_obs_report",
     "cmd_lint",
@@ -388,10 +387,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ``--checkpoint`` — resume of a killed sweep from the last completed
     cell.  One :meth:`~repro.runner.supervisor.SweepSupervisor.run`
     prints a row per cell in grid order.  ``--jobs 1`` runs the cells in
-    this process; ``--jobs N`` adds N worker processes that lease them
-    from a queue directory (work stealing, SIGKILL-safe, see ``repro
-    worker``).  Cell results, attempts and the checkpoint are the same
-    either way.
+    this process; ``--jobs N`` adds N worker processes that this process
+    hands the cells to, one at a time, and that publish each result as a
+    record under the queue directory (SIGKILL-safe).  Cell results,
+    attempts and the checkpoint are the same either way.
     """
     import contextlib
     import os
@@ -422,6 +421,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(f"--warmup must be finite and >= 0, got {args.warmup}")
     if not (math.isfinite(args.duration) and args.duration > 0):
         return _fail(f"--duration must be finite and > 0, got {args.duration}")
+    try:
+        if not parse_bandwidth(args.rate) > 0:
+            return _fail("link rate must be positive")
+    except ReproError as exc:
+        return _fail(str(exc))
+    if args.max_events is not None and args.max_events < 1:
+        return _fail(f"--max-events must be >= 1, got {args.max_events}")
     if args.jobs < 0 or args.workers < 0:
         return _fail(f"--jobs and --workers must be >= 0, got "
                      f"{args.jobs} and {args.workers}")
@@ -447,9 +453,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 run_long_flow_experiment, checkpoint_path=args.checkpoint,
                 resume=not args.fresh, max_retries=args.retries,
                 max_events=args.max_events, max_wall_seconds=args.timeout,
-                workers=workers, queue_dir=queue_dir,
-                lease_seconds=args.lease_seconds,
-                max_lease_failures=args.max_lease_failures)
+                workers=workers, queue_dir=queue_dir)
             if supervisor.completed_cells:
                 print(f"resuming: {supervisor.completed_cells} cell(s) "
                       f"already in {args.checkpoint}")
@@ -469,23 +473,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{failures} cell(s) failed after retries")
         return 3
     return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    """``repro worker``: attach one detachable worker to a fabric queue.
-
-    The worker claims/steals leased cells until the queue drains, then
-    exits 0.  SIGTERM/SIGINT drain it gracefully: the in-flight cell
-    finishes and publishes before exit.  Safe to run any number of
-    these on the same queue directory, before, during, or after the
-    owning ``repro sweep --jobs N`` run.
-    """
-    import os
-
-    name = args.name or f"worker-{os.getpid()}"
-    from repro.fabric.worker import worker_main
-
-    return worker_main(args.queue_dir, name=name, log=print)
 
 
 def _run_traced_scenario(args: argparse.Namespace):

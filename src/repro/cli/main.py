@@ -188,38 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (default 1 = in this "
                               "process, 0 = all cores); N > 1 adds N "
-                              "workers that lease the cells from a work "
-                              "queue (work stealing, SIGKILL-safe): same "
-                              "rows, results and checkpoint as --jobs 1")
+                              "workers this process hands the cells to, "
+                              "one at a time (a worker's death re-queues "
+                              "its cell): same rows, results and "
+                              "checkpoint as --jobs 1")
     p_sweep.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="--jobs N that takes the work queue even at "
-                              "N = 1 (default 0: --jobs decides)")
+                         help="--jobs N that uses worker processes even "
+                              "at N = 1 (default 0: --jobs decides)")
     p_sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                         help="work-queue directory (default: "
-                              "<checkpoint>.queue, or a temporary directory "
-                              "removed afterwards when there is no "
-                              "--checkpoint); detached 'repro worker' "
-                              "processes may attach to it")
-    p_sweep.add_argument("--lease-seconds", type=float, default=10.0,
-                         help="lease expiry horizon; a worker dead "
-                              "longer than this has its cell stolen "
-                              "(default 10)")
-    p_sweep.add_argument("--max-lease-failures", type=int, default=3,
-                         help="leases lost to dead workers before a cell "
-                              "is quarantined as poison (default 3)")
+                         help="directory the workers publish each finished "
+                              "cell's record in, so a killed sweep loses "
+                              "none (default: <checkpoint>.queue, or a "
+                              "temporary directory removed afterwards when "
+                              "there is no --checkpoint)")
     _add_watchdog_args(p_sweep)
     p_sweep.set_defaults(func=commands.cmd_sweep)
-
-    p_worker = sub.add_parser(
-        "worker", help="attach one detachable work-stealing worker to a "
-                       "sweep's queue directory (see repro sweep --jobs)")
-    p_worker.add_argument("queue_dir", metavar="QUEUE_DIR",
-                          help="queue directory created by repro sweep "
-                               "--jobs N (contains spec.json)")
-    p_worker.add_argument("--name", default=None,
-                          help="worker name for leases/logs (default: "
-                               "worker-<pid>)")
-    p_worker.set_defaults(func=commands.cmd_worker)
 
     p_trace = sub.add_parser(
         "trace", help="run a scenario with the flight recorder on and "

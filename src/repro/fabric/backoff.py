@@ -1,18 +1,15 @@
 """Bounded exponential backoff with seeded jitter.
 
-One policy object serves every retry loop in the sweep path: the
-supervisor's retry-with-reseed (a transiently-failing cell is not
-retried back-to-back any more), the fabric worker's transient-failure
-retries, and the worker's idle claim polling.  Delays grow
-geometrically from ``base`` and are capped at ``max_delay``; jitter is
-a symmetric multiplicative band drawn from an *injected, seeded*
-``random.Random`` stream (see :class:`~repro.sim.random.RngStreams`),
-never from the process-global RNG, so a retry schedule is reproducible
-from the cell seed alone and REPRO101 stays clean.
-
-This module deliberately imports nothing above :mod:`repro.errors` and
-:mod:`repro.sim.random`, so low layers (``repro.runner``) can use it
-without a circular import.
+The policy separates the retry-with-reseed attempts of a
+transiently-failing cell, in the supervisor's process and in a fabric
+worker alike.  Delays grow geometrically from ``base`` and are capped
+at ``max_delay``; jitter is a symmetric multiplicative band drawn from
+an *injected, seeded* ``random.Random`` stream (see
+:class:`~repro.sim.random.RngStreams`), never from the process-global
+RNG, so a retry schedule is reproducible from the cell seed alone and
+REPRO101 stays clean.  This module imports nothing above
+:mod:`repro.errors` and :mod:`repro.sim.random`, so low layers
+(``repro.runner``) can use it without a circular import.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ class BackoffPolicy:
     jitter:
         Half-width of the multiplicative jitter band in ``[0, 1)``:
         ``0.5`` scales each delay by a uniform draw from ``[0.5, 1.5]``.
-        Jitter desynchronizes workers polling a contended queue.
+        Jitter desynchronizes workers retrying on a contended host.
     """
 
     base: float = 0.05
@@ -83,9 +80,9 @@ class BackoffPolicy:
 def backoff_stream(scope: str, seed: int = 0) -> random.Random:
     """A seeded jitter stream for one retry loop.
 
-    ``scope`` names the loop (a worker id, a cell key); the stream seed
-    derives from ``sha256(seed:scope)`` via :class:`RngStreams`, so two
-    workers (or two cells) never share a jitter sequence yet every run
+    ``scope`` names the loop (a cell key); the stream seed derives from
+    ``sha256(seed:scope)`` via :class:`RngStreams`, so two cells never
+    share a jitter sequence yet every run
     with the same scope and seed reproduces the same schedule.
     """
     digest = hashlib.sha256(scope.encode("utf-8")).digest()

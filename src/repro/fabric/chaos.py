@@ -1,30 +1,21 @@
 """Crash injection for chaos-testing the sweep fabric.
 
-The chaos tests (and the CI distributed-sweep smoke job) must kill
-workers at *protocol-critical* points — inside a completed-cell record
-write, mid-lease-renewal — not just at random instants, and a SIGKILL
-cannot be faked in-process.  Workers therefore call
-:func:`chaos_point` at each named protocol step; when the
-``REPRO_FABRIC_CHAOS`` environment variable arms a matching trigger,
-the process SIGKILLs itself on the spot (no atexit handlers, no
-``finally`` blocks — exactly what a crashed host looks like).
+The chaos tests (and the CI fleet smoke job) kill workers at
+*protocol-critical* points — inside a record write, between a record's
+publication and the message that announces it — and a SIGKILL cannot be
+faked in-process.  Workers therefore call :func:`chaos_point` at each
+named step; when the ``REPRO_FABRIC_CHAOS`` environment variable arms a
+matching trigger, the process SIGKILLs itself on the spot (no atexit
+handlers, no ``finally`` blocks: what a crashed host looks like).
 
-Trigger spec (comma-separated)::
-
-    point[:nth][@worker_index]
-
-* ``point`` — one of :data:`CHAOS_POINTS`.
-* ``nth`` — die on the Nth hit of that point (default 1).
-* ``worker_index`` — only arm for the worker with this spawn index, so
-  a supervisor-wide environment variable can kill one worker while its
-  respawned replacement (a new index) survives.
-
-Examples: ``run@0`` (worker 0 dies during its first cell),
-``complete-pre-rename:2`` (every worker dies inside its second record
-publication), ``renew@1:3`` (worker 1 dies at its third heartbeat).
-
-Production runs leave ``REPRO_FABRIC_CHAOS`` unset; the hook then costs
-one dict lookup.
+Trigger spec (comma-separated): ``point[:nth][@worker_index]`` — one of
+:data:`CHAOS_POINTS`, dying on its Nth hit (default 1), armed only in
+the worker with that spawn index if one is given (its respawned
+replacement has a new index and survives).  Examples: ``run@0``
+(worker 0 dies during its first cell), ``complete-pre-rename:2`` (every
+worker dies inside its second record publication), ``complete@1:3``
+(worker 1 dies right after publishing its third record, before the
+supervisor hears of it).  Unset, the hook costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -41,11 +32,9 @@ ENV_VAR = "REPRO_FABRIC_CHAOS"
 
 #: Protocol steps a trigger may name.
 CHAOS_POINTS = frozenset({
-    "claim",                # about to scan the queue for work
-    "run",                  # lease held, trial function about to run
-    "renew",                # heartbeat thread renewing the lease
+    "run",                  # cell received, trial function about to run
     "complete-pre-rename",  # result tempfile durable, not yet published
-    "complete",             # result published, lease not yet released
+    "complete",             # result published, supervisor not yet told
 })
 
 #: Per-process hit counters, keyed by point name.
@@ -62,7 +51,7 @@ def parse_spec(spec: str) -> List[Tuple[str, int, Optional[int]]]:
         worker: Optional[int] = None
         if "@" in token:
             token, worker_text = token.split("@", 1)
-            # nth may ride on either side of '@': "renew@1:3" == "renew:3@1"
+            # nth may ride on either side of '@': "run@1:3" == "run:3@1"
             if ":" in worker_text:
                 worker_text, nth_text = worker_text.split(":", 1)
                 token += ":" + nth_text

@@ -1,24 +1,19 @@
 """Framed, atomically-written JSON records for the sweep fabric.
 
-Every durable fabric artifact (queue spec, lease, completed-cell
-record, failure record, quarantine entry, crash dump) is one file in
-this format::
+Every durable fabric artifact (queue spec, completed-cell record,
+crash dump) is one file in this format::
 
     #repro-fabric v1 len=<payload bytes> sha256=<hex digest>\\n
     <payload: UTF-8 JSON, exactly len bytes>
 
-The header is written in the same ``write()`` as the payload and the
-file is published by ``rename()`` after an ``fsync`` of both the file
-and its directory, so a reader sees either nothing or a fully-framed
-record.  If a record *is* torn anyway (the filesystem lost the tail on
-power loss, or a chaos test killed a writer with the unsynced tempfile
-already linked in), :func:`read_record` raises
-:class:`~repro.errors.CorruptRecordError` and the caller quarantines
-the file to ``<name>.corrupt`` with :func:`quarantine_corrupt` instead
-of trusting — or crashing on — half a record.
-
-No wall-clock reads here (REPRO105): fabric durability must not depend
-on host time, and record identity is content, not timestamps.
+The file is published by ``rename()`` after an ``fsync`` of both the
+file and its directory, so a reader sees either nothing or a whole
+record.  If a record *is* torn anyway (power loss, or a chaos test
+killing a writer mid-publication), :func:`read_record` raises
+:class:`~repro.errors.CorruptRecordError` and the caller moves the file
+aside to ``<name>.corrupt`` with :func:`quarantine_corrupt` instead of
+trusting — or crashing on — half a record.  No wall-clock reads here
+(REPRO105): record identity is content, not timestamps.
 """
 
 from __future__ import annotations
@@ -31,14 +26,8 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import CorruptRecordError
 
-__all__ = [
-    "write_record",
-    "read_record",
-    "quarantine_corrupt",
-    "fsync_directory",
-    "frame",
-    "unframe",
-]
+__all__ = ["write_record", "read_record", "quarantine_corrupt",
+           "fsync_directory", "frame", "unframe"]
 
 _MAGIC = "#repro-fabric v1 "
 
@@ -105,16 +94,11 @@ def write_record(path: str, payload: Dict[str, Any],
     """Atomically publish ``payload`` as a framed record at ``path``.
 
     The record is written to a tempfile in the same directory, fsynced,
-    then linked in — with ``os.link`` + ``O_EXCL`` semantics when
-    ``exclusive`` (lease claims: exactly one writer wins; returns False
-    to the losers) or ``os.rename`` otherwise (last writer wins, which
-    is safe for records whose content is deterministic).  The directory
-    is fsynced after publication so a crash immediately after this call
-    cannot un-happen the write.
-
-    ``chaos`` (tests only) runs after the tempfile is durable but
-    *before* it is published — the window a kill must hit to simulate a
-    torn completion.
+    then linked in — by ``os.link`` when ``exclusive`` (exactly one
+    writer wins; returns False to the losers), by ``os.rename``
+    otherwise (last writer wins) — and the directory is fsynced, so a
+    crash right after this call cannot un-happen the write.  ``chaos``
+    (tests only) runs between the tempfile's fsync and its publication.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".rec.tmp")

@@ -1,38 +1,40 @@
 """The worker fleet :meth:`SweepSupervisor.run` adds with ``workers >= 1``.
 
-``repro sweep --jobs N`` is :meth:`~repro.runner.supervisor.SweepSupervisor.run`
-with a fleet: :class:`FleetRun` materializes the grid as a
+:class:`FleetRun` materializes the grid as a
 :class:`~repro.fabric.queue.WorkQueue` directory and starts up to ``N``
-work-stealing :class:`~repro.fabric.worker.Worker` processes against
-it — forked from this process where that is safe (milliseconds: the
-interpreter and ``repro`` are already loaded), spawned afresh where it
-is not (:func:`_start_method`).  The supervisor's grid-order loop then
-asks :meth:`FleetRun.collect` for each cell, which only *supervises*:
+worker processes (:mod:`repro.fabric.worker`): forked from this process
+where that is safe (milliseconds: the interpreter and ``repro`` are
+already loaded), spawned afresh where it is not (:func:`_start_method`).
+It is the only thing that assigns cells: each worker gets one cell at a
+time over its own pipe, and the supervisor waits on the pipes and the
+process sentinels together (``multiprocessing.connection.wait``).  The
+grid-order loop asks :meth:`FleetRun.collect` for each cell:
 
-* **reap + respawn** — a worker that exits non-zero (or is SIGKILLed)
-  gets a crash dump under ``<queue>/crashes/worker-<idx>.json`` and a
-  replacement process (at most ``2 * workers`` of them); its
-  half-finished cell is recovered by whichever peer steals the expired
-  lease.  Once every worker is gone, the cells still open run in the
-  supervisor's own process.
-* **merge** — completed-cell records stream into the standard sweep
-  checkpoint through the supervisor's writer, so a fleet checkpoint is
-  indistinguishable from a serial one (plus an additive ``meta.fabric``
-  audit block: lease counters, quarantined cells, worker deaths).
-* **drain** — SIGTERM/SIGINT forwards a drain request to every worker
-  (finish the in-flight cell, then exit), finalizes the checkpoint,
-  and raises ``KeyboardInterrupt`` so callers see a normal
-  interruption with no work lost.
+* **merge** — a worker publishes its cell's record, then sends the
+  digest; the supervisor reads the record once and folds it into the
+  sweep checkpoint (one write per wake-up, however many cells it
+  brought), so a fleet checkpoint is a serial one plus an additive
+  ``meta.fabric`` audit block.
+* **re-queue + respawn** — a worker that dies gets a crash dump
+  (``<queue>/crashes/worker-<idx>.json``) and, ``2 * workers`` times at
+  most, a replacement.  Its cell is merged if its record reached the
+  disk, and goes back to the head of the queue otherwise; a cell whose
+  worker died :data:`POISON_DEATHS` times is a FAILED outcome instead.
+  Once every worker is gone, the open cells run in this process.
+* **drain** — SIGTERM/SIGINT stops the handing out of cells, lets the
+  cells in flight finish, and raises ``KeyboardInterrupt``.
 
-Because every cell runs from its own base seed regardless of which
-worker (or how many workers, or after how many crashes) executes it,
-the merged grid is **bit-identical** to a single-process run — the
-chaos suite in ``tests/fabric/test_chaos.py`` enforces exactly that
-while SIGKILLing a third of the fleet.
+A worker exits when its pipe reaches EOF, so none outlives the
+supervisor, and a SIGKILLed supervisor loses no finished cell: the next
+run merges the records.  Every cell runs from its own base seed
+whichever worker runs it, after however many crashes, so the merged
+grid is **bit-identical** to a single-process run
+(``tests/fabric/test_chaos_sweep.py``).
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -40,36 +42,32 @@ import signal
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric import records
 from repro.fabric.queue import WorkQueue, cell_digest, validate_plain_params
-from repro.fabric.worker import (
-    DRAIN_SIGNALS,
-    resolve_fn,
-    spawned_worker_entry,
-)
+from repro.fabric.worker import DRAIN_SIGNALS, resolve_fn, spawned_worker_entry
 from repro.runner.supervisor import SweepSupervisor, TrialOutcome, cell_key
 
-__all__ = ["FleetRun", "fn_reference"]
+__all__ = ["FleetRun", "POISON_DEATHS", "fn_reference"]
 
-#: Longest a poll round (reap, merge, drain check) waits for a worker
-#: to exit before it looks at the queue again.
-_POLL_SECONDS = 0.05
+#: A cell whose worker died this many times is a FAILED outcome, not
+#: handed out again.
+POISON_DEATHS = 3
+
+#: How long a drain (or the end of a sweep) waits for the workers.
+_DRAIN_SECONDS = 10.0
 
 
 def _start_method() -> str:
     """How the next worker process is started: ``fork`` or ``spawn``.
 
     A fork costs milliseconds where a spawn costs a fresh interpreter
-    plus ``import repro`` (two workers: 5-8 ms against 0.16-0.37 s,
-    DESIGN.md section 8), but it copies only the calling thread: a lock
-    some other thread holds at that instant stays locked in the child
-    for ever.  So fork only where it is the platform's own default
-    (Linux) and this thread is the process's only one;
-    :func:`~repro.fabric.worker.spawned_worker_entry` resets what the
-    copy inherits.
+    (DESIGN.md section 8), but it copies only the calling thread: a lock
+    another thread holds at that instant stays locked in the child for
+    ever.  So fork only on Linux, from a single-threaded process.
     """
     if sys.platform == "linux" and threading.active_count() == 1:
         return "fork"
@@ -77,12 +75,12 @@ def _start_method() -> str:
 
 
 def fn_reference(fn: Union[str, Callable[..., Any]]) -> str:
-    """The ``module:qualname`` ref a detached worker can re-import.
+    """The ``module:qualname`` ref a spawned worker can re-import.
 
     Accepts a ready-made ref string (verified resolvable) or a callable
     (verified to round-trip to itself).  ``__main__`` functions are
-    rejected — a spawned or detached worker re-imports from scratch and
-    has a different ``__main__``.
+    rejected even where the workers would be forked, so fork and spawn
+    accept the same functions.
     """
     if isinstance(fn, str):
         resolve_fn(fn)
@@ -95,9 +93,8 @@ def fn_reference(fn: Union[str, Callable[..., Any]]) -> str:
             f"got {fn!r}")
     if module == "__main__":
         raise ConfigurationError(
-            "fabric trial function lives in __main__, which spawned and "
-            "detached workers cannot re-import; move it into an "
-            "importable module")
+            "fabric trial function lives in __main__, which spawned "
+            "workers cannot re-import; move it into an importable module")
     ref = f"{module}:{qualname}"
     if resolve_fn(ref) is not fn:
         raise ConfigurationError(
@@ -106,119 +103,28 @@ def fn_reference(fn: Union[str, Callable[..., Any]]) -> str:
     return ref
 
 
-def _worker_crash_dump(queue: WorkQueue, index: int, exitcode: Optional[int],
-                       pid: Optional[int]) -> None:
-    """Record a reaped worker death under ``crashes/`` (audit artifact)."""
-    path = os.path.join(queue.root, "crashes", f"worker-{index}.json")
-    records.write_record(path, {
-        "kind": "worker_death",
-        "worker_index": index,
-        "pid": pid,
-        "exitcode": exitcode,
-        "signal": -exitcode if (exitcode or 0) < 0 else None,
-    })
-    queue.log_event("worker_death", worker_index=index, exitcode=exitcode)
+@dataclass
+class _Worker:
+    """One live worker process, as the supervisor sees it."""
 
-
-class _Fleet:
-    """The set of live worker processes, with reaping and respawn."""
-
-    def __init__(self, queue_root: str, workers: int):
-        self._queue_root = queue_root
-        self._procs: Dict[int, Any] = {}
-        self._next_index = 0
-        self.deaths: List[Dict[str, Any]] = []
-        self.respawns = 0
-        self.drain_signalled = False
-        #: Abnormally-dead workers replaced before the fleet may shrink.
-        self._spares = 2 * workers
-        for _ in range(workers):
-            self._spawn()
-
-    def _spawn(self) -> None:
-        index = self._next_index
-        self._next_index += 1
-        proc = multiprocessing.get_context(_start_method()).Process(
-            target=spawned_worker_entry,
-            args=(self._queue_root, index),
-            name=f"repro-fabric-worker-{index}",
-            daemon=False)
-        # The worker is born with its drain signals held and releases
-        # them once its own handlers exist.  A forked child starts with
-        # *our* handlers, which would swallow a drain signal sent in
-        # its first millisecond; this way it stays pending instead.
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, DRAIN_SIGNALS)
-        try:
-            proc.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        self._procs[index] = proc
-
-    def wait(self, timeout: float) -> None:
-        """Sleep until a worker exits, at most ``timeout`` seconds."""
-        multiprocessing.connection.wait(
-            [proc.sentinel for proc in self._procs.values()], timeout)
-
-    def reap(self, queue: WorkQueue, respawn: bool = True) -> None:
-        """Collect dead workers; dump + respawn the abnormally dead."""
-        for index, proc in list(self._procs.items()):
-            if proc.is_alive():
-                continue
-            proc.join()
-            del self._procs[index]
-            if proc.exitcode == 0:
-                continue  # clean drain/exit
-            if self.drain_signalled and proc.exitcode == -signal.SIGTERM:
-                # Our own drain signal caught the worker before it
-                # installed its graceful handler (e.g. still importing).
-                # That is a shutdown artifact, not a crash.
-                continue
-            self.deaths.append({"worker_index": index,
-                                "exitcode": proc.exitcode})
-            _worker_crash_dump(queue, index, proc.exitcode, proc.pid)
-            if respawn and self.respawns < self._spares:
-                self.respawns += 1
-                self._spawn()
-
-    @property
-    def exhausted(self) -> bool:
-        """No worker left to wait for or replace (not "none alive": one
-        that died since the last :meth:`reap` may yet be replaced)."""
-        return not self._procs
-
-    def signal_drain(self) -> None:
-        self.drain_signalled = True
-        for proc in self._procs.values():
-            if proc.is_alive() and proc.pid:
-                try:
-                    os.kill(proc.pid, signal.SIGTERM)
-                except OSError:
-                    pass
-
-    def join_all(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        for proc in self._procs.values():
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-
-    def terminate_all(self) -> None:
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs.values():
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
+    index: int
+    proc: Any
+    conn: Any
+    #: Digest of the cell it runs, None while it waits for one.
+    cell: Optional[str] = None
+    #: False until it has said it is ready for a first cell.
+    ready: bool = False
 
 
 class FleetRun:
     """One :meth:`SweepSupervisor.run` with workers: queue, fleet, merge.
 
-    Built from the grid, it creates (or attaches to) the queue and marks
-    the cells the checkpoint already holds as done.  Entering starts the
-    workers, at most one per cell left, under drain handlers; leaving
-    stops them — terminates them after an error — and writes the
-    checkpoint once more with its ``meta.fabric`` audit block.
+    Built from the grid, it creates (or attaches to) the queue, merges
+    the records a killed run published but did not checkpoint, and
+    queues the rest in grid order.  Entering starts the workers, at most
+    one per open cell, under drain handlers; leaving stops them — kills
+    them after an error — and writes the checkpoint once more with its
+    ``meta.fabric`` audit block.
     """
 
     def __init__(self, supervisor: SweepSupervisor,
@@ -229,69 +135,60 @@ class FleetRun:
         cells = {cell_key(params): params for params in grid}
         self.queue = WorkQueue.create(
             supervisor.queue_dir, cells, fn_ref=supervisor.fn_ref, options={
-                "lease_seconds": supervisor.lease_seconds,
-                "max_lease_failures": supervisor.max_lease_failures,
                 "max_retries": supervisor.max_retries,
                 "max_events": supervisor.max_events,
                 "max_wall_seconds": supervisor.max_wall_seconds,
             })
         self.total = len(cells)
-        #: digest -> params of every cell neither resumed nor merged yet.
-        self.pending: Dict[str, Dict[str, Any]] = {}
-        #: Cells the checkpoint held before the run: the supervisor
-        #: resumes them itself.
-        self.resumed = set()
+        #: digest -> (key, params) of every cell the checkpoint lacked.
+        self.open: Dict[str, Any] = {}
+        #: Open cells no worker holds, in the order they are handed out.
+        self.todo: Deque[str] = collections.deque()
+        #: digest -> a FAILED outcome's fields, or the exception raised.
+        self.verdicts: Dict[str, Any] = {}
+        self.deaths_of: Dict[str, int] = {}
+        self.counters = {"fabric.completions": 0, "fabric.requeued": 0}
+        self.quarantined: List[Dict[str, Any]] = []
         for key, params in cells.items():
-            digest = cell_digest(key)
-            cached = supervisor._cells.get(key)
-            if cached is None:
-                self.pending[digest] = params
-                continue
-            # A pre-completed queue record, so no worker re-runs it.
-            self.resumed.add(digest)
-            self.queue.seed_completed(key, {
-                "key": key,
-                "params": cached.get("params"),
-                "result": cached.get("result"),
-                "attempts": cached.get("attempts", 1),
-                "elapsed_seconds": cached.get("elapsed_seconds", 0.0),
-                "seeded": True,
-            })
-        self.workers = 0
-        self.fleet: Optional[_Fleet] = None
-        self.drain_requested = False
+            if key not in supervisor._cells:  # else the loop resumes it
+                self.open[cell_digest(key)] = (key, params)
+        # Records a killed run published but never checkpointed.
+        self.todo.extend(d for d in self.open if not self._merge(d))
+        if len(self.todo) < len(self.open):
+            supervisor._write_checkpoint()
+        self.workers = self.respawns = self._spawned = 0
+        self.live: Dict[int, _Worker] = {}
+        self.deaths: List[Dict[str, Any]] = []
+        self.draining = False
         self._deadline: Optional[float] = None
         self._previous_handlers: Dict[int, Any] = {}
 
     def _request_drain(self, signum: int, frame: Any) -> None:
-        self.drain_requested = True
-
-    def _restore_handlers(self) -> None:
-        for signum, handler in self._previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
+        # Wakes the wait in _step, which a handler that only set a flag
+        # would not: the wait resumes after a handler returns.
+        try:
+            os.write(self._wake_w, b"\0")
+        except OSError:  # pipe full: a wake-up is pending anyway
+            pass
 
     def __enter__(self) -> "FleetRun":
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         for signum in DRAIN_SIGNALS:
             try:
                 self._previous_handlers[signum] = signal.signal(
                     signum, self._request_drain)
             except (ValueError, OSError):
                 pass
-        # A fully-resumed (or fully-quarantined) grid needs no workers
-        # at all — spawning a fleet just to drain it would record the
-        # shutdown SIGTERMs as phantom worker deaths in the audit trail
-        # — and no grid needs more workers than it has cells left.
-        self.workers = min(self.supervisor.workers, sum(
-            1 for digest in self.pending
-            if not os.path.exists(self.queue._quarantine_path(digest))))
+        # A fully-resumed grid needs no workers at all, and no grid
+        # needs more workers than it has cells left.
+        self.workers = min(self.supervisor.workers, len(self.todo))
         try:
-            if self.workers:
-                self.fleet = _Fleet(self.queue.root, self.workers)
+            for _ in range(self.workers):
+                self._spawn()
         except BaseException:
-            self._restore_handlers()
+            self._kill_all()
+            self._close()
             raise
         timeout = self.supervisor.timeout
         self._deadline = (time.monotonic() + timeout) if timeout else None
@@ -299,93 +196,241 @@ class FleetRun:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         try:
-            if self.fleet is not None:
-                if exc_type is None:
-                    self._stop()
-                else:
-                    self.fleet.terminate_all()
+            if exc_type is None:
+                self._stop()
+            self._kill_all()
         finally:
-            self._restore_handlers()
+            self._close()
         self.supervisor._fabric_meta = self._audit()
         self.supervisor._write_checkpoint()
+
+    def _close(self) -> None:
+        for signum, handler in self._previous_handlers.items():
+            try:
+                signal.signal(signum, handler)
+            except (ValueError, OSError):
+                pass
+        os.close(self._wake_r)
+        os.close(self._wake_w)
 
     def _audit(self) -> Dict[str, Any]:
         """The ``meta.fabric`` block; its counters also go to live obs."""
         from repro.obs import runtime as _obs
-        counters = self.queue.tally()
+        counters = dict(self.counters, **{
+            "fabric.quarantined": len(self.quarantined),
+            "fabric.worker_deaths": len(self.deaths),
+            "fabric.corrupt_records": self.queue.corrupt_records})
         registry = _obs.registry()
         for name, value in counters.items():
             if registry is not None and value:
                 registry.counter(name).inc(value)
-        fleet = self.fleet
-        return {
-            "queue": self.queue.root,
-            "workers": self.workers,
-            "respawns": fleet.respawns if fleet is not None else 0,
-            "worker_deaths": list(fleet.deaths) if fleet is not None else [],
-            "counters": counters,
-            "quarantined": [
-                {"digest": digest, "key": entry.get("key"),
-                 "failure_count": entry.get("failure_count"),
-                 "last_error": entry.get("last_error")}
-                for digest, entry in sorted(self.queue.quarantined().items())],
-        }
+        return {"queue": self.queue.root, "workers": self.workers,
+                "respawns": self.respawns, "worker_deaths": list(self.deaths),
+                "counters": counters, "quarantined": list(self.quarantined)}
 
     def _stop(self) -> None:
-        """Drain the workers: in-flight cells finish, then they exit."""
-        self.fleet.signal_drain()
-        self.fleet.join_all(timeout=max(self.queue.lease_seconds, 5.0))
-        self.fleet.reap(self.queue, respawn=False)
-        self.fleet.terminate_all()
+        """Hand out nothing more; let the cells in flight finish."""
+        self.draining = True
+        self._dispatch()
+        deadline = time.monotonic() + _DRAIN_SECONDS
+        while self.live and time.monotonic() < deadline:
+            self._step(deadline)
+
+    def _spawn(self) -> None:
+        index = self._spawned
+        self._spawned += 1
+        method = _start_method()
+        ours, theirs = multiprocessing.Pipe()
+        # A forked worker closes its copies of our pipe ends: held
+        # there, they would keep its own pipe (and its elder siblings')
+        # from reaching EOF when we close ours, or when we die.
+        inherited = ([worker.conn for worker in self.live.values()] + [ours]
+                     if method == "fork" else [])
+        proc = multiprocessing.get_context(method).Process(
+            target=spawned_worker_entry,
+            args=(self.queue.root, index, theirs, inherited),
+            name=f"repro-fabric-worker-{index}", daemon=False)
+        # The worker is born with its drain signals held and unblocks
+        # them once its own handlers exist.  A forked child starts with
+        # *our* handlers, which would swallow a drain signal sent in
+        # its first millisecond; this way it stays pending instead.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, DRAIN_SIGNALS)
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            theirs.close()
+        self.live[index] = _Worker(index, proc, ours)
+
+    def _kill_all(self) -> None:  # after an error, or past a drain
+        for worker in self.live.values():
+            if worker.proc.is_alive():
+                worker.proc.kill()
+            worker.proc.join(timeout=2.0)
+            worker.conn.close()
+        self.live.clear()
+
+    def _bury(self, worker: _Worker) -> bool:
+        """A worker exited: record a death, settle the cell it held;
+        True when that merged a record."""
+        merged = False
+        if (worker.cell is not None and not worker.conn.closed
+                and worker.conn.poll()):
+            merged = self._receive(worker)  # said before it went
+        worker.proc.join()
+        worker.conn.close()
+        del self.live[worker.index]
+        exitcode, digest = worker.proc.exitcode, worker.cell
+        if exitcode != 0:
+            self.deaths.append({"worker_index": worker.index,
+                                "exitcode": exitcode})
+            records.write_record(
+                os.path.join(self.queue.root, "crashes",
+                             f"worker-{worker.index}.json"),
+                {"kind": "worker_death", "worker_index": worker.index,
+                 "pid": worker.proc.pid, "exitcode": exitcode,
+                 "signal": -exitcode if exitcode < 0 else None,
+                 "cell": digest})
+        if digest is not None:  # it may have published, then died
+            merged |= self._settle(digest, exitcode)
+        if (exitcode != 0 and self.todo and not self.draining
+                and self.respawns < 2 * self.workers):
+            self.respawns += 1
+            self._spawn()
+        return merged
+
+    def _settle(self, digest: str, exitcode: int = 0) -> bool:
+        """Merge a cell a worker finished or held, or give it back.
+
+        No record means it goes back to the head of the queue — after
+        a clean exit (a drain signal before it ran, a torn record)
+        without more ado, after its :data:`POISON_DEATHS`-th death as a
+        FAILED outcome instead.  True when a record was merged.
+        """
+        if self._merge(digest):
+            self.counters["fabric.completions"] += 1
+            return True
+        deaths = self.deaths_of.get(digest, 0) + (exitcode != 0)
+        self.deaths_of[digest] = deaths
+        if deaths < POISON_DEATHS:
+            self.counters["fabric.requeued"] += 1
+            self.todo.appendleft(digest)
+            return False
+        error = (f"poison cell: its worker died {deaths} times "
+                 f"(last exit code {exitcode})")
+        self.verdicts[digest] = {"attempts": deaths, "error": error}
+        self.quarantined.append({"digest": digest,
+                                 "key": self.open[digest][0],
+                                 "deaths": deaths, "last_error": error})
+        return False
 
     def collect(self, params: Dict[str, Any]) -> Optional[TrialOutcome]:
         """The fleet's outcome for one cell, waiting for it if need be.
 
         None when the cell is the supervisor's own to run: resumed from
-        the checkpoint, or still open once every worker is gone.
+        the checkpoint, or still open once every worker is gone.  A cell
+        that raised raises here, in grid order, as it would in-process.
         """
         key = cell_key(params)
         digest = cell_digest(key)
-        if digest in self.resumed:
+        if digest not in self.open:
             return None
-        quarantine_path = self.queue._quarantine_path(digest)
-        while digest in self.pending:
-            entry = (self.queue.quarantined().get(digest)
-                     if os.path.exists(quarantine_path) else None)
-            if entry is not None:
-                # Retries spent: the failed outcome the serial path reports.
-                attempts, error = entry.get("attempts"), entry.get("last_error")
-                if attempts is None:  # leases lost without a verdict
-                    attempts = entry.get("failure_count", 0)
-                    error = (f"quarantined after {attempts} failed "
-                             f"lease(s): {error}")
-                return TrialOutcome(key=key, params=params,
-                                    attempts=attempts, error=error)
-            if self.fleet is None or self.fleet.exhausted:
+        while key not in self.supervisor._cells:
+            verdict = self.verdicts.get(digest)
+            if isinstance(verdict, BaseException):
+                raise verdict
+            if verdict is not None:
+                return TrialOutcome(key=key, params=params, **verdict)
+            if not self.live:
                 return None  # what the fleet left open runs in-process
-            self._poll(digest)
+            self._step(self._deadline)
+            if self.draining:
+                raise KeyboardInterrupt(
+                    f"fabric sweep drained on signal: "
+                    f"{len(self.supervisor._cells)} cell(s) checkpointed "
+                    f"at {self.supervisor.checkpoint_path or self.queue.root}")
+            if (self._deadline is not None
+                    and time.monotonic() > self._deadline):
+                raise FabricError(
+                    f"fabric sweep exceeded its {self.supervisor.timeout}s "
+                    f"timeout with {self.total - len(self.supervisor._cells)}"
+                    f" cell(s) outstanding; completed work is checkpointed "
+                    f"and resumable")
         return self.supervisor._cached_outcome(
             key, params, self.supervisor._cells[key], from_checkpoint=False)
 
-    def _poll(self, digest: str) -> None:
-        """One round: reap, merge, then wait for ``digest`` or a death."""
-        fleet = self.fleet
-        fleet.reap(self.queue)
-        self.supervisor._merge_completed(self.queue, self.pending)
-        if self.drain_requested:
-            self._stop()
-            self.supervisor._merge_completed(self.queue, self.pending)
-            raise KeyboardInterrupt(
-                f"fabric sweep drained on signal: "
-                f"{self.total - len(self.pending)}/{self.total} cell(s) "
-                f"checkpointed at "
-                f"{self.supervisor.checkpoint_path or self.queue.root}")
-        if digest not in self.pending or fleet.exhausted:
-            return
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            fleet.terminate_all()
-            raise FabricError(
-                f"fabric sweep exceeded its {self.supervisor.timeout}s "
-                f"timeout with {len(self.pending)} cell(s) outstanding; "
-                f"completed work is checkpointed and resumable")
-        fleet.wait(_POLL_SECONDS)
+    def _step(self, deadline: Optional[float]) -> None:
+        """Wait for messages, exits or a drain signal; act on them all."""
+        workers = list(self.live.values())
+        handles: List[Any] = [self._wake_r]
+        for worker in workers:
+            if not worker.conn.closed:
+                handles.append(worker.conn)
+            handles.append(worker.proc.sentinel)
+        timeout = (None if deadline is None
+                   else max(0.0, deadline - time.monotonic()))
+        ready = multiprocessing.connection.wait(handles, timeout)
+        if self._wake_r in ready:
+            os.read(self._wake_r, 512)
+            if not self.draining:  # SIGTERM/SIGINT
+                self._stop()
+                self._kill_all()
+                return
+        merged = False
+        for worker in workers:
+            if worker.conn in ready:
+                merged |= self._receive(worker)
+        for worker in workers:
+            if worker.proc.sentinel in ready:
+                merged |= self._bury(worker)
+        self._dispatch()
+        if merged:
+            self.supervisor._write_checkpoint()
+
+    def _receive(self, worker: _Worker) -> bool:
+        """Act on one message; True when it merged a record."""
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            worker.conn.close()
+            return False  # it is exiting; its sentinel says how
+        worker.ready = True
+        digest, worker.cell = worker.cell, None
+        if message[0] == "done":
+            return self._settle(digest)
+        if message[0] == "failed":
+            self.verdicts[digest] = {"attempts": message[2],
+                                     "error": message[3]}
+        elif message[0] == "raised":
+            self.verdicts[digest] = message[2]
+        return False
+
+    def _merge(self, digest: str) -> bool:
+        """Fold the cell's record into the checkpoint table, if it has one."""
+        record = self.queue.completed_record(digest)
+        if record is None:
+            return False
+        key, params = self.open[digest]
+        self.supervisor._merge_cell(key, params, record["result"],
+                                    record.get("attempts", 1),
+                                    record.get("elapsed_seconds", 0.0))
+        return True
+
+    def _dispatch(self) -> None:
+        """Give idle workers cells; close them once none can come."""
+        live = list(self.live.values())
+        idle = [worker for worker in live
+                if worker.ready and worker.cell is None]
+        while idle and self.todo and not self.draining:
+            worker = idle.pop()
+            worker.cell = self.todo.popleft()
+            try:
+                worker.conn.send(worker.cell)
+            except OSError:
+                pass  # it is dying; its sentinel hands the cell back
+        # An idle worker stays while a busy one might die and leave a
+        # cell behind; after that, EOF tells it to exit.
+        if self.draining or not any(worker.cell for worker in live):
+            for worker in idle:
+                worker.conn.close()
+                worker.ready = False

@@ -1,65 +1,43 @@
-"""The work-stealing fabric worker.
+"""A fleet worker: runs the cells its supervisor hands it, one at a time.
 
-A :class:`Worker` attaches to a :class:`~repro.fabric.queue.WorkQueue`
-directory and loops: claim (or steal) a cell, run the trial function
-under a heartbeat thread that keeps the lease alive, publish the result
-(or a failure record), repeat until the queue drains.  Workers are
-interchangeable and stateless between cells — any worker may run any
-cell, and a worker that dies mid-cell is replaced by whichever peer
-steals its expired lease.
+``repro sweep --jobs N`` starts :func:`spawned_worker_entry` with one
+end of a pipe, forked from the supervisor where that is safe and
+spawned otherwise (``repro.fabric.supervisor._start_method``).  The
+worker says it is ready, then loops: receive a cell's digest, run the
+cell, publish its record, send the outcome (which also asks for the
+next cell).  It exits when the pipe reaches EOF — the supervisor has no
+more work for it, or is gone — so no worker outlives its sweep.
 
-Retry semantics match the serial supervisor exactly, which is what
-makes a fabric sweep **bit-identical** to a single-process run:
-
-* a *transient* simulator failure (stall, invariant violation) retries
-  in-lease under the same derived-seed schedule as
-  :func:`repro.runner.supervisor._attempt_cell`, now separated by the
-  shared bounded-backoff policy;
-* a *worker crash* (SIGKILL, OOM) never reseeds — the stealer re-runs
-  the cell from its original base seed, so the merged grid cannot drift
-  from the serial result;
-* a cell whose reseeded attempts are all spent, or that raised a
-  *fatal* error (configuration mistake), is parked at once: the lease
-  budget counts only leases that ended without a verdict.
-
-``repro worker <queue-dir>`` runs :func:`worker_main` as a detachable
-process; ``repro sweep --jobs N`` starts :func:`spawned_worker_entry`
-via multiprocessing — forked from the supervisor where that is safe,
-spawned otherwise (``repro.fabric.supervisor._start_method``).  A
-forked worker is a copy of the supervisor, so the entry point first
-puts back what a fresh interpreter would have had: no chaos hits
-counted, observability off, its own drain handlers.
+A cell runs as in the supervisor's own process — the same
+:func:`repro.runner.supervisor._attempt_cell` retry-with-reseed loop
+under the same budgets — which is what makes a fleet sweep
+**bit-identical** to a single-process run.  Its outcome goes back as
+``("done", digest)`` (the record is durable), ``("failed", digest,
+attempts, error)`` (every reseeded attempt failed: the serial FAILED
+row, no record) or ``("raised", digest, exc)`` (the supervisor raises
+``exc`` when its grid-order loop reaches the cell).  A worker that dies
+mid-cell never reseeds: another worker runs the cell from its base seed.
 """
 
 from __future__ import annotations
 
+import pickle
 import signal
-import threading
 import time
-import traceback
 from importlib import import_module
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.errors import FabricError, ReproError
+from repro.errors import FabricError
 from repro.fabric import chaos
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
-from repro.fabric.queue import Lease, WorkQueue
-from repro.runner.supervisor import (
-    TRANSIENT_ERRORS,
-    _attempt_cell,
-    _default_serialize,
-    accepted_params,
-    budgeted_call,
-)
+from repro.fabric.queue import WorkQueue
+from repro.runner.supervisor import (_attempt_cell, _default_serialize,
+                                     accepted_params, budgeted_call)
 
-__all__ = ["Worker", "resolve_fn", "spawned_worker_entry", "worker_main"]
-
-#: Renew the lease this many times per lease interval; 3 gives two
-#: chances to miss a beat before peers may legally steal the cell.
-_HEARTBEATS_PER_LEASE = 3
+__all__ = ["resolve_fn", "run_worker", "spawned_worker_entry"]
 
 #: The signals that ask a worker to drain.  The fleet starts a worker
-#: with both held (``_Fleet._spawn``); :func:`worker_main` releases them
+#: with both held (``_Fleet.spawn``); :func:`run_worker` unblocks them
 #: once its handlers exist, so none is ever met by an inherited handler.
 DRAIN_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
 
@@ -67,14 +45,14 @@ DRAIN_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
 def resolve_fn(ref: Optional[str]) -> Callable[..., Any]:
     """Import the trial function named by a ``module:qualname`` ref.
 
-    Detached workers have nothing but the queue spec to go on, so the
+    Spawned workers have nothing but the queue spec to go on, so the
     ref must name an importable module-level callable.
     """
     if not ref:
         raise FabricError(
             "queue spec carries no trial-function reference; create the "
             "queue with fn_ref='pkg.module:function' (a module-level "
-            "callable) so detached workers can resolve it")
+            "callable) so spawned workers can resolve it")
     module_name, sep, qualname = ref.partition(":")
     if not sep:
         module_name, _, qualname = ref.rpartition(".")
@@ -100,239 +78,100 @@ def resolve_fn(ref: Optional[str]) -> Callable[..., Any]:
     return target
 
 
-class _Heartbeat(threading.Thread):
-    """Renews one lease in the background while its cell runs.
-
-    Sets :attr:`lost` (and exits) the moment a renewal fails — the
-    lease expired or was stolen, so the owning worker must treat its
-    in-flight result as a duplicate, not the completion of record.
-    """
-
-    def __init__(self, queue: WorkQueue, lease: Lease,
-                 worker_index: Optional[int], interval: float):
-        super().__init__(name=f"lease-heartbeat-{lease.digest}", daemon=True)
-        self._queue = queue
-        self._lease = lease
-        self._worker_index = worker_index
-        self._interval = interval
-        self._done = threading.Event()
-        self.lost = threading.Event()
-
-    def run(self) -> None:
-        while not self._done.wait(self._interval):
-            if not self._queue.renew(self._lease, self._worker_index):
-                self.lost.set()
-                return
-
-    def stop(self) -> None:
-        self._done.set()
-        self.join(timeout=self._interval * 2 + 1.0)
-
-
-class Worker:
-    """One work-stealing worker bound to a queue directory."""
-
-    def __init__(self, queue: WorkQueue,
-                 fn: Optional[Callable[..., Any]] = None,
-                 name: Optional[str] = None,
-                 index: Optional[int] = None,
-                 backoff: Optional[BackoffPolicy] = None,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.queue = queue
-        self.fn = fn if fn is not None else resolve_fn(queue.fn_ref)
-        self.index = index
-        self.name = name or (f"worker-{index}" if index is not None
-                             else "worker")
-        options = queue.options
-        self.max_retries = int(options.get("max_retries", 2))
-        self.max_events = options.get("max_events")
-        self.max_wall_seconds = options.get("max_wall_seconds")
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self._accepted = accepted_params(self.fn)
-        self._sleep = sleep  # retry back-off only; idling waits on _running
-        # Held until a stop is requested, so the idle back-off can wait
-        # on it and end the moment one is.  A bare lock, not a
-        # threading.Event: request_stop() runs inside a signal handler
-        # on the very thread that may be waiting, and Event.set() there
-        # deadlocks on the lock Event.wait() holds for a few bytecodes.
-        # A lock's release() and acquire() are single C calls.
-        self._running = threading.Lock()
-        self._running.acquire()
-        # Seeded per-worker jitter stream: desynchronizes idle polling
-        # across workers without touching the process-global RNG.
-        self._idle_rng = backoff_stream(f"worker-idle:{self.name}")
-        self._claim_rng = backoff_stream(f"worker-claim:{self.name}")
-        self.stats: Dict[str, int] = {
-            "completed": 0, "failed": 0, "quarantined": 0, "leases_lost": 0,
-        }
-
-    def request_stop(self) -> None:
-        """Drain: finish the in-flight cell (if any), then exit the loop.
-
-        Safe to call from a signal handler and from any thread.
-        """
-        try:
-            self._running.release()
-        except RuntimeError:
-            pass  # already requested
-
-    def _idle(self, seconds: float) -> None:
-        """Wait out one idle back-off, or until a stop is requested."""
-        if self._running.acquire(timeout=seconds):
-            self.request_stop()  # it was open: leave it open
-
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[str, int]:
-        """Claim-run-complete until the queue drains or a stop is requested."""
-        idle_spins = 0
-        while self._running.locked():
-            lease = self.queue.claim(self.name, self.index,
-                                     rng=self._claim_rng)
-            if lease is None:
-                if self.queue.drained():
-                    break
-                # Everything runnable is validly leased by peers: back
-                # off and re-poll (a peer may die and free its cell).
-                self._idle(self.backoff.delay(idle_spins, self._idle_rng))
-                idle_spins += 1
-                continue
-            idle_spins = 0
-            self._run_lease(lease)
-        return dict(self.stats)
-
-    def _run_lease(self, lease: Lease) -> None:
-        chaos.chaos_point("run", self.index)
-        interval = self.queue.lease_seconds / _HEARTBEATS_PER_LEASE
-        heartbeat = _Heartbeat(self.queue, lease, self.index, interval)
-        heartbeat.start()
-        started = time.monotonic()
-        fatal_error: Optional[BaseException] = None
-        result: Any = None
-        attempts = 0
-        error: Optional[str] = None
-        try:
-            call = budgeted_call(lease.params, self._accepted,
-                                 self.max_events, self.max_wall_seconds)
-            # Same reseed schedule as the serial supervisor (base seed +
-            # attempt * stride), so the merged grid stays bit-identical.
-            result, attempts, error = _attempt_cell(
-                self.fn, lease.params, call, self.max_retries,
-                backoff=self.backoff,
-                rng=backoff_stream(f"cell:{lease.key}"),
-                sleep=self._sleep)
-        except TRANSIENT_ERRORS:  # pragma: no cover - _attempt_cell absorbs
-            raise
-        except ReproError as exc:
-            fatal_error = exc  # configuration mistakes: no reseed heals them
-        except Exception as exc:  # unexpected bug: burn one lease, not the sweep
-            error = f"{type(exc).__name__}: {exc}"
-            fatal_error = None
-            self._fail(lease, error, traceback.format_exc(), fatal=False,
-                       heartbeat=heartbeat)
-            return
-        finally:
-            heartbeat.stop()
-        elapsed = time.monotonic() - started
-        if fatal_error is not None:
-            self._fail(lease,
-                       f"{type(fatal_error).__name__}: {fatal_error}",
-                       traceback.format_exc(), fatal=True,
-                       heartbeat=heartbeat)
-            return
-        if error is not None:
-            # The cell has had its max_retries + 1 reseeded attempts:
-            # that is a verdict, the serial FAILED row.  Another lease
-            # would replay the same derived seeds, so park it now.
-            self._fail(lease, error, None, fatal=True, heartbeat=heartbeat,
-                       attempts=attempts)
-            return
-        if heartbeat.lost.is_set():
-            # The lease expired (e.g. the host suspended) and a peer may
-            # own the cell now.  Publishing anyway is safe — results are
-            # deterministic, so both records are byte-identical — but
-            # count it: lost leases mean duplicated work.
-            self.stats["leases_lost"] += 1
-            self.queue.log_event("lease_lost", cell=lease.digest,
-                                 worker=self.name)
-        self.queue.complete(lease, _default_serialize(result), attempts,
-                            elapsed, worker_index=self.index)
-        self.stats["completed"] += 1
-
-    def _fail(self, lease: Lease, error: str, tb: Optional[str],
-              fatal: bool, heartbeat: _Heartbeat,
-              attempts: Optional[int] = None) -> None:
-        heartbeat.stop()
-        if heartbeat.lost.is_set():
-            # Not ours to fail any more; the stealer already recorded
-            # the expiry and owns the retry accounting.
-            self.stats["leases_lost"] += 1
-            self.queue.log_event("lease_lost", cell=lease.digest,
-                                 worker=self.name)
-            return
-        disposition = self.queue.fail(lease, error, tb, fatal=fatal,
-                                      attempts=attempts)
-        if disposition == "quarantined":
-            self.stats["quarantined"] += 1
-        else:
-            self.stats["failed"] += 1
-
-
-def worker_main(queue_root: str, *, name: Optional[str] = None,
-                index: Optional[int] = None,
-                install_signal_handlers: bool = True,
-                log: Callable[[str], None] = lambda line: None) -> int:
-    """Run one detachable worker against an existing queue directory.
-
-    Returns a process exit code: 0 on a clean drain or requested stop,
-    2 when the queue/trial function is unusable.  SIGTERM and SIGINT
-    request a drain — the in-flight cell finishes and its lease is
-    released through normal completion — rather than killing mid-cell.
-    """
+def _portable(exc: Exception) -> Exception:
+    """``exc`` as it can cross the pipe: itself, or a
+    :class:`FabricError` with its type and message if it does not
+    survive pickling."""
     try:
-        queue = WorkQueue.open(queue_root)
-        worker = Worker(queue, name=name, index=index)
-    except (FabricError, ReproError) as exc:
-        log(f"fabric worker cannot start: {exc}")
-        return 2
-    if install_signal_handlers:
-        def _drain(signum: int, frame: Any) -> None:
-            log(f"signal {signum}: draining after current cell")
-            worker.request_stop()
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return FabricError(f"{type(exc).__name__}: {exc}")
+    return exc
 
-        for signum in DRAIN_SIGNALS:
-            try:
-                signal.signal(signum, _drain)
-            except (ValueError, OSError):  # non-main thread / platform quirk
-                pass
-        # A fleet worker is born with these held; one sent meanwhile is
-        # delivered here, to _drain, and the loop below never claims.
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, DRAIN_SIGNALS)
-    log(f"{worker.name}: attached to {queue.root} "
-        f"({queue.status()['pending']} cell(s) pending)")
-    stats = worker.run()
-    log(f"{worker.name}: done — {stats['completed']} completed, "
-        f"{stats['failed']} failed lease(s), {stats['quarantined']} "
-        f"quarantined, {stats['leases_lost']} lease(s) lost")
+
+def _run_cell(queue: WorkQueue, fn: Callable[..., Any],
+              accepted: Optional[set], digest: str,
+              index: Optional[int]) -> Tuple[Any, ...]:
+    """Run one cell; publish its record if it has one; the message."""
+    info = queue.cell_info(digest)
+    params = info["params"]
+    options = queue.options
+    chaos.chaos_point("run", index)
+    started = time.monotonic()
+    try:
+        call = budgeted_call(params, accepted, options.get("max_events"),
+                             options.get("max_wall_seconds"))
+        # Same reseed schedule as the serial supervisor (base seed +
+        # attempt * stride), so the merged grid stays bit-identical.
+        result, attempts, error = _attempt_cell(
+            fn, params, call, int(options.get("max_retries", 2)),
+            backoff=BackoffPolicy(), rng=backoff_stream(f"cell:{info['key']}"))
+    except Exception as exc:
+        return ("raised", digest, _portable(exc))
+    if error is not None:
+        return ("failed", digest, attempts, error)
+    queue.complete(digest, {
+        "key": info["key"],
+        "params": params,
+        "result": _default_serialize(result),
+        "attempts": attempts,
+        "elapsed_seconds": time.monotonic() - started,
+        "worker": index,
+    }, worker_index=index)
+    chaos.chaos_point("complete", index)
+    return ("done", digest)
+
+
+def run_worker(queue_root: str, index: Optional[int], conn: Any) -> int:
+    """Serve cells over ``conn`` until it reaches EOF; the exit code.
+
+    SIGTERM and SIGINT ask for a drain: the cell in hand finishes and
+    is reported, then the worker leaves; one that arrives while it
+    waits means it leaves without running the cell it is then handed.
+    """
+    queue = WorkQueue.open(queue_root)
+    fn = resolve_fn(queue.fn_ref)
+    accepted = accepted_params(fn)
+    stop: List[int] = []
+
+    def _drain(signum: int, frame: Any) -> None:
+        stop.append(signum)
+
+    for signum in DRAIN_SIGNALS:
+        signal.signal(signum, _drain)
+    # A fleet worker is born with these held; one sent meanwhile is
+    # delivered here, to _drain, and the loop below never starts.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, DRAIN_SIGNALS)
+    message: Optional[Tuple[Any, ...]] = None if stop else ("ready",)
+    while message is not None:
+        try:
+            conn.send(message)
+            if stop:  # drained mid-cell: reported it, now leave
+                break
+            digest = conn.recv()
+        except (EOFError, OSError):  # no more work, or no supervisor
+            break
+        message = None if stop else _run_cell(queue, fn, accepted,
+                                              digest, index)
     return 0
 
 
-def spawned_worker_entry(queue_root: str, index: int) -> int:
-    """Entry point for ``repro sweep --jobs N`` child processes.
+def spawned_worker_entry(queue_root: str, index: int, conn: Any,
+                         inherited: Iterable[Any] = ()) -> int:
+    """Entry point of a ``repro sweep --jobs N`` worker process.
 
-    Module-level (and import-light) so it survives multiprocessing's
-    spawn start method; chaos arming travels via the inherited
-    ``REPRO_FABRIC_CHAOS`` environment variable.
-
-    A forked child is a copy of the supervisor process, so it first
-    drops what a spawned one would never have had: chaos hits the parent
-    counted (``run@0`` means *this worker's* first run) and a live
-    ``repro.obs`` session (it would put a metrics snapshot into every
-    cell result, and no serial cell has one).  Both are no-ops after a
-    spawn.
+    A forked worker is a copy of the supervisor, so it first drops what
+    a spawned one never had: the supervisor's ends of the fleet's pipes
+    (``inherited``; held here, they would keep this worker's own pipe,
+    or a sibling's, from reaching EOF), the chaos hits the supervisor
+    counted (``run@0`` means *this worker's* first run), and a live
+    ``repro.obs`` session (it would add a metrics snapshot to every
+    cell result, which no serial cell has).
     """
     from repro.obs import runtime as _obs
 
+    for other in inherited:
+        other.close()
     chaos._hits.clear()
     _obs.disable()
-    return worker_main(queue_root, index=index,
-                       install_signal_handlers=True)
+    return run_worker(queue_root, index, conn)

@@ -56,7 +56,7 @@ def load_report_source(path: str) -> Tuple[str, ReportSource]:
         if isinstance(metrics, dict) and "counters" in metrics:
             return "snapshot", metrics
         # Sweep checkpoints nest the snapshot one level down, at
-        # meta.metrics (fabric sweeps also merge their lease counters
+        # meta.metrics (fleet sweeps also merge their fabric counters
         # into it there) — unwrap so `repro obs report <checkpoint>`
         # audits a distributed run from its artifact alone.
         meta = payload.get("meta")
@@ -129,8 +129,7 @@ _HEADLINE = (
     "link.fault_drops", "link.down_count",
     "timer.lazy_deferrals", "sim.events_processed",
     "pool.reuse_ratio",
-    "fabric.completions", "fabric.leases_claimed", "fabric.leases_stolen",
-    "fabric.leases_expired", "fabric.retries", "fabric.quarantined",
+    "fabric.completions", "fabric.requeued", "fabric.quarantined",
     "fabric.worker_deaths",
 )
 

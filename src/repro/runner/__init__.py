@@ -16,10 +16,10 @@ Table-10-style sweep.  This package closes both holes:
     last completed cell.  Its ``run`` is the one loop from a grid to
     outcomes: cells run in-process, one at a time, by default; with
     ``workers >= 1`` (``repro sweep --jobs N``) the same loop adds a
-    fleet of worker processes (:mod:`repro.fabric`: a leased work queue
-    they may attach to, detach from, or be SIGKILLed on), which run
-    each cell through the same retry loop while the loop merges their
-    records through the same checkpoint writer.
+    fleet of worker processes (:mod:`repro.fabric`), each handed one
+    cell at a time over a pipe and free to be SIGKILLed, which run each
+    cell through the same retry loop and publish it as a record while
+    the loop merges those records through the same checkpoint writer.
 """
 
 from repro.runner.invariants import (

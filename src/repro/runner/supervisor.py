@@ -29,10 +29,11 @@ the reference path and the only one that accepts parameters a worker
 process could not rebuild from JSON (``sizes=FlowSizeDistribution``).
 With ``workers >= 1`` (``repro sweep --jobs N``) the same grid-order
 loop adds a fleet (:mod:`repro.fabric.supervisor`): worker processes
-lease the cells from a queue directory and run them through the same
-:func:`_attempt_cell`, and the loop merges their records into the same
-checkpoint, so a cell's result, attempts and checkpoint entry are the
-same either way.
+take the cells one at a time from the supervisor over pipes, run them
+through the same :func:`_attempt_cell` and publish each result as a
+record in a queue directory, and the loop merges those records into the
+same checkpoint, so a cell's result, attempts and checkpoint entry are
+the same either way.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def accepted_params(fn: Callable) -> Optional[set]:
     """Parameter names ``fn`` accepts, or None if it takes ``**kwargs``.
 
     Module-level so fabric workers — which resolve the trial function
-    from a queue spec, with no :class:`SweepSupervisor` in the process —
+    from a queue spec, not from a :class:`SweepSupervisor` —
     share the exact budget-injection rules of the serial path.
     """
     try:
@@ -282,11 +283,9 @@ class SweepSupervisor:
         aside to ``<path>.corrupt`` for the queue's records to rebuild
         instead of raising.
     queue_dir:
-        The work-queue directory the fleet (and any detached ``repro
-        worker``) leases cells from; required with ``workers``.
-    lease_seconds, max_lease_failures:
-        Lease expiry horizon and the per-cell failed-lease budget
-        before poison quarantine.
+        The directory the fleet's workers publish each finished cell's
+        record in (so a killed supervisor loses none); required with
+        ``workers``.
     timeout:
         Optional wall bound on waiting for the fleet; on expiry it is
         terminated and :class:`~repro.errors.FabricError` raised.
@@ -305,8 +304,6 @@ class SweepSupervisor:
         retry_backoff: Optional[BackoffPolicy] = BackoffPolicy(),
         workers: int = 0,
         queue_dir: Optional[str] = None,
-        lease_seconds: float = 10.0,
-        max_lease_failures: int = 3,
         timeout: Optional[float] = None,
     ):
         if max_retries < 0:
@@ -316,9 +313,8 @@ class SweepSupervisor:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         if workers:
-            from repro.fabric.queue import WorkQueue, check_lease_options
+            from repro.fabric.queue import WorkQueue
             from repro.fabric.supervisor import fn_reference
-            check_lease_options(lease_seconds, max_lease_failures)
             if not queue_dir:
                 raise ConfigurationError("workers >= 1 needs a queue_dir")
             self.fn_ref = fn_reference(fn)
@@ -332,8 +328,6 @@ class SweepSupervisor:
         self.retry_backoff = retry_backoff
         self.workers = workers
         self.queue_dir = queue_dir
-        self.lease_seconds = lease_seconds
-        self.max_lease_failures = max_lease_failures
         self.timeout = timeout
         self._accepted = accepted_params(fn)
         #: ``meta.fabric`` of the next checkpoint write (set by the fleet).
@@ -486,36 +480,13 @@ class SweepSupervisor:
             "elapsed_seconds": elapsed_seconds,
         }
 
-    def _merge_completed(self, queue: Any,
-                         pending: Dict[str, Dict[str, Any]]) -> None:
-        """Fold the fleet's newly-completed records into the checkpoint.
-
-        ``pending`` maps the digest of each cell not merged yet to its
-        params; merged cells leave it.  Only those cells are looked up,
-        so each completed record is read once however many polls the
-        sweep takes, and the checkpoint is rewritten once for everything
-        this poll found: the records themselves are already durable.
-        """
-        found = False
-        for digest, params in list(pending.items()):
-            record = queue.completed_record(digest)
-            if record is None:
-                continue
-            self._merge_cell(record["key"], params, record["result"],
-                             record.get("attempts", 1),
-                             record.get("elapsed_seconds", 0.0))
-            del pending[digest]
-            found = True
-        if found:
-            self._write_checkpoint()
-
     def _cached_outcome(self, key: str, params: Dict[str, Any],
                         cached: Dict[str, Any],
                         from_checkpoint: bool = True) -> TrialOutcome:
         """The outcome a checkpoint entry stands for.
 
         ``from_checkpoint=False`` is an entry a fleet worker computed
-        during this run.
+        (this run, or a killed one that had not checkpointed it yet).
         """
         result = cached["result"]
         if self.deserialize is not None:
@@ -568,8 +539,9 @@ class SweepSupervisor:
         Outcomes come back, and ``on_cell`` (progress reporting) sees
         each one, in grid order.  A cell the checkpoint holds is resumed;
         with ``workers >= 1`` the others' outcomes are the fleet's merged
-        records or quarantine entries, and what the fleet leaves open
-        runs here through :meth:`run_cell`.  A cell listed twice runs once.
+        records, FAILED rows and raised exceptions, and what the fleet
+        leaves open runs here through :meth:`run_cell`.  A cell listed
+        twice runs once.
         """
         grid = [dict(params) for params in grid]
         fleet_run: Any = contextlib.nullcontext()

@@ -498,22 +498,25 @@ class TestSweepRefusesBeforeRunning:
 
     ARGS = [*TestSweepCommand.ARGS, "--workers", "2"]
 
+    # The lease protocol's flags are gone: an old script that passes
+    # one is told so by argparse (exit 2), before any cell runs.
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_lease_seconds(self, capsys, value):
-        code, out = run_cli(capsys, *self.ARGS, f"--lease-seconds={value}")
-        assert code == 2
-        assert out.splitlines()[-1].startswith(
-            "error: lease_seconds must be a finite number > 0")
-        assert "computed" not in out and "Traceback" not in out
+        with pytest.raises(SystemExit) as err:
+            main([*self.ARGS, f"--lease-seconds={value}"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --lease-seconds" in captured.err
+        assert "computed" not in captured.out
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_max_lease_failures(self, capsys, value):
-        code, out = run_cli(capsys, *self.ARGS,
-                            f"--max-lease-failures={value}")
-        assert code == 2
-        assert out.splitlines()[-1] == (
-            f"error: max_lease_failures must be >= 1, got {value}")
-        assert "computed" not in out
+        with pytest.raises(SystemExit) as err:
+            main([*self.ARGS, f"--max-lease-failures={value}"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --max-lease-failures" in captured.err
+        assert "computed" not in captured.out
 
     @pytest.mark.parametrize("executor", [["--jobs", "1"], ["--workers", "2"]],
                              ids=["jobs1", "workers2"])
@@ -561,6 +564,28 @@ class TestSweepRefusesBeforeRunning:
         assert code == 2
         assert out == (f"error: {flag} must be finite and {rule}, "
                        f"got {float(value)}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["ck.json"]
+        assert ckpt.read_text() == '{"version": 1, "cells": {}}'
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rate", "nan", "cannot parse bandwidth 'nan'"),
+        ("--rate", "0bps", "link rate must be positive"),
+        ("--max-events", "0", "--max-events must be >= 1, got 0"),
+    ], ids=["rate-nan", "rate-0bps", "max-events-0"])
+    @pytest.mark.parametrize("executor", [["--jobs", "1"], ["--workers", "2"]],
+                             ids=["jobs1", "workers2"])
+    def test_bad_rate_or_event_budget(self, capsys, tmp_path, executor,
+                                      flag, value, message):
+        # Under --jobs 2 these used to fail every cell (exit 3, each row
+        # FAILED); under --jobs 1 they printed the table header first
+        # and, with --fresh, deleted the checkpoint before failing.
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text('{"version": 1, "cells": {}}')
+        code, out = run_cli(capsys, *TestSweepCommand.ARGS, *executor,
+                            "--checkpoint", str(ckpt), "--fresh",
+                            f"{flag}={value}")
+        assert code == 2
+        assert out == f"error: {message}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["ck.json"]
         assert ckpt.read_text() == '{"version": 1, "cells": {}}'
 

@@ -11,6 +11,7 @@ bit-identical-to-serial assertions rely on.
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 from repro.errors import ConfigurationError, SimulationStalledError
@@ -35,38 +36,54 @@ def flaky_first_seed(x, seed):
 
 
 def always_stalls(x, seed=0):
-    """Every attempt stalls: exercises the poison-cell quarantine."""
+    """Every attempt stalls: the FAILED row after max_retries + 1."""
     raise SimulationStalledError(f"cell x={x} never converges")
 
 
 def raises_bug(x, seed=0):
-    """An unexpected exception: the lease ends without a verdict."""
+    """An unexpected exception: the sweep raises it, as in-process."""
     raise RuntimeError(f"cell x={x} hit a bug")
 
 
-def marks_run(x, run_dir, seed=0):
-    """Appends a line to a per-cell marker file, to count executions."""
+def marks_run(x, run_dir, seed=0, delay=0.0):
+    """Appends a line to a per-cell marker file, to count executions;
+    ``delay`` seconds later, the result."""
     with open(os.path.join(run_dir, f"cell-{x}.ran"), "a") as fh:
         fh.write("1\n")
+    time.sleep(delay)
     return {"y": x * 10, "x": x}
 
 
 def misconfigured(x, seed=0):
-    """Fatal configuration error: must quarantine without retries."""
+    """Configuration error: no reseed heals it, so no retries."""
     raise ConfigurationError(f"cell x={x} is malformed")
 
 
 def slow_quadratic(x, seed=0, delay=0.5):
     """Deterministic result after a real wall delay.
 
-    The delay keeps cells in flight long enough for lease renewals to
-    fire and for chaos triggers to land mid-sweep; it cannot affect the
-    result, which depends only on the parameters.
+    The delay keeps cells in flight long enough for chaos triggers and
+    signals to land mid-sweep; it cannot affect the result, which
+    depends only on the parameters.
     """
     time.sleep(delay)
     return {"y": x * x + seed, "x": x, "seed": seed}
 
 
-def exits_at_once(queue_root, index):
+def dies_first_time(x, run_dir, seed=0):
+    """SIGKILLs its process on the first run, returns on the second."""
+    marker = os.path.join(run_dir, f"cell-{x}.died")
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"x": x, "survived": True}
+
+
+def kills_itself(x, seed=0):
+    """SIGKILLs the process that runs it: a poison cell."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def exits_at_once(queue_root, index, conn, inherited=()):
     """A fleet worker entry point that dies before it opens the queue."""
     raise SystemExit(1)

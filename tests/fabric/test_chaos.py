@@ -18,11 +18,11 @@ class TestParseSpec:
             ("complete-pre-rename", 3, None)]
 
     def test_worker_filter(self):
-        assert chaos.parse_spec("claim@2") == [("claim", 1, 2)]
+        assert chaos.parse_spec("run@2") == [("run", 1, 2)]
 
     def test_nth_and_worker_either_order(self):
-        assert chaos.parse_spec("renew@1:3") == [("renew", 3, 1)]
-        assert chaos.parse_spec("renew:3@1") == [("renew", 3, 1)]
+        assert chaos.parse_spec("complete@1:3") == [("complete", 3, 1)]
+        assert chaos.parse_spec("complete:3@1") == [("complete", 3, 1)]
 
     def test_multiple_triggers(self):
         assert chaos.parse_spec("run@0, complete@1") == [
@@ -33,6 +33,7 @@ class TestParseSpec:
 
     @pytest.mark.parametrize("spec", [
         "explode", "run:zero", "run@x", "run:0",
+        "claim", "renew",  # points of the old lease protocol
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):

@@ -24,7 +24,6 @@ def fabric_kwargs(tmp_path, **overrides):
         queue_dir=str(tmp_path / "queue"),
         workers=2,
         checkpoint_path=str(tmp_path / "sweep.ckpt.json"),
-        lease_seconds=30.0,
         max_retries=2,
     )
     kwargs.update(overrides)
@@ -119,32 +118,51 @@ class TestFabricSweep:
                                   retry_backoff=None).run(grid)
         queued, = fleet_sweep(
             fabric_fns.always_stalls,
-            **fabric_kwargs(tmp_path, grid=grid, workers=1,
-                            max_lease_failures=3, max_retries=2))
+            **fabric_kwargs(tmp_path, grid=grid, workers=1, max_retries=2))
         assert ((queued.ok, queued.attempts, queued.error)
                 == (serial.ok, serial.attempts, serial.error)
                 == (False, 3, "SimulationStalledError: cell x=1 never "
                               "converges"))
         with open(str(tmp_path / "sweep.ckpt.json")) as fh:
             fabric = json.load(fh)["meta"]["fabric"]
-        assert fabric["counters"]["fabric.leases_claimed"] == 1
-        assert fabric["quarantined"][0]["failure_count"] == 1
+        assert fabric["counters"]["fabric.requeued"] == 0
+        assert fabric["quarantined"] == []  # a verdict, not a poison cell
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("fn,exc_type,message", [
+        (fabric_fns.misconfigured, ConfigurationError,
+         "cell x=1 is malformed"),
+        (fabric_fns.raises_bug, RuntimeError, "cell x=1 hit a bug"),
+    ], ids=["misconfigured", "raises_bug"])
+    def test_a_raising_cell_raises_the_same_with_or_without_workers(
+            self, tmp_path, workers, fn, exc_type, message):
+        grid = [{"x": 1, "seed": 3}]
+        kwargs = fabric_kwargs(tmp_path, grid=grid, workers=workers)
+        if not workers:
+            del kwargs["queue_dir"]
+        with pytest.raises(exc_type) as err:
+            fleet_sweep(fn, **kwargs)
+        assert type(err.value) is exc_type and str(err.value) == message
 
     def test_poison_cells_surface_as_failed_outcomes(self, tmp_path):
-        """Leases that end without a verdict burn the lease budget."""
+        """A cell that kills every worker it is handed to — three of
+        them — is a FAILED row, not a wedged sweep."""
         grid = [{"x": 1, "seed": 3}]
         outcomes = fleet_sweep(
-            fabric_fns.raises_bug,
-            **fabric_kwargs(tmp_path, grid=grid, workers=1,
-                            max_lease_failures=2, max_retries=0))
+            fabric_fns.kills_itself,
+            **fabric_kwargs(tmp_path, grid=grid, workers=1, max_retries=0))
         assert len(outcomes) == 1
         assert not outcomes[0].ok
-        assert "quarantined after 2 failed lease" in outcomes[0].error
+        assert outcomes[0].error == ("poison cell: its worker died 3 times "
+                                     "(last exit code -9)")
         with open(str(tmp_path / "sweep.ckpt.json")) as fh:
             payload = json.load(fh)
-        quarantined = payload["meta"]["fabric"]["quarantined"]
-        assert len(quarantined) == 1  # never silently dropped
-        assert quarantined[0]["failure_count"] == 2
+        fabric = payload["meta"]["fabric"]
+        assert len(fabric["quarantined"]) == 1  # never silently dropped
+        assert fabric["quarantined"][0]["deaths"] == 3
+        assert fabric["counters"]["fabric.quarantined"] == 1
+        assert fabric["counters"]["fabric.requeued"] == 2
+        assert payload["cells"] == {}
 
     def test_corrupt_checkpoint_recovers_from_queue_records(self, tmp_path):
         kwargs = fabric_kwargs(tmp_path)
@@ -183,9 +201,11 @@ class TestFabricSweep:
     ])
     def test_lease_options_validated_before_anything_starts(
             self, tmp_path, option, value):
+        # The lease options are gone: passing one is an error before
+        # anything starts, not a setting silently ignored.
         grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(3)]
         kwargs = fabric_kwargs(tmp_path, grid=grid, **{option: value})
-        with pytest.raises(ConfigurationError, match=option):
+        with pytest.raises(TypeError, match=option):
             fleet_sweep(fabric_fns.marks_run, **kwargs)
         # No queue, no checkpoint, no cell: nothing was started.
         assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,4 @@
-"""How the fleet starts its workers, and what its poll loop costs.
+"""How the fleet starts its workers, and what its wait loop costs.
 
 ``repro sweep --jobs N`` forks its workers from the supervisor when
 that is safe and spawns them otherwise
@@ -7,16 +7,19 @@ copy of the supervisor, so the first half of this file is about what a
 copy could get wrong: inherited chaos hit counts, a live ``repro.obs``
 session, inherited signal handlers, a parent that has threads.  The
 second half pins the loop itself: each completed record is read once,
-the checkpoint is written once per poll, and an idle worker or a
-sleeping supervisor does not hold a finished sweep back.
+the checkpoint is written once per wake-up that merged something, a
+drain signal ends the supervisor's wait at once, and a finished sweep
+returns at once.  The supervisor being SIGKILLed is the last case.
 """
 
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +27,7 @@ from repro.experiments.common import run_long_flow_experiment
 from repro.fabric import chaos
 from repro.fabric import supervisor as fabric_supervisor
 from repro.fabric.queue import WorkQueue, cell_digest
-from repro.fabric.supervisor import _start_method
-from repro.fabric.worker import Worker
+from repro.fabric.supervisor import FleetRun, _start_method
 from repro.obs import runtime as obs_runtime
 from repro.runner.supervisor import SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
@@ -41,7 +43,7 @@ def require_fork():
 def fabric_kwargs(tmp_path, grid, **overrides):
     kwargs = dict(grid=grid, queue_dir=str(tmp_path / "queue"), workers=2,
                   checkpoint_path=str(tmp_path / "sweep.ckpt.json"),
-                  lease_seconds=30.0, timeout=60.0)
+                  timeout=60.0)
     kwargs.update(overrides)
     return kwargs
 
@@ -116,7 +118,7 @@ class TestForkedWorkerState:
             chaos.chaos_point("run")  # the parent: no index, so it lives
         assert chaos._hits == {"run": 3}
         grid = [{"x": i, "seed": 2, "delay": 0.2} for i in range(4)]
-        kwargs = fabric_kwargs(tmp_path, grid, workers=3, lease_seconds=0.75)
+        kwargs = fabric_kwargs(tmp_path, grid, workers=3)
         outcomes = fleet_sweep(fabric_fns.slow_quadratic, **kwargs)
         assert all(outcome.ok for outcome in outcomes)
         with open(kwargs["checkpoint_path"]) as fh:
@@ -150,8 +152,8 @@ class TestForkedWorkerState:
         """A drain signal in a forked worker's first instants meets the
         supervisor's inherited handler unless it is held back.  Held, it
         is delivered once the worker's own handler exists: the worker
-        leaves without claiming and without counting as a death, and the
-        supervisor finishes the grid itself."""
+        leaves without taking a cell and without counting as a death,
+        and the supervisor finishes the grid itself."""
         parent = os.getpid()
         real_open = WorkQueue.open
 
@@ -172,31 +174,34 @@ class TestForkedWorkerState:
         assert fabric["worker_deaths"] == [] and fabric["respawns"] == 0
         # No worker published a cell: the supervisor ran all four.
         queue = real_open(kwargs["queue_dir"])
-        assert queue.completed() == {}
+        assert all(queue.completed_record(cell_digest(cell_key(params)))
+                   is None for params in grid)
 
 
 class TestStopWakesAnIdleWorker:
     def test_stop_from_a_signal_handler_ends_the_idle_wait(self, tmp_path):
-        """request_stop() runs in a signal handler on the thread that is
-        idling; the wait must end there and then, not deadlock and not
-        sleep the back-off out."""
-        queue = WorkQueue.create(
-            str(tmp_path / "q"), {cell_key({"x": 1}): {"x": 1}},
-            fn_ref="tests.fabric.fabric_fns:quadratic")
-        worker = Worker(queue, index=0)
-        previous = signal.signal(signal.SIGALRM,
-                                 lambda signum, frame: worker.request_stop())
+        """SIGTERM lands while the supervisor waits on its workers.  The
+        handler wakes the wait through a pipe (a flag alone would not:
+        the wait resumes after a handler returns); the two cells in
+        flight finish and are checkpointed, the other four never start,
+        and the sweep raises KeyboardInterrupt."""
+        grid = [{"x": i, "seed": 1, "delay": 1.0} for i in range(6)]
+        kwargs = fabric_kwargs(tmp_path, grid)
+        previous = signal.signal(
+            signal.SIGALRM,
+            lambda signum, frame: os.kill(os.getpid(), signal.SIGTERM))
         try:
-            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
             started = time.monotonic()
-            worker._idle(30.0)
+            with pytest.raises(KeyboardInterrupt, match="drained on signal"):
+                fleet_sweep(fabric_fns.slow_quadratic, **kwargs)
             waited = time.monotonic() - started
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert 0.05 < waited < 5.0
-        worker.request_stop()  # a second request is harmless
-        assert worker.run()["completed"] == 0  # and it stays requested
+        assert 0.9 < waited < 2.5  # the whole grid takes 3 s
+        with open(kwargs["checkpoint_path"]) as fh:
+            assert len(json.load(fh)["cells"]) == 2
 
     def test_sweep_returns_when_its_last_cell_does(self, tmp_path):
         """Three slow cells on two workers: one worker idles through the
@@ -221,28 +226,28 @@ class TestMergeLoop:
     @pytest.mark.parametrize("cells,delay", [(4, 0.15), (24, 0.05)])
     def test_each_record_read_once_and_one_write_per_merging_poll(
             self, tmp_path, monkeypatch, cells, delay):
-        merging = []          # True while _merge_completed runs
+        stepping = []         # True while FleetRun._step runs
         reads = {}            # digest -> completed records read by it
-        polls = {"all": 0, "merged": 0}
+        steps = {"all": 0, "merged": 0}
         writes = []
 
-        real_merge = SweepSupervisor._merge_completed
+        real_step = FleetRun._step
         real_read = WorkQueue.completed_record
         real_write = SweepSupervisor._write_checkpoint
 
-        def merge(self, queue, pending):
-            before = len(pending)
-            merging.append(True)
+        def step(self, deadline):
+            before = len(self.supervisor._cells)
+            stepping.append(True)
             try:
-                real_merge(self, queue, pending)
+                real_step(self, deadline)
             finally:
-                merging.pop()
-            polls["all"] += 1
-            polls["merged"] += len(pending) < before
+                stepping.pop()
+            steps["all"] += 1
+            steps["merged"] += len(self.supervisor._cells) > before
 
         def read(self, digest):
             record = real_read(self, digest)
-            if merging and record is not None:
+            if stepping and record is not None:
                 reads[digest] = reads.get(digest, 0) + 1
             return record
 
@@ -250,7 +255,7 @@ class TestMergeLoop:
             writes.append(len(self._cells))
             real_write(self)
 
-        monkeypatch.setattr(SweepSupervisor, "_merge_completed", merge)
+        monkeypatch.setattr(FleetRun, "_step", step)
         monkeypatch.setattr(WorkQueue, "completed_record", read)
         monkeypatch.setattr(SweepSupervisor, "_write_checkpoint", write)
 
@@ -258,11 +263,11 @@ class TestMergeLoop:
         outcomes = fleet_sweep(fabric_fns.slow_quadratic,
                                **fabric_kwargs(tmp_path, grid))
         assert all(outcome.ok for outcome in outcomes)
-        assert polls["all"] >= 3  # or "however many polls" says nothing
+        assert steps["all"] >= 3  # or "however many wake-ups" says nothing
         assert sorted(reads.values()) == [1] * cells
-        # One write per poll that merged something, plus the final one
-        # that carries the audit block; each holds all cells so far.
-        assert len(writes) == polls["merged"] + 1
+        # One write per wake-up that merged something, plus the final
+        # one that carries the audit block; each holds all cells so far.
+        assert len(writes) == steps["merged"] + 1
         assert writes == sorted(writes) and writes[-1] == cells
 
     def test_checkpoint_equals_the_one_written_cell_by_cell(self, tmp_path):
@@ -338,3 +343,83 @@ class TestFleetExhausted:
                         key=lambda death: death["worker_index"])
         assert deaths == [{"worker_index": index, "exitcode": 1}
                           for index in range(workers + 2 * workers)]
+
+
+# ----------------------------------------------------------------------
+# When the supervisor itself is SIGKILLed
+# ----------------------------------------------------------------------
+#: A fleet sweep of slow cells, run as a process of its own.
+KILLED_SWEEP = """
+import sys
+from repro.runner.supervisor import SweepSupervisor
+from tests.fabric import fabric_fns
+run_dir, queue_dir, checkpoint = sys.argv[1:]
+grid = [{"x": i, "run_dir": run_dir, "delay": 0.4} for i in range(6)]
+SweepSupervisor(fabric_fns.marks_run, workers=2, queue_dir=queue_dir,
+                checkpoint_path=checkpoint).run(grid)
+"""
+
+
+def proc_stat(pid):
+    """``(state, ppid)`` of a process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def children_of(pid):
+    pids = (int(name) for name in os.listdir("/proc") if name.isdigit())
+    return [child for child in pids
+            if (proc_stat(child) or ("", None))[1] == pid]
+
+
+def alive(pid):
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"  # a zombie has exited
+
+
+class TestSupervisorKilled:
+    def test_no_worker_outlives_it_and_no_finished_cell_reruns(
+            self, tmp_path):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to find the workers")
+        root = Path(__file__).resolve().parents[2]
+        run_dir, queue_dir = tmp_path / "runs", tmp_path / "queue"
+        run_dir.mkdir()
+        checkpoint = tmp_path / "sweep.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root), str(root / "src")]))
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", KILLED_SWEEP, str(run_dir),
+             str(queue_dir), str(checkpoint)], env=env)
+        deadline = time.monotonic() + 60.0
+        while not list(queue_dir.glob("cells/*/*.json")):
+            assert sweep.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        workers = children_of(sweep.pid)
+        finished = {path.stem for path in queue_dir.glob("cells/*/*.json")}
+        sweep.kill()
+        sweep.wait()
+        assert workers and finished
+
+        deadline = time.monotonic() + 5.0
+        while any(alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, [
+                pid for pid in workers if alive(pid)]
+            time.sleep(0.01)
+
+        grid = [{"x": i, "run_dir": str(run_dir), "delay": 0.4}
+                for i in range(6)]
+        outcomes = fleet_sweep(
+            fabric_fns.marks_run, grid, workers=2, queue_dir=str(queue_dir),
+            checkpoint_path=str(checkpoint))
+        assert all(outcome.ok for outcome in outcomes)
+        for params in grid:
+            if cell_digest(cell_key(params)) in finished:
+                ran = (run_dir / f"cell-{params['x']}.ran").read_text()
+                assert ran == "1\n", params
+        with open(checkpoint) as fh:
+            assert len(json.load(fh)["cells"]) == len(grid)

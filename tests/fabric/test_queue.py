@@ -1,18 +1,28 @@
-"""Tests for the leased work queue: claim/steal/complete/fail/quarantine."""
+"""Tests for the queue directory and for how the supervisor owns its cells.
 
-import json
+The queue directory holds the grid's spec and one record per finished
+cell; which worker runs which cell lives only in the supervisor
+(``repro.fabric.supervisor.FleetRun``).  The class names below keep the
+names of the protocol steps they replaced: handing a cell out (was:
+claim), a dead worker's cell going back (was: expiry and stealing), a
+cell's failures, torn records, and resume.
+"""
+
 import os
+import signal
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
-from repro.fabric import records
 from repro.fabric.queue import (
     WorkQueue,
     cell_digest,
     validate_plain_params,
 )
-from repro.runner.supervisor import cell_key
+from repro.fabric.supervisor import POISON_DEATHS, FleetRun
+from repro.runner.supervisor import SweepSupervisor, cell_key
+from tests.fabric import fabric_fns
 
 
 def make_queue(tmp_path, n=3, **options):
@@ -21,24 +31,67 @@ def make_queue(tmp_path, n=3, **options):
     queue = WorkQueue.create(
         str(tmp_path / "q"), cells,
         fn_ref="tests.fabric.fabric_fns:quadratic",
-        options=dict({"lease_seconds": 30.0}, **options))
+        options=dict({"max_retries": 2}, **options))
     return queue, grid
+
+
+def digest_of(params):
+    return cell_digest(cell_key(params))
+
+
+def record_for(params, result):
+    return {"key": cell_key(params), "params": params, "result": result,
+            "attempts": 1, "elapsed_seconds": 0.0}
+
+
+def fleet_run(tmp_path, grid, checkpoint=None):
+    """A FleetRun over ``grid`` whose workers are never started."""
+    supervisor = SweepSupervisor(
+        fabric_fns.quadratic, workers=1, queue_dir=str(tmp_path / "q"),
+        checkpoint_path=checkpoint)
+    return FleetRun(supervisor, grid)
+
+
+class FakeConn:
+    """The supervisor's end of a worker's pipe, recording what it sends."""
+
+    def __init__(self, incoming=()):
+        self.sent = []
+        self.closed = False
+        self._incoming = list(incoming)
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+    def recv(self):
+        return self._incoming.pop(0)
+
+    def close(self):
+        self.closed = True
+
+
+def fake_worker(index, cell=None):
+    return SimpleNamespace(index=index, conn=FakeConn(), cell=cell,
+                           ready=True)
 
 
 class TestCreateOpen:
     def test_open_round_trips_spec(self, tmp_path):
-        queue, _ = make_queue(tmp_path)
+        queue, grid = make_queue(tmp_path)
         reopened = WorkQueue.open(queue.root)
         assert reopened.fn_ref == queue.fn_ref
-        assert sorted(reopened.digests) == sorted(queue.digests)
-        assert reopened.lease_seconds == 30.0
+        assert reopened.options == {"max_retries": 2}
+        for params in grid:
+            assert reopened.cell_info(digest_of(params)) == {
+                "key": cell_key(params), "params": params}
 
     def test_create_attaches_to_matching_queue(self, tmp_path):
         queue, grid = make_queue(tmp_path)
         cells = {cell_key(p): p for p in grid}
         again = WorkQueue.create(queue.root, cells,
                                  fn_ref=queue.fn_ref)
-        assert sorted(again.digests) == sorted(queue.digests)
+        assert again.root == queue.root
+        assert again.cell_info(digest_of(grid[1]))["params"] == grid[1]
 
     def test_create_rejects_different_grid(self, tmp_path):
         queue, _ = make_queue(tmp_path)
@@ -66,7 +119,8 @@ class TestCreateOpen:
     ])
     def test_create_rejects_leases_that_rob_live_workers(
             self, tmp_path, options, match):
-        # A lease born expired is stolen while its holder still runs.
+        # The old protocol's lease options, like any option no worker
+        # honours, are refused before the directory is made.
         with pytest.raises(ConfigurationError, match=match):
             make_queue(tmp_path, **options)
         assert not (tmp_path / "q").exists()
@@ -81,167 +135,148 @@ class TestCreateOpen:
 
 class TestClaimCompleteLifecycle:
     def test_claim_returns_lease_with_params(self, tmp_path):
+        """The digest a worker is handed names the cell's key and params."""
         queue, grid = make_queue(tmp_path, n=1)
-        lease = queue.claim("w1", 0)
-        assert lease is not None
-        assert lease.params == grid[0]
-        assert lease.attempt == 0
-        assert os.path.exists(lease.path)
+        info = queue.cell_info(digest_of(grid[0]))
+        assert info == {"key": cell_key(grid[0]), "params": grid[0]}
 
     def test_leased_cell_not_reclaimable(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        assert queue.claim("w1", 0) is not None
-        assert queue.claim("w2", 1) is None  # validly held
+        """One cell, two idle workers: exactly one is handed it, and the
+        other waits (it is not sent away while the cell may come back)."""
+        grid = [{"x": 1, "seed": 0}]
+        run = fleet_run(tmp_path, grid)
+        first, second = fake_worker(0), fake_worker(1)
+        run.live = {0: first, 1: second}
+        run._dispatch()
+        run._dispatch()
+        sent = first.conn.sent + second.conn.sent
+        assert sent == [digest_of(grid[0])]
+        assert not first.conn.closed and not second.conn.closed
+        assert not run.todo
 
     def test_complete_publishes_and_releases(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        lease = queue.claim("w1", 0)
-        queue.complete(lease, {"y": 42}, attempts=1, elapsed_seconds=0.5)
-        assert not os.path.exists(lease.path)
-        record = queue.completed_record(lease.digest)
-        assert record["result"] == {"y": 42}
-        assert record["key"] == lease.key
-        assert queue.drained()
-        assert queue.claim("w2", 1) is None
+        queue, grid = make_queue(tmp_path, n=1)
+        digest = digest_of(grid[0])
+        assert queue.completed_record(digest) is None
+        queue.complete(digest, record_for(grid[0], {"y": 42}))
+        assert queue.completed_record(digest)["result"] == {"y": 42}
+        shard = os.path.dirname(queue._cell_path(digest))
+        assert os.listdir(shard) == [f"{digest}.json"]  # no tempfile
 
-    def test_cell_completed_during_a_claim_is_not_claimed(
-            self, tmp_path, monkeypatch):
-        """w1 publishes and releases between w2's "completed?" check and
-        w2's read of the lease: w2 must not run the cell a second time."""
-        queue, _ = make_queue(tmp_path, n=1)
-        lease = queue.claim("w1", 0)
-        real_read = records.read_record
-        window = [lease]  # open once, at w2's read of w1's lease
+    def test_cell_completed_during_a_claim_is_not_claimed(self, tmp_path):
+        """A record a killed supervisor's worker published is merged
+        when the next run starts; that cell is never handed out."""
+        grid = [{"x": i, "seed": 0} for i in range(3)]
+        run = fleet_run(tmp_path, grid)
+        run.queue.complete(digest_of(grid[1]), record_for(grid[1], {"y": 1}))
+        again = fleet_run(tmp_path, grid)
+        assert list(again.todo) == [digest_of(grid[0]), digest_of(grid[2])]
+        cached = again.supervisor._cells[cell_key(grid[1])]
+        assert cached["result"] == {"y": 1}
 
-        def read(path):
-            if path == lease.path and window:
-                queue.complete(window.pop(), {"y": 1}, attempts=1,
-                               elapsed_seconds=0.0)
-            return real_read(path)
-
-        monkeypatch.setattr(records, "read_record", read)
-        assert queue.claim("w2", 1) is None
-        assert not os.path.exists(lease.path)
-        assert queue.tally()["fabric.leases_claimed"] == 1
-
-    def test_renew_extends_and_checks_token(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        lease = queue.claim("w1", 0)
-        before = lease.expires_mono
-        assert queue.renew(lease) is True
-        assert lease.expires_mono >= before
-        # A stolen/replaced lease (different token) must refuse to renew.
-        records.write_record(lease.path, {"token": "someone-else",
-                                          "expires_mono": 1e18})
-        assert queue.renew(lease) is False
 
 class TestExpiryAndStealing:
     def test_expired_lease_is_stolen_with_crash_dump(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1, lease_seconds=0.01)
-        dead = queue.claim("doomed", 0)
-        import time
-        time.sleep(0.05)
-        stolen = queue.claim("thief", 1)
-        assert stolen is not None
-        assert stolen.digest == dead.digest
-        assert stolen.attempt == 1  # one failed lease on record
-        failures = queue.failures(dead.digest)
-        assert len(failures) == 1
-        assert failures[0]["kind"] == "lease_expired"
-        assert failures[0]["dead_lease"]["worker"] == "doomed"
-        dumps = os.listdir(os.path.join(queue.root, "crashes"))
-        assert any(".expired" in name for name in dumps)
-        tally = queue.tally()
-        assert tally["fabric.leases_stolen"] == 1
-        assert tally["fabric.leases_expired"] == 1
+        """A worker SIGKILLed mid-cell leaves a crash dump naming the
+        cell, and the cell runs again on its replacement."""
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        grid = [{"x": 1, "run_dir": str(run_dir)}]
+        outcome, = SweepSupervisor(
+            fabric_fns.dies_first_time, workers=1,
+            queue_dir=str(tmp_path / "q"),
+            checkpoint_path=str(tmp_path / "ck.json")).run(grid)
+        assert outcome.ok and outcome.result == {"x": 1, "survived": True}
+        from repro.fabric import records
+        dump = records.read_record(
+            str(tmp_path / "q" / "crashes" / "worker-0.json"))
+        assert dump["signal"] == signal.SIGKILL
+        assert dump["cell"] == digest_of(grid[0])
+        import json
+        with open(tmp_path / "ck.json") as fh:
+            fabric = json.load(fh)["meta"]["fabric"]
+        assert fabric["counters"]["fabric.requeued"] == 1
+        assert fabric["counters"]["fabric.worker_deaths"] == 1
+        assert fabric["quarantined"] == []
 
     def test_lease_budget_exhaustion_quarantines(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1, lease_seconds=0.01,
-                              max_lease_failures=2)
-        import time
-        queue.claim("w", 0)
-        time.sleep(0.05)
-        second = queue.claim("w", 0)  # steal #1 -> failure count 1
-        assert second is not None
-        time.sleep(0.05)
-        third = queue.claim("w", 0)  # steal #2 -> budget hit -> quarantine
-        assert third is None
-        quarantined = queue.quarantined()
-        assert len(quarantined) == 1
-        entry = next(iter(quarantined.values()))
-        assert entry["failure_count"] == 2
-        assert queue.drained()  # quarantined counts as resolved
+        """The third death running a cell makes it a FAILED poison cell."""
+        grid = [{"x": 1, "seed": 0}]
+        run = fleet_run(tmp_path, grid)
+        digest = run.todo.popleft()
+        for _ in range(POISON_DEATHS):
+            assert digest not in run.verdicts
+            run._settle(digest, -9)
+            if digest in run.todo:
+                run.todo.remove(digest)
+        verdict = run.verdicts[digest]
+        assert verdict["attempts"] == POISON_DEATHS == 3
+        assert "worker died 3 times" in verdict["error"]
+        assert run._audit()["counters"]["fabric.quarantined"] == 1
+        assert run.quarantined == [{
+            "digest": digest, "key": cell_key(grid[0]), "deaths": 3,
+            "last_error": verdict["error"]}]
 
 
 class TestFailures:
     def test_fail_then_retry_then_quarantine(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1, max_lease_failures=2)
-        lease = queue.claim("w", 0)
-        assert queue.fail(lease, "stalled", fatal=False) == "retry"
-        lease = queue.claim("w", 0)
-        assert lease.attempt == 1
-        assert queue.fail(lease, "stalled again", fatal=False) == "quarantined"
-        entry = next(iter(queue.quarantined().values()))
-        assert entry["last_error"] == "stalled again"
-        assert queue.claim("w", 0) is None
+        """A death re-queues the cell at the head, so it runs next."""
+        grid = [{"x": i, "seed": 0} for i in range(3)]
+        run = fleet_run(tmp_path, grid)
+        digest = run.todo.pop()  # the last cell, handed out and lost
+        run._settle(digest, 1)
+        assert run.todo[0] == digest
+        assert run.counters["fabric.requeued"] == 1
+        assert run.deaths_of == {digest: 1}
 
     def test_fatal_failure_quarantines_immediately(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1, max_lease_failures=5)
-        lease = queue.claim("w", 0)
-        assert queue.fail(lease, "bad config", traceback_text="tb",
-                          fatal=True) == "quarantined"
-        entry = next(iter(queue.quarantined().values()))
-        assert entry["failure_count"] == 1
-        assert entry["failures"][0]["kind"] == "fatal"
+        """A cell that raised is not re-queued or quarantined: the
+        exception is its verdict, as it would be in-process."""
+        grid = [{"x": 1, "seed": 0}]
+        run = fleet_run(tmp_path, grid)
+        digest = run.todo.popleft()
+        error = ConfigurationError("cell x=1 is malformed")
+        worker = fake_worker(0, cell=digest)
+        worker.conn = FakeConn([("raised", digest, error)])
+        assert run._receive(worker) is False
+        assert run.verdicts == {digest: error}
+        assert not run.todo and worker.cell is None
+        assert run.counters["fabric.requeued"] == 0
+        assert run.quarantined == []
 
 
 class TestCorruptRecords:
     def test_torn_completion_quarantined_and_cell_rerunnable(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        lease = queue.claim("w", 0)
-        queue.complete(lease, {"y": 1}, 1, 0.0)
-        path = queue._cell_path(lease.digest)
+        grid = [{"x": 1, "seed": 0}]
+        run = fleet_run(tmp_path, grid)
+        queue = run.queue
+        digest = digest_of(grid[0])
+        queue.complete(digest, record_for(grid[0], {"y": 1}))
+        path = queue._cell_path(digest)
         with open(path, "r+b") as fh:  # tear the record in place
             fh.truncate(20)
-        assert queue.completed_record(lease.digest) is None
+        again = fleet_run(tmp_path, grid)
+        assert list(again.todo) == [digest]  # the cell is open again
         assert os.path.exists(path + ".corrupt")
-        assert not queue.drained()
-        assert queue.claim("w2", 1) is not None  # cell is pending again
-        assert queue.tally()["fabric.corrupt_records"] == 1
+        assert again.queue.corrupt_records == 1
 
 
 class TestResumeSeeding:
     def test_seed_completed_marks_cell_done(self, tmp_path):
-        queue, grid = make_queue(tmp_path, n=2)
-        key = cell_key(grid[0])
-        assert queue.seed_completed(key, {
-            "key": key, "params": grid[0], "result": {"y": 9},
-            "attempts": 1, "elapsed_seconds": 0.0, "seeded": True,
-        }) is True
-        assert queue.status()["done"] == 1
-        lease = queue.claim("w", 0)
-        assert lease.key != key  # only the unseeded cell remains
+        """A cell the checkpoint holds is the supervisor's to resume:
+        never queued, never handed out."""
+        grid = [{"x": i, "seed": 5} for i in range(2)]
+        checkpoint = str(tmp_path / "ck.json")
+        SweepSupervisor(fabric_fns.quadratic,
+                        checkpoint_path=checkpoint).run(grid[:1])
+        run = fleet_run(tmp_path, grid, checkpoint=checkpoint)
+        assert list(run.todo) == [digest_of(grid[1])]
+        assert digest_of(grid[0]) not in run.open
 
     def test_seed_unknown_key_ignored(self, tmp_path):
         queue, _ = make_queue(tmp_path)
-        assert queue.seed_completed(cell_key({"x": 404}), {"result": 1}) is False
-
-
-class TestEventLog:
-    def test_torn_tail_line_skipped(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        queue.log_event("claim", cell="abc")
-        with open(os.path.join(queue.root, "events.log"), "a") as fh:
-            fh.write('{"ev": "torn')  # crash mid-append
-        events = queue.events()
-        assert [e["ev"] for e in events] == ["claim"]
-
-    def test_events_are_json_lines(self, tmp_path):
-        queue, _ = make_queue(tmp_path, n=1)
-        queue.log_event("claim", cell="abc", worker="w")
-        with open(os.path.join(queue.root, "events.log")) as fh:
-            event = json.loads(fh.readline())
-        assert event == {"ev": "claim", "cell": "abc", "worker": "w"}
+        with pytest.raises(FabricError, match="unknown cell digest"):
+            queue.cell_info(digest_of({"x": 404}))
 
 
 class TestParamValidation:

@@ -1,11 +1,19 @@
-"""Tests for the in-process worker loop and trial-function resolution."""
+"""Tests for the worker loop and trial-function resolution.
+
+``run_worker`` is driven in this process over a scripted pipe: the test
+plays the supervisor, handing out digests and reading what comes back.
+"""
+
+import json
+import os
+import signal
 
 import pytest
 
-from repro.errors import FabricError
-from repro.fabric.queue import WorkQueue
-from repro.fabric.worker import Worker, resolve_fn
-from repro.runner.supervisor import RESEED_STRIDE, cell_key
+from repro.errors import ConfigurationError, FabricError
+from repro.fabric.queue import WorkQueue, cell_digest
+from repro.fabric.worker import resolve_fn, run_worker
+from repro.runner.supervisor import RESEED_STRIDE, SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
 
 
@@ -13,98 +21,143 @@ def make_queue(tmp_path, grid, fn_ref="tests.fabric.fabric_fns:quadratic",
                **options):
     cells = {cell_key(p): p for p in grid}
     return WorkQueue.create(str(tmp_path / "q"), cells, fn_ref=fn_ref,
-                            options=dict({"lease_seconds": 30.0}, **options))
+                            options=options)
 
 
-def run_worker(queue, **kwargs):
-    kwargs.setdefault("sleep", lambda seconds: None)  # no real sleeping
-    worker = Worker(queue, **kwargs)
-    return worker, worker.run()
+class ScriptedConn:
+    """The worker's end of its pipe: hands out ``digests``, then EOF."""
+
+    def __init__(self, digests, on_recv=None):
+        self.inbox = list(digests)
+        self.outbox = []
+        self._on_recv = on_recv
+
+    def send(self, message):
+        self.outbox.append(message)
+
+    def recv(self):
+        if self._on_recv is not None:
+            self._on_recv()
+        if not self.inbox:
+            raise EOFError
+        return self.inbox.pop(0)
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """Run the worker loop here; the drain handlers it installs go
+    again afterwards."""
+    saved = {signum: signal.getsignal(signum)
+             for signum in (signal.SIGTERM, signal.SIGINT)}
+
+    def run(queue, grid, **conn_options):
+        conn = ScriptedConn([cell_digest(cell_key(p)) for p in grid],
+                            **conn_options)
+        assert run_worker(queue.root, 0, conn) == 0
+        return conn.outbox
+
+    yield run
+    for signum, handler in saved.items():
+        signal.signal(signum, handler)
+
+
+def digests(grid):
+    return [cell_digest(cell_key(p)) for p in grid]
 
 
 class TestWorkerLoop:
-    def test_drains_queue_and_publishes_results(self, tmp_path):
+    def test_drains_queue_and_publishes_results(self, tmp_path, serve):
         grid = [{"x": i, "seed": 5} for i in range(5)]
         queue = make_queue(tmp_path, grid)
-        _, stats = run_worker(queue, index=0)
-        assert stats["completed"] == 5
-        assert queue.drained()
-        results = {record["params"]["x"]: record["result"]
-                   for record in queue.completed().values()}
-        assert results[3] == {"y": 14, "x": 3, "seed": 5}
+        sent = serve(queue, grid)
+        assert sent == [("ready",)] + [("done", d) for d in digests(grid)]
+        record = queue.completed_record(digests(grid)[3])
+        assert record["result"] == {"y": 14, "x": 3, "seed": 5}
+        assert record["key"] == cell_key(grid[3]) and record["attempts"] == 1
 
-    def test_resolves_fn_from_spec_when_not_injected(self, tmp_path):
-        queue = make_queue(tmp_path, [{"x": 2, "seed": 0}])
-        worker = Worker(queue, sleep=lambda s: None)
-        assert worker.fn is fabric_fns.quadratic
+    def test_resolves_fn_from_spec_when_not_injected(self, tmp_path, serve):
+        grid = [{"x": 2, "seed": 0}]
+        queue = make_queue(tmp_path, grid)
+        assert resolve_fn(queue.fn_ref) is fabric_fns.quadratic
+        serve(queue, grid)
+        record = queue.completed_record(digests(grid)[0])
+        assert record["result"] == fabric_fns.quadratic(**grid[0])
 
-    def test_transient_failure_retries_with_reseed_in_lease(self, tmp_path):
+    def test_transient_failure_retries_with_reseed_in_lease(
+            self, tmp_path, serve):
         grid = [{"x": 1, "seed": 7}]
         queue = make_queue(tmp_path, grid,
                            fn_ref="tests.fabric.fabric_fns:flaky_first_seed",
                            max_retries=2)
-        _, stats = run_worker(queue, index=0)
-        assert stats == {"completed": 1, "failed": 0, "quarantined": 0,
-                         "leases_lost": 0}
-        record = next(iter(queue.completed().values()))
+        assert serve(queue, grid)[1:] == [("done", digests(grid)[0])]
+        record = queue.completed_record(digests(grid)[0])
         assert record["attempts"] == 2  # base seed stalled, reseed recovered
         assert record["result"]["recovered_seed"] == 7 + RESEED_STRIDE
 
-    def test_exhausted_retries_park_the_cell_at_once(self, tmp_path):
+    def test_exhausted_retries_park_the_cell_at_once(self, tmp_path, serve):
+        """Retries spent: the serial FAILED row goes back, no record."""
         grid = [{"x": 1, "seed": 7}]
         queue = make_queue(tmp_path, grid,
                            fn_ref="tests.fabric.fabric_fns:always_stalls",
-                           max_retries=1, max_lease_failures=3)
-        _, stats = run_worker(queue, index=0)
-        assert stats["quarantined"] == 1
-        assert stats["failed"] == 0  # a verdict, not a lease to retry
-        entry = next(iter(queue.quarantined().values()))
-        assert entry["failure_count"] == 1
-        assert entry["attempts"] == 2  # max_retries + 1, as the serial row
-        assert "never converges" in entry["last_error"]
-        assert queue.drained()  # quarantine resolves the cell; no hang
+                           max_retries=1)
+        digest, = digests(grid)
+        assert serve(queue, grid)[1:] == [
+            ("failed", digest, 2,
+             "SimulationStalledError: cell x=1 never converges")]
+        assert queue.completed_record(digest) is None
 
     def test_unexpected_exception_burns_leases_then_quarantines(
-            self, tmp_path):
-        grid = [{"x": 1, "seed": 7}]
+            self, tmp_path, serve):
+        """A bug in the trial function goes back as the exception; the
+        worker then takes the next cell."""
+        grid = [{"x": 1, "seed": 7}, {"x": 2, "seed": 7}]
         queue = make_queue(tmp_path, grid,
-                           fn_ref="tests.fabric.fabric_fns:raises_bug",
-                           max_lease_failures=3)
-        _, stats = run_worker(queue, index=0)
-        assert stats["quarantined"] == 1
-        assert stats["failed"] == 2  # two failed leases before the third
-        entry = next(iter(queue.quarantined().values()))
-        assert entry["failure_count"] == 3
-        assert entry["attempts"] is None
+                           fn_ref="tests.fabric.fabric_fns:raises_bug")
+        sent = serve(queue, grid)
+        assert [message[:2] for message in sent[1:]] == [
+            ("raised", d) for d in digests(grid)]
+        exc = sent[1][2]
+        assert type(exc) is RuntimeError and str(exc) == "cell x=1 hit a bug"
+        assert all(queue.completed_record(d) is None for d in digests(grid))
 
-    def test_fatal_error_quarantines_without_burning_budget(self, tmp_path):
+    def test_fatal_error_quarantines_without_burning_budget(
+            self, tmp_path, serve):
+        """A configuration error is not retried: one attempt, then the
+        exception, intact across the pipe."""
+        import pickle
+
         grid = [{"x": 1, "seed": 7}]
         queue = make_queue(tmp_path, grid,
                            fn_ref="tests.fabric.fabric_fns:misconfigured",
-                           max_lease_failures=5)
-        _, stats = run_worker(queue, index=0)
-        assert stats["quarantined"] == 1
-        entry = next(iter(queue.quarantined().values()))
-        assert entry["failure_count"] == 1
-        assert entry["failures"][0]["kind"] == "fatal"
+                           max_retries=5)
+        (_, _, exc), = serve(queue, grid)[1:]
+        rebuilt = pickle.loads(pickle.dumps(exc))
+        assert type(rebuilt) is ConfigurationError
+        assert str(rebuilt) == "cell x=1 is malformed"
 
-    def test_request_stop_drains_before_exit(self, tmp_path):
-        grid = [{"x": i, "seed": 0} for i in range(4)]
-        queue = make_queue(tmp_path, grid)
-        worker = Worker(queue, sleep=lambda s: None, index=0)
-        worker.request_stop()
-        stats = worker.run()
-        assert stats["completed"] == 0  # stop honored before first claim
-        assert not queue.drained()
+    def test_request_stop_drains_before_exit(self, tmp_path, serve):
+        """A drain signal while the worker waits: it leaves without
+        running the cell it is then handed."""
+        grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(2)]
+        queue = make_queue(tmp_path, grid,
+                           fn_ref="tests.fabric.fabric_fns:marks_run")
+        sent = serve(queue, grid,
+                     on_recv=lambda: os.kill(os.getpid(), signal.SIGTERM))
+        assert sent == [("ready",)]
+        assert not list(tmp_path.glob("cell-*.ran"))
 
     def test_two_workers_split_the_grid_without_duplication(self, tmp_path):
-        grid = [{"x": i, "seed": 0} for i in range(8)]
-        queue = make_queue(tmp_path, grid)
-        _, stats_a = run_worker(queue, index=0)
-        _, stats_b = run_worker(queue, index=1)
-        assert stats_a["completed"] == 8  # first worker drained everything
-        assert stats_b["completed"] == 0
-        assert queue.tally()["fabric.completions"] == 8
+        grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(8)]
+        checkpoint = str(tmp_path / "ck.json")
+        outcomes = SweepSupervisor(
+            fabric_fns.marks_run, workers=2, queue_dir=str(tmp_path / "q"),
+            checkpoint_path=checkpoint).run(grid)
+        assert all(outcome.ok for outcome in outcomes)
+        for i in range(8):
+            assert (tmp_path / f"cell-{i}.ran").read_text() == "1\n"
+        with open(checkpoint) as fh:
+            counters = json.load(fh)["meta"]["fabric"]["counters"]
+        assert counters["fabric.completions"] == 8
 
 
 class TestResolveFn:

@@ -76,9 +76,9 @@ class TestLoadReportSource:
 
     def test_fabric_counters_are_headline(self, tmp_path):
         snap = dict(SNAPSHOT)
-        snap["counters"] = {"fabric.leases_stolen": 2, "custom.thing": 1}
+        snap["counters"] = {"fabric.requeued": 2, "custom.thing": 1}
         text = summarize_snapshot(snap)
-        assert text.index("fabric.leases_stolen") < text.index("custom.thing")
+        assert text.index("fabric.requeued") < text.index("custom.thing")
 
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "empty.json", "  \n")

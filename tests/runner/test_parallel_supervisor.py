@@ -1,8 +1,9 @@
 """Executor equivalence through ``repro sweep``: --jobs 1, --jobs 2, --workers 2.
 
 ``--jobs 1`` runs the cells in-process and is the reference; ``--jobs 2``
-and ``--workers 2`` lease them to worker processes from a queue
-directory.  Rows, exit code and checkpoint must not tell them apart.
+and ``--workers 2`` hand them to worker processes, which publish each
+result in a queue directory.  Rows, exit code and checkpoint must not
+tell them apart.
 """
 
 import contextlib
