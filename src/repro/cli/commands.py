@@ -384,13 +384,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     Every (cc, flows, buffer-factor) cell gets per-trial watchdog
     budgets, retry-with-reseed on transient failures, and — with
-    ``--checkpoint`` — resume of a killed sweep from the last completed
-    cell.  One :meth:`~repro.runner.supervisor.SweepSupervisor.run`
-    prints a row per cell in grid order.  ``--jobs 1`` runs the cells in
-    this process; ``--jobs N`` adds N worker processes that this process
-    hands the cells to, one at a time, and that publish each result as a
-    record under the queue directory (SIGKILL-safe).  Cell results,
-    attempts and the checkpoint are the same either way.
+    ``--checkpoint`` or ``--queue-dir`` — resume of a killed sweep: each
+    finished cell is one durable record in the queue directory, and the
+    checkpoint is a view of them written when the run ends.  One
+    :meth:`~repro.runner.supervisor.SweepSupervisor.run` prints a row
+    per cell in grid order.  ``--jobs 1`` runs the cells in this
+    process; ``--jobs N`` adds N worker processes that this process
+    hands the cells to, one at a time.  Cell results, attempts, records
+    and the checkpoint are the same either way.
     """
     import contextlib
     import os
@@ -444,9 +445,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for cc in cc_list for n in flows_list for factor in factor_list
         ]
         with contextlib.ExitStack() as stack:
-            queue_dir = args.queue_dir or (
-                args.checkpoint and args.checkpoint + ".queue")
-            if workers and not queue_dir:  # nothing asked to outlive the run
+            queue_dir = args.queue_dir
+            if workers and not (queue_dir or args.checkpoint):
+                # Nothing asked to outlive the run.
                 queue_dir = stack.enter_context(
                     tempfile.TemporaryDirectory(prefix="repro-queue-"))
             supervisor = SweepSupervisor(
@@ -454,12 +455,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 resume=not args.fresh, max_retries=args.retries,
                 max_events=args.max_events, max_wall_seconds=args.timeout,
                 workers=workers, queue_dir=queue_dir)
-            if supervisor.completed_cells:
+            if supervisor.completed_cells or supervisor.parked:
+                parked = (f" (unreadable checkpoint moved to "
+                          f"{supervisor.parked})" if supervisor.parked else "")
                 print(f"resuming: {supervisor.completed_cells} cell(s) "
-                      f"already in {args.checkpoint}")
+                      f"already in {args.checkpoint or supervisor.queue_dir}"
+                      f"{parked}")
             if workers:
                 print(f"running {len(grid)} cell(s) on {workers} worker "
-                      f"process(es), queue {queue_dir}")
+                      f"process(es), queue {supervisor.queue_dir}")
             print(f"{'cc':>8} {'flows':>6} {'buffer':>7} {'util%':>7} "
                   f"{'loss%':>7} {'attempts':>8}  source")
             outcomes = supervisor.run(grid, on_cell=_print_sweep_row)

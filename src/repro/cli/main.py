@@ -178,10 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds measured (finite, > 0)")
     p_sweep.add_argument("--seed", type=int, default=1)
     p_sweep.add_argument("--checkpoint", default=None, metavar="FILE",
-                         help="JSON checkpoint; rerunning with the same file "
-                              "skips completed cells")
+                         help="JSON checkpoint, a view of the cell records "
+                              "written when the run ends; rerunning with "
+                              "the same file skips completed cells")
     p_sweep.add_argument("--fresh", action="store_true",
-                         help="ignore an existing checkpoint instead of resuming")
+                         help="discard the checkpoint and the records "
+                              "instead of resuming")
     p_sweep.add_argument("--retries", type=int, default=2,
                          help="retries (with reseed) per transiently-failing "
                               "cell (default 2)")
@@ -196,11 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="--jobs N that uses worker processes even "
                               "at N = 1 (default 0: --jobs decides)")
     p_sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                         help="directory the workers publish each finished "
-                              "cell's record in, so a killed sweep loses "
-                              "none (default: <checkpoint>.queue, or a "
-                              "temporary directory removed afterwards when "
-                              "there is no --checkpoint)")
+                         help="directory each finished cell is published "
+                              "in as a record, whichever process ran it, "
+                              "so a killed sweep loses none (default: "
+                              "<checkpoint>.queue; without --checkpoint, "
+                              "none, or for workers a temporary directory "
+                              "removed afterwards)")
     _add_watchdog_args(p_sweep)
     p_sweep.set_defaults(func=commands.cmd_sweep)
 

@@ -56,8 +56,6 @@ def afct_buffer_sweep(
     seed: int = 11,
     max_window: int = 43,
     sizes: Optional[FlowSizeDistribution] = None,
-    checkpoint_path: Optional[str] = None,
-    max_retries: int = 2,
     **kwargs,
 ) -> List[ShortFlowPoint]:
     """Measure Figure 8: min buffer for bounded AFCT inflation vs bandwidth.
@@ -76,8 +74,6 @@ def afct_buffer_sweep(
     buffer_grid:
         Increasing buffer sizes to try; the scan stops at the first one
         meeting the threshold.
-    checkpoint_path:
-        Optional JSON checkpoint.
     """
     if list(buffer_grid) != sorted(buffer_grid):
         raise ConfigurationError("buffer_grid must be increasing")
@@ -86,12 +82,8 @@ def afct_buffer_sweep(
                            max_window=max_window)
     model_buffer = model.required_buffer()  # P(Q >= B) = 0.025
 
-    supervisor = SweepSupervisor(
-        run_short_flow_experiment,
-        checkpoint_path=checkpoint_path,
-        max_retries=max_retries,
-        deserialize=ShortFlowResult.from_dict,
-    )
+    supervisor = SweepSupervisor(run_short_flow_experiment,
+                                 deserialize=ShortFlowResult.from_dict)
 
     def measure_afct(bandwidth, buffer_packets):
         outcome = supervisor.run_cell(

@@ -1,12 +1,13 @@
-"""Worker fleet for sweeps.
+"""Worker fleet and cell records for sweeps.
 
 The fabric is what :meth:`~repro.runner.supervisor.SweepSupervisor.run`
-adds with ``workers >= 1`` (``repro sweep --jobs N``): worker processes
-started by the supervisor, each handed one cell at a time over its own
-pipe, so a worker — or the supervisor — can be SIGKILLed at any point
-without losing or duplicating results.  The loop from a grid to
-outcomes stays the supervisor's; the fleet only changes who runs the
-cells:
+is built on: every finished cell, whichever process ran it, is one
+durable record, and with ``workers >= 1`` (``repro sweep --jobs N``)
+worker processes started by the supervisor run the cells, each handed
+one at a time over its own pipe, so a worker — or the supervisor — can
+be SIGKILLed at any point without losing or duplicating results.  The
+loop from a grid to outcomes stays the supervisor's; the fleet only
+changes who runs the cells:
 
 * :mod:`repro.fabric.supervisor` — :class:`~repro.fabric.supervisor.FleetRun`,
   the only thing that assigns cells: it starts the workers, hands out
@@ -15,8 +16,10 @@ cells:
 * :mod:`repro.fabric.worker` — the worker loop: receive a cell, run it,
   publish its record, say so.
 * :mod:`repro.fabric.queue` — the :class:`~repro.fabric.queue.WorkQueue`
-  directory: the grid's spec and one completed-cell record per
-  finished cell, keyed by :func:`~repro.runner.supervisor.cell_key`.
+  record directory: the trial function's spec and one completed-cell
+  record per finished cell, keyed by
+  :func:`~repro.runner.supervisor.cell_key`.  The sweep checkpoint is a
+  view of these records.
 * :mod:`repro.fabric.records` — length+checksum framed, atomically
   written (fsync file *and* directory) JSON records; torn writes are
   detected and quarantined to ``*.corrupt`` instead of poisoning reads.
@@ -28,7 +31,7 @@ cells:
   points.
 
 This package imports none of its submodules, so low layers
-(``repro.runner``) can pull :mod:`repro.fabric.backoff` and
-:mod:`repro.fabric.records` without the fleet machinery (which itself
-imports ``repro.runner``).
+(``repro.runner``) can pull :mod:`repro.fabric.queue` and what it
+stands on without the fleet machinery (which itself imports
+``repro.runner``).
 """

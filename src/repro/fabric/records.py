@@ -18,6 +18,7 @@ trusting — or crashing on — half a record.  No wall-clock reads here
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,14 +28,29 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import CorruptRecordError
 
 __all__ = ["write_record", "read_record", "quarantine_corrupt",
-           "fsync_directory", "frame", "unframe"]
+           "fsync_directory", "frame", "unframe", "json_default"]
 
 _MAGIC = "#repro-fabric v1 "
 
 
+def json_default(value: Any) -> Any:
+    """JSON fallback for cell *results* (records and the checkpoint).
+
+    Results are not identity-bearing, so unknown objects degrade to a
+    readable form instead of failing the write.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    to_dict = getattr(value, "to_dict", None)
+    if callable(to_dict):
+        return to_dict()
+    return repr(value)
+
+
 def frame(payload: Dict[str, Any]) -> bytes:
     """Serialize ``payload`` with the length+checksum header."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    body = json.dumps(payload, sort_keys=True,
+                      default=json_default).encode("utf-8")
     digest = hashlib.sha256(body).hexdigest()
     header = f"{_MAGIC}len={len(body)} sha256={digest}\n".encode("ascii")
     return header + body

@@ -1,8 +1,8 @@
 """The worker fleet :meth:`SweepSupervisor.run` adds with ``workers >= 1``.
 
-:class:`FleetRun` materializes the grid as a
-:class:`~repro.fabric.queue.WorkQueue` directory and starts up to ``N``
-worker processes (:mod:`repro.fabric.worker`): forked from this process
+:class:`FleetRun` starts up to ``N`` worker processes
+(:mod:`repro.fabric.worker`) over the sweep's record directory
+(:class:`~repro.fabric.queue.WorkQueue`): forked from this process
 where that is safe (milliseconds: the interpreter and ``repro`` are
 already loaded), spawned afresh where it is not (:func:`_start_method`).
 It is the only thing that assigns cells: each worker gets one cell at a
@@ -11,10 +11,10 @@ process sentinels together (``multiprocessing.connection.wait``).  The
 grid-order loop asks :meth:`FleetRun.collect` for each cell:
 
 * **merge** — a worker publishes its cell's record, then sends the
-  digest; the supervisor reads the record once and folds it into the
-  sweep checkpoint (one write per wake-up, however many cells it
-  brought), so a fleet checkpoint is a serial one plus an additive
-  ``meta.fabric`` audit block.
+  digest; the supervisor reads the record once and adds it to the
+  sweep's cells, exactly as a cell it ran itself.  The checkpoint view
+  is written once, by :meth:`SweepSupervisor.run`, with an additive
+  ``meta.fabric`` audit block (:meth:`FleetRun._audit`).
 * **re-queue + respawn** — a worker that dies gets a crash dump
   (``<queue>/crashes/worker-<idx>.json``) and, ``2 * workers`` times at
   most, a replacement.  Its cell is merged if its record reached the
@@ -26,7 +26,7 @@ grid-order loop asks :meth:`FleetRun.collect` for each cell:
 
 A worker exits when its pipe reaches EOF, so none outlives the
 supervisor, and a SIGKILLed supervisor loses no finished cell: the next
-run merges the records.  Every cell runs from its own base seed
+run resumes its records.  Every cell runs from its own base seed
 whichever worker runs it, after however many crashes, so the merged
 grid is **bit-identical** to a single-process run
 (``tests/fabric/test_chaos_sweep.py``).
@@ -47,7 +47,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric import records
-from repro.fabric.queue import WorkQueue, cell_digest, validate_plain_params
+from repro.fabric.queue import (cell_digest, format_fn_ref,
+                                validate_plain_params)
 from repro.fabric.worker import DRAIN_SIGNALS, resolve_fn, spawned_worker_entry
 from repro.runner.supervisor import SweepSupervisor, TrialOutcome, cell_key
 
@@ -95,7 +96,7 @@ def fn_reference(fn: Union[str, Callable[..., Any]]) -> str:
         raise ConfigurationError(
             "fabric trial function lives in __main__, which spawned "
             "workers cannot re-import; move it into an importable module")
-    ref = f"{module}:{qualname}"
+    ref = format_fn_ref(fn)
     if resolve_fn(ref) is not fn:
         raise ConfigurationError(
             f"trial-function reference {ref!r} does not resolve back to "
@@ -117,45 +118,32 @@ class _Worker:
 
 
 class FleetRun:
-    """One :meth:`SweepSupervisor.run` with workers: queue, fleet, merge.
+    """One :meth:`SweepSupervisor.run` with workers: fleet and merge.
 
-    Built from the grid, it creates (or attaches to) the queue, merges
-    the records a killed run published but did not checkpoint, and
-    queues the rest in grid order.  Entering starts the workers, at most
-    one per open cell, under drain handlers; leaving stops them — kills
-    them after an error — and writes the checkpoint once more with its
-    ``meta.fabric`` audit block.
+    Built from the grid, it queues the cells the supervisor has not
+    resumed, in grid order.  Entering starts the workers, at most one
+    per open cell, under drain handlers; leaving stops them — kills them
+    after an error.
     """
 
     def __init__(self, supervisor: SweepSupervisor,
                  grid: List[Dict[str, Any]]):
+        self.supervisor = supervisor
+        self.queue = supervisor.queue
+        #: digest -> (key, params) of every cell the supervisor lacked.
+        self.open: Dict[str, Any] = {}
         for params in grid:
             validate_plain_params(params)
-        self.supervisor = supervisor
-        cells = {cell_key(params): params for params in grid}
-        self.queue = WorkQueue.create(
-            supervisor.queue_dir, cells, fn_ref=supervisor.fn_ref, options={
-                "max_retries": supervisor.max_retries,
-                "max_events": supervisor.max_events,
-                "max_wall_seconds": supervisor.max_wall_seconds,
-            })
-        self.total = len(cells)
-        #: digest -> (key, params) of every cell the checkpoint lacked.
-        self.open: Dict[str, Any] = {}
+            key = cell_key(params)
+            if key not in supervisor._cells:  # else the loop resumes it
+                self.open[cell_digest(key)] = (key, params)
         #: Open cells no worker holds, in the order they are handed out.
-        self.todo: Deque[str] = collections.deque()
+        self.todo: Deque[str] = collections.deque(self.open)
         #: digest -> a FAILED outcome's fields, or the exception raised.
         self.verdicts: Dict[str, Any] = {}
         self.deaths_of: Dict[str, int] = {}
         self.counters = {"fabric.completions": 0, "fabric.requeued": 0}
         self.quarantined: List[Dict[str, Any]] = []
-        for key, params in cells.items():
-            if key not in supervisor._cells:  # else the loop resumes it
-                self.open[cell_digest(key)] = (key, params)
-        # Records a killed run published but never checkpointed.
-        self.todo.extend(d for d in self.open if not self._merge(d))
-        if len(self.todo) < len(self.open):
-            supervisor._write_checkpoint()
         self.workers = self.respawns = self._spawned = 0
         self.live: Dict[int, _Worker] = {}
         self.deaths: List[Dict[str, Any]] = []
@@ -201,8 +189,6 @@ class FleetRun:
             self._kill_all()
         finally:
             self._close()
-        self.supervisor._fabric_meta = self._audit()
-        self.supervisor._write_checkpoint()
 
     def _close(self) -> None:
         for signum, handler in self._previous_handlers.items():
@@ -246,9 +232,13 @@ class FleetRun:
         # from reaching EOF when we close ours, or when we die.
         inherited = ([worker.conn for worker in self.live.values()] + [ours]
                      if method == "fork" else [])
+        supervisor = self.supervisor
         proc = multiprocessing.get_context(method).Process(
             target=spawned_worker_entry,
             args=(self.queue.root, index, theirs, inherited),
+            kwargs={"max_retries": supervisor.max_retries,
+                    "max_events": supervisor.max_events,
+                    "max_wall_seconds": supervisor.max_wall_seconds},
             name=f"repro-fabric-worker-{index}", daemon=False)
         # The worker is born with its drain signals held and unblocks
         # them once its own handlers exist.  A forked child starts with
@@ -270,13 +260,11 @@ class FleetRun:
             worker.conn.close()
         self.live.clear()
 
-    def _bury(self, worker: _Worker) -> bool:
-        """A worker exited: record a death, settle the cell it held;
-        True when that merged a record."""
-        merged = False
+    def _bury(self, worker: _Worker) -> None:
+        """A worker exited: record a death, settle the cell it held."""
         if (worker.cell is not None and not worker.conn.closed
                 and worker.conn.poll()):
-            merged = self._receive(worker)  # said before it went
+            self._receive(worker)  # said before it went
         worker.proc.join()
         worker.conn.close()
         del self.live[worker.index]
@@ -292,50 +280,51 @@ class FleetRun:
                  "signal": -exitcode if exitcode < 0 else None,
                  "cell": digest})
         if digest is not None:  # it may have published, then died
-            merged |= self._settle(digest, exitcode)
+            self._settle(digest, exitcode)
         if (exitcode != 0 and self.todo and not self.draining
                 and self.respawns < 2 * self.workers):
             self.respawns += 1
             self._spawn()
-        return merged
 
-    def _settle(self, digest: str, exitcode: int = 0) -> bool:
+    def _settle(self, digest: str, exitcode: int = 0) -> None:
         """Merge a cell a worker finished or held, or give it back.
 
         No record means it goes back to the head of the queue — after
         a clean exit (a drain signal before it ran, a torn record)
         without more ado, after its :data:`POISON_DEATHS`-th death as a
-        FAILED outcome instead.  True when a record was merged.
+        FAILED outcome instead.
         """
-        if self._merge(digest):
+        record = self.queue.completed_record(digest)
+        if record is not None:
+            self.supervisor._adopt(record)
             self.counters["fabric.completions"] += 1
-            return True
+            return
         deaths = self.deaths_of.get(digest, 0) + (exitcode != 0)
         self.deaths_of[digest] = deaths
         if deaths < POISON_DEATHS:
             self.counters["fabric.requeued"] += 1
             self.todo.appendleft(digest)
-            return False
+            return
         error = (f"poison cell: its worker died {deaths} times "
                  f"(last exit code {exitcode})")
         self.verdicts[digest] = {"attempts": deaths, "error": error}
         self.quarantined.append({"digest": digest,
                                  "key": self.open[digest][0],
                                  "deaths": deaths, "last_error": error})
-        return False
 
     def collect(self, params: Dict[str, Any]) -> Optional[TrialOutcome]:
         """The fleet's outcome for one cell, waiting for it if need be.
 
-        None when the cell is the supervisor's own to run: resumed from
-        the checkpoint, or still open once every worker is gone.  A cell
-        that raised raises here, in grid order, as it would in-process.
+        None when the cell is the supervisor's own to run: resumed, or
+        still open once every worker is gone.  A cell that raised raises
+        here, in grid order, as it would in-process.
         """
         key = cell_key(params)
         digest = cell_digest(key)
         if digest not in self.open:
             return None
-        while key not in self.supervisor._cells:
+        cells = self.supervisor._cells
+        while key not in cells:
             verdict = self.verdicts.get(digest)
             if isinstance(verdict, BaseException):
                 raise verdict
@@ -346,18 +335,17 @@ class FleetRun:
             self._step(self._deadline)
             if self.draining:
                 raise KeyboardInterrupt(
-                    f"fabric sweep drained on signal: "
-                    f"{len(self.supervisor._cells)} cell(s) checkpointed "
-                    f"at {self.supervisor.checkpoint_path or self.queue.root}")
+                    f"fabric sweep drained on signal: {len(cells)} cell(s) "
+                    f"recorded in {self.queue.root}")
             if (self._deadline is not None
                     and time.monotonic() > self._deadline):
+                outstanding = sum(k not in cells for k, _ in self.open.values())
                 raise FabricError(
                     f"fabric sweep exceeded its {self.supervisor.timeout}s "
-                    f"timeout with {self.total - len(self.supervisor._cells)}"
-                    f" cell(s) outstanding; completed work is checkpointed "
-                    f"and resumable")
+                    f"timeout with {outstanding} cell(s) outstanding; "
+                    f"completed work is recorded and resumable")
         return self.supervisor._cached_outcome(
-            key, params, self.supervisor._cells[key], from_checkpoint=False)
+            key, params, cells[key], from_checkpoint=False)
 
     def _step(self, deadline: Optional[float]) -> None:
         """Wait for messages, exits or a drain signal; act on them all."""
@@ -376,45 +364,30 @@ class FleetRun:
                 self._stop()
                 self._kill_all()
                 return
-        merged = False
         for worker in workers:
             if worker.conn in ready:
-                merged |= self._receive(worker)
+                self._receive(worker)
         for worker in workers:
             if worker.proc.sentinel in ready:
-                merged |= self._bury(worker)
+                self._bury(worker)
         self._dispatch()
-        if merged:
-            self.supervisor._write_checkpoint()
 
-    def _receive(self, worker: _Worker) -> bool:
-        """Act on one message; True when it merged a record."""
+    def _receive(self, worker: _Worker) -> None:
+        """Act on one message."""
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
             worker.conn.close()
-            return False  # it is exiting; its sentinel says how
+            return  # it is exiting; its sentinel says how
         worker.ready = True
         digest, worker.cell = worker.cell, None
         if message[0] == "done":
-            return self._settle(digest)
-        if message[0] == "failed":
+            self._settle(digest)
+        elif message[0] == "failed":
             self.verdicts[digest] = {"attempts": message[2],
                                      "error": message[3]}
         elif message[0] == "raised":
             self.verdicts[digest] = message[2]
-        return False
-
-    def _merge(self, digest: str) -> bool:
-        """Fold the cell's record into the checkpoint table, if it has one."""
-        record = self.queue.completed_record(digest)
-        if record is None:
-            return False
-        key, params = self.open[digest]
-        self.supervisor._merge_cell(key, params, record["result"],
-                                    record.get("attempts", 1),
-                                    record.get("elapsed_seconds", 0.0))
-        return True
 
     def _dispatch(self) -> None:
         """Give idle workers cells; close them once none can come."""
@@ -425,7 +398,7 @@ class FleetRun:
             worker = idle.pop()
             worker.cell = self.todo.popleft()
             try:
-                worker.conn.send(worker.cell)
+                worker.conn.send((worker.cell, self.open[worker.cell][1]))
             except OSError:
                 pass  # it is dying; its sentinel hands the cell back
         # An idle worker stays while a busy one might die and leave a

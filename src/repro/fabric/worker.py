@@ -1,11 +1,12 @@
 """A fleet worker: runs the cells its supervisor hands it, one at a time.
 
 ``repro sweep --jobs N`` starts :func:`spawned_worker_entry` with one
-end of a pipe, forked from the supervisor where that is safe and
-spawned otherwise (``repro.fabric.supervisor._start_method``).  The
-worker says it is ready, then loops: receive a cell's digest, run the
-cell, publish its record, send the outcome (which also asks for the
-next cell).  It exits when the pipe reaches EOF — the supervisor has no
+end of a pipe and the sweep's retry and watchdog budgets, forked from
+the supervisor where that is safe and spawned otherwise
+(``repro.fabric.supervisor._start_method``).  The worker says it is
+ready, then loops: receive a cell's ``(digest, params)``, run the cell,
+publish its record, send the outcome (which also asks for the next
+cell).  It exits when the pipe reaches EOF — the supervisor has no
 more work for it, or is gone — so no worker outlives its sweep.
 
 A cell runs as in the supervisor's own process — the same
@@ -25,19 +26,20 @@ import pickle
 import signal
 import time
 from importlib import import_module
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import FabricError
 from repro.fabric import chaos
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
 from repro.fabric.queue import WorkQueue
-from repro.runner.supervisor import (_attempt_cell, _default_serialize,
-                                     accepted_params, budgeted_call)
+from repro.runner.supervisor import (_attempt_cell, _cell_record,
+                                     _default_serialize, accepted_params,
+                                     budgeted_call, cell_key)
 
 __all__ = ["resolve_fn", "run_worker", "spawned_worker_entry"]
 
 #: The signals that ask a worker to drain.  The fleet starts a worker
-#: with both held (``_Fleet.spawn``); :func:`run_worker` unblocks them
+#: with both held (``FleetRun._spawn``); :func:`run_worker` unblocks them
 #: once its handlers exist, so none is ever met by an inherited handler.
 DRAIN_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
 
@@ -45,8 +47,8 @@ DRAIN_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
 def resolve_fn(ref: Optional[str]) -> Callable[..., Any]:
     """Import the trial function named by a ``module:qualname`` ref.
 
-    Spawned workers have nothing but the queue spec to go on, so the
-    ref must name an importable module-level callable.
+    Spawned workers have nothing but the record directory's spec to go
+    on, so the ref must name an importable module-level callable.
     """
     if not ref:
         raise FabricError(
@@ -90,40 +92,39 @@ def _portable(exc: Exception) -> Exception:
 
 
 def _run_cell(queue: WorkQueue, fn: Callable[..., Any],
-              accepted: Optional[set], digest: str,
-              index: Optional[int]) -> Tuple[Any, ...]:
+              accepted: Optional[set], budgets: Dict[str, Any], digest: str,
+              params: Dict[str, Any], index: Optional[int]) -> Tuple[Any, ...]:
     """Run one cell; publish its record if it has one; the message."""
-    info = queue.cell_info(digest)
-    params = info["params"]
-    options = queue.options
+    key = cell_key(params)
     chaos.chaos_point("run", index)
     started = time.monotonic()
     try:
-        call = budgeted_call(params, accepted, options.get("max_events"),
-                             options.get("max_wall_seconds"))
+        call = budgeted_call(params, accepted, budgets["max_events"],
+                             budgets["max_wall_seconds"])
         # Same reseed schedule as the serial supervisor (base seed +
         # attempt * stride), so the merged grid stays bit-identical.
         result, attempts, error = _attempt_cell(
-            fn, params, call, int(options.get("max_retries", 2)),
-            backoff=BackoffPolicy(), rng=backoff_stream(f"cell:{info['key']}"))
+            fn, params, call, budgets["max_retries"],
+            backoff=BackoffPolicy(), rng=backoff_stream(f"cell:{key}"))
     except Exception as exc:
         return ("raised", digest, _portable(exc))
     if error is not None:
         return ("failed", digest, attempts, error)
-    queue.complete(digest, {
-        "key": info["key"],
-        "params": params,
-        "result": _default_serialize(result),
-        "attempts": attempts,
-        "elapsed_seconds": time.monotonic() - started,
-        "worker": index,
-    }, worker_index=index)
+    queue.complete(digest, _cell_record(
+        key, params, _default_serialize(result), attempts,
+        time.monotonic() - started), worker_index=index)
     chaos.chaos_point("complete", index)
     return ("done", digest)
 
 
-def run_worker(queue_root: str, index: Optional[int], conn: Any) -> int:
+def run_worker(queue_root: str, index: Optional[int], conn: Any,
+               max_retries: int = 2, max_events: Optional[int] = None,
+               max_wall_seconds: Optional[float] = None) -> int:
     """Serve cells over ``conn`` until it reaches EOF; the exit code.
+
+    The budgets are the supervisor's, given to this process when it
+    starts, so a resumed sweep runs its open cells under the budgets it
+    was asked for, not under those of the run that made the directory.
 
     SIGTERM and SIGINT ask for a drain: the cell in hand finishes and
     is reported, then the worker leaves; one that arrives while it
@@ -132,6 +133,8 @@ def run_worker(queue_root: str, index: Optional[int], conn: Any) -> int:
     queue = WorkQueue.open(queue_root)
     fn = resolve_fn(queue.fn_ref)
     accepted = accepted_params(fn)
+    budgets = {"max_retries": max_retries, "max_events": max_events,
+               "max_wall_seconds": max_wall_seconds}
     stop: List[int] = []
 
     def _drain(signum: int, frame: Any) -> None:
@@ -148,16 +151,16 @@ def run_worker(queue_root: str, index: Optional[int], conn: Any) -> int:
             conn.send(message)
             if stop:  # drained mid-cell: reported it, now leave
                 break
-            digest = conn.recv()
+            digest, params = conn.recv()
         except (EOFError, OSError):  # no more work, or no supervisor
             break
-        message = None if stop else _run_cell(queue, fn, accepted,
-                                              digest, index)
+        message = None if stop else _run_cell(queue, fn, accepted, budgets,
+                                              digest, params, index)
     return 0
 
 
 def spawned_worker_entry(queue_root: str, index: int, conn: Any,
-                         inherited: Iterable[Any] = ()) -> int:
+                         inherited: Iterable[Any] = (), **budgets: Any) -> int:
     """Entry point of a ``repro sweep --jobs N`` worker process.
 
     A forked worker is a copy of the supervisor, so it first drops what
@@ -174,4 +177,4 @@ def spawned_worker_entry(queue_root: str, index: int, conn: Any,
         other.close()
     chaos._hits.clear()
     _obs.disable()
-    return run_worker(queue_root, index, conn)
+    return run_worker(queue_root, index, conn, **budgets)

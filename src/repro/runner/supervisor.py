@@ -12,28 +12,30 @@ grid of parameter cells with three protections:
 * **Retry with reseed** — transient failures (stalls, invariant
   violations) are retried up to ``max_retries`` times with a derived
   seed, so one pathological seed does not kill a 64-cell table.
-* **Checkpointing** — each completed cell is appended to a JSON file
-  (written atomically); a restarted sweep with the same checkpoint path
-  skips finished cells and recomputes nothing.
+* **Resume** — each completed cell is written once, durably, as a
+  record in the sweep's record directory (:mod:`repro.fabric.queue`;
+  ``<checkpoint>.queue`` by default).  The checkpoint JSON is a view of
+  those records that :meth:`SweepSupervisor.run` writes once per run
+  (atomically, also on an interrupt or a raising cell).  A restarted
+  sweep resumes the view's cells plus every record, and recomputes
+  nothing.
 
-Cells are keyed by their full parameter dict, so a checkpoint is
+Cells are keyed by their full parameter dict, so a stored result is
 automatically invalidated for cells whose parameters change.  Keys are
 *content-based*: non-JSON parameter values must expose ``to_dict()``
 (or be dataclasses), so the same logical cell produces the same key in
 every process — the property parallel resume depends on.
 
 :meth:`SweepSupervisor.run` is the one lifecycle from a grid to
-outcomes, checkpoint entries and resume decisions.  By default it runs
-each cell in this process through :meth:`SweepSupervisor.run_cell`,
-the reference path and the only one that accepts parameters a worker
-process could not rebuild from JSON (``sizes=FlowSizeDistribution``).
-With ``workers >= 1`` (``repro sweep --jobs N``) the same grid-order
-loop adds a fleet (:mod:`repro.fabric.supervisor`): worker processes
-take the cells one at a time from the supervisor over pipes, run them
-through the same :func:`_attempt_cell` and publish each result as a
-record in a queue directory, and the loop merges those records into the
-same checkpoint, so a cell's result, attempts and checkpoint entry are
-the same either way.
+outcomes.  By default it runs each cell in this process through
+:meth:`SweepSupervisor.run_cell`, the reference path and the only one
+that accepts parameters a worker process could not rebuild from JSON
+(``sizes=FlowSizeDistribution``).  With ``workers >= 1`` (``repro sweep
+--jobs N``) the same grid-order loop adds a fleet
+(:mod:`repro.fabric.supervisor`): worker processes take the cells one
+at a time from the supervisor over pipes, run them through the same
+:func:`_attempt_cell` and publish each result as the same record, so a
+cell's result, attempts and checkpoint entry are the same either way.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ from repro.errors import (
     SimulationStalledError,
 )
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
+from repro.fabric.queue import WorkQueue, cell_digest, format_fn_ref
 from repro.fabric.records import fsync_directory as _fsync_directory
+from repro.fabric.records import json_default, quarantine_corrupt
 from repro.sim.engine import check_wall_budget
 
 __all__ = ["SweepSupervisor", "TrialOutcome", "cell_key",
@@ -139,20 +143,6 @@ def cell_key(params: Dict[str, Any]) -> str:
     return json.dumps(_canonical_param(dict(params)), sort_keys=True)
 
 
-def _checkpoint_default(value: Any) -> Any:
-    """JSON fallback for *results* in the checkpoint.
-
-    Results are not identity-bearing, so unknown objects degrade to a
-    readable form instead of failing the write.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    to_dict = getattr(value, "to_dict", None)
-    if callable(to_dict):
-        return to_dict()
-    return repr(value)
-
-
 @functools.cache
 def _git_sha() -> Optional[str]:
     """HEAD of the repository this code runs from, or None outside git.
@@ -172,6 +162,19 @@ def _git_sha() -> Optional[str]:
         return None
     sha = proc.stdout.strip()
     return sha or None
+
+
+def _cell_record(key: str, params: Dict[str, Any], result: Any,
+                attempts: int, elapsed_seconds: float) -> Dict[str, Any]:
+    """A finished cell as it is stored, whichever process ran it.
+
+    The record both executors publish (``WorkQueue.complete``);
+    :meth:`SweepSupervisor._adopt` reads the same fields back into the
+    checkpoint view.  ``result`` is already serialized.
+    """
+    return {"key": key, "params": _canonical_param(dict(params)),
+            "result": result, "attempts": attempts,
+            "elapsed_seconds": elapsed_seconds}
 
 
 def _attempt_cell(fn: Callable[..., Any], params: Dict[str, Any],
@@ -218,7 +221,7 @@ def accepted_params(fn: Callable) -> Optional[set]:
     """Parameter names ``fn`` accepts, or None if it takes ``**kwargs``.
 
     Module-level so fabric workers — which resolve the trial function
-    from a queue spec, not from a :class:`SweepSupervisor` —
+    from the record directory's spec, not from a :class:`SweepSupervisor` —
     share the exact budget-injection rules of the serial path.
     """
     try:
@@ -252,13 +255,14 @@ class SweepSupervisor:
     fn:
         The trial callable; invoked as ``fn(**params)``.
     checkpoint_path:
-        JSON checkpoint file, or ``None`` to disable persistence.
+        JSON checkpoint file (a view of the records, written once per
+        :meth:`run`), or ``None`` to write none.
     resume:
-        Load previously-completed cells from the checkpoint (default
-        True).  With ``resume=False`` any existing checkpoint file (and
-        the queue state in ``queue_dir``) is deleted up front, so a
-        crash before the first new cell completes can never leave stale
-        cells for a later ``resume=True`` to silently load.
+        Resume the checkpoint's cells and the records (default True).
+        With ``resume=False`` any existing checkpoint file and every
+        record in ``queue_dir`` are deleted up front, so a crash before
+        the first new cell completes can never leave stale cells for a
+        later ``resume=True`` to silently load.
     max_retries:
         Retries after the first attempt of a transiently-failing cell.
     max_events, max_wall_seconds:
@@ -268,7 +272,7 @@ class SweepSupervisor:
         Converts a result to a JSON-serializable object (default:
         ``dataclasses.asdict`` for dataclasses, identity otherwise).
     deserialize:
-        Rehydrates a checkpointed result dict (default: identity, i.e.
+        Rehydrates a stored result dict (default: identity, i.e.
         resumed cells yield plain dicts).
     retry_backoff:
         :class:`~repro.fabric.backoff.BackoffPolicy` separating the
@@ -279,16 +283,18 @@ class SweepSupervisor:
     workers:
         0 (default) runs every cell in this process.  ``N >= 1`` adds a
         fleet of N worker processes to :meth:`run` (``fn`` module-level,
-        grid JSON-native), and an unreadable checkpoint is then moved
-        aside to ``<path>.corrupt`` for the queue's records to rebuild
-        instead of raising.
+        grid JSON-native).
     queue_dir:
-        The directory the fleet's workers publish each finished cell's
-        record in (so a killed supervisor loses none); required with
-        ``workers``.
+        The record directory: every finished cell, whichever process
+        ran it, is published there as one durable record (default
+        ``<checkpoint_path>.queue``; none without a checkpoint, which
+        ``workers`` then needs).
     timeout:
         Optional wall bound on waiting for the fleet; on expiry it is
         terminated and :class:`~repro.errors.FabricError` raised.
+
+    An unreadable, non-object or wrong-version checkpoint is moved to
+    ``<path>.corrupt`` (``parked``) and the run resumes from the records.
     """
 
     def __init__(
@@ -312,12 +318,14 @@ class SweepSupervisor:
         check_wall_budget(max_wall_seconds)
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
+        queue_dir = queue_dir or (checkpoint_path and checkpoint_path + ".queue")
+        fn_ref = format_fn_ref(fn)
         if workers:
-            from repro.fabric.queue import WorkQueue
             from repro.fabric.supervisor import fn_reference
             if not queue_dir:
-                raise ConfigurationError("workers >= 1 needs a queue_dir")
-            self.fn_ref = fn_reference(fn)
+                raise ConfigurationError(
+                    "workers >= 1 needs a queue_dir or a checkpoint_path")
+            fn_reference(fn)  # refuses what a worker could not import
         self.fn = fn
         self.checkpoint_path = checkpoint_path
         self.max_retries = max_retries
@@ -330,74 +338,68 @@ class SweepSupervisor:
         self.queue_dir = queue_dir
         self.timeout = timeout
         self._accepted = accepted_params(fn)
-        #: ``meta.fabric`` of the next checkpoint write (set by the fleet).
-        self._fabric_meta: Optional[Dict[str, Any]] = None
         self._cells: Dict[str, Dict[str, Any]] = {}
+        #: Where an unreadable checkpoint was moved, if one was.
+        self.parked: Optional[str] = None
         if checkpoint_path:
             directory = os.path.dirname(os.path.abspath(checkpoint_path))
             if not os.path.isdir(directory):
-                # Found now, not by the first cell's checkpoint write,
-                # which would lose that cell's work to a traceback.
+                # Found now, not by the first cell's write, which would
+                # lose that cell's work to a traceback.
                 raise ConfigurationError(
                     f"checkpoint directory {directory!r} does not exist "
                     f"(for checkpoint {checkpoint_path!r})")
-            if resume:
-                self._cells = self._load_checkpoint(
-                    checkpoint_path, quarantine=bool(workers))
-            elif os.path.exists(checkpoint_path):
+            if not resume and os.path.exists(checkpoint_path):
                 # Discard immediately: leaving the old file on disk
-                # until the first new cell completes would let a crash
-                # in between resurrect stale cells on the next resume.
+                # until the run ends would let a crash in between
+                # resurrect stale cells on the next resume.
                 try:
                     os.unlink(checkpoint_path)
                 except OSError as exc:
                     raise ConfigurationError(
                         f"cannot discard checkpoint {checkpoint_path!r}: "
                         f"{exc}") from exc
-        if workers and not resume:
-            WorkQueue.discard(queue_dir)
+        self.queue: Optional[WorkQueue] = None
+        if queue_dir:
+            if not resume:
+                WorkQueue.discard(queue_dir)
+            self.queue = WorkQueue.create(queue_dir, fn_ref)
+        if resume:
+            self._resume()
 
     # ------------------------------------------------------------------
-    # Checkpoint I/O
+    # The store: records, and the checkpoint view of them
     # ------------------------------------------------------------------
-    @staticmethod
-    def _load_checkpoint(path: str, quarantine: bool = False,
-                         ) -> Dict[str, Dict[str, Any]]:
-        if not os.path.exists(path):
+    def _resume(self) -> None:
+        """The one resume rule: the checkpoint's cells plus the records."""
+        self._cells = self._load_checkpoint()
+        if self.queue is not None:
+            known = {cell_digest(key) for key in self._cells}
+            for record in self.queue.completed_records(skip=known):
+                self._adopt(record)
+
+    def _load_checkpoint(self) -> Dict[str, Dict[str, Any]]:
+        """The checkpoint's cells; an unreadable file is parked."""
+        path = self.checkpoint_path
+        if not path or not os.path.exists(path):
             return {}
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise ConfigurationError(
-                    f"unreadable checkpoint {path!r}: not a JSON object")
-            if payload.get("version") != 1:
-                raise ConfigurationError(
-                    f"checkpoint {path!r} has unsupported version "
-                    f"{payload.get('version')!r}")
-            cells = payload.get("cells", {})
-            if not isinstance(cells, dict):
-                raise ConfigurationError(
-                    f"unreadable checkpoint {path!r}: 'cells' is not a "
-                    f"JSON object")
-        except (OSError, ValueError, ConfigurationError) as exc:
-            if quarantine:
-                # Fleet recovery: park the damaged file (evidence for
-                # the postmortem) and resume from nothing — completed
-                # cells still exist as queue records and merge back in.
-                try:
-                    os.replace(path, path + ".corrupt")
-                except OSError:
-                    pass
-                return {}
-            if isinstance(exc, ConfigurationError):
-                raise
-            raise ConfigurationError(
-                f"unreadable checkpoint {path!r}: {exc}") from exc
-        return dict(cells)
+        except (OSError, ValueError):
+            payload = None
+        cells = (payload.get("cells", {}) if isinstance(payload, dict)
+                 and payload.get("version") == 1 else None)
+        if isinstance(cells, dict):
+            return dict(cells)
+        # Park the damaged file (evidence for the postmortem) and resume
+        # from the records alone: every finished cell is one of them.
+        self.parked = quarantine_corrupt(path)
+        return {}
 
-    def _checkpoint_meta(self) -> Dict[str, Any]:
-        """Audit metadata embedded in every checkpoint write.
+    def _checkpoint_meta(self, written_cells: int,
+                         fabric: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """Audit metadata embedded in the checkpoint.
 
         Records which code (git SHA) and which supervisor configuration
         (content hash) produced the cells, plus the current
@@ -421,13 +423,13 @@ class SweepSupervisor:
             "supervisor": spec,
             "metrics": _obs.snapshot(),
             "written_at": time.time(),
-            "written_cells": len(self._cells),
+            "written_cells": written_cells,
         }
-        if self._fabric_meta is not None:
-            # Distributed runs: fabric counters + quarantined cells ride
-            # in the checkpoint so `repro obs report` can audit a sweep
+        if fabric is not None:
+            # Fleet runs: fabric counters + quarantined cells ride in
+            # the checkpoint so `repro obs report` can audit a sweep
             # from its artifact alone.  Additive — version stays 1.
-            meta["fabric"] = self._fabric_meta
+            meta["fabric"] = fabric
             if meta["metrics"] is None:
                 # Fabric counters must survive even with repro.obs
                 # disabled: synthesize the minimal snapshot shape.
@@ -437,28 +439,32 @@ class SweepSupervisor:
                     "components": {},
                 }
             counters = meta["metrics"].setdefault("counters", {})
-            for name, value in self._fabric_meta.get("counters", {}).items():
+            for name, value in fabric.get("counters", {}).items():
                 counters[name] = counters.get(name, 0) + value
         return meta
 
-    def _write_checkpoint(self) -> None:
+    def _write_checkpoint(self, keys: List[str],
+                          fabric: Optional[Dict[str, Any]] = None) -> None:
+        """Write the view: the cells of ``keys`` in that order, then any
+        other cell the store holds."""
         if not self.checkpoint_path:
             return
-        payload = {"version": 1, "meta": self._checkpoint_meta(),
-                   "cells": self._cells}
+        cells = {key: self._cells[key] for key in keys if key in self._cells}
+        cells.update(self._cells)
+        payload = {"version": 1, "meta": self._checkpoint_meta(len(cells), fabric),
+                   "cells": cells}
         directory = os.path.dirname(os.path.abspath(self.checkpoint_path))
         # Atomic replace: a sweep killed mid-write never corrupts the
-        # checkpoint it would later resume from.  fsync the temp file
-        # *before* the rename and the directory *after*: rename-over is
-        # only atomic for data already on disk — without the fsyncs a
-        # power cut can leave the new name pointing at torn bytes, or
-        # quietly undo the rename itself.
+        # checkpoint.  fsync the temp file *before* the rename and the
+        # directory *after*: rename-over is only atomic for data already
+        # on disk — without the fsyncs a power cut can leave the new name
+        # pointing at torn bytes, or quietly undo the rename itself.
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # dumps, not dump: one pass of the C encoder instead of
                 # the pure-Python chunk iterator; the bytes are the same.
-                fh.write(json.dumps(payload, default=_checkpoint_default))
+                fh.write(json.dumps(payload, default=json_default))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.checkpoint_path)
@@ -470,23 +476,19 @@ class SweepSupervisor:
                 pass
             raise
 
-    def _merge_cell(self, key: str, params: Dict[str, Any], result: Any,
-                    attempts: int, elapsed_seconds: float) -> None:
-        """Add one completed cell to the table the next write persists."""
-        self._cells[key] = {
-            "params": _canonical_param(dict(params)),
-            "result": self.serialize(result),
-            "attempts": attempts,
-            "elapsed_seconds": elapsed_seconds,
-        }
+    def _adopt(self, record: Dict[str, Any]) -> None:
+        """Add one cell's record (:func:`_cell_record`) to the cells the
+        view lists: the view's entry is the record less its key."""
+        entry = dict(record)
+        self._cells[entry.pop("key")] = entry
 
     def _cached_outcome(self, key: str, params: Dict[str, Any],
                         cached: Dict[str, Any],
                         from_checkpoint: bool = True) -> TrialOutcome:
-        """The outcome a checkpoint entry stands for.
+        """The outcome a stored cell stands for.
 
-        ``from_checkpoint=False`` is an entry a fleet worker computed
-        (this run, or a killed one that had not checkpointed it yet).
+        ``from_checkpoint=False`` is a cell a fleet worker computed in
+        this run.
         """
         result = cached["result"]
         if self.deserialize is not None:
@@ -500,7 +502,7 @@ class SweepSupervisor:
 
     @property
     def completed_cells(self) -> int:
-        """Cells already present in the (loaded or accumulated) checkpoint."""
+        """Cells the store holds: resumed, or completed in this process."""
         return len(self._cells)
 
     # ------------------------------------------------------------------
@@ -511,7 +513,7 @@ class SweepSupervisor:
                              self.max_events, self.max_wall_seconds)
 
     def run_cell(self, **params: Any) -> TrialOutcome:
-        """Run (or resume) one cell; checkpoint it on success."""
+        """Run (or resume) one cell; publish its record on success."""
         key = cell_key(params)
         cached = self._cells.get(key)
         if cached is not None:
@@ -526,9 +528,11 @@ class SweepSupervisor:
                                attempts=attempts, error=error,
                                elapsed_seconds=time.monotonic() - started)
         if outcome.ok:
-            self._merge_cell(key, params, outcome.result,
-                             outcome.attempts, outcome.elapsed_seconds)
-            self._write_checkpoint()
+            record = _cell_record(key, params, self.serialize(result),
+                                 attempts, outcome.elapsed_seconds)
+            if self.queue is not None:
+                self.queue.complete(cell_digest(key), record)
+            self._adopt(record)
         return outcome
 
     def run(self, grid: Iterable[Dict[str, Any]],
@@ -537,24 +541,29 @@ class SweepSupervisor:
         """Run every cell in ``grid``; failed cells are reported, not fatal.
 
         Outcomes come back, and ``on_cell`` (progress reporting) sees
-        each one, in grid order.  A cell the checkpoint holds is resumed;
-        with ``workers >= 1`` the others' outcomes are the fleet's merged
+        each one, in grid order.  A cell the store holds is resumed;
+        with ``workers >= 1`` the others' outcomes are the fleet's
         records, FAILED rows and raised exceptions, and what the fleet
         leaves open runs here through :meth:`run_cell`.  A cell listed
-        twice runs once.
+        twice runs once.  The checkpoint view is written once, when the
+        loop ends, however it ends.
         """
         grid = [dict(params) for params in grid]
-        fleet_run: Any = contextlib.nullcontext()
+        fleet: Any = None
         if self.workers:
             from repro.fabric.supervisor import FleetRun
-            fleet_run = FleetRun(self, grid)
+            fleet = FleetRun(self, grid)
         outcomes = []
-        with fleet_run as fleet:
-            for params in grid:
-                outcome = fleet.collect(params) if fleet else None
-                if outcome is None:
-                    outcome = self.run_cell(**params)
-                if on_cell is not None:
-                    on_cell(outcome)
-                outcomes.append(outcome)
+        try:
+            with fleet or contextlib.nullcontext():
+                for params in grid:
+                    outcome = fleet.collect(params) if fleet else None
+                    if outcome is None:
+                        outcome = self.run_cell(**params)
+                    if on_cell is not None:
+                        on_cell(outcome)
+                    outcomes.append(outcome)
+        finally:
+            self._write_checkpoint([cell_key(params) for params in grid],
+                                   fleet._audit() if fleet else None)
         return outcomes

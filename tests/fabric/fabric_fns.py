@@ -1,7 +1,7 @@
 """Module-level trial functions for the fabric tests.
 
-Spawned worker processes resolve the trial function from the queue
-spec's ``module:qualname`` reference and re-import it from scratch, so
+Spawned worker processes resolve the trial function from the record
+directory spec's ``module:qualname`` reference and re-import it from scratch, so
 every function the fabric tests sweep must live in an importable
 module — this one — rather than inside a test function or ``__main__``.
 All of them are pure functions of their parameters, which is what the
@@ -84,6 +84,11 @@ def kills_itself(x, seed=0):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def exits_at_once(queue_root, index, conn, inherited=()):
+def echoes_max_events(x, seed=0, max_events=None):
+    """The event budget the cell ran under."""
+    return {"x": x, "max_events": max_events}
+
+
+def exits_at_once(queue_root, index, conn, inherited=(), **budgets):
     """A fleet worker entry point that dies before it opens the queue."""
     raise SystemExit(1)

@@ -2,12 +2,14 @@
 merge, resume, audit."""
 
 import json
+import os
 
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
+from repro.fabric.queue import cell_digest
 from repro.fabric.supervisor import fn_reference
-from repro.runner.supervisor import SweepSupervisor
+from repro.runner.supervisor import SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
 
 GRID = [{"x": i, "seed": 11} for i in range(6)]
@@ -173,7 +175,6 @@ class TestFabricSweep:
         assert all(o.ok for o in again)
         assert ([json.dumps(o.result, sort_keys=True) for o in again]
                 == [json.dumps(o.result, sort_keys=True) for o in first])
-        import os
         assert os.path.exists(kwargs["checkpoint_path"] + ".corrupt")
         with open(kwargs["checkpoint_path"]) as fh:
             rebuilt = json.load(fh)
@@ -218,3 +219,96 @@ class TestFabricSweep:
         with pytest.raises(FabricError, match="cannot create queue"):
             fleet_sweep(fabric_fns.marks_run, **kwargs)
         assert not list(tmp_path.glob("cell-*.ran"))
+
+
+class TestOneStore:
+    """Every executor writes each finished cell once, as its record, and
+    resumes by one rule: the checkpoint's cells plus the records."""
+
+    @staticmethod
+    def store(tmp_path):
+        checkpoint = str(tmp_path / "sweep.json")
+        return {"checkpoint_path": checkpoint,
+                "queue_dir": checkpoint + ".queue"}
+
+    @staticmethod
+    def marked_grid(tmp_path, xs):
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir(exist_ok=True)
+        return [{"x": x, "run_dir": str(run_dir)} for x in xs]
+
+    @staticmethod
+    def drop_from_view(store, params, record_too=False):
+        """What a supervisor SIGKILLed before its one write leaves: the
+        cell missing from the view (and, ``record_too``, not finished)."""
+        path = store["checkpoint_path"]
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["cells"][cell_key(params)]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        if record_too:
+            digest = cell_digest(cell_key(params))
+            record = os.path.join(store["queue_dir"], "cells", digest[:2],
+                                  f"{digest}.json")
+            if os.path.exists(record):
+                os.unlink(record)
+
+    def test_fresh_without_workers_discards_the_fleets_records(
+            self, tmp_path):
+        store = self.store(tmp_path)
+        grid = self.marked_grid(tmp_path, [1, 2])
+        SweepSupervisor(fabric_fns.marks_run, workers=1, **store).run(grid)
+        self.drop_from_view(store, grid[1])
+        SweepSupervisor(fabric_fns.marks_run, resume=False,
+                        checkpoint_path=store["checkpoint_path"]).run(grid[:1])
+        outcomes = SweepSupervisor(fabric_fns.marks_run, workers=1,
+                                   **store).run(grid)
+        # --fresh discarded cell 2's record too, so it runs again.
+        assert (tmp_path / "runs" / "cell-2.ran").read_text() == "1\n1\n"
+        assert [o.from_checkpoint for o in outcomes] == [True, False]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_killed_runs_record_resumes_as_checkpointed(
+            self, tmp_path, workers):
+        store = self.store(tmp_path)
+        grid = self.marked_grid(tmp_path, [1, 2])
+        SweepSupervisor(fabric_fns.marks_run, workers=1, **store).run(grid)
+        self.drop_from_view(store, grid[1])
+        resumed = SweepSupervisor(fabric_fns.marks_run, workers=workers,
+                                  **store)
+        assert resumed.completed_cells == 2
+        outcomes = resumed.run(grid)
+        assert [o.from_checkpoint for o in outcomes] == [True, True]
+        assert (tmp_path / "runs" / "cell-2.ran").read_text() == "1\n"
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_grown_grid_resumes_the_cells_it_shares(self, tmp_path,
+                                                      workers):
+        store = self.store(tmp_path)
+        grid = self.marked_grid(tmp_path, [1, 2, 3])
+        SweepSupervisor(fabric_fns.marks_run, workers=workers,
+                        **store).run(grid[:2])
+        grown = SweepSupervisor(fabric_fns.marks_run, workers=workers,
+                                **store)
+        assert grown.completed_cells == 2
+        outcomes = grown.run(grid)
+        assert [o.from_checkpoint for o in outcomes] == [True, True, False]
+        for x in (1, 2, 3):
+            assert (tmp_path / "runs" / f"cell-{x}.ran").read_text() == "1\n"
+        with open(store["checkpoint_path"]) as fh:
+            assert list(json.load(fh)["cells"]) == [cell_key(p) for p in grid]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_open_cells_run_under_the_resumes_budgets(self, tmp_path,
+                                                      workers):
+        store = self.store(tmp_path)
+        grid = [{"x": 1}, {"x": 2}]
+        SweepSupervisor(fabric_fns.echoes_max_events, workers=workers,
+                        max_events=10, **store).run(grid)
+        self.drop_from_view(store, grid[1], record_too=True)
+        outcomes = SweepSupervisor(fabric_fns.echoes_max_events,
+                                   workers=workers, max_events=99,
+                                   **store).run(grid)
+        assert [o.result["max_events"] for o in outcomes] == [10, 99]
+        assert [o.from_checkpoint for o in outcomes] == [True, False]

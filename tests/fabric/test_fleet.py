@@ -7,9 +7,9 @@ copy of the supervisor, so the first half of this file is about what a
 copy could get wrong: inherited chaos hit counts, a live ``repro.obs``
 session, inherited signal handlers, a parent that has threads.  The
 second half pins the loop itself: each completed record is read once,
-the checkpoint is written once per wake-up that merged something, a
-drain signal ends the supervisor's wait at once, and a finished sweep
-returns at once.  The supervisor being SIGKILLed is the last case.
+the checkpoint is written once per run, a drain signal ends the
+supervisor's wait at once, and a finished sweep returns at once.  The
+supervisor being SIGKILLed, with and without workers, is the last case.
 """
 
 import json
@@ -172,10 +172,13 @@ class TestForkedWorkerState:
         with open(kwargs["checkpoint_path"]) as fh:
             fabric = json.load(fh)["meta"]["fabric"]
         assert fabric["worker_deaths"] == [] and fabric["respawns"] == 0
-        # No worker published a cell: the supervisor ran all four.
+        # No worker published a cell: the supervisor ran all four, and
+        # published each record itself.
+        assert fabric["counters"]["fabric.completions"] == 0
         queue = real_open(kwargs["queue_dir"])
-        assert all(queue.completed_record(cell_digest(cell_key(params)))
-                   is None for params in grid)
+        for params in grid:
+            assert queue.completed_record(
+                cell_digest(cell_key(params))) is not None
 
 
 class TestStopWakesAnIdleWorker:
@@ -226,9 +229,11 @@ class TestMergeLoop:
     @pytest.mark.parametrize("cells,delay", [(4, 0.15), (24, 0.05)])
     def test_each_record_read_once_and_one_write_per_merging_poll(
             self, tmp_path, monkeypatch, cells, delay):
+        """Each record is read once, whichever wake-up brings it, and
+        the checkpoint view is written once per run, not per wake-up."""
         stepping = []         # True while FleetRun._step runs
         reads = {}            # digest -> completed records read by it
-        steps = {"all": 0, "merged": 0}
+        steps = {"all": 0}
         writes = []
 
         real_step = FleetRun._step
@@ -236,14 +241,12 @@ class TestMergeLoop:
         real_write = SweepSupervisor._write_checkpoint
 
         def step(self, deadline):
-            before = len(self.supervisor._cells)
             stepping.append(True)
             try:
                 real_step(self, deadline)
             finally:
                 stepping.pop()
             steps["all"] += 1
-            steps["merged"] += len(self.supervisor._cells) > before
 
         def read(self, digest):
             record = real_read(self, digest)
@@ -251,9 +254,9 @@ class TestMergeLoop:
                 reads[digest] = reads.get(digest, 0) + 1
             return record
 
-        def write(self):
+        def write(self, *args, **kwargs):
             writes.append(len(self._cells))
-            real_write(self)
+            real_write(self, *args, **kwargs)
 
         monkeypatch.setattr(FleetRun, "_step", step)
         monkeypatch.setattr(WorkQueue, "completed_record", read)
@@ -265,35 +268,27 @@ class TestMergeLoop:
         assert all(outcome.ok for outcome in outcomes)
         assert steps["all"] >= 3  # or "however many wake-ups" says nothing
         assert sorted(reads.values()) == [1] * cells
-        # One write per wake-up that merged something, plus the final
-        # one that carries the audit block; each holds all cells so far.
-        assert len(writes) == steps["merged"] + 1
-        assert writes == sorted(writes) and writes[-1] == cells
+        # One write, at the end, holding every cell and the audit block.
+        assert writes == [cells]
 
     def test_checkpoint_equals_the_one_written_cell_by_cell(self, tmp_path):
+        """The fleet's checkpoint is a view of its records: a run
+        without workers that has only the records rebuilds it."""
         grid = [{"x": i, "seed": 6} for i in range(8)]
         kwargs = fabric_kwargs(tmp_path, grid)
         fleet_sweep(fabric_fns.quadratic, **kwargs)
         with open(kwargs["checkpoint_path"]) as fh:
-            batched = json.load(fh)
+            fleet_view = json.load(fh)
 
-        # Replay the same records through a write after every cell.
-        queue = WorkQueue.open(kwargs["queue_dir"])
-        path = str(tmp_path / "cell-by-cell.json")
-        replay = SweepSupervisor(fabric_fns.quadratic, checkpoint_path=path)
-        for params in grid:
-            record = queue.completed_record(cell_digest(cell_key(params)))
-            replay._merge_cell(record["key"], params, record["result"],
-                               record["attempts"], record["elapsed_seconds"])
-            replay._write_checkpoint()
-        replay._fabric_meta = batched["meta"]["fabric"]
-        replay._write_checkpoint()
+        path = str(tmp_path / "from-records.json")
+        replay = SweepSupervisor(fabric_fns.quadratic, checkpoint_path=path,
+                                 queue_dir=kwargs["queue_dir"])
+        assert replay.completed_cells == len(grid)
+        assert all(outcome.from_checkpoint for outcome in replay.run(grid))
         with open(path) as fh:
-            cell_by_cell = json.load(fh)
-
-        for payload in (batched, cell_by_cell):
-            del payload["meta"]["written_at"]
-        assert batched == cell_by_cell
+            rebuilt = json.load(fh)
+        assert list(rebuilt["cells"]) == [cell_key(p) for p in grid]
+        assert rebuilt["cells"] == fleet_view["cells"]
 
 
 # ----------------------------------------------------------------------
@@ -348,15 +343,15 @@ class TestFleetExhausted:
 # ----------------------------------------------------------------------
 # When the supervisor itself is SIGKILLed
 # ----------------------------------------------------------------------
-#: A fleet sweep of slow cells, run as a process of its own.
+#: A sweep of slow cells, run as a process of its own.
 KILLED_SWEEP = """
 import sys
 from repro.runner.supervisor import SweepSupervisor
 from tests.fabric import fabric_fns
-run_dir, queue_dir, checkpoint = sys.argv[1:]
+run_dir, queue_dir, checkpoint, workers = sys.argv[1:]
 grid = [{"x": i, "run_dir": run_dir, "delay": 0.4} for i in range(6)]
-SweepSupervisor(fabric_fns.marks_run, workers=2, queue_dir=queue_dir,
-                checkpoint_path=checkpoint).run(grid)
+SweepSupervisor(fabric_fns.marks_run, workers=int(workers),
+                queue_dir=queue_dir, checkpoint_path=checkpoint).run(grid)
 """
 
 
@@ -382,8 +377,10 @@ def alive(pid):
 
 
 class TestSupervisorKilled:
-    def test_no_worker_outlives_it_and_no_finished_cell_reruns(
-            self, tmp_path):
+    def kill_once_a_record_exists_then_rerun(self, tmp_path, workers):
+        """SIGKILL the sweep once one record exists, before it wrote any
+        checkpoint; re-run it: every cell recorded before the kill ran
+        exactly once, and no worker outlived the kill by 5 s."""
         if not os.path.isdir("/proc/self"):
             pytest.skip("needs /proc to find the workers")
         root = Path(__file__).resolve().parents[2]
@@ -394,32 +391,42 @@ class TestSupervisorKilled:
             [str(root), str(root / "src")]))
         sweep = subprocess.Popen(
             [sys.executable, "-c", KILLED_SWEEP, str(run_dir),
-             str(queue_dir), str(checkpoint)], env=env)
+             str(queue_dir), str(checkpoint), str(workers)], env=env)
         deadline = time.monotonic() + 60.0
         while not list(queue_dir.glob("cells/*/*.json")):
             assert sweep.poll() is None and time.monotonic() < deadline
             time.sleep(0.005)
-        workers = children_of(sweep.pid)
+        children = children_of(sweep.pid)
         finished = {path.stem for path in queue_dir.glob("cells/*/*.json")}
         sweep.kill()
         sweep.wait()
-        assert workers and finished
+        assert finished and len(children) == workers
+        assert not checkpoint.exists()  # the records are all there is
 
         deadline = time.monotonic() + 5.0
-        while any(alive(pid) for pid in workers):
+        while any(alive(pid) for pid in children):
             assert time.monotonic() < deadline, [
-                pid for pid in workers if alive(pid)]
+                pid for pid in children if alive(pid)]
             time.sleep(0.01)
 
         grid = [{"x": i, "run_dir": str(run_dir), "delay": 0.4}
                 for i in range(6)]
         outcomes = fleet_sweep(
-            fabric_fns.marks_run, grid, workers=2, queue_dir=str(queue_dir),
-            checkpoint_path=str(checkpoint))
+            fabric_fns.marks_run, grid, workers=workers,
+            queue_dir=str(queue_dir), checkpoint_path=str(checkpoint))
         assert all(outcome.ok for outcome in outcomes)
-        for params in grid:
+        for params, outcome in zip(grid, outcomes):
             if cell_digest(cell_key(params)) in finished:
                 ran = (run_dir / f"cell-{params['x']}.ran").read_text()
                 assert ran == "1\n", params
+                assert outcome.from_checkpoint
         with open(checkpoint) as fh:
             assert len(json.load(fh)["cells"]) == len(grid)
+
+    def test_no_worker_outlives_it_and_no_finished_cell_reruns(
+            self, tmp_path):
+        self.kill_once_a_record_exists_then_rerun(tmp_path, workers=2)
+
+    def test_without_workers_no_recorded_cell_reruns(self, tmp_path):
+        """``--jobs 1``: the records alone are durable."""
+        self.kill_once_a_record_exists_then_rerun(tmp_path, workers=0)

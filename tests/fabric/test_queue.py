@@ -1,11 +1,12 @@
-"""Tests for the queue directory and for how the supervisor owns its cells.
+"""Tests for the record directory and for how the supervisor owns its cells.
 
-The queue directory holds the grid's spec and one record per finished
-cell; which worker runs which cell lives only in the supervisor
-(``repro.fabric.supervisor.FleetRun``).  The class names below keep the
-names of the protocol steps they replaced: handing a cell out (was:
-claim), a dead worker's cell going back (was: expiry and stealing), a
-cell's failures, torn records, and resume.
+The directory holds the trial function's spec and one record per
+finished cell; which cells a sweep has, and which worker runs which,
+live only in the supervisor (``repro.fabric.supervisor.FleetRun``).
+The class names below keep the names of the protocol steps they
+replaced: handing a cell out (was: claim), a dead worker's cell going
+back (was: expiry and stealing), a cell's failures, torn records, and
+resume.
 """
 
 import os
@@ -25,13 +26,10 @@ from repro.runner.supervisor import SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
 
 
-def make_queue(tmp_path, n=3, **options):
+def make_queue(tmp_path, n=3):
     grid = [{"x": i, "seed": 5} for i in range(n)]
-    cells = {cell_key(p): p for p in grid}
-    queue = WorkQueue.create(
-        str(tmp_path / "q"), cells,
-        fn_ref="tests.fabric.fabric_fns:quadratic",
-        options=dict({"max_retries": 2}, **options))
+    queue = WorkQueue.create(str(tmp_path / "q"),
+                             fn_ref="tests.fabric.fabric_fns:quadratic")
     return queue, grid
 
 
@@ -77,33 +75,37 @@ def fake_worker(index, cell=None):
 
 class TestCreateOpen:
     def test_open_round_trips_spec(self, tmp_path):
-        queue, grid = make_queue(tmp_path)
+        """The spec names the trial function and nothing else: no grid,
+        no cells, no budgets."""
+        from repro.fabric import records
+
+        queue, _ = make_queue(tmp_path)
         reopened = WorkQueue.open(queue.root)
         assert reopened.fn_ref == queue.fn_ref
-        assert reopened.options == {"max_retries": 2}
-        for params in grid:
-            assert reopened.cell_info(digest_of(params)) == {
-                "key": cell_key(params), "params": params}
+        assert records.read_record(os.path.join(queue.root, "spec.json")) \
+            == {"version": 1, "fn": "tests.fabric.fabric_fns:quadratic"}
 
     def test_create_attaches_to_matching_queue(self, tmp_path):
         queue, grid = make_queue(tmp_path)
-        cells = {cell_key(p): p for p in grid}
-        again = WorkQueue.create(queue.root, cells,
-                                 fn_ref=queue.fn_ref)
+        queue.complete(digest_of(grid[1]), record_for(grid[1], {"y": 1}))
+        again = WorkQueue.create(queue.root, fn_ref=queue.fn_ref)
         assert again.root == queue.root
-        assert again.cell_info(digest_of(grid[1]))["params"] == grid[1]
+        assert again.completed_record(digest_of(grid[1]))["params"] == grid[1]
 
     def test_create_rejects_different_grid(self, tmp_path):
-        queue, _ = make_queue(tmp_path)
-        other = {cell_key({"x": 99}): {"x": 99}}
-        with pytest.raises(FabricError, match="different grid"):
-            WorkQueue.create(queue.root, other, fn_ref=queue.fn_ref)
+        """Records are keyed by content, so another grid is not refused:
+        it resumes the cells it shares."""
+        grid = [{"x": i, "seed": 0} for i in range(3)]
+        fleet_run(tmp_path, grid[:2]).queue.complete(
+            digest_of(grid[1]), record_for(grid[1], {"y": 1}))
+        grown = fleet_run(tmp_path, grid)
+        assert list(grown.todo) == [digest_of(grid[0]), digest_of(grid[2])]
+        assert grown.supervisor.completed_cells == 1
 
     def test_create_rejects_different_fn(self, tmp_path):
-        queue, grid = make_queue(tmp_path)
-        cells = {cell_key(p): p for p in grid}
+        queue, _ = make_queue(tmp_path)
         with pytest.raises(FabricError, match="trial function"):
-            WorkQueue.create(queue.root, cells, fn_ref="other.module:fn")
+            WorkQueue.create(queue.root, fn_ref="other.module:fn")
 
     def test_open_missing_directory_is_clear(self, tmp_path):
         with pytest.raises(FabricError, match="not a fabric queue"):
@@ -119,26 +121,35 @@ class TestCreateOpen:
     ])
     def test_create_rejects_leases_that_rob_live_workers(
             self, tmp_path, options, match):
-        # The old protocol's lease options, like any option no worker
-        # honours, are refused before the directory is made.
-        with pytest.raises(ConfigurationError, match=match):
-            make_queue(tmp_path, **options)
-        assert not (tmp_path / "q").exists()
+        # The directory takes no options at all: a worker gets its
+        # budgets from the supervisor that starts it.  Passing one is
+        # refused before the directory is made.
+        with pytest.raises(TypeError, match="options"):
+            WorkQueue.create(str(tmp_path / "q"), fn_ref=None,
+                             options=options)
+        with pytest.raises(TypeError, match=match):
+            SweepSupervisor(fabric_fns.quadratic,
+                            checkpoint_path=str(tmp_path / "ck.json"),
+                            **options)
+        assert list(tmp_path.iterdir()) == []
 
     def test_create_names_a_directory_it_cannot_make(self, tmp_path):
         (tmp_path / "file").write_text("not a directory")
         root = str(tmp_path / "file" / "q")
         with pytest.raises(FabricError, match="cannot create queue") as err:
-            WorkQueue.create(root, {}, fn_ref=None)
+            WorkQueue.create(root, fn_ref=None)
         assert root in str(err.value)
 
 
 class TestClaimCompleteLifecycle:
     def test_claim_returns_lease_with_params(self, tmp_path):
-        """The digest a worker is handed names the cell's key and params."""
-        queue, grid = make_queue(tmp_path, n=1)
-        info = queue.cell_info(digest_of(grid[0]))
-        assert info == {"key": cell_key(grid[0]), "params": grid[0]}
+        """A worker is handed the cell's digest and its params."""
+        grid = [{"x": 1, "seed": 0}]
+        run = fleet_run(tmp_path, grid)
+        worker = fake_worker(0)
+        run.live = {0: worker}
+        run._dispatch()
+        assert worker.conn.sent == [(digest_of(grid[0]), grid[0])]
 
     def test_leased_cell_not_reclaimable(self, tmp_path):
         """One cell, two idle workers: exactly one is handed it, and the
@@ -150,7 +161,7 @@ class TestClaimCompleteLifecycle:
         run._dispatch()
         run._dispatch()
         sent = first.conn.sent + second.conn.sent
-        assert sent == [digest_of(grid[0])]
+        assert sent == [(digest_of(grid[0]), grid[0])]
         assert not first.conn.closed and not second.conn.closed
         assert not run.todo
 
@@ -164,7 +175,7 @@ class TestClaimCompleteLifecycle:
         assert os.listdir(shard) == [f"{digest}.json"]  # no tempfile
 
     def test_cell_completed_during_a_claim_is_not_claimed(self, tmp_path):
-        """A record a killed supervisor's worker published is merged
+        """A record a killed supervisor's worker published is resumed
         when the next run starts; that cell is never handed out."""
         grid = [{"x": i, "seed": 0} for i in range(3)]
         run = fleet_run(tmp_path, grid)
@@ -238,7 +249,7 @@ class TestFailures:
         error = ConfigurationError("cell x=1 is malformed")
         worker = fake_worker(0, cell=digest)
         worker.conn = FakeConn([("raised", digest, error)])
-        assert run._receive(worker) is False
+        run._receive(worker)
         assert run.verdicts == {digest: error}
         assert not run.todo and worker.cell is None
         assert run.counters["fabric.requeued"] == 0
@@ -274,9 +285,10 @@ class TestResumeSeeding:
         assert digest_of(grid[0]) not in run.open
 
     def test_seed_unknown_key_ignored(self, tmp_path):
+        """A digest the directory holds no record of is an open cell."""
         queue, _ = make_queue(tmp_path)
-        with pytest.raises(FabricError, match="unknown cell digest"):
-            queue.cell_info(digest_of({"x": 404}))
+        assert queue.completed_record(digest_of({"x": 404})) is None
+        assert list(queue.completed_records()) == []
 
 
 class TestParamValidation:

@@ -1,7 +1,8 @@
 """Tests for the worker loop and trial-function resolution.
 
 ``run_worker`` is driven in this process over a scripted pipe: the test
-plays the supervisor, handing out digests and reading what comes back.
+plays the supervisor, handing out ``(digest, params)`` and the budgets,
+and reading what comes back.
 """
 
 import json
@@ -17,18 +18,15 @@ from repro.runner.supervisor import RESEED_STRIDE, SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
 
 
-def make_queue(tmp_path, grid, fn_ref="tests.fabric.fabric_fns:quadratic",
-               **options):
-    cells = {cell_key(p): p for p in grid}
-    return WorkQueue.create(str(tmp_path / "q"), cells, fn_ref=fn_ref,
-                            options=options)
+def make_queue(tmp_path, fn_ref="tests.fabric.fabric_fns:quadratic"):
+    return WorkQueue.create(str(tmp_path / "q"), fn_ref=fn_ref)
 
 
 class ScriptedConn:
-    """The worker's end of its pipe: hands out ``digests``, then EOF."""
+    """The worker's end of its pipe: hands out ``cells``, then EOF."""
 
-    def __init__(self, digests, on_recv=None):
-        self.inbox = list(digests)
+    def __init__(self, cells, on_recv=None):
+        self.inbox = list(cells)
         self.outbox = []
         self._on_recv = on_recv
 
@@ -50,10 +48,10 @@ def serve(monkeypatch):
     saved = {signum: signal.getsignal(signum)
              for signum in (signal.SIGTERM, signal.SIGINT)}
 
-    def run(queue, grid, **conn_options):
-        conn = ScriptedConn([cell_digest(cell_key(p)) for p in grid],
+    def run(queue, grid, budgets=None, **conn_options):
+        conn = ScriptedConn([(cell_digest(cell_key(p)), p) for p in grid],
                             **conn_options)
-        assert run_worker(queue.root, 0, conn) == 0
+        assert run_worker(queue.root, 0, conn, **(budgets or {})) == 0
         return conn.outbox
 
     yield run
@@ -68,7 +66,7 @@ def digests(grid):
 class TestWorkerLoop:
     def test_drains_queue_and_publishes_results(self, tmp_path, serve):
         grid = [{"x": i, "seed": 5} for i in range(5)]
-        queue = make_queue(tmp_path, grid)
+        queue = make_queue(tmp_path)
         sent = serve(queue, grid)
         assert sent == [("ready",)] + [("done", d) for d in digests(grid)]
         record = queue.completed_record(digests(grid)[3])
@@ -77,7 +75,7 @@ class TestWorkerLoop:
 
     def test_resolves_fn_from_spec_when_not_injected(self, tmp_path, serve):
         grid = [{"x": 2, "seed": 0}]
-        queue = make_queue(tmp_path, grid)
+        queue = make_queue(tmp_path)
         assert resolve_fn(queue.fn_ref) is fabric_fns.quadratic
         serve(queue, grid)
         record = queue.completed_record(digests(grid)[0])
@@ -86,10 +84,10 @@ class TestWorkerLoop:
     def test_transient_failure_retries_with_reseed_in_lease(
             self, tmp_path, serve):
         grid = [{"x": 1, "seed": 7}]
-        queue = make_queue(tmp_path, grid,
-                           fn_ref="tests.fabric.fabric_fns:flaky_first_seed",
-                           max_retries=2)
-        assert serve(queue, grid)[1:] == [("done", digests(grid)[0])]
+        queue = make_queue(tmp_path,
+                           fn_ref="tests.fabric.fabric_fns:flaky_first_seed")
+        assert serve(queue, grid, {"max_retries": 2})[1:] == [
+            ("done", digests(grid)[0])]
         record = queue.completed_record(digests(grid)[0])
         assert record["attempts"] == 2  # base seed stalled, reseed recovered
         assert record["result"]["recovered_seed"] == 7 + RESEED_STRIDE
@@ -97,11 +95,10 @@ class TestWorkerLoop:
     def test_exhausted_retries_park_the_cell_at_once(self, tmp_path, serve):
         """Retries spent: the serial FAILED row goes back, no record."""
         grid = [{"x": 1, "seed": 7}]
-        queue = make_queue(tmp_path, grid,
-                           fn_ref="tests.fabric.fabric_fns:always_stalls",
-                           max_retries=1)
+        queue = make_queue(tmp_path,
+                           fn_ref="tests.fabric.fabric_fns:always_stalls")
         digest, = digests(grid)
-        assert serve(queue, grid)[1:] == [
+        assert serve(queue, grid, {"max_retries": 1})[1:] == [
             ("failed", digest, 2,
              "SimulationStalledError: cell x=1 never converges")]
         assert queue.completed_record(digest) is None
@@ -111,8 +108,7 @@ class TestWorkerLoop:
         """A bug in the trial function goes back as the exception; the
         worker then takes the next cell."""
         grid = [{"x": 1, "seed": 7}, {"x": 2, "seed": 7}]
-        queue = make_queue(tmp_path, grid,
-                           fn_ref="tests.fabric.fabric_fns:raises_bug")
+        queue = make_queue(tmp_path, fn_ref="tests.fabric.fabric_fns:raises_bug")
         sent = serve(queue, grid)
         assert [message[:2] for message in sent[1:]] == [
             ("raised", d) for d in digests(grid)]
@@ -127,10 +123,9 @@ class TestWorkerLoop:
         import pickle
 
         grid = [{"x": 1, "seed": 7}]
-        queue = make_queue(tmp_path, grid,
-                           fn_ref="tests.fabric.fabric_fns:misconfigured",
-                           max_retries=5)
-        (_, _, exc), = serve(queue, grid)[1:]
+        queue = make_queue(tmp_path,
+                           fn_ref="tests.fabric.fabric_fns:misconfigured")
+        (_, _, exc), = serve(queue, grid, {"max_retries": 5})[1:]
         rebuilt = pickle.loads(pickle.dumps(exc))
         assert type(rebuilt) is ConfigurationError
         assert str(rebuilt) == "cell x=1 is malformed"
@@ -139,8 +134,7 @@ class TestWorkerLoop:
         """A drain signal while the worker waits: it leaves without
         running the cell it is then handed."""
         grid = [{"x": i, "run_dir": str(tmp_path)} for i in range(2)]
-        queue = make_queue(tmp_path, grid,
-                           fn_ref="tests.fabric.fabric_fns:marks_run")
+        queue = make_queue(tmp_path, fn_ref="tests.fabric.fabric_fns:marks_run")
         sent = serve(queue, grid,
                      on_recv=lambda: os.kill(os.getpid(), signal.SIGTERM))
         assert sent == [("ready",)]

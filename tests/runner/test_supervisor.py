@@ -281,24 +281,84 @@ class TestCheckpointing:
         before the first new cell completes must not leave stale cells
         for a later resume=True to silently load."""
         path = str(tmp_path / "sweep.json")
-        SweepSupervisor(lambda x: x, checkpoint_path=path).run_cell(x=1)
+        SweepSupervisor(lambda x: x, checkpoint_path=path).run([{"x": 1}])
+        assert (tmp_path / "sweep.json").exists()
         SweepSupervisor(lambda x: x, checkpoint_path=path, resume=False)
         # No cell has run yet — the stale file must already be gone.
         assert not (tmp_path / "sweep.json").exists()
         later = SweepSupervisor(lambda x: x, checkpoint_path=path)
         assert later.completed_cells == 0
 
-    def test_corrupt_checkpoint_is_a_clear_error(self, tmp_path):
+    @staticmethod
+    def damage(tmp_path, text):
+        """A finished run whose checkpoint view is then overwritten."""
         path = tmp_path / "sweep.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            SweepSupervisor(lambda x: x, checkpoint_path=str(path))
+        SweepSupervisor(double, checkpoint_path=str(path)).run([{"x": 1}])
+        path.write_text(text)
+        return path
+
+    def assert_parked_and_rebuilt(self, path, text):
+        # The damaged file is parked as evidence; the records rebuild
+        # the view, so the finished cell is resumed, not re-run.
+        resumed = SweepSupervisor(double, checkpoint_path=str(path))
+        assert resumed.parked == str(path) + ".corrupt"
+        assert (path.parent / "sweep.json.corrupt").read_text() == text
+        assert resumed.completed_cells == 1
+        outcome, = resumed.run([{"x": 1}])
+        assert outcome.from_checkpoint and outcome.result == {"value": 2}
+        assert len(json.loads(path.read_text())["cells"]) == 1
+
+    def test_corrupt_checkpoint_is_a_clear_error(self, tmp_path):
+        path = self.damage(tmp_path, "{not json")
+        self.assert_parked_and_rebuilt(path, "{not json")
 
     def test_unknown_version_rejected(self, tmp_path):
+        text = json.dumps({"version": 99, "cells": {}})
+        path = self.damage(tmp_path, text)
+        self.assert_parked_and_rebuilt(path, text)
+
+    def test_a_run_writes_the_view_once(self, tmp_path, monkeypatch):
+        """The view is written when the run ends, not after every cell:
+        one write for 200 cells, each of them durable as its record."""
+        import os
+
+        path = str(tmp_path / "sweep.json")
+        views = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == path:
+                views.append(dst)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        grid = [{"x": x} for x in range(200)]
+        SweepSupervisor(double, checkpoint_path=path).run(grid)
+        assert len(views) == 1
+        assert len(list((tmp_path / "sweep.json.queue").glob(
+            "cells/*/*.json"))) == 200
+        assert len(json.loads((tmp_path / "sweep.json").read_text())
+                   ["cells"]) == 200
+
+    def test_a_deleted_view_resumes_every_cell_from_the_records(
+            self, tmp_path):
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"version": 99, "cells": {}}))
-        with pytest.raises(ConfigurationError, match="version"):
-            SweepSupervisor(lambda x: x, checkpoint_path=str(path))
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return {"value": x}
+
+        grid = [{"x": x} for x in range(4)]
+        SweepSupervisor(fn, checkpoint_path=str(path)).run(grid)
+        before = json.loads(path.read_text())["cells"]
+        path.unlink()
+        resumed = SweepSupervisor(fn, checkpoint_path=str(path))
+        assert resumed.completed_cells == 4
+        outcomes = resumed.run(grid)
+        assert calls == [0, 1, 2, 3]
+        assert all(outcome.from_checkpoint for outcome in outcomes)
+        assert json.loads(path.read_text())["cells"] == before
 
     def test_dataclass_results_serialized(self, tmp_path):
         from repro.experiments.common import ShortFlowResult
@@ -400,10 +460,10 @@ class TestCheckpointMeta:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         c = tmp_path / "c.json"
-        SweepSupervisor(double, checkpoint_path=str(a)).run_cell(x=1)
-        SweepSupervisor(double, checkpoint_path=str(b)).run_cell(x=1)
+        SweepSupervisor(double, checkpoint_path=str(a)).run([{"x": 1}])
+        SweepSupervisor(double, checkpoint_path=str(b)).run([{"x": 1}])
         SweepSupervisor(double, checkpoint_path=str(c),
-                        max_retries=5).run_cell(x=1)
+                        max_retries=5).run([{"x": 1}])
         hash_a = self.read(a)["meta"]["config_hash"]
         assert hash_a == self.read(b)["meta"]["config_hash"]
         assert hash_a != self.read(c)["meta"]["config_hash"]
@@ -416,7 +476,7 @@ class TestCheckpointMeta:
         try:
             with obs.observed():
                 obs.runtime.registry().counter("sweep.test_marker").inc(7)
-                supervisor.run_cell(x=1)
+                supervisor.run([{"x": 1}])
                 metrics = self.read(path)["meta"]["metrics"]
         finally:
             obs.disable()
@@ -426,17 +486,21 @@ class TestCheckpointMeta:
 
     def test_metrics_null_when_obs_disabled(self, tmp_path):
         path = tmp_path / "sweep.json"
-        SweepSupervisor(double, checkpoint_path=str(path)).run_cell(x=1)
+        SweepSupervisor(double, checkpoint_path=str(path)).run([{"x": 1}])
         assert self.read(path)["meta"]["metrics"] is None
 
     def test_legacy_checkpoint_without_meta_loads(self, tmp_path):
-        """Pre-meta checkpoints ({version, cells}) must keep resuming."""
+        """Pre-meta checkpoints ({version, cells}) must keep resuming,
+        also without the records that came after them."""
+        import shutil
+
         path = tmp_path / "sweep.json"
         writer = SweepSupervisor(double, checkpoint_path=str(path))
-        writer.run_cell(x=1)
+        writer.run([{"x": 1}])
         payload = self.read(path)
         del payload["meta"]
         path.write_text(json.dumps(payload))
+        shutil.rmtree(tmp_path / "sweep.json.queue")
 
         resumed = SweepSupervisor(double, checkpoint_path=str(path))
         assert resumed.completed_cells == 1

@@ -1,10 +1,11 @@
-"""Torn-write durability and recovery for the sweep checkpoint.
+"""Torn-write durability and recovery for the sweep's two writes.
 
-Satellite of ISSUE 6: checkpoint writes must fsync the temp file
-*before* the atomic rename and the parent directory *after* it, and a
-checkpoint torn by a crash must either fail loudly (the historical
-default) or — on the fabric path — be quarantined to ``*.corrupt`` and
-rebuilt from completed-cell records.
+Each finished cell is one record (``repro.fabric.records``) and the
+checkpoint is a view of the records written once per run; both writes
+must fsync the temp file *before* the atomic rename and the parent
+directory *after* it.  A checkpoint torn by a crash — or one of the
+wrong shape or version — is parked as ``*.corrupt`` and rebuilt from
+the records, under every executor.
 """
 
 import json
@@ -14,17 +15,30 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.fabric import records
+from repro.fabric.queue import cell_digest
 from repro.runner import supervisor as supervisor_module
-from repro.runner.supervisor import SweepSupervisor
+from repro.runner.supervisor import SweepSupervisor, cell_key
 
 
 def square(x):
     return {"y": x * x}
 
 
+def record_and_view(tmp_path):
+    """A supervisor whose cell x=3 is recorded, and what it takes to
+    write the record of x=4 (``run_cell``) and then only the view
+    (``run`` of the recorded cell)."""
+    path = str(tmp_path / "sweep.json")
+    sup = SweepSupervisor(square, checkpoint_path=path)
+    sup.run_cell(x=3)
+    return sup, path
+
+
 class TestWriteDurability:
     def test_temp_file_fsynced_before_rename(self, tmp_path, monkeypatch):
-        """The data must be on disk before the rename publishes it."""
+        """The data must be on disk before the rename publishes it: the
+        record's, then the view's."""
         order = []
         real_fsync = os.fsync
         real_replace = os.replace
@@ -34,51 +48,84 @@ class TestWriteDurability:
             return real_fsync(fd)
 
         def spy_replace(src, dst):
-            order.append("replace")
+            order.append(("replace", os.path.basename(dst)))
             return real_replace(src, dst)
 
+        sup, path = record_and_view(tmp_path)
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
-        path = str(tmp_path / "sweep.json")
-        SweepSupervisor(square, checkpoint_path=path).run_cell(x=3)
-        assert "fsync" in order and "replace" in order
-        assert order.index("fsync") < order.index("replace")
+        sup.run_cell(x=4)
+        # The record's temp file is synced last before its rename (a
+        # new shard directory's sync may come first).
+        renamed = next(i for i, o in enumerate(order) if o != "fsync")
+        assert renamed >= 1 and order[renamed - 1] == "fsync"
+        assert order[renamed][0] == "replace"
+        assert (order[renamed][1].endswith(".json")
+                and order[renamed][1] != "sweep.json")
+        del order[:]
+        sup.run([{"x": 3}])
+        assert order[:2] == ["fsync", ("replace", "sweep.json")]
 
     def test_parent_directory_fsynced_after_rename(self, tmp_path,
                                                    monkeypatch):
-        """Without the dir fsync a power cut can quietly undo the rename."""
+        """Without the dir fsync a power cut can quietly undo the rename,
+        or drop a directory made for it: the new record directory's
+        entry in its parent, a new shard's entry in ``cells/``."""
         synced = []
+        monkeypatch.setattr(records, "fsync_directory", synced.append)
         monkeypatch.setattr(supervisor_module, "_fsync_directory",
                             synced.append)
-        path = str(tmp_path / "sweep.json")
-        SweepSupervisor(square, checkpoint_path=path).run_cell(x=3)
+        root = tmp_path / "sweep.json.queue"
+        cells = root / "cells"
+
+        def shard(x):
+            return cells / cell_digest(cell_key({"x": x}))[:2]
+
+        sup, path = record_and_view(tmp_path)
+        # The spec, then the new root's parent; x=3's new shard, then it.
+        assert synced == [str(root), str(tmp_path), str(cells), str(shard(3))]
+        del synced[:]
+        same = next(x for x in range(4, 10_000) if shard(x) == shard(3))
+        sup.run_cell(x=same)  # an existing shard pays one sync
+        assert synced == [str(shard(3))]
+        del synced[:]
+        sup.run([{"x": 3}])
         assert synced == [str(tmp_path)]
 
     def test_failed_write_leaves_no_temp_litter(self, tmp_path, monkeypatch):
         def boom(src, dst):
             raise OSError("disk full")
 
+        sup, path = record_and_view(tmp_path)
         monkeypatch.setattr(os, "replace", boom)
-        path = str(tmp_path / "sweep.json")
-        sup = SweepSupervisor(square, checkpoint_path=path)
-        with pytest.raises(OSError, match="disk full"):
-            sup.run_cell(x=3)
-        assert [p.name for p in tmp_path.iterdir()] == []
+        for write in (lambda: sup.run_cell(x=4),   # the record
+                      lambda: sup.run([{"x": 3}])):  # the view
+            with pytest.raises(OSError, match="disk full"):
+                write()
+            assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+        assert not os.path.exists(path)
+        assert sup.completed_cells == 1  # x=4 was never recorded
 
 
 class TestTornRecovery:
     def tear(self, tmp_path):
         """Write a valid checkpoint, then tear it mid-JSON."""
         path = str(tmp_path / "sweep.json")
-        SweepSupervisor(square, checkpoint_path=path).run_cell(x=3)
+        SweepSupervisor(square, checkpoint_path=path).run([{"x": 3}])
         with open(path, "r+") as fh:
             fh.truncate(len(fh.read()) // 2)
         return path
 
     def test_default_mode_raises_loudly(self, tmp_path):
+        """No mode raises any more: without workers too, the torn file
+        is parked and the cell comes back from its record."""
         path = self.tear(tmp_path)
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            SweepSupervisor(square, checkpoint_path=path)
+        sup = SweepSupervisor(square, checkpoint_path=path)
+        assert sup.parked == path + ".corrupt"
+        assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
+        assert sup.completed_cells == 1
+        outcome, = sup.run([{"x": 3}])
+        assert outcome.from_checkpoint and outcome.result == {"y": 9}
 
     def test_quarantine_mode_parks_evidence_and_resumes_empty(self, tmp_path):
         path = self.tear(tmp_path)
@@ -87,7 +134,7 @@ class TestTornRecovery:
         assert sup.completed_cells == 0
         assert os.path.exists(path + ".corrupt")  # postmortem evidence
         # The sweep proceeds normally and rewrites a clean checkpoint.
-        outcome = sup.run_cell(x=3)
+        outcome, = sup.run([{"x": 3}])
         assert outcome.ok and not outcome.from_checkpoint
         with open(path) as fh:
             assert len(json.load(fh)["cells"]) == 1
@@ -103,7 +150,7 @@ class TestTornRecovery:
 
     def test_intact_checkpoint_unaffected_by_quarantine_mode(self, tmp_path):
         path = str(tmp_path / "sweep.json")
-        SweepSupervisor(square, checkpoint_path=path).run_cell(x=3)
+        SweepSupervisor(square, checkpoint_path=path).run([{"x": 3}])
         sup = SweepSupervisor(square, checkpoint_path=path, workers=1,
                               queue_dir=str(tmp_path / "queue"))
         assert sup.completed_cells == 1
@@ -133,10 +180,12 @@ class TestNonObjectCheckpoint:
 
     @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
     def test_default_mode_raises_typed_error(self, tmp_path, payload):
+        """Without workers too, the file is parked, not an error."""
         path = self.write(tmp_path, payload)
-        with pytest.raises(ConfigurationError,
-                           match="unreadable checkpoint .*not a JSON object"):
-            SweepSupervisor(square, checkpoint_path=path)
+        sup = SweepSupervisor(square, checkpoint_path=path)
+        assert sup.completed_cells == 0 and sup.parked == path + ".corrupt"
+        with open(path + ".corrupt") as fh:
+            assert json.load(fh) == payload
 
     @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
     def test_quarantine_mode_parks_it(self, tmp_path, payload):
@@ -148,12 +197,17 @@ class TestNonObjectCheckpoint:
 
     @pytest.mark.parametrize("payload", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
     def test_serial_sweep_exits_2(self, tmp_path, capsys, payload):
+        """``--jobs 1`` parks the file as ``--jobs 2`` does, says so in
+        its ``resuming:`` line, and runs the grid (exit 0, not 2)."""
         path = self.write(tmp_path, payload)
         code = main([*SWEEP, "--checkpoint", path])
         out = capsys.readouterr().out
-        assert code == 2
-        assert out.splitlines()[-1].startswith("error: unreadable checkpoint")
-        assert "computed" not in out
+        assert code == 0
+        assert (f"resuming: 0 cell(s) already in {path} (unreadable "
+                f"checkpoint moved to {path}.corrupt)") in out
+        assert "computed" in out
+        with open(path) as fh:
+            assert len(json.load(fh)["cells"]) == 1
 
     def test_queue_sweep_quarantines_and_runs(self, tmp_path, capsys):
         path = self.write(tmp_path, [])
