@@ -1,34 +1,25 @@
-"""Simulation-correctness static analysis.
+"""Simulation-correctness static analysis: one rule, REPRO501.
 
-The reproduction's headline claims rest on *bit-identical*,
-seed-deterministic simulation: the same master seed must produce the
-same packet trace on every run, every platform, and — critically —
-before and after every performance PR.  This package machine-checks the
-coding rules that make that true, instead of trusting review to catch
-violations:
+``Packet.release()`` returns a packet to a process-wide free list, and
+nothing at run time notices a later read through the same variable
+unless the pool runs in debug mode.  REPRO501 finds such reads
+statically, with a must-released dataflow over each function's control
+flow graph (:mod:`repro.analysis.cfg`, :mod:`repro.analysis.dataflow`)
+and per-function release summaries resolved through the symbol table
+(:mod:`repro.analysis.symbols`).  It goes when the packet pool does.
 
-* **Determinism and durability** (``REPRO101``–``REPRO108``) — no
-  process-global RNG state, no unseeded ``random.Random()``, no
-  wall-clock reads, no event scheduling driven by unordered-set
-  iteration inside the simulation packages; fsync-before-publish and
-  atomic creates for the sweep's durable files.
-* **Slots hygiene** (``REPRO3xx``) — ``__slots__`` classes on the packet
-  hot chain neither shadow parent slots nor assign undeclared
-  attributes.
-* **Sim-time safety** (``REPRO4xx``) — no float ``==``/``!=`` on
-  simulation-time expressions, no statically-negative scheduling delays.
-* **Pool safety** (``REPRO5xx``) — no use of a packet variable after
-  ``release()`` returned it to the free list.
-* **Units** (``REPRO6xx``) — no bits/bytes or seconds/milliseconds
-  mix-ups across assignments and call boundaries.
-
-The packet path itself has no structural rule: it holds no hand-copied
-code, and its oracles are behavioural (the ``burst=False`` and
-``optimize=False`` engines, golden traces).
+Every other guard the package once held is a test now: a seeded mutant
+of each (EXPERIMENTS.md, "Guard scorecard — the rest of
+repro.analysis") is caught by tier-1 — determinism by the bit-identity
+and equivalence tests, fsync-before-publish by the write-order spies,
+``__slots__`` hygiene by an introspection test, units by the sizing and
+RED-configuration tests, fleet deadlines by a clock-step test.
 
 Entry points: the :class:`LintEngine` (``repro lint`` in the CLI), the
 rule registry in :mod:`repro.analysis.registry`, and per-line
-suppression with ``# repro: noqa(RULE)`` comments.
+suppression with ``# repro: noqa(RULE)`` comments.  The engine adds two
+diagnostics of its own: REPRO001 (unreadable file) and REPRO002 (a
+suppression that silences nothing).
 """
 
 from __future__ import annotations

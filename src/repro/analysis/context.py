@@ -1,26 +1,21 @@
-"""Parsed-file and project context handed to lint rules."""
+"""Parsed-file and project context handed to lint rules.
+
+A :class:`FileContext` is one parsed file plus its ``# repro: noqa``
+comments; a :class:`Project` is every file of the run and the symbol
+table built over them.  No rule is scoped by package: REPRO501 checks
+every function it is given.
+"""
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 #: ``# repro: noqa`` (suppress everything on the line) or
-#: ``# repro: noqa(REPRO101)`` / ``# repro: noqa(REPRO101, REPRO402)``.
+#: ``# repro: noqa(REPRO501)`` / ``# repro: noqa(REPRO501, REPRO002)``.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s*\(\s*(?P<rules>[A-Z0-9_,\s]+?)\s*\))?", re.IGNORECASE)
-
-#: Packages whose modules run inside the simulation event loop; several
-#: rules only apply there (wall-clock reads are fine in the bench
-#: harness, fatal inside the simulator).
-SIM_SCOPE_PACKAGES: Tuple[str, ...] = ("sim", "net", "tcp", "traffic", "faults")
-
-#: Packages implementing the distributed sweep fabric.  Lease expiry and
-#: record identity there must never read the wall clock (REPRO105): an
-#: NTP step would expire every lease at once, and timestamps in records
-#: would break content-addressed identity.
-FABRIC_SCOPE_PACKAGES: Tuple[str, ...] = ("fabric",)
 
 
 class FileContext:
@@ -31,8 +26,8 @@ class FileContext:
     path:
         The path as it should appear in diagnostics (relative when the
         engine was given a relative root).
-    source, lines:
-        Raw text and its ``splitlines()`` view.
+    source:
+        Raw text.
     tree:
         The parsed :mod:`ast` module, or ``None`` when parsing failed
         (the engine emits ``REPRO001`` and rules skip the file).
@@ -41,40 +36,8 @@ class FileContext:
     def __init__(self, path: str, source: str, tree: Optional[ast.Module]):
         self.path = path
         self.source = source
-        self.lines: List[str] = source.splitlines()
         self.tree = tree
         self._noqa: Optional[Dict[int, Optional[FrozenSet[str]]]] = None
-
-    # ------------------------------------------------------------------
-    # Scoping
-    # ------------------------------------------------------------------
-    @property
-    def module_parts(self) -> Tuple[str, ...]:
-        """Path components, normalized to forward slashes."""
-        return tuple(self.path.replace("\\", "/").split("/"))
-
-    def in_packages(self, packages: Tuple[str, ...]) -> bool:
-        """True when the file lives under ``repro/<pkg>/`` for any ``pkg``.
-
-        Matching is positional — the component right after a ``repro``
-        directory — so fixture trees that mirror the layout (used by the
-        rule tests) scope identically to the real source tree.
-        """
-        parts = self.module_parts
-        for i, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[i + 1] in packages:
-                return True
-        return False
-
-    @property
-    def in_sim_scope(self) -> bool:
-        """Whether this file belongs to the simulation hot packages."""
-        return self.in_packages(SIM_SCOPE_PACKAGES)
-
-    @property
-    def in_fabric_scope(self) -> bool:
-        """Whether this file belongs to the distributed sweep fabric."""
-        return self.in_packages(FABRIC_SCOPE_PACKAGES)
 
     # ------------------------------------------------------------------
     # Suppressions

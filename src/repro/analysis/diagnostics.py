@@ -33,7 +33,7 @@ class Diagnostic:
     line, col:
         1-based line and 0-based column (``ast`` conventions).
     rule_id:
-        Identifier such as ``"REPRO101"``; ``"REPRO001"`` marks
+        Identifier such as ``"REPRO501"``; ``"REPRO001"`` marks
         engine-level problems (unreadable or unparsable file).
     severity:
         :class:`Severity` of the finding.

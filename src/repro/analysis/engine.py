@@ -102,7 +102,7 @@ class LintEngine:
     ----------
     select:
         Optional rule-id selectors (exact ids or prefixes such as
-        ``"REPRO6"``); default is every registered rule.
+        ``"REPRO5"``); default is every registered rule.
     """
 
     def __init__(self, select: Optional[Sequence[str]] = None):
@@ -126,8 +126,6 @@ class LintEngine:
                 continue
             for rule in self.rules:
                 diagnostics.extend(rule.check_file(ctx, project))
-        for rule in self.rules:
-            diagnostics.extend(rule.check_project(project))
 
         kept, suppressed, used = self._apply_suppressions(
             contexts, diagnostics)

@@ -1,10 +1,10 @@
 """The pluggable rule registry.
 
 A rule is a class with an ``id`` (``REPRO###``), a severity, a one-line
-``summary``, and either a per-file :meth:`Rule.check_file` or a
-whole-project :meth:`Rule.check_project` (cross-file rules such as the
-``__slots__`` inheritance checks).  Decorate with :func:`register` to make the
-rule discoverable by the engine and ``repro lint --list-rules``.
+``summary``, and a per-file :meth:`Rule.check_file` that may consult the
+whole :class:`~repro.analysis.context.Project` (its symbol table).
+Decorate with :func:`register` to make the rule discoverable by the
+engine and ``repro lint --list-rules``.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from repro.errors import ConfigurationError
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set the class attributes and override one (or both) of
-    the check hooks.  Hooks yield :class:`Diagnostic` objects; the
+    Subclasses set the class attributes and override
+    :meth:`check_file`, which yields :class:`Diagnostic` objects; the
     engine applies ``# repro: noqa`` filtering afterwards, so rules do
     not need to think about suppressions.
     """
 
-    #: Unique identifier, e.g. ``"REPRO101"``.
+    #: Unique identifier, e.g. ``"REPRO501"``.
     id: str = ""
     #: One-line description shown by ``repro lint --list-rules``.
     summary: str = ""
@@ -34,10 +34,6 @@ class Rule:
 
     def check_file(self, ctx: FileContext, project: Project) -> Iterable[Diagnostic]:
         """Analyze one parsed file; default: no findings."""
-        return ()
-
-    def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        """Analyze the whole file set once; default: no findings."""
         return ()
 
     # Convenience for subclasses.
@@ -84,7 +80,7 @@ def all_rules() -> List[Rule]:
 def get_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     """Instantiate the selected rules (ids or id prefixes), or all.
 
-    ``select=["REPRO6"]`` picks every unit rule; unknown selectors
+    ``select=["REPRO5"]`` picks every pool rule; unknown selectors
     raise :class:`~repro.errors.ConfigurationError` so typos fail loudly.
     """
     rules = all_rules()

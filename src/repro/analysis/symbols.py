@@ -1,11 +1,11 @@
 """Module-level symbol table over the linted file set.
 
-The whole-program rules (unit taint across call boundaries, the
-CFG-based pool checker) need to answer "which function does this call
-expression refer to?".  This module builds the index they share: every
-module in the linted :class:`~repro.analysis.context.Project` is
-reduced to its top-level functions, classes (with methods and base
-classes), and import bindings, keyed by a dotted module name derived
+The whole-program pool checker (REPRO501) needs to answer "which
+function does this call expression refer to?".  This module builds the
+index it uses: every module in the linted
+:class:`~repro.analysis.context.Project` is reduced to its top-level
+functions, classes (with methods and base classes), and import
+bindings, keyed by a dotted module name derived
 from the file path — ``repro/net/link.py`` becomes ``repro.net.link``
 both in the real tree and in the mirrored fixture trees the tests use.
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.astutils import dotted_name
-
 __all__ = [
     "ClassInfo",
     "FunctionInfo",
@@ -28,6 +26,19 @@ __all__ = [
     "SymbolTable",
     "module_name_for_path",
 ]
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Render ``a.b.c`` attribute chains as a string; None for anything else."""
+    parts: List[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if isinstance(current, ast.Name):
+        parts.append(current.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def module_name_for_path(path: str) -> str:

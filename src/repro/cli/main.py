@@ -266,14 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="simulation-correctness static analysis "
-                     "(determinism, durability, slots, sim-time, "
-                     "pool safety, units)")
+                     "(packet-pool use-after-release)")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files/directories to lint (default: src/repro)")
     p_lint.add_argument("--select", action="append", default=None,
                         metavar="RULE",
                         help="rule id or prefix to run (repeatable), "
-                             'e.g. --select REPRO6 for the unit checkers')
+                             'e.g. --select REPRO501')
     p_lint.add_argument("--format", default="text",
                         choices=["text", "json"],
                         help="diagnostic output format (default text)")

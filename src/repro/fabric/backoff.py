@@ -6,10 +6,10 @@ worker alike.  Delays grow geometrically from ``base`` and are capped
 at ``max_delay``; jitter is a symmetric multiplicative band drawn from
 an *injected, seeded* ``random.Random`` stream (see
 :class:`~repro.sim.random.RngStreams`), never from the process-global
-RNG, so a retry schedule is reproducible from the cell seed alone and
-REPRO101 stays clean.  This module imports nothing above
-:mod:`repro.errors` and :mod:`repro.sim.random`, so low layers
-(``repro.runner``) can use it without a circular import.
+RNG, so a retry schedule is reproducible from the cell seed alone.
+This module imports nothing above :mod:`repro.errors` and
+:mod:`repro.sim.random`, so low layers (``repro.runner``) can use it
+without a circular import.
 """
 
 from __future__ import annotations

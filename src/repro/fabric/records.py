@@ -6,14 +6,16 @@ crash dump) is one file in this format::
     #repro-fabric v1 len=<payload bytes> sha256=<hex digest>\\n
     <payload: UTF-8 JSON, exactly len bytes>
 
-The file is published by ``rename()`` after an ``fsync`` of both the
-file and its directory, so a reader sees either nothing or a whole
-record.  If a record *is* torn anyway (power loss, or a chaos test
-killing a writer mid-publication), :func:`read_record` raises
+The file is published by :func:`publish` — temp file, ``fsync``,
+``rename()``, directory ``fsync`` — so a reader sees either nothing or a
+whole record.  :func:`publish` is the program's only such sequence: the
+sweep's checkpoint view goes through it too, with plain JSON bytes.  If
+a record *is* torn anyway (power loss, or a chaos test killing a writer
+mid-publication), :func:`read_record` raises
 :class:`~repro.errors.CorruptRecordError` and the caller moves the file
 aside to ``<name>.corrupt`` with :func:`quarantine_corrupt` instead of
-trusting — or crashing on — half a record.  No wall-clock reads here
-(REPRO105): record identity is content, not timestamps.
+trusting — or crashing on — half a record.  Record identity is content,
+not timestamps: nothing here reads a clock.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import CorruptRecordError
 
-__all__ = ["write_record", "read_record", "quarantine_corrupt",
+__all__ = ["publish", "write_record", "read_record", "quarantine_corrupt",
            "fsync_directory", "frame", "unframe", "json_default"]
 
 _MAGIC = "#repro-fabric v1 "
@@ -104,44 +106,41 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def write_record(path: str, payload: Dict[str, Any],
-                 exclusive: bool = False,
-                 chaos: Optional[Callable[[], None]] = None) -> bool:
-    """Atomically publish ``payload`` as a framed record at ``path``.
+def publish(path: str, data: bytes,
+            chaos: Optional[Callable[[], None]] = None) -> None:
+    """Atomically replace ``path`` with ``data`` (last writer wins).
 
-    The record is written to a tempfile in the same directory, fsynced,
-    then linked in — by ``os.link`` when ``exclusive`` (exactly one
-    writer wins; returns False to the losers), by ``os.rename``
-    otherwise (last writer wins) — and the directory is fsynced, so a
-    crash right after this call cannot un-happen the write.  ``chaos``
-    (tests only) runs between the tempfile's fsync and its publication.
+    ``data`` goes to a tempfile in the same directory and is fsynced
+    *before* the rename — rename-over is only atomic for bytes already
+    on disk — and the directory is fsynced *after* it, so a crash right
+    after this call can neither tear the file nor un-happen the rename.
+    ``chaos`` (tests only) runs between the tempfile's fsync and the
+    rename.  A failed write leaves no tempfile behind.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".rec.tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(frame(payload))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         if chaos is not None:
             chaos()
-        if exclusive:
-            try:
-                os.link(tmp_path, path)
-            except FileExistsError:
-                return False
-            finally:
-                os.unlink(tmp_path)
-        else:
-            os.replace(tmp_path, path)
-        fsync_directory(directory)
-        return True
+        os.replace(tmp_path, path)
     except BaseException:
         try:
             os.unlink(tmp_path)
         except OSError:
             pass
         raise
+    fsync_directory(directory)
+
+
+def write_record(path: str, payload: Dict[str, Any],
+                 chaos: Optional[Callable[[], None]] = None) -> None:
+    """Atomically publish ``payload`` as a framed record at ``path``
+    (:func:`publish`)."""
+    publish(path, frame(payload), chaos)
 
 
 def read_record(path: str) -> Dict[str, Any]:

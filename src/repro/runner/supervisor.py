@@ -48,7 +48,6 @@ import inspect
 import json
 import os
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -60,8 +59,7 @@ from repro.errors import (
 )
 from repro.fabric.backoff import BackoffPolicy, backoff_stream
 from repro.fabric.queue import WorkQueue, cell_digest, format_fn_ref
-from repro.fabric.records import fsync_directory as _fsync_directory
-from repro.fabric.records import json_default, quarantine_corrupt
+from repro.fabric.records import json_default, publish, quarantine_corrupt
 from repro.sim.engine import check_wall_budget
 
 __all__ = ["SweepSupervisor", "TrialOutcome", "cell_key",
@@ -409,8 +407,7 @@ class SweepSupervisor:
         """
         from repro.obs import runtime as _obs
         spec = {
-            "fn": f"{getattr(self.fn, '__module__', '?')}."
-                  f"{getattr(self.fn, '__qualname__', repr(self.fn))}",
+            "fn": format_fn_ref(self.fn),
             "max_retries": self.max_retries,
             "max_events": self.max_events,
             "max_wall_seconds": self.max_wall_seconds,
@@ -453,28 +450,10 @@ class SweepSupervisor:
         cells.update(self._cells)
         payload = {"version": 1, "meta": self._checkpoint_meta(len(cells), fabric),
                    "cells": cells}
-        directory = os.path.dirname(os.path.abspath(self.checkpoint_path))
-        # Atomic replace: a sweep killed mid-write never corrupts the
-        # checkpoint.  fsync the temp file *before* the rename and the
-        # directory *after*: rename-over is only atomic for data already
-        # on disk — without the fsyncs a power cut can leave the new name
-        # pointing at torn bytes, or quietly undo the rename itself.
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # dumps, not dump: one pass of the C encoder instead of
-                # the pure-Python chunk iterator; the bytes are the same.
-                fh.write(json.dumps(payload, default=json_default))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.checkpoint_path)
-            _fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        # Plain JSON, published as a record is: a sweep killed
+        # mid-write never tears the view.
+        publish(self.checkpoint_path,
+                json.dumps(payload, default=json_default).encode("utf-8"))
 
     def _adopt(self, record: Dict[str, Any]) -> None:
         """Add one cell's record (:func:`_cell_record`) to the cells the

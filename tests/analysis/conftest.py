@@ -1,8 +1,8 @@
 """Shared fixtures for the static-analysis test suite.
 
 Rule tests write fixture modules into a temporary ``repro/<pkg>/``
-mirror so the path-based sim-scope detection behaves exactly as it
-does on the real tree.
+mirror so the symbol table names their modules exactly as it does on
+the real tree.
 """
 
 import textwrap

@@ -12,6 +12,13 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+USE_AFTER_RELEASE = """\
+def drop(pkt):
+    pkt.release()
+    return pkt.size  # repro: noqa(REPRO001)
+"""
+
+
 def write_fixture(tmp_path, source, rel="sim/fixture.py"):
     path = tmp_path / "repro" / rel
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -27,49 +34,35 @@ class TestLintCommand:
         assert "0 error(s)" in out
 
     def test_findings_exit_one(self, capsys, tmp_path):
-        write_fixture(tmp_path, """\
-        import time
-
-
-        def stamp():
-            return time.time()
-        """)
+        write_fixture(tmp_path, USE_AFTER_RELEASE)
         code, out = run_cli(capsys, "lint", str(tmp_path))
         assert code == 1
-        assert "REPRO103" in out
-        assert "1 error(s)" in out
+        assert "REPRO501" in out
+        assert "1 error(s), 1 warning(s)" in out  # REPRO002: the stale noqa
 
     def test_select_filters_rules(self, capsys, tmp_path):
-        write_fixture(tmp_path, """\
-        import time
-
-
-        def stamp():
-            return time.time()
-        """)
-        code, out = run_cli(capsys, "lint", "--select", "REPRO4",
+        write_fixture(tmp_path, USE_AFTER_RELEASE)
+        code, out = run_cli(capsys, "lint", "--select", "REPRO5",
                             str(tmp_path))
-        assert code == 0
-        assert "REPRO103" not in out
+        assert code == 1
+        assert "REPRO501" in out
+        assert "REPRO002" not in out  # not selected
 
     def test_json_format(self, capsys, tmp_path):
-        write_fixture(tmp_path, """\
-        def oops(sim, cb):
-            sim.schedule(-1.0, cb)
-        """)
+        write_fixture(tmp_path, USE_AFTER_RELEASE)
         code, out = run_cli(capsys, "lint", "--format", "json",
                             str(tmp_path))
         assert code == 1
         payload = json.loads(out)
         assert payload["files_scanned"] == 1
-        assert payload["diagnostics"][0]["rule"] == "REPRO402"
-        assert payload["diagnostics"][0]["severity"] == "error"
+        # Sorted by location: the noqa comment's warning sits at col 0.
+        assert [(d["rule"], d["severity"]) for d in payload["diagnostics"]] \
+            == [("REPRO002", "warning"), ("REPRO501", "error")]
 
     def test_list_rules(self, capsys):
         code, out = run_cli(capsys, "lint", "--list-rules")
         assert code == 0
-        for rule_id in ("REPRO101", "REPRO301", "REPRO401", "REPRO501"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == ["REPRO501"]
 
     def test_writes_nothing_to_the_working_directory(self, capsys, tmp_path,
                                                      monkeypatch):

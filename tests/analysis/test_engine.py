@@ -16,12 +16,10 @@ from tests.analysis.conftest import rule_ids
 
 _SRC = Path(repro.sim.engine.__file__).resolve().parents[2]
 
-BAD_WALLCLOCK = """\
-import time
-
-
-def stamp():
-    return time.time()
+BAD_USE_AFTER_RELEASE = """\
+def drop(pkt):
+    pkt.release()
+    return pkt.size
 """
 
 
@@ -64,37 +62,37 @@ class TestSyntaxErrors:
 
 class TestNoqa:
     def test_bare_noqa_suppresses(self, lint_source):
-        clean = BAD_WALLCLOCK.replace(
-            "time.time()", "time.time()  # repro: noqa")
+        clean = BAD_USE_AFTER_RELEASE.replace(
+            "pkt.size", "pkt.size  # repro: noqa")
         result = lint_source(clean)
         assert result.diagnostics == []
         assert result.suppressed == 1
 
     def test_rule_list_noqa_suppresses_named_rule(self, lint_source):
-        clean = BAD_WALLCLOCK.replace(
-            "time.time()", "time.time()  # repro: noqa(REPRO103)")
+        clean = BAD_USE_AFTER_RELEASE.replace(
+            "pkt.size", "pkt.size  # repro: noqa(REPRO501)")
         result = lint_source(clean)
         assert result.diagnostics == []
         assert result.suppressed == 1
 
     def test_rule_list_noqa_ignores_other_rules(self, lint_source):
-        miss = BAD_WALLCLOCK.replace(
-            "time.time()", "time.time()  # repro: noqa(REPRO101)")
+        miss = BAD_USE_AFTER_RELEASE.replace(
+            "pkt.size", "pkt.size  # repro: noqa(REPRO001)")
         result = lint_source(miss)
-        # The wall-clock diagnostic still fires AND the suppression that
-        # silenced nothing is itself reported (REPRO002).
-        assert rule_ids(result) == {"REPRO103", "REPRO002"}
+        # The use-after-release diagnostic still fires AND the
+        # suppression that silenced nothing is itself reported (REPRO002).
+        assert rule_ids(result) == {"REPRO501", "REPRO002"}
         assert result.suppressed == 0
 
 
 class TestSelection:
     def test_select_prefix(self, lint_source):
-        result = lint_source(BAD_WALLCLOCK, select=["REPRO4"])
-        assert result.diagnostics == []  # REPRO103 not selected
+        result = lint_source(BAD_USE_AFTER_RELEASE, select=["repro5"])
+        assert rule_ids(result) == {"REPRO501"}
 
     def test_select_exact_id(self, lint_source):
-        result = lint_source(BAD_WALLCLOCK, select=["REPRO103"])
-        assert rule_ids(result) == {"REPRO103"}
+        result = lint_source(BAD_USE_AFTER_RELEASE, select=["REPRO501"])
+        assert rule_ids(result) == {"REPRO501"}
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -104,30 +102,29 @@ class TestSelection:
         rules = all_rules()
         ids = [r.id for r in rules]
         assert len(ids) == len(set(ids))
-        assert len(rules) >= 12
+        assert ids == ["REPRO501"]
 
 
 class TestDiagnostics:
     def test_format_line(self):
-        diag = Diagnostic(path="a/b.py", line=3, col=7, rule_id="REPRO101",
+        diag = Diagnostic(path="a/b.py", line=3, col=7, rule_id="REPRO501",
                           severity=Severity.ERROR, message="boom")
-        assert diag.format() == "a/b.py:3:7 REPRO101 error: boom"
+        assert diag.format() == "a/b.py:3:7 REPRO501 error: boom"
 
     def test_sorted_by_location(self, lint_source):
         source = """\
-        import time
-
-
-        def f():
-            x = time.time()
-            return time.time(), x
+        def f(a, b):
+            a.release()
+            b.release()
+            x = b.size
+            return a.size, x
         """
         result = lint_source(source)
         lines = [d.line for d in result.diagnostics]
         assert lines == sorted(lines)
 
     def test_counts_and_exit_code(self, lint_source):
-        result = lint_source(BAD_WALLCLOCK)
+        result = lint_source(BAD_USE_AFTER_RELEASE)
         errors, warnings, infos = result.counts()
         assert (errors, warnings, infos) == (1, 0, 0)
         assert result.exit_code == 1
@@ -145,7 +142,9 @@ class TestRealTree:
         # ``# repro: noqa`` either, which would surface as REPRO002.
         result = lint_paths([str(_SRC / "repro")])
         assert [d.format() for d in result.diagnostics] == []
-        assert result.files_scanned > 100
+        assert result.files_scanned == sum(
+            "__pycache__" not in path.parts
+            for path in (_SRC / "repro").rglob("*.py"))
 
 
 class TestUnusedNoqa:
@@ -160,20 +159,20 @@ class TestUnusedNoqa:
         assert result.exit_code == 0  # warning-only stays green
 
     def test_unused_rule_list_noqa_warns_with_the_list(self, lint_source):
-        result = lint_source("x = 1  # repro: noqa(REPRO101, REPRO103)\n")
+        result = lint_source("x = 1  # repro: noqa(REPRO501, REPRO001)\n")
         assert rule_ids(result) == {"REPRO002"}
-        assert "REPRO101, REPRO103" in result.diagnostics[0].message
+        assert "REPRO001, REPRO501" in result.diagnostics[0].message
 
     def test_used_noqa_does_not_warn(self, lint_source):
-        clean = BAD_WALLCLOCK.replace(
-            "time.time()", "time.time()  # repro: noqa")
+        clean = BAD_USE_AFTER_RELEASE.replace(
+            "pkt.size", "pkt.size  # repro: noqa")
         result = lint_source(clean)
         assert result.diagnostics == []
 
     def test_not_emitted_under_select(self, lint_source):
         # A --select subset cannot know whether an unselected rule
         # would have used the suppression.
-        result = lint_source("x = 1  # repro: noqa\n", select=["REPRO1"])
+        result = lint_source("x = 1  # repro: noqa\n", select=["REPRO5"])
         assert result.diagnostics == []
 
     def test_explicit_repro002_opts_out(self, lint_source):

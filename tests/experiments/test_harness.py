@@ -1,11 +1,14 @@
 """Smoke and behaviour tests for the experiment harness (small params)."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments import common
 from repro.experiments.ascii_plot import histogram_plot, line_plot
 from repro.experiments.common import (
+    PACKET_BYTES,
     run_long_flow_experiment,
     run_short_flow_experiment,
     rtt_for_pipe,
@@ -70,6 +73,26 @@ class TestLongFlowRunner:
         result = run_long_flow_experiment(n_flows=8, buffer_packets=40,
                                           red=True, **FAST_LONG)
         assert 0.0 <= result.utilization <= 1.0
+
+    def test_red_packet_time_is_one_serialization(self, monkeypatch):
+        """RED ages its average over idle time in packet slots of
+        ``mean_pkt_time`` seconds: one ``PACKET_BYTES`` packet clocked
+        onto the bottleneck (bits over bit/s — bytes would make it 8x
+        too short)."""
+        built = []
+        real_build = common.build_dumbbell
+
+        def build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(common, "build_dumbbell", build)
+        run_long_flow_experiment(n_flows=2, buffer_packets=20, red=True,
+                                 **dict(FAST_LONG, warmup=0.5, duration=0.5))
+        net, = built
+        packet = SimpleNamespace(size=PACKET_BYTES)
+        assert net.bottleneck_queue.mean_pkt_time == pytest.approx(
+            net.bottleneck_link.serialization_time(packet))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -12,6 +12,7 @@ supervisor's wait at once, and a finished sweep returns at once.  The
 supervisor being SIGKILLed, with and without workers, is the last case.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -289,6 +290,27 @@ class TestMergeLoop:
             rebuilt = json.load(fh)
         assert list(rebuilt["cells"]) == [cell_key(p) for p in grid]
         assert rebuilt["cells"] == fleet_view["cells"]
+
+
+# ----------------------------------------------------------------------
+# The timeout
+# ----------------------------------------------------------------------
+class TestClockStep:
+    def test_wall_clock_steps_do_not_expire_the_timeout(self, tmp_path,
+                                                       monkeypatch):
+        """The fleet's ``timeout`` runs on the monotonic clock.  Here the
+        wall clock jumps a day forward each time it is read (an NTP
+        step, over and over) while two workers run four cells under a
+        60 s timeout: every cell still finishes."""
+        real_time = time.time
+        days = itertools.count(1)
+        monkeypatch.setattr(time, "time",
+                            lambda: real_time() + 86_400.0 * next(days))
+        grid = [{"x": i, "seed": 1, "delay": 0.2} for i in range(4)]
+        outcomes = fleet_sweep(fabric_fns.slow_quadratic,
+                               **fabric_kwargs(tmp_path, grid))
+        assert [outcome.result for outcome in outcomes] == [
+            {"y": i * i + 1, "x": i, "seed": 1} for i in range(4)]
 
 
 # ----------------------------------------------------------------------

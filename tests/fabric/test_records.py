@@ -46,19 +46,11 @@ class TestFraming:
 class TestWriteRecord:
     def test_write_read_roundtrip(self, tmp_path):
         path = str(tmp_path / "r.json")
-        assert records.write_record(path, {"v": 1}) is True
+        records.write_record(path, {"v": 1})
         assert records.read_record(path) == {"v": 1}
 
     def test_no_tempfile_left_behind(self, tmp_path):
         records.write_record(str(tmp_path / "r.json"), {"v": 1})
-        leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
-        assert leftovers == []
-
-    def test_exclusive_first_writer_wins(self, tmp_path):
-        path = str(tmp_path / "lease.json")
-        assert records.write_record(path, {"who": "a"}, exclusive=True) is True
-        assert records.write_record(path, {"who": "b"}, exclusive=True) is False
-        assert records.read_record(path)["who"] == "a"
         leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert leftovers == []
 

@@ -401,7 +401,7 @@ class TestCheckpointMeta:
         assert payload["version"] == 1
         meta = payload["meta"]
         spec = meta["supervisor"]
-        assert spec["fn"].endswith(".double")
+        assert spec["fn"] == f"{double.__module__}:double"  # format_fn_ref
         assert spec["max_retries"] == 1
         assert spec["max_events"] == 500
         assert spec["max_wall_seconds"] is None

@@ -17,7 +17,6 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.fabric import records
 from repro.fabric.queue import cell_digest
-from repro.runner import supervisor as supervisor_module
 from repro.runner.supervisor import SweepSupervisor, cell_key
 
 
@@ -38,33 +37,34 @@ def record_and_view(tmp_path):
 class TestWriteDurability:
     def test_temp_file_fsynced_before_rename(self, tmp_path, monkeypatch):
         """The data must be on disk before the rename publishes it: the
-        record's, then the view's."""
-        order = []
+        renamed file's own inode was fsynced first, for the record and
+        then for the view.  Inodes, not call order: a new shard's
+        directory sync right before the rename is not the file's."""
+        synced = set()
+        renamed = []
         real_fsync = os.fsync
         real_replace = os.replace
 
         def spy_fsync(fd):
-            order.append("fsync")
+            synced.add(os.fstat(fd).st_ino)
             return real_fsync(fd)
 
         def spy_replace(src, dst):
-            order.append(("replace", os.path.basename(dst)))
+            renamed.append((os.path.basename(dst),
+                            os.stat(src).st_ino in synced))
             return real_replace(src, dst)
 
         sup, path = record_and_view(tmp_path)
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
         sup.run_cell(x=4)
-        # The record's temp file is synced last before its rename (a
-        # new shard directory's sync may come first).
-        renamed = next(i for i, o in enumerate(order) if o != "fsync")
-        assert renamed >= 1 and order[renamed - 1] == "fsync"
-        assert order[renamed][0] == "replace"
-        assert (order[renamed][1].endswith(".json")
-                and order[renamed][1] != "sweep.json")
-        del order[:]
+        (record, record_synced), = renamed
+        assert record.endswith(".json") and record != "sweep.json"
+        assert record_synced
+        synced.clear()  # a freed inode number may come back
+        del renamed[:]
         sup.run([{"x": 3}])
-        assert order[:2] == ["fsync", ("replace", "sweep.json")]
+        assert renamed == [("sweep.json", True)]
 
     def test_parent_directory_fsynced_after_rename(self, tmp_path,
                                                    monkeypatch):
@@ -73,8 +73,6 @@ class TestWriteDurability:
         entry in its parent, a new shard's entry in ``cells/``."""
         synced = []
         monkeypatch.setattr(records, "fsync_directory", synced.append)
-        monkeypatch.setattr(supervisor_module, "_fsync_directory",
-                            synced.append)
         root = tmp_path / "sweep.json.queue"
         cells = root / "cells"
 

@@ -1,7 +1,9 @@
-"""Package-level checks: public API surface and doctests."""
+"""Package-level checks: public API surface, ``__slots__`` and doctests."""
 
 import doctest
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -35,6 +37,29 @@ class TestPublicApi:
             rule_of_thumb_bytes,
             small_buffer_bytes,
         )
+
+
+def own_slots(cls):
+    declared = vars(cls).get("__slots__", ())
+    return {declared} if isinstance(declared, str) else set(declared)
+
+
+class TestSlots:
+    def test_no_class_redeclares_a_slot_of_its_bases(self):
+        """A slot named again below its base hides the base's storage
+        (the data model calls the result undefined) and costs a word
+        per instance."""
+        redeclared = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            for cls in vars(importlib.import_module(info.name)).values():
+                if inspect.isclass(cls) and cls.__module__ == info.name:
+                    redeclared += [
+                        f"{cls.__qualname__}.{name} ({base.__qualname__})"
+                        for base in cls.__mro__[1:]
+                        for name in own_slots(cls) & own_slots(base)]
+        assert redeclared == []
 
 
 class TestDoctests:
