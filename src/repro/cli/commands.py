@@ -368,29 +368,28 @@ def _print_sweep_row(outcome) -> None:
     label = (f"{params.get('cc', 'reno'):>8} {params['n_flows']:>6} "
              f"{params['buffer_packets']:>7}")
     if not outcome.ok:
-        print(f"{label} {'-':>7} {'-':>7} {outcome.attempts:>8}  "
-              f"FAILED: {outcome.error}")
+        print(f"{label} {'-':>7} {'-':>7}  FAILED: {outcome.error}")
         return
     result = outcome.result
     util = result["utilization"] if isinstance(result, dict) else result.utilization
     loss = result["loss_rate"] if isinstance(result, dict) else result.loss_rate
     source = "checkpoint" if outcome.from_checkpoint else "computed"
-    print(f"{label} {util * 100:>7.2f} {loss * 100:>7.3f} "
-          f"{outcome.attempts:>8}  {source}")
+    print(f"{label} {util * 100:>7.2f} {loss * 100:>7.3f}  {source}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: checkpointed long-flow grid under the supervisor.
 
-    Every (cc, flows, buffer-factor) cell gets per-trial watchdog
-    budgets, retry-with-reseed on transient failures, and — with
-    ``--checkpoint`` or ``--queue-dir`` — resume of a killed sweep: each
-    finished cell is one durable record in the queue directory, and the
-    checkpoint is a view of them written when the run ends.  One
+    Every (cc, flows, buffer-factor) cell runs once, under ``--seed``,
+    with per-trial watchdog budgets: a cell that stalls or breaks an
+    invariant is a FAILED row naming its error, and the exit code is 3.
+    With ``--checkpoint`` or ``--queue-dir`` a killed sweep resumes:
+    each finished cell is one durable record in the queue directory,
+    and the checkpoint is a view of them written when the run ends.  One
     :meth:`~repro.runner.supervisor.SweepSupervisor.run` prints a row
     per cell in grid order.  ``--jobs 1`` runs the cells in this
     process; ``--jobs N`` adds N worker processes that this process
-    hands the cells to, one at a time.  Cell results, attempts, records
+    hands the cells to, one at a time.  Cell results, FAILED rows, records
     and the checkpoint are the same either way.
     """
     import contextlib
@@ -452,9 +451,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     tempfile.TemporaryDirectory(prefix="repro-queue-"))
             supervisor = SweepSupervisor(
                 run_long_flow_experiment, checkpoint_path=args.checkpoint,
-                resume=not args.fresh, max_retries=args.retries,
-                max_events=args.max_events, max_wall_seconds=args.timeout,
-                workers=workers, queue_dir=queue_dir)
+                resume=not args.fresh, max_events=args.max_events,
+                max_wall_seconds=args.timeout, workers=workers,
+                queue_dir=queue_dir)
             if supervisor.completed_cells or supervisor.parked:
                 parked = (f" (unreadable checkpoint moved to "
                           f"{supervisor.parked})" if supervisor.parked else "")
@@ -465,7 +464,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"running {len(grid)} cell(s) on {workers} worker "
                       f"process(es), queue {supervisor.queue_dir}")
             print(f"{'cc':>8} {'flows':>6} {'buffer':>7} {'util%':>7} "
-                  f"{'loss%':>7} {'attempts':>8}  source")
+                  f"{'loss%':>7}  source")
             outcomes = supervisor.run(grid, on_cell=_print_sweep_row)
     except KeyboardInterrupt as exc:
         print(f"interrupted: {exc}")
@@ -474,7 +473,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     failures = sum(not outcome.ok for outcome in outcomes)
     if failures:
-        print(f"{failures} cell(s) failed after retries")
+        print(f"{failures} cell(s) failed")
         return 3
     return 0
 

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=commands.cmd_link_profiles)
 
     p_sweep = sub.add_parser(
-        "sweep", help="checkpointed long-flow grid (watchdog + retry + resume)",
+        "sweep", help="checkpointed long-flow grid (watchdog + resume)",
         description="One loop prints a row per cell, in grid order; --jobs "
                     "N adds N worker processes to it (cells they leave "
                     "open run in this process).")
@@ -184,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fresh", action="store_true",
                          help="discard the checkpoint and the records "
                               "instead of resuming")
-    p_sweep.add_argument("--retries", type=int, default=2,
-                         help="retries (with reseed) per transiently-failing "
-                              "cell (default 2)")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (default 1 = in this "
                               "process, 0 = all cores); N > 1 adds N "

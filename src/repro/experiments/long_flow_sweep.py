@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.experiments.common import (LongFlowResult, run_long_flow_experiment,
                                       sqrt_rule, sqrt_rule_packets)
-from repro.runner import SweepSupervisor
+from repro.runner import SweepSupervisor, TrialOutcome
 
 __all__ = ["MinBufferPoint", "SweepResult", "min_buffer_sweep"]
 
@@ -54,6 +54,8 @@ class SweepResult:
     points: List[MinBufferPoint]
     curves: Dict[int, List[Tuple[float, float]]] = field(default_factory=dict)
     #: curves[n] = [(buffer_packets, utilization), ...] — the raw data.
+    failed: List[TrialOutcome] = field(default_factory=list)
+    #: The cells that stalled or broke an invariant: params and error.
 
     def for_target(self, target: float) -> List[MinBufferPoint]:
         return [p for p in self.points if p.target == target]
@@ -86,9 +88,6 @@ def min_buffer_sweep(
     duration: float = 40.0,
     seed: int = 3,
     checkpoint_path: Optional[str] = None,
-    max_retries: int = 2,
-    max_events: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
     **kwargs,
 ) -> SweepResult:
     """Measure min-buffer-vs-n for the given utilization targets.
@@ -104,9 +103,6 @@ def min_buffer_sweep(
     checkpoint_path:
         Optional JSON checkpoint; a sweep killed mid-grid resumes from
         the last completed cell on the next call with the same path.
-    max_retries, max_events, max_wall_seconds:
-        Hardening knobs forwarded to the
-        :class:`~repro.runner.SweepSupervisor` driving the grid.
     pipe_packets, warmup, duration, seed, kwargs:
         Forwarded to :func:`run_long_flow_experiment`.
     """
@@ -117,9 +113,6 @@ def min_buffer_sweep(
     supervisor = SweepSupervisor(
         run_long_flow_experiment,
         checkpoint_path=checkpoint_path,
-        max_retries=max_retries,
-        max_events=max_events,
-        max_wall_seconds=max_wall_seconds,
         deserialize=LongFlowResult.from_dict,
     )
     cells: List[Tuple[int, int, Dict]] = []
@@ -141,19 +134,22 @@ def min_buffer_sweep(
     curves: Dict[int, List[Tuple[float, float]]] = {}
     by_n: Dict[int, List[Tuple[float, float]]] = {}
     for (n, buffer_packets, _), outcome in zip(cells, outcomes):
-        # A cell that stalled through all retries becomes a NaN
-        # sample: it can never satisfy a utilization target, and the
-        # rest of the sweep still completes.
+        # A failed cell is a NaN sample; the rest of the sweep still
+        # completes.
         utilization = outcome.result.utilization if outcome.ok else math.nan
         by_n.setdefault(n, []).append((buffer_packets, utilization))
     for n in n_values:
         unit = sqrt_rule(pipe_packets, n)
         curve = by_n.get(n, [])  # empty factor grid: no cells ran
         # Enforce monotonicity for interpolation robustness (tiny
-        # non-monotonic wiggles are measurement noise).
+        # non-monotonic wiggles are measurement noise).  A failed cell
+        # ends the curve: a target not crossed before it is NaN, never
+        # interpolated over a point nobody measured.
         best = 0.0
         monotone = []
         for b, u in curve:
+            if math.isnan(u):
+                break
             best = max(best, u)
             monotone.append((b, best))
         curves[n] = curve
@@ -166,4 +162,6 @@ def min_buffer_sweep(
                 buffer_factor=b_min / unit if not math.isnan(b_min) else math.nan,
                 model_packets=unit,
             ))
-    return SweepResult(pipe_packets=pipe_packets, points=points, curves=curves)
+    return SweepResult(pipe_packets=pipe_packets, points=points, curves=curves,
+                       failed=[outcome for outcome in outcomes
+                               if not outcome.ok])

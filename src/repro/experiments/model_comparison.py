@@ -17,19 +17,17 @@ The bracket is the insight: the sqrt(n) requirement is *exactly the
 statistical fluctuation term*.  Deterministic desynchronized AIMD needs
 ~zero buffer; full synchronization needs the whole BDP; real traffic —
 desynchronized but random — sits between, and the CLT says the gap
-scales as ``1/sqrt(n)``.  The packet-level simulator (optional column;
-slow) lands near the Gaussian curve, confirming that real packet-level
-randomness, not AIMD geometry, sets the requirement.
+scales as ``1/sqrt(n)``.  The packet-level answer for the same
+question is Figure 7's sweep (:mod:`repro.experiments.long_flow_sweep`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core import buffer_for_utilization
-from repro.experiments.long_flow_sweep import min_buffer_sweep
 from repro.fluid.sweep import fluid_min_buffer
 
 __all__ = ["ComparisonRow", "compare_models"]
@@ -43,7 +41,6 @@ class ComparisonRow:
     gaussian: float
     fluid_desync: float
     fluid_sync: float
-    packet_sim: float  # NaN unless requested
     sqrt_rule: float
 
 
@@ -51,11 +48,9 @@ def compare_models(
     n_values: Sequence[int] = (16, 64, 256),
     target: float = 0.99,
     pipe_packets: float = 400.0,
-    include_packet_sim: bool = False,
     fluid_duration: float = 120.0,
-    sim_kwargs: Optional[dict] = None,
 ) -> List[ComparisonRow]:
-    """Compute the min-buffer curve with every available instrument.
+    """Compute the min-buffer curve with the three model instruments.
 
     Parameters
     ----------
@@ -63,18 +58,7 @@ def compare_models(
         Flow counts.
     target:
         Utilization target.
-    include_packet_sim:
-        Also run the packet-level sweep (slow; off by default).
-    sim_kwargs:
-        Extra parameters for the packet sweep.
     """
-    packet_answers: Dict[int, float] = {}
-    if include_packet_sim:
-        sweep = min_buffer_sweep(
-            n_values=n_values, targets=(target,),
-            pipe_packets=pipe_packets, **(sim_kwargs or {}))
-        packet_answers = {p.n_flows: p.buffer_packets
-                          for p in sweep.for_target(target)}
     rows: List[ComparisonRow] = []
     for n in n_values:
         rows.append(ComparisonRow(
@@ -86,7 +70,6 @@ def compare_models(
             fluid_sync=fluid_min_buffer(
                 n, target, pipe_packets, synchronized=True,
                 duration=fluid_duration, warmup=fluid_duration / 2),
-            packet_sim=packet_answers.get(n, math.nan),
             sqrt_rule=pipe_packets / math.sqrt(n),
         ))
     return rows

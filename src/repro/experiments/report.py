@@ -195,6 +195,16 @@ def _pkts(x: float) -> str:
     return ">grid" if math.isnan(x) else f"{x:.0f}"
 
 
+def _failed(outcome) -> str:
+    """One failed sweep cell, named by the params it ran under."""
+    params = outcome.params
+    where = (f"n={params['n_flows']}" if "n_flows" in params
+             else f"rate={params['bottleneck_rate']}")
+    buffer = params["buffer_packets"]
+    return (f"{where}, B={'inf' if buffer is None else buffer}, "
+            f"seed={params['seed']} FAILED: {outcome.error}")
+
+
 def _fenced(plot: str) -> List[str]:
     return ["", "```", plot, "```"]
 
@@ -362,7 +372,17 @@ def _fig6_claims(result) -> List[Claim]:
 _H_SQRT = "`RTT·C/sqrt(n)` suffices for near-full utilization"
 
 
+def _fig7_unknown(result) -> Dict[int, str]:
+    """n -> the failed cell that ended its curve before a target."""
+    first: Dict[int, str] = {}
+    for outcome in result.failed:
+        first.setdefault(outcome.params["n_flows"], _failed(outcome))
+    return {p.n_flows: first[p.n_flows] for p in result.points
+            if not p.achieved and p.n_flows in first}
+
+
 def _fig7_body(result) -> List[str]:
+    unknown = _fig7_unknown(result)
     targets = sorted({p.target for p in result.points})
     n_values = sorted({p.n_flows for p in result.points})
     lines = ["Paper (OC3, ~80 ms RTT): the minimum buffer for 98%+ "
@@ -375,9 +395,14 @@ def _fig7_body(result) -> List[str]:
         row = sorted((p for p in result.points if p.n_flows == n),
                      key=lambda p: p.target)
         cells = [f"{p.buffer_packets:.0f} ({p.buffer_factor:.1f}x)"
-                 if p.achieved else ">grid" for p in row]
+                 if p.achieved else "FAILED" if n in unknown else ">grid"
+                 for p in row]
         lines.append(f"| {n} | {row[0].model_packets:.0f} | "
                      + " | ".join(cells) + " |")
+    if result.failed:
+        lines += ["\nFailed cells (a target not reached before one is "
+                  "unknown at that n):\n"]
+        lines += [f"- {_failed(outcome)}" for outcome in result.failed]
     series = {f"{t * 100:.1f}%": [(p.n_flows, p.buffer_packets)
                                   for p in result.for_target(t) if p.achieved]
               for t in targets}
@@ -395,11 +420,13 @@ def _fig7_claims(result) -> List[Claim]:
     falls = "min buffer for the lowest target falls from the smallest n to the largest"
     near = "at the largest n that buffer is <= 3.0x `RTT·C/sqrt(n)`"
     order = "a higher target never needs a smaller buffer (>grid counts as larger)"
+    unknown = _fig7_unknown(result)
     targets = sorted({p.target for p in result.points})
     low = sorted(result.for_target(targets[0]) if targets else [],
                  key=lambda p: p.n_flows)
     missing = sorted({p.n_flows for p in low[:1] + low[-1:] if not p.achieved})
-    why = ("nothing measured" if not low else
+    failed = [unknown[n] for n in missing if n in unknown]
+    why = ("nothing measured" if not low else failed[0] if failed else
            f"{targets[0] * 100:.1f}% is >grid at n = "
            + ", ".join(map(str, missing)) if missing else "")
     if why:
@@ -425,11 +452,13 @@ def _fig7_claims(result) -> List[Claim]:
                     if not math.isinf(lo)), default=math.inf)
 
     claims.append(_every(
-        order, sorted({p.n_flows for p in result.points if p.achieved}),
-        lambda n: step(n) >= 0, step,
-        lambda n: f"n = {n}: " + ("every higher target is >grid"
-                                  if math.isinf(step(n)) else
-                                  f"smallest step between targets {step(n):+.1f} pkts")))
+        order, sorted({p.n_flows for p in result.points if p.achieved}
+                      | set(unknown)),
+        lambda n: n not in unknown and step(n) >= 0,
+        lambda n: -math.inf if n in unknown else step(n),
+        lambda n: unknown[n] if n in unknown else f"n = {n}: " + (
+            "every higher target is >grid" if math.isinf(step(n)) else
+            f"smallest step between targets {step(n):+.1f} pkts")))
     return claims
 
 
@@ -470,10 +499,15 @@ def _fig8_body(result) -> List[str]:
              "| bandwidth | AFCT (infinite B) | min buffer | AFCT at min "
              "| model |", "|---|---|---|---|---|"]
     for p in points:
+        found = "FAILED" if p.failed else f"{_pkts(p.min_buffer_packets)} pkts"
         lines.append(f"| {format_bandwidth(p.bandwidth_bps)} "
-                     f"| {_secs(p.afct_infinite)} | {_pkts(p.min_buffer_packets)} pkts "
+                     f"| {_secs(p.afct_infinite)} | {found} "
                      f"| {_secs(p.afct_at_min)} "
                      f"| {p.model_buffer_packets:.0f} pkts |")
+    failed = [_failed(p.failed) for p in points if p.failed]
+    if failed:
+        lines += ["\nFailed cells (each leaves its rate's minimum "
+                  "unknown):\n"] + [f"- {cell}" for cell in failed]
     if points:
         lines += [f"\nLoad and RTT at {format_bandwidth(points[0].bandwidth_bps)}:\n",
                   "| run | load | buffer | drop rate |", "|---|---|---|---|"]
@@ -487,6 +521,7 @@ def _fig8_body(result) -> List[str]:
 def _fig8_claims(result) -> List[Claim]:
     points, by_load, by_rtt = result
     reached = [p.min_buffer_packets for p in points if p.achieved]
+    failed = [_failed(p.failed) for p in points if p.failed]
     spread = "min buffers across the rate range within 40 packets of each other"
     heavier = "at the smallest grid buffer the higher load drops more than the lower"
     longer = "a longer RTT moves the drop rate by <= 0.02 at the first rate's min buffer"
@@ -495,13 +530,18 @@ def _fig8_claims(result) -> List[Claim]:
         return " vs ".join(f"{label(key)} {_pct(r.drop_rate)}"
                            for key, r in runs) + f" at {runs[0][1].buffer_packets} pkts"
 
+    def found(p):
+        return _failed(p.failed) if p.failed else (
+            f"{format_bandwidth(p.bandwidth_bps)}: "
+            f"{_pkts(p.min_buffer_packets)} pkts")
+
     loads = sorted(by_load.items())
     rtts = sorted(by_rtt.items())
     return [
         _every("every rate meets the AFCT criterion on the buffer grid",
                points, lambda p: p.achieved, lambda p: -p.min_buffer_packets,
-               lambda p: f"{format_bandwidth(p.bandwidth_bps)}: "
-                         f"{_pkts(p.min_buffer_packets)} pkts"),
+               found),
+        Claim(spread, False, failed[0], _H_SHORT) if failed else
         Claim(spread, max(reached) <= min(reached) + 40,
               f"min buffers {min(reached):.0f}–{max(reached):.0f} pkts over "
               f"{len(reached)} rate(s)", _H_SHORT)
@@ -509,16 +549,17 @@ def _fig8_claims(result) -> List[Claim]:
         _every("min buffer <= max(1.5x model, 60) packets at every rate", points,
                lambda p: p.min_buffer_packets <= max(1.5 * p.model_buffer_packets, 60),
                lambda p: -p.min_buffer_packets,
-               lambda p: f"{format_bandwidth(p.bandwidth_bps)}: "
-                         f"{_pkts(p.min_buffer_packets)} pkts vs model "
-                         f"{p.model_buffer_packets:.0f}"),
+               lambda p: found(p) if p.failed else
+               f"{found(p)} vs model {p.model_buffer_packets:.0f}"),
         Claim(heavier, loads[-1][1].drop_rate > loads[0][1].drop_rate,
               drops(loads, lambda x: f"load {x:g}"), _H_SHORT)
         if len(loads) > 1 else Claim(heavier, False, "needs two loads", _H_SHORT),
         Claim(longer, abs(rtts[-1][1].drop_rate - rtts[0][1].drop_rate) <= 0.02,
               drops(rtts, lambda m: f"RTT x{m:g}"))
         if len(rtts) > 1 else
-        Claim(longer, False, "no min buffer on the grid at the first rate"),
+        Claim(longer, False, _failed(points[0].failed)
+              if points and points[0].failed else
+              "no min buffer on the grid at the first rate"),
     ]
 
 

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 from repro.core import ShortFlowModel
 from repro.errors import ConfigurationError
 from repro.experiments.common import ShortFlowResult, run_short_flow_experiment
-from repro.runner import SweepSupervisor
+from repro.runner import SweepSupervisor, TrialOutcome
 from repro.traffic.sizes import FixedSize, FlowSizeDistribution
 from repro.units import Quantity, parse_bandwidth
 
@@ -39,6 +39,8 @@ class ShortFlowPoint:
     min_buffer_packets: float
     model_buffer_packets: float
     afct_at_min: float
+    #: The cell that stalled or broke an invariant and ended the scan.
+    failed: Optional[TrialOutcome] = None
 
     @property
     def achieved(self) -> bool:
@@ -73,7 +75,8 @@ def afct_buffer_sweep(
         AFCT inflation tolerance (paper: 12.5%).
     buffer_grid:
         Increasing buffer sizes to try; the scan stops at the first one
-        meeting the threshold.
+        meeting the threshold, or at a failed cell (a stall or a broken
+        invariant), which leaves that rate's minimum unknown (NaN).
     """
     if list(buffer_grid) != sorted(buffer_grid):
         raise ConfigurationError("buffer_grid must be increasing")
@@ -85,24 +88,28 @@ def afct_buffer_sweep(
     supervisor = SweepSupervisor(run_short_flow_experiment,
                                  deserialize=ShortFlowResult.from_dict)
 
-    def measure_afct(bandwidth, buffer_packets):
-        outcome = supervisor.run_cell(
+    def measure(bandwidth, buffer_packets) -> TrialOutcome:
+        return supervisor.run_cell(
             load=load, buffer_packets=buffer_packets, sizes=size_dist,
             bottleneck_rate=bandwidth, warmup=warmup, duration=duration,
             seed=seed, max_window=max_window, **kwargs)
-        return outcome.result.afct if outcome.ok else math.nan
 
     points: List[ShortFlowPoint] = []
     for bandwidth in bandwidths:
-        baseline_afct = measure_afct(bandwidth, None)
+        baseline = measure(bandwidth, None)
+        failed = None if baseline.ok else baseline
+        baseline_afct = baseline.result.afct if baseline.ok else math.nan
         threshold = baseline_afct * (1.0 + max_inflation)
         min_buffer = math.nan
         afct_at_min = math.nan
-        for buffer_packets in buffer_grid:
-            afct = measure_afct(bandwidth, buffer_packets)
-            if afct <= threshold:
+        for buffer_packets in buffer_grid if baseline.ok else ():
+            outcome = measure(bandwidth, buffer_packets)
+            if not outcome.ok:  # past it, the minimum is unknown
+                failed = outcome
+                break
+            if outcome.result.afct <= threshold:
                 min_buffer = float(buffer_packets)
-                afct_at_min = afct
+                afct_at_min = outcome.result.afct
                 break
         points.append(ShortFlowPoint(
             bandwidth_bps=parse_bandwidth(bandwidth),
@@ -111,5 +118,6 @@ def afct_buffer_sweep(
             min_buffer_packets=min_buffer,
             model_buffer_packets=model_buffer,
             afct_at_min=afct_at_min,
+            failed=failed,
         ))
     return points

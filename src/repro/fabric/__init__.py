@@ -23,9 +23,6 @@ changes who runs the cells:
 * :mod:`repro.fabric.records` — length+checksum framed, atomically
   written (fsync file *and* directory) JSON records; torn writes are
   detected and quarantined to ``*.corrupt`` instead of poisoning reads.
-* :mod:`repro.fabric.backoff` — the bounded exponential
-  :class:`~repro.fabric.backoff.BackoffPolicy` with seeded jitter that
-  separates the retry-with-reseed attempts of a failing cell.
 * :mod:`repro.fabric.chaos` — crash-injection hooks used by the chaos
   tests and the CI smoke job to SIGKILL workers at protocol-critical
   points.

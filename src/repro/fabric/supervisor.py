@@ -139,7 +139,7 @@ class FleetRun:
                 self.open[cell_digest(key)] = (key, params)
         #: Open cells no worker holds, in the order they are handed out.
         self.todo: Deque[str] = collections.deque(self.open)
-        #: digest -> a FAILED outcome's fields, or the exception raised.
+        #: digest -> a FAILED outcome's error, or the exception raised.
         self.verdicts: Dict[str, Any] = {}
         self.deaths_of: Dict[str, int] = {}
         self.counters = {"fabric.completions": 0, "fabric.requeued": 0}
@@ -236,8 +236,7 @@ class FleetRun:
         proc = multiprocessing.get_context(method).Process(
             target=spawned_worker_entry,
             args=(self.queue.root, index, theirs, inherited),
-            kwargs={"max_retries": supervisor.max_retries,
-                    "max_events": supervisor.max_events,
+            kwargs={"max_events": supervisor.max_events,
                     "max_wall_seconds": supervisor.max_wall_seconds},
             name=f"repro-fabric-worker-{index}", daemon=False)
         # The worker is born with its drain signals held and unblocks
@@ -307,7 +306,7 @@ class FleetRun:
             return
         error = (f"poison cell: its worker died {deaths} times "
                  f"(last exit code {exitcode})")
-        self.verdicts[digest] = {"attempts": deaths, "error": error}
+        self.verdicts[digest] = error
         self.quarantined.append({"digest": digest,
                                  "key": self.open[digest][0],
                                  "deaths": deaths, "last_error": error})
@@ -329,7 +328,7 @@ class FleetRun:
             if isinstance(verdict, BaseException):
                 raise verdict
             if verdict is not None:
-                return TrialOutcome(key=key, params=params, **verdict)
+                return TrialOutcome(key=key, params=params, error=verdict)
             if not self.live:
                 return None  # what the fleet left open runs in-process
             self._step(self._deadline)
@@ -383,10 +382,7 @@ class FleetRun:
         digest, worker.cell = worker.cell, None
         if message[0] == "done":
             self._settle(digest)
-        elif message[0] == "failed":
-            self.verdicts[digest] = {"attempts": message[2],
-                                     "error": message[3]}
-        elif message[0] == "raised":
+        elif message[0] in ("failed", "raised"):  # its error, or exception
             self.verdicts[digest] = message[2]
 
     def _dispatch(self) -> None:

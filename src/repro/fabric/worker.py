@@ -1,23 +1,23 @@
 """A fleet worker: runs the cells its supervisor hands it, one at a time.
 
 ``repro sweep --jobs N`` starts :func:`spawned_worker_entry` with one
-end of a pipe and the sweep's retry and watchdog budgets, forked from
-the supervisor where that is safe and spawned otherwise
+end of a pipe and the sweep's watchdog budgets, forked from the
+supervisor where that is safe and spawned otherwise
 (``repro.fabric.supervisor._start_method``).  The worker says it is
 ready, then loops: receive a cell's ``(digest, params)``, run the cell,
 publish its record, send the outcome (which also asks for the next
 cell).  It exits when the pipe reaches EOF — the supervisor has no
 more work for it, or is gone — so no worker outlives its sweep.
 
-A cell runs as in the supervisor's own process — the same
-:func:`repro.runner.supervisor._attempt_cell` retry-with-reseed loop
-under the same budgets — which is what makes a fleet sweep
-**bit-identical** to a single-process run.  Its outcome goes back as
-``("done", digest)`` (the record is durable), ``("failed", digest,
-attempts, error)`` (every reseeded attempt failed: the serial FAILED
-row, no record) or ``("raised", digest, exc)`` (the supervisor raises
-``exc`` when its grid-order loop reaches the cell).  A worker that dies
-mid-cell never reseeds: another worker runs the cell from its base seed.
+A cell runs as in the supervisor's own process — once, through the same
+:func:`repro.runner.supervisor._call_cell` under the same budgets —
+which is what makes a fleet sweep **bit-identical** to a
+single-process run.  Its outcome goes back as ``("done", digest)`` (the
+record is durable), ``("failed", digest, error)`` (it stalled or broke
+an invariant: the serial FAILED row, no record) or ``("raised", digest,
+exc)`` (the supervisor raises ``exc`` when its grid-order loop reaches
+the cell).  A worker that dies mid-cell leaves the cell to another
+worker, which runs it under the same seed.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import FabricError
 from repro.fabric import chaos
-from repro.fabric.backoff import BackoffPolicy, backoff_stream
 from repro.fabric.queue import WorkQueue
-from repro.runner.supervisor import (_attempt_cell, _cell_record,
+from repro.runner.supervisor import (_call_cell, _cell_record,
                                      _default_serialize, accepted_params,
                                      budgeted_call, cell_key)
 
@@ -99,26 +98,21 @@ def _run_cell(queue: WorkQueue, fn: Callable[..., Any],
     chaos.chaos_point("run", index)
     started = time.monotonic()
     try:
-        call = budgeted_call(params, accepted, budgets["max_events"],
-                             budgets["max_wall_seconds"])
-        # Same reseed schedule as the serial supervisor (base seed +
-        # attempt * stride), so the merged grid stays bit-identical.
-        result, attempts, error = _attempt_cell(
-            fn, params, call, budgets["max_retries"],
-            backoff=BackoffPolicy(), rng=backoff_stream(f"cell:{key}"))
+        result, error = _call_cell(fn, budgeted_call(params, accepted,
+                                                     **budgets))
     except Exception as exc:
         return ("raised", digest, _portable(exc))
     if error is not None:
-        return ("failed", digest, attempts, error)
+        return ("failed", digest, error)
     queue.complete(digest, _cell_record(
-        key, params, _default_serialize(result), attempts,
+        key, params, _default_serialize(result),
         time.monotonic() - started), worker_index=index)
     chaos.chaos_point("complete", index)
     return ("done", digest)
 
 
 def run_worker(queue_root: str, index: Optional[int], conn: Any,
-               max_retries: int = 2, max_events: Optional[int] = None,
+               max_events: Optional[int] = None,
                max_wall_seconds: Optional[float] = None) -> int:
     """Serve cells over ``conn`` until it reaches EOF; the exit code.
 
@@ -133,8 +127,7 @@ def run_worker(queue_root: str, index: Optional[int], conn: Any,
     queue = WorkQueue.open(queue_root)
     fn = resolve_fn(queue.fn_ref)
     accepted = accepted_params(fn)
-    budgets = {"max_retries": max_retries, "max_events": max_events,
-               "max_wall_seconds": max_wall_seconds}
+    budgets = {"max_events": max_events, "max_wall_seconds": max_wall_seconds}
     stop: List[int] = []
 
     def _drain(signum: int, frame: Any) -> None:

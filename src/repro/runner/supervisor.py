@@ -1,4 +1,4 @@
-"""Checkpointed, watchdogged, retrying sweep execution.
+"""Checkpointed, watchdogged sweep execution.
 
 :class:`SweepSupervisor` wraps an experiment callable (typically
 :func:`~repro.experiments.common.run_long_flow_experiment` or
@@ -9,16 +9,19 @@ grid of parameter cells with three protections:
   the trial function (when it accepts them), so a hung cell dies with
   :class:`~repro.errors.SimulationStalledError` instead of wedging the
   sweep.
-* **Retry with reseed** — transient failures (stalls, invariant
-  violations) are retried up to ``max_retries`` times with a derived
-  seed, so one pathological seed does not kill a 64-cell table.
+* **A failed cell is a finding** — a cell that stalls or breaks an
+  invariant (:class:`~repro.errors.InvariantViolation`) runs once,
+  under the seed it was asked for, and becomes a FAILED outcome that
+  carries its error; the rest of the grid still runs.  It is never
+  re-run under another seed, so every result a sweep reports was
+  computed from the params it reports.  Every other exception raises.
 * **Resume** — each completed cell is written once, durably, as a
   record in the sweep's record directory (:mod:`repro.fabric.queue`;
   ``<checkpoint>.queue`` by default).  The checkpoint JSON is a view of
   those records that :meth:`SweepSupervisor.run` writes once per run
   (atomically, also on an interrupt or a raising cell).  A restarted
   sweep resumes the view's cells plus every record, and recomputes
-  nothing.
+  nothing; a FAILED cell has no record, so it runs again.
 
 Cells are keyed by their full parameter dict, so a stored result is
 automatically invalidated for cells whose parameters change.  Keys are
@@ -34,8 +37,9 @@ that accepts parameters a worker process could not rebuild from JSON
 --jobs N``) the same grid-order loop adds a fleet
 (:mod:`repro.fabric.supervisor`): worker processes take the cells one
 at a time from the supervisor over pipes, run them through the same
-:func:`_attempt_cell` and publish each result as the same record, so a
-cell's result, attempts and checkpoint entry are the same either way.
+:func:`_call_cell` and publish each result as the same record, so a
+cell's result, FAILED outcome and checkpoint entry are the same either
+way.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from repro.errors import (
     InvariantViolation,
     SimulationStalledError,
 )
-from repro.fabric.backoff import BackoffPolicy, backoff_stream
 from repro.fabric.queue import WorkQueue, cell_digest, format_fn_ref
 from repro.fabric.records import json_default, publish, quarantine_corrupt
 from repro.sim.engine import check_wall_budget
@@ -65,22 +68,15 @@ from repro.sim.engine import check_wall_budget
 __all__ = ["SweepSupervisor", "TrialOutcome", "cell_key",
            "accepted_params", "budgeted_call"]
 
-#: Stride between derived retry seeds; large and odd so reseeded trials
-#: never collide with neighbouring cells' base seeds.
-RESEED_STRIDE = 104729
-
-#: Exceptions treated as transient: worth retrying under a fresh seed.
-TRANSIENT_ERRORS = (SimulationStalledError, InvariantViolation)
-
 
 @dataclass
 class TrialOutcome:
-    """What happened to one sweep cell."""
+    """What happened to one sweep cell, run under ``params`` (its seed
+    included) whether it succeeded or FAILED (``error`` set)."""
 
     key: str
     params: Dict[str, Any]
     result: Any = None
-    attempts: int = 0
     from_checkpoint: bool = False
     error: Optional[str] = None
     elapsed_seconds: float = 0.0
@@ -163,7 +159,7 @@ def _git_sha() -> Optional[str]:
 
 
 def _cell_record(key: str, params: Dict[str, Any], result: Any,
-                attempts: int, elapsed_seconds: float) -> Dict[str, Any]:
+                elapsed_seconds: float) -> Dict[str, Any]:
     """A finished cell as it is stored, whichever process ran it.
 
     The record both executors publish (``WorkQueue.complete``);
@@ -171,48 +167,24 @@ def _cell_record(key: str, params: Dict[str, Any], result: Any,
     checkpoint view.  ``result`` is already serialized.
     """
     return {"key": key, "params": _canonical_param(dict(params)),
-            "result": result, "attempts": attempts,
-            "elapsed_seconds": elapsed_seconds}
+            "result": result, "elapsed_seconds": elapsed_seconds}
 
 
-def _attempt_cell(fn: Callable[..., Any], params: Dict[str, Any],
-                  call: Dict[str, Any], max_retries: int,
-                  backoff: Optional[BackoffPolicy] = None,
-                  rng: Optional[Any] = None,
-                  sleep: Callable[[float], None] = time.sleep,
-                  ) -> Tuple[Any, int, Optional[str]]:
-    """One cell's retry-with-reseed loop: ``(result, attempts, error)``.
+def _call_cell(fn: Callable[..., Any],
+               call: Dict[str, Any]) -> Tuple[Any, Optional[str]]:
+    """Run one cell once: ``(result, None)``, or ``(None, error)``.
 
-    Shared by the serial path and the fabric workers, so neither
-    executor can drift from the other's retry semantics.
-    Transient failures (stalls, invariant violations) are retried under
-    a derived seed; other :class:`~repro.errors.ReproError` s
-    propagate — configuration mistakes never heal with a reseed.
-
-    Retries are separated by ``backoff`` (bounded exponential delays,
-    jittered by the seeded ``rng``) rather than fired back-to-back: a
-    transient failure caused by contention — a loaded host, a shared
-    queue directory — only clears if the retry waits it out.  The delay
-    never affects the result (seeding is attempt-indexed, not
-    time-based), so ``backoff=None`` in unit tests stays bit-identical.
+    Shared by the serial path and the fleet workers, so neither
+    executor can drift from the other.  A stall or an invariant
+    violation is the cell's FAILED outcome, at the seed it was asked
+    for: a deterministic cell does not heal under another seed, and a
+    result from one would be reported under params that did not make
+    it.  Every other exception propagates.
     """
-    last_error: Optional[BaseException] = None
-    for attempt in range(max_retries + 1):
-        this_call = dict(call)
-        if attempt:
-            if backoff is not None:
-                delay = backoff.delay(attempt - 1, rng)
-                if delay > 0:
-                    sleep(delay)
-            if "seed" in this_call and isinstance(this_call["seed"], int):
-                # Reseed: a transient failure is usually a pathological
-                # draw; a derived seed gives an independent replicate.
-                this_call["seed"] = params["seed"] + attempt * RESEED_STRIDE
-        try:
-            return fn(**this_call), attempt + 1, None
-        except TRANSIENT_ERRORS as exc:
-            last_error = exc
-    return None, max_retries + 1, f"{type(last_error).__name__}: {last_error}"
+    try:
+        return fn(**call), None
+    except (SimulationStalledError, InvariantViolation) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def accepted_params(fn: Callable) -> Optional[set]:
@@ -246,7 +218,7 @@ def budgeted_call(params: Dict[str, Any], accepted: Optional[set],
 
 
 class SweepSupervisor:
-    """Run a grid of experiment cells with budgets, retries, checkpoints.
+    """Run a grid of experiment cells with budgets and checkpoints.
 
     Parameters
     ----------
@@ -261,8 +233,6 @@ class SweepSupervisor:
         record in ``queue_dir`` are deleted up front, so a crash before
         the first new cell completes can never leave stale cells for a
         later ``resume=True`` to silently load.
-    max_retries:
-        Retries after the first attempt of a transiently-failing cell.
     max_events, max_wall_seconds:
         Per-trial watchdog budgets, injected into ``params`` whenever
         ``fn`` accepts parameters of those names.
@@ -272,12 +242,6 @@ class SweepSupervisor:
     deserialize:
         Rehydrates a stored result dict (default: identity, i.e.
         resumed cells yield plain dicts).
-    retry_backoff:
-        :class:`~repro.fabric.backoff.BackoffPolicy` separating the
-        retry-with-reseed attempts of a transiently-failing cell
-        (default: the standard bounded-exponential policy).  ``None``
-        restores back-to-back retries (unit tests).  Jitter draws from
-        a per-cell seeded stream, never the process-global RNG.
     workers:
         0 (default) runs every cell in this process.  ``N >= 1`` adds a
         fleet of N worker processes to :meth:`run` (``fn`` module-level,
@@ -300,18 +264,14 @@ class SweepSupervisor:
         fn: Callable[..., Any],
         checkpoint_path: Optional[str] = None,
         resume: bool = True,
-        max_retries: int = 2,
         max_events: Optional[int] = None,
         max_wall_seconds: Optional[float] = None,
         serialize: Callable[[Any], Any] = _default_serialize,
         deserialize: Optional[Callable[[Any], Any]] = None,
-        retry_backoff: Optional[BackoffPolicy] = BackoffPolicy(),
         workers: int = 0,
         queue_dir: Optional[str] = None,
         timeout: Optional[float] = None,
     ):
-        if max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
         # Refused before the checkpoint is read or discarded.
         check_wall_budget(max_wall_seconds)
         if workers < 0:
@@ -326,12 +286,10 @@ class SweepSupervisor:
             fn_reference(fn)  # refuses what a worker could not import
         self.fn = fn
         self.checkpoint_path = checkpoint_path
-        self.max_retries = max_retries
         self.max_events = max_events
         self.max_wall_seconds = max_wall_seconds
         self.serialize = serialize
         self.deserialize = deserialize
-        self.retry_backoff = retry_backoff
         self.workers = workers
         self.queue_dir = queue_dir
         self.timeout = timeout
@@ -408,7 +366,6 @@ class SweepSupervisor:
         from repro.obs import runtime as _obs
         spec = {
             "fn": format_fn_ref(self.fn),
-            "max_retries": self.max_retries,
             "max_events": self.max_events,
             "max_wall_seconds": self.max_wall_seconds,
         }
@@ -474,7 +431,6 @@ class SweepSupervisor:
             result = self.deserialize(result)
         return TrialOutcome(
             key=key, params=params, result=result,
-            attempts=cached.get("attempts", 1),
             from_checkpoint=from_checkpoint,
             elapsed_seconds=(0.0 if from_checkpoint
                              else cached.get("elapsed_seconds", 0.0)))
@@ -498,17 +454,13 @@ class SweepSupervisor:
         if cached is not None:
             return self._cached_outcome(key, params, cached)
         started = time.monotonic()
-        rng = (backoff_stream(f"cell:{key}")
-               if self.retry_backoff is not None else None)
-        result, attempts, error = _attempt_cell(
-            self.fn, params, self._budgeted(params), self.max_retries,
-            backoff=self.retry_backoff, rng=rng)
+        result, error = _call_cell(self.fn, self._budgeted(params))
         outcome = TrialOutcome(key=key, params=params, result=result,
-                               attempts=attempts, error=error,
+                               error=error,
                                elapsed_seconds=time.monotonic() - started)
         if outcome.ok:
             record = _cell_record(key, params, self.serialize(result),
-                                 attempts, outcome.elapsed_seconds)
+                                 outcome.elapsed_seconds)
             if self.queue is not None:
                 self.queue.complete(cell_digest(key), record)
             self._adopt(record)

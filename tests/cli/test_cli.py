@@ -472,8 +472,7 @@ class TestSweepCommand:
         assert "computed" not in out
 
     def test_sweep_failure_is_exit_3(self, capsys):
-        code, out = run_cli(capsys, *self.ARGS, "--max-events", "100",
-                            "--retries", "0")
+        code, out = run_cli(capsys, *self.ARGS, "--max-events", "100")
         assert code == 3
         assert "FAILED" in out
 

@@ -148,8 +148,8 @@ def _ablated(suite, index, **changes):
 
 
 # -- Extensions --------------------------------------------------------
-_MODELS = [ComparisonRow(16, 56.0, 0.8, 800.0, math.nan, 100.0),
-           ComparisonRow(256, 10.0, 0.8, 700.0, math.nan, 25.0)]
+_MODELS = [ComparisonRow(16, 56.0, 0.8, 800.0, 100.0),
+           ComparisonRow(256, 10.0, 0.8, 700.0, 25.0)]
 _MULTI = MultiBottleneckResult(
     hop_utilizations=[0.97, 0.96], e2e_throughput_share=0.03,
     e2e_progress=300.0, cross_progress=4000.0, fairness_within_cross=0.9)

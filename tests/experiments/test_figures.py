@@ -7,10 +7,11 @@ tests/integration/test_report_claims.py evaluates on real runs.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments import common
+from repro.experiments import common, long_flow_sweep
 from repro.experiments.afct_comparison import compare_buffers, run_mixed_experiment
 from repro.experiments.long_flow_sweep import _interpolate_min_buffer, min_buffer_sweep
 from repro.experiments.multibottleneck import run_multibottleneck
@@ -19,7 +20,7 @@ from repro.experiments.short_flow_sweep import afct_buffer_sweep
 from repro.experiments.single_flow import run_single_flow, sawtooth_figures
 from repro.experiments.utilization_table import utilization_table
 from repro.experiments.window_distribution import run_window_distribution
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolation
 
 
 class TestSingleFlowFigures:
@@ -84,6 +85,27 @@ class TestSweepPlumbing:
         for point in result.points:
             assert point.model_packets == pytest.approx(
                 100.0 / math.sqrt(point.n_flows))
+
+    def test_failed_cell_ends_the_curve(self, monkeypatch):
+        """A failed cell is never interpolated over: a target crossed
+        before it keeps its value, one crossed after it is unknown."""
+        utilization = {10: 0.90, 30: 0.995}
+
+        def trial(n_flows, buffer_packets, seed, **_):
+            if buffer_packets == 20:
+                raise InvariantViolation("queue conservation broken")
+            return SimpleNamespace(utilization=utilization[buffer_packets])
+
+        monkeypatch.setattr(long_flow_sweep, "run_long_flow_experiment", trial)
+        result = min_buffer_sweep(n_values=(1,), targets=(0.85, 0.95),
+                                  factors=(1.0, 2.0, 3.0), pipe_packets=10.0)
+        crossed, after = result.points
+        assert crossed.buffer_packets == 10.0
+        assert math.isnan(after.buffer_packets)  # not 25.3 from a made-up 0.90
+        failed, = result.failed
+        assert failed.params["buffer_packets"] == 20
+        assert failed.params["seed"] == 3
+        assert failed.error == "InvariantViolation: queue conservation broken"
 
     def test_factors_must_increase(self):
         with pytest.raises(ConfigurationError):

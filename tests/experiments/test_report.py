@@ -6,10 +6,12 @@ The real runs of every section are
 ``tests/integration/test_report_claims.py``.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments import report
+from repro.errors import ConfigurationError, InvariantViolation
+from repro.experiments import long_flow_sweep, report, short_flow_sweep
 from repro.experiments.long_flow_sweep import min_buffer_sweep
 from repro.experiments.production_network import production_table
 from repro.experiments.short_flow_sweep import afct_buffer_sweep
@@ -96,6 +98,58 @@ class TestMissingInputs:
     def test_zero_flows_is_a_configuration_error(self, sweep):
         with pytest.raises(ConfigurationError, match="n_values"):
             sweep(n_values=(0,))
+
+
+class TestFailedCells:
+    """A cell that breaks an invariant is named, seed and error, in its
+    section, and every claim that reads it is a NO."""
+
+    def test_fig7_names_the_failed_cell(self, monkeypatch):
+        by_factor = {0.5: 0.97, 1.0: 0.99, 2.0: 0.999}
+
+        def trial(n_flows, buffer_packets, pipe_packets, seed, **_):
+            if (n_flows, buffer_packets) == (16, 25):
+                raise InvariantViolation("synthetic drop")
+            factor = buffer_packets * n_flows ** 0.5 / pipe_packets
+            return SimpleNamespace(utilization=by_factor[round(factor * 2) / 2])
+
+        monkeypatch.setattr(long_flow_sweep, "run_long_flow_experiment", trial)
+        section = report.SECTIONS["fig7"]
+        rendered = report.render_section(section, section.run(
+            n_values=(4, 16), targets=(0.98, 0.995), factors=(0.5, 1.0, 2.0),
+            pipe_packets=100.0, seed=3))
+        cell = "n=16, B=25, seed=3 FAILED: InvariantViolation: synthetic drop"
+        assert f"- {cell}" in rendered.text
+        row, = [line for line in rendered.text.splitlines()
+                if line.startswith("| 16 |")]
+        assert row.count("FAILED") == 2 and ">grid" not in row
+        assert [c.holds for c in rendered.claims] == [False, False, False]
+        assert all(c.measured == cell for c in rendered.claims)
+
+    def test_fig8_names_the_failed_cell(self, monkeypatch):
+        def trial(load, buffer_packets, bottleneck_rate, seed, **_):
+            if (bottleneck_rate, buffer_packets) == ("20Mbps", 10):
+                raise InvariantViolation("synthetic drop")
+            afct = 0.30 * (1 + (2 / buffer_packets if buffer_packets else 0))
+            return SimpleNamespace(load=load, buffer_packets=buffer_packets,
+                                   afct=afct, drop_rate=0.05 * load)
+
+        monkeypatch.setattr(short_flow_sweep, "run_short_flow_experiment", trial)
+        monkeypatch.setattr(report, "run_short_flow_experiment", trial)
+        section = report.SECTIONS["fig8"]
+        rendered = report.render_section(section, section.run(
+            bandwidths=("10Mbps", "20Mbps"), load=0.8,
+            buffer_grid=(10, 20, 30), duration=30.0, seed=11))
+        cell = "rate=20Mbps, B=10, seed=11 FAILED: InvariantViolation: synthetic drop"
+        assert f"- {cell}" in rendered.text
+        row, = [line for line in rendered.text.splitlines()
+                if line.startswith("| 20Mb/s |")]
+        assert "| FAILED |" in row and ">grid" not in row
+        # The three sweep claims read the failed rate; the load and RTT
+        # contrasts at the first rate do not.
+        assert [c.holds for c in rendered.claims] == [False, False, False,
+                                                      True, True]
+        assert all(c.measured == cell for c in rendered.claims[:3])
 
 
 class TestReport:

@@ -15,7 +15,6 @@ import signal
 import time
 
 from repro.errors import ConfigurationError, SimulationStalledError
-from repro.runner.supervisor import RESEED_STRIDE
 
 
 def quadratic(x, seed=0):
@@ -23,21 +22,9 @@ def quadratic(x, seed=0):
     return {"y": x * x + seed, "x": x, "seed": seed}
 
 
-def flaky_first_seed(x, seed):
-    """Fails transiently on the base seed, succeeds once reseeded.
-
-    Mirrors a pathological-draw simulation: attempt 1 (base seed)
-    stalls, attempt 2 (``seed + RESEED_STRIDE``) completes.  Fully
-    deterministic, so serial and fabric runs retry identically.
-    """
-    if seed % RESEED_STRIDE == seed:  # base seed, not yet reseeded
-        raise SimulationStalledError(f"pathological draw for x={x}, seed={seed}")
-    return {"y": x * 10, "x": x, "recovered_seed": seed}
-
-
 def always_stalls(x, seed=0):
-    """Every attempt stalls: the FAILED row after max_retries + 1."""
-    raise SimulationStalledError(f"cell x={x} never converges")
+    """Stalls: the FAILED row, whose error names the seed that ran."""
+    raise SimulationStalledError(f"cell x={x} seed={seed} never converges")
 
 
 def raises_bug(x, seed=0):
@@ -55,7 +42,7 @@ def marks_run(x, run_dir, seed=0, delay=0.0):
 
 
 def misconfigured(x, seed=0):
-    """Configuration error: no reseed heals it, so no retries."""
+    """Configuration error: the sweep raises it, as in-process."""
     raise ConfigurationError(f"cell x={x} is malformed")
 
 

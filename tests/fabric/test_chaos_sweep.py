@@ -44,7 +44,6 @@ def chaos_run(tmp_path_factory):
             queue_dir=queue_dir,
             workers=WORKERS,
             checkpoint_path=checkpoint,
-            max_retries=1,
             timeout=180.0,
         ).run(GRID)
     finally:
@@ -67,7 +66,7 @@ def test_sweep_completes_despite_the_killings(chaos_run):
 
 
 def test_grid_bit_identical_to_serial_run(chaos_run):
-    serial = SweepSupervisor(fabric_fns.slow_quadratic, max_retries=1).run(GRID)
+    serial = SweepSupervisor(fabric_fns.slow_quadratic).run(GRID)
     fabric_results = [json.dumps(o.result, sort_keys=True)
                       for o in chaos_run["outcomes"]]
     serial_results = [json.dumps(s.result, sort_keys=True) for s in serial]

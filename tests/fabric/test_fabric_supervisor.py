@@ -26,7 +26,6 @@ def fabric_kwargs(tmp_path, **overrides):
         queue_dir=str(tmp_path / "queue"),
         workers=2,
         checkpoint_path=str(tmp_path / "sweep.ckpt.json"),
-        max_retries=2,
     )
     kwargs.update(overrides)
     return kwargs
@@ -114,17 +113,16 @@ class TestFabricSweep:
             assert json.load(fh)["meta"]["fabric"]["workers"] == 1
 
     def test_failing_cell_reads_as_the_serial_failed_row(self, tmp_path):
-        """One retry budget: max_retries + 1 attempts, then the verdict."""
+        """One run at the requested seed, then the verdict."""
         grid = [{"x": 1, "seed": 3}]
-        serial, = SweepSupervisor(fabric_fns.always_stalls, max_retries=2,
-                                  retry_backoff=None).run(grid)
+        serial, = SweepSupervisor(fabric_fns.always_stalls).run(grid)
         queued, = fleet_sweep(
             fabric_fns.always_stalls,
-            **fabric_kwargs(tmp_path, grid=grid, workers=1, max_retries=2))
-        assert ((queued.ok, queued.attempts, queued.error)
-                == (serial.ok, serial.attempts, serial.error)
-                == (False, 3, "SimulationStalledError: cell x=1 never "
-                              "converges"))
+            **fabric_kwargs(tmp_path, grid=grid, workers=1))
+        assert ((queued.ok, queued.params, queued.error)
+                == (serial.ok, serial.params, serial.error)
+                == (False, grid[0], "SimulationStalledError: cell x=1 "
+                                    "seed=3 never converges"))
         with open(str(tmp_path / "sweep.ckpt.json")) as fh:
             fabric = json.load(fh)["meta"]["fabric"]
         assert fabric["counters"]["fabric.requeued"] == 0
@@ -152,7 +150,7 @@ class TestFabricSweep:
         grid = [{"x": 1, "seed": 3}]
         outcomes = fleet_sweep(
             fabric_fns.kills_itself,
-            **fabric_kwargs(tmp_path, grid=grid, workers=1, max_retries=0))
+            **fabric_kwargs(tmp_path, grid=grid, workers=1))
         assert len(outcomes) == 1
         assert not outcomes[0].ok
         assert outcomes[0].error == ("poison cell: its worker died 3 times "

@@ -346,8 +346,7 @@ class TestFleetExhausted:
         for path in (kwargs["checkpoint_path"], serial_path):
             with open(path) as fh:
                 payloads.append(json.load(fh))
-        fleet, serial = ({key: (cell["params"], cell["result"],
-                                cell["attempts"])
+        fleet, serial = ({key: (cell["params"], cell["result"])
                           for key, cell in payload["cells"].items()}
                          for payload in payloads)
         assert len(fleet) == len(grid) and fleet == serial

@@ -39,7 +39,7 @@ def digest_of(params):
 
 def record_for(params, result):
     return {"key": cell_key(params), "params": params, "result": result,
-            "attempts": 1, "elapsed_seconds": 0.0}
+            "elapsed_seconds": 0.0}
 
 
 def fleet_run(tmp_path, grid, checkpoint=None):
@@ -221,12 +221,13 @@ class TestExpiryAndStealing:
             if digest in run.todo:
                 run.todo.remove(digest)
         verdict = run.verdicts[digest]
-        assert verdict["attempts"] == POISON_DEATHS == 3
-        assert "worker died 3 times" in verdict["error"]
+        assert verdict == ("poison cell: its worker died 3 times "
+                           "(last exit code -9)")
+        assert POISON_DEATHS == 3
         assert run._audit()["counters"]["fabric.quarantined"] == 1
         assert run.quarantined == [{
             "digest": digest, "key": cell_key(grid[0]), "deaths": 3,
-            "last_error": verdict["error"]}]
+            "last_error": verdict}]
 
 
 class TestFailures:

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric.queue import WorkQueue, cell_digest
 from repro.fabric.worker import resolve_fn, run_worker
-from repro.runner.supervisor import RESEED_STRIDE, SweepSupervisor, cell_key
+from repro.runner.supervisor import SweepSupervisor, cell_key
 from tests.fabric import fabric_fns
 
 
@@ -71,7 +71,8 @@ class TestWorkerLoop:
         assert sent == [("ready",)] + [("done", d) for d in digests(grid)]
         record = queue.completed_record(digests(grid)[3])
         assert record["result"] == {"y": 14, "x": 3, "seed": 5}
-        assert record["key"] == cell_key(grid[3]) and record["attempts"] == 1
+        assert record["key"] == cell_key(grid[3])
+        assert set(record) == {"key", "params", "result", "elapsed_seconds"}
 
     def test_resolves_fn_from_spec_when_not_injected(self, tmp_path, serve):
         grid = [{"x": 2, "seed": 0}]
@@ -81,26 +82,17 @@ class TestWorkerLoop:
         record = queue.completed_record(digests(grid)[0])
         assert record["result"] == fabric_fns.quadratic(**grid[0])
 
-    def test_transient_failure_retries_with_reseed_in_lease(
+    def test_stalled_cell_goes_back_failed_at_its_own_seed(
             self, tmp_path, serve):
-        grid = [{"x": 1, "seed": 7}]
-        queue = make_queue(tmp_path,
-                           fn_ref="tests.fabric.fabric_fns:flaky_first_seed")
-        assert serve(queue, grid, {"max_retries": 2})[1:] == [
-            ("done", digests(grid)[0])]
-        record = queue.completed_record(digests(grid)[0])
-        assert record["attempts"] == 2  # base seed stalled, reseed recovered
-        assert record["result"]["recovered_seed"] == 7 + RESEED_STRIDE
-
-    def test_exhausted_retries_park_the_cell_at_once(self, tmp_path, serve):
-        """Retries spent: the serial FAILED row goes back, no record."""
+        """A stall is the serial FAILED row, from one run at the seed the
+        cell asked for; no record, so a resume runs it again."""
         grid = [{"x": 1, "seed": 7}]
         queue = make_queue(tmp_path,
                            fn_ref="tests.fabric.fabric_fns:always_stalls")
         digest, = digests(grid)
-        assert serve(queue, grid, {"max_retries": 1})[1:] == [
-            ("failed", digest, 2,
-             "SimulationStalledError: cell x=1 never converges")]
+        assert serve(queue, grid)[1:] == [
+            ("failed", digest,
+             "SimulationStalledError: cell x=1 seed=7 never converges")]
         assert queue.completed_record(digest) is None
 
     def test_unexpected_exception_burns_leases_then_quarantines(
@@ -118,14 +110,14 @@ class TestWorkerLoop:
 
     def test_fatal_error_quarantines_without_burning_budget(
             self, tmp_path, serve):
-        """A configuration error is not retried: one attempt, then the
+        """A configuration error is not a FAILED row: one run, then the
         exception, intact across the pipe."""
         import pickle
 
         grid = [{"x": 1, "seed": 7}]
         queue = make_queue(tmp_path,
                            fn_ref="tests.fabric.fabric_fns:misconfigured")
-        (_, _, exc), = serve(queue, grid, {"max_retries": 5})[1:]
+        (_, _, exc), = serve(queue, grid)[1:]
         rebuilt = pickle.loads(pickle.dumps(exc))
         assert type(rebuilt) is ConfigurationError
         assert str(rebuilt) == "cell x=1 is malformed"
@@ -169,7 +161,7 @@ class TestResolveFn:
         ("justaname", "malformed"),
         ("no.such.module:fn", "cannot import"),
         ("tests.fabric.fabric_fns:nope", "no attribute"),
-        ("tests.fabric.fabric_fns:RESEED_STRIDE", "non-callable"),
+        ("tests.fabric.fabric_fns:__doc__", "non-callable"),
     ])
     def test_bad_refs_are_loud(self, ref, match):
         with pytest.raises(FabricError, match=match):

@@ -1,4 +1,4 @@
-"""SweepSupervisor: budgets, retry-with-reseed, checkpoint resume."""
+"""SweepSupervisor: budgets, failed cells, checkpoint resume."""
 
 import json
 
@@ -10,7 +10,7 @@ from repro.errors import (
     SimulationStalledError,
 )
 from repro.runner import SweepSupervisor
-from repro.runner.supervisor import RESEED_STRIDE, cell_key
+from repro.runner.supervisor import cell_key
 from repro.sim import Simulator
 
 
@@ -20,12 +20,7 @@ class TestBasics:
         outcome = supervisor.run_cell(x=2, y=3)
         assert outcome.ok
         assert outcome.result == 5
-        assert outcome.attempts == 1
         assert not outcome.from_checkpoint
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepSupervisor(lambda: None, max_retries=-1)
 
     def test_grid_run_collects_all_cells(self):
         supervisor = SweepSupervisor(lambda x: x * 10)
@@ -146,40 +141,41 @@ class TestBudgetForwarding:
             sim.schedule(0.0, spin)
             sim.run(max_events=5000)
 
-        supervisor = SweepSupervisor(hang, max_retries=1)
+        supervisor = SweepSupervisor(hang)
         outcome = supervisor.run_cell(seed=1)
         assert not outcome.ok
         assert "SimulationStalledError" in outcome.error
-        assert outcome.attempts == 2
 
 
-class TestRetryWithReseed:
-    def test_transient_failure_retried_with_derived_seed(self):
+class TestFailedCell:
+    """One run, at the requested seed: a stall or an invariant violation
+    is the cell's FAILED outcome, never a result from another seed."""
+
+    @pytest.fixture(autouse=True)
+    def no_sleep(self, monkeypatch):
+        import time
+
+        def refuse(seconds):
+            raise AssertionError(f"a failed cell slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", refuse)
+
+    @pytest.mark.parametrize("exc_type", [SimulationStalledError,
+                                          InvariantViolation])
+    def test_one_attempt_failed_at_the_requested_seed(self, exc_type):
         seeds = []
 
-        def flaky(seed):
+        def fails_at_three(x, seed):
             seeds.append(seed)
-            if len(seeds) < 3:
-                raise SimulationStalledError("synthetic stall")
-            return seed
+            if seed == 3:
+                raise exc_type("synthetic")
+            return {"seed_used": seed}
 
-        supervisor = SweepSupervisor(flaky, max_retries=3)
-        outcome = supervisor.run_cell(seed=100)
-        assert outcome.ok
-        assert outcome.attempts == 3
-        assert seeds == [100, 100 + RESEED_STRIDE, 100 + 2 * RESEED_STRIDE]
-
-    def test_invariant_violation_is_transient(self):
-        calls = []
-
-        def flaky(seed):
-            calls.append(seed)
-            if len(calls) == 1:
-                raise InvariantViolation("synthetic")
-            return "ok"
-
-        outcome = SweepSupervisor(flaky, max_retries=1).run_cell(seed=5)
-        assert outcome.ok and outcome.attempts == 2
+        outcome = SweepSupervisor(fails_at_three).run_cell(x=1, seed=3)
+        assert seeds == [3]
+        assert not outcome.ok and outcome.result is None
+        assert outcome.params == {"x": 1, "seed": 3}
+        assert outcome.error == f"{exc_type.__name__}: synthetic"
 
     def test_configuration_error_is_fatal_not_retried(self):
         calls = []
@@ -188,19 +184,26 @@ class TestRetryWithReseed:
             calls.append(seed)
             raise ConfigurationError("bad parameters")
 
-        supervisor = SweepSupervisor(broken, max_retries=3)
+        supervisor = SweepSupervisor(broken)
         with pytest.raises(ConfigurationError):
             supervisor.run_cell(seed=1)
         assert len(calls) == 1
 
-    def test_exhausted_retries_reported_not_raised(self):
-        def always_stalls(seed):
-            raise SimulationStalledError("never converges")
+    def test_failed_cell_reported_not_raised(self, tmp_path):
+        """The grid runs on past a failed cell, which has no record."""
+        def stalls_at_two(x):
+            if x == 2:
+                raise SimulationStalledError("never converges")
+            return x
 
-        outcome = SweepSupervisor(always_stalls, max_retries=2).run_cell(seed=1)
-        assert not outcome.ok
-        assert outcome.attempts == 3
-        assert "never converges" in outcome.error
+        path = str(tmp_path / "sweep.json")
+        outcomes = SweepSupervisor(stalls_at_two, checkpoint_path=path).run(
+            [{"x": 1}, {"x": 2}, {"x": 3}])
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert "never converges" in outcomes[1].error
+        with open(path) as fh:
+            cells = json.load(fh)["cells"]
+        assert sorted(cell["params"]["x"] for cell in cells.values()) == [1, 3]
 
 
 class TestCheckpointing:
@@ -264,8 +267,7 @@ class TestCheckpointing:
         def always_stalls(x):
             raise SimulationStalledError("stall")
 
-        SweepSupervisor(always_stalls, checkpoint_path=path,
-                        max_retries=0).run_cell(x=1)
+        SweepSupervisor(always_stalls, checkpoint_path=path).run_cell(x=1)
         follow_up = SweepSupervisor(always_stalls, checkpoint_path=path)
         assert follow_up.completed_cells == 0
 
@@ -395,14 +397,14 @@ class TestCheckpointMeta:
     def test_meta_records_provenance(self, tmp_path):
         path = tmp_path / "sweep.json"
         supervisor = SweepSupervisor(double, checkpoint_path=str(path),
-                                     max_retries=1, max_events=500)
+                                     max_events=500)
         supervisor.run(grid=[{"x": 1}, {"x": 2}])
         payload = self.read(path)
         assert payload["version"] == 1
         meta = payload["meta"]
         spec = meta["supervisor"]
         assert spec["fn"] == f"{double.__module__}:double"  # format_fn_ref
-        assert spec["max_retries"] == 1
+        assert set(spec) == {"fn", "max_events", "max_wall_seconds"}
         assert spec["max_events"] == 500
         assert spec["max_wall_seconds"] is None
         # Content hash of the spec: 16 hex chars, stable across writes.
@@ -463,7 +465,7 @@ class TestCheckpointMeta:
         SweepSupervisor(double, checkpoint_path=str(a)).run([{"x": 1}])
         SweepSupervisor(double, checkpoint_path=str(b)).run([{"x": 1}])
         SweepSupervisor(double, checkpoint_path=str(c),
-                        max_retries=5).run([{"x": 1}])
+                        max_events=500).run([{"x": 1}])
         hash_a = self.read(a)["meta"]["config_hash"]
         assert hash_a == self.read(b)["meta"]["config_hash"]
         assert hash_a != self.read(c)["meta"]["config_hash"]
