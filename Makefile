@@ -17,10 +17,9 @@ repo-bench:
 		cat bench-$$workload.json; \
 	done
 
-# Static analysis: the stdlib-only simulation-correctness linter always
-# runs; ruff and mypy run when installed (pip install -e '.[lint]').
+# Static analysis: ruff and mypy, each when installed
+# (pip install -e '.[lint]').
 lint:
-	PYTHONPATH=src python -m repro.cli lint src/repro
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \

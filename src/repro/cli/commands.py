@@ -30,7 +30,6 @@ __all__ = [
     "cmd_sweep",
     "cmd_trace",
     "cmd_obs_report",
-    "cmd_lint",
 ]
 
 
@@ -396,7 +395,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
-    from repro.experiments.common import run_long_flow_experiment, sqrt_rule_packets
+    from repro.experiments.common import check_window, run_long_flow_experiment, sqrt_rule_packets
     from repro.runner import SweepSupervisor
     from repro.tcp.congestion import available_ccs
 
@@ -417,10 +416,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      f"(choose from {', '.join(available_ccs())})")
     # Every cell shares these, so a bad one is the flag's fault, said
     # before a checkpoint is discarded or a worker started.
-    if not (math.isfinite(args.warmup) and args.warmup >= 0):
-        return _fail(f"--warmup must be finite and >= 0, got {args.warmup}")
-    if not (math.isfinite(args.duration) and args.duration > 0):
-        return _fail(f"--duration must be finite and > 0, got {args.duration}")
+    try:
+        check_window(args.warmup, args.duration)
+    except ConfigurationError as exc:
+        return _fail(f"--{exc}")
     try:
         if not parse_bandwidth(args.rate) > 0:
             return _fail("link rate must be positive")
@@ -605,45 +604,3 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot read {args.file!r}: {exc}")
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """``repro lint``: run the simulation-correctness static analysis.
-
-    Exit codes: 0 clean (or warnings only), 1 at least one
-    error-severity diagnostic, 2 bad arguments — mirroring the
-    conventions of ruff/flake8 so CI and editors can consume it.
-    """
-    import json as _json
-
-    from repro.analysis.engine import iter_rule_descriptions, lint_paths
-
-    if args.list_rules:
-        for rule_id, severity, summary in iter_rule_descriptions():
-            print(f"{rule_id}  [{severity:>7}]  {summary}")
-        return 0
-
-    try:
-        result = lint_paths(args.paths or ["src/repro"], select=args.select)
-    except ReproError as exc:
-        return _fail(str(exc))
-
-    if args.format == "json":
-        payload = {
-            "files_scanned": result.files_scanned,
-            "suppressed": result.suppressed,
-            "diagnostics": [diag.to_dict() for diag in result.diagnostics],
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return result.exit_code
-
-    for diag in result.diagnostics:
-        print(diag.format())
-    errors, warnings, infos = result.counts()
-    tally = f"{errors} error(s), {warnings} warning(s)"
-    if infos:
-        tally += f", {infos} info(s)"
-    if result.suppressed:
-        tally += f", {result.suppressed} suppressed"
-    print(f"{result.files_scanned} file(s) scanned: {tally}")
-    return result.exit_code

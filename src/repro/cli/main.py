@@ -261,22 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "schema before summarizing")
     p_report.set_defaults(func=commands.cmd_obs_report)
 
-    p_lint = sub.add_parser(
-        "lint", help="simulation-correctness static analysis "
-                     "(packet-pool use-after-release)")
-    p_lint.add_argument("paths", nargs="*", metavar="PATH",
-                        help="files/directories to lint (default: src/repro)")
-    p_lint.add_argument("--select", action="append", default=None,
-                        metavar="RULE",
-                        help="rule id or prefix to run (repeatable), "
-                             'e.g. --select REPRO501')
-    p_lint.add_argument("--format", default="text",
-                        choices=["text", "json"],
-                        help="diagnostic output format (default text)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="list registered rules and exit")
-    p_lint.set_defaults(func=commands.cmd_lint)
-
     return parser
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "ShortFlowResult",
     "run_long_flow_experiment",
     "run_short_flow_experiment",
+    "check_window",
     "rtt_for_pipe",
     "run_world",
     "sqrt_rule",
@@ -83,6 +84,15 @@ def rtt_for_pipe(pipe_packets: float, rate: Quantity,
     if rate_bps <= 0:
         raise ConfigurationError("link rate must be positive")
     return pipe_packets * packet_bytes * 8.0 / rate_bps
+
+
+def check_window(warmup: float, duration: float) -> None:
+    """Refuse a measurement window the engine cannot run, by name:
+    ``warmup`` must be finite and >= 0, ``duration`` finite and > 0."""
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ConfigurationError(f"warmup must be finite and >= 0, got {warmup}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(f"duration must be finite and > 0, got {duration}")
 
 
 def sqrt_rule(pipe_packets: float, n_flows: int, factor: float = 1.0) -> float:
@@ -347,8 +357,7 @@ def run_long_flow_experiment(
     """
     if n_flows < 1:
         raise ConfigurationError("need at least one flow")
-    if warmup < 0 or duration <= 0:
-        raise ConfigurationError("need warmup >= 0 and duration > 0")
+    check_window(warmup, duration)
     streams = RngStreams(seed)
     sim = _make_simulator(optimize, engine_opts, bottleneck_rate)
     rtt_mean = rtt_for_pipe(pipe_packets, bottleneck_rate)
@@ -506,6 +515,7 @@ def run_short_flow_experiment(
     """
     if not 0.0 < load < 1.0:
         raise ConfigurationError(f"load must be in (0, 1), got {load}")
+    check_window(warmup, duration)
     streams = RngStreams(seed)
     sim = _make_simulator(optimize, engine_opts, bottleneck_rate)
     rate_bps = parse_bandwidth(bottleneck_rate)

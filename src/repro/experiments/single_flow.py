@@ -86,6 +86,7 @@ def run_single_flow(
     if not (math.isfinite(buffer_fraction) and buffer_fraction > 0):
         raise ConfigurationError(
             f"buffer_fraction must be finite and > 0, got {buffer_fraction}")
+    common.check_window(warmup, duration)
     rtt = common.rtt_for_pipe(pipe_packets, bottleneck_rate)
     sim = common._make_simulator()
     buffer_packets = max(2, int(round(buffer_fraction * pipe_packets)))

@@ -131,13 +131,15 @@ def pool_stats() -> Dict[str, Any]:
 
 @contextmanager
 def pooled_packets(enabled: bool = True,
-                   debug: bool = False) -> Iterator[PacketPool]:
+                   debug: Optional[bool] = None) -> Iterator[PacketPool]:
     """Context manager scoping a pool configuration to a block.
 
     The experiment runners use this so pooling is active exactly for
     the duration of an optimized run and prior settings are restored
     afterwards (the free list is cleared on the way out, so packets
     created inside the block cannot leak into later, unrelated runs).
+    ``debug=None`` keeps the caller's setting, so a run started inside
+    ``pooled_packets(debug=True)`` poisons what it releases.
     """
     pool = _POOL
     previous = (pool.enabled, pool.debug)

@@ -33,7 +33,6 @@ __all__ = ["Queue", "DropTailQueue", "REDQueue"]
 _ECT = int(PacketFlags.ECT)
 _CE = int(PacketFlags.CE)
 
-DropHook = Callable[[Packet], None]
 #: Fault injector: returns "drop", "corrupt", or None for each arrival.
 Injector = Callable[[Packet], Optional[str]]
 
@@ -65,7 +64,7 @@ class Queue:
         "sim", "capacity_packets", "capacity_bytes", "_items", "_bytes",
         "arrivals", "departures", "drops", "bytes_in", "bytes_out",
         "bytes_dropped", "_occ_start", "_occ_time", "_occ_area_pkts",
-        "_occ_area_bytes", "peak_packets", "peak_bytes", "_drop_hooks",
+        "_occ_area_bytes", "peak_packets", "peak_bytes",
         "_injectors", "injected_drops", "injected_corruptions", "flushed",
         "_resident_at_reset", "_resident_bytes_at_reset",
         "_drops_before_reset",
@@ -108,7 +107,6 @@ class Queue:
         self._occ_area_bytes = 0.0
         self.peak_packets = 0
         self.peak_bytes = 0
-        self._drop_hooks: List[DropHook] = []
         # Fault injection (see repro.faults.injectors).
         self._injectors: List[Injector] = []
         self.injected_drops = 0
@@ -138,8 +136,7 @@ class Queue:
     def enqueue(self, packet: Packet) -> bool:
         """Offer ``packet`` to the queue.
 
-        Returns ``True`` if the packet was accepted, ``False`` if dropped
-        (drop hooks fire before returning).
+        Returns ``True`` if the packet was accepted, ``False`` if dropped.
         """
         size = packet.size
         self.arrivals += 1
@@ -211,10 +208,6 @@ class Queue:
     def peek(self) -> Optional[Packet]:
         """Return the head-of-line packet without removing it."""
         return self._items[0] if self._items else None
-
-    def on_drop(self, hook: DropHook) -> None:
-        """Register a callback invoked with each dropped packet."""
-        self._drop_hooks.append(hook)
 
     def add_injector(self, injector: Injector) -> None:
         """Attach a fault injector consulted on every arrival.
@@ -331,9 +324,7 @@ class Queue:
         self.bytes_dropped += packet.size
         if _obs.enabled:
             _obs.queue_event("drop", self, packet, len(self._items))
-        for hook in self._drop_hooks:
-            hook(packet)
-        # A dropped packet is dead once the hooks have seen it.
+        # A dropped packet is dead once counted and recorded.
         packet.release()
 
     def _record_occupancy(self) -> None:

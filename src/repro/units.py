@@ -38,8 +38,6 @@ __all__ = [
     "format_bandwidth",
     "format_time",
     "format_size",
-    "bits",
-    "bytes_",
     "KILO",
     "MEGA",
     "GIGA",
@@ -181,16 +179,6 @@ def parse_size(value: Quantity) -> float:
     if match.group("unit").startswith("b"):
         magnitude /= 8.0
     return _require_positive(magnitude, "size")
-
-
-def bits(nbytes: float) -> float:
-    """Convert bytes to bits."""
-    return nbytes * 8.0
-
-
-def bytes_(nbits: float) -> float:
-    """Convert bits to bytes."""
-    return nbits / 8.0
 
 
 def _format_engineering(value: float, unit: str,

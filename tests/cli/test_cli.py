@@ -31,9 +31,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "12"])
 
-    @pytest.mark.parametrize("command", ["bench", "profile"])
+    @pytest.mark.parametrize("command", ["bench", "profile", "lint"])
     def test_removed_measurement_commands_are_usage_errors(self, command):
-        # bench/run.py is the benchmark; neither name is a prefix match.
+        # bench/run.py is the benchmark, and the poisoned-pool case in
+        # test_equivalence.py took lint's one rule; no name is a prefix
+        # match.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([command])
         assert exc.value.code == 2
@@ -412,6 +414,23 @@ class TestRateAndBufferFactorValidation:
         name = "buffer_fraction" if flag == "--fraction" else "pipe"
         assert out == (f"error: {name} must be finite and > 0, "
                        f"got {float(value)}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "bound"])
+    @pytest.mark.parametrize("scenario, flag, bound", [
+        ("long-flows", "--warmup", "-1"),
+        ("short-flows", "--duration", "0"),
+        ("single-flow", "--duration", "0"),
+    ], ids=["long-flows", "short-flows", "single-flow"])
+    def test_bad_run_length(self, capsys, scenario, flag, bound, value):
+        # nan and inf used to reach the clock ("event time must be
+        # finite"), and single-flow's 0 a monitor ("t_end must exceed
+        # t_start"): neither named the argument.
+        value = bound if value == "bound" else value
+        code, out = run_cli(capsys, "simulate", scenario, f"{flag}={value}")
+        assert code == 2
+        errors = [line for line in out.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {flag[2:]} must be finite")
 
 
 class TestWatchdogFlags:

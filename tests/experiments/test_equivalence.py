@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from functools import lru_cache, partial
 
 import pytest
 
@@ -24,7 +25,9 @@ from repro.experiments.common import (
 from repro.experiments.multibottleneck import run_multibottleneck
 from repro.experiments.production_network import production_table
 from repro.experiments.single_flow import run_single_flow
+from repro.faults import CorruptionBurst, FaultSchedule, LinkFlap
 from repro.net.node import Host
+from repro.net.packet import pooled_packets
 from repro.sim import TimeSeries
 from repro.traffic.sizes import FixedSize
 
@@ -64,10 +67,50 @@ def run_short(**overrides):
     return run_short_flow_experiment(**params)
 
 
+def run_faulted(**overrides):
+    """A link flap, then a corruption burst, on the bottleneck."""
+    faults = FaultSchedule([
+        LinkFlap(target="bottleneck", at=3.0, duration=0.5),
+        CorruptionBurst(target="bottleneck", at=4.0, duration=1.0,
+                        probability=0.05)])
+    return run_long(faults=faults, warmup=2.0, duration=4.0, **overrides)
+
+
+def traced(run, **kwargs):
+    """``run`` under obs: its fingerprint and every event but the
+    enqueue firehose, whose queue depth the cut-through hop reports
+    differently from the reference path by design."""
+    kinds = frozenset(obs.EVENT_KINDS) - {"enqueue"}
+    with obs.observed(kinds=kinds) as recorder:
+        result = run(**kwargs)
+        assert not recorder.truncated
+        return fingerprint(result, strip_metrics=True), recorder.events()
+
+
+#: Between them these free packets at every ``release()`` call site:
+#: ``Host.receive``'s delivery and ``Queue._drop`` (all of them),
+#: ``Host._dispatch`` (host jitter), ``Link._count_fault_drop`` and the
+#: corrupted branch of ``Host.receive`` (the fault run, traced so that a
+#: drop event read off a released packet shows too).
+POOL_SCENARIOS = {
+    "figure1": lambda **kw: fingerprint(run_long(**kw)),
+    "figure7_cell": lambda **kw: fingerprint(run_long(buffer_packets=8, **kw)),
+    "short_flows": lambda **kw: fingerprint(run_short(**kw)),
+    "host_jitter": lambda **kw: fingerprint(run_long(
+        proc_jitter_mean=0.0005, warmup=2.0, duration=4.0, **kw)),
+    "flap_and_corruption": partial(traced, run_faulted),
+}
+
+
+@lru_cache(maxsize=None)
+def reference(scenario):
+    """The unoptimized run, which never pools; computed once a session."""
+    return POOL_SCENARIOS[scenario](optimize=False)
+
+
 class TestOptimizedMatchesUnoptimized:
     def test_long_flow_figure1(self):
-        assert fingerprint(run_long(optimize=True)) == \
-               fingerprint(run_long(optimize=False))
+        assert fingerprint(run_long(optimize=True)) == reference("figure1")
 
     def test_long_flow_with_window_tracking(self):
         """Probes and window sampling ride the trace fast path."""
@@ -82,8 +125,16 @@ class TestOptimizedMatchesUnoptimized:
             assert fingerprint(a) == fingerprint(b), buffer_packets
 
     def test_short_flow(self):
-        assert fingerprint(run_short(optimize=True)) == \
-               fingerprint(run_short(optimize=False))
+        assert fingerprint(run_short(optimize=True)) == reference("short_flows")
+
+    @pytest.mark.parametrize("scenario", POOL_SCENARIOS)
+    def test_poisoned_pool_changes_nothing(self, scenario):
+        """In debug mode ``release()`` poisons every field of the packet
+        it frees, so a read of a released packet moves the result (or,
+        in the traced run, an obs event)."""
+        with pooled_packets(debug=True):
+            poisoned = POOL_SCENARIOS[scenario](optimize=True)
+        assert poisoned == reference(scenario)
 
     @pytest.mark.parametrize("run", [run_long, run_short],
                              ids=["long", "short"])

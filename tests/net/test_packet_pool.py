@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import PacketPoolError
+from repro.experiments import common
 from repro.net.packet import (
     Packet,
     configure_pool,
@@ -127,3 +128,21 @@ class TestScope:
         assert pool_stats()["free"] == 1
         configure_pool(enabled=False)
         assert pool_stats()["free"] == 0
+
+    def test_a_run_inside_the_scope_keeps_its_debug_mode(self, monkeypatch):
+        """``run_world`` scopes pooling to the run but leaves ``debug``
+        as the caller set it, so a poisoned-pool run poisons."""
+        seen = []
+        make = common._make_simulator
+
+        def watched(*args, **kwargs):
+            sim = make(*args, **kwargs)
+            sim.call_at(0.5, lambda: seen.append(pool_stats()["debug"]))
+            return sim
+
+        monkeypatch.setattr(common, "_make_simulator", watched)
+        with pooled_packets(debug=True):
+            common.run_long_flow_experiment(
+                n_flows=2, buffer_packets=10, pipe_packets=20.0,
+                bottleneck_rate="10Mbps", warmup=0.5, duration=0.5)
+        assert seen == [True]

@@ -87,16 +87,6 @@ class TestDropTail:
         queue = DropTailQueue(sim, capacity_packets=1)
         assert math.isnan(queue.drop_fraction)
 
-    def test_drop_hook_fires(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=1)
-        dropped = []
-        queue.on_drop(dropped.append)
-        keeper = make_packet()
-        loser = make_packet()
-        queue.enqueue(keeper)
-        queue.enqueue(loser)
-        assert dropped == [loser]
 
     def test_peek(self):
         sim = Simulator()

@@ -5,8 +5,6 @@ import pytest
 
 from repro.errors import UnitError
 from repro.units import (
-    bits,
-    bytes_,
     format_bandwidth,
     format_size,
     format_time,
@@ -119,17 +117,6 @@ class TestParseSize:
     def test_garbage_rejected(self):
         with pytest.raises(UnitError):
             parse_size("big")
-
-
-class TestConversions:
-    def test_bits(self):
-        assert bits(125) == 1000.0
-
-    def test_bytes(self):
-        assert bytes_(1000) == 125.0
-
-    def test_roundtrip(self):
-        assert bytes_(bits(123.5)) == 123.5
 
 
 class TestFormatting:
