@@ -237,27 +237,24 @@ def _make_simulator(optimize: bool = True, engine_opts: Optional[dict] = None,
 
 
 def run_world(sim: Simulator, net, until: float, *, optimize: bool = True,
-              check_invariants: bool = True, invariant_period: float = 1.0,
               max_events: Optional[int] = None,
               max_wall_seconds: Optional[float] = None,
               on_sim: Optional[Callable[[Simulator], None]] = None) -> None:
     """Run the built ``net`` (a dumbbell or a bare network) to ``until``.
 
-    Periodic invariant audit, packet pool, watchdog budgets, ``on_sim``
-    while the pool is still in scope (so a profiler can snapshot it as
-    the run used it), final verification — and on any exception a flush
+    Invariant audit every second of virtual time, packet pool, watchdog
+    budgets, ``on_sim`` while the pool is still in scope (so a profiler
+    can snapshot it as the run used it), final verification — and on any exception a flush
     of the obs flight recorder, so the events before the death survive.
     """
-    if check_invariants:
-        InvariantMonitor(sim, net, period=invariant_period, t_stop=until)
+    InvariantMonitor(sim, net, t_stop=until)
     try:
         with pooled_packets(enabled=optimize):
             sim.run(until=until, max_events=max_events,
                     max_wall_seconds=max_wall_seconds)
             if on_sim is not None:
                 on_sim(sim)
-        if check_invariants:
-            verify_network(net)
+        verify_network(net)
     except Exception:
         _obs.crash_dump()  # a no-op while obs is off
         raise
@@ -276,7 +273,6 @@ def run_long_flow_experiment(
     max_window: int = 10_000,
     delayed_ack: bool = False,
     track_windows: bool = False,
-    window_period: float = 0.05,
     proc_jitter_mean: float = 0.0,
     red: bool = False,
     start_spread: Optional[float] = None,
@@ -286,8 +282,6 @@ def run_long_flow_experiment(
     faults: Optional[FaultSchedule] = None,
     max_events: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
-    check_invariants: bool = True,
-    invariant_period: float = 1.0,
     utilization_probe_period: Optional[float] = None,
     optimize: bool = True,
     engine_opts: Optional[dict] = None,
@@ -328,11 +322,6 @@ def run_long_flow_experiment(
         Watchdog budgets forwarded to :meth:`Simulator.run`; the run
         dies with :class:`~repro.errors.SimulationStalledError` instead
         of hanging a sweep.
-    check_invariants:
-        Install the always-on periodic invariant audit (packet
-        conservation, queue occupancy) plus a final end-of-run
-        verification.  On by default; costs O(nodes) once per
-        ``invariant_period`` of virtual time.
     utilization_probe_period:
         When set, record per-window bottleneck busy fractions in
         ``result.window_utilizations`` — the trajectory fault
@@ -424,8 +413,7 @@ def run_long_flow_experiment(
                              sample_period=max(duration / 2000.0, 0.005))
     tracker = None
     if track_windows:
-        tracker = WindowTracker(sim, workload.senders, period=window_period,
-                                t_start=warmup)
+        tracker = WindowTracker(sim, workload.senders, t_start=warmup)
     progress = FlowProgressMeter(sim, workload.senders, t_start=warmup,
                                  t_end=t_end)
     probe = None
@@ -436,9 +424,7 @@ def run_long_flow_experiment(
     if faults is not None:
         faults.install(sim, targets_for_dumbbell(net),
                        rng=streams.stream("faults"))
-    run_world(sim, net, t_end, optimize=optimize,
-              check_invariants=check_invariants,
-              invariant_period=invariant_period, max_events=max_events,
+    run_world(sim, net, t_end, optimize=optimize, max_events=max_events,
               max_wall_seconds=max_wall_seconds, on_sim=on_sim)
 
     timeouts = sum(flow.cc.timeouts for flow in workload.flows)
@@ -481,8 +467,6 @@ def run_short_flow_experiment(
     faults: Optional[FaultSchedule] = None,
     max_events: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
-    check_invariants: bool = True,
-    invariant_period: float = 1.0,
     optimize: bool = True,
     engine_opts: Optional[dict] = None,
     on_sim: Optional[Callable[[Simulator], None]] = None,
@@ -548,9 +532,7 @@ def run_short_flow_experiment(
         faults.install(sim, targets_for_dumbbell(net),
                        rng=streams.stream("faults"))
     # Drain period so flows that started near t_end can complete.
-    run_world(sim, net, t_drain, optimize=optimize,
-              check_invariants=check_invariants,
-              invariant_period=invariant_period, max_events=max_events,
+    run_world(sim, net, t_drain, optimize=optimize, max_events=max_events,
               max_wall_seconds=max_wall_seconds, on_sim=on_sim)
 
     return ShortFlowResult(

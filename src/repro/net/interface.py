@@ -77,29 +77,24 @@ class Interface:
         """Offer a packet for output; returns False if the queue dropped it."""
         queue = self.queue
         link = self.link
-        size = packet.size
         if (self._cut and not link.busy and link.is_up and not queue._items
-                and not queue._injectors and link.dst is not None
-                and (queue.capacity_bytes is None
-                     or size <= queue.capacity_bytes)):
+                and not queue._injectors and link.dst is not None):
             # Cut-through: empty drop-tail queue, idle link.  The packet
-            # would be dequeued again within this same instant, so its
-            # zero-length residency adds nothing to the occupancy
-            # integral — only the flow counters need touching.  Gated on
+            # would be dequeued again within this same instant, so only
+            # the flow counters and the peak need touching.  Gated on
             # the exact class because subclasses put policy in _admit or
             # enqueue (RED state updates, scripted drops) that must see
             # every arrival, and on no injectors because those must too.
+            size = packet.size
             queue.arrivals += 1
             queue.bytes_in += size
             queue.departures += 1
             queue.bytes_out += size
             if queue.peak_packets == 0:
                 queue.peak_packets = 1
-            if size > queue.peak_bytes:
-                queue.peak_bytes = size
             if _obs.enabled:
-                # Zero residency: the packet goes straight to the wire.
-                _obs.queue_event("enqueue", queue, packet, 0)
+                # The depth after admission, as Queue.enqueue reports it.
+                _obs.queue_event("enqueue", queue, packet, 1)
             link._start(packet, None)  # transmit()'s checks, made above
             return True
         if not queue.enqueue(packet):

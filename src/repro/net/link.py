@@ -123,10 +123,6 @@ class Link:
         if _obs.enabled:
             _obs.register_link(self)
 
-    def serialization_time(self, packet: Packet) -> float:
-        """Seconds needed to clock ``packet`` onto the wire."""
-        return packet.size * 8.0 / self.rate
-
     @property
     def in_flight(self) -> int:
         """Packets currently on this link (serializing + propagating)."""
@@ -296,25 +292,6 @@ class Link:
             _obs.link_drop(self, packet)
         packet.release()
 
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
-    def utilization(self, t_start: float, t_end: Optional[float] = None) -> float:
-        """Fraction of ``[t_start, t_end]`` spent serializing packets.
-
-        Note: this is cumulative busy time; for windowed measurements use
-        :class:`repro.metrics.utilization.UtilizationMonitor`, which
-        snapshots counters at window edges.
-        """
-        t_end = self.sim.now if t_end is None else t_end
-        span = t_end - t_start
-        if span <= 0:
-            return float("nan")
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        return min(busy / span, 1.0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.is_up else "DOWN"
         return (f"Link({self.name!r}, rate={self.rate:.3g}b/s, "
@@ -338,11 +315,10 @@ class Link:
 # :func:`_drain_burst` is the one implementation of a virtual step.  The
 # scheduler run loops call it to process virtual events in a tight loop
 # until the next *real* event's key (re-read every iteration, so a timer
-# or cancellation landing mid-burst re-splits the burst);
-# ``Simulator.step()`` calls the same function with a one-step limit.
-# Its oracle is behavioural, not structural: ``Simulator(burst=False)``
-# runs the per-event code (``Link._end_serialization``/``_deliver``) and
-# must produce bit-identical results (tests/net/test_burst_identity.py).
+# or cancellation landing mid-burst re-splits the burst).  Its oracle is
+# behavioural, not structural: ``Simulator(burst=False)`` runs the
+# per-event code (``Link._end_serialization``/``_deliver``) and must
+# produce bit-identical results (tests/net/test_burst_identity.py).
 # ``sim`` is deliberately ``Any``: the Optional slots the body reads
 # (``_ser_packet``, ``dst``) are guaranteed by the stream protocol, not
 # by narrowing mypy could follow.
@@ -409,13 +385,7 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
                 queue = link._feed_queue
                 if queue is not None and queue._items:
                     if queue.__class__ is DropTailQueue:
-                        items = queue._items
-                        dt = t - queue._occ_time
-                        if dt > 0.0:
-                            queue._occ_area_pkts += len(items) * dt
-                            queue._occ_area_bytes += queue._bytes * dt
-                            queue._occ_time = t
-                        head = items.popleft()
+                        head = queue._items.popleft()
                         hsize = head.size
                         bytes_now = queue._bytes = queue._bytes - hsize
                         if bytes_now < 0:
@@ -488,8 +458,6 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
             if steps == rem:
                 break
             rebound = True
-            if sim._stopped:
-                break
             if watch and sched._size != size0:
                 break
     finally:

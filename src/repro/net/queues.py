@@ -1,10 +1,10 @@
 """Output-queue disciplines: drop-tail FIFO and RED.
 
-The router buffer under study *is* one of these queues.  Capacity can be
-expressed in packets (the paper's unit) or bytes.  Both disciplines keep
-running counters (arrivals, drops, departures, byte totals) and a
-time-weighted occupancy average so experiments can read statistics
-without installing probes.
+The router buffer under study *is* one of these queues.  Capacity is
+expressed in packets, the paper's unit.  Both disciplines keep running
+counters (arrivals, drops, departures, byte totals) and the peak length;
+occupancy over time is sampled by
+:class:`~repro.metrics.queues.QueueMonitor`.
 
 The paper's evaluation uses a single FIFO drop-tail queue and asserts the
 results also hold under RED; :class:`REDQueue` implements the gentle RED
@@ -14,7 +14,6 @@ assertion.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
@@ -46,12 +45,10 @@ class Queue:
     Parameters
     ----------
     sim:
-        Simulator (for timestamps on occupancy statistics).
+        Simulator.
     capacity_packets:
-        Maximum queue length in packets, or ``None`` for no packet limit.
-    capacity_bytes:
-        Maximum queue length in bytes, or ``None`` for no byte limit.
-        At least one limit must be given unless ``unbounded=True``.
+        Maximum queue length in packets; required unless
+        ``unbounded=True``.
     unbounded:
         Explicitly allow an infinite queue (used for "infinite buffer"
         baselines such as the AFCT reference in Figure 8).
@@ -61,34 +58,27 @@ class Queue:
     # Subclasses that add state without declaring __slots__ (e.g. test
     # fixtures) transparently get a __dict__ for their extras.
     __slots__ = (
-        "sim", "capacity_packets", "capacity_bytes", "_items", "_bytes",
+        "sim", "capacity_packets", "_items", "_bytes",
         "arrivals", "departures", "drops", "bytes_in", "bytes_out",
-        "bytes_dropped", "_occ_start", "_occ_time", "_occ_area_pkts",
-        "_occ_area_bytes", "peak_packets", "peak_bytes",
+        "bytes_dropped", "peak_packets",
         "_injectors", "injected_drops", "injected_corruptions", "flushed",
-        "_resident_at_reset", "_resident_bytes_at_reset",
-        "_drops_before_reset",
     )
 
     def __init__(
         self,
         sim: "Simulator",
         capacity_packets: Optional[int] = None,
-        capacity_bytes: Optional[int] = None,
         unbounded: bool = False,
     ) -> None:
-        if not unbounded and capacity_packets is None and capacity_bytes is None:
+        if not unbounded and capacity_packets is None:
             raise ConfigurationError(
-                "queue needs capacity_packets and/or capacity_bytes "
+                "queue needs capacity_packets "
                 "(or unbounded=True for an explicit infinite buffer)"
             )
         if capacity_packets is not None and capacity_packets < 1:
             raise ConfigurationError(f"capacity_packets must be >= 1, got {capacity_packets}")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ConfigurationError(f"capacity_bytes must be >= 1, got {capacity_bytes}")
         self.sim = sim
         self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
         self._items: Deque[Packet] = deque()
         self._bytes = 0
         # Counters.
@@ -98,27 +88,12 @@ class Queue:
         self.bytes_in = 0
         self.bytes_out = 0
         self.bytes_dropped = 0
-        # Time-weighted occupancy accounting, inlined for speed: the
-        # occupancy between two changes is piecewise constant, so we
-        # accumulate value*dt at each change.
-        self._occ_start = sim.now
-        self._occ_time = sim.now
-        self._occ_area_pkts = 0.0
-        self._occ_area_bytes = 0.0
         self.peak_packets = 0
-        self.peak_bytes = 0
         # Fault injection (see repro.faults.injectors).
         self._injectors: List[Injector] = []
         self.injected_drops = 0
         self.injected_corruptions = 0
         self.flushed = 0
-        # Packets/bytes resident when stats were last reset, so the
-        # conservation identity stays exact across reset_stats().
-        self._resident_at_reset = 0
-        self._resident_bytes_at_reset = 0
-        # Lifetime drop count surviving reset_stats(), for network-wide
-        # conservation checks (repro.runner.invariants).
-        self._drops_before_reset = 0
         if _obs.enabled:
             _obs.register_queue(self)
 
@@ -157,24 +132,12 @@ class Queue:
                         packet.meta = {}
                     packet.meta["corrupted"] = True
         if self._admit(packet):
-            # Inlined _record_occupancy (this and dequeue are the two
-            # per-packet callers; the interval ending now carried the
-            # pre-change occupancy).
             items = self._items
-            now = self.sim._now
-            dt = now - self._occ_time
-            n = len(items)
-            if dt > 0.0:
-                self._occ_area_pkts += n * dt
-                self._occ_area_bytes += self._bytes * dt
-                self._occ_time = now
             items.append(packet)
-            bytes_now = self._bytes = self._bytes + size
-            n += 1
+            self._bytes += size
+            n = len(items)
             if n > self.peak_packets:
                 self.peak_packets = n
-            if bytes_now > self.peak_bytes:
-                self.peak_bytes = bytes_now
             if _obs.enabled:
                 _obs.queue_event("enqueue", self, packet, n)
             return True
@@ -185,17 +148,12 @@ class Queue:
         """Remove and return the head-of-line packet, or ``None`` if empty."""
         # The burst drain in repro.net.link inlines this body for exact
         # DropTailQueue instances (subclasses keep the polymorphic
-        # call); keep the two in sync when changing occupancy or counter
-        # accounting — the burst on/off identity tests compare them.
+        # call): the popleft, the byte-occupancy update with its
+        # negative check, and the departures/bytes_out counters.  Keep
+        # the two in sync — the burst on/off identity tests compare them.
         items = self._items
         if not items:
             return None
-        now = self.sim._now
-        dt = now - self._occ_time
-        if dt > 0.0:
-            self._occ_area_pkts += len(items) * dt
-            self._occ_area_bytes += self._bytes * dt
-            self._occ_time = now
         packet = items.popleft()
         size = packet.size
         bytes_now = self._bytes = self._bytes - size
@@ -204,10 +162,6 @@ class Queue:
         self.departures += 1
         self.bytes_out += size
         return packet
-
-    def peek(self) -> Optional[Packet]:
-        """Return the head-of-line packet without removing it."""
-        return self._items[0] if self._items else None
 
     def add_injector(self, injector: Injector) -> None:
         """Attach a fault injector consulted on every arrival.
@@ -233,7 +187,6 @@ class Queue:
         n = len(self._items)
         if n == 0:
             return 0
-        self._record_occupancy()
         while self._items:
             packet = self._items.popleft()
             self._bytes -= packet.size
@@ -244,66 +197,30 @@ class Queue:
         self.flushed += n
         return n
 
-    @property
-    def drop_fraction(self) -> float:
-        """Drops divided by arrivals (NaN before any arrival)."""
-        return self.drops / self.arrivals if self.arrivals else math.nan
-
-    def mean_occupancy(self) -> float:
-        """Time-weighted mean queue length in packets so far."""
-        span = self.sim.now - self._occ_start
-        if span <= 0:
-            return math.nan
-        area = self._occ_area_pkts + len(self._items) * (self.sim.now - self._occ_time)
-        return area / span
-
     def check_invariants(self) -> None:
         """Raise :class:`InvariantViolation` unless the books balance.
 
-        Every packet that arrived since the last :meth:`reset_stats`
-        (plus whatever was resident at that reset) must be accounted for:
-        departed, dropped, or still queued.  Occupancy must be
-        non-negative in both units.
+        Every packet that ever arrived must be accounted for: departed,
+        dropped, or still queued — in packets and in bytes.  Byte
+        occupancy must be non-negative.
         """
         if self._bytes < 0:
             raise QueueError(f"negative byte occupancy ({self._bytes})")
         resident = len(self._items)
         expected = self.departures + self.drops + resident
-        if self.arrivals + self._resident_at_reset != expected:
+        if self.arrivals != expected:
             raise InvariantViolation(
-                f"queue conservation broken: arrivals={self.arrivals} "
-                f"(+{self._resident_at_reset} resident at reset) != "
+                f"queue conservation broken: arrivals={self.arrivals} != "
                 f"departures={self.departures} + drops={self.drops} "
                 f"+ queued={resident}"
             )
         expected_bytes = self.bytes_out + self.bytes_dropped + self._bytes
-        if self.bytes_in + self._resident_bytes_at_reset != expected_bytes:
+        if self.bytes_in != expected_bytes:
             raise InvariantViolation(
-                f"queue byte conservation broken: in={self.bytes_in} "
-                f"(+{self._resident_bytes_at_reset} resident at reset) != "
+                f"queue byte conservation broken: in={self.bytes_in} != "
                 f"out={self.bytes_out} + dropped={self.bytes_dropped} "
                 f"+ queued={self._bytes}"
             )
-
-    @property
-    def total_drops(self) -> int:
-        """Lifetime drops, unaffected by :meth:`reset_stats`."""
-        return self.drops + self._drops_before_reset
-
-    def reset_stats(self) -> None:
-        """Zero counters and restart occupancy averaging (post-warm-up)."""
-        self._drops_before_reset += self.drops
-        self.arrivals = self.departures = self.drops = 0
-        self.bytes_in = self.bytes_out = self.bytes_dropped = 0
-        self.injected_drops = self.injected_corruptions = self.flushed = 0
-        self._resident_at_reset = len(self._items)
-        self._resident_bytes_at_reset = self._bytes
-        self.peak_packets = len(self._items)
-        self.peak_bytes = self._bytes
-        self._occ_start = self.sim.now
-        self._occ_time = self.sim.now
-        self._occ_area_pkts = 0.0
-        self._occ_area_bytes = 0.0
 
     # ------------------------------------------------------------------
     # Subclass contract & internals
@@ -311,13 +228,10 @@ class Queue:
     def _admit(self, packet: Packet) -> bool:
         raise NotImplementedError
 
-    def _fits(self, packet: Packet) -> bool:
-        """True if accepting ``packet`` keeps both capacity limits."""
-        if self.capacity_packets is not None and len(self._items) + 1 > self.capacity_packets:
-            return False
-        if self.capacity_bytes is not None and self._bytes + packet.size > self.capacity_bytes:
-            return False
-        return True
+    def _fits(self) -> bool:
+        """True if one more packet keeps the capacity limit."""
+        cap = self.capacity_packets
+        return cap is None or len(self._items) < cap
 
     def _drop(self, packet: Packet) -> None:
         self.drops += 1
@@ -326,19 +240,6 @@ class Queue:
             _obs.queue_event("drop", self, packet, len(self._items))
         # A dropped packet is dead once counted and recorded.
         packet.release()
-
-    def _record_occupancy(self) -> None:
-        """Accumulate occupancy*dt for the interval just ending.
-
-        Called *before* the occupancy changes, so the current length
-        is the value that held since the previous change.
-        """
-        now = self.sim._now
-        dt = now - self._occ_time
-        if dt > 0.0:
-            self._occ_area_pkts += len(self._items) * dt
-            self._occ_area_bytes += self._bytes * dt
-            self._occ_time = now
 
 
 class DropTailQueue(Queue):
@@ -352,12 +253,7 @@ class DropTailQueue(Queue):
         # _fits, inlined: this is the admission test for every packet on
         # the bottleneck hot path.
         cap = self.capacity_packets
-        if cap is not None and len(self._items) >= cap:
-            return False
-        cap_b = self.capacity_bytes
-        if cap_b is not None and self._bytes + packet.size > cap_b:
-            return False
-        return True
+        return cap is None or len(self._items) < cap
 
 
 class REDQueue(Queue):
@@ -365,7 +261,7 @@ class REDQueue(Queue):
 
     Maintains an EWMA of the queue length and drops arriving packets with
     a probability that rises linearly from 0 at ``min_thresh`` to
-    ``max_p`` at ``max_thresh``, then (gentle mode) from ``max_p`` to 1
+    ``max_p`` at ``max_thresh``, then (always gentle) from ``max_p`` to 1
     at ``2 * max_thresh``.  Above that — or when the instantaneous queue
     is physically full — arrivals are force-dropped.
 
@@ -394,7 +290,7 @@ class REDQueue(Queue):
     """
 
     __slots__ = (
-        "min_thresh", "max_thresh", "max_p", "weight", "gentle", "rng",
+        "min_thresh", "max_thresh", "max_p", "weight", "rng",
         "mean_pkt_time", "ecn", "ecn_marks", "avg", "_count_since_drop",
         "_idle_since", "early_drops", "forced_drops",
     )
@@ -408,7 +304,6 @@ class REDQueue(Queue):
         max_p: float = 0.1,
         weight: float = 0.002,
         rng: Optional["random.Random"] = None,
-        gentle: bool = True,
         mean_pkt_time: float = 1e-3,
         ecn: bool = False,
     ) -> None:
@@ -430,7 +325,6 @@ class REDQueue(Queue):
             raise ConfigurationError("mean_pkt_time must be positive")
         self.max_p = max_p
         self.weight = weight
-        self.gentle = gentle
         self.rng = rng
         self.mean_pkt_time = mean_pkt_time
         self.ecn = ecn
@@ -443,7 +337,7 @@ class REDQueue(Queue):
 
     def _admit(self, packet: Packet) -> bool:
         self._update_average()
-        if not self._fits(packet):
+        if not self._fits():
             self.forced_drops += 1
             self._count_since_drop = 0
             return False
@@ -492,7 +386,7 @@ class REDQueue(Queue):
         if avg < self.max_thresh:
             frac = (avg - self.min_thresh) / (self.max_thresh - self.min_thresh)
             p_b = self.max_p * frac
-        elif self.gentle and avg < 2.0 * self.max_thresh:
+        elif avg < 2.0 * self.max_thresh:
             frac = (avg - self.max_thresh) / self.max_thresh
             p_b = self.max_p + (1.0 - self.max_p) * frac
         else:

@@ -96,7 +96,7 @@ def check_network_conservation(network: Network) -> None:
             corrupted += node.packets_corrupted
     queue_drops = queued = link_drops = on_wire = 0
     for _label, iface in _interfaces(network):
-        queue_drops += iface.queue.total_drops
+        queue_drops += iface.queue.drops
         queued += len(iface.queue)
         link_drops += iface.link.packets_dropped
         on_wire += iface.link.in_flight

@@ -47,9 +47,9 @@ Design notes
   long-lived flow acking a thousand packets per RTO period costs one
   push per RTO period instead of one per ACK.  This works unchanged on
   either backend: the deferral touches only ``Event.time``.
-* The loop supports three stop conditions that may be combined: an
-  explicit horizon (:meth:`run` ``until=``), event-queue exhaustion, and
-  :meth:`stop` called from inside a callback.
+* The loop stops at an explicit horizon (:meth:`run` ``until=``) or
+  when the event queue is exhausted, whichever comes first; the
+  watchdog budgets abort it instead.
 * No wall-clock coupling anywhere: runs are exactly reproducible given
   the same seeds.
 """
@@ -245,38 +245,14 @@ class Timer:
         deadline = sim._now + delay
         if args:
             self.args = args
-        # Inlined deferral fast path (one call per ACK on the RTO hot
-        # loop): the deadline is finite and >= now by construction, so
-        # arm_at's validation is redundant here.
+        # Deferral fast path (one call per ACK on the RTO hot loop): the
+        # deadline is finite and >= now by construction.
         event = self._event
         if (sim._lazy_timers and event is not None
                 and event.callback is not None and deadline >= event.time):
             event.time = deadline
             sim.lazy_deferrals += 1
             return
-        if event is not None:
-            event.cancel()
-        self._event = sim.call_at(deadline, self._fire)
-
-    def arm_at(self, deadline: float, *args: Any) -> None:
-        """(Re-)arm the timer at absolute virtual time ``deadline``."""
-        sim = self.sim
-        if not math.isfinite(deadline):
-            raise SchedulingError(f"timer deadline must be finite, got {deadline!r}")
-        if deadline < sim._now:
-            raise SchedulingError(
-                f"cannot arm timer at t={deadline:.9f}, clock already at "
-                f"t={sim._now:.9f}")
-        if args:
-            self.args = args
-        event = self._event
-        if sim._lazy_timers and event is not None and event.callback is not None:
-            if deadline >= event.time:
-                # In-place reschedule: the entry keyed at (or before)
-                # the old deadline re-keys itself when popped.
-                event.time = deadline
-                sim.lazy_deferrals += 1
-                return
         if event is not None:
             event.cancel()
         self._event = sim.call_at(deadline, self._fire)
@@ -356,10 +332,6 @@ class _HeapScheduler:
         _heapify(heap)
         self.compactions += 1
 
-    def entries(self) -> Iterator[_Entry]:
-        """Every raw entry, in no particular order (diagnostics)."""
-        return iter(self._heap)
-
     # -- execution ------------------------------------------------------
     def run_loop(self, horizon: float, limit: int, wall_deadline: float,
                  max_events: Optional[int],
@@ -392,8 +364,6 @@ class _HeapScheduler:
                 if vheap:
                     dispatched = drain(sim, heap, horizon, limit, dispatched)
                     now = sim._now
-                    if sim._stopped:
-                        break
                     if limit and dispatched == limit:
                         raise SimulationStalledError(
                             f"watchdog: event budget of {max_events} "
@@ -441,11 +411,6 @@ class _HeapScheduler:
                 dispatched += 1
                 popped += 1
                 callback(*event.args)
-                # _stopped can only flip inside a callback, so it is
-                # checked here instead of in the loop condition — the
-                # dead-entry and re-key paths skip the load entirely.
-                if sim._stopped:
-                    break
                 if dispatched == limit:
                     raise SimulationStalledError(
                         f"watchdog: event budget of {max_events} exhausted at "
@@ -462,85 +427,6 @@ class _HeapScheduler:
             # burst_steps) so the totals stay exact even if a callback
             # raises mid-burst; only real pops are added here.
             sim.events_processed += popped
-
-    def next_key(self) -> Optional[Tuple[float, int]]:
-        """Raw ``(time, seq)`` key of the head entry (dead/stale included)."""
-        heap = self._heap
-        if not heap:
-            return None
-        entry = heap[0]
-        return (entry[0], entry[1])
-
-    def step_raw(self) -> bool:
-        """Pop exactly one raw entry; dispatch it if live and fresh.
-
-        Returns True iff an event ran.  Dead entries are dropped and
-        stale timers re-keyed — each consumes one call, so
-        :meth:`Simulator.step` can interleave virtual steps at exactly
-        the per-event order.
-        """
-        heap = self._heap
-        if not heap:
-            return False
-        time, _seq, event = _heappop(heap)
-        if event.callback is None:
-            return False
-        if event.time > time:
-            _heappush(heap, (event.time, next(self._seq), event))
-            return False
-        sim = self.sim
-        sim._now = time
-        callback = event.callback
-        event.callback = None
-        args = event.args
-        event.args = ()
-        sim._live -= 1
-        sim.events_processed += 1
-        callback(*args)
-        return True
-
-    def peek_time(self) -> Optional[float]:
-        """Authoritative deadline of the next live event (non-mutating).
-
-        A lazily-deferred timer at the top of the heap carries a *stale*
-        key — ``event.time`` is later.  Naively re-keying it here (the
-        way the run loop does) would consume a sequence number earlier
-        than the run loop would have, which can flip FIFO tie-breaks at
-        the deferred deadline: calling ``peek_time()`` from inside a
-        callback could change simulation results.  Instead, stale
-        entries are set aside and restored with their *original* keys —
-        the key set is unchanged, and since ``(time, seq)`` keys are
-        unique, heap-layout differences cannot affect pop order.
-
-        Dead entries at the top are discarded for good (they would be
-        skipped by :meth:`run` anyway); that too is order-neutral.
-        """
-        heap = self._heap
-        stale: List[_Entry] = []
-        best = _INF
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.callback is None:
-                _heappop(heap)
-                continue
-            etime = event.time
-            if etime > entry[0]:
-                # Deferred timer: its authoritative deadline is a
-                # candidate, but an entry keyed behind it may still be
-                # earlier — keep scanning.
-                stale.append(_heappop(heap))
-                if etime < best:
-                    best = etime
-                continue
-            # First fresh live entry: everything still queued is keyed
-            # later, and authoritative deadlines never precede keys.
-            if entry[0] < best:
-                best = entry[0]
-            break
-        for entry in stale:
-            _heappush(heap, entry)
-        return best if best < _INF else None
 
 
 class _CalendarScheduler:
@@ -679,7 +565,7 @@ class _CalendarScheduler:
         self.compactions += 1
 
     def entries(self) -> Iterator[_Entry]:
-        """Every raw entry, in no particular order (diagnostics)."""
+        """Every raw entry, in no particular order (the heap migration)."""
         for bucket in self._buckets:
             yield from bucket
         yield from self._overflow
@@ -767,8 +653,6 @@ class _CalendarScheduler:
                     dispatched = drain(sim, None, horizon, limit,
                                        dispatched, self)
                     now = sim._now
-                    if sim._stopped:
-                        break
                     if limit and dispatched == limit:
                         raise SimulationStalledError(
                             f"watchdog: event budget of {max_events} "
@@ -794,8 +678,6 @@ class _CalendarScheduler:
                     dispatched = drain(sim, bucket, horizon, limit,
                                        dispatched, self)
                     now = sim._now
-                    if sim._stopped:
-                        break
                     if limit and dispatched == limit:
                         raise SimulationStalledError(
                             f"watchdog: event budget of {max_events} "
@@ -843,8 +725,6 @@ class _CalendarScheduler:
                 dispatched += 1
                 popped += 1
                 callback(*event.args)
-                if sim._stopped:
-                    break
                 if dispatched == limit:
                     raise SimulationStalledError(
                         f"watchdog: event budget of {max_events} exhausted at "
@@ -869,88 +749,6 @@ class _CalendarScheduler:
                         )
         finally:
             sim.events_processed += popped
-
-    def next_key(self) -> Optional[Tuple[float, int]]:
-        """Raw ``(time, seq)`` key of the head entry (dead/stale included).
-
-        Advances the cursor to the next non-empty bucket first, exactly
-        as :meth:`step` would; pure wheel mechanics, order-neutral.
-        """
-        buckets = self._buckets
-        n = self._nbuckets
-        while True:
-            if not self._active and not self._activate_next():
-                return None
-            bucket = buckets[self._cursor % n]
-            if not bucket:
-                self._active = False
-                self._cursor += 1
-                continue
-            entry = bucket[0]
-            return (entry[0], entry[1])
-
-    def step_raw(self) -> bool:
-        """Pop exactly one raw entry; dispatch it if live and fresh."""
-        if self.next_key() is None:
-            return False
-        bucket = self._buckets[self._cursor % self._nbuckets]
-        time, _seq, event = _heappop(bucket)
-        self._wheel_count -= 1
-        self._size -= 1
-        if event.callback is None:
-            return False
-        if event.time > time:
-            self.push(event.time, event)
-            return False
-        sim = self.sim
-        sim._now = time
-        callback = event.callback
-        event.callback = None
-        args = event.args
-        event.args = ()
-        sim._live -= 1
-        sim.events_processed += 1
-        callback(*args)
-        return True
-
-    def peek_time(self) -> Optional[float]:
-        """Authoritative deadline of the next live event (non-mutating).
-
-        The next dispatch is the globally minimal *authoritative*
-        deadline (stale entries re-key before dispatching, preserving
-        key order).  The wheel is scanned from the cursor; the first
-        bucket containing a *fresh* live entry bounds everything behind
-        it — later buckets' keys (and therefore their authoritative
-        deadlines) start past this bucket's end, and the ladder starts
-        past the window.  If no fresh entry exists anywhere, the
-        candidates are the deferred deadlines themselves, which may live
-        arbitrarily far ahead, so the scan covers the ladder too.  O(n)
-        worst case, but this is a diagnostic API — the run loop never
-        calls it.
-        """
-        best = _INF
-        if self._wheel_count:
-            buckets = self._buckets
-            n = self._nbuckets
-            for idx in range(self._cursor, self._limit):
-                bucket = buckets[idx % n]
-                found_fresh = False
-                for entry in bucket:
-                    event = entry[2]
-                    if event.callback is None:
-                        continue
-                    etime = event.time
-                    if etime < best:
-                        best = etime
-                    if etime == entry[0]:
-                        found_fresh = True
-                if found_fresh:
-                    return best
-        for entry in self._overflow:
-            event = entry[2]
-            if event.callback is not None and event.time < best:
-                best = event.time
-        return best if best < _INF else None
 
 
 class Simulator:
@@ -1028,7 +826,6 @@ class Simulator:
                  burst: bool = False) -> None:
         self._now = float(start_time)
         self._running = False
-        self._stopped = False
         self._lazy_timers = bool(lazy_timers)
         self._compaction = bool(compaction)
         self._fastpath = bool(fastpath)
@@ -1153,14 +950,6 @@ class Simulator:
         self._live += 1
         return event
 
-    def timer(self, callback: Callable[..., Any], *args: Any) -> Timer:
-        """Create a (disarmed) :class:`Timer` bound to this simulator."""
-        return Timer(self, callback, *args)
-
-    def _compact(self) -> None:
-        """Force a dead-entry compaction pass (testing/diagnostics)."""
-        self._sched.compact()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -1170,7 +959,7 @@ class Simulator:
         max_events: Optional[int] = None,
         max_wall_seconds: Optional[float] = None,
     ) -> None:
-        """Dispatch events in order until exhaustion, ``until``, or :meth:`stop`.
+        """Dispatch events in order until exhaustion or ``until``.
 
         Parameters
         ----------
@@ -1192,7 +981,6 @@ class Simulator:
             raise SimulationError(f"max_events must be >= 1, got {max_events}")
         check_wall_budget(max_wall_seconds)
         self._running = True
-        self._stopped = False
         # Hot-loop precomputation: the horizon becomes a plain float
         # compare (inf = no horizon), the event budget a plain equality
         # (0 = unlimited; dispatched starts at 1 so 0 never matches),
@@ -1216,9 +1004,7 @@ class Simulator:
                 if limit:
                     limit -= self.events_processed - events_before
                 self._migrate_to_heap()
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self._now < until:
+            if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
@@ -1245,34 +1031,6 @@ class Simulator:
         self._sched = heap_sched
         self._push = heap_sched.push
         self._seq_alloc = heap_sched._seq
-
-    def step(self) -> bool:
-        """Execute the single next non-cancelled event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
-        Useful for unit tests and debugging.  In burst mode a virtual
-        packet-chain step counts as one event, preserving the per-event
-        step sequence exactly: it is taken by the drain :meth:`run`
-        uses, bounded by the next real entry's key and a one-step limit
-        (the drain discards stale heads and does the accounting).
-        """
-        vheap = self._vheap
-        sched = self._sched
-        while True:
-            key = sched.next_key()
-            if vheap and self._burst_drain(
-                    self, None if key is None else [key], _INF, 1, 0):
-                return True
-            if key is None:
-                return False
-            # A dead or stale-timer entry consumes one step_raw call
-            # without running anything; keep going until an event does.
-            if sched.step_raw():
-                return True
-
-    def stop(self) -> None:
-        """Request the run loop to exit after the current callback."""
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1339,11 +1097,6 @@ class Simulator:
                            self._migrated_peak_bucket))
 
     @property
-    def burst(self) -> bool:
-        """Whether the burst-mode departure fast path is enabled."""
-        return self._burst
-
-    @property
     def events_popped(self) -> int:
         """Events that went through the real queue backend.
 
@@ -1353,27 +1106,3 @@ class Simulator:
         the actual pop count (the denominator of the coalescing ratio).
         """
         return self.events_processed - self.burst_steps
-
-    def peek_time(self) -> Optional[float]:
-        """Authoritative deadline of the next live event, or ``None``.
-
-        Returns ``Event.time`` — not the (possibly stale) queue key of a
-        lazily-deferred timer — and never perturbs dispatch order, so it
-        is safe to call from inside callbacks.  See the backend
-        ``peek_time`` docstrings for the mechanics.
-
-        In burst mode the virtual stream heads participate too: their
-        times are authoritative (virtual records never defer), stale
-        entries are recognised by sequence number and skipped.
-        """
-        result = self._sched.peek_time()
-        best = _INF if result is None else float(result)
-        for entry in self._vheap:
-            if entry[0] >= best:
-                continue
-            link = entry[2]
-            s = entry[1]
-            prop = link._prop
-            if link._ser_seq == s or (prop and prop[0][1] == s):
-                best = entry[0]
-        return best if best < _INF else None

@@ -68,8 +68,7 @@ class UdpSource:
         self.poisson = poisson
         self.rng = rng
         self.packets_sent = 0
-        self._running = False
-        self._event = None
+        self._started = False
         host.bind(sport, self)
 
     @property
@@ -83,21 +82,12 @@ class UdpSource:
 
     def start(self, delay: float = 0.0) -> None:
         """Begin sending ``delay`` seconds from now."""
-        if self._running:
+        if self._started:
             raise ConfigurationError("source already running")
-        self._running = True
-        self._event = self.sim.schedule(delay, self._send_next)
-
-    def stop(self) -> None:
-        """Stop sending (idempotent)."""
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._started = True
+        self.sim.schedule(delay, self._send_next)
 
     def _send_next(self) -> None:
-        if not self._running:
-            return
         packet = Packet.acquire(
             src=self.host.address,
             dst=self.dst_address,
@@ -113,7 +103,7 @@ class UdpSource:
             gap = self.rng.expovariate(1.0 / self.mean_interval)
         else:
             gap = self.mean_interval
-        self._event = self.sim.schedule(gap, self._send_next)
+        self.sim.schedule(gap, self._send_next)
 
     def deliver(self, packet: Packet) -> None:
         """UDP sources ignore inbound packets (open loop)."""

@@ -77,11 +77,9 @@ def run_faulted(**overrides):
 
 
 def traced(run, **kwargs):
-    """``run`` under obs: its fingerprint and every event but the
-    enqueue firehose, whose queue depth the cut-through hop reports
-    differently from the reference path by design."""
-    kinds = frozenset(obs.EVENT_KINDS) - {"enqueue"}
-    with obs.observed(kinds=kinds) as recorder:
+    """``run`` under obs: its fingerprint and every event it recorded,
+    of every kind.  The ring holds a Figure-1 run (75 k events) whole."""
+    with obs.observed(capacity=1 << 18) as recorder:
         result = run(**kwargs)
         assert not recorder.truncated
         return fingerprint(result, strip_metrics=True), recorder.events()
@@ -126,6 +124,13 @@ class TestOptimizedMatchesUnoptimized:
 
     def test_short_flow(self):
         assert fingerprint(run_short(optimize=True)) == reference("short_flows")
+
+    def test_obs_event_stream_is_engine_independent(self):
+        """Every obs event, enqueues included, is the same under both
+        engines: the cut-through hop reports the depth after admission,
+        as ``Queue.enqueue`` does on the reference path."""
+        assert traced(run_long, optimize=True) == \
+            traced(run_long, optimize=False)
 
     @pytest.mark.parametrize("scenario", POOL_SCENARIOS)
     def test_poisoned_pool_changes_nothing(self, scenario):

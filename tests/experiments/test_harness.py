@@ -1,7 +1,6 @@
 """Smoke and behaviour tests for the experiment harness (small params)."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -90,9 +89,8 @@ class TestLongFlowRunner:
         run_long_flow_experiment(n_flows=2, buffer_packets=20, red=True,
                                  **dict(FAST_LONG, warmup=0.5, duration=0.5))
         net, = built
-        packet = SimpleNamespace(size=PACKET_BYTES)
         assert net.bottleneck_queue.mean_pkt_time == pytest.approx(
-            net.bottleneck_link.serialization_time(packet))
+            PACKET_BYTES * 8.0 / net.bottleneck_link.rate)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -125,6 +125,35 @@ class TestQueueMonitor:
         # the earlier-scheduled enqueue first), so the minimum is 0 or 1.
         assert monitor.min_occupancy() <= 1
 
+    def test_mean_occupancy_weights_each_level_by_its_duration(self):
+        """Sampling off the event instants, the mean occupancy weights
+        each queue level by how long it held: 2 packets for 1 s, 1 for
+        1 s, 0 for 2 s is (2 + 1 + 0) / 4 = 0.75."""
+        sim = Simulator()
+        queue = DropTailQueue(sim, capacity_packets=10)
+
+        def fill():
+            queue.enqueue(make_packet())
+            queue.enqueue(make_packet())
+
+        sim.schedule(0.0, fill)
+        sim.schedule(1.0, queue.dequeue)
+        sim.schedule(2.0, queue.dequeue)
+        monitor = QueueMonitor(sim, queue, sample_period=0.25, t_start=0.125,
+                               t_end=4.0)
+        sim.run(until=4.0)
+        assert len(monitor.series) == 16
+        assert monitor.mean_occupancy() == pytest.approx(0.75)
+
+    def test_loss_rate_nan_without_arrivals(self):
+        sim = Simulator()
+        queue = DropTailQueue(sim, capacity_packets=1)
+        monitor = QueueMonitor(sim, queue, sample_period=None, t_end=1.0)
+        sim.run(until=2.0)
+        assert monitor.arrivals == 0
+        assert math.isnan(monitor.loss_rate)
+
+
 def record(flow_id=1, size=10, start=1.0, end=2.0, retx=0, timeouts=0):
     return FlowRecord(flow_id=flow_id, size_packets=size, start_time=start,
                       end_time=end, retransmits=retx, timeouts=timeouts)

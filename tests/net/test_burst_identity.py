@@ -7,9 +7,9 @@ chain's work is done — virtual per-link streams drained in a tight loop
 op scripts covering exactly the hazards the drain has to re-split on:
 timers expiring mid-burst, a delivery callback scheduling inside the
 burst window, a fault flap landing inside a burst window,
-RED drops inside a burst, ``stop()`` from a callback during the drain,
-and zero-length / single-packet bursts — and asserts the full
-observable history is identical across bursting on/off on both
+RED drops inside a burst, a ``run(until=...)`` horizon landing during
+the drain, and zero-length / single-packet bursts — and asserts the
+full observable history is identical across bursting on/off on both
 scheduler backends.
 
 The op spacing (3 ms) is deliberately shorter than the time a full
@@ -41,6 +41,12 @@ VARIANTS = (("heap", False), ("heap", True),
 #: zero-delay, sub-serialization (mid-burst), one-packet, several.
 TIMER_DELAYS = (0.0, 0.0003, 0.0011, 0.004, 0.02)
 
+#: Where a "split" op ends one ``run(until=...)`` call, past its own
+#: tick: on the tick, mid-serialization, between two departures, and
+#: just before the next tick — each inside a burst window when one is
+#: open.
+SPLITS = (0.0, 0.0004, 0.0011, 0.0029)
+
 _ops = st.lists(
     st.one_of(
         # 0 = zero-length burst (the link never goes busy), 1 = single-
@@ -50,8 +56,7 @@ _ops = st.lists(
                   st.sampled_from(TIMER_DELAYS)),
         st.tuples(st.just("cancel"), st.integers(0, 2)),
         st.tuples(st.just("flap"), st.sampled_from((0.001, 0.005))),
-        st.tuples(st.just("peek")),
-        st.tuples(st.just("stop")),
+        st.tuples(st.just("split"), st.sampled_from(SPLITS)),
     ),
     min_size=1, max_size=30,
 )
@@ -105,8 +110,14 @@ def _build(scheduler, burst, red):
     return sim, net, a, r, b
 
 
-def _execute(ops, scheduler, burst, red=False, max_events=None, sink=_Sink):
-    """Run one op script; return the full observable history."""
+def _execute(ops, scheduler, burst, red=False, max_events=None, sink=_Sink,
+             split=True):
+    """Run one op script; return the full observable history.
+
+    Each "split" op ends one ``run(until=...)`` call at its horizon;
+    the clock, event count and bottleneck state there join the history.
+    ``split=False`` runs the same script in one ``run()`` call.
+    """
     sim, net, a, r, b = _build(scheduler, burst, red)
     log = []
     sink = sink(sim, log)
@@ -136,26 +147,27 @@ def _execute(ops, scheduler, burst, red=False, max_events=None, sink=_Sink):
         elif kind == "flap":
             bottleneck.link.down()
             sim.schedule(op[1], bottleneck.link.up)
-        elif kind == "peek":
-            at = sim.peek_time()
-            log.append(("peek", None if at is None else round(at, 9)))
-        else:  # stop — mid-drain when a burst window is open
-            sim.stop()
 
     for index, op in enumerate(ops):
         sim.call_at(index * 0.003, apply, op)
-    budget_hits = 0
-    while True:
-        try:
-            sim.run(max_events=max_events)
-        except SimulationStalledError:
-            budget_hits += 1
-            max_events = None  # drain the remainder unbudgeted
-            continue
-        if not sim.pending():  # resume after stop()-from-callback
-            break
     queue = bottleneck.queue
     link = bottleneck.link
+    horizons = sorted(index * 0.003 + op[1]
+                      for index, op in enumerate(ops)
+                      if split and op[0] == "split")
+    budget_hits = 0
+    for until in horizons + [None]:
+        while True:
+            try:
+                sim.run(until=until, max_events=max_events)
+                break
+            except SimulationStalledError:
+                budget_hits += 1
+                max_events = None  # drain the remainder unbudgeted
+        if until is not None:
+            log.append(("split", round(sim.now, 9), sim.events_processed,
+                        sim.pending(), len(queue), queue.departures,
+                        link.packets_delivered))
     return (log, sim.events_processed, round(sim.now, 9), budget_hits,
             queue.arrivals, queue.departures, queue.drops, queue.bytes_out,
             link.packets_delivered, link.bytes_delivered,
@@ -190,6 +202,22 @@ class TestBurstIdentity:
             result = _execute(ops, scheduler, burst, max_events=budget)
             assert result == reference, (scheduler, burst)
 
+    @given(ops=_ops)
+    @settings(**FAST)
+    def test_split_runs_match_one_run(self, ops):
+        """Horizons that cut open burst windows leave every delivery,
+        timer and counter as one uninterrupted ``run()`` does.  Only the
+        final clock may differ: a horizon past the last event moves it
+        there."""
+        def unsplit(result):
+            log = [entry for entry in result[0] if entry[0] != "split"]
+            return (log, result[1]) + result[3:]
+
+        reference = unsplit(_execute(ops, *VARIANTS[0], split=False))
+        for scheduler, burst in VARIANTS:
+            assert unsplit(_execute(ops, scheduler, burst)) == reference, \
+                (scheduler, burst)
+
 
 class TestBurstEdgeCases:
     def _histories(self, ops, **kwargs):
@@ -200,7 +228,7 @@ class TestBurstEdgeCases:
         return reference
 
     def test_zero_length_burst(self):
-        self._histories([("send", 0), ("peek",)])
+        self._histories([("send", 0), ("split", 0.0)])
 
     def test_single_packet_burst(self):
         history = self._histories([("send", 1)])
@@ -220,8 +248,13 @@ class TestBurstEdgeCases:
         delivered = sum(1 for entry in history[0] if entry[0] == "rx")
         assert 0 < delivered < 12
 
-    def test_stop_from_callback_during_drain(self):
-        self._histories([("send", 8), ("stop",), ("send", 3)])
+    def test_run_horizon_lands_during_drain(self):
+        # 8 packets keep the bottleneck busy for 6.4 ms: the horizon
+        # 0.4 ms past the second tick cuts the drain mid-serialization.
+        history = self._histories([("send", 8), ("split", 0.0004),
+                                   ("send", 3)])
+        split, = (entry for entry in history[0] if entry[0] == "split")
+        assert split[1] == 0.0034 and split[4] > 0  # packets still queued
 
     def test_delivery_callback_schedules_inside_burst(self):
         # Each echo lands 0.1 ms after its delivery, before the next
@@ -246,12 +279,15 @@ class TestBurstEdgeCases:
         assert sim.events_popped < sim.events_processed
 
 
-class TestStepSharesTheDrain:
-    """``Simulator.step()`` takes its virtual steps through the drain
-    ``run()`` uses, so single-stepping a real TCP dumbbell to ``T`` must
-    leave exactly the state ``run(until=T)`` leaves."""
+class TestChunkedRunSharesTheDrain:
+    """A horizon ends the drain wherever it lands, and the next
+    ``run()`` call resumes it: running a real TCP dumbbell to ``T`` in
+    1.3 ms chunks — horizons mid-serialization and inside open burst
+    windows — must leave exactly the state one ``run(until=T)``
+    leaves."""
 
     T = 3.0
+    CHUNK = 0.0013
 
     def _dumbbell(self, scheduler, red):
         opts = {}
@@ -271,14 +307,14 @@ class TestStepSharesTheDrain:
         workload = LongLivedWorkload(net, start_spread=0.5,
                                      rng=random.Random(3))
         # The flap kills whatever the bottleneck has in flight, so the
-        # stepped run has stale virtual heads to step over.
+        # chunked run has stale virtual heads to resume over.
         FaultSchedule([LinkFlap(at=2.0, duration=0.05)]).install(
             sim, targets_for_dumbbell(net))
         return sim, net, workload
 
     def _state(self, sim, net, workload):
         link, queue = net.bottleneck_link, net.bottleneck_queue
-        return (sim.events_processed, sim.burst_steps,
+        return (sim.now, sim.events_processed, sim.burst_steps,
                 link.packets_delivered, link.bytes_delivered,
                 link.packets_dropped, link.busy_time,
                 queue.arrivals, queue.departures, queue.drops,
@@ -288,17 +324,16 @@ class TestStepSharesTheDrain:
 
     @pytest.mark.parametrize("red", [False, True], ids=["droptail", "red"])
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_stepping_to_T_matches_run_until_T(self, scheduler, red):
+    def test_chunked_run_to_T_matches_run_until_T(self, scheduler, red):
         sim, net, workload = self._dumbbell(scheduler, red)
         sim.run(until=self.T)
         ran = self._state(sim, net, workload)
 
         sim, net, workload = self._dumbbell(scheduler, red)
-        while True:
-            at = sim.peek_time()
-            if at is None or at > self.T:
-                break
-            assert sim.step()
+        chunks = 0
+        while sim.now < self.T:
+            sim.run(until=min(self.T, (chunks + 1) * self.CHUNK))
+            chunks += 1
         assert self._state(sim, net, workload) == ran
 
         assert sim.burst_steps > 0

@@ -25,10 +25,21 @@ def make_packet(size=1000):
 
 
 class TestLink:
-    def test_serialization_time(self):
+    @pytest.mark.parametrize("size,rate,seconds", [
+        (1000, "8Mbps", 0.001),
+        (40, "10Mbps", 32e-6),
+        (1500, "1Gbps", 12e-6),
+    ])
+    def test_serialization_time(self, size, rate, seconds):
+        """One packet keeps the link busy for size * 8 / rate and, with
+        no propagation delay, lands exactly then."""
         sim = Simulator()
-        link = Link(sim, rate="8Mbps", delay="0ms", dst=Collector(sim))
-        assert link.serialization_time(make_packet(1000)) == pytest.approx(0.001)
+        sink = Collector(sim)
+        link = Link(sim, rate=rate, delay="0ms", dst=sink)
+        link.transmit(make_packet(size))
+        sim.run()
+        assert link.busy_time == pytest.approx(seconds)
+        assert sink.arrivals[0][0] == pytest.approx(seconds)
 
     def test_delivery_time_is_tx_plus_propagation(self):
         sim = Simulator()
@@ -99,7 +110,7 @@ class TestLink:
         for i in range(5):
             sim.schedule(i * 0.002, send)  # one 1ms packet every 2ms
         sim.run(until=0.010)
-        assert link.utilization(0.0, 0.010) == pytest.approx(0.5)
+        assert link.busy_time / 0.010 == pytest.approx(0.5)
 
     def test_missing_destination_rejected(self):
         sim = Simulator()

@@ -1,6 +1,5 @@
 """Tests for drop-tail and RED queues."""
 
-import math
 import random
 
 import pytest
@@ -36,20 +35,6 @@ class TestDropTail:
         queue = DropTailQueue(sim, capacity_packets=1)
         assert queue.dequeue() is None
 
-    def test_byte_capacity(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_bytes=2500)
-        assert queue.enqueue(make_packet(1000))
-        assert queue.enqueue(make_packet(1000))
-        assert not queue.enqueue(make_packet(1000))  # would exceed 2500B
-        assert queue.byte_occupancy == 2000
-
-    def test_both_limits_enforced(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=10, capacity_bytes=1500)
-        assert queue.enqueue(make_packet(1000))
-        assert not queue.enqueue(make_packet(1000))
-
     def test_needs_some_capacity(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
@@ -75,28 +60,6 @@ class TestDropTail:
         assert queue.bytes_out == 1000
         assert queue.bytes_dropped == 2000
 
-    def test_drop_fraction(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=1)
-        queue.enqueue(make_packet())
-        queue.enqueue(make_packet())
-        assert queue.drop_fraction == 0.5
-
-    def test_drop_fraction_nan_without_arrivals(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=1)
-        assert math.isnan(queue.drop_fraction)
-
-
-    def test_peek(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=5)
-        assert queue.peek() is None
-        pkt = make_packet()
-        queue.enqueue(pkt)
-        assert queue.peek() is pkt
-        assert len(queue) == 1
-
     def test_peak_tracking(self):
         sim = Simulator()
         queue = DropTailQueue(sim, capacity_packets=10)
@@ -104,32 +67,6 @@ class TestDropTail:
             queue.enqueue(make_packet())
         queue.dequeue()
         assert queue.peak_packets == 4
-        assert queue.peak_bytes == 4000
-
-    def test_mean_occupancy_time_weighted(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=10)
-
-        def fill():
-            queue.enqueue(make_packet())
-            queue.enqueue(make_packet())
-
-        sim.schedule(0.0, fill)
-        sim.schedule(1.0, queue.dequeue)   # 2 pkts during [0, 1)
-        sim.schedule(2.0, queue.dequeue)   # 1 pkt during [1, 2)
-        sim.run(until=4.0)                 # 0 pkts during [2, 4)
-        # Mean over [0, 4] = (2*1 + 1*1 + 0*2) / 4 = 0.75.
-        assert queue.mean_occupancy() == pytest.approx(0.75)
-
-    def test_reset_stats(self):
-        sim = Simulator()
-        queue = DropTailQueue(sim, capacity_packets=2)
-        for _ in range(4):
-            queue.enqueue(make_packet())
-        queue.reset_stats()
-        assert queue.arrivals == 0
-        assert queue.drops == 0
-        assert queue.peak_packets == len(queue)
 
     def test_invalid_capacity(self):
         sim = Simulator()

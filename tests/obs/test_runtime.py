@@ -68,7 +68,8 @@ class TestQueueEvents:
     def test_every_admission_records_one_enqueue(self, burst):
         # One cut through, two queued, two dropped: each admitted packet
         # (cut-through or queued) is one "enqueue" event, each drop one
-        # "drop" event.
+        # "drop" event.  The cut-through reports the depth after its
+        # admission, 1, as Queue.enqueue does on the reference path.
         from repro.net import DropTailQueue, Interface, Packet
         from repro.net.link import Link
         from repro.sim import Simulator
@@ -84,7 +85,7 @@ class TestQueueEvents:
             counts = recorder.counts_by_kind()
         assert counts == {"enqueue": 3, "drop": 2}
         assert [e["q"] for e in recorder.events()
-                if e["kind"] == "enqueue"] == [0, 1, 2]
+                if e["kind"] == "enqueue"] == [1, 1, 2]
 
 
 class TestLiveExperiment:

@@ -1,9 +1,11 @@
 """Invariant checker: passes on healthy runs, catches tampered state."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError, InvariantViolation, QueueError
-from repro.net import DropTailQueue, build_dumbbell
+from repro.net import DropTailQueue, REDQueue, build_dumbbell
 from repro.net.packet import Packet
 from repro.runner import (
     InvariantMonitor,
@@ -58,6 +60,26 @@ class TestTamperDetection:
         queue.enqueue(Packet(src=1, dst=2, payload=960))
         queue._bytes -= 1
         with pytest.raises((InvariantViolation, QueueError)):
+            queue.check_invariants()
+
+    @pytest.mark.parametrize("counter,by", [("departures", 1),
+                                            ("bytes_out", 1000)])
+    @pytest.mark.parametrize("discipline", ["droptail", "red"])
+    def test_miscounted_departure_detected(self, discipline, counter, by):
+        """Both conservation identities hold the dequeue side to account
+        on either discipline: one departure or its bytes miscounted is a
+        broken book."""
+        sim = Simulator()
+        if discipline == "red":
+            queue = REDQueue(sim, capacity_packets=10, rng=random.Random(1))
+        else:
+            queue = DropTailQueue(sim, capacity_packets=10)
+        for _ in range(3):
+            queue.enqueue(Packet(src=1, dst=2, payload=960, header=40))
+        queue.dequeue()
+        queue.check_invariants()
+        setattr(queue, counter, getattr(queue, counter) + by)
+        with pytest.raises(InvariantViolation, match="conservation"):
             queue.check_invariants()
 
     def test_negative_link_counter_detected(self):

@@ -136,19 +136,35 @@ class TestRunControl:
         sim.run()
         assert fired == [1, 5]
 
-    def test_stop_from_callback(self):
-        sim = Simulator()
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_cancelled_head_is_skipped_not_counted(self, scheduler):
+        """A cancelled entry at the head is dropped without a dispatch:
+        a horizon past it fires nothing and counts nothing, and the
+        live event behind it runs on resume."""
+        sim = Simulator(scheduler=scheduler)
         fired = []
-
-        def first():
-            fired.append(1)
-            sim.stop()
-
-        sim.schedule(1.0, first)
-        sim.schedule(2.0, fired.append, 2)
+        event = sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        event.cancel()
+        sim.run(until=1.5)
+        assert fired == [] and sim.now == 1.5
+        assert sim.events_processed == 0 and sim.pending() == 1
         sim.run()
-        assert fired == [1]
-        assert sim.now == 1.0
+        assert fired == ["b"] and sim.events_processed == 1
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_horizon_before_a_tie_keeps_fifo_order(self, scheduler):
+        """The head entry a horizon hands back keeps its tie-break key:
+        stopping just short of a same-instant pair must not let the
+        later-scheduled one overtake on resume."""
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+        sim.schedule(2.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        sim.run(until=1.5)
+        assert fired == [] and sim.pending() == 2
+        sim.run()
+        assert fired == ["a", "b"]
 
     def test_not_reentrant(self):
         sim = Simulator()
@@ -167,26 +183,6 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 7
 
-    def test_step_executes_single_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step()
-        assert fired == ["a"]
-        assert sim.step()
-        assert fired == ["a", "b"]
-        assert not sim.step()
-
-    def test_step_skips_cancelled(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        event.cancel()
-        assert sim.step()
-        assert fired == ["b"]
-
 
 class TestIntrospection:
     def test_pending_counts_live_events(self):
@@ -195,15 +191,6 @@ class TestIntrospection:
         sim.schedule(2.0, lambda: None)
         e1.cancel()
         assert sim.pending() == 1
-
-    def test_peek_time(self):
-        sim = Simulator()
-        assert sim.peek_time() is None
-        sim.schedule(3.0, lambda: None)
-        e = sim.schedule(1.0, lambda: None)
-        assert sim.peek_time() == 1.0
-        e.cancel()
-        assert sim.peek_time() == 3.0
 
     def test_cascading_events(self):
         """Each event schedules the next; the chain runs to completion."""

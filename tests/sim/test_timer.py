@@ -77,12 +77,6 @@ class TestTimerBasics:
             timer.arm(float("inf"))
         with pytest.raises(SchedulingError):
             timer.arm(float("nan"))
-        with pytest.raises(SchedulingError):
-            timer.arm_at(float("nan"))
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(SchedulingError):
-            timer.arm_at(0.5)  # in the past
 
 
 class TestLazyDeferral:
@@ -134,6 +128,94 @@ class TestLazyDeferral:
         # Three heap pops happened (stale key, filler, real deadline)
         # but only two callbacks ran.
         assert sim.events_processed == 2
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_deferred_timer_loses_tie_to_event_scheduled_after_rearm(
+            self, scheduler):
+        """A deferred entry re-keys when it surfaces, after the t=2.0
+        event was scheduled, so that event wins the FIFO tie — on both
+        backends alike."""
+        sim = self._sim(scheduler)
+        log = []
+        timer = Timer(sim, lambda: log.append("timer"))
+        timer.arm(1.0)
+        timer.arm(2.0)     # stale key at 1.0, real deadline 2.0
+        sim.schedule(2.0, lambda: log.append("event"))
+        sim.run()
+        assert log == ["event", "timer"]
+
+    @staticmethod
+    def _sim(scheduler):
+        opts = {"bucket_width": 0.05, "wheel_buckets": 8} \
+            if scheduler == "calendar" else {}
+        return Simulator(scheduler=scheduler, **opts)
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_horizon_does_not_perturb_fifo_tie_at_deferred_deadline(
+            self, scheduler):
+        """Stopping at a horizon between the stale key and the deadline
+        re-keys the deferred entry early, but on the same terms as an
+        uninterrupted run: the event scheduled after the re-arm still
+        wins the t=2.0 tie."""
+        sim = self._sim(scheduler)
+        log = []
+        timer = Timer(sim, lambda: log.append("timer"))
+        timer.arm(1.0)
+        timer.arm(2.0)     # stale key at 1.0, real deadline 2.0
+        sim.schedule(2.0, lambda: log.append("event"))
+        sim.run(until=1.5)
+        assert log == []
+        sim.run()
+        assert log == ["event", "timer"]
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_stale_key_does_not_fire_at_a_horizon_past_it(self, scheduler):
+        """A ``run(until=...)`` horizon between the stale key and the
+        real deadline surfaces the entry but fires nothing; the clock
+        stops at the horizon and the timer stays armed for its
+        deadline."""
+        sim = self._sim(scheduler)
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.arm(1.0)
+        timer.arm(3.0)  # deferred in place; stale key still at 1.0
+        sim.run(until=2.0)
+        assert fired == [] and sim.now == 2.0
+        assert timer.armed and timer.deadline == 3.0
+        assert sim.pending() == 1 and sim.events_processed == 0
+        sim.run()
+        assert fired == [3.0]
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_fresh_event_behind_stale_key_fires_first(self, scheduler):
+        sim = self._sim(scheduler)
+        log = []
+        timer = Timer(sim, lambda: log.append(("timer", sim.now)))
+        timer.arm(1.0)
+        timer.arm(3.0)
+        sim.schedule(2.0, lambda: log.append(("event", sim.now)))
+        sim.run(until=2.5)
+        assert log == [("event", 2.0)]
+        sim.run()
+        assert log == [("event", 2.0), ("timer", 3.0)]
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_deferral_past_the_wheel_window_fires_at_deadline(
+            self, scheduler):
+        """Re-arming from inside the tiny wheel's 0.4 s window to far
+        past it moves the entry out to the overflow ladder on the
+        calendar; it still fires once, at the final deadline."""
+        sim = self._sim(scheduler)
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.arm(0.5)
+        timer.arm(37.5)
+        for until in (0.5, 1.0, 37.0):
+            sim.run(until=until)
+            assert fired == [] and timer.deadline == 37.5
+        sim.run()
+        assert fired == [37.5]
+        assert sim.events_processed == 1
 
     def test_lazy_timers_off_matches_historical_behaviour(self):
         sim = Simulator(lazy_timers=False)

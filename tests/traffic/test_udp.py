@@ -60,17 +60,6 @@ class TestUdpSource:
         achieved = sink.bytes_received * 8.0 / 30.0
         assert achieved == pytest.approx(1e6, rel=0.1)
 
-    def test_stop(self):
-        sim = Simulator()
-        a, b = build_pair(sim)
-        UdpSink(sim, b, port=9)
-        source = UdpSource(sim, a, dst_address=b.address, dport=9,
-                           rate="8Mbps", payload=972)
-        source.start()
-        sim.schedule(0.005, source.stop)
-        sim.run(until=1.0)
-        assert source.packets_sent <= 6
-
     def test_start_twice_rejected(self):
         sim = Simulator()
         a, b = build_pair(sim)
@@ -94,7 +83,9 @@ class TestUdpSource:
         source = UdpSource(sim, a, dst_address=b.address, dport=9,
                            rate="8Mbps", payload=972)
         source.start()
-        sim.schedule(0.0035, source.stop)
-        sim.run()  # drain everything in flight
-        assert sink.packets_received == source.packets_sent
+        sim.run(until=0.0105)
+        # Every packet sent is counted by the sink or still on the wire.
+        on_wire = a.interfaces[b.node_id].link.in_flight
+        assert sink.packets_received > 0 and on_wire > 0
+        assert sink.packets_received + on_wire == source.packets_sent
         assert sink.bytes_received == 1000 * sink.packets_received
