@@ -26,7 +26,6 @@ __all__ = [
     "cmd_simulate_single",
     "cmd_fluid",
     "cmd_artefact",
-    "cmd_cc_compare",
     "cmd_sweep",
     "cmd_trace",
     "cmd_obs_report",
@@ -279,7 +278,8 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 
 
 def cmd_artefact(args: argparse.Namespace) -> int:
-    """``repro figure N`` / ``repro table N`` / ``repro ablations``.
+    """``repro figure N`` / ``repro table N`` / ``repro ablations`` /
+    ``repro cc-compare``.
 
     Prints the artefact's section of ``repro.experiments.report`` at the
     ``default`` scale — the same text the full report carries — and
@@ -287,7 +287,7 @@ def cmd_artefact(args: argparse.Namespace) -> int:
     """
     from repro.experiments.report import run_section
 
-    key = f"{args.command}{getattr(args, 'number', '')}".replace("figure", "fig")
+    key = f"{args.section}{getattr(args, 'number', '')}"
     if key in ("fig3", "fig4", "fig5"):  # Figures 2-5 are one section
         key = "fig2"
     try:
@@ -299,57 +299,6 @@ def cmd_artefact(args: argparse.Namespace) -> int:
     print(section.text)
     print(f"({section.seconds:.1f} s)")
     return 0 if section.ok else 3
-
-
-def cmd_cc_compare(args: argparse.Namespace) -> int:
-    """``repro cc-compare``: the congestion-control zoo comparison.
-
-    Measures aggregate-window Gaussianity, the synchronization index,
-    and min-buffer-vs-n per CC, then checks the two theory predictions:
-    Reno still fits the √n rule, and pacing/rate-based CCs need no more
-    buffer than Reno (Spang et al. 2021).  Exit 3 when a prediction is
-    violated, so CI can gate on it.
-    """
-    import json as _json
-
-    from repro.experiments.cc_comparison import (
-        format_report,
-        run_cc_comparison,
-    )
-
-    ccs = [x.strip() for x in args.cc.split(",") if x.strip()]
-    try:
-        flows_list = [int(x) for x in args.flows.split(",")]
-    except ValueError:
-        return _fail("--flows wants comma-separated integers")
-    try:
-        result = run_cc_comparison(
-            ccs=ccs,
-            n_values=flows_list,
-            pipe_packets=args.pipe,
-            bottleneck_rate=args.rate,
-            warmup=args.warmup,
-            duration=args.duration,
-            seed=args.seed,
-            target=args.target_utilization,
-            max_events=getattr(args, "max_events", None),
-            max_wall_seconds=getattr(args, "timeout", None),
-        )
-    except (SimulationStalledError, InvariantViolation) as exc:
-        return _abort(exc)
-    except ReproError as exc:
-        return _fail(str(exc))
-    print(format_report(result))
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                _json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            return _fail(f"cannot write {args.output!r}: {exc}")
-        print(f"artifact: {args.output}")
-    ok = result.reno_fits_sqrt_rule()
-    ok = ok and all(result.paced_needs_no_more_than_reno().values())
-    return 0 if ok else 3
 
 
 def cmd_link_profiles(args: argparse.Namespace) -> int:
@@ -510,6 +459,7 @@ def _run_traced_scenario(args: argparse.Namespace):
         sizes=FixedSize(args.flow_packets),
         bottleneck_rate=args.rate,
         rtt=args.rtt,
+        warmup=args.warmup,
         duration=args.duration,
         seed=args.seed,
         max_events=args.max_events,

@@ -121,36 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int, choices=[2, 3, 4, 5, 6, 7, 8, 9],
                        help="figure number (2-5 share one section)")
-    p_fig.set_defaults(func=commands.cmd_artefact)
+    p_fig.set_defaults(func=commands.cmd_artefact, section="fig")
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
     p_table.add_argument("number", type=int, choices=[10, 11])
-    p_table.set_defaults(func=commands.cmd_artefact)
+    p_table.set_defaults(func=commands.cmd_artefact, section="table")
 
     p_abl = sub.add_parser("ablations", help="run the ablation suite")
-    p_abl.set_defaults(func=commands.cmd_artefact)
+    p_abl.set_defaults(func=commands.cmd_artefact, section="ablations")
 
     p_ccc = sub.add_parser(
-        "cc-compare", help="congestion-control zoo comparison: Gaussianity, "
-                           "synchronization, and min-buffer vs n per CC")
-    p_ccc.add_argument("--cc", default="reno,compound,scalable,hstcp,bbr",
-                       help="comma-separated congestion controls to compare "
-                            '(default: the full zoo)')
-    p_ccc.add_argument("--flows", default="8,16,32",
-                       help='comma-separated flow counts (default "8,16,32")')
-    p_ccc.add_argument("--pipe", type=float, default=100.0,
-                       help="bandwidth-delay product in packets (default 100)")
-    p_ccc.add_argument("--rate", default="10Mbps")
-    p_ccc.add_argument("--warmup", type=float, default=5.0)
-    p_ccc.add_argument("--duration", type=float, default=15.0)
-    p_ccc.add_argument("--seed", type=int, default=1)
-    p_ccc.add_argument("--target-utilization", type=float, default=0.98,
-                       help="utilization SLO for the min-buffer search "
-                            "(default 0.98)")
-    p_ccc.add_argument("--output", default=None, metavar="FILE",
-                       help="also write the full comparison as JSON")
-    _add_watchdog_args(p_ccc)
-    p_ccc.set_defaults(func=commands.cmd_cc_compare)
+        "cc-compare", help="the congestion-control zoo section: window "
+                           "dynamics and min buffer vs n per CC")
+    p_ccc.set_defaults(func=commands.cmd_artefact, section="zoo")
 
     p_prof = sub.add_parser("profiles",
                             help="list canonical link profiles and their buffers")

@@ -24,7 +24,7 @@ from repro.experiments.common import (LongFlowResult, run_long_flow_experiment,
                                       sqrt_rule, sqrt_rule_packets)
 from repro.runner import SweepSupervisor, TrialOutcome
 
-__all__ = ["MinBufferPoint", "SweepResult", "min_buffer_sweep"]
+__all__ = ["MinBufferPoint", "SweepResult", "min_buffer", "min_buffer_sweep"]
 
 DEFAULT_FACTORS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 DEFAULT_TARGETS = (0.98, 0.995, 0.999)
@@ -54,28 +54,39 @@ class SweepResult:
     points: List[MinBufferPoint]
     curves: Dict[int, List[Tuple[float, float]]] = field(default_factory=dict)
     #: curves[n] = [(buffer_packets, utilization), ...] — the raw data.
-    failed: List[TrialOutcome] = field(default_factory=list)
-    #: The cells that stalled or broke an invariant: params and error.
+    outcomes: List[TrialOutcome] = field(default_factory=list)
+    #: Every cell, in grid order: its params and its result or error.
+
+    @property
+    def failed(self) -> List[TrialOutcome]:
+        """The cells that stalled or broke an invariant: params and error."""
+        return [outcome for outcome in self.outcomes if not outcome.ok]
 
     def for_target(self, target: float) -> List[MinBufferPoint]:
         return [p for p in self.points if p.target == target]
 
 
-def _interpolate_min_buffer(curve: Sequence[Tuple[float, float]],
-                            target: float) -> float:
-    """Smallest buffer reaching ``target`` utilization, by linear
-    interpolation on the measured (buffer, utilization) curve.
+def min_buffer(curve: Sequence[Tuple[float, float]], target: float) -> float:
+    """Smallest buffer reaching ``target`` utilization on ``curve``.
 
-    Returns NaN when even the largest grid buffer missed the target.
+    ``curve`` is ``[(buffer, utilization), ...]`` in increasing buffer
+    order.  Its monotone envelope (the running maximum: tiny
+    non-monotonic wiggles are measurement noise) is interpolated
+    linearly.  A failed cell (NaN) ends the curve: a target not crossed
+    before it is NaN, never interpolated over a point nobody measured.
+    NaN also when even the largest buffer missed the target.
     """
-    prev_b, prev_u = None, None
+    best = 0.0
+    prev_b = prev_u = math.nan
     for b, u in curve:
-        if u >= target:
-            if prev_b is None or prev_u is None or prev_u >= target:
+        if math.isnan(u):
+            break
+        best = max(best, u)
+        if best >= target:
+            if math.isnan(prev_b):
                 return float(b)
-            frac = (target - prev_u) / (u - prev_u)
-            return prev_b + frac * (b - prev_b)
-        prev_b, prev_u = b, u
+            return prev_b + (target - prev_u) / (best - prev_u) * (b - prev_b)
+        prev_b, prev_u = b, best
     return math.nan
 
 
@@ -130,38 +141,17 @@ def min_buffer_sweep(
             )))
     outcomes = supervisor.run([params for _, _, params in cells])
 
-    points: List[MinBufferPoint] = []
-    curves: Dict[int, List[Tuple[float, float]]] = {}
-    by_n: Dict[int, List[Tuple[float, float]]] = {}
+    curves: Dict[int, List[Tuple[float, float]]] = {n: [] for n in n_values}
     for (n, buffer_packets, _), outcome in zip(cells, outcomes):
         # A failed cell is a NaN sample; the rest of the sweep still
         # completes.
         utilization = outcome.result.utilization if outcome.ok else math.nan
-        by_n.setdefault(n, []).append((buffer_packets, utilization))
+        curves[n].append((buffer_packets, utilization))
+    points: List[MinBufferPoint] = []
     for n in n_values:
         unit = sqrt_rule(pipe_packets, n)
-        curve = by_n.get(n, [])  # empty factor grid: no cells ran
-        # Enforce monotonicity for interpolation robustness (tiny
-        # non-monotonic wiggles are measurement noise).  A failed cell
-        # ends the curve: a target not crossed before it is NaN, never
-        # interpolated over a point nobody measured.
-        best = 0.0
-        monotone = []
-        for b, u in curve:
-            if math.isnan(u):
-                break
-            best = max(best, u)
-            monotone.append((b, best))
-        curves[n] = curve
         for target in targets:
-            b_min = _interpolate_min_buffer(monotone, target)
-            points.append(MinBufferPoint(
-                n_flows=n,
-                target=target,
-                buffer_packets=b_min,
-                buffer_factor=b_min / unit if not math.isnan(b_min) else math.nan,
-                model_packets=unit,
-            ))
+            b_min = min_buffer(curves[n], target)
+            points.append(MinBufferPoint(n, target, b_min, b_min / unit, unit))
     return SweepResult(pipe_packets=pipe_packets, points=points, curves=curves,
-                       failed=[outcome for outcome in outcomes
-                               if not outcome.ok])
+                       outcomes=outcomes)

@@ -21,8 +21,8 @@ The text is wrapped in ``<!-- report:begin -->`` / ``<!-- report:end
 -->``.  ``--output FILE`` replaces exactly that span of an existing
 FILE, creates FILE when it does not exist, and refuses (exit 2) to
 touch a FILE that has no such span.  ``repro figure N``, ``repro table
-N`` and ``repro ablations`` print their section at the ``default``
-scale through :func:`run_section`.
+N``, ``repro ablations`` and ``repro cc-compare`` print their section
+at the ``default`` scale through :func:`run_section`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import ablations as abl
 from repro.experiments.afct_comparison import compare_buffers
 from repro.experiments.ascii_plot import histogram_plot, line_plot
+from repro.experiments.cc_comparison import TARGET, run_cc_comparison
 from repro.experiments.common import run_short_flow_experiment
 from repro.experiments.long_flow_sweep import min_buffer_sweep
 from repro.experiments.model_comparison import compare_models
@@ -58,6 +59,9 @@ BEGIN, END = "<!-- report:begin -->", "<!-- report:end -->"
 
 #: Figures 2–5's buffers, as fractions of ``RTT·C``: two under, exact, over.
 _FRACTIONS = (0.25, 0.5, 1.0, 2.0)
+
+#: Reno and every algorithm of :mod:`repro.tcp.cc_zoo`.
+_ZOO = ("reno", "compound", "scalable", "hstcp", "bbr")
 
 #: Parameter presets, one entry per :data:`SECTIONS` key.  "quick"
 #: finishes in a few minutes; "default" in tens of minutes; "paper"
@@ -86,6 +90,8 @@ SCALES: Dict[str, Dict[str, Dict]] = {
         models=dict(n_values=(16, 64), target=0.99, fluid_duration=40.0),
         multibottleneck=dict(n_e2e=4, n_cross_per_hop=12, warmup=10.0,
                              duration=20.0, seed=31),
+        zoo=dict(ccs=("reno", "bbr"), n_values=(8,), pipe_packets=100.0,
+                 bottleneck_rate="10Mbps", warmup=5.0, duration=10.0, seed=1),
     ),
     "default": dict(
         fig2=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
@@ -110,6 +116,8 @@ SCALES: Dict[str, Dict[str, Dict]] = {
         models=dict(n_values=(16, 64, 256), target=0.99, fluid_duration=80.0),
         multibottleneck=dict(n_e2e=8, n_cross_per_hop=24, warmup=20.0,
                              duration=40.0, seed=31),
+        zoo=dict(ccs=_ZOO, n_values=(8, 16, 32), pipe_packets=100.0,
+                 bottleneck_rate="10Mbps", warmup=5.0, duration=15.0, seed=1),
     ),
     "paper": dict(
         fig2=dict(pipe_packets=125.0, bottleneck_rate="10Mbps",
@@ -140,6 +148,8 @@ SCALES: Dict[str, Dict[str, Dict]] = {
                     pipe_packets=1290.0, fluid_duration=120.0),
         multibottleneck=dict(n_e2e=16, n_cross_per_hop=48, link_rate="40Mbps",
                              warmup=30.0, duration=60.0, seed=31),
+        zoo=dict(ccs=_ZOO, n_values=(50, 100, 200, 400), pipe_packets=1290.0,
+                 bottleneck_rate="130Mbps", warmup=30.0, duration=60.0, seed=1),
     ),
 }
 
@@ -195,11 +205,19 @@ def _pkts(x: float) -> str:
     return ">grid" if math.isnan(x) else f"{x:.0f}"
 
 
+def _room(x: float, limit: float) -> float:
+    """How far ``x`` sits under ``limit``; -inf when either is NaN."""
+    gap = limit - x
+    return -math.inf if math.isnan(gap) else gap
+
+
 def _failed(outcome) -> str:
     """One failed sweep cell, named by the params it ran under."""
     params = outcome.params
     where = (f"n={params['n_flows']}" if "n_flows" in params
              else f"rate={params['bottleneck_rate']}")
+    if "cc" in params:
+        where = f"cc={params['cc']}, {where}"
     buffer = params["buffer_packets"]
     return (f"{where}, B={'inf' if buffer is None else buffer}, "
             f"seed={params['seed']} FAILED: {outcome.error}")
@@ -879,6 +897,96 @@ def _multibottleneck_claims(result) -> List[Claim]:
     ]
 
 
+# ---------------------------------------------------------------------
+# Extension: the congestion-control zoo
+# ---------------------------------------------------------------------
+def _zoo_unknown(result) -> Dict[Tuple[str, int], str]:
+    """(cc, n) -> the failed cell that leaves its minimum unknown."""
+    first: Dict[Tuple[str, int], str] = {}
+    for outcome in result.failed:
+        params = outcome.params
+        first.setdefault((params["cc"], params["n_flows"]), _failed(outcome))
+    return first
+
+
+def _zoo_buffer(p) -> Tuple[str, str]:
+    """A minimum and its multiple of the rule, as the table prints them."""
+    if not p.achieved:
+        return ">grid", "-"
+    if p.at_floor:
+        return f"≤ {p.buffer_packets:.0f} pkts (grid floor)", f"≤ {p.buffer_factor:.2f}x"
+    return f"{p.buffer_packets:.1f} pkts", f"{p.buffer_factor:.2f}x"
+
+
+def _zoo_body(result) -> List[str]:
+    unknown = _zoo_unknown(result)
+    target = f"{TARGET * 100:.1f}%"
+    lines = ["Extension: the √n rule is derived for loss-window (Reno) flows.  "
+             "Spang/Arslan/McKeown, \"Updating the Theory of Buffer Sizing\" "
+             "(2021), predict that senders that pace or run rate-based control "
+             "need less buffer.  Every CC runs Figure 7's grid (pipe "
+             f"{result.pipe_packets:.0f} pkts); its minimum is the smallest "
+             f"buffer reaching {target} of its own ceiling, the best "
+             "utilization it reached on the grid.\n",
+             "Window dynamics at the reference buffer `RTT·C/sqrt(n)`:\n",
+             "| cc | n | buffer | utilization | sync index | K-S | loss | RTOs |",
+             "|---|---|---|---|---|---|---|---|"]
+    for d in result.dynamics:
+        lines.append(f"| {d.cc} | {d.n_flows} | {d.buffer_packets} pkts "
+                     f"| {_pct(d.utilization)} | {d.sync_index:.3f} "
+                     f"| {d.ks_distance:.3f} | {_pct(d.loss_rate)} | {d.timeouts} |")
+    lines += [f"\nMinimum buffer for {target} of each CC's ceiling:\n",
+              "| cc | paced | n | ceiling | model RTT·C/√n | min buffer | x model |",
+              "|---|---|---|---|---|---|---|"]
+    for p in result.min_buffers:
+        found, factor = (("FAILED", "-") if (p.cc, p.n_flows) in unknown
+                         else _zoo_buffer(p))
+        lines.append(f"| {p.cc} | {'yes' if p.paced else 'no'} | {p.n_flows} "
+                     f"| {_pct(p.ceiling)} | {p.model_packets:.1f} | {found} "
+                     f"| {factor} |")
+    if result.failed:
+        lines += ["\nFailed cells (each leaves its CC's minimum at that n "
+                  "unknown):\n"]
+        lines += [f"- {_failed(outcome)}" for outcome in result.failed]
+    return lines
+
+
+def _zoo_claims(result) -> List[Claim]:
+    unknown = _zoo_unknown(result)
+    reno = {p.n_flows: p for p in result.min_buffers if p.cc == "reno"}
+
+    def found(p):
+        """The failed cell that hides p's minimum, or the minimum."""
+        return unknown.get((p.cc, p.n_flows)) or (
+            f"{p.cc} at n = {p.n_flows}: {_zoo_buffer(p)[0]}")
+
+    def versus(p):
+        base = reno.get(p.n_flows)
+        if base is None:
+            return f"{p.cc} at n = {p.n_flows}: no reno run at that n"
+        hidden = [r for r in (p, base) if (r.cc, r.n_flows) in unknown]
+        return found(hidden[0]) if hidden else (
+            f"{found(p)} vs reno {_zoo_buffer(base)[0]}")
+
+    # A minimum is NaN when >grid or after a failed cell: no room at all.
+    def rule(p):
+        return _room(p.buffer_packets, 2.0 * p.model_packets)
+
+    def slack(p):
+        base = reno.get(p.n_flows)
+        return _room(p.buffer_packets, base.buffer_packets if base else math.nan)
+
+    return [
+        _every("Reno's min buffer is <= 2.0x `RTT·C/sqrt(n)` at every n",
+               reno.values(), lambda p: rule(p) >= 0, rule,
+               lambda p: found(p) if not p.achieved else
+               f"{found(p)} = {p.buffer_factor:.2f}x the rule"),
+        _every("every paced or rate-based CC needs no more buffer than Reno "
+               "at every n", [p for p in result.min_buffers if p.paced],
+               lambda p: slack(p) >= 0, slack, versus),
+    ]
+
+
 #: The artefacts, in report order.
 SECTIONS: Dict[str, Section] = {
     "fig2": Section(
@@ -932,6 +1040,12 @@ SECTIONS: Dict[str, Section] = {
         _multibottleneck_body, _multibottleneck_claims,
         "The unfairness to multi-hop flows is the classic parking-lot "
         "effect, orthogonal to buffer sizing."),
+    "zoo": Section(
+        "Extension: paced and rate-based senders (the CC zoo)",
+        run_cc_comparison, _zoo_body, _zoo_claims,
+        "Reno's ceiling is ~100%, so its minimum keeps the paper's 98% "
+        "meaning.  A minimum at the grid floor is an upper bound: the "
+        "knee lies somewhere below the grid's smallest buffer."),
 }
 
 

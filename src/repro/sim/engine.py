@@ -106,10 +106,11 @@ class Event:
 
     ``event.time`` is the *authoritative* deadline.  It normally equals
     the entry key, but a lazily-rescheduled timer moves it later without
-    re-keying; the run loop re-inserts such entries when they surface.
+    re-keying; the run loop re-inserts such entries when they surface,
+    under the sequence number the deferral drew (``_seq``).
     """
 
-    __slots__ = ("time", "callback", "args", "_sim", "_cancelled")
+    __slots__ = ("time", "callback", "args", "_sim", "_cancelled", "_seq")
 
     def __init__(self, time: float, callback: Optional[Callable[..., Any]],
                  args: Tuple[Any, ...],
@@ -187,10 +188,13 @@ class Timer:
     pushes.  The mechanism is backend-agnostic: only ``Event.time``
     moves, never the entry key.
 
-    Re-arming to an earlier deadline falls back to cancel-plus-push, and
-    on a simulator constructed with ``lazy_timers=False`` every re-arm
-    does (matching the historical unoptimized behaviour exactly — the
-    equivalence tests run both modes and compare results).
+    Re-arming to an earlier (or the same) deadline falls back to
+    cancel-plus-push, and on a simulator constructed with
+    ``lazy_timers=False`` every re-arm does.  A deferral draws the
+    sequence number that cancel-plus-push would have drawn and the
+    entry is re-keyed under it, so dispatch order — FIFO ties at the
+    deadline included — is the same in both modes (the equivalence
+    tests run both and compare results).
 
     Parameters
     ----------
@@ -249,8 +253,9 @@ class Timer:
         # deadline is finite and >= now by construction.
         event = self._event
         if (sim._lazy_timers and event is not None
-                and event.callback is not None and deadline >= event.time):
+                and event.callback is not None and deadline > event.time):
             event.time = deadline
+            event._seq = next(sim._seq_alloc)  # the cancel-plus-push's place
             sim.lazy_deferrals += 1
             return
         if event is not None:
@@ -358,7 +363,6 @@ class _HeapScheduler:
             heap = self._heap
             pop = _heappop
             push = _heappush
-            seq = self._seq
             now = sim._now
             while True:
                 if vheap:
@@ -393,12 +397,12 @@ class _HeapScheduler:
                     continue
                 etime = event.time
                 if etime > time:
-                    # Lazily-deferred timer: re-key at its real deadline.
-                    # Not a dispatch — the clock does not advance and the
-                    # event/watchdog counters are untouched, so optimized
-                    # runs process exactly the same events as unoptimized
-                    # ones.
-                    push(heap, (etime, next(seq), event))
+                    # Lazily-deferred timer: re-key at its real deadline,
+                    # under the seq its last re-arm drew.  Not a dispatch
+                    # — the clock does not advance and the event/watchdog
+                    # counters are untouched, so optimized runs process
+                    # exactly the same events as unoptimized ones.
+                    push(heap, (etime, event._seq, event))
                     continue
                 if time < now:
                     raise InvariantViolation(
@@ -501,12 +505,15 @@ class _CalendarScheduler:
     # -- queue contract -------------------------------------------------
     def push(self, time: float, event: Event) -> None:
         """Insert ``event`` keyed at ``time`` (callers maintain ``_live``)."""
-        idx = _floor(time * self._inv_width)
+        self._place((time, next(self._seq), event))
+
+    def _place(self, entry: _Entry) -> None:
+        """Insert a keyed entry: a new one, or a deferred timer's re-key."""
+        idx = _floor(entry[0] * self._inv_width)
         if idx >= self._limit:
-            _heappush(self._overflow, (time, next(self._seq), event))
+            _heappush(self._overflow, entry)
             self.ladder_spills += 1
         else:
-            entry = (time, next(self._seq), event)
             if idx < self._cursor:
                 # Burst mode runs virtual packet events (whose callbacks
                 # push real events) while the cursor may have already
@@ -712,7 +719,7 @@ class _CalendarScheduler:
                 if etime > time:
                     # Lazily-deferred timer: re-key at its real deadline.
                     # Not a dispatch (see the heap loop).
-                    self.push(etime, event)
+                    self._place((etime, event._seq, event))
                     continue
                 if time < now:
                     raise InvariantViolation(

@@ -1,5 +1,7 @@
 """Tests for the repro command-line interface."""
 
+import math
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -653,58 +655,53 @@ class TestFluidCommand:
 
 
 class TestCcCompareCommand:
-    def test_tiny_grid_report_artifact_and_exit_code(self, capsys, tmp_path):
-        """Shape only — the physics needs CI's larger grid."""
-        import json
+    """``repro cc-compare`` prints the report's ``zoo`` section at the
+    ``default`` preset, like ``repro figure N`` (canned results: no
+    simulations)."""
 
-        artifact = tmp_path / "cc.json"
-        code, out = run_cli(capsys, "cc-compare", "--cc", "reno,bbr",
-                            "--flows", "4", "--pipe", "40",
-                            "--rate", "10Mbps", "--warmup", "1",
-                            "--duration", "3", "--output", str(artifact))
-        doc = json.loads(artifact.read_text())
-        assert [(d["cc"], d["n_flows"]) for d in doc["dynamics"]] \
-            == [("reno", 4), ("bbr", 4)]
-        assert [(p["cc"], p["model_packets"]) for p in doc["min_buffers"]] \
-            == [("reno", 20.0), ("bbr", 20.0)]
-        assert {key: len(curve) for key, curve in doc["curves"].items()} \
-            == {"reno:4": 6, "bbr:4": 6}
-        assert set(doc["paced_needs_no_more_than_reno"]) == {"bbr"}
-        holds = (doc["reno_fits_sqrt_rule"]
-                 and all(doc["paced_needs_no_more_than_reno"].values()))
-        assert code == (0 if holds else 3)
-        assert "window dynamics at the reference buffer" in out
-        verdict = "ok" if doc["reno_fits_sqrt_rule"] else "VIOLATED"
-        assert f"sqrt(n) rule (reno within 2x of model): {verdict}" in out
+    def test_prints_the_zoo_section(self, monkeypatch, capsys):
+        from repro.experiments import report
+        from tests.experiments.canned import stub_sections
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--flows", "0"], "need flow counts >= 1, got [0]"),
-        (["--flows=-4,8"], "need flow counts >= 1, got [-4, 8]"),
-        (["--cc", ""], "need at least one congestion control"),
-    ], ids=["flows-zero", "flows-negative", "cc-empty"])
-    def test_empty_or_nonpositive_grid_is_error(self, capsys, argv, message):
-        # --flows 0 used to be a ZeroDivisionError traceback; --cc ""
-        # printed two empty tables and "sqrt(n) rule ...: ok", exit 0.
-        code, out = run_cli(capsys, "cc-compare", *argv)
-        assert code == 2
-        assert out == f"error: {message}\n"
+        ran = stub_sections(monkeypatch)
+        code, out = run_cli(capsys, "cc-compare")
+        assert code == 0
+        assert ran == [("zoo", report.SCALES["default"]["zoo"])]
+        assert out.startswith(f"## {report.SECTIONS['zoo'].title}\n")
+        assert "**Verdict:** 2 of 2 claims hold." in out
 
-    @pytest.mark.parametrize("pipe", ["nan", "inf"])
-    def test_non_finite_pipe_is_error(self, capsys, pipe):
-        # Used to reach round() in the sqrt-rule buffer and end in a
-        # ValueError / OverflowError traceback, exit 1.
-        code, out = run_cli(capsys, "cc-compare", "--cc", "reno",
-                            "--flows", "4", f"--pipe={pipe}")
-        assert code == 2
-        assert out == f"error: pipe must be finite and > 0, got {float(pipe)}\n"
+    def test_false_claim_is_exit_3(self, monkeypatch, capsys):
+        from tests.experiments.canned import CASES, stub_sections
+
+        stub_sections(monkeypatch, zoo=CASES["zoo"][1][1])
+        code, out = run_cli(capsys, "cc-compare")
+        assert code == 3
+        assert "**NO** — every paced or rate-based CC needs no more buffer " \
+               "than Reno at every n: bbr at n = 16: 40.0 pkts vs reno " \
+               "37.3 pkts" in out
+
+    @pytest.mark.parametrize("flag", ["--cc", "--flows", "--pipe", "--output",
+                                      "--target-utilization", "--timeout"])
+    def test_has_no_options(self, flag):
+        # The grid is the section's preset; SCALES["quick"]["zoo"] is CI's.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["cc-compare", flag, "1"])
+        assert exc.value.code == 2
 
     def test_library_call_raises_typed_errors(self):
         from repro.errors import ConfigurationError
         from repro.experiments.cc_comparison import run_cc_comparison
+        from repro.experiments.report import SCALES
+        quick = SCALES["quick"]["zoo"]
         with pytest.raises(ConfigurationError, match="congestion control"):
-            run_cc_comparison(ccs=[])
+            run_cc_comparison(**dict(quick, ccs=[]))
         with pytest.raises(ConfigurationError, match="flow counts"):
-            run_cc_comparison(n_values=[])
+            run_cc_comparison(**dict(quick, n_values=[]))
+        with pytest.raises(ConfigurationError, match="flow counts"):
+            run_cc_comparison(**dict(quick, n_values=[-4, 8]))
+        with pytest.raises(ConfigurationError,
+                           match="pipe must be finite and > 0, got nan"):
+            run_cc_comparison(**dict(quick, n_values=[4], pipe_packets=math.nan))
 
 
 class TestTraceCommand:
@@ -735,6 +732,21 @@ class TestTraceCommand:
         # Observability is off again once the command returns.
         from repro.obs import runtime
         assert not runtime.enabled
+
+    def test_trace_short_runs_warmup_plus_duration(self, capsys, tmp_path):
+        # The short scenario used to drop --warmup and run the runner's
+        # 10 s default: events up to t = 11.25 s.  The run ends a
+        # quarter of --duration after the measurement, at 1.75 s.
+        import json
+
+        out_path = tmp_path / "trace.jsonl"
+        code, _ = run_cli(capsys, "trace", "short", "--load", "0.5",
+                          "--warmup", "0.5", "--duration", "1",
+                          "--out", str(out_path))
+        assert code == 0
+        times = [json.loads(line)["t"]
+                 for line in out_path.read_text().splitlines()]
+        assert times and 1.5 < max(times) <= 1.75
 
     def test_unknown_kind_rejected(self, capsys, tmp_path):
         code, out = run_cli(capsys, "trace", "--kinds", "drop,warp",

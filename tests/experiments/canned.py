@@ -11,6 +11,8 @@ from dataclasses import replace
 
 from repro.experiments.ablations import AblationRow
 from repro.experiments.afct_comparison import MixResult
+from repro.experiments.cc_comparison import (CcComparisonResult, CcDynamics,
+                                             CcMinBuffer)
 from repro.experiments.common import ShortFlowResult
 from repro.experiments.long_flow_sweep import MinBufferPoint, SweepResult
 from repro.experiments.model_comparison import ComparisonRow
@@ -21,6 +23,7 @@ from repro.experiments.single_flow import SingleFlowTrace
 from repro.experiments.utilization_table import TableRow
 from repro.experiments.window_distribution import WindowDistributionResult
 from repro.metrics.windows import GaussianFit
+from repro.runner import TrialOutcome
 from repro.sim import TimeSeries
 
 
@@ -155,6 +158,34 @@ _MULTI = MultiBottleneckResult(
     e2e_progress=300.0, cross_progress=4000.0, fairness_within_cross=0.9)
 
 
+# -- Congestion-control zoo --------------------------------------------
+def _zoo_min(cc, n, buffer, paced=False, ceiling=1.0):
+    """cc's min buffer at n on a pipe of 100 pkts; grid floor 0.25x."""
+    unit = 100 / math.sqrt(n)
+    return CcMinBuffer(cc, n, paced, ceiling, buffer, buffer / unit, unit,
+                       grid_floor=round(0.25 * unit))
+
+
+def _zoo(*min_buffers, failed=()):
+    dynamics = [CcDynamics(p.cc, p.n_flows, round(p.model_packets), 0.95,
+                           0.01, 0.1, 40, 0.013) for p in min_buffers]
+    return CcComparisonResult(100.0, dynamics, list(min_buffers), list(failed))
+
+
+_RENO = [_zoo_min("reno", 8, 65.2), _zoo_min("reno", 16, 37.3)]
+_BBR = [_zoo_min("bbr", 8, 9.0, True, 0.84), _zoo_min("bbr", 16, 6.9, True, 0.93)]
+_ZOO = _zoo(*_RENO, *_BBR)
+#: No Reno to hold the rule or the paced CCs to: both claims are a NO.
+ZOO_NO_RENO = _zoo(*_BBR)
+#: bbr's reference cell at n = 16 failed: that minimum is unknown.
+ZOO_FAILED = _zoo(*_RENO, _BBR[0],
+                  _zoo_min("bbr", 16, math.nan, True, math.nan),
+                  failed=[TrialOutcome(
+                      key="bbr-16-25", error="InvariantViolation: synthetic drop",
+                      params=dict(cc="bbr", n_flows=16, buffer_packets=25,
+                                  seed=1))])
+
+
 CASES = {
     "fig2": (_FIG2, [
         _swap(_FIG2, 1, utilization=0.945),
@@ -228,5 +259,9 @@ CASES = {
     "multibottleneck": (_MULTI, [
         replace(_MULTI, hop_utilizations=[0.97, 0.85]),
         replace(_MULTI, e2e_progress=5000.0),
+    ]),
+    "zoo": (_ZOO, [
+        _zoo(_RENO[0], _zoo_min("reno", 16, 55.0), *_BBR),
+        _zoo(*_RENO, _BBR[0], _zoo_min("bbr", 16, 40.0, True, 0.93)),
     ]),
 }

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import common, long_flow_sweep
 from repro.experiments.afct_comparison import compare_buffers, run_mixed_experiment
-from repro.experiments.long_flow_sweep import _interpolate_min_buffer, min_buffer_sweep
+from repro.experiments.long_flow_sweep import min_buffer, min_buffer_sweep
 from repro.experiments.multibottleneck import run_multibottleneck
 from repro.experiments.production_network import production_table
 from repro.experiments.short_flow_sweep import afct_buffer_sweep
@@ -61,17 +61,27 @@ class TestSingleFlowFigures:
 class TestInterpolation:
     def test_exact_hit(self):
         curve = [(10, 0.9), (20, 0.95), (40, 0.99)]
-        assert _interpolate_min_buffer(curve, 0.95) == 20.0
+        assert min_buffer(curve, 0.95) == 20.0
 
     def test_interpolated(self):
         curve = [(10, 0.90), (20, 0.98)]
-        assert _interpolate_min_buffer(curve, 0.94) == pytest.approx(15.0)
+        assert min_buffer(curve, 0.94) == pytest.approx(15.0)
 
     def test_unreachable_is_nan(self):
-        assert math.isnan(_interpolate_min_buffer([(10, 0.9)], 0.99))
+        assert math.isnan(min_buffer([(10, 0.9)], 0.99))
 
     def test_first_point_sufficient(self):
-        assert _interpolate_min_buffer([(10, 0.999)], 0.99) == 10.0
+        assert min_buffer([(10, 0.999)], 0.99) == 10.0
+
+    def test_interpolates_the_monotone_envelope(self):
+        # The dip at 20 is noise: the envelope holds 0.96 from 10 on.
+        curve = [(10, 0.96), (20, 0.90), (40, 0.98)]
+        assert min_buffer(curve, 0.97) == pytest.approx(30.0)
+
+    def test_a_failed_cell_ends_the_curve(self):
+        curve = [(10, 0.90), (20, math.nan), (40, 0.999)]
+        assert min_buffer(curve, 0.85) == 10.0
+        assert math.isnan(min_buffer(curve, 0.95))
 
 
 class TestSweepPlumbing:

@@ -6,6 +6,8 @@ The real runs of every section are
 ``tests/integration/test_report_claims.py``.
 """
 
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +20,8 @@ from repro.experiments.short_flow_sweep import afct_buffer_sweep
 from repro.experiments.single_flow import sawtooth_figures
 from repro.experiments.utilization_table import utilization_table
 from tests.experiments.canned import (CASES, FIG7_OFF_GRID,
-                                      FIG9_NO_SHORT_FLOWS, stub_sections)
+                                      FIG9_NO_SHORT_FLOWS, ZOO_FAILED,
+                                      ZOO_NO_RENO, stub_sections)
 
 
 class TestScales:
@@ -58,7 +61,7 @@ class TestClaims:
 
 
 def test_total_claims_across_all_sections():
-    assert sum(len(violations) for _, violations in CASES.values()) == 51
+    assert sum(len(violations) for _, violations in CASES.values()) == 53
 
 
 class TestMissingInputs:
@@ -77,6 +80,30 @@ class TestMissingInputs:
         assert [c.holds for c in rendered.claims] == [False, False, False]
         assert "98.0% is >grid at n = 16, 100" in rendered.claims[0].measured
         assert "nan" not in rendered.text
+
+    def test_zoo_without_reno_has_nothing_to_compare(self):
+        # Both verdicts used to pass vacuously: no Reno point was "fits
+        # the rule", and an n without Reno was skipped.
+        rendered = report.render_section(report.SECTIONS["zoo"], ZOO_NO_RENO)
+        assert [(c.holds, c.measured) for c in rendered.claims] == [
+            (False, "nothing measured"),
+            (False, "bbr at n = 8: no reno run at that n (and 1 more)")]
+
+    def test_zoo_reno_off_the_grid_is_a_no_for_the_paced_claim(self):
+        good, _ = CASES["zoo"]
+        reno_8, reno_16, *paced = good.min_buffers
+        off = replace(reno_16, buffer_packets=math.nan, buffer_factor=math.nan)
+        rendered = report.render_section(report.SECTIONS["zoo"], replace(
+            good, min_buffers=[reno_8, off, *paced]))
+        assert [c.holds for c in rendered.claims] == [False, False]
+        assert rendered.claims[1].measured == "bbr at n = 16: 6.9 pkts vs reno >grid"
+
+    def test_zoo_minimum_at_the_grid_floor_is_a_bound(self):
+        rendered = report.render_section(report.SECTIONS["zoo"], CASES["zoo"][0])
+        assert "| bbr | yes | 8 | 84.00% | 35.4 | ≤ 9 pkts (grid floor) " \
+               "| ≤ 0.25x |" in rendered.text
+        assert "| reno | no | 8 | 100.00% | 35.4 | 65.2 pkts | 1.84x |" \
+            in rendered.text
 
     @pytest.mark.parametrize("key,empty", [
         ("fig7", lambda: min_buffer_sweep(n_values=())),
@@ -150,6 +177,43 @@ class TestFailedCells:
         assert [c.holds for c in rendered.claims] == [False, False, False,
                                                       True, True]
         assert all(c.measured == cell for c in rendered.claims[:3])
+
+
+    def test_zoo_canned_failed_cell(self):
+        rendered = report.render_section(report.SECTIONS["zoo"], ZOO_FAILED)
+        cell = "cc=bbr, n=16, B=25, seed=1 FAILED: InvariantViolation: synthetic drop"
+        assert f"- {cell}" in rendered.text
+        assert "| bbr | yes | 16 | n/a | 25.0 | FAILED | - |" in rendered.text
+        assert [(c.holds, c.measured) for c in rendered.claims] == [
+            (True, "reno at n = 8: 65.2 pkts = 1.84x the rule"), (False, cell)]
+
+    def test_zoo_names_the_failed_cell(self, monkeypatch):
+        by_factor = {0.5: 0.90, 1.0: 0.97, 2.0: 0.999}
+
+        def trial(n_flows, buffer_packets, pipe_packets, seed, cc, **_):
+            if (cc, buffer_packets) == ("bbr", 20):
+                raise InvariantViolation("synthetic drop")
+            factor = buffer_packets * n_flows ** 0.5 / pipe_packets
+            return SimpleNamespace(
+                utilization=by_factor[factor], sync_index=0.0,
+                gaussian_fit=None, timeouts=1, loss_rate=0.01)
+
+        monkeypatch.setattr(long_flow_sweep, "run_long_flow_experiment", trial)
+        section = report.SECTIONS["zoo"]
+        rendered = report.render_section(section, section.run(
+            ccs=("reno", "bbr"), n_values=(4,), factors=(0.5, 1.0, 2.0),
+            pipe_packets=40.0, bottleneck_rate="10Mbps", warmup=1.0,
+            duration=1.0, seed=3))
+        cell = "cc=bbr, n=4, B=20, seed=3 FAILED: InvariantViolation: synthetic drop"
+        assert f"- {cell}" in rendered.text
+        assert "| reno | 4 | 20 pkts | 97.00% |" in rendered.text
+        assert "| bbr | 4 | 20 pkts |" not in rendered.text
+        row, = [line for line in rendered.text.splitlines()
+                if line.startswith("| bbr | yes | 4 |")]
+        assert "| FAILED |" in row
+        # Reno's minimum is still read; the paced claim reads bbr's.
+        assert [(c.holds, c.measured) for c in rendered.claims] == [
+            (True, "reno at n = 4: 26.2 pkts = 1.31x the rule"), (False, cell)]
 
 
 class TestReport:

@@ -88,7 +88,7 @@ class TestLazyDeferral:
         timer.arm(1.0)
         event = timer._event
         assert sim.heap_size == 1
-        for i in range(100):
+        for i in range(1, 100):
             timer.arm(1.0 + i * 0.01)
         assert timer._event is event  # same heap entry throughout
         assert sim.heap_size == 1
@@ -129,44 +129,63 @@ class TestLazyDeferral:
         # but only two callbacks ran.
         assert sim.events_processed == 2
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_deferred_timer_loses_tie_to_event_scheduled_after_rearm(
-            self, scheduler):
-        """A deferred entry re-keys when it surfaces, after the t=2.0
-        event was scheduled, so that event wins the FIFO tie — on both
-        backends alike."""
-        sim = self._sim(scheduler)
+    #: The two lazy engines and the eager oracle (cancel-plus-push on
+    #: every re-arm).
+    ENGINES = ["heap", "calendar", "eager"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deferred_timer_keeps_its_rearm_place_in_a_tie(self, engine):
+        """The re-arm to 2.0 happens before the t=2.0 event is
+        scheduled, so the timer wins the FIFO tie — under every engine,
+        although the lazy ones re-key the entry only when its stale key
+        surfaces, after that event was scheduled."""
+        sim = self._sim(engine)
         log = []
         timer = Timer(sim, lambda: log.append("timer"))
         timer.arm(1.0)
-        timer.arm(2.0)     # stale key at 1.0, real deadline 2.0
+        timer.arm(2.0)     # lazy: stale key at 1.0, real deadline 2.0
         sim.schedule(2.0, lambda: log.append("event"))
+        sim.run()
+        assert log == ["timer", "event"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rearm_to_the_same_deadline_goes_behind_a_tie(self, engine):
+        """Re-arming to the deadline the timer already has is a fresh
+        arm after the t=1.0 event, as cancel-plus-push makes it."""
+        sim = self._sim(engine)
+        log = []
+        timer = Timer(sim, lambda: log.append("timer"))
+        timer.arm(1.0)
+        sim.schedule(1.0, lambda: log.append("event"))
+        timer.arm(1.0)
         sim.run()
         assert log == ["event", "timer"]
 
     @staticmethod
-    def _sim(scheduler):
+    def _sim(engine):
+        if engine == "eager":
+            return Simulator(lazy_timers=False)
         opts = {"bucket_width": 0.05, "wheel_buckets": 8} \
-            if scheduler == "calendar" else {}
-        return Simulator(scheduler=scheduler, **opts)
+            if engine == "calendar" else {}
+        return Simulator(scheduler=engine, **opts)
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_horizon_does_not_perturb_fifo_tie_at_deferred_deadline(
-            self, scheduler):
+            self, engine):
         """Stopping at a horizon between the stale key and the deadline
         re-keys the deferred entry early, but on the same terms as an
-        uninterrupted run: the event scheduled after the re-arm still
-        wins the t=2.0 tie."""
-        sim = self._sim(scheduler)
+        uninterrupted run: the timer re-armed before the t=2.0 event
+        was scheduled still wins the tie."""
+        sim = self._sim(engine)
         log = []
         timer = Timer(sim, lambda: log.append("timer"))
         timer.arm(1.0)
-        timer.arm(2.0)     # stale key at 1.0, real deadline 2.0
+        timer.arm(2.0)     # lazy: stale key at 1.0, real deadline 2.0
         sim.schedule(2.0, lambda: log.append("event"))
         sim.run(until=1.5)
         assert log == []
         sim.run()
-        assert log == ["event", "timer"]
+        assert log == ["timer", "event"]
 
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
     def test_stale_key_does_not_fire_at_a_horizon_past_it(self, scheduler):
