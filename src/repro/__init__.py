@@ -30,30 +30,63 @@ See ``examples/`` for end-to-end simulations and ``EXPERIMENTS.md`` for
 the paper-vs-measured record.
 """
 
-from repro.core import (
-    AggregateWindowModel,
-    BufferRecommendation,
-    MemoryPlan,
-    MemoryTechnology,
-    ShortFlowModel,
-    SingleFlowModel,
-    buffer_for_utilization,
-    loss_rate,
-    min_packet_interarrival,
-    plan_buffer_memory,
-    predicted_utilization,
-    recommend_buffer,
-    rule_of_thumb_bytes,
-    rule_of_thumb_packets,
-    small_buffer_bytes,
-    small_buffer_packets,
-)
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from repro.errors import ReproError
-from repro.net import build_dumbbell
-from repro.scenarios import PROFILES, LinkProfile
-from repro.sim import Simulator
-from repro.tcp import TcpFlow
 from repro.units import format_bandwidth, format_size, format_time, parse_bandwidth, parse_size, parse_time
+
+if TYPE_CHECKING:
+    from repro.core import (
+        AggregateWindowModel,
+        BufferRecommendation,
+        MemoryPlan,
+        MemoryTechnology,
+        ShortFlowModel,
+        SingleFlowModel,
+        buffer_for_utilization,
+        loss_rate,
+        min_packet_interarrival,
+        plan_buffer_memory,
+        predicted_utilization,
+        recommend_buffer,
+        rule_of_thumb_bytes,
+        rule_of_thumb_packets,
+        small_buffer_bytes,
+        small_buffer_packets,
+    )
+    from repro.net import build_dumbbell
+    from repro.scenarios import PROFILES, LinkProfile
+    from repro.sim import Simulator
+    from repro.tcp import TcpFlow
+
+#: Re-exports resolved on first access (PEP 562), so importing one
+#: subpackage -- a simulation, the CLI -- does not compile the theory,
+#: the simulator and the scenarios with it.
+_LAZY = {
+    **dict.fromkeys((
+        "AggregateWindowModel", "BufferRecommendation", "MemoryPlan",
+        "MemoryTechnology", "ShortFlowModel", "SingleFlowModel",
+        "buffer_for_utilization", "loss_rate", "min_packet_interarrival",
+        "plan_buffer_memory", "predicted_utilization", "recommend_buffer",
+        "rule_of_thumb_bytes", "rule_of_thumb_packets",
+        "small_buffer_bytes", "small_buffer_packets"), "repro.core"),
+    "build_dumbbell": "repro.net",
+    "PROFILES": "repro.scenarios",
+    "LinkProfile": "repro.scenarios",
+    "Simulator": "repro.sim",
+    "TcpFlow": "repro.tcp",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

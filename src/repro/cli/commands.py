@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+from typing import Optional
 
 from repro.core import plan_buffer_memory, predicted_utilization, recommend_buffer
 from repro.errors import (
@@ -43,6 +44,22 @@ def _abort(exc: Exception) -> int:
     kind = "stalled" if isinstance(exc, SimulationStalledError) else "invariant"
     print(f"aborted ({kind}): {exc}")
     return 3
+
+
+def _unknown_ccs(names) -> Optional[str]:
+    """The error for any of ``names`` no congestion control is registered
+    under, naming the choices; ``None`` when every name is known.
+
+    Checked where ``--cc`` is used, not by the parser: a parser that
+    listed the choices would load the simulator for ``repro size``."""
+    from repro.tcp.congestion import available_ccs
+
+    known = available_ccs()
+    unknown = sorted(set(names) - set(known))
+    if not unknown:
+        return None
+    return (f"unknown congestion control(s): {', '.join(unknown)} "
+            f"(choose from {', '.join(known)})")
 
 
 def _parse_faults(args: argparse.Namespace):
@@ -132,6 +149,9 @@ def cmd_simulate_long(args: argparse.Namespace) -> int:
 
     ecn = getattr(args, "ecn", False)
     red = args.red or ecn
+    unknown = _unknown_ccs([args.cc])
+    if unknown:
+        return _fail(unknown)
     try:
         if args.buffer_packets is not None:
             buffer_packets = args.buffer_packets
@@ -192,6 +212,9 @@ def cmd_simulate_short(args: argparse.Namespace) -> int:
     from repro.experiments.common import run_short_flow_experiment
     from repro.traffic.sizes import FixedSize
 
+    unknown = _unknown_ccs([getattr(args, "cc", "reno")])
+    if unknown:
+        return _fail(unknown)
     try:
         result = run_short_flow_experiment(
             load=args.load,
@@ -346,7 +369,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.experiments.common import check_window, run_long_flow_experiment, sqrt_rule_packets
     from repro.runner import SweepSupervisor
-    from repro.tcp.congestion import available_ccs
 
     try:
         flows_list = [int(x) for x in args.flows.split(",")]
@@ -358,11 +380,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not cc_list:
         return _fail("--cc wants at least one congestion control, "
                      f"got {args.cc!r}")
-    unknown_ccs = sorted(set(cc_list) - set(available_ccs()))
-    if unknown_ccs:
-        return _fail(f"unknown congestion control(s): "
-                     f"{', '.join(unknown_ccs)} "
-                     f"(choose from {', '.join(available_ccs())})")
+    unknown = _unknown_ccs(cc_list)
+    if unknown:
+        return _fail(unknown)
     # Every cell shares these, so a bad one is the flag's fault, said
     # before a checkpoint is discarded or a worker started.
     try:

@@ -7,7 +7,6 @@ import sys
 from typing import List, Optional
 
 from repro.cli import commands
-from repro.tcp.congestion import available_ccs
 
 __all__ = ["build_parser", "main"]
 
@@ -65,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_long.add_argument("--warmup", type=float, default=20.0)
     p_long.add_argument("--duration", type=float, default=40.0)
     p_long.add_argument("--seed", type=int, default=1)
-    p_long.add_argument("--cc", default="reno", choices=available_ccs(),
-                        help="congestion control (default reno)")
+    p_long.add_argument("--cc", default="reno",
+                        help="congestion control (default reno; an unknown "
+                             "name lists the choices)")
     p_long.add_argument("--red", action="store_true",
                         help="use a RED queue instead of drop-tail")
     p_long.add_argument("--pacing", action="store_true",
@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_short.add_argument("--rtt", default="80ms")
     p_short.add_argument("--duration", type=float, default=40.0)
     p_short.add_argument("--seed", type=int, default=1)
-    p_short.add_argument("--cc", default="reno", choices=available_ccs(),
-                         help="congestion control (default reno)")
+    p_short.add_argument("--cc", default="reno",
+                         help="congestion control (default reno; an unknown "
+                              "name lists the choices)")
     _add_watchdog_args(p_short)
     p_short.set_defaults(func=commands.cmd_simulate_short)
 

@@ -42,12 +42,13 @@ DEFAULT_PEAK_QUANTILE = 2.0
 
 def aggregate_window_std(pipe_packets: float, buffer_packets: float, n_flows: int) -> float:
     """Standard deviation of the aggregate window (packets)."""
-    if n_flows < 1:
-        raise ModelError("need at least one flow")
-    if pipe_packets <= 0:
-        raise ModelError("pipe must be positive")
-    if buffer_packets < 0:
-        raise ModelError("buffer must be >= 0")
+    # Written so that nan fails them: it compares false with everything.
+    if not (math.isfinite(n_flows) and n_flows >= 1):
+        raise ModelError(f"n_flows must be finite and >= 1, got {n_flows}")
+    if not (math.isfinite(pipe_packets) and pipe_packets > 0):
+        raise ModelError(f"pipe_packets must be finite and > 0, got {pipe_packets}")
+    if not (math.isfinite(buffer_packets) and buffer_packets >= 0):
+        raise ModelError(f"buffer_packets must be finite and >= 0, got {buffer_packets}")
     return (pipe_packets + buffer_packets) / (_SAWTOOTH_FACTOR * math.sqrt(n_flows))
 
 

@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+def _check_packet_bytes(packet_bytes: int) -> None:
+    if not (math.isfinite(packet_bytes) and packet_bytes > 0):
+        raise ModelError(
+            f"packet_bytes must be finite and > 0, got {packet_bytes}")
+
+
 def rule_of_thumb_bytes(rtt: Quantity, capacity: Quantity) -> float:
     """``B = RTT x C`` in bytes — the classical rule.
 
@@ -54,8 +60,7 @@ def rule_of_thumb_bytes(rtt: Quantity, capacity: Quantity) -> float:
 def rule_of_thumb_packets(rtt: Quantity, capacity: Quantity,
                           packet_bytes: int = 1000) -> float:
     """``B = RTT x C`` expressed in packets of ``packet_bytes``."""
-    if packet_bytes <= 0:
-        raise ModelError("packet size must be positive")
+    _check_packet_bytes(packet_bytes)
     return rule_of_thumb_bytes(rtt, capacity) / packet_bytes
 
 
@@ -65,16 +70,15 @@ def small_buffer_bytes(rtt: Quantity, capacity: Quantity, n_flows: int) -> float
     >>> small_buffer_bytes("250ms", "2.5Gbps", 10000) / rule_of_thumb_bytes("250ms", "2.5Gbps")
     0.01
     """
-    if n_flows < 1:
-        raise ModelError("need at least one flow")
+    if not (math.isfinite(n_flows) and n_flows >= 1):
+        raise ModelError(f"n_flows must be finite and >= 1, got {n_flows}")
     return rule_of_thumb_bytes(rtt, capacity) / math.sqrt(n_flows)
 
 
 def small_buffer_packets(rtt: Quantity, capacity: Quantity, n_flows: int,
                          packet_bytes: int = 1000) -> float:
     """``B = RTT x C / sqrt(n)`` in packets of ``packet_bytes``."""
-    if packet_bytes <= 0:
-        raise ModelError("packet size must be positive")
+    _check_packet_bytes(packet_bytes)
     return small_buffer_bytes(rtt, capacity, n_flows) / packet_bytes
 
 
@@ -164,8 +168,9 @@ def recommend_buffer(
     the short-flow term is typically a few hundred packets regardless
     of line speed.
     """
-    if n_long_flows < 0:
-        raise ModelError("n_long_flows must be >= 0")
+    if not (math.isfinite(n_long_flows) and n_long_flows >= 0):
+        raise ModelError(
+            f"n_long_flows must be finite and >= 0, got {n_long_flows}")
     if short_flow_load != 0 and not (
             math.isfinite(short_flow_load) and 0 < short_flow_load < 1):
         # ShortFlowModel's domain; 0 means "no short flows".

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults import FaultSchedule, targets_for_dumbbell
+from repro.experiments.invariants import InvariantMonitor, verify_network
 from repro.metrics import (
     FctCollector,
     FlowProgressMeter,
@@ -40,13 +40,15 @@ from repro.metrics import (
 from repro.metrics.windows import GaussianFit
 from repro.net import REDQueue, build_dumbbell
 from repro.net.packet import TCP_HEADER_BYTES, pooled_packets
-from repro.obs import runtime as _obs
 from repro.net.queues import DropTailQueue
-from repro.runner.invariants import InvariantMonitor, verify_network
+from repro.obs import runtime as _obs
 from repro.sim import RngStreams, Simulator
 from repro.traffic import LongLivedWorkload, ShortFlowWorkload
 from repro.traffic.sizes import FlowSizeDistribution
 from repro.units import Quantity, parse_bandwidth
+
+if TYPE_CHECKING:
+    from repro.faults import FaultSchedule
 
 __all__ = [
     "LongFlowResult",
@@ -422,6 +424,8 @@ def run_long_flow_experiment(
                                          period=utilization_probe_period,
                                          t_end=t_end)
     if faults is not None:
+        from repro.faults import targets_for_dumbbell  # a fault-free run never needs it
+
         faults.install(sim, targets_for_dumbbell(net),
                        rng=streams.stream("faults"))
     run_world(sim, net, t_end, optimize=optimize, max_events=max_events,
@@ -529,6 +533,8 @@ def run_short_flow_experiment(
     workload.start()
     t_drain = t_end + duration * 0.25
     if faults is not None:
+        from repro.faults import targets_for_dumbbell  # a fault-free run never needs it
+
         faults.install(sim, targets_for_dumbbell(net),
                        rng=streams.stream("faults"))
     # Drain period so flows that started near t_end can complete.

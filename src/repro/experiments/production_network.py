@@ -28,7 +28,8 @@ from repro.metrics import FctCollector, UtilizationMonitor
 from repro.net import build_dumbbell
 from repro.net.packet import TCP_HEADER_BYTES
 from repro.sim import RngStreams
-from repro.traffic import BoundedPareto, LongLivedWorkload, ShortFlowWorkload, UdpSink, UdpSource
+from repro.traffic import BoundedPareto, LongLivedWorkload, ShortFlowWorkload
+from repro.traffic.udp import UdpSink, UdpSource
 from repro.units import Quantity, parse_bandwidth
 
 __all__ = ["ProductionRow", "production_table"]

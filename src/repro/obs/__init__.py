@@ -29,13 +29,10 @@ or from the command line: ``repro trace long --flap 30,2`` and
 ``repro obs report trace.jsonl``.
 """
 
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from repro.obs import runtime
-from repro.obs.export import (
-    load_report_source,
-    render_report,
-    summarize_snapshot,
-    summarize_trace,
-)
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder, read_jsonl
 from repro.obs.runtime import (
@@ -47,12 +44,41 @@ from repro.obs.runtime import (
     registry,
     snapshot,
 )
-from repro.obs.schema import (
-    EVENT_KINDS,
-    KIND_FIELDS,
-    validate_event,
-    validate_events,
-)
+
+if TYPE_CHECKING:
+    from repro.obs.export import (
+        load_report_source,
+        render_report,
+        summarize_snapshot,
+        summarize_trace,
+    )
+    from repro.obs.schema import (
+        EVENT_KINDS,
+        KIND_FIELDS,
+        validate_event,
+        validate_events,
+    )
+
+#: Re-exports resolved on first access (PEP 562): the instrumented hot
+#: paths import :mod:`repro.obs.runtime`, and a run that never reports
+#: or validates a trace need not compile the exporter and the schema.
+_LAZY = {
+    **dict.fromkeys(("load_report_source", "render_report",
+                     "summarize_snapshot", "summarize_trace"),
+                    "repro.obs.export"),
+    **dict.fromkeys(("EVENT_KINDS", "KIND_FIELDS", "validate_event",
+                     "validate_events"), "repro.obs.schema"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "runtime",

@@ -1,14 +1,10 @@
-"""Hardened experiment running: invariants, watchdogs, checkpointed sweeps.
+"""Hardened experiment running: watchdogs and checkpointed sweeps.
 
-A single hung or silently-wrong simulation can poison an entire
-Table-10-style sweep.  This package closes both holes:
+A single hung simulation can poison an entire Table-10-style sweep.
+(A silently-wrong one is the invariant audit's to catch:
+:mod:`repro.experiments.invariants`, next to the runners that install
+it.)
 
-:mod:`repro.runner.invariants`
-    Structural checks (packet conservation, non-negative occupancy)
-    run over a whole :class:`~repro.net.topology.Network`, turning
-    silent state corruption into a loud
-    :class:`~repro.errors.InvariantViolation`.  The experiment runners
-    in :mod:`repro.experiments.common` install these always-on.
 :mod:`repro.runner.supervisor`
     :class:`SweepSupervisor` — wraps any experiment callable with
     per-trial event/wall-clock budgets, a FAILED outcome (at the seed
@@ -23,21 +19,9 @@ Table-10-style sweep.  This package closes both holes:
     cell the same way and publish the same record.
 """
 
-from repro.runner.invariants import (
-    InvariantMonitor,
-    check_link,
-    check_network_conservation,
-    check_queue,
-    verify_network,
-)
 from repro.runner.supervisor import SweepSupervisor, TrialOutcome, cell_key
 
 __all__ = [
-    "check_queue",
-    "check_link",
-    "check_network_conservation",
-    "verify_network",
-    "InvariantMonitor",
     "SweepSupervisor",
     "TrialOutcome",
     "cell_key",

@@ -17,13 +17,14 @@ Components
   delayed ACKs).
 * :mod:`repro.tcp.flow` — one TCP connection wired onto a topology, with
   start/completion bookkeeping used by the workload generators.
+* :mod:`repro.tcp.sack` — the SACK sender (RFC 2018/6675), which
+  :class:`TcpFlow` imports when a flow asks for it.
 """
 
 from repro.tcp.congestion import CongestionControl, NewRenoCC, RenoCC, TahoeCC, make_cc
 from repro.tcp.flow import TcpFlow
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.sack import TcpSackSender
 from repro.tcp.sender import TcpSender
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "make_cc",
     "RtoEstimator",
     "TcpSender",
-    "TcpSackSender",
     "TcpReceiver",
     "TcpFlow",
 ]

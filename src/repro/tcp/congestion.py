@@ -253,7 +253,8 @@ def _load_zoo() -> None:
 
     Lazy because :mod:`repro.tcp.cc_zoo` imports this module for the
     base class — registering at first lookup instead of at import time
-    breaks the cycle.
+    breaks the cycle.  Only a name the built-ins lack loads it, so a
+    Tahoe/Reno/NewReno run never compiles the zoo.
     """
     global _zoo_loaded
     if not _zoo_loaded:
@@ -267,6 +268,7 @@ def register_cc(name: str, cls: Type[CongestionControl]) -> None:
     Re-registering a taken name is a configuration error: silently
     shadowing an algorithm would change what sweep cell keys mean.
     """
+    _load_zoo()  # a name taken by the zoo is taken before it loads, too
     key = name.lower()
     if key in _CC_BY_NAME and _CC_BY_NAME[key] is not cls:
         raise ConfigurationError(
@@ -334,9 +336,11 @@ def make_cc(spec: CcSpec, initial_cwnd: float = 2.0,
             f"cc spec must be a name, a dict with a 'name' key, or a "
             f"CongestionControl instance, got {type(spec).__name__}")
     kwargs.update(params)
-    _load_zoo()
+    key = name.lower()
+    if key not in _CC_BY_NAME:
+        _load_zoo()
     try:
-        cls = _CC_BY_NAME[name.lower()]
+        cls = _CC_BY_NAME[key]
     except KeyError:
         raise ConfigurationError(
             f"unknown congestion control {name!r}; "

@@ -4,7 +4,8 @@
   and bounded Pareto for the heavy tail).
 * :mod:`repro.traffic.udp` — constant-bit-rate and Poisson UDP sources
   plus a counting sink (the unresponsive-traffic component of the
-  production-network experiment).
+  production-network experiment); imported from there, so a TCP-only
+  run does not load it.
 * :mod:`repro.traffic.flows` — bulk TCP workloads: ``n`` long-lived
   flows with staggered starts (Sections 3/5.1.1) and Poisson short-flow
   arrivals at a target load (Sections 4/5.1.2).
@@ -17,15 +18,12 @@ from repro.traffic.sizes import (
     FlowSizeDistribution,
     UniformSize,
 )
-from repro.traffic.udp import UdpSink, UdpSource
 
 __all__ = [
     "FlowSizeDistribution",
     "FixedSize",
     "UniformSize",
     "BoundedPareto",
-    "UdpSource",
-    "UdpSink",
     "LongLivedWorkload",
     "ShortFlowWorkload",
 ]

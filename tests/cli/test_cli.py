@@ -1,10 +1,16 @@
 """Tests for the repro command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +172,25 @@ class TestSimulateCommands:
         assert code == 0
         assert "  loss rate:   n/a (no packets offered)\n" in out
         assert "nan" not in out
+
+    @pytest.mark.parametrize("scenario", ["long-flows", "short-flows"])
+    def test_unknown_cc_is_one_error_line(self, scenario):
+        # Checked where --cc is used, not by the parser (which would
+        # load the simulator for every command): still exit 2, one
+        # line naming the seven choices, no traceback.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "simulate", scenario,
+             "--cc", "nosuch"], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+                SRC, os.environ.get("PYTHONPATH")]))))
+        output = proc.stdout + proc.stderr
+        errors = [line for line in output.splitlines() if "error:" in line]
+        assert proc.returncode == 2
+        assert "Traceback" not in output
+        assert len(errors) == 1, output
+        for name in ("tahoe", "reno", "newreno", "compound", "scalable",
+                     "hstcp", "bbr"):
+            assert name in errors[0]
 
     def test_single_flow(self, capsys):
         code, out = run_cli(capsys, "simulate", "single-flow",

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core import (
+    predicted_utilization,
     recommend_buffer,
     rule_of_thumb_bytes,
     rule_of_thumb_packets,
@@ -116,3 +117,31 @@ class TestRecommendation:
                                short_flow_load=0.8,
                                short_flow_sizes={30: 1.0}, max_window=12)
         assert rec.rule == "short-flows"
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteInputs:
+    """nan passes every ``x < bound`` guard, so each formula checks
+    finiteness itself and names the argument it refuses."""
+
+    @pytest.mark.parametrize("call, argument", [
+        (lambda: small_buffer_packets("100ms", "10Gbps", INF), "n_flows"),
+        (lambda: small_buffer_packets("100ms", "10Gbps", NAN), "n_flows"),
+        (lambda: predicted_utilization(pipe_packets=1000, buffer_packets=100,
+                                       n_flows=NAN), "n_flows"),
+        (lambda: predicted_utilization(pipe_packets=1000, buffer_packets=NAN,
+                                       n_flows=10), "buffer_packets"),
+        (lambda: predicted_utilization(pipe_packets=NAN, buffer_packets=100,
+                                       n_flows=10), "pipe_packets"),
+        (lambda: recommend_buffer(capacity="10Gbps", rtt="100ms",
+                                  n_long_flows=NAN), "n_long_flows"),
+        (lambda: recommend_buffer(capacity="10Gbps", rtt="100ms",
+                                  n_long_flows=INF), "n_long_flows"),
+    ], ids=["small-buffer-n-inf", "small-buffer-n-nan", "utilization-n-nan",
+            "utilization-buffer-nan", "utilization-pipe-nan",
+            "recommend-n-nan", "recommend-n-inf"])
+    def test_is_a_model_error_naming_the_argument(self, call, argument):
+        with pytest.raises(ModelError, match=f"^{argument} must be finite"):
+            call()

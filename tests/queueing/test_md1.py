@@ -15,7 +15,7 @@ from repro.errors import ModelError
 from repro.net import build_dumbbell
 from repro.queueing import md1_overflow_exact, md1_queue_distribution
 from repro.sim import Probe, Simulator
-from repro.traffic import UdpSink, UdpSource
+from repro.traffic.udp import UdpSink, UdpSource
 
 
 class TestExactDistribution:

@@ -23,6 +23,7 @@ from repro.tcp.congestion import (
     register_cc,
 )
 from tests.tcp.helpers import build_path
+from tests.test_package import TINY_RENO_CELL
 
 ZOO = ("compound", "scalable", "hstcp", "bbr")
 
@@ -116,6 +117,33 @@ class TestMakeCcErrors:
         names = available_ccs()
         for name in ("tahoe", "reno", "newreno") + ZOO:
             assert name in names
+
+
+class TestZooLoadsOnAMiss:
+    """The three built-ins never load the zoo; a name they lack does.
+    Each case runs in a fresh interpreter, where the zoo starts unloaded."""
+
+    def test_a_reno_run_leaves_the_zoo_unloaded(self, fresh_python):
+        assert "repro.tcp.cc_zoo" not in fresh_python(TINY_RENO_CELL)
+
+    def test_a_zoo_name_still_builds(self, fresh_python):
+        loaded = fresh_python(
+            "from repro.tcp.congestion import make_cc\n"
+            "assert type(make_cc('bbr')).__name__ == 'BbrLikeCC'")
+        assert "repro.tcp.cc_zoo" in loaded
+
+    @pytest.mark.parametrize("code", [
+        "assert len(available_ccs()) == 7",
+        "try:\n    make_cc('cubic')\nexcept ConfigurationError as exc:\n"
+        "    assert all(name in str(exc) for name in"
+        " ('tahoe', 'reno', 'newreno', 'compound', 'scalable', 'hstcp', 'bbr'))\n"
+        "else:\n    raise AssertionError('cubic built')",
+    ], ids=["available_ccs", "unknown-name-error"])
+    def test_every_name_is_listed_before_the_zoo_loads(self, fresh_python,
+                                                       code):
+        fresh_python("from repro.errors import ConfigurationError\n"
+                     "from repro.tcp.congestion import available_ccs, make_cc\n"
+                     + code)
 
 
 class TestConfigRoundTrip:

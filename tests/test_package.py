@@ -39,6 +39,40 @@ class TestPublicApi:
         )
 
 
+#: Modules a long-flow run never calls: the theory, the sweep fleet, the
+#: fault layer, the trace exporter and schema, the CC zoo, SACK and UDP.
+NOT_ON_THE_SIM_PATH = (
+    "repro.core", "repro.queueing", "repro.scenarios", "repro.fabric",
+    "repro.runner.supervisor", "repro.faults", "repro.obs.export",
+    "repro.obs.schema", "repro.tcp.cc_zoo", "repro.tcp.sack",
+    "repro.traffic.udp",
+)
+
+TINY_RENO_CELL = """
+from repro.experiments.common import run_long_flow_experiment
+run_long_flow_experiment(n_flows=2, buffer_packets=8, pipe_packets=20,
+                         bottleneck_rate="10Mbps", warmup=0.2, duration=0.3)
+"""
+
+
+class TestImportCensus:
+    """What a cold start compiles: a simulation imports the simulator,
+    and the CLI's parser imports no simulator at all."""
+
+    def test_a_simulation_imports_only_the_simulator(self, fresh_python):
+        imported = fresh_python("import repro.experiments.common")
+        assert len(imported) <= 40, imported
+        ran = fresh_python(TINY_RENO_CELL)
+        assert [name for name in ran
+                if name.startswith(NOT_ON_THE_SIM_PATH)] == []
+
+    def test_the_parser_imports_no_simulator(self, fresh_python):
+        loaded = fresh_python(
+            "from repro.cli import build_parser\nbuild_parser()")
+        assert [name for name in loaded
+                if name.startswith(("repro.sim", "repro.tcp"))] == []
+
+
 def own_slots(cls):
     declared = vars(cls).get("__slots__", ())
     return {declared} if isinstance(declared, str) else set(declared)

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net import Network
 from repro.sim import Simulator
-from repro.traffic import UdpSink, UdpSource
+from repro.traffic.udp import UdpSink, UdpSource
 
 
 def build_pair(sim):
