@@ -122,15 +122,5 @@ class Interface:
         if self.queue._items and not self.link.busy:
             self._pump()
 
-    @property
-    def backlog_packets(self) -> int:
-        """Packets currently waiting (not counting the one on the wire)."""
-        return len(self.queue)
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes currently waiting (not counting the one on the wire)."""
-        return self.queue.byte_occupancy
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Interface({self.name!r}, backlog={len(self.queue)}pkt)"

@@ -23,10 +23,8 @@ and every packet propagating on the wire are lost (counted in
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush, heapreplace as _heapreplace
-from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
-                    Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, QueueError, RoutingError
 from repro.net.packet import MAX_HOPS, Packet
@@ -69,7 +67,7 @@ class Link:
         "bytes_dropped", "down_count", "busy_time", "down_time",
         "_busy_since", "_down_since", "_on_idle", "on_up",
         "_serializing", "_propagating", "_feed_queue",
-        "_ser_time", "_ser_seq", "_ser_packet", "_prop",
+        "_ser_time", "_ser_seq", "_ser_packet", "_head", "_tail",
     )
 
     def __init__(self, sim: "Simulator", rate: Quantity, delay: Quantity,
@@ -109,17 +107,17 @@ class Link:
         # Burst-mode virtual streams (sim._burst): instead of one Event
         # per serialization end and one per delivery, the link keeps the
         # packet being serialized in three slots and the wire contents in
-        # a FIFO of (deliver_time, seq, packet) records.  Only the head
-        # of each stream is mirrored into sim._vheap; seqs are drawn from
-        # the engine's shared counter so ordering against real events is
+        # a FIFO threaded through the packets themselves: _head and _tail
+        # here, and on each packet its delivery time (_due), its seq
+        # (_dseq) and its successor (_next).  Only the head of each
+        # stream is mirrored into sim._vheap; seqs are drawn from the
+        # engine's shared counter so ordering against real events is
         # bit-identical to the per-event scheduler.
         self._ser_time = 0.0
         self._ser_seq = -1
         self._ser_packet: Optional[Packet] = None
-        # Records are (deliver_time, seq, link, packet) — the same tuple
-        # doubles as the vheap entry when the record reaches the head of
-        # the wire, so promoting the next delivery allocates nothing.
-        self._prop: Deque[Tuple[float, int, "Link", Packet]] = deque()
+        self._head: Optional[Packet] = None
+        self._tail: Optional[Packet] = None
         if _obs.enabled:
             _obs.register_link(self)
 
@@ -127,7 +125,12 @@ class Link:
     def in_flight(self) -> int:
         """Packets currently on this link (serializing + propagating)."""
         serializing = self._serializing is not None or self._ser_packet is not None
-        return (1 if serializing else 0) + len(self._propagating) + len(self._prop)
+        count = (1 if serializing else 0) + len(self._propagating)
+        packet = self._head
+        while packet is not None:
+            count += 1
+            packet = packet._next
+        return count
 
     def transmit(self, packet: Packet, on_idle: Optional[Callable[[], None]] = None) -> None:
         """Begin transmitting ``packet``.
@@ -261,12 +264,17 @@ class Link:
             event.cancel()
             self._count_fault_drop(packet)
         self._propagating.clear()
-        if self._prop:
+        packet = self._head
+        if packet is not None:
+            self._head = self._tail = None
             sim = self.sim
-            for record in self._prop:
+            while packet is not None:
+                # Read the successor first: release() may hand the
+                # packet back to the pool.
+                nxt = packet._next
                 sim._live -= 1
-                self._count_fault_drop(record[3])
-            self._prop.clear()
+                self._count_fault_drop(packet)
+                packet = nxt
 
     def up(self) -> None:
         """Bring the link back; the owning interface resumes dequeuing.
@@ -305,7 +313,12 @@ class Link:
 # delivery events never reach the scheduler backend.  Each link instead
 # exposes two virtual streams — the serializing packet and the FIFO of
 # propagating packets — and only the *head* of each stream lives in
-# ``sim._vheap`` as a ``(time, seq, link)`` entry.  Seq numbers are
+# ``sim._vheap`` as a ``(time, seq, link)`` entry.  The propagating FIFO
+# is a singly linked list through the packets (``Link._head`` ->
+# ``Packet._next`` -> ... <- ``Link._tail``); each packet carries its own
+# delivery key in ``_due``/``_dseq``, and the vheap tuple is built only
+# when a packet becomes the head of its wire, so an idle link costs two
+# ``None`` slots instead of an empty container.  Seq numbers are
 # drawn from the backend's own counter at exactly the program points
 # where the per-event code would have pushed, so merging virtual and
 # real events by ``(time, seq)`` reproduces the per-event order bit for
@@ -377,10 +390,15 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
                 sim._now = t
                 seq = sim._seq_alloc
                 dseq = next(seq)
-                prop = link._prop
-                was_empty = not prop
-                record = (t + link.delay, dseq, link, packet)
-                prop.append(record)
+                packet._due = due = t + link.delay
+                packet._dseq = dseq
+                packet._next = None
+                tail = link._tail
+                link._tail = packet
+                if tail is None:
+                    link._head = packet
+                else:
+                    tail._next = packet
                 head = None
                 queue = link._feed_queue
                 if queue is not None and queue._items:
@@ -403,8 +421,10 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
                     link._ser_seq = sseq
                     link._ser_packet = head
                     sim._live += 1
-                    if was_empty:
-                        _heapreplace(vh, record)
+                    if tail is None:
+                        # The packet is the wire's new head: its stream
+                        # entry replaces the serialization entry.
+                        _heapreplace(vh, (due, dseq, link))
                         _heappush(vh, (stime, sseq, link))
                     else:
                         _heapreplace(vh, (stime, sseq, link))
@@ -415,8 +435,8 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
                     if link._busy_since is not None:
                         link.busy_time += t - link._busy_since
                         link._busy_since = None
-                    if was_empty:
-                        _heapreplace(vh, record)
+                    if tail is None:
+                        _heapreplace(vh, (due, dseq, link))
                     else:
                         _heappop(vh)
                     on_idle = link._on_idle
@@ -424,17 +444,17 @@ def _drain_burst(sim: Any, peek: Optional[List[Any]], horizon: float,
                     if on_idle is not None:
                         on_idle()
             else:
-                prop = link._prop
-                if prop and prop[0][1] == s:
+                packet = link._head
+                if packet is not None and packet._dseq == s:
                     # --- delivery (PROP) ---
-                    record = prop.popleft()
+                    nxt = link._head = packet._next
                     sim._now = t
                     sim._live -= 1
-                    if prop:
-                        _heapreplace(vh, prop[0])
+                    if nxt is not None:
+                        _heapreplace(vh, (nxt._due, nxt._dseq, link))
                     else:
+                        link._tail = None
                         _heappop(vh)
-                    packet = record[3]
                     link.packets_delivered += 1
                     link.bytes_delivered += packet.size
                     hops = packet.hops = packet.hops + 1

@@ -224,7 +224,17 @@ class Packet:
         "hops",
         "meta",
         "_pooled",
+        "_next",
+        "_due",
+        "_dseq",
     )
+
+    # Burst-mode wire FIFO (see repro.net.link): set when a link puts
+    # the packet on its wire and read only while it is there, so the
+    # constructor leaves them unset.
+    _next: Optional["Packet"]
+    _due: float
+    _dseq: int
 
     def __init__(
         self,

@@ -15,7 +15,7 @@ assertion.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, cast
 
 from repro.errors import ConfigurationError, InvariantViolation, QueueError
 from repro.net.packet import Packet, PacketFlags
@@ -34,6 +34,12 @@ _CE = int(PacketFlags.CE)
 
 #: Fault injector: returns "drop", "corrupt", or None for each arrival.
 Injector = Callable[[Packet], Optional[str]]
+
+#: ``Queue._items`` until the queue admits its first packet: one shared
+#: empty tuple instead of an empty deque per queue (most access-link
+#: queues never hold a packet).  Every reader before that point only
+#: tests truth, takes ``len`` or iterates, which a tuple supports.
+_NO_ITEMS = cast("Deque[Packet]", ())
 
 
 class Queue:
@@ -79,7 +85,7 @@ class Queue:
             raise ConfigurationError(f"capacity_packets must be >= 1, got {capacity_packets}")
         self.sim = sim
         self.capacity_packets = capacity_packets
-        self._items: Deque[Packet] = deque()
+        self._items = _NO_ITEMS
         self._bytes = 0
         # Counters.
         self.arrivals = 0
@@ -133,6 +139,8 @@ class Queue:
                     packet.meta["corrupted"] = True
         if self._admit(packet):
             items = self._items
+            if items is _NO_ITEMS:
+                items = self._items = deque()
             items.append(packet)
             self._bytes += size
             n = len(items)

@@ -85,7 +85,7 @@ class _EchoSink(_Sink):
             ("echo", seq, round(self.sim.now, 9))))
 
 
-def _build(scheduler, burst, red):
+def _build(scheduler, burst, red, delay="2ms"):
     opts = {}
     if scheduler == "calendar":
         # Tiny buckets relative to the 0.8 ms serialization time, so
@@ -104,7 +104,7 @@ def _build(scheduler, burst, red):
     else:
         bottleneck_queue = 6
     net.connect(a, r, rate="100Mbps", delay="0.1ms")
-    net.connect(r, b, rate="10Mbps", delay="2ms",
+    net.connect(r, b, rate="10Mbps", delay=delay,
                 queue_ab=bottleneck_queue)
     net.compute_routes()
     return sim, net, a, r, b
@@ -173,6 +173,44 @@ def _execute(ops, scheduler, burst, red=False, max_events=None, sink=_Sink,
             link.packets_delivered, link.bytes_delivered,
             link.packets_dropped, round(link.busy_time, 9),
             b.packets_received, a.packets_received)
+
+
+def _wire_fault(scheduler, burst):
+    """Take the 20 ms bottleneck wire down while it carries a whole
+    send, bring it up, and transmit on it at once; returns the
+    observable history."""
+    sim, net, a, r, b = _build(scheduler, burst, red=False, delay="20ms")
+    log = []
+    b.bind(5, _Sink(sim, log))
+    link = r.interfaces[b.node_id].link
+
+    def packet(seq):
+        return Packet.acquire(src=a.address, dst=b.address, payload=1000,
+                              dport=5, seq=seq)
+
+    def send(first, count):
+        for seq in range(first, first + count):
+            a.inject(packet(seq))
+
+    def down():
+        busy, on_wire = link.busy, link.in_flight
+        link.down()
+        log.append(("down", round(sim.now, 9), busy, on_wire,
+                    link.in_flight, link.packets_dropped))
+
+    def up_then_transmit():
+        link.up()
+        link.transmit(packet(100))
+
+    sim.call_at(0.0, send, 1, 8)
+    sim.call_at(0.007, down)
+    sim.call_at(0.008, up_then_transmit)
+    sim.call_at(0.0085, send, 101, 3)
+    sim.run()
+    return (log, sim.events_processed, round(sim.now, 9),
+            link.packets_delivered, link.bytes_delivered,
+            link.packets_dropped, link.bytes_dropped, link.in_flight,
+            round(link.busy_time, 9), b.packets_received)
 
 
 class TestBurstIdentity:
@@ -263,6 +301,23 @@ class TestBurstEdgeCases:
         history = self._histories([("send", 6)], sink=_EchoSink)
         kinds = [entry[0] for entry in history[0]]
         assert kinds == ["rx", "echo"] * 6
+
+    def test_down_with_a_full_wire_then_transmit_after_up(self):
+        # By 7 ms the queue has drained (0.83 ms a packet) and the
+        # 20 ms wire carries every packet it let through: down() loses
+        # them all from the propagating FIFO, and a transmit right
+        # after up() must start a fresh one.
+        reference = _wire_fault(*VARIANTS[0])
+        for scheduler, burst in VARIANTS[1:]:
+            assert _wire_fault(scheduler, burst) == reference, \
+                (scheduler, burst)
+        log = reference[0]
+        (_, _, busy, on_wire, left, dropped), = (
+            entry for entry in log if entry[0] == "down")
+        assert not busy and on_wire >= 3
+        assert left == 0 and dropped == on_wire
+        received = [entry[1] for entry in log if entry[0] == "rx"]
+        assert received == [100, 101, 102, 103]
 
     def test_burst_census_counts_coalesced_steps(self):
         ops = [("send", 8), ("send", 8)]

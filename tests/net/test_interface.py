@@ -62,10 +62,10 @@ class TestInterface:
         sim = Simulator()
         iface, _sink = make_interface(sim, capacity=10)
         iface.enqueue(make_packet())
-        assert iface.backlog_packets == 0  # on the wire, not in queue
+        assert len(iface.queue) == 0  # on the wire, not in queue
         iface.enqueue(make_packet())
-        assert iface.backlog_packets == 1
-        assert iface.backlog_bytes == 1000
+        assert len(iface.queue) == 1
+        assert iface.queue.byte_occupancy == 1000
 
     def test_pump_resumes_after_idle(self):
         sim = Simulator()

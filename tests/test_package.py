@@ -4,6 +4,7 @@ import doctest
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -108,4 +109,11 @@ class TestDoctests:
     def test_module_doctests(self, module_name):
         module = importlib.import_module(module_name)
         result = doctest.testmod(module)
+        assert result.failed == 0
+
+    def test_readme_examples(self):
+        """README's ``>>>`` blocks, run as a user would paste them."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        result = doctest.testfile(str(readme), module_relative=False)
+        assert result.attempted > 0
         assert result.failed == 0
