@@ -243,7 +243,10 @@ def cmd_simulate_short(args: argparse.Namespace) -> int:
               f"(p99: {result.p99_fct * 1000:.1f} ms)")
     else:
         print("  AFCT:        n/a (0 flows completed)")
-    print(f"  drop rate:   {result.drop_rate * 100:8.3f}%")
+    if math.isnan(result.drop_rate):  # nothing reached the bottleneck
+        print("  drop rate:   n/a (no packets offered)")
+    else:
+        print(f"  drop rate:   {result.drop_rate * 100:8.3f}%")
     print(f"  utilization: {result.utilization * 100:8.2f}%")
     return 0
 

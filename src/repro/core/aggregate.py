@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ModelError
-from repro.mathutils import normal_partial_expectation
+from repro.mathutils import finite, normal_partial_expectation
 
 __all__ = ["AggregateWindowModel", "aggregate_window_std"]
 
@@ -49,7 +49,8 @@ def aggregate_window_std(pipe_packets: float, buffer_packets: float, n_flows: in
         raise ModelError(f"pipe_packets must be finite and > 0, got {pipe_packets}")
     if not (math.isfinite(buffer_packets) and buffer_packets >= 0):
         raise ModelError(f"buffer_packets must be finite and >= 0, got {buffer_packets}")
-    return (pipe_packets + buffer_packets) / (_SAWTOOTH_FACTOR * math.sqrt(n_flows))
+    return (finite(pipe_packets + buffer_packets, "pipe_packets + buffer_packets")
+            / (_SAWTOOTH_FACTOR * math.sqrt(n_flows)))
 
 
 @dataclass(frozen=True)

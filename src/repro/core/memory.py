@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ModelError
+from repro.mathutils import finite
 from repro.units import Quantity, parse_bandwidth, parse_size
 
 __all__ = [
@@ -62,10 +63,22 @@ class MemoryTechnology:
     on_chip: bool = False
     annual_speedup: float = 0.07
 
+    def __post_init__(self):
+        # Written so that nan fails them: it compares false with everything.
+        if not (math.isfinite(self.chip_bits) and self.chip_bits > 0):
+            raise ModelError(
+                f"chip_bits must be finite and > 0, got {self.chip_bits}")
+        if not (math.isfinite(self.access_time) and self.access_time > 0):
+            raise ModelError(
+                f"access_time must be finite and > 0, got {self.access_time}")
+        if not 0.0 <= self.annual_speedup < 1.0:
+            raise ModelError(f"annual_speedup must be in [0, 1), "
+                             f"got {self.annual_speedup}")
+
     def access_time_in(self, years: float) -> float:
         """Projected access time ``years`` from the 2004 baseline."""
-        if years < 0:
-            raise ModelError("years must be >= 0")
+        if not (math.isfinite(years) and years >= 0):
+            raise ModelError(f"years must be finite and >= 0, got {years}")
         return self.access_time * (1.0 - self.annual_speedup) ** years
 
 
@@ -87,9 +100,10 @@ def min_packet_interarrival(line_rate: Quantity,
     rate = parse_bandwidth(line_rate)
     if rate <= 0:
         raise ModelError("line rate must be positive")
-    if packet_bytes <= 0:
-        raise ModelError("packet size must be positive")
-    return packet_bytes * 8.0 / rate
+    if not (math.isfinite(packet_bytes) and packet_bytes > 0):
+        raise ModelError(
+            f"packet_bytes must be finite and > 0, got {packet_bytes}")
+    return finite(packet_bytes * 8.0 / rate, "packet_bytes x 8 / line_rate")
 
 
 @dataclass(frozen=True)
@@ -145,7 +159,7 @@ def plan_buffer_memory(line_rate: Quantity, buffer_size: Quantity,
 
     Returns one :class:`MemoryPlan` per technology, in the given order.
     """
-    buffer_bits = parse_size(buffer_size) * 8.0
+    buffer_bits = finite(parse_size(buffer_size) * 8.0, "buffer_size in bits")
     if buffer_bits <= 0:
         raise ModelError("buffer size must be positive")
     budget = min_packet_interarrival(line_rate, packet_bytes) / 2.0
@@ -153,7 +167,8 @@ def plan_buffer_memory(line_rate: Quantity, buffer_size: Quantity,
         technologies = [SRAM_2004, DRAM_2004, EMBEDDED_DRAM_2004]
     plans = []
     for tech in technologies:
-        chips = int(math.ceil(buffer_bits / tech.chip_bits))
+        chips = int(math.ceil(finite(buffer_bits / tech.chip_bits,
+                                     "buffer bits / chip_bits")))
         fast_enough = tech.access_time <= budget
         plans.append(MemoryPlan(tech, chips, fast_enough, budget))
     return plans

@@ -18,11 +18,16 @@ call site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ModelError
 
 __all__ = ["SingleFlowModel"]
+
+#: The cycle integral squares ``P`` and ``P + B``: outside
+#: ``[1/_MAX_WINDOW, _MAX_WINDOW]`` the squares leave the float range.
+_MAX_WINDOW = 1e150
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,19 @@ class SingleFlowModel:
     buffer_packets: float
 
     def __post_init__(self):
-        if self.pipe_packets <= 0:
-            raise ModelError("pipe must be positive")
-        if self.buffer_packets < 0:
-            raise ModelError("buffer must be >= 0")
+        # Written so that nan fails them: it compares false with everything.
+        if not (math.isfinite(self.pipe_packets) and self.pipe_packets > 0):
+            raise ModelError(
+                f"pipe_packets must be finite and > 0, got {self.pipe_packets}")
+        if not (math.isfinite(self.buffer_packets) and self.buffer_packets >= 0):
+            raise ModelError(f"buffer_packets must be finite and >= 0, "
+                             f"got {self.buffer_packets}")
+        if not self.pipe_packets >= 1.0 / _MAX_WINDOW:
+            raise ModelError(f"pipe_packets must be >= {1.0 / _MAX_WINDOW:g}, "
+                             f"got {self.pipe_packets}")
+        if not self.w_max <= _MAX_WINDOW:
+            raise ModelError(f"pipe_packets + buffer_packets must be "
+                             f"<= {_MAX_WINDOW:g}, got {self.w_max}")
 
     # ------------------------------------------------------------------
     # Sawtooth geometry

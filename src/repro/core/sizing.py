@@ -24,6 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.short_flows import FIG8_OVERFLOW_TARGET, ShortFlowModel
 from repro.errors import ModelError
+from repro.mathutils import finite
 from repro.units import Quantity, format_size, parse_bandwidth, parse_time
 
 __all__ = [
@@ -54,14 +55,15 @@ def rule_of_thumb_bytes(rtt: Quantity, capacity: Quantity) -> float:
         raise ModelError("RTT must be positive")
     if cap <= 0:
         raise ModelError("capacity must be positive")
-    return rtt_s * cap / 8.0
+    return finite(rtt_s * cap / 8.0, "rtt x capacity")
 
 
 def rule_of_thumb_packets(rtt: Quantity, capacity: Quantity,
                           packet_bytes: int = 1000) -> float:
     """``B = RTT x C`` expressed in packets of ``packet_bytes``."""
     _check_packet_bytes(packet_bytes)
-    return rule_of_thumb_bytes(rtt, capacity) / packet_bytes
+    return finite(rule_of_thumb_bytes(rtt, capacity) / packet_bytes,
+                  "rtt x capacity / packet_bytes")
 
 
 def small_buffer_bytes(rtt: Quantity, capacity: Quantity, n_flows: int) -> float:
@@ -79,7 +81,8 @@ def small_buffer_packets(rtt: Quantity, capacity: Quantity, n_flows: int,
                          packet_bytes: int = 1000) -> float:
     """``B = RTT x C / sqrt(n)`` in packets of ``packet_bytes``."""
     _check_packet_bytes(packet_bytes)
-    return small_buffer_bytes(rtt, capacity, n_flows) / packet_bytes
+    return finite(small_buffer_bytes(rtt, capacity, n_flows) / packet_bytes,
+                  "rtt x capacity / sqrt(n_flows) / packet_bytes")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,13 @@ __all__ = [
 
 _BASE = dict(n_flows=64, pipe_packets=400.0, warmup=15.0, duration=30.0, seed=21)
 
+#: The pacing ablation's buffer, in units of the sqrt(n) rule: tiny,
+#: where unpaced bursts hurt.  Every other long-flow ablation runs at 1x.
+PACED_FACTOR = 0.25
+
+#: The short-flow access-speed ablation's fixed scenario.
+_ACCESS = dict(load=0.7, buffer_packets=30, flow_packets=14, duration=30.0)
+
 
 @dataclass
 class AblationRow:
@@ -55,10 +62,10 @@ class AblationRow:
     extra: float = math.nan
 
 
-def queue_discipline_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
+def queue_discipline_ablation(**overrides) -> List[AblationRow]:
     """Drop-tail vs RED at the same physical buffer."""
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"])
     rows = []
     for label, red in [("drop-tail", False), ("RED", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -67,10 +74,10 @@ def queue_discipline_ablation(factor: float = 1.0, **overrides) -> List[Ablation
     return rows
 
 
-def delayed_ack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
+def delayed_ack_ablation(**overrides) -> List[AblationRow]:
     """Immediate vs delayed ACKs."""
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"])
     rows = []
     for label, delack in [("ack-every-segment", False), ("delayed-ack", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -79,7 +86,7 @@ def delayed_ack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     return rows
 
 
-def rtt_spread_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
+def rtt_spread_ablation(**overrides) -> List[AblationRow]:
     """Homogeneous vs spread RTTs: the desynchronization knob.
 
     With identical RTTs (and simultaneous starts) the flows synchronize
@@ -87,7 +94,7 @@ def rtt_spread_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     holds.  The sync index makes the mechanism visible.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"])
     rows = []
     cases = [
         ("homogeneous RTTs, simultaneous starts", (1.0, 1.0), 1e-3),
@@ -103,10 +110,10 @@ def rtt_spread_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     return rows
 
 
-def cc_flavor_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
+def cc_flavor_ablation(**overrides) -> List[AblationRow]:
     """Tahoe vs Reno vs NewReno senders at the sqrt(n) buffer."""
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"])
     rows = []
     for flavor in ("tahoe", "reno", "newreno"):
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -116,9 +123,7 @@ def cc_flavor_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     return rows
 
 
-def access_speed_ablation(load: float = 0.7, buffer_packets: int = 30,
-                          flow_packets: int = 14, duration: float = 30.0,
-                          seed: int = 23) -> List[AblationRow]:
+def access_speed_ablation(seed: int = 23) -> List[AblationRow]:
     """Short flows with fast vs slow access links.
 
     Fast access keeps slow-start bursts intact (the paper's worst
@@ -130,16 +135,16 @@ def access_speed_ablation(load: float = 0.7, buffer_packets: int = 30,
     for label, mult in [("access 10x bottleneck", 10.0),
                         ("access 1x bottleneck", 1.0)]:
         result = run_short_flow_experiment(
-            load=load, buffer_packets=buffer_packets,
-            sizes=FixedSize(flow_packets), duration=duration, seed=seed,
-            access_multiplier=mult,
+            load=_ACCESS["load"], buffer_packets=_ACCESS["buffer_packets"],
+            sizes=FixedSize(_ACCESS["flow_packets"]),
+            duration=_ACCESS["duration"], seed=seed, access_multiplier=mult,
         )
         rows.append(AblationRow(label, result.utilization, result.drop_rate,
                                 extra=result.afct))
     return rows
 
 
-def ecn_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
+def ecn_ablation(**overrides) -> List[AblationRow]:
     """RED dropping vs RED marking (ECN) at the sqrt(n) buffer.
 
     With ECN the congestion signal costs no retransmissions: loss rate
@@ -147,7 +152,7 @@ def ecn_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     paper's buffer-sizing story.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"])
     rows = []
     for label, ecn in [("RED (drop)", False), ("RED + ECN (mark)", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -157,7 +162,7 @@ def ecn_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     return rows
 
 
-def sack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
+def sack_ablation(**overrides) -> List[AblationRow]:
     """Reno vs SACK senders at the sqrt(n) buffer.
 
     SACK repairs multi-loss windows without timeouts, so it should match
@@ -166,7 +171,7 @@ def sack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     loss recovery.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"])
     rows = []
     for label, use_sack in [("reno", False), ("reno+sack", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,
@@ -176,17 +181,18 @@ def sack_ablation(factor: float = 1.0, **overrides) -> List[AblationRow]:
     return rows
 
 
-def pacing_ablation(factor: float = 0.25, **overrides) -> List[AblationRow]:
+def pacing_ablation(**overrides) -> List[AblationRow]:
     """Paced vs unpaced senders at a *tiny* buffer.
 
     Pacing spreads each window over an RTT, removing the bursts that
     tiny buffers cannot absorb.  The buffer-sizing follow-up literature
     (and the paper's TR) suggests paced TCP sustains utilization with
     buffers well below ``RTT*C/sqrt(n)``; this ablation measures that
-    effect directly at ``factor`` (default 0.25x) of the sqrt-rule.
+    effect directly at :data:`PACED_FACTOR` (0.25x) of the sqrt-rule.
     """
     params = {**_BASE, **overrides}
-    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"], factor)
+    buffer_packets = sqrt_rule_packets(params["pipe_packets"], params["n_flows"],
+                                       PACED_FACTOR)
     rows = []
     for label, paced in [("unpaced", False), ("paced", True)]:
         result = run_long_flow_experiment(buffer_packets=buffer_packets,

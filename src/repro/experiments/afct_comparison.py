@@ -14,7 +14,7 @@ the Section 5.1.3 claim that mixes are governed by the long flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments import common
@@ -22,7 +22,7 @@ from repro.metrics import FctCollector, QueueMonitor, UtilizationMonitor
 from repro.net import build_dumbbell
 from repro.sim import RngStreams
 from repro.traffic import LongLivedWorkload, ShortFlowWorkload
-from repro.traffic.sizes import FlowSizeDistribution, UniformSize
+from repro.traffic.sizes import UniformSize
 from repro.units import Quantity
 
 __all__ = ["MixResult", "run_mixed_experiment", "compare_buffers"]
@@ -41,20 +41,23 @@ class MixResult:
     short_flows_with_loss: int
 
 
+#: The short-flow side of Figure 9: load, and flow sizes in packets.
+SHORT_LOAD = 0.15
+SHORT_SIZES = (2, 30)
+
+
 def run_mixed_experiment(
     buffer_packets: int,
     n_long: int = 50,
-    short_load: float = 0.15,
     pipe_packets: float = 400.0,
     bottleneck_rate: Quantity = "40Mbps",
-    sizes: Optional[FlowSizeDistribution] = None,
     warmup: float = 20.0,
     duration: float = 40.0,
     seed: int = 5,
     n_short_pairs: int = 20,
-    max_window_short: int = 43,
 ) -> MixResult:
-    """Run ``n_long`` long flows plus short flows at ``short_load``.
+    """Run ``n_long`` long flows plus short flows at :data:`SHORT_LOAD`,
+    their sizes uniform over :data:`SHORT_SIZES`.
 
     The dumbbell has ``n_long + n_short_pairs`` host pairs; the first
     ``n_long`` carry the long-lived flows, the rest carry the Poisson
@@ -84,11 +87,11 @@ def run_mixed_experiment(
 
     t_end = warmup + duration
     collector = FctCollector(t_start=warmup, t_end=t_end)
-    size_dist = sizes if sizes is not None else UniformSize(2, 30)
     short = ShortFlowWorkload.for_load(
-        net.view(start=n_long), load=short_load, sizes=size_dist,
-        rng=streams.stream("arrivals"), t_stop=t_end,
-        max_window=max_window_short, on_complete=collector, mss=common.MSS,
+        net.view(start=n_long), load=SHORT_LOAD,
+        sizes=UniformSize(*SHORT_SIZES), rng=streams.stream("arrivals"),
+        t_stop=t_end, max_window=common.MAX_WINDOW_SHORT, on_complete=collector,
+        mss=common.MSS,
     )
     short.start()
 

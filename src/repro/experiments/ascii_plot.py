@@ -17,6 +17,9 @@ __all__ = ["line_plot", "histogram_plot"]
 
 _MARKERS = "ox+*#@%&"
 
+#: Columns of a histogram bar at the tallest bin.
+HISTOGRAM_WIDTH = 60
+
 
 def _scale(value: float, lo: float, hi: float, cells: int) -> int:
     if hi == lo:
@@ -27,16 +30,13 @@ def _scale(value: float, lo: float, hi: float, cells: int) -> int:
 
 def line_plot(series: Dict[str, Sequence[Tuple[float, float]]],
               width: int = 72, height: int = 20,
-              title: str = "", xlabel: str = "", ylabel: str = "",
-              logy: bool = False) -> str:
+              title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render one or more (x, y) series as an ASCII scatter plot.
 
     Parameters
     ----------
     series:
         ``{label: [(x, y), ...]}``; each series gets its own marker.
-    logy:
-        Plot ``log10(y)`` (useful for buffer-size axes spanning decades).
 
     Returns the rendered multi-line string.
     """
@@ -47,15 +47,8 @@ def line_plot(series: Dict[str, Sequence[Tuple[float, float]]],
     if not points:
         raise ConfigurationError("all points are NaN")
 
-    def ty(y: float) -> float:
-        if logy:
-            if y <= 0:
-                raise ConfigurationError("logy requires positive y values")
-            return math.log10(y)
-        return y
-
     xs = [x for x, _ in points]
-    ys = [ty(y) for _, y in points]
+    ys = [y for _, y in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
@@ -68,19 +61,17 @@ def line_plot(series: Dict[str, Sequence[Tuple[float, float]]],
             if math.isnan(x) or math.isnan(y):
                 continue
             col = _scale(x, x_lo, x_hi, width)
-            row = height - 1 - _scale(ty(y), y_lo, y_hi, height)
+            row = height - 1 - _scale(y, y_lo, y_hi, height)
             grid[row][col] = marker
 
     lines: List[str] = []
     if title:
         lines.append(title.center(width + 10))
-    y_top = 10 ** y_hi if logy else y_hi
-    y_bot = 10 ** y_lo if logy else y_lo
     for i, row in enumerate(grid):
         if i == 0:
-            label = f"{y_top:9.3g}"
+            label = f"{y_hi:9.3g}"
         elif i == height - 1:
-            label = f"{y_bot:9.3g}"
+            label = f"{y_lo:9.3g}"
         else:
             label = " " * 9
         lines.append(f"{label} |{''.join(row)}")
@@ -91,14 +82,15 @@ def line_plot(series: Dict[str, Sequence[Tuple[float, float]]],
     )
     lines.append(" " * 10 + legend)
     if ylabel:
-        lines.append(" " * 10 + f"(y: {ylabel}{', log scale' if logy else ''})")
+        lines.append(" " * 10 + f"(y: {ylabel})")
     return "\n".join(lines)
 
 
 def histogram_plot(edges: Sequence[float], counts: Sequence[int],
                    overlay: Optional[Sequence[float]] = None,
-                   width: int = 60, title: str = "") -> str:
-    """Render a histogram horizontally, optionally overlaying a model curve.
+                   title: str = "") -> str:
+    """Render a histogram, :data:`HISTOGRAM_WIDTH` columns wide,
+    horizontally, optionally overlaying a model curve.
 
     ``overlay`` gives expected counts per bin (same length as
     ``counts``); its position is marked with ``|`` so the empirical bars
@@ -108,6 +100,7 @@ def histogram_plot(edges: Sequence[float], counts: Sequence[int],
         raise ConfigurationError("need len(edges) == len(counts) + 1")
     if overlay is not None and len(overlay) != len(counts):
         raise ConfigurationError("overlay must match counts length")
+    width = HISTOGRAM_WIDTH
     peak = max(max(counts), max(overlay) if overlay else 0, 1)
     lines: List[str] = []
     if title:

@@ -53,8 +53,9 @@ __all__ = [
 ]
 
 #: Buffer grid in units of ``pipe/sqrt(n)``; spans well under to well
-#: over the rule so the SLO crossing is interpolable for every CC.
-DEFAULT_FACTORS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+#: over the rule so the SLO crossing is interpolable for every CC, and
+#: holds 1.0, the sqrt(n)-rule cell the dynamics are read from.
+FACTORS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 #: The SLO, as a fraction of each CC's own ceiling on the grid.
 TARGET = 0.98
@@ -123,7 +124,6 @@ def run_cc_comparison(
     warmup: float,
     duration: float,
     seed: int,
-    factors: Sequence[float] = DEFAULT_FACTORS,
 ) -> CcComparisonResult:
     """Window dynamics and min-buffer-vs-n per CC, one sweep per CC.
 
@@ -140,15 +140,12 @@ def run_cc_comparison(
     if not n_values or min(n_values) < 1:
         raise ConfigurationError(
             f"need flow counts >= 1, got {list(n_values)}")
-    if 1.0 not in factors:
-        raise ConfigurationError(
-            "factors must include 1.0 (the reference sqrt(n)-rule cell)")
     paced = {cc: _is_paced(cc) for cc in ccs}  # fail fast on an unknown name
 
     result = CcComparisonResult(pipe_packets, [], [], [])
     for cc in ccs:
         sweep = min_buffer_sweep(
-            n_values=n_values, targets=(), factors=factors,
+            n_values=n_values, targets=(), factors=FACTORS,
             pipe_packets=pipe_packets, warmup=warmup, duration=duration,
             seed=seed, bottleneck_rate=bottleneck_rate, cc=cc,
             track_windows=True)

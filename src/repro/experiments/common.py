@@ -66,6 +66,10 @@ __all__ = [
 PACKET_BYTES = 1000
 MSS = PACKET_BYTES - TCP_HEADER_BYTES
 
+#: Advertised window cap of a short flow, in packets: the OS-typical
+#: 12–43 that keeps transfers in the paper's slow-start regime.
+MAX_WINDOW_SHORT = 43
+
 #: Calendar-queue auto-sizing horizon: the wheel should span the
 #: longest routinely pending timer.  Initial RTO is 1s (repro.tcp.rto),
 #: doubled a couple of times under backoff before a run is clearly
@@ -73,11 +77,10 @@ MSS = PACKET_BYTES - TCP_HEADER_BYTES
 _TIMER_HORIZON = 3.0
 
 
-def rtt_for_pipe(pipe_packets: float, rate: Quantity,
-                 packet_bytes: int = PACKET_BYTES) -> float:
+def rtt_for_pipe(pipe_packets: float, rate: Quantity) -> float:
     """Mean two-way propagation delay giving the requested pipe.
 
-    ``pipe = rate * rtt / (8 * packet_bytes)`` inverted for ``rtt``.
+    ``pipe = rate * rtt / (8 * PACKET_BYTES)`` inverted for ``rtt``.
     """
     if not (math.isfinite(pipe_packets) and pipe_packets > 0):
         raise ConfigurationError(
@@ -85,7 +88,7 @@ def rtt_for_pipe(pipe_packets: float, rate: Quantity,
     rate_bps = parse_bandwidth(rate)
     if rate_bps <= 0:
         raise ConfigurationError("link rate must be positive")
-    return pipe_packets * packet_bytes * 8.0 / rate_bps
+    return pipe_packets * PACKET_BYTES * 8.0 / rate_bps
 
 
 def check_window(warmup: float, duration: float) -> None:
@@ -272,7 +275,6 @@ def run_long_flow_experiment(
     seed: int = 1,
     cc: str = "reno",
     rtt_spread: Tuple[float, float] = (0.5, 1.5),
-    max_window: int = 10_000,
     delayed_ack: bool = False,
     track_windows: bool = False,
     proc_jitter_mean: float = 0.0,
@@ -403,7 +405,6 @@ def run_long_flow_experiment(
         start_spread=warmup / 2.0 if start_spread is None else start_spread,
         rng=streams.stream("starts"),
         mss=MSS,
-        max_window=max_window,
         delayed_ack=delayed_ack,
         pacing=pacing,
         sack=sack,
@@ -465,10 +466,8 @@ def run_short_flow_experiment(
     duration: float = 40.0,
     seed: int = 1,
     n_pairs: int = 20,
-    max_window: int = 43,
     access_multiplier: float = 10.0,
     cc: str = "reno",
-    faults: Optional[FaultSchedule] = None,
     max_events: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
     optimize: bool = True,
@@ -524,7 +523,7 @@ def run_short_flow_experiment(
     collector = FctCollector(t_start=warmup, t_end=t_end)
     workload = ShortFlowWorkload.for_load(
         net, load=load, sizes=sizes, rng=streams.stream("arrivals"),
-        t_stop=t_end, max_window=max_window, on_complete=collector,
+        t_stop=t_end, max_window=MAX_WINDOW_SHORT, on_complete=collector,
         cc=cc, mss=MSS,
     )
     util_mon = UtilizationMonitor(sim, net.bottleneck_link, t_start=warmup, t_end=t_end)
@@ -532,11 +531,6 @@ def run_short_flow_experiment(
                              sample_period=max(duration / 2000.0, 0.005))
     workload.start()
     t_drain = t_end + duration * 0.25
-    if faults is not None:
-        from repro.faults import targets_for_dumbbell  # a fault-free run never needs it
-
-        faults.install(sim, targets_for_dumbbell(net),
-                       rng=streams.stream("faults"))
     # Drain period so flows that started near t_end can complete.
     run_world(sim, net, t_drain, optimize=optimize, max_events=max_events,
               max_wall_seconds=max_wall_seconds, on_sim=on_sim)
@@ -551,6 +545,5 @@ def run_short_flow_experiment(
         p99_fct=collector.percentile(0.99),
         flows_with_loss=collector.flows_with_loss,
         events_processed=sim.events_processed,
-        fault_log=list(faults.log) if faults is not None else None,
         metrics=_obs.snapshot(sim.now) if _obs.enabled else None,
     )

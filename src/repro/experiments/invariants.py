@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import InvariantViolation
 from repro.net.interface import Interface
 from repro.net.link import Link
 from repro.net.node import Host
@@ -131,27 +131,24 @@ class InvariantMonitor:
         The simulator.
     network:
         The network to audit.
-    period:
-        Seconds of virtual time between audits.  Checks are O(nodes), so
-        even aggressive periods cost a negligible fraction of a packet
-        -level run.
     t_stop:
         Optional time after which auditing stops rescheduling itself.
     """
 
-    def __init__(self, sim, network: Network, period: float = 1.0,
-                 t_stop: Optional[float] = None):
-        if period <= 0:
-            raise ConfigurationError(f"monitor period must be positive, got {period}")
+    #: Seconds of virtual time between audits.  Checks are O(nodes), so
+    #: even aggressive periods cost a negligible fraction of a packet
+    #: -level run.
+    PERIOD = 1.0
+
+    def __init__(self, sim, network: Network, t_stop: Optional[float] = None):
         self.sim = sim
         self.network = network
-        self.period = period
         self.t_stop = t_stop
         self.checks_run = 0
-        sim.schedule(period, self._tick)
+        sim.schedule(self.PERIOD, self._tick)
 
     def _tick(self) -> None:
         verify_network(self.network)
         self.checks_run += 1
-        if self.t_stop is None or self.sim.now + self.period <= self.t_stop:
-            self.sim.schedule(self.period, self._tick)
+        if self.t_stop is None or self.sim.now + self.PERIOD <= self.t_stop:
+            self.sim.schedule(self.PERIOD, self._tick)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import (LongFlowResult, run_long_flow_experiment,
+from repro.experiments.common import (run_long_flow_experiment,
                                       sqrt_rule, sqrt_rule_packets)
 from repro.runner import SweepSupervisor, TrialOutcome
 
@@ -98,7 +98,6 @@ def min_buffer_sweep(
     warmup: float = 20.0,
     duration: float = 40.0,
     seed: int = 3,
-    checkpoint_path: Optional[str] = None,
     **kwargs,
 ) -> SweepResult:
     """Measure min-buffer-vs-n for the given utilization targets.
@@ -111,9 +110,6 @@ def min_buffer_sweep(
         Utilization targets (the paper's three curves).
     factors:
         Buffer grid in units of ``pipe / sqrt(n)``; must be increasing.
-    checkpoint_path:
-        Optional JSON checkpoint; a sweep killed mid-grid resumes from
-        the last completed cell on the next call with the same path.
     pipe_packets, warmup, duration, seed, kwargs:
         Forwarded to :func:`run_long_flow_experiment`.
     """
@@ -121,11 +117,7 @@ def min_buffer_sweep(
         raise ConfigurationError("factors must be increasing")
     if any(n < 1 for n in n_values):
         raise ConfigurationError("n_values must be positive flow counts")
-    supervisor = SweepSupervisor(
-        run_long_flow_experiment,
-        checkpoint_path=checkpoint_path,
-        deserialize=LongFlowResult.from_dict,
-    )
+    supervisor = SweepSupervisor(run_long_flow_experiment)
     cells: List[Tuple[int, int, Dict]] = []
     for n in n_values:
         for factor in factors:

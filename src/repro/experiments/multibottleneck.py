@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import common
 from repro.metrics import UtilizationMonitor, jain_index
 from repro.net import build_parking_lot
+from repro.net.topology import PARKING_LOT_RTT
 from repro.sim import RngStreams
 from repro.tcp import TcpFlow
 from repro.units import parse_bandwidth, parse_time
@@ -56,13 +57,14 @@ class MultiBottleneckResult:
     fairness_within_cross: float
 
 
+#: Routers in the chain: two backbone links, so two bottlenecks.
+N_HOPS = 3
+
+
 def run_multibottleneck(
-    n_hops: int = 3,
     n_e2e: int = 8,
     n_cross_per_hop: int = 24,
     link_rate: str = "20Mbps",
-    rtt: str = "80ms",
-    buffer_factor: float = 1.0,
     warmup: float = 20.0,
     duration: float = 40.0,
     seed: int = 31,
@@ -70,10 +72,8 @@ def run_multibottleneck(
     """Run end-to-end plus cross traffic over a parking-lot chain.
 
     Each backbone link carries ``n_e2e + n_cross_per_hop`` flows and
-    gets a buffer of ``buffer_factor * pipe / sqrt(n_link)`` packets.
+    gets the sqrt(n) rule's buffer, ``pipe / sqrt(n_link)`` packets.
     """
-    if n_hops < 2:
-        raise ConfigurationError("need at least two backbone routers")
     if n_e2e < 1 or n_cross_per_hop < 1:
         raise ConfigurationError("need n_e2e >= 1 and n_cross_per_hop >= 1")
     if warmup < 0 or duration <= 0:
@@ -81,13 +81,14 @@ def run_multibottleneck(
     streams = RngStreams(seed)
     sim = common._make_simulator()
     rate_bps = parse_bandwidth(link_rate)
-    pipe = rate_bps * parse_time(rtt) / (8.0 * common.PACKET_BYTES)
+    pipe = (rate_bps * parse_time(PARKING_LOT_RTT)
+            / (8.0 * common.PACKET_BYTES))
     n_link = n_e2e + n_cross_per_hop
-    buffer_packets = max(2, int(round(buffer_factor * pipe / math.sqrt(n_link))))
+    buffer_packets = max(2, int(round(pipe / math.sqrt(n_link))))
 
     network, backbone, pairs = build_parking_lot(
-        sim, n_hops=n_hops, n_pairs_per_hop=1, link_rate=link_rate,
-        buffer_packets=buffer_packets, rtt=rtt,
+        sim, n_hops=N_HOPS, n_pairs_per_hop=1, link_rate=link_rate,
+        buffer_packets=buffer_packets,
     )
     # build_parking_lot gives one e2e pair and one cross pair per hop;
     # multiplex several flows onto each (ports distinguish them).

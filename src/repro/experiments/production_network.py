@@ -40,6 +40,13 @@ PAPER_BUFFERS = (500, 85, 65, 46)
 PACKET_BYTES = 540
 MSS = PACKET_BYTES - TCP_HEADER_BYTES
 
+#: The emulated dormitory link: the longest propagation RTT (seconds),
+#: the offered short-flow (web churn) load on top of the long flows,
+#: and the unresponsive CBR traffic as a fraction of capacity.
+RTT_MAX = 0.25
+TCP_LOAD = 0.4
+UDP_FRACTION = 0.03
+
 
 @dataclass
 class ProductionRow:
@@ -56,9 +63,6 @@ def production_table(
     buffers: Sequence[int] = PAPER_BUFFERS,
     bottleneck_rate: Quantity = "20Mbps",
     n_concurrent: int = 400,
-    rtt_max: float = 0.25,
-    tcp_load: float = 0.4,
-    udp_fraction: float = 0.03,
     warmup: float = 15.0,
     duration: float = 45.0,
     seed: int = 17,
@@ -74,10 +78,6 @@ def production_table(
     n_concurrent:
         Assumed concurrent flow count for the rule arithmetic (the
         paper estimated ~400).
-    tcp_load:
-        Offered short-flow (web churn) load on top of the long flows.
-    udp_fraction:
-        Unresponsive CBR traffic as a fraction of capacity.
     n_long:
         Long-lived "download" flows; these dominate demand (the dorm
         link was congested by sustained downloads, which is why it was
@@ -93,18 +93,18 @@ def production_table(
         raise ConfigurationError(
             "need n_pairs > n_long: churn and UDP ride the remaining pairs")
     rate_bps = parse_bandwidth(bottleneck_rate)
-    pipe_packets = rate_bps * rtt_max / (8.0 * PACKET_BYTES)
+    pipe_packets = rate_bps * RTT_MAX / (8.0 * PACKET_BYTES)
     unit = pipe_packets / math.sqrt(n_concurrent)
     rows: List[ProductionRow] = []
     for buffer_packets in buffers:
         streams = RngStreams(seed)
         sim = common._make_simulator()
         rtt_rng = streams.stream("rtt")
-        rtts = [rtt_rng.uniform(0.1 * rtt_max, rtt_max) for _ in range(n_pairs)]
+        rtts = [rtt_rng.uniform(0.1 * RTT_MAX, RTT_MAX) for _ in range(n_pairs)]
         net = build_dumbbell(
             sim, n_pairs=n_pairs, bottleneck_rate=rate_bps,
             buffer_packets=int(buffer_packets), rtts=rtts,
-            bottleneck_delay=rtt_max / 50.0, receiver_delay=rtt_max / 100.0,
+            bottleneck_delay=RTT_MAX / 50.0, receiver_delay=RTT_MAX / 100.0,
         )
         # A few long-lived bulk downloads.
         LongLivedWorkload(net.view(stop=n_long), cc="reno",
@@ -115,20 +115,16 @@ def production_table(
         collector = FctCollector(t_start=warmup, t_end=t_end)
         sizes = BoundedPareto(shape=1.2, minimum=2, maximum=2000)
         short = ShortFlowWorkload.for_load(
-            net.view(start=n_long), load=min(tcp_load, 0.99), sizes=sizes,
+            net.view(start=n_long), load=TCP_LOAD, sizes=sizes,
             rng=streams.stream("arrivals"), t_stop=t_end, max_window=43,
             on_complete=collector, mss=MSS,
         )
-        if tcp_load > 0.99:
-            # Scale the arrival rate beyond the for_load cap to model
-            # offered demand exceeding the throttled capacity.
-            short.arrival_rate *= tcp_load / 0.99
         short.start()
         # Unresponsive CBR component.
         _udp_sink = UdpSink(sim, net.receivers[n_long], port=9)
         udp = UdpSource(
             sim, net.senders[n_long], dst_address=net.receivers[n_long].address,
-            dport=9, rate=rate_bps * udp_fraction, payload=MSS,
+            dport=9, rate=rate_bps * UDP_FRACTION, payload=MSS,
             poisson=True, rng=streams.stream("udp"), sport=9,
         )
         udp.start()

@@ -2,7 +2,7 @@
 
 For each bandwidth, the infinite-buffer AFCT baseline is measured
 first; then buffers from an increasing grid are tried until measured
-AFCT is within ``1 + max_inflation`` of the baseline.  The model value
+AFCT is within ``1 + MAX_INFLATION`` of the baseline.  The model value
 — the effective-bandwidth bound inverted at ``P(Q >= B) = 0.025`` — is
 reported alongside.
 
@@ -19,7 +19,11 @@ from typing import List, Optional, Sequence
 
 from repro.core import ShortFlowModel
 from repro.errors import ConfigurationError
-from repro.experiments.common import ShortFlowResult, run_short_flow_experiment
+from repro.experiments.common import (
+    MAX_WINDOW_SHORT,
+    ShortFlowResult,
+    run_short_flow_experiment,
+)
 from repro.runner import SweepSupervisor, TrialOutcome
 from repro.traffic.sizes import FixedSize, FlowSizeDistribution
 from repro.units import Quantity, parse_bandwidth
@@ -27,6 +31,14 @@ from repro.units import Quantity, parse_bandwidth
 __all__ = ["ShortFlowPoint", "afct_buffer_sweep"]
 
 DEFAULT_BUFFER_GRID = (5, 10, 20, 30, 40, 60, 80, 120, 160, 240)
+
+#: AFCT inflation tolerance over the infinite-buffer baseline (the
+#: paper's 12.5%).
+MAX_INFLATION = 0.125
+
+#: Flow length when no size distribution is given: the paper's short
+#: fixed-length flows, 14 packets = 3 slow-start bursts.
+FLOW_PACKETS = 14
 
 
 @dataclass
@@ -50,13 +62,10 @@ class ShortFlowPoint:
 def afct_buffer_sweep(
     bandwidths: Sequence[Quantity] = ("10Mbps", "20Mbps", "40Mbps"),
     load: float = 0.8,
-    flow_packets: int = 14,
-    max_inflation: float = 0.125,
     buffer_grid: Sequence[int] = DEFAULT_BUFFER_GRID,
     warmup: float = 5.0,
     duration: float = 60.0,
     seed: int = 11,
-    max_window: int = 43,
     sizes: Optional[FlowSizeDistribution] = None,
     **kwargs,
 ) -> List[ShortFlowPoint]:
@@ -68,11 +77,6 @@ def afct_buffer_sweep(
         Bottleneck rates (the paper: 40, 80, 200 Mb/s; scaled default).
     load:
         Offered load (the paper: 0.8).
-    flow_packets:
-        Flow length when ``sizes`` is not given (paper uses short fixed
-        -length flows; 14 packets = 3 slow-start bursts).
-    max_inflation:
-        AFCT inflation tolerance (paper: 12.5%).
     buffer_grid:
         Increasing buffer sizes to try; the scan stops at the first one
         meeting the threshold, or at a failed cell (a stall or a broken
@@ -80,9 +84,9 @@ def afct_buffer_sweep(
     """
     if list(buffer_grid) != sorted(buffer_grid):
         raise ConfigurationError("buffer_grid must be increasing")
-    size_dist = sizes if sizes is not None else FixedSize(flow_packets)
+    size_dist = sizes if sizes is not None else FixedSize(FLOW_PACKETS)
     model = ShortFlowModel(load=load, flow_sizes=size_dist.probability_map(),
-                           max_window=max_window)
+                           max_window=MAX_WINDOW_SHORT)
     model_buffer = model.required_buffer()  # P(Q >= B) = 0.025
 
     supervisor = SweepSupervisor(run_short_flow_experiment,
@@ -92,14 +96,14 @@ def afct_buffer_sweep(
         return supervisor.run_cell(
             load=load, buffer_packets=buffer_packets, sizes=size_dist,
             bottleneck_rate=bandwidth, warmup=warmup, duration=duration,
-            seed=seed, max_window=max_window, **kwargs)
+            seed=seed, **kwargs)
 
     points: List[ShortFlowPoint] = []
     for bandwidth in bandwidths:
         baseline = measure(bandwidth, None)
         failed = None if baseline.ok else baseline
         baseline_afct = baseline.result.afct if baseline.ok else math.nan
-        threshold = baseline_afct * (1.0 + max_inflation)
+        threshold = baseline_afct * (1.0 + MAX_INFLATION)
         min_buffer = math.nan
         afct_at_min = math.nan
         for buffer_packets in buffer_grid if baseline.ok else ():

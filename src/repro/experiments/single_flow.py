@@ -26,6 +26,9 @@ from repro.units import Quantity
 
 __all__ = ["SingleFlowTrace", "run_single_flow", "sawtooth_figures"]
 
+#: Seconds between cwnd and queue samples of the sawtooth traces.
+SAMPLE_PERIOD = 0.05
+
 
 @dataclass
 class SingleFlowTrace:
@@ -75,8 +78,6 @@ def run_single_flow(
     bottleneck_rate: Quantity = "10Mbps",
     warmup: float = 40.0,
     duration: float = 100.0,
-    cc: str = "reno",
-    sample_period: float = 0.05,
 ) -> SingleFlowTrace:
     """Run one long-lived flow with ``B = buffer_fraction * RTT * C``.
 
@@ -95,12 +96,12 @@ def run_single_flow(
         buffer_packets=buffer_packets, rtts=[rtt],
         bottleneck_delay=rtt / 20.0, receiver_delay=rtt / 100.0,
     )
-    flow = TcpFlow(sim, net.senders[0], net.receivers[0], cc=cc, mss=common.MSS)
+    flow = TcpFlow(sim, net.senders[0], net.receivers[0], mss=common.MSS)
     t_end = warmup + duration
     cwnd_series = TimeSeries("cwnd")
-    Probe(sim, lambda: flow.cwnd, sample_period, series=cwnd_series).start(warmup)
+    Probe(sim, lambda: flow.cwnd, SAMPLE_PERIOD, series=cwnd_series).start(warmup)
     util_mon = UtilizationMonitor(sim, net.bottleneck_link, t_start=warmup, t_end=t_end)
-    queue_mon = QueueMonitor(sim, net.bottleneck_queue, sample_period=sample_period,
+    queue_mon = QueueMonitor(sim, net.bottleneck_queue, sample_period=SAMPLE_PERIOD,
                              t_start=warmup, t_end=t_end)
     common.run_world(sim, net, t_end)
 

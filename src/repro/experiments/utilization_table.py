@@ -22,7 +22,6 @@ absolute scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -35,6 +34,10 @@ from repro.units import Quantity
 __all__ = ["TableRow", "utilization_table"]
 
 DEFAULT_FACTORS = (0.5, 1.0, 2.0, 3.0)
+
+#: Mean per-packet host jitter of the Exp column, as a fraction of the
+#: mean RTT (testbed-like stack noise).
+JITTER_FRACTION = 0.02
 
 
 @dataclass
@@ -57,8 +60,6 @@ def utilization_table(
     warmup: float = 20.0,
     duration: float = 40.0,
     seed: int = 9,
-    jitter_fraction: float = 0.02,
-    run_exp_column: bool = True,
     **kwargs,
 ) -> List[TableRow]:
     """Generate Table 10 rows.
@@ -68,11 +69,9 @@ def utilization_table(
     n_values, factors:
         The row grid: flow counts x buffer multiples of
         ``pipe/sqrt(n)``.
-    jitter_fraction:
-        Mean per-packet host jitter for the Exp column, as a fraction
-        of the mean RTT (testbed-like stack noise).
-    run_exp_column:
-        Skip the Exp simulations when False (halves the cost).
+
+    The Exp column reruns each cell at the next seed with per-packet
+    host jitter of mean :data:`JITTER_FRACTION` x the mean RTT.
     """
     if any(n < 1 for n in n_values):
         raise ConfigurationError("n_values must be positive flow counts")
@@ -87,18 +86,15 @@ def utilization_table(
                 pipe_packets=pipe_packets, bottleneck_rate=bottleneck_rate,
                 warmup=warmup, duration=duration, seed=seed, **kwargs,
             )
-            if run_exp_column:
-                exp_result = run_long_flow_experiment(
-                    n_flows=n, buffer_packets=buffer_packets,
-                    pipe_packets=pipe_packets, bottleneck_rate=bottleneck_rate,
-                    warmup=warmup, duration=duration, seed=seed + 1,
-                    proc_jitter_mean=jitter_fraction * rtt_mean, **kwargs,
-                )
-                exp_util = exp_result.utilization
-            else:
-                exp_util = math.nan
+            exp_result = run_long_flow_experiment(
+                n_flows=n, buffer_packets=buffer_packets,
+                pipe_packets=pipe_packets, bottleneck_rate=bottleneck_rate,
+                warmup=warmup, duration=duration, seed=seed + 1,
+                proc_jitter_mean=JITTER_FRACTION * rtt_mean, **kwargs,
+            )
             rows.append(TableRow(
                 n_flows=n, factor=factor, buffer_packets=buffer_packets,
-                model=model, sim=sim_result.utilization, exp=exp_util,
+                model=model, sim=sim_result.utilization,
+                exp=exp_result.utilization,
             ))
     return rows

@@ -11,12 +11,19 @@ paper's Section 3 claim that in-phase synchronization is common below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.common import run_long_flow_experiment, sqrt_rule_packets
 from repro.metrics.windows import GaussianFit
 
 __all__ = ["WindowDistributionResult", "run_window_distribution", "sync_vs_n"]
+
+#: :func:`sync_vs_n`'s worst case for synchronization: identical RTTs,
+#: simultaneous starts, over a fixed measurement window (seconds).
+SYNC_RTT_SPREAD = (1.0, 1.0)
+SYNC_START_SPREAD = 0.0
+SYNC_WARMUP = 20.0
+SYNC_DURATION = 40.0
 
 
 @dataclass
@@ -43,17 +50,14 @@ class WindowDistributionResult:
 def run_window_distribution(
     n_flows: int = 100,
     pipe_packets: float = 400.0,
-    buffer_factor: float = 1.0,
     warmup: float = 30.0,
     duration: float = 60.0,
     seed: int = 7,
     **kwargs,
 ) -> WindowDistributionResult:
-    """Sample the aggregate window of ``n_flows`` long-lived flows.
-
-    ``buffer_factor`` is in units of ``pipe / sqrt(n)``.
-    """
-    buffer_packets = sqrt_rule_packets(pipe_packets, n_flows, buffer_factor)
+    """Sample the aggregate window of ``n_flows`` long-lived flows at
+    the sqrt(n) rule's buffer, ``pipe / sqrt(n)``."""
+    buffer_packets = sqrt_rule_packets(pipe_packets, n_flows)
     result = run_long_flow_experiment(
         n_flows=n_flows,
         buffer_packets=buffer_packets,
@@ -75,17 +79,12 @@ def run_window_distribution(
 
 def sync_vs_n(n_values: Sequence[int] = (4, 16, 64),
               pipe_packets: float = 400.0,
-              buffer_factor: float = 1.0,
-              warmup: float = 20.0,
-              duration: float = 40.0,
               seed: int = 7,
-              rtt_spread: Tuple[float, float] = (1.0, 1.0),
-              start_spread: Optional[float] = 0.0,
               **kwargs) -> List[Tuple[int, float]]:
     """Synchronization index as a function of flow count.
 
     The paper: "in-phase synchronization is common for under 100
-    concurrent flows, it is very rare above 500".  The defaults use the
+    concurrent flows, it is very rare above 500".  The runs use the
     *worst case* for synchronization — identical RTTs and simultaneous
     starts — because any RTT spread already suffices to desynchronize a
     handful of flows (also a paper observation: "small variations in RTT
@@ -94,17 +93,17 @@ def sync_vs_n(n_values: Sequence[int] = (4, 16, 64),
     """
     out: List[Tuple[int, float]] = []
     for n in n_values:
-        buffer_packets = sqrt_rule_packets(pipe_packets, n, buffer_factor)
+        buffer_packets = sqrt_rule_packets(pipe_packets, n)
         result = run_long_flow_experiment(
             n_flows=n,
             buffer_packets=buffer_packets,
             pipe_packets=pipe_packets,
-            warmup=warmup,
-            duration=duration,
+            warmup=SYNC_WARMUP,
+            duration=SYNC_DURATION,
             seed=seed,
             track_windows=True,
-            rtt_spread=rtt_spread,
-            start_spread=start_spread,
+            rtt_spread=SYNC_RTT_SPREAD,
+            start_spread=SYNC_START_SPREAD,
             **kwargs,
         )
         out.append((n, result.sync_index))

@@ -17,10 +17,19 @@ __all__ = [
     "normal_cdf",
     "normal_partial_expectation",
     "bisect_increasing",
+    "finite",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def finite(value: float, what: str) -> float:
+    """``value`` itself, or a :class:`ModelError` naming ``what`` when it
+    is nan or infinite (a sum or product of finite inputs can overflow)."""
+    if not math.isfinite(value):
+        raise ModelError(f"{what} must be finite, got {value}")
+    return value
 
 
 def normal_pdf(x: float, mean: float = 0.0, std: float = 1.0) -> float:

@@ -96,22 +96,21 @@ class Network:
         rate: Quantity,
         delay: Quantity,
         queue_ab: QueueSpec = None,
-        queue_ba: QueueSpec = None,
         name: str = "",
     ) -> Tuple[Interface, Interface]:
         """Create a full-duplex connection between ``a`` and ``b``.
 
         Two independent unidirectional links are created, each with its
-        own queue.  ``queue_ab`` / ``queue_ba`` may be ``None`` (an
-        effectively-infinite drop-tail queue), an ``int`` (drop-tail
-        capacity in packets), a :class:`Queue` instance, or a
-        zero-argument factory.
+        own queue.  ``queue_ab`` may be ``None`` (an effectively-infinite
+        drop-tail queue), an ``int`` (drop-tail capacity in packets), a
+        :class:`Queue` instance, or a zero-argument factory; the ``b``
+        to ``a`` queue is always the effectively-infinite one.
 
         Returns the pair ``(iface_a_to_b, iface_b_to_a)``.
         """
         label = name or f"{a.name or a.node_id}<->{b.name or b.node_id}"
         iface_ab = self._make_interface(a, b, rate, delay, queue_ab, f"{label}:fwd")
-        iface_ba = self._make_interface(b, a, rate, delay, queue_ba, f"{label}:rev")
+        iface_ba = self._make_interface(b, a, rate, delay, None, f"{label}:rev")
         self._adjacency[a.node_id].append(b.node_id)
         self._adjacency[b.node_id].append(a.node_id)
         return iface_ab, iface_ba
@@ -319,7 +318,7 @@ def build_dumbbell(
         bottleneck_queue = int(buffer_packets)
     bottleneck_iface, reverse_iface = network.connect(
         left, right, rate=rate, delay=d_bottle,
-        queue_ab=bottleneck_queue, queue_ba=None, name="bottleneck",
+        queue_ab=bottleneck_queue, name="bottleneck",
     )
 
     senders: List[Host] = []
@@ -346,21 +345,26 @@ def build_dumbbell(
                            bottleneck_iface, reverse_iface, rtt_seconds)
 
 
+#: End-to-end propagation RTT of a parking lot's flows, and its access
+#: links' speed as a multiple of the backbone rate.
+PARKING_LOT_RTT = "80ms"
+PARKING_LOT_ACCESS_SPEEDUP = 10.0
+
+
 def build_parking_lot(
     sim: "Simulator",
     n_hops: int,
     n_pairs_per_hop: int,
     link_rate: Quantity,
     buffer_packets: int,
-    rtt: Quantity = "80ms",
-    access_rate: Optional[Quantity] = None,
 ) -> Tuple[Network, List[Interface], List[Tuple[Host, Host]]]:
     """Build a multi-bottleneck "parking lot" chain.
 
     ``n_hops`` routers in a line; one set of end-to-end flows crosses all
     hops, plus ``n_pairs_per_hop`` single-hop cross-traffic pairs per
     link.  Used by extension experiments probing the paper's single
-    -congestion-point assumption.
+    -congestion-point assumption.  Every flow's RTT is
+    :data:`PARKING_LOT_RTT`.
 
     Returns ``(network, backbone_interfaces, flow_pairs)`` where
     ``flow_pairs`` lists (sender, receiver) for the end-to-end flows
@@ -369,9 +373,8 @@ def build_parking_lot(
     if n_hops < 2:
         raise ConfigurationError("parking lot needs at least 2 routers")
     rate = parse_bandwidth(link_rate)
-    if access_rate is None:
-        access_rate = rate * 10.0
-    rtt_s = parse_time(rtt)
+    access_rate = rate * PARKING_LOT_ACCESS_SPEEDUP
+    rtt_s = parse_time(PARKING_LOT_RTT)
     hop_delay = rtt_s / (4.0 * n_hops)
     access_delay = rtt_s / 8.0
 

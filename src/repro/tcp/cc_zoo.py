@@ -39,9 +39,10 @@ algorithms the theory-validation harness
     simulation clock through the bound sender — no wall clock, no
     randomness — so runs are bit-identical across schedulers and seeds.
 
-All four register themselves with :func:`repro.tcp.congestion.make_cc`
-at import time; the registry imports this module lazily on first
-lookup.
+Each algorithm's constants are class attributes: they are what the
+algorithm *is* (its back-off sets the buffer it needs), not a per-flow
+setting.  :func:`repro.tcp.congestion.make_cc` builds them by name and
+imports this module on the first zoo name.
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from repro.errors import ConfigurationError
-from repro.tcp.congestion import (
-    MIN_SSTHRESH,
-    CongestionControl,
-    register_cc,
-)
+from repro.tcp.congestion import MIN_SSTHRESH, CongestionControl
 
 __all__ = ["CompoundCC", "ScalableCC", "HighSpeedCC", "BbrLikeCC"]
 
@@ -67,39 +63,27 @@ class CompoundCC(CongestionControl):
     Reno exactly.  Once per RTT the delay component compares the
     current round's mean RTT against the minimum ever observed to
     estimate the flow's backlog at the bottleneck,
-    ``diff = cwnd * (1 - base_rtt / rtt)`` packets: below ``gamma`` the
-    delay window grows by the binomial term ``alpha * cwnd**k - 1``;
+    ``diff = cwnd * (1 - base_rtt / rtt)`` packets: below ``GAMMA`` the
+    delay window grows by the binomial term ``ALPHA * cwnd**K - 1``;
     at or above it, queueing delay has appeared and ``dwnd`` is shed by
-    ``zeta * diff`` (a *delay backoff*).  On packet loss both
-    components reduce so the total halves, as in the Compound paper.
-
-    Parameters (defaults from Tan et al. / the Compound study):
-    ``alpha=0.125``, ``beta=0.5``, ``k=0.75``, ``gamma=30`` packets of
-    backlog, ``zeta=1.0`` shed gain.
+    ``ZETA * diff`` (a *delay backoff*).  On packet loss both
+    components reduce by ``BETA`` so the total halves, as in the
+    Compound paper.  The constants are Tan et al.'s / the Compound
+    study's.
     """
 
-    name = "compound"
+    #: Delay-window increase gain and exponent (``ALPHA * cwnd**K - 1``).
+    ALPHA = 0.125
+    K = 0.75
+    #: Multiplicative decrease on loss.
+    BETA = 0.5
+    #: Backlog, in packets, at which the delay window starts shedding.
+    GAMMA = 30.0
+    #: Shed gain: ``dwnd -= ZETA * diff``.
+    ZETA = 1.0
 
-    def __init__(self, initial_cwnd: float = 2.0, initial_ssthresh: float = 1e9,
-                 alpha: float = 0.125, beta: float = 0.5, k: float = 0.75,
-                 gamma: float = 30.0, zeta: float = 1.0):
-        super().__init__(initial_cwnd=initial_cwnd,
-                         initial_ssthresh=initial_ssthresh)
-        if alpha <= 0:
-            raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-        if not 0 < beta < 1:
-            raise ConfigurationError(f"beta must be in (0, 1), got {beta}")
-        if not 0 < k < 1:
-            raise ConfigurationError(f"k must be in (0, 1), got {k}")
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be > 0, got {gamma}")
-        if zeta <= 0:
-            raise ConfigurationError(f"zeta must be > 0, got {zeta}")
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-        self.gamma = gamma
-        self.zeta = zeta
+    def __init__(self, initial_cwnd: float = 2.0):
+        super().__init__(initial_cwnd)
         self._lwnd = float(initial_cwnd)
         self._dwnd = 0.0
         self._base_rtt = math.inf
@@ -109,10 +93,6 @@ class CompoundCC(CongestionControl):
         self._in_recovery = False
         #: Delay-window sheds (the delay-based congestion signal firing).
         self.delay_backoffs = 0
-
-    def _config_params(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "k": self.k,
-                "gamma": self.gamma, "zeta": self.zeta}
 
     def _sync(self) -> None:
         self.cwnd = self._lwnd + self._dwnd
@@ -138,10 +118,10 @@ class CompoundCC(CongestionControl):
             # sender is transmitting against.
             return
         diff = self.cwnd * (1.0 - self._base_rtt / mean_rtt)
-        if diff < self.gamma:
-            self._dwnd += max(self.alpha * self.cwnd ** self.k - 1.0, 0.0)
+        if diff < self.GAMMA:
+            self._dwnd += max(self.ALPHA * self.cwnd ** self.K - 1.0, 0.0)
         elif self._dwnd > 0.0:
-            self._dwnd = max(self._dwnd - self.zeta * diff, 0.0)
+            self._dwnd = max(self._dwnd - self.ZETA * diff, 0.0)
             self.delay_backoffs += 1
         self._sync()
 
@@ -154,8 +134,8 @@ class CompoundCC(CongestionControl):
         self._sync()
 
     def enter_recovery(self, flight_size: float) -> None:
-        self.ssthresh = max(flight_size * (1.0 - self.beta), MIN_SSTHRESH)
-        self._lwnd = max(self._lwnd * (1.0 - self.beta), 1.0)
+        self.ssthresh = max(flight_size * (1.0 - self.BETA), MIN_SSTHRESH)
+        self._lwnd = max(self._lwnd * (1.0 - self.BETA), 1.0)
         self._dwnd = max(self.ssthresh - self._lwnd, 0.0)
         # Inflate by the three duplicate ACKs, as in the base class.
         self.cwnd = self._lwnd + self._dwnd + 3.0
@@ -186,49 +166,33 @@ class ScalableCC(CongestionControl):
     """Scalable TCP: MIMD dynamics above the legacy window.
 
     Per ACK in congestion avoidance the window grows by a constant
-    ``increase`` (so per RTT it grows by ``increase * cwnd`` — the
+    ``INCREASE`` (so per RTT it grows by ``INCREASE * cwnd`` — the
     multiplicative increase), and a loss shrinks it by the fixed factor
-    ``decrease`` instead of halving.  Below ``legacy_window`` packets
+    ``DECREASE`` instead of halving.  Below ``LEGACY_WINDOW`` packets
     the algorithm behaves exactly like Reno, per the Scalable TCP spec.
     """
 
-    name = "scalable"
-
-    def __init__(self, initial_cwnd: float = 2.0, initial_ssthresh: float = 1e9,
-                 increase: float = 0.01, decrease: float = 0.125,
-                 legacy_window: float = 16.0):
-        super().__init__(initial_cwnd=initial_cwnd,
-                         initial_ssthresh=initial_ssthresh)
-        if increase <= 0:
-            raise ConfigurationError(f"increase must be > 0, got {increase}")
-        if not 0 < decrease < 1:
-            raise ConfigurationError(
-                f"decrease must be in (0, 1), got {decrease}")
-        if legacy_window < 1:
-            raise ConfigurationError(
-                f"legacy_window must be >= 1, got {legacy_window}")
-        self.increase = increase
-        self.decrease = decrease
-        self.legacy_window = legacy_window
-
-    def _config_params(self) -> dict:
-        return {"increase": self.increase, "decrease": self.decrease,
-                "legacy_window": self.legacy_window}
+    #: Per-ACK window increase in congestion avoidance, in packets.
+    INCREASE = 0.01
+    #: Multiplicative decrease on loss (β = 1 - DECREASE = 0.875).
+    DECREASE = 0.125
+    #: Below this window, in packets, the algorithm is Reno.
+    LEGACY_WINDOW = 16.0
 
     def on_ack(self, newly_acked: int) -> None:
         for _ in range(newly_acked):
             if self.cwnd < self.ssthresh:
                 self.cwnd += 1.0  # slow start
-            elif self.cwnd < self.legacy_window:
+            elif self.cwnd < self.LEGACY_WINDOW:
                 self.cwnd += 1.0 / self.cwnd  # Reno region
             else:
-                self.cwnd += self.increase  # MIMD region
+                self.cwnd += self.INCREASE  # MIMD region
 
     def enter_recovery(self, flight_size: float) -> None:
-        if flight_size < self.legacy_window:
+        if flight_size < self.LEGACY_WINDOW:
             self.ssthresh = max(flight_size / 2.0, MIN_SSTHRESH)
         else:
-            self.ssthresh = max(flight_size * (1.0 - self.decrease),
+            self.ssthresh = max(flight_size * (1.0 - self.DECREASE),
                                 MIN_SSTHRESH)
         self.cwnd = self.ssthresh + 3.0
         self.fast_recoveries += 1
@@ -239,50 +203,30 @@ class HighSpeedCC(CongestionControl):
 
     In congestion avoidance the window grows ``a(w)`` packets per RTT
     (``a(w)/w`` per ACK) and a loss event shrinks it by the factor
-    ``b(w)``.  Below ``low_window`` both match Reno (``a=1``,
+    ``b(w)``.  Below ``LOW_WINDOW`` both match Reno (``a=1``,
     ``b=0.5``); above it ``b(w)`` is log-interpolated down to
-    ``high_decrease`` at ``high_window``, and ``a(w)`` follows from the
+    ``HIGH_DECREASE`` at ``HIGH_WINDOW``, and ``a(w)`` follows from the
     RFC's deployment path ``p(w) = 0.078 / w**1.2`` via
     ``a(w) = w**2 * p(w) * 2*b(w) / (2 - b(w))``.
     """
 
-    name = "hstcp"
-
-    def __init__(self, initial_cwnd: float = 2.0, initial_ssthresh: float = 1e9,
-                 low_window: float = 38.0, high_window: float = 83000.0,
-                 high_decrease: float = 0.1):
-        super().__init__(initial_cwnd=initial_cwnd,
-                         initial_ssthresh=initial_ssthresh)
-        if low_window < 1:
-            raise ConfigurationError(
-                f"low_window must be >= 1, got {low_window}")
-        if high_window <= low_window:
-            raise ConfigurationError(
-                f"need high_window > low_window, got {high_window}")
-        if not 0 < high_decrease <= 0.5:
-            raise ConfigurationError(
-                f"high_decrease must be in (0, 0.5], got {high_decrease}")
-        self.low_window = low_window
-        self.high_window = high_window
-        self.high_decrease = high_decrease
-        self._log_low = math.log(low_window)
-        self._log_span = math.log(high_window) - self._log_low
-
-    def _config_params(self) -> dict:
-        return {"low_window": self.low_window,
-                "high_window": self.high_window,
-                "high_decrease": self.high_decrease}
+    #: RFC 3649's Low_Window, High_Window (packets) and High_Decrease.
+    LOW_WINDOW = 38.0
+    HIGH_WINDOW = 83000.0
+    HIGH_DECREASE = 0.1
+    _LOG_LOW = math.log(LOW_WINDOW)
+    _LOG_SPAN = math.log(HIGH_WINDOW) - _LOG_LOW
 
     def decrease_factor(self, w: float) -> float:
         """``b(w)``: the multiplicative decrease at window ``w``."""
-        if w <= self.low_window:
+        if w <= self.LOW_WINDOW:
             return 0.5
-        frac = min((math.log(w) - self._log_low) / self._log_span, 1.0)
-        return 0.5 + frac * (self.high_decrease - 0.5)
+        frac = min((math.log(w) - self._LOG_LOW) / self._LOG_SPAN, 1.0)
+        return 0.5 + frac * (self.HIGH_DECREASE - 0.5)
 
     def increase_per_rtt(self, w: float) -> float:
         """``a(w)``: packets of per-RTT additive increase at window ``w``."""
-        if w <= self.low_window:
+        if w <= self.LOW_WINDOW:
             return 1.0
         b = self.decrease_factor(w)
         p = 0.078 / w ** 1.2
@@ -312,10 +256,10 @@ class BbrLikeCC(CongestionControl):
     (:meth:`pacing_interval`) with the window capped near the estimated
     BDP.  Phases:
 
-    * **startup** — pacing gain ``startup_gain`` (2/ln 2); exits to
-      drain after ``full_bw_rounds`` consecutive rounds without ~25%
+    * **startup** — pacing gain ``STARTUP_GAIN`` (2/ln 2); exits to
+      drain after ``FULL_BW_ROUNDS`` consecutive rounds without ~25%
       bandwidth growth;
-    * **drain** — gain ``drain_gain`` (the startup gain's reciprocal)
+    * **drain** — gain ``DRAIN_GAIN`` (the startup gain's reciprocal)
       until the flight drops to the BDP;
     * **probe_bw** — the classic 8-slot gain cycle
       ``1.25, 0.75, 1, 1, 1, 1, 1, 1``, advanced once per round.
@@ -325,13 +269,12 @@ class BbrLikeCC(CongestionControl):
     bound sender's simulation clock — no wall clock, no randomness, so
     runs are bit-identical across scheduler backends.  Loss never
     collapses the window; it applies a gentle multiplicative discount
-    (``loss_beta``) to the bandwidth filter, BBRv2-style, which is what
+    (``LOSS_BETA``) to the bandwidth filter, BBRv2-style, which is what
     lets competing model-driven flows converge on a shared link —
     rate-based operation with loss demoted to a secondary signal, the
     regime the 2021 buffer-sizing update studies.
     """
 
-    name = "bbr"
     rate_based = True
     wants_pacing = True
     has_fast_recovery = True
@@ -342,46 +285,25 @@ class BbrLikeCC(CongestionControl):
 
     #: The probe-bandwidth pacing-gain cycle (one slot per round).
     PROBE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    #: Startup pacing gain (2/ln 2) and drain gain (its reciprocal).
+    STARTUP_GAIN = 2.885
+    DRAIN_GAIN = 0.3466
+    #: In probe_bw the window is capped at CWND_GAIN x the estimated BDP.
+    CWND_GAIN = 2.0
+    #: Rounds the windowed-max bandwidth filter spans.
+    BW_WINDOW = 10
+    #: Rounds without ~25% bandwidth growth that end startup.
+    FULL_BW_ROUNDS = 3
+    #: Window floor, in packets.
+    MIN_CWND = 4.0
+    #: Bandwidth-filter discount per loss event (BBRv2-style).
+    LOSS_BETA = 0.9
 
-    def __init__(self, initial_cwnd: float = 2.0, initial_ssthresh: float = 1e9,
-                 startup_gain: float = 2.885, drain_gain: float = 0.3466,
-                 cwnd_gain: float = 2.0, bw_window: int = 10,
-                 full_bw_rounds: int = 3, min_cwnd: float = 4.0,
-                 loss_beta: float = 0.9):
-        super().__init__(initial_cwnd=initial_cwnd,
-                         initial_ssthresh=initial_ssthresh)
-        if startup_gain <= 1:
-            raise ConfigurationError(
-                f"startup_gain must be > 1, got {startup_gain}")
-        if not 0 < drain_gain < 1:
-            raise ConfigurationError(
-                f"drain_gain must be in (0, 1), got {drain_gain}")
-        if cwnd_gain < 1:
-            raise ConfigurationError(
-                f"cwnd_gain must be >= 1, got {cwnd_gain}")
-        if bw_window < 1:
-            raise ConfigurationError(
-                f"bw_window must be >= 1, got {bw_window}")
-        if full_bw_rounds < 1:
-            raise ConfigurationError(
-                f"full_bw_rounds must be >= 1, got {full_bw_rounds}")
-        if min_cwnd < 1:
-            raise ConfigurationError(
-                f"min_cwnd must be >= 1, got {min_cwnd}")
-        if not 0 < loss_beta <= 1:
-            raise ConfigurationError(
-                f"loss_beta must be in (0, 1], got {loss_beta}")
-        self.loss_beta = loss_beta
-        self.startup_gain = startup_gain
-        self.drain_gain = drain_gain
-        self.cwnd_gain = cwnd_gain
-        self.bw_window = bw_window
-        self.full_bw_rounds = full_bw_rounds
-        self.min_cwnd = min_cwnd
-
-        self.cwnd = max(self.cwnd, float(min_cwnd))
+    def __init__(self, initial_cwnd: float = 2.0):
+        super().__init__(initial_cwnd)
+        self.cwnd = max(self.cwnd, self.MIN_CWND)
         self.state = "startup"
-        self.pacing_gain = startup_gain
+        self.pacing_gain = self.STARTUP_GAIN
         self.bw = 0.0  # packets/second, windowed max
         self.min_rtt = math.inf
         self.rounds = 0
@@ -389,7 +311,7 @@ class BbrLikeCC(CongestionControl):
         #: bandwidth-probing cadence (tcp.bw_probe_transitions).
         self.bw_probe_transitions = 0
         self._sender = None
-        self._bw_samples: deque = deque(maxlen=bw_window)
+        self._bw_samples: deque = deque(maxlen=self.BW_WINDOW)
         self._round_end_seq: Optional[int] = None
         self._round_start_time = 0.0
         self._round_delivered = 0
@@ -399,15 +321,6 @@ class BbrLikeCC(CongestionControl):
         self._full_bw = 0.0
         self._stalled_rounds = 0
         self._cycle_index = 0
-
-    def _config_params(self) -> dict:
-        return {"startup_gain": self.startup_gain,
-                "drain_gain": self.drain_gain,
-                "cwnd_gain": self.cwnd_gain,
-                "bw_window": self.bw_window,
-                "full_bw_rounds": self.full_bw_rounds,
-                "min_cwnd": self.min_cwnd,
-                "loss_beta": self.loss_beta}
 
     # ------------------------------------------------------------------
     # Sender-facing hooks
@@ -468,7 +381,7 @@ class BbrLikeCC(CongestionControl):
     def on_timeout(self, flight_size: float) -> None:
         # Conservative restart, but the bandwidth model survives: an
         # RTO says the *feedback loop* broke, not that the path changed.
-        self.cwnd = float(self.min_cwnd)
+        self.cwnd = self.MIN_CWND
         if not self._round_tainted:
             self._discount_bw()
         self._round_end_seq = None
@@ -484,12 +397,12 @@ class BbrLikeCC(CongestionControl):
     # The model
     # ------------------------------------------------------------------
     def _discount_bw(self) -> None:
-        """Scale the bandwidth filter down by ``loss_beta`` on a loss
+        """Scale the bandwidth filter down by ``LOSS_BETA`` on a loss
         event (every sample, so the discount survives the max)."""
-        if self.bw <= 0.0 or self.loss_beta >= 1.0:
+        if self.bw <= 0.0:
             return
-        scaled = deque((s * self.loss_beta for s in self._bw_samples),
-                       maxlen=self.bw_window)
+        scaled = deque((s * self.LOSS_BETA for s in self._bw_samples),
+                       maxlen=self.BW_WINDOW)
         self._bw_samples = scaled
         self.bw = max(scaled)
 
@@ -501,7 +414,7 @@ class BbrLikeCC(CongestionControl):
 
     def _to_drain(self) -> None:
         self.state = "drain"
-        self.pacing_gain = self.drain_gain
+        self.pacing_gain = self.DRAIN_GAIN
         self._stalled_rounds = 0
         self.bw_probe_transitions += 1
 
@@ -510,16 +423,16 @@ class BbrLikeCC(CongestionControl):
         if bdp <= 0.0:
             return
         if self.state == "startup":
-            gain = self.startup_gain
+            gain = self.STARTUP_GAIN
         elif self.state == "drain":
             # Cap the flight at the BDP so the queue built during
-            # startup can actually drain; with cwnd_gain the sender
+            # startup can actually drain; with CWND_GAIN the sender
             # would hold flight at 2x BDP and never satisfy the
             # drain-exit condition.
             gain = 1.0
         else:
-            gain = self.cwnd_gain
-        self.cwnd = max(gain * bdp, float(self.min_cwnd))
+            gain = self.CWND_GAIN
+        self.cwnd = max(gain * bdp, self.MIN_CWND)
 
     def _advance(self, newly_acked: int) -> None:
         sender = self._sender
@@ -582,7 +495,7 @@ class BbrLikeCC(CongestionControl):
                 self._stalled_rounds = 0
             else:
                 self._stalled_rounds += 1
-                if self._stalled_rounds >= self.full_bw_rounds:
+                if self._stalled_rounds >= self.FULL_BW_ROUNDS:
                     self._to_drain()
         elif self.state == "drain":
             if self._sender.flight_size <= self._bdp():
@@ -600,8 +513,3 @@ class BbrLikeCC(CongestionControl):
         return (f"BbrLikeCC(state={self.state}, cwnd={self.cwnd:.2f}, "
                 f"bw={self.bw:.1f}pps, min_rtt={self.min_rtt:.4f})")
 
-
-register_cc("compound", CompoundCC)
-register_cc("scalable", ScalableCC)
-register_cc("hstcp", HighSpeedCC)
-register_cc("bbr", BbrLikeCC)

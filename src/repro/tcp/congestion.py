@@ -1,10 +1,11 @@
-"""Pluggable congestion control: the AIMD family and the zoo registry.
+"""Pluggable congestion control: the AIMD family and the name lookup.
 
 This module holds the hook interface every algorithm implements, the
-classic loss-driven family (Tahoe, Reno, NewReno), and the name
-registry behind :func:`make_cc`.  The delay-based, scalable and
-rate-based algorithms live in :mod:`repro.tcp.cc_zoo` and register
-themselves here on first lookup.
+classic loss-driven family (Tahoe, Reno, NewReno), and the name → class
+table behind :func:`make_cc`.  The delay-based, scalable and rate-based
+algorithms live in :mod:`repro.tcp.cc_zoo`, imported on the first zoo
+name.  An algorithm is its name: its constants are class attributes,
+not per-flow settings.
 
 The congestion window ``cwnd`` is a float counted in packets.  The
 classical dynamics the paper's theory relies on:
@@ -32,9 +33,7 @@ NewReno    fast retransmit + recovery  stay until `recover` is acked;
 
 from __future__ import annotations
 
-import inspect
-from functools import cache
-from typing import Dict, Tuple, Type, Union
+from typing import Dict, List, Type, Union
 
 from repro.errors import ConfigurationError
 
@@ -44,17 +43,15 @@ __all__ = [
     "RenoCC",
     "NewRenoCC",
     "make_cc",
-    "register_cc",
     "available_ccs",
-    "CcSpec",
 ]
 
 #: Lower bound on ssthresh after a loss event, in packets (RFC 5681).
 MIN_SSTHRESH = 2.0
 
-#: What :func:`make_cc` accepts: an algorithm name, a ``to_dict()``-style
-#: spec (``{"name": ..., **params}``), or a pre-built instance.
-CcSpec = Union[str, dict, "CongestionControl"]
+#: Initial slow-start threshold in packets: effectively infinite, so a
+#: fresh flow slow-starts until its first loss.
+INITIAL_SSTHRESH = 1e9
 
 
 class CongestionControl:
@@ -84,13 +81,9 @@ class CongestionControl:
     initial_cwnd:
         Initial window in packets.  The paper's slow-start description
         ("each flow first sends out two packets, then four ...") uses 2.
-    initial_ssthresh:
-        Initial slow-start threshold in packets (effectively infinite by
-        default, so a fresh flow slow-starts until its first loss).
+        The slow-start threshold starts at :data:`INITIAL_SSTHRESH`.
     """
 
-    #: Registry name; subclasses override (used by :meth:`to_dict`).
-    name = "cc"
     #: Whether three duplicate ACKs trigger fast recovery (vs Tahoe collapse).
     has_fast_recovery = True
     #: Whether recovery persists until the pre-loss highest seq is acked.
@@ -102,17 +95,11 @@ class CongestionControl:
     #: forces its paced-departure path on regardless of the flag).
     wants_pacing = False
 
-    def __init__(self, initial_cwnd: float = 2.0, initial_ssthresh: float = 1e9):
+    def __init__(self, initial_cwnd: float = 2.0):
         if initial_cwnd < 1:
             raise ConfigurationError("initial_cwnd must be >= 1 packet")
-        if initial_ssthresh < MIN_SSTHRESH:
-            raise ConfigurationError(
-                f"initial_ssthresh must be >= {MIN_SSTHRESH}, "
-                f"got {initial_ssthresh}")
         self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.initial_cwnd = float(initial_cwnd)
-        self.initial_ssthresh = float(initial_ssthresh)
+        self.ssthresh = INITIAL_SSTHRESH
         # Event counters for diagnostics / tests.
         self.fast_recoveries = 0
         self.timeouts = 0
@@ -185,30 +172,6 @@ class CongestionControl:
         """
         return self.cwnd < self.ssthresh
 
-    # ------------------------------------------------------------------
-    # Config round-tripping
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-able constructor spec: ``make_cc(cc.to_dict())`` builds
-        an equivalent fresh instance.
-
-        The sweep fabric content-addresses cells by the JSON of their
-        parameters (:func:`repro.runner.supervisor.cell_key`), so this
-        must be *stable*: same configuration, same dict, every process.
-        Only constructor parameters appear — never mutable run state.
-        """
-        spec = {
-            "name": self.name,
-            "initial_cwnd": self.initial_cwnd,
-            "initial_ssthresh": self.initial_ssthresh,
-        }
-        spec.update(self._config_params())
-        return spec
-
-    def _config_params(self) -> dict:
-        """Algorithm-specific constructor parameters for :meth:`to_dict`."""
-        return {}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(cwnd={self.cwnd:.2f}, "
                 f"ssthresh={self.ssthresh:.2f})")
@@ -217,7 +180,6 @@ class CongestionControl:
 class TahoeCC(CongestionControl):
     """TCP Tahoe: any loss collapses the window to one packet."""
 
-    name = "tahoe"
     has_fast_recovery = False
     recovery_until_recover = False
 
@@ -225,7 +187,6 @@ class TahoeCC(CongestionControl):
 class RenoCC(CongestionControl):
     """TCP Reno: fast recovery, exited by the first new ACK."""
 
-    name = "reno"
     has_fast_recovery = True
     recovery_until_recover = False
 
@@ -234,122 +195,42 @@ class NewRenoCC(CongestionControl):
     """TCP NewReno (RFC 6582): fast recovery persists across partial ACKs
     until the entire pre-loss window is acknowledged."""
 
-    name = "newreno"
     has_fast_recovery = True
     recovery_until_recover = True
 
 
-_CC_BY_NAME: Dict[str, Type[CongestionControl]] = {
+#: Algorithm name -> class.  A zoo name maps to its class's name in
+#: :mod:`repro.tcp.cc_zoo`, imported only to build one: a Tahoe/Reno/
+#: NewReno run never compiles the zoo.
+_CC_BY_NAME: Dict[str, Union[str, Type[CongestionControl]]] = {
     "tahoe": TahoeCC,
     "reno": RenoCC,
     "newreno": NewRenoCC,
+    "compound": "CompoundCC",
+    "scalable": "ScalableCC",
+    "hstcp": "HighSpeedCC",
+    "bbr": "BbrLikeCC",
 }
 
-_zoo_loaded = False
 
-
-def _load_zoo() -> None:
-    """Import the zoo module so its algorithms self-register.
-
-    Lazy because :mod:`repro.tcp.cc_zoo` imports this module for the
-    base class — registering at first lookup instead of at import time
-    breaks the cycle.  Only a name the built-ins lack loads it, so a
-    Tahoe/Reno/NewReno run never compiles the zoo.
-    """
-    global _zoo_loaded
-    if not _zoo_loaded:
-        _zoo_loaded = True
-        import repro.tcp.cc_zoo  # noqa: F401  (registers on import)
-
-
-def register_cc(name: str, cls: Type[CongestionControl]) -> None:
-    """Register a congestion-control class under ``name`` (lowercased).
-
-    Re-registering a taken name is a configuration error: silently
-    shadowing an algorithm would change what sweep cell keys mean.
-    """
-    _load_zoo()  # a name taken by the zoo is taken before it loads, too
-    key = name.lower()
-    if key in _CC_BY_NAME and _CC_BY_NAME[key] is not cls:
-        raise ConfigurationError(
-            f"congestion control name {name!r} already registered "
-            f"to {_CC_BY_NAME[key].__name__}")
-    _CC_BY_NAME[key] = cls
-
-
-def available_ccs() -> list:
-    """Sorted names of every registered algorithm (zoo included)."""
-    _load_zoo()
+def available_ccs() -> List[str]:
+    """Sorted names of every algorithm (zoo included)."""
     return sorted(_CC_BY_NAME)
 
 
-@cache
-def _constructor_params(cls: Type[CongestionControl]) -> Tuple[str, ...]:
-    """Keyword names ``cls(...)`` accepts, in declaration order.
-
-    Resolved once per class, at its first :func:`make_cc` — a class
-    registered later is introspected when first built — because every
-    flow birth passes through here.  ``*args`` / ``**kwargs`` catch-alls
-    are not names a caller may pass, whatever they are called.
-    """
-    params = inspect.signature(cls).parameters.values()
-    return tuple(p.name for p in params
-                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
-
-
-def make_cc(spec: CcSpec, initial_cwnd: float = 2.0,
-            initial_ssthresh: float = 1e9, **params) -> CongestionControl:
-    """Construct a congestion-control instance from a spec.
-
-    ``spec`` is one of
-
-    * a case-insensitive name (``"reno"``, ``"compound"``, ``"bbr"``,
-      ...) — extra keyword arguments become constructor parameters;
-    * a dict ``{"name": ..., **params}``, the :meth:`to_dict` shape the
-      sweep plumbing round-trips through JSON cell keys (dict entries
-      win over the ``initial_cwnd`` / ``initial_ssthresh`` defaults);
-    * an existing :class:`CongestionControl` instance, returned as-is
-      (parameters may not be combined with a pre-built instance).
+def make_cc(name: str, initial_cwnd: float = 2.0) -> CongestionControl:
+    """A fresh instance of the algorithm called ``name`` (any case).
 
     Raises :class:`~repro.errors.ConfigurationError` for an unknown
-    name, a parameter the algorithm does not take, or a parameter value
-    its constructor rejects.
+    name, listing the known ones.
     """
-    if isinstance(spec, CongestionControl):
-        if params:
-            raise ConfigurationError(
-                f"cannot apply parameters {sorted(params)} to an existing "
-                f"{type(spec).__name__} instance")
-        return spec
-    kwargs = {"initial_cwnd": initial_cwnd, "initial_ssthresh": initial_ssthresh}
-    if isinstance(spec, dict):
-        merged = dict(spec)
-        name = merged.pop("name", None)
-        if not isinstance(name, str):
-            raise ConfigurationError(
-                f"cc spec dict needs a 'name' string, got {spec!r}")
-        kwargs.update(merged)
-    elif isinstance(spec, str):
-        name = spec
-    else:
-        raise ConfigurationError(
-            f"cc spec must be a name, a dict with a 'name' key, or a "
-            f"CongestionControl instance, got {type(spec).__name__}")
-    kwargs.update(params)
     key = name.lower()
-    if key not in _CC_BY_NAME:
-        _load_zoo()
-    try:
-        cls = _CC_BY_NAME[key]
-    except KeyError:
+    cls = _CC_BY_NAME.get(key)
+    if cls is None:
         raise ConfigurationError(
             f"unknown congestion control {name!r}; "
-            f"choose from {sorted(_CC_BY_NAME)}"
-        ) from None
-    accepted = _constructor_params(cls)
-    unknown = sorted(k for k in kwargs if k not in accepted)
-    if unknown:
-        raise ConfigurationError(
-            f"congestion control {name!r} does not take parameter(s) "
-            f"{', '.join(unknown)}; accepted: {', '.join(accepted)}")
-    return cls(**kwargs)
+            f"choose from {available_ccs()}")
+    if isinstance(cls, str):
+        from repro.tcp import cc_zoo
+        cls = getattr(cc_zoo, cls)
+    return cls(initial_cwnd)

@@ -18,12 +18,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Set
 
-from repro.errors import ConfigurationError
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketFlags, TCP_HEADER_BYTES
 from repro.sim.engine import Timer
 
 __all__ = ["TcpReceiver"]
+
+#: Flush timer, in seconds, for a pending delayed ACK.
+DELACK_TIMEOUT = 0.1
 
 # Plain-int flag masks: packet.flags is a plain int (see repro.net.packet),
 # and int & int keeps these per-segment tests off the enum slow path.
@@ -49,9 +51,7 @@ class TcpReceiver:
         used only to timestamp completion for FCT measurement.
     delayed_ack:
         Enable RFC 1122 delayed ACKs (ACK every second in-order segment
-        or after ``delack_timeout``).
-    delack_timeout:
-        Flush timer for a pending delayed ACK (default 100 ms).
+        or after :data:`DELACK_TIMEOUT`).
     on_complete:
         Callback ``fn(receiver)`` when segment ``expected_packets - 1``
         has been received in order.
@@ -69,18 +69,14 @@ class TcpReceiver:
         port: int,
         expected_packets: Optional[int] = None,
         delayed_ack: bool = False,
-        delack_timeout: float = 0.1,
         on_complete: Optional[Callable[["TcpReceiver"], None]] = None,
         sack: bool = False,
     ):
-        if delack_timeout <= 0:
-            raise ConfigurationError("delack_timeout must be positive")
         self.sim = sim
         self.host = host
         self.port = port
         self.expected_packets = expected_packets
         self.delayed_ack = delayed_ack
-        self.delack_timeout = delack_timeout
         self.on_complete = on_complete
 
         self.sack = sack
@@ -160,7 +156,7 @@ class TcpReceiver:
         if self._unacked_segments >= 2:
             self._flush_ack()
         elif not self._delack_timer.armed:
-            self._delack_timer.arm(self.delack_timeout)
+            self._delack_timer.arm(DELACK_TIMEOUT)
 
     def _flush_ack(self) -> None:
         self._delack_timer.cancel()

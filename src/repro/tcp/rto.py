@@ -2,7 +2,7 @@
 
 Maintains the smoothed round-trip time ``srtt`` and variation ``rttvar``
 and derives ``RTO = srtt + 4 * rttvar``, clamped to ``[min_rto,
-max_rto]``.  Exponential backoff doubles the RTO after each timeout and
+MAX_RTO]``.  Exponential backoff doubles the RTO after each timeout and
 is cleared by the next valid sample *or* by any ACK of new data
 (:meth:`on_progress`).  Karn's algorithm forbids sampling retransmitted
 segments — the *sender* enforces that by not calling :meth:`sample` for
@@ -26,36 +26,32 @@ _ALPHA = 1.0 / 8.0
 _BETA = 1.0 / 4.0
 _K = 4.0
 
+#: RTO ceiling in seconds.
+MAX_RTO = 60.0
+#: RTO before the first sample (RFC 6298's 1 s; only the very first
+#: drop of a flow sees it).
+INITIAL_RTO = 1.0
+#: Cap on the exponential-backoff multiplier (the BSD limit).  With
+#: :data:`MAX_RTO` it bounds the retransmit interval during a long
+#: blackout: probes settle at ``min(base * MAX_BACKOFF, MAX_RTO)``
+#: seconds apart, so outages longer than the RTO cap produce a slow
+#: trickle of probes rather than a retransmission storm.
+MAX_BACKOFF = 64
+
 
 class RtoEstimator:
     """RTT smoothing and RTO computation.
 
     Parameters
     ----------
-    min_rto, max_rto:
-        Clamp bounds in seconds.
-    initial_rto:
-        RTO used before the first sample (RFC 6298 says 1 s; we default
-        to 1 s as well — only the very first drop of a flow sees it).
-    max_backoff:
-        Cap on the exponential-backoff multiplier (default 64, the BSD
-        limit).  Together with ``max_rto`` this bounds the retransmit
-        interval during a long blackout: probes settle at
-        ``min(base * max_backoff, max_rto)`` seconds apart, so outages
-        longer than the RTO cap produce a slow trickle of probes rather
-        than a retransmission storm.
+    min_rto:
+        RTO floor in seconds; the ceiling is :data:`MAX_RTO`.
     """
 
-    def __init__(self, min_rto: float = 0.2, max_rto: float = 60.0,
-                 initial_rto: float = 1.0, max_backoff: int = 64):
-        if not 0 < min_rto <= max_rto:
-            raise ConfigurationError("need 0 < min_rto <= max_rto")
-        if max_backoff < 1:
-            raise ConfigurationError(f"max_backoff must be >= 1, got {max_backoff}")
+    def __init__(self, min_rto: float = 0.2):
+        if not 0 < min_rto <= MAX_RTO:
+            raise ConfigurationError(f"need 0 < min_rto <= {MAX_RTO}")
         self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.initial_rto = initial_rto
-        self.max_backoff = max_backoff
         self.srtt: float = 0.0
         self.rttvar: float = 0.0
         self.backoff = 1
@@ -78,15 +74,15 @@ class RtoEstimator:
     def rto(self) -> float:
         """Current retransmission timeout in seconds (with backoff)."""
         if self.samples == 0:
-            base = self.initial_rto
+            base = INITIAL_RTO
         else:
             base = self.srtt + _K * self.rttvar
         value = base * self.backoff
-        return min(max(value, self.min_rto), self.max_rto)
+        return min(max(value, self.min_rto), MAX_RTO)
 
     def on_timeout(self) -> None:
         """Apply exponential backoff after a retransmission timeout."""
-        self.backoff = min(self.backoff * 2, self.max_backoff)
+        self.backoff = min(self.backoff * 2, MAX_BACKOFF)
 
     def on_progress(self) -> None:
         """Clear exponential backoff on forward progress (new data acked).

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.node import Host
@@ -67,9 +67,6 @@ class TcpSender:
     total_packets:
         Number of segments to transfer, or ``None`` for an unbounded
         (long-lived) flow.
-    on_complete:
-        Callback ``fn(sender)`` invoked once when the last segment is
-        cumulatively acknowledged.
     rto:
         Optional pre-configured :class:`~repro.tcp.rto.RtoEstimator`.
     """
@@ -86,7 +83,6 @@ class TcpSender:
         mss: int = 960,
         max_window: int = 10_000,
         total_packets: Optional[int] = None,
-        on_complete: Optional[Callable[["TcpSender"], None]] = None,
         rto: Optional[RtoEstimator] = None,
         pacing: bool = False,
         ecn: bool = False,
@@ -107,7 +103,6 @@ class TcpSender:
         self.mss = mss
         self.max_window = max_window
         self.total_packets = total_packets
-        self.on_complete = on_complete
         self.rto = rto if rto is not None else RtoEstimator()
         # Rate-based algorithms are meaningless ack-clocked: they force
         # the paced-departure path on.
@@ -460,8 +455,6 @@ class TcpSender:
         self.completed = True
         self.complete_time = self.sim.now
         self._rto_timer.cancel()
-        if self.on_complete is not None:
-            self.on_complete(self)
 
     @property
     def duration(self) -> float:

@@ -43,7 +43,7 @@ class LongLivedWorkload:
         which maximizes synchronization).
     rng:
         Seeded stream for start times.
-    mss, max_window, delayed_ack, min_rto:
+    mss, delayed_ack, pacing, sack, ecn:
         Forwarded to each flow.
     """
 
@@ -54,9 +54,7 @@ class LongLivedWorkload:
         start_spread: float = 5.0,
         rng: Optional[random.Random] = None,
         mss: int = 960,
-        max_window: int = 10_000,
         delayed_ack: bool = False,
-        min_rto: float = 0.2,
         pacing: bool = False,
         sack: bool = False,
         ecn: bool = False,
@@ -78,9 +76,7 @@ class LongLivedWorkload:
                 cc=cc,
                 start_time=start,
                 mss=mss,
-                max_window=max_window,
                 delayed_ack=delayed_ack,
-                min_rto=min_rto,
                 pacing=pacing,
                 sack=sack,
                 ecn=ecn,
@@ -117,7 +113,7 @@ class ShortFlowWorkload:
     on_complete:
         Optional sink for :class:`~repro.tcp.flow.FlowRecord` (e.g. a
         :class:`~repro.metrics.fct.FctCollector`).
-    cc, mss, delayed_ack, min_rto:
+    cc, mss:
         Forwarded to each flow.
     """
 
@@ -132,8 +128,6 @@ class ShortFlowWorkload:
         on_complete: Optional[Callable[[FlowRecord], None]] = None,
         cc: str = "reno",
         mss: int = 960,
-        delayed_ack: bool = False,
-        min_rto: float = 0.2,
     ):
         if arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
@@ -146,8 +140,6 @@ class ShortFlowWorkload:
         self.on_complete = on_complete
         self.cc = cc
         self.mss = mss
-        self.delayed_ack = delayed_ack
-        self.min_rto = min_rto
 
         self.flows_started = 0
         self.flows_completed = 0
@@ -173,13 +165,13 @@ class ShortFlowWorkload:
         return cls(dumbbell, arrival_rate=rate, sizes=sizes, rng=rng,
                    mss=mss, **kwargs)
 
-    def start(self, delay: float = 0.0) -> None:
-        """Begin the arrival process ``delay`` seconds from now."""
+    def start(self) -> None:
+        """Begin the arrival process now."""
         if self._started:
             raise ConfigurationError("workload already started")
         self._started = True
         gap = self.rng.expovariate(self.arrival_rate)
-        self.dumbbell.sim.schedule(delay + gap, self._arrival)
+        self.dumbbell.sim.schedule(gap, self._arrival)
 
     def _arrival(self) -> None:
         sim = self.dumbbell.sim
@@ -210,8 +202,6 @@ class ShortFlowWorkload:
             start_time=sim.now,
             mss=self.mss,
             max_window=self.max_window,
-            delayed_ack=self.delayed_ack,
-            min_rto=self.min_rto,
             on_complete=finished,
         )
         holder["flow"] = flow

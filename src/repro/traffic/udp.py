@@ -49,14 +49,12 @@ class UdpSource:
 
     def __init__(self, sim, host: Host, dst_address: int, dport: int,
                  rate: Quantity, payload: int = 972, poisson: bool = False,
-                 rng: Optional[random.Random] = None, sport: int = 1,
-                 flow_id: int = 0):
+                 rng: Optional[random.Random] = None, sport: int = 1):
         self.sim = sim
         self.host = host
         self.dst_address = dst_address
         self.dport = dport
         self.sport = sport
-        self.flow_id = flow_id
         self.rate = parse_bandwidth(rate)
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
@@ -80,12 +78,12 @@ class UdpSource:
         """Average seconds between packets at the configured rate."""
         return self.packet_bytes * 8.0 / self.rate
 
-    def start(self, delay: float = 0.0) -> None:
-        """Begin sending ``delay`` seconds from now."""
+    def start(self) -> None:
+        """Begin sending now."""
         if self._started:
             raise ConfigurationError("source already running")
         self._started = True
-        self.sim.schedule(delay, self._send_next)
+        self.sim.schedule(0.0, self._send_next)
 
     def _send_next(self) -> None:
         packet = Packet.acquire(
@@ -93,7 +91,6 @@ class UdpSource:
             dst=self.dst_address,
             payload=self.payload,
             header=UDP_HEADER_BYTES,
-            flow_id=self.flow_id,
             sport=self.sport,
             dport=self.dport,
         )

@@ -158,9 +158,14 @@ class TestSimulateCommands:
         assert code == 0
         assert "AFCT" in out
 
-    def test_short_flows_none_completed_is_not_nan(self, capsys):
-        code, out = run_cli(capsys, "simulate", "short-flows",
-                            "--duration", "0.05")
+    @pytest.mark.parametrize("args", [
+        ("--duration", "0.05"),
+        # No packet reaches the bottleneck: the drop rate has no
+        # denominator either.
+        ("--load", "0.01", "--rate", "1Mbps", "--duration", "0.2"),
+    ], ids=["short-run", "nothing-offered"])
+    def test_short_flows_none_completed_is_not_nan(self, capsys, args):
+        code, out = run_cli(capsys, "simulate", "short-flows", *args)
         assert code == 0
         assert "  AFCT:        n/a (0 flows completed)\n" in out
         assert "nan" not in out

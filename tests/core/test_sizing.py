@@ -5,6 +5,10 @@ import math
 import pytest
 
 from repro.core import (
+    SingleFlowModel,
+    average_window,
+    loss_rate,
+    loss_rate_from_window,
     predicted_utilization,
     recommend_buffer,
     rule_of_thumb_bytes,
@@ -139,9 +143,24 @@ class TestNonFiniteInputs:
                                   n_long_flows=NAN), "n_long_flows"),
         (lambda: recommend_buffer(capacity="10Gbps", rtt="100ms",
                                   n_long_flows=INF), "n_long_flows"),
+        (lambda: loss_rate_from_window(NAN), "window_packets"),
+        (lambda: loss_rate(INF, 10, 4), "pipe_packets"),
+        (lambda: average_window(100, NAN, 4), "buffer_packets"),
+        (lambda: SingleFlowModel(100, NAN), "buffer_packets"),
+        (lambda: loss_rate_from_window(INF), "window_packets"),
+        (lambda: loss_rate(100, NAN, 4), "buffer_packets"),
+        (lambda: loss_rate(100, 10, NAN), "n_flows"),
+        (lambda: average_window(NAN, 10, 4), "pipe_packets"),
+        (lambda: average_window(100, 10, INF), "n_flows"),
+        (lambda: SingleFlowModel(NAN, 10), "pipe_packets"),
+        (lambda: SingleFlowModel(INF, 10), "pipe_packets"),
     ], ids=["small-buffer-n-inf", "small-buffer-n-nan", "utilization-n-nan",
             "utilization-buffer-nan", "utilization-pipe-nan",
-            "recommend-n-nan", "recommend-n-inf"])
+            "recommend-n-nan", "recommend-n-inf", "loss-window-nan",
+            "loss-pipe-inf", "average-window-buffer-nan",
+            "single-flow-buffer-nan", "loss-window-inf", "loss-buffer-nan",
+            "loss-n-nan", "average-window-pipe-nan", "average-window-n-inf",
+            "single-flow-pipe-nan", "single-flow-pipe-inf"])
     def test_is_a_model_error_naming_the_argument(self, call, argument):
         with pytest.raises(ModelError, match=f"^{argument} must be finite"):
             call()

@@ -258,7 +258,7 @@ ARTEFACTS = {
         buffers=(40, 12), bottleneck_rate="10Mbps", n_concurrent=40,
         warmup=3.0, duration=6.0, n_pairs=16, n_long=10)),
     "multibottleneck": ("25b8c447fa1be47a", lambda: run_multibottleneck(
-        n_hops=3, n_e2e=3, n_cross_per_hop=6, link_rate="10Mbps",
+        n_e2e=3, n_cross_per_hop=6, link_rate="10Mbps",
         warmup=4.0, duration=8.0)),
 }
 

@@ -121,23 +121,11 @@ class TestSweepPlumbing:
         with pytest.raises(ConfigurationError):
             min_buffer_sweep(n_values=(4,), factors=(2.0, 1.0))
 
-    def test_sweep_resumes_from_checkpoint(self, tmp_path):
-        ckpt = str(tmp_path / "fig7.json")
-        params = dict(n_values=(9,), targets=(0.9,), factors=(0.5, 1.5),
-                      pipe_packets=100.0, bottleneck_rate="10Mbps",
-                      warmup=5, duration=8, seed=1)
-        first = min_buffer_sweep(checkpoint_path=ckpt, **params)
-        # Same grid again: every cell replays from the checkpoint, and
-        # the rehydrated results reproduce the curve exactly.
-        second = min_buffer_sweep(checkpoint_path=ckpt, **params)
-        assert second.curves == first.curves
-        assert second.points[0].buffer_packets == first.points[0].buffer_packets
-
 
 class TestShortFlowSweepPlumbing:
     def test_sweep_returns_point_per_bandwidth(self):
         points = afct_buffer_sweep(
-            bandwidths=("5Mbps", "10Mbps"), load=0.6, flow_packets=8,
+            bandwidths=("5Mbps", "10Mbps"), load=0.6,
             buffer_grid=(10, 40, 160), warmup=2, duration=10, seed=1,
             n_pairs=10)
         assert len(points) == 2
@@ -166,7 +154,7 @@ class TestWindowDistribution:
 class TestMixedExperiment:
     def test_runs_and_reports(self):
         result = run_mixed_experiment(
-            buffer_packets=30, n_long=8, short_load=0.1,
+            buffer_packets=30, n_long=8,
             pipe_packets=100.0, bottleneck_rate="10Mbps",
             warmup=8, duration=12, seed=3, n_short_pairs=5)
         assert result.n_short_completed > 5
@@ -178,16 +166,14 @@ class TestTables:
     def test_utilization_table_rows(self):
         rows = utilization_table(
             n_values=(9,), factors=(0.5, 2.0), pipe_packets=100.0,
-            bottleneck_rate="10Mbps", warmup=6, duration=10,
-            run_exp_column=False)
+            bottleneck_rate="10Mbps", warmup=6, duration=10)
         assert len(rows) == 2
-        assert math.isnan(rows[0].exp)
+        assert all(0.0 < row.exp <= 1.0 for row in rows)
         assert rows[1].sim >= rows[0].sim - 0.02  # bigger buffer not worse
 
     def test_production_table_smoke(self):
         rows = production_table(
-            buffers=(200, 20), warmup=5, duration=10, n_pairs=12, n_long=8,
-            tcp_load=0.3)
+            buffers=(200, 20), warmup=5, duration=10, n_pairs=12, n_long=8)
         assert len(rows) == 2
         assert rows[0].utilization >= rows[1].utilization - 0.02
         assert rows[0].rule_multiple > rows[1].rule_multiple

@@ -10,7 +10,7 @@ class TestMultiBottleneck:
     @pytest.fixture(scope="class")
     def result(self):
         return run_multibottleneck(
-            n_hops=3, n_e2e=4, n_cross_per_hop=12, link_rate="10Mbps",
+            n_e2e=4, n_cross_per_hop=12, link_rate="10Mbps",
             warmup=12.0, duration=20.0, seed=31)
 
     def test_one_utilization_per_backbone_hop(self, result):
@@ -34,4 +34,6 @@ class TestMultiBottleneck:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            run_multibottleneck(n_hops=1)
+            run_multibottleneck(n_e2e=0)
+        with pytest.raises(ConfigurationError):
+            run_multibottleneck(duration=0.0)

@@ -23,10 +23,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
+from repro.experiments import common
 from repro.experiments.common import (
     run_long_flow_experiment,
     run_short_flow_experiment,
 )
+from repro.net import build_dumbbell
+from repro.sim import RngStreams
+from repro.tcp import TcpFlow
 from repro.traffic.sizes import FixedSize
 
 FAST = dict(max_examples=20, deadline=None, derandomize=True,
@@ -61,6 +65,29 @@ def observed_long(**params):
         result = run_long_flow_experiment(
             bottleneck_rate="10Mbps", warmup=0.5, duration=1.5, **params)
         return result, recorder
+
+
+def observed_windowed(n_flows, pipe_packets, max_window, seed,
+                      buffer_packets):
+    """Long flows whose receiver window is ``max_window`` packets, over
+    the dumbbell :func:`observed_long` builds; the obs snapshot at the
+    end (2 s, starts spread over the first 0.25 s)."""
+    streams = RngStreams(seed)
+    with obs.observed():
+        sim = common._make_simulator()
+        rtt = common.rtt_for_pipe(pipe_packets, "10Mbps")
+        rtt_rng, start_rng = streams.stream("rtt"), streams.stream("starts")
+        net = build_dumbbell(
+            sim, n_pairs=n_flows, bottleneck_rate="10Mbps",
+            buffer_packets=buffer_packets,
+            rtts=[rtt_rng.uniform(0.5 * rtt, 1.5 * rtt)
+                  for _ in range(n_flows)],
+            bottleneck_delay=rtt / 20.0, receiver_delay=rtt / 100.0)
+        for src, dst in net.flow_pairs():
+            TcpFlow(sim, src, dst, mss=common.MSS, max_window=max_window,
+                    start_time=start_rng.uniform(0.0, 0.25))
+        common.run_world(sim, net, 2.0)
+        return obs.snapshot(sim.now)
 
 
 def queue_components(snap):
@@ -117,8 +144,8 @@ class TestSizedBuffersDontDrop:
         # rule-of-thumb claim, checked through the counters.
         buffer_packets = max(int(math.ceil(params["pipe_packets"])),
                              params["n_flows"] * params["max_window"])
-        result, _ = observed_long(buffer_packets=buffer_packets, **params)
-        counters = result.metrics["counters"]
+        counters = observed_windowed(buffer_packets=buffer_packets,
+                                     **params)["counters"]
         assert counters["queue.drops"] == 0
         assert counters["tcp.retransmits"] == 0
 
@@ -139,11 +166,10 @@ class TestWindowDiscipline:
     @settings(**FAST)
     def test_flight_never_exceeds_receiver_window(self, params):
         params = dict(params)
-        max_window = params.pop("max_window")
-        result, _ = observed_long(
-            buffer_packets=5, max_window=max_window, **params)
+        max_window = params["max_window"]
+        snap = observed_windowed(buffer_packets=5, **params)
         senders = {name: fields
-                   for name, fields in result.metrics["components"].items()
+                   for name, fields in snap["components"].items()
                    if name.startswith("tcp.")}
         assert len(senders) == params["n_flows"]
         for name, s in senders.items():

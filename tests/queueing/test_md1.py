@@ -95,10 +95,10 @@ def _in_system_fractions(rho, poisson, *, senders=2, seed=7,
                          access_rate=RATE_BPS * 1000)
     for i, (src, dst) in enumerate(zip(net.senders, net.receivers)):
         UdpSink(sim, dst, port=9)
-        UdpSource(sim, src, dst_address=dst.address, dport=9,
-                  rate=rho * RATE_BPS / senders, payload=972,
-                  poisson=poisson, rng=random.Random(seed + i),
-                  flow_id=i).start(delay=i * SERVICE_S / senders)
+        source = UdpSource(sim, src, dst_address=dst.address, dport=9,
+                           rate=rho * RATE_BPS / senders, payload=972,
+                           poisson=poisson, rng=random.Random(seed + i))
+        sim.call_at(i * SERVICE_S / senders, source.start)
     queue, link = net.bottleneck.queue, net.bottleneck.link
     probe = Probe(sim, lambda: len(queue) + link.busy, period=0.29e-3)
     probe.start(delay=warmup)

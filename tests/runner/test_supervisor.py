@@ -509,3 +509,60 @@ class TestCheckpointMeta:
         outcome = resumed.run_cell(x=1)
         assert outcome.from_checkpoint
         assert outcome.result == {"value": 2}
+
+
+class TestPinnedCellKeys:
+    """A checkpoint written by an earlier build resumes only if the grid
+    still builds the same params, so the digest of a `repro sweep` cell
+    and of a `zoo` cell is pinned to a literal value for every algorithm
+    either grid can hold.  Each grid is built by the real code path and
+    captured at ``SweepSupervisor.run`` before any cell runs."""
+
+    class _Captured(Exception):
+        pass
+
+    def _first_cell(self, monkeypatch, build):
+        def capture(supervisor, grid, on_cell=None):
+            raise self._Captured(list(grid))
+
+        monkeypatch.setattr(SweepSupervisor, "run", capture)
+        with pytest.raises(self._Captured) as caught:
+            build()
+        return caught.value.args[0][0]
+
+    def _digest(self, params):
+        from repro.fabric.queue import cell_digest
+        return cell_digest(cell_key(params))
+
+    @pytest.mark.parametrize("cc, digest", [
+        ("tahoe", "ba86e08911904e0f"),
+        ("reno", "271658accdbde9c4"),
+        ("newreno", "176e9c45abe39b87"),
+        ("compound", "5a1002d250159372"),
+        ("scalable", "8c8370afa75bc103"),
+        ("hstcp", "46a67ef483e78015"),
+        ("bbr", "114c4c5b43547f7f"),
+    ])
+    def test_sweep_cell(self, monkeypatch, capsys, cc, digest):
+        from repro.cli import main
+        params = self._first_cell(monkeypatch, lambda: main([
+            "sweep", "--cc", cc, "--flows", "4", "--buffer-factors", "1.0",
+            "--pipe", "40", "--rate", "10Mbps", "--warmup", "2",
+            "--duration", "4"]))
+        assert params["cc"] == cc
+        assert self._digest(params) == digest
+
+    @pytest.mark.parametrize("cc, digest", [
+        ("reno", "bbe748baaff28546"),
+        ("compound", "90c7dae60dbca6ea"),
+        ("scalable", "60a29818ebd736ce"),
+        ("hstcp", "532a2e5baa407f63"),
+        ("bbr", "51f3e269732edece"),
+    ])
+    def test_zoo_cell(self, monkeypatch, cc, digest):
+        from repro.experiments.cc_comparison import run_cc_comparison
+        from repro.experiments.report import SCALES
+        params = self._first_cell(monkeypatch, lambda: run_cc_comparison(
+            **dict(SCALES["quick"]["zoo"], ccs=(cc,))))
+        assert params["cc"] == cc
+        assert self._digest(params) == digest

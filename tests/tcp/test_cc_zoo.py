@@ -9,7 +9,6 @@ small end-to-end smoke per algorithm over the scriptable lossy path.
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.sim import Simulator
 from repro.tcp import TcpFlow
 from repro.tcp.cc_zoo import BbrLikeCC, CompoundCC, HighSpeedCC, ScalableCC
@@ -20,6 +19,13 @@ from tests.tcp.helpers import build_path
 ZOO = ("compound", "scalable", "hstcp", "bbr")
 
 
+def _avoiding(cls, cwnd):
+    """An instance at window ``cwnd``, already in congestion avoidance."""
+    cc = cls(initial_cwnd=cwnd)
+    cc.ssthresh = MIN_SSTHRESH
+    return cc
+
+
 class TestCompound:
     def test_slow_start_grows_loss_window(self):
         cc = CompoundCC()
@@ -28,7 +34,7 @@ class TestCompound:
         assert cc._dwnd == 0.0
 
     def test_delay_window_grows_while_backlog_below_gamma(self):
-        cc = CompoundCC(initial_cwnd=64, initial_ssthresh=2)
+        cc = _avoiding(CompoundCC, 64)
         cc.on_rtt_sample(0.1, 0.0)  # base RTT; starts the cadence
         cc.on_rtt_sample(0.1, 0.2)  # no queueing: diff = 0 < gamma
         expected = max(0.125 * 64 ** 0.75 - 1.0, 0.0)
@@ -37,7 +43,7 @@ class TestCompound:
         assert cc.delay_backoffs == 0
 
     def test_queueing_delay_sheds_delay_window(self):
-        cc = CompoundCC(initial_cwnd=64, initial_ssthresh=2)
+        cc = _avoiding(CompoundCC, 64)
         cc.on_rtt_sample(0.1, 0.0)
         cc.on_rtt_sample(0.1, 0.2)  # grow dwnd first
         assert cc._dwnd > 0
@@ -47,7 +53,7 @@ class TestCompound:
         assert cc.cwnd == pytest.approx(64.0)
 
     def test_loss_halves_the_compound_window(self):
-        cc = CompoundCC(initial_cwnd=64, initial_ssthresh=2)
+        cc = _avoiding(CompoundCC, 64)
         cc.enter_recovery(flight_size=64.0)
         assert cc.ssthresh == pytest.approx(32.0)
         assert cc.cwnd == pytest.approx(35.0)  # +3 dup-ACK inflation
@@ -55,7 +61,7 @@ class TestCompound:
         assert cc.cwnd == pytest.approx(32.0)
 
     def test_timeout_resets_both_windows(self):
-        cc = CompoundCC(initial_cwnd=64, initial_ssthresh=2)
+        cc = _avoiding(CompoundCC, 64)
         cc.on_rtt_sample(0.1, 0.0)
         cc.on_rtt_sample(0.1, 0.2)
         cc.on_timeout(flight_size=64.0)
@@ -65,30 +71,22 @@ class TestCompound:
         assert cc.timeouts == 1
 
     def test_no_delay_update_during_recovery(self):
-        cc = CompoundCC(initial_cwnd=64, initial_ssthresh=2)
+        cc = _avoiding(CompoundCC, 64)
         cc.on_rtt_sample(0.1, 0.0)
         cc.enter_recovery(flight_size=64.0)
         inflated = cc.cwnd
         cc.on_rtt_sample(0.1, 0.2)  # would grow dwnd outside recovery
         assert cc.cwnd == inflated
 
-    @pytest.mark.parametrize("bad", [
-        dict(alpha=0.0), dict(beta=1.5), dict(k=1.0),
-        dict(gamma=-1.0), dict(zeta=0.0),
-    ])
-    def test_rejects_bad_parameters(self, bad):
-        with pytest.raises(ConfigurationError):
-            CompoundCC(**bad)
-
 
 class TestScalable:
     def test_reno_region_below_legacy_window(self):
-        cc = ScalableCC(initial_cwnd=8, initial_ssthresh=2)
+        cc = _avoiding(ScalableCC, 8)
         cc.on_ack(1)
         assert cc.cwnd == pytest.approx(8 + 1.0 / 8)
 
     def test_mimd_region_constant_per_ack_increase(self):
-        cc = ScalableCC(initial_cwnd=100, initial_ssthresh=2)
+        cc = _avoiding(ScalableCC, 100)
         cc.on_ack(1)
         assert cc.cwnd == pytest.approx(100.01)
         # Per RTT (one window of ACKs) the growth is proportional to
@@ -97,21 +95,14 @@ class TestScalable:
         assert cc.cwnd == pytest.approx(101.0)
 
     def test_fixed_small_decrease_above_legacy_window(self):
-        cc = ScalableCC(initial_cwnd=100, initial_ssthresh=2)
+        cc = _avoiding(ScalableCC, 100)
         cc.enter_recovery(flight_size=100.0)
         assert cc.ssthresh == pytest.approx(87.5)  # 1 - 0.125
 
     def test_reno_halving_below_legacy_window(self):
-        cc = ScalableCC(initial_cwnd=8, initial_ssthresh=2)
+        cc = _avoiding(ScalableCC, 8)
         cc.enter_recovery(flight_size=8.0)
         assert cc.ssthresh == pytest.approx(4.0)
-
-    @pytest.mark.parametrize("bad", [
-        dict(increase=0.0), dict(decrease=1.0), dict(legacy_window=0.5),
-    ])
-    def test_rejects_bad_parameters(self, bad):
-        with pytest.raises(ConfigurationError):
-            ScalableCC(**bad)
 
 
 class TestHighSpeed:
@@ -132,24 +123,16 @@ class TestHighSpeed:
         assert increases[-1] > 1.0
 
     def test_loss_sheds_less_than_half_at_large_windows(self):
-        cc = HighSpeedCC(initial_cwnd=1000, initial_ssthresh=2)
+        cc = _avoiding(HighSpeedCC, 1000)
         cc.enter_recovery(flight_size=1000.0)
         assert cc.ssthresh > 500.0
         assert cc.ssthresh >= MIN_SSTHRESH
 
     def test_ca_growth_uses_response_function(self):
-        cc = HighSpeedCC(initial_cwnd=1000, initial_ssthresh=2)
+        cc = _avoiding(HighSpeedCC, 1000)
         expected = 1000 + cc.increase_per_rtt(1000.0) / 1000.0
         cc.on_ack(1)
         assert cc.cwnd == pytest.approx(expected)
-
-    @pytest.mark.parametrize("bad", [
-        dict(low_window=0.5), dict(high_window=10.0),
-        dict(high_decrease=0.0), dict(high_decrease=0.6),
-    ])
-    def test_rejects_bad_parameters(self, bad):
-        with pytest.raises(ConfigurationError):
-            HighSpeedCC(**bad)
 
 
 class _Clock:
@@ -168,8 +151,8 @@ class _StubSender:
         self.flight_size = 0
 
 
-def _bound_bbr(**params):
-    cc = BbrLikeCC(**params)
+def _bound_bbr():
+    cc = BbrLikeCC()
     sender = _StubSender()
     cc.bind(sender)
     return cc, sender
@@ -211,19 +194,19 @@ class TestBbrLike:
         _run_round(cc, sender, delivered=10)
         _run_round(cc, sender, delivered=20)  # 2x growth: still filling
         assert cc.state == "startup"
-        for _ in range(cc.full_bw_rounds):
+        for _ in range(cc.FULL_BW_ROUNDS):
             _run_round(cc, sender, delivered=20)  # plateau
         assert cc.state == "drain"
-        assert cc.pacing_gain == cc.drain_gain
+        assert cc.pacing_gain == cc.DRAIN_GAIN
         assert cc.bw_probe_transitions == 1
         # Drain caps the flight at the BDP so the queue can empty.
-        assert cc.cwnd == pytest.approx(max(cc._bdp(), cc.min_cwnd))
+        assert cc.cwnd == pytest.approx(max(cc._bdp(), cc.MIN_CWND))
 
     def test_drain_to_probe_bw_when_flight_reaches_bdp(self):
         cc, sender = _bound_bbr()
         _run_round(cc, sender, delivered=10)
         _run_round(cc, sender, delivered=20)
-        for _ in range(cc.full_bw_rounds):
+        for _ in range(cc.FULL_BW_ROUNDS):
             _run_round(cc, sender, delivered=20)
         assert cc.state == "drain"
         sender.flight_size = int(cc._bdp() / 2)
@@ -236,7 +219,7 @@ class TestBbrLike:
         cc, sender = _bound_bbr()
         _run_round(cc, sender, delivered=10)
         _run_round(cc, sender, delivered=20)
-        for _ in range(cc.full_bw_rounds):
+        for _ in range(cc.FULL_BW_ROUNDS):
             _run_round(cc, sender, delivered=20)
         sender.flight_size = 0
         _run_round(cc, sender, delivered=20)
@@ -257,7 +240,7 @@ class TestBbrLike:
         bw_before = cc.bw
         cwnd_before = cc.cwnd
         cc.enter_recovery(flight_size=20.0)
-        assert cc.bw == pytest.approx(bw_before * cc.loss_beta)
+        assert cc.bw == pytest.approx(bw_before * cc.LOSS_BETA)
         assert cc.cwnd == cwnd_before  # the model's window survives
         assert cc.fast_recoveries == 1
         # Loss during startup concludes the pipe is full.
@@ -279,7 +262,7 @@ class TestBbrLike:
         cc.enter_recovery(flight_size=10.0)  # taints the open round
         _run_round(cc, sender, delivered=50)  # jump-ACK delivery
         assert [s for s in cc._bw_samples] == \
-            [s * cc.loss_beta for s in samples_before]
+            [s * cc.LOSS_BETA for s in samples_before]
 
     def test_round_with_retransmission_yields_no_sample(self):
         cc, sender = _bound_bbr()
@@ -295,8 +278,8 @@ class TestBbrLike:
         _run_round(cc, sender, delivered=20)
         bw_before = cc.bw
         cc.on_timeout(flight_size=20.0)
-        assert cc.cwnd == cc.min_cwnd
-        assert cc.bw == pytest.approx(bw_before * cc.loss_beta)
+        assert cc.cwnd == cc.MIN_CWND
+        assert cc.bw == pytest.approx(bw_before * cc.LOSS_BETA)
         assert cc.timeouts == 1
 
     def test_unbound_hooks_are_safe(self):
@@ -304,16 +287,42 @@ class TestBbrLike:
         cc = BbrLikeCC()
         cc.on_ack(5)
         cc.on_partial_ack(2)
-        assert cc.cwnd == cc.min_cwnd
+        assert cc.cwnd == cc.MIN_CWND
 
-    @pytest.mark.parametrize("bad", [
-        dict(startup_gain=1.0), dict(drain_gain=1.5), dict(cwnd_gain=0.5),
-        dict(bw_window=0), dict(full_bw_rounds=0), dict(min_cwnd=0.5),
-        dict(loss_beta=0.0), dict(loss_beta=1.5),
-    ])
-    def test_rejects_bad_parameters(self, bad):
-        with pytest.raises(ConfigurationError):
-            BbrLikeCC(**bad)
+
+class TestConstants:
+    """Each algorithm's constants are what the algorithm is, not a
+    per-flow setting: each keeps its published value, inside the domain
+    its update rule needs (a back-off factor in (0, 1), a gain above 1)."""
+
+    CASES = [
+        (CompoundCC, "ALPHA", 0.125, lambda x: x > 0),
+        (CompoundCC, "BETA", 0.5, lambda x: 0 < x < 1),
+        (CompoundCC, "K", 0.75, lambda x: 0 < x < 1),
+        (CompoundCC, "GAMMA", 30.0, lambda x: x > 0),
+        (CompoundCC, "ZETA", 1.0, lambda x: x > 0),
+        (ScalableCC, "INCREASE", 0.01, lambda x: x > 0),
+        (ScalableCC, "DECREASE", 0.125, lambda x: 0 < x < 1),
+        (ScalableCC, "LEGACY_WINDOW", 16.0, lambda x: x >= 1),
+        (HighSpeedCC, "LOW_WINDOW", 38.0, lambda x: x >= 1),
+        (HighSpeedCC, "HIGH_WINDOW", 83000.0,
+         lambda x: x > HighSpeedCC.LOW_WINDOW),
+        (HighSpeedCC, "HIGH_DECREASE", 0.1, lambda x: 0 < x <= 0.5),
+        (BbrLikeCC, "STARTUP_GAIN", 2.885, lambda x: x > 1),
+        (BbrLikeCC, "DRAIN_GAIN", 0.3466, lambda x: 0 < x < 1),
+        (BbrLikeCC, "CWND_GAIN", 2.0, lambda x: x >= 1),
+        (BbrLikeCC, "BW_WINDOW", 10, lambda x: x >= 1),
+        (BbrLikeCC, "FULL_BW_ROUNDS", 3, lambda x: x >= 1),
+        (BbrLikeCC, "MIN_CWND", 4.0, lambda x: x >= 1),
+        (BbrLikeCC, "LOSS_BETA", 0.9, lambda x: 0 < x <= 1),
+    ]
+
+    @pytest.mark.parametrize("cls, name, value, in_domain", CASES,
+                             ids=[f"{c.__name__}.{n}" for c, n, _, _ in CASES])
+    def test_published_value_in_domain(self, cls, name, value, in_domain):
+        constant = getattr(cls, name)
+        assert constant == value
+        assert in_domain(constant)
 
 
 class TestZooEndToEnd:

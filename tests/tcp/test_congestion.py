@@ -4,6 +4,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.tcp import NewRenoCC, RenoCC, TahoeCC, make_cc
+from repro.tcp.cc_zoo import BbrLikeCC, CompoundCC, HighSpeedCC, ScalableCC
+from repro.tcp.congestion import INITIAL_SSTHRESH, available_ccs
+from tests.test_package import TINY_RENO_CELL
+
+ZOO = ("compound", "scalable", "hstcp", "bbr")
 
 
 class TestSlowStartAndAvoidance:
@@ -15,19 +20,22 @@ class TestSlowStartAndAvoidance:
         assert cc.cwnd == 8.0
 
     def test_in_slow_start_predicate(self):
-        cc = RenoCC(initial_cwnd=2.0, initial_ssthresh=8.0)
+        cc = RenoCC(initial_cwnd=2.0)
+        cc.ssthresh = 8.0
         assert cc.in_slow_start
         cc.on_ack(10)
         assert not cc.in_slow_start
 
     def test_congestion_avoidance_grows_one_per_window(self):
-        cc = RenoCC(initial_cwnd=10.0, initial_ssthresh=5.0)
+        cc = RenoCC(initial_cwnd=10.0)
+        cc.ssthresh = 5.0
         cc.on_ack(10)  # one full window of ACKs
         # cwnd += 1/cwnd per ack, approximately +1 per window.
         assert cc.cwnd == pytest.approx(11.0, abs=0.1)
 
     def test_transition_at_ssthresh(self):
-        cc = RenoCC(initial_cwnd=2.0, initial_ssthresh=4.0)
+        cc = RenoCC(initial_cwnd=2.0)
+        cc.ssthresh = 4.0
         cc.on_ack(2)  # slow start to 4
         assert cc.cwnd == 4.0
         cc.on_ack(4)  # now in congestion avoidance
@@ -125,16 +133,64 @@ class TestNewReno:
 
 
 class TestFactory:
-    def test_make_by_name(self):
-        assert isinstance(make_cc("reno"), RenoCC)
-        assert isinstance(make_cc("tahoe"), TahoeCC)
-        assert isinstance(make_cc("NewReno"), NewRenoCC)
+    """A congestion control is built from its name alone."""
 
-    def test_unknown_name(self):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("name, cls", [
+        ("tahoe", TahoeCC), ("reno", RenoCC), ("newreno", NewRenoCC),
+        ("compound", CompoundCC), ("scalable", ScalableCC),
+        ("hstcp", HighSpeedCC), ("bbr", BbrLikeCC),
+    ], ids=("tahoe", "reno", "newreno") + ZOO)
+    def test_make_by_name(self, name, cls):
+        assert type(make_cc(name)) is cls
+
+    @pytest.mark.parametrize("name", ("tahoe", "reno", "newreno") + ZOO)
+    def test_bad_initial_window_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="initial_cwnd"):
+            make_cc(name, initial_cwnd=0.5)
+
+    def test_names_are_case_insensitive(self):
+        assert type(make_cc("RENO")) is type(make_cc("reno"))
+        assert type(make_cc("Bbr")) is type(make_cc("bbr"))
+
+    def test_unknown_name_lists_choices(self):
+        with pytest.raises(ConfigurationError, match="unknown congestion"):
+            make_cc("cubic")
+        with pytest.raises(ConfigurationError, match="reno"):
             make_cc("cubic")
 
-    def test_initial_parameters_forwarded(self):
-        cc = make_cc("reno", initial_cwnd=4.0, initial_ssthresh=100.0)
+    def test_every_name_is_available(self):
+        assert available_ccs() == sorted(("tahoe", "reno", "newreno") + ZOO)
+
+    def test_initial_window_forwarded(self):
+        cc = make_cc("reno", initial_cwnd=4.0)
         assert cc.cwnd == 4.0
-        assert cc.ssthresh == 100.0
+        assert cc.ssthresh == INITIAL_SSTHRESH
+
+
+class TestZooLoadsOnAMiss:
+    """The three built-ins never load the zoo; a name they lack does.
+    Each case runs in a fresh interpreter, where the zoo starts unloaded."""
+
+    def test_a_reno_run_leaves_the_zoo_unloaded(self, fresh_python):
+        assert "repro.tcp.cc_zoo" not in fresh_python(TINY_RENO_CELL)
+
+    def test_a_zoo_name_still_builds(self, fresh_python):
+        loaded = fresh_python(
+            "from repro.tcp.congestion import make_cc\n"
+            "assert type(make_cc('bbr')).__name__ == 'BbrLikeCC'")
+        assert "repro.tcp.cc_zoo" in loaded
+
+    @pytest.mark.parametrize("code", [
+        "assert len(available_ccs()) == 7",
+        "try:\n    make_cc('cubic')\nexcept ConfigurationError as exc:\n"
+        "    assert all(name in str(exc) for name in"
+        " ('tahoe', 'reno', 'newreno', 'compound', 'scalable', 'hstcp', 'bbr'))\n"
+        "else:\n    raise AssertionError('cubic built')",
+    ], ids=["available_ccs", "unknown-name-error"])
+    def test_every_name_is_listed_before_the_zoo_loads(self, fresh_python,
+                                                       code):
+        loaded = fresh_python(
+            "from repro.errors import ConfigurationError\n"
+            "from repro.tcp.congestion import available_ccs, make_cc\n"
+            + code)
+        assert "repro.tcp.cc_zoo" not in loaded

@@ -4,12 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.tcp import RtoEstimator
+from repro.tcp.rto import INITIAL_RTO, MAX_BACKOFF, MAX_RTO
 
 
 class TestRtoEstimator:
     def test_initial_rto_before_samples(self):
-        est = RtoEstimator(initial_rto=1.0)
-        assert est.rto == 1.0
+        est = RtoEstimator()
+        assert est.rto == INITIAL_RTO == 1.0
 
     def test_first_sample_seeds_srtt(self):
         est = RtoEstimator()
@@ -32,24 +33,24 @@ class TestRtoEstimator:
         assert est.rto == 0.2
 
     def test_max_rto_clamp(self):
-        est = RtoEstimator(max_rto=5.0)
-        est.sample(10.0)
-        assert est.rto == 5.0
+        est = RtoEstimator()
+        est.sample(100.0)
+        assert est.rto == MAX_RTO == 60.0
 
     def test_backoff_doubles(self):
         est = RtoEstimator()
         est.sample(0.1)
         base = est.rto
         est.on_timeout()
-        assert est.rto == pytest.approx(min(base * 2, est.max_rto))
+        assert est.rto == pytest.approx(min(base * 2, MAX_RTO))
         est.on_timeout()
-        assert est.rto == pytest.approx(min(base * 4, est.max_rto))
+        assert est.rto == pytest.approx(min(base * 4, MAX_RTO))
 
     def test_backoff_capped(self):
         est = RtoEstimator()
         for _ in range(20):
             est.on_timeout()
-        assert est.backoff == 64
+        assert est.backoff == MAX_BACKOFF == 64
 
     def test_sample_clears_backoff(self):
         est = RtoEstimator()
@@ -87,4 +88,4 @@ class TestRtoEstimator:
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
-            RtoEstimator(min_rto=2.0, max_rto=1.0)
+            RtoEstimator(min_rto=MAX_RTO + 1.0)

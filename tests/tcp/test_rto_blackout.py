@@ -2,17 +2,14 @@
 
 The fault model's contract with TCP: during an outage longer than the
 backed-off RTO, a sender emits a slow trickle of probe retransmissions
-(backoff doubling up to ``max_backoff``), not a storm; when the link
+(backoff doubling up to ``MAX_BACKOFF``), not a storm; when the link
 returns, the next probe's ACK restores progress and the flow completes.
 """
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.net import Network
 from repro.sim import Simulator
 from repro.tcp import TcpFlow
-from repro.tcp.rto import RtoEstimator
+from repro.tcp.rto import MAX_BACKOFF, RtoEstimator
 from repro.units import parse_bandwidth
 
 
@@ -30,15 +27,11 @@ def build_faultable_path(sim, rate="2Mbps", delay="5ms"):
 
 class TestBackoffCap:
     def test_on_timeout_caps_at_max_backoff(self):
-        est = RtoEstimator(max_backoff=4)
+        est = RtoEstimator()
         est.sample(0.1)
-        for _ in range(10):
+        for _ in range(10):  # 2**10 would pass the cap
             est.on_timeout()
-        assert est.backoff == 4
-
-    def test_max_backoff_validated(self):
-        with pytest.raises(ConfigurationError):
-            RtoEstimator(max_backoff=0)
+        assert est.backoff == MAX_BACKOFF
 
     def test_backoff_clears_on_sample(self):
         est = RtoEstimator()
@@ -76,7 +69,7 @@ class TestBlackout:
         sim.call_at(28.0, lambda: max_backoff_seen.append(flow.sender.rto.backoff))
         sim.call_at(28.0, link.up)
         sim.run(until=90.0)
-        assert max_backoff_seen[0] == flow.sender.rto.max_backoff == 64
+        assert max_backoff_seen[0] == MAX_BACKOFF == 64
 
     def test_no_retransmission_storm_during_blackout(self):
         flow, retransmits_during = self.run_blackout(blackout=15.0)

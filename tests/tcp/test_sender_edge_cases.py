@@ -87,16 +87,19 @@ class TestAckEdgeCases:
 
     def test_completion_fires_once(self):
         sim = Simulator()
-        done = []
         net = Network(sim)
         host = net.add_host("h")
         host.inject = lambda pkt: True
         sender = TcpSender(sim, host, dst_address=9, dport=1, sport=2,
-                           total_packets=4, on_complete=done.append)
+                           total_packets=4)
+        done = []
+        complete = sender._complete
+        sender._complete = lambda: (done.append(sim.now), complete())
         sender.start()
         sender.deliver(ack(4))
         sender.deliver(ack(4))
         assert len(done) == 1
+        assert sender.completed
 
     def test_cumulative_ack_beyond_rollback_point(self):
         """After go-back-N, an ACK above snd_nxt must not corrupt state."""
