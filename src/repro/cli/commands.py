@@ -503,6 +503,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     from repro import obs
 
+    if args.scenario == "short":
+        # The short-flow runner takes no fault schedule: refuse the
+        # flags rather than run a fault-free trace.
+        given = [flag for flag, value in (("--flap", args.flap),
+                                          ("--loss-burst", args.loss_burst))
+                 if value is not None]
+        if given:
+            return _fail(f"{' and '.join(given)}: the short scenario "
+                         f"injects no faults (long scenario only)")
     kinds = None
     if args.kinds:
         kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}

@@ -99,8 +99,11 @@ class Link:
         # event serializing a packet (at most one) and the delivery event
         # of each propagating packet, keyed by packet uid.  The packet
         # itself rides in ``event.args[0]`` — no extra tuple per hop.
+        # Only the per-event path (burst off) schedules these events, so
+        # only it holds the dict.
         self._serializing: Optional["Event"] = None
-        self._propagating: Dict[int, "Event"] = {}
+        self._propagating: Optional[Dict[int, "Event"]] = (
+            None if sim._burst else {})
         #: Set by the owning Interface: its output queue, so back-to-back
         #: serialization can continue without an idle round-trip.
         self._feed_queue: Optional[Queue] = None
@@ -125,7 +128,9 @@ class Link:
     def in_flight(self) -> int:
         """Packets currently on this link (serializing + propagating)."""
         serializing = self._serializing is not None or self._ser_packet is not None
-        count = (1 if serializing else 0) + len(self._propagating)
+        count = 1 if serializing else 0
+        if self._propagating:
+            count += len(self._propagating)
         packet = self._head
         while packet is not None:
             count += 1
@@ -176,8 +181,9 @@ class Link:
     def _end_serialization(self, packet: Packet) -> None:
         sim = self.sim
         now = sim._now
-        self._propagating[packet.uid] = sim.schedule(
-            self.delay, self._deliver, packet)
+        propagating = self._propagating
+        assert propagating is not None  # only the per-event path gets here
+        propagating[packet.uid] = sim.schedule(self.delay, self._deliver, packet)
         # Back-to-back fast path: under saturation the queue almost
         # always has a successor, so the transmitter never goes idle —
         # busy state and busy_time carry over unchanged, and the idle
@@ -209,7 +215,9 @@ class Link:
             on_idle()
 
     def _deliver(self, packet: Packet) -> None:
-        self._propagating.pop(packet.uid, None)
+        propagating = self._propagating
+        assert propagating is not None  # only the per-event path gets here
+        propagating.pop(packet.uid, None)
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
         packet.hops += 1
@@ -259,11 +267,13 @@ class Link:
                 self._busy_since = None
             self._on_idle = None
             self._count_fault_drop(packet)
-        for event in self._propagating.values():
-            packet = event.args[0]
-            event.cancel()
-            self._count_fault_drop(packet)
-        self._propagating.clear()
+        propagating = self._propagating
+        if propagating:
+            for event in propagating.values():
+                packet = event.args[0]
+                event.cancel()
+                self._count_fault_drop(packet)
+            propagating.clear()
         packet = self._head
         if packet is not None:
             self._head = self._tail = None

@@ -150,7 +150,6 @@ class Host(Node):
 
     def inject(self, packet: Packet) -> bool:
         """Send a locally-generated packet into the network."""
-        packet.created_at = self.sim._now
         self.packets_sent += 1
         if packet.dst == self.address:
             # Loopback: deliver without touching any link.  Counted as

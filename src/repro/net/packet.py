@@ -199,8 +199,6 @@ class Packet:
         :class:`PacketFlags` bitmask.
     flow_id:
         Identifier of the owning flow (for per-flow accounting).
-    created_at:
-        Simulation time at which the source injected the packet.
     hops:
         Number of links traversed so far (TTL-style loop guard).
     meta:
@@ -220,7 +218,6 @@ class Packet:
         "ack",
         "flags",
         "flow_id",
-        "created_at",
         "hops",
         "meta",
         "_pooled",
@@ -248,7 +245,6 @@ class Packet:
         flow_id: int = 0,
         sport: int = 0,
         dport: int = 0,
-        created_at: float = 0.0,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.uid = next(_packet_uid)
@@ -267,7 +263,6 @@ class Packet:
         # construction buys cheap flag tests on every subsequent hop.
         self.flags = int(flags)
         self.flow_id = flow_id
-        self.created_at = created_at
         self.hops = 0
         # Lazily-allocated scratch space: most packets never need it,
         # and a dict per packet is measurable at simulation scale.
@@ -290,7 +285,6 @@ class Packet:
         flow_id: int = 0,
         sport: int = 0,
         dport: int = 0,
-        created_at: float = 0.0,
         meta: Optional[Dict[str, Any]] = None,
     ) -> "Packet":
         """Obtain a packet, reusing a released one when the pool allows.
@@ -318,13 +312,12 @@ class Packet:
             self.ack = ack
             self.flags = int(flags)
             self.flow_id = flow_id
-            self.created_at = created_at
             self.hops = 0
             self.meta = meta
             return self
         pool.acquired += 1
         return cls(src, dst, payload, header, seq, ack, flags, flow_id,
-                   sport, dport, created_at, meta)
+                   sport, dport, meta)
 
     def release(self) -> None:
         """Return a dead packet to the pool (no-op while pooling is off).
@@ -353,7 +346,6 @@ class Packet:
             self.seq = self.ack = _POISON
             self.flags = 0
             self.flow_id = _POISON
-            self.created_at = float("nan")
             self.hops = _POISON
             self.meta = {"poisoned": True}
         else:

@@ -41,6 +41,10 @@ Injector = Callable[[Packet], Optional[str]]
 #: tests truth, takes ``len`` or iterates, which a tuple supports.
 _NO_ITEMS = cast("Deque[Packet]", ())
 
+#: ``Queue._injectors`` until the first :meth:`Queue.add_injector`: the
+#: same shared-empty-tuple trick, since only a fault run attaches one.
+_NO_INJECTORS = cast("List[Injector]", ())
+
 
 class Queue:
     """Abstract FIFO queue with capacity accounting and statistics.
@@ -96,7 +100,7 @@ class Queue:
         self.bytes_dropped = 0
         self.peak_packets = 0
         # Fault injection (see repro.faults.injectors).
-        self._injectors: List[Injector] = []
+        self._injectors = _NO_INJECTORS
         self.injected_drops = 0
         self.injected_corruptions = 0
         self.flushed = 0
@@ -179,6 +183,8 @@ class Queue:
         ``"corrupt"`` (admit but mark the payload damaged), or ``None``
         (leave the packet alone).
         """
+        if self._injectors is _NO_INJECTORS:
+            self._injectors = []
         self._injectors.append(injector)
 
     def remove_injector(self, injector: Injector) -> None:

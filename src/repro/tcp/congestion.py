@@ -84,6 +84,11 @@ class CongestionControl:
         The slow-start threshold starts at :data:`INITIAL_SSTHRESH`.
     """
 
+    # Slotted: one instance per flow.  The loss-driven family below adds
+    # no state (``__slots__ = ()``); a zoo algorithm that declares no
+    # slots gets a ``__dict__`` for its own.
+    __slots__ = ("cwnd", "ssthresh", "fast_recoveries", "timeouts")
+
     #: Whether three duplicate ACKs trigger fast recovery (vs Tahoe collapse).
     has_fast_recovery = True
     #: Whether recovery persists until the pre-loss highest seq is acked.
@@ -180,12 +185,16 @@ class CongestionControl:
 class TahoeCC(CongestionControl):
     """TCP Tahoe: any loss collapses the window to one packet."""
 
+    __slots__ = ()
+
     has_fast_recovery = False
     recovery_until_recover = False
 
 
 class RenoCC(CongestionControl):
     """TCP Reno: fast recovery, exited by the first new ACK."""
+
+    __slots__ = ()
 
     has_fast_recovery = True
     recovery_until_recover = False
@@ -194,6 +203,8 @@ class RenoCC(CongestionControl):
 class NewRenoCC(CongestionControl):
     """TCP NewReno (RFC 6582): fast recovery persists across partial ACKs
     until the entire pre-loss window is acknowledged."""
+
+    __slots__ = ()
 
     has_fast_recovery = True
     recovery_until_recover = True

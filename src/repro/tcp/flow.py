@@ -83,6 +83,11 @@ class TcpFlow:
         receiver has all data.
     """
 
+    __slots__ = (
+        "sim", "flow_id", "size_packets", "on_complete", "_user_record",
+        "receiver", "sender", "start_time", "_start_event",
+    )
+
     def __init__(
         self,
         sim,

@@ -16,7 +16,7 @@ destination").
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Set
+from typing import Callable, FrozenSet, Optional, Set, Union
 
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketFlags, TCP_HEADER_BYTES
@@ -33,6 +33,11 @@ _ACK = int(PacketFlags.ACK)
 _CE = int(PacketFlags.CE)
 _CWR = int(PacketFlags.CWR)
 _ECE = int(PacketFlags.ECE)
+
+#: ``TcpReceiver._out_of_order`` while nothing is buffered out of order:
+#: one shared empty frozenset.  A set's table never shrinks, so a set
+#: kept after its hole fills would hold the table its largest gap grew.
+_NO_SEGMENTS: FrozenSet[int] = frozenset()
 
 
 class TcpReceiver:
@@ -62,6 +67,16 @@ class TcpReceiver:
         :class:`repro.tcp.sack.TcpSackSender`.
     """
 
+    # Slotted like the sender: a receiver is built for every flow.
+    __slots__ = (
+        "sim", "host", "port", "expected_packets", "delayed_ack",
+        "on_complete", "sack", "rcv_nxt", "_last_arrival_seq",
+        "_out_of_order", "_ece_pending", "ce_marks_seen",
+        "_unacked_segments", "_delack_timer", "_reply_to",
+        "segments_received", "duplicate_segments", "acks_sent",
+        "completed", "complete_time", "first_arrival",
+    )
+
     def __init__(
         self,
         sim,
@@ -82,13 +97,15 @@ class TcpReceiver:
         self.sack = sack
         self.rcv_nxt = 0  # next expected in-order segment
         self._last_arrival_seq = -1
-        self._out_of_order: Set[int] = set()
+        self._out_of_order: Union[Set[int], FrozenSet[int]] = _NO_SEGMENTS
         # RFC 3168 echo state: set by a CE-marked data packet, cleared
         # when the sender confirms its reduction with CWR.
         self._ece_pending = False
         self.ce_marks_seen = 0
         self._unacked_segments = 0  # in-order segments since last ACK
-        self._delack_timer = Timer(sim, self._flush_ack)
+        # Only a delayed-ACK receiver ever arms the flush timer.
+        self._delack_timer: Optional[Timer] = (
+            Timer(sim, self._flush_ack) if delayed_ack else None)
         # Reply path for a deferred ACK: (src, flow_id, sport) of the
         # last in-order data segment.  Stored as scalars because the
         # packet object itself may be recycled by the pool the moment
@@ -106,7 +123,8 @@ class TcpReceiver:
 
     def close(self) -> None:
         """Tear down: cancel the delayed-ACK timer and release the port."""
-        self._delack_timer.cancel()
+        if self._delack_timer is not None:
+            self._delack_timer.cancel()
         self.host.unbind(self.port)
 
     # ------------------------------------------------------------------
@@ -135,10 +153,14 @@ class TcpReceiver:
             return
         if seq == self.rcv_nxt:
             self.rcv_nxt += 1
-            # Drain any contiguous buffered segments.
-            while self.rcv_nxt in self._out_of_order:
-                self._out_of_order.discard(self.rcv_nxt)
-                self.rcv_nxt += 1
+            ooo = self._out_of_order
+            if ooo:
+                # Drain any contiguous buffered segments.
+                while self.rcv_nxt in ooo:
+                    ooo.discard(self.rcv_nxt)
+                    self.rcv_nxt += 1
+                if not ooo:
+                    self._out_of_order = _NO_SEGMENTS
             self._maybe_complete()
             if self.delayed_ack:
                 self._ack_in_order(packet)
@@ -146,7 +168,10 @@ class TcpReceiver:
                 self._emit_ack(packet.src, packet.flow_id, packet.sport)
         else:
             # Out of order: buffer and duplicate-ACK immediately.
-            self._out_of_order.add(seq)
+            ooo = self._out_of_order
+            if ooo is _NO_SEGMENTS:
+                ooo = self._out_of_order = set()
+            ooo.add(seq)
             self._emit_ack(packet.src, packet.flow_id, packet.sport)
 
     def _ack_in_order(self, packet: Packet) -> None:
@@ -175,7 +200,7 @@ class TcpReceiver:
             flags |= _ECE
         ack = Packet.acquire(self.host.address, dst, 0, TCP_HEADER_BYTES, 0,
                              self.rcv_nxt, flags, flow_id, self.port, dport,
-                             0.0, meta)
+                             meta)
         self.acks_sent += 1
         self.host.inject(ack)
 

@@ -48,6 +48,8 @@ class RtoEstimator:
         RTO floor in seconds; the ceiling is :data:`MAX_RTO`.
     """
 
+    __slots__ = ("min_rto", "srtt", "rttvar", "backoff", "samples")
+
     def __init__(self, min_rto: float = 0.2):
         if not 0 < min_rto <= MAX_RTO:
             raise ConfigurationError(f"need 0 < min_rto <= {MAX_RTO}")

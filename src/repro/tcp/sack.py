@@ -39,15 +39,18 @@ class TcpSackSender(TcpSender):
     wasteful, fallback).
     """
 
+    # SACK-based recovery persists until the pre-loss highest sequence
+    # is cumulatively acknowledged (RFC 6675), regardless of the
+    # congestion-control flavour plugged in.
+    recovery_until_recover = True
+
+    __slots__ = ("_sacked", "_retx_this_recovery", "sack_retransmits")
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sacked: Set[int] = set()
         self._retx_this_recovery: Set[int] = set()
         self.sack_retransmits = 0
-        # SACK-based recovery persists until the pre-loss highest
-        # sequence is cumulatively acknowledged (RFC 6675), regardless
-        # of the congestion-control flavour plugged in.
-        self.cc.recovery_until_recover = True
 
     # ------------------------------------------------------------------
     # Scoreboard

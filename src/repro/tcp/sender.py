@@ -71,6 +71,27 @@ class TcpSender:
         Optional pre-configured :class:`~repro.tcp.rto.RtoEstimator`.
     """
 
+    # Slotted: a sender has more attributes than CPython shares dict
+    # keys for (30), so without slots each one carries its own 1.6 kB
+    # ``__dict__`` and every per-ACK attribute access is a dict lookup.
+    # A subclass that declares no slots of its own (a test fixture)
+    # gets a ``__dict__`` for its extras.
+    __slots__ = (
+        "sim", "host", "dst_address", "dport", "sport", "flow_id", "cc",
+        "mss", "max_window", "total_packets", "rto", "pacing",
+        "_pace_timer", "pacing_releases", "ecn", "_ecn_recover",
+        "_cwr_pending", "ecn_reductions", "snd_una", "snd_nxt",
+        "high_water", "dup_acks", "in_recovery", "recover",
+        "_send_times", "_timed_base", "_rto_timer", "started", "completed",
+        "start_time", "complete_time", "segments_sent", "retransmits",
+        "fast_retransmits",
+    )
+
+    #: Whether fast recovery lasts until ``recover`` is acked whatever
+    #: the algorithm's own ``recovery_until_recover`` says (set by the
+    #: SACK sender, whose RFC 6675 recovery always does).
+    recovery_until_recover = False
+
     def __init__(
         self,
         sim,
@@ -108,8 +129,10 @@ class TcpSender:
         # the paced-departure path on.
         self.pacing = bool(pacing) or self.cc.wants_pacing
         # Paced departures run on the Timer facility (same lazy-deferral
-        # machinery as the RTO timer), not raw schedule/cancel events.
-        self._pace_timer = Timer(sim, self._pace_fire)
+        # machinery as the RTO timer), not raw schedule/cancel events;
+        # an unpaced sender never arms one, so it holds none.
+        self._pace_timer: Optional[Timer] = (
+            Timer(sim, self._pace_fire) if self.pacing else None)
         self.pacing_releases = 0
         # RFC 3168 sender state: ECT is stamped on data when enabled;
         # one window reduction per RTT of ECE feedback, confirmed to the
@@ -166,7 +189,8 @@ class TcpSender:
     def close(self) -> None:
         """Tear the agent down: cancel timers and release the port."""
         self._rto_timer.cancel()
-        self._pace_timer.cancel()
+        if self._pace_timer is not None:
+            self._pace_timer.cancel()
         self.host.unbind(self.sport)
 
     # ------------------------------------------------------------------
@@ -334,7 +358,8 @@ class TcpSender:
             self.snd_nxt = self.snd_una
 
         if self.in_recovery:
-            if self.cc.recovery_until_recover and ackno < self.recover:
+            if ((self.recovery_until_recover or self.cc.recovery_until_recover)
+                    and ackno < self.recover):
                 # NewReno partial ACK: the next hole is lost too.
                 self.cc.on_partial_ack(newly_acked)
                 self._retransmit_head()

@@ -778,6 +778,24 @@ class TestTraceCommand:
                  for line in out_path.read_text().splitlines()]
         assert times and 1.5 < max(times) <= 1.75
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--flap", "1,1"], "--flap"),
+        (["--loss-burst", "1,1,0.5"], "--loss-burst"),
+        (["--flap", "1,1", "--loss-burst", "1,1,0.5"], "--flap and --loss-burst"),
+    ], ids=["flap", "loss-burst", "both"])
+    def test_short_refuses_fault_flags(self, capsys, tmp_path, flags, named):
+        # The short-flow runner takes no fault schedule; these flags
+        # used to exit 0 with nothing injected.
+        out_path = tmp_path / "t.jsonl"
+        code, out = run_cli(capsys, "trace", "short", *flags,
+                            "--warmup", "0.5", "--duration", "1",
+                            "--out", str(out_path))
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
+        assert not out_path.exists()
+
     def test_unknown_kind_rejected(self, capsys, tmp_path):
         code, out = run_cli(capsys, "trace", "--kinds", "drop,warp",
                             "--out", str(tmp_path / "t.jsonl"))

@@ -1,7 +1,5 @@
 """Packet pool: reuse, poisoning, double-release detection."""
 
-import math
-
 import pytest
 
 from repro.errors import PacketPoolError
@@ -105,7 +103,6 @@ class TestDebugMode:
             p.release()
             assert p.size < 0
             assert p.src < 0 and p.dst < 0
-            assert math.isnan(p.created_at)
             assert p.meta == {"poisoned": True}
 
 

@@ -60,16 +60,19 @@ def run_scenario(cc, size, buffer, drops, pacing=False):
     mins = {"cwnd": math.inf, "ssthresh": math.inf}
     stream = []
     receiver = flow.receiver
-    inner = receiver.deliver
 
-    def record_stream(packet):
-        inner(packet)
-        # Everything newly reassembled in order is what the application
-        # reads: the delivered byte stream, timing-free.
-        while len(stream) < receiver.rcv_nxt:
-            stream.append(len(stream))
+    class StreamTap:
+        """Bound to the receiver's port in its place."""
 
-    receiver.deliver = record_stream
+        def deliver(self, packet):
+            receiver.deliver(packet)
+            # Everything newly reassembled in order is what the
+            # application reads: the delivered byte stream, timing-free.
+            while len(stream) < receiver.rcv_nxt:
+                stream.append(len(stream))
+
+    b.unbind(receiver.port)
+    b.bind(receiver.port, StreamTap())
 
     def probe():
         mins["cwnd"] = min(mins["cwnd"], flow.sender.cc.cwnd)

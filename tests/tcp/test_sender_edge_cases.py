@@ -90,11 +90,15 @@ class TestAckEdgeCases:
         net = Network(sim)
         host = net.add_host("h")
         host.inject = lambda pkt: True
-        sender = TcpSender(sim, host, dst_address=9, dport=1, sport=2,
-                           total_packets=4)
         done = []
-        complete = sender._complete
-        sender._complete = lambda: (done.append(sim.now), complete())
+
+        class RecordingSender(TcpSender):
+            def _complete(self):
+                done.append(sim.now)
+                super()._complete()
+
+        sender = RecordingSender(sim, host, dst_address=9, dport=1, sport=2,
+                                 total_packets=4)
         sender.start()
         sender.deliver(ack(4))
         sender.deliver(ack(4))
